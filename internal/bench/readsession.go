@@ -40,19 +40,13 @@ type ReadSessionSplit struct {
 }
 
 // ReadSessionResult is the readsession experiment output;
-// cmd/vortex-bench serializes it as BENCH_readsession.json. Points
-// measure the default columnar serving path; RowPoints re-measure the
-// fan-out endpoints with vectorized serving disabled (row-at-a-time
-// scan + re-encode), and VectorSpeedup is the single-reader ratio
-// between the two.
+// cmd/vortex-bench serializes it as BENCH_readsession.json.
 type ReadSessionResult struct {
-	Experiment    string             `json:"experiment"`
-	Rows          int                `json:"rows"`
-	Columns       []string           `json:"columns,omitempty"`
-	Points        []ReadSessionPoint `json:"points"`
-	RowPoints     []ReadSessionPoint `json:"row_points,omitempty"`
-	VectorSpeedup float64            `json:"vector_speedup,omitempty"`
-	Split         ReadSessionSplit   `json:"split"`
+	Experiment string             `json:"experiment"`
+	Rows       int                `json:"rows"`
+	Columns    []string           `json:"columns,omitempty"`
+	Points     []ReadSessionPoint `json:"points"`
+	Split      ReadSessionSplit   `json:"split"`
 }
 
 // drainShard pulls a shard to EOF, committing after every batch.
@@ -118,11 +112,9 @@ func ReadSessionBench(ctx context.Context, nRows int, readers []int) (*ReadSessi
 		return nil, err
 	}
 
-	// The timed scans project the flat analytic columns: that is the
-	// shape the vectorized serving path is built for (ROS fragments
+	// The timed scans project the flat analytic columns: ROS fragments
 	// whose projected columns are all flat stream as encoded vectors,
-	// zero-copy from the read cache), and both serving modes run the
-	// identical projected scan so the comparison is apples to apples.
+	// zero-copy from the read cache.
 	cols := []string{"orderTimestamp", "salesOrderKey", "customerKey", "totalSale", "currencyKey"}
 	res := &ReadSessionResult{Experiment: "readsession", Rows: nRows, Columns: cols}
 	c := r.NewClient(client.DefaultOptions())
@@ -193,22 +185,6 @@ func ReadSessionBench(ctx context.Context, nRows int, readers []int) (*ReadSessi
 		res.Points = append(res.Points, p)
 	}
 
-	// Vectorized-vs-row mode: re-measure the fan-out endpoints with the
-	// columnar serving path disabled, so the JSON carries both sides of
-	// the comparison.
-	r.ReadSessions.SetVectorized(false)
-	for _, n := range []int{readers[0], readers[len(readers)-1]} {
-		p, err := runPoint(n)
-		if err != nil {
-			return nil, err
-		}
-		res.RowPoints = append(res.RowPoints, p)
-	}
-	r.ReadSessions.SetVectorized(true)
-	if len(res.RowPoints) > 0 && res.RowPoints[0].RowsPerSec > 0 {
-		res.VectorSpeedup = res.Points[0].RowsPerSec / res.RowPoints[0].RowsPerSec
-	}
-
 	// Split experiment. Baseline: one reader drains the single shard end
 	// to end. Split run: after the first batch the shard's unserved tail
 	// is handed to a second reader; both halves drain concurrently. Small
@@ -275,13 +251,6 @@ func PrintReadSession(w io.Writer, res *ReadSessionResult) {
 	for _, p := range res.Points {
 		fmt.Fprintf(w, "  readers=%-3d shards=%-3d rows=%-7d batches=%-5d wire=%dKB  %8.1fms  %10.0f rows/s\n",
 			p.Readers, p.Shards, p.Rows, p.Batches, p.Bytes/1024, p.ElapsedMS, p.RowsPerSec)
-	}
-	for _, p := range res.RowPoints {
-		fmt.Fprintf(w, "  [row-at-a-time] readers=%-3d %8.1fms  %10.0f rows/s\n",
-			p.Readers, p.ElapsedMS, p.RowsPerSec)
-	}
-	if res.VectorSpeedup > 0 {
-		fmt.Fprintf(w, "vectorized serving speedup (1 reader): %.2fx\n", res.VectorSpeedup)
 	}
 	fmt.Fprintf(w, "liquid split: baseline %.1fms, split+2 readers %.1fms (%.2fx), %d rows moved\n\n",
 		res.Split.BaselineMS, res.Split.SplitMS, res.Split.Speedup, res.Split.MovedRows)

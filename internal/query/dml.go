@@ -56,9 +56,13 @@ func (e *Engine) execMutation(ctx context.Context, table meta.TableID, where sql
 	}()
 
 	res := &Result{Columns: []string{"rows_affected"}}
-	_, rows, err := e.scanTable(ctx, table, 0, nil, nil, &res.Stats)
+	batches, err := e.scanTableBatches(ctx, table, 0, nil, nil, &res.Stats)
 	if err != nil {
 		return nil, err
+	}
+	var rows []client.PosRow
+	for _, b := range batches {
+		rows = append(rows, b.PosRows()...)
 	}
 	// DML over replacing change types would need per-key reasoning the
 	// engine does not implement; BigQuery similarly restricts DML on

@@ -18,9 +18,7 @@ import (
 
 	"vortex/internal/bigmeta"
 	"vortex/internal/client"
-	"vortex/internal/dml"
 	"vortex/internal/meta"
-	"vortex/internal/rowenc"
 	"vortex/internal/rpc"
 	"vortex/internal/schema"
 	"vortex/internal/sql"
@@ -35,10 +33,6 @@ type Config struct {
 	// MaxMaskRanges triggers mask coalescing with reinserted rows when a
 	// fragment's deletion mask would exceed this many ranges (§7.3).
 	MaxMaskRanges int
-	// DisableVectorized forces the row-at-a-time leaf path. The parity
-	// tests use it to prove the two paths agree; it is also the escape
-	// hatch if a vectorized plan misbehaves.
-	DisableVectorized bool
 }
 
 // Engine executes queries against one region.
@@ -81,14 +75,34 @@ type ExecStats struct {
 	DiskHits        int64
 	DiskMisses      int64
 	PrefetchFetched int64
-	// RowsCodeSkipped counts rows the vectorized leaf eliminated in
-	// encoded space — a predicate decided once per dictionary entry or
-	// RLE run killed them without ever materializing a value.
-	// RowsDecoded counts rows that were actually materialized (per-row
-	// evaluated or gathered into output). On the row-at-a-time path
-	// every scanned row is decoded, so RowsDecoded == RowsScanned.
+	// RowsCodeSkipped counts rows the leaf eliminated in encoded space —
+	// a predicate decided once per dictionary entry or RLE run killed
+	// them without ever materializing a value. RowsDecoded counts the
+	// rest: rows whose values were read by change resolution, a per-row
+	// predicate, a join or the output. The two always sum to RowsScanned.
 	RowsCodeSkipped int64
 	RowsDecoded     int64
+}
+
+// add folds another scan's counters into s — the second side of a
+// join, or one leaf stage's deltas. SnapshotTS is kept when already
+// set: the first scan pins it.
+func (s *ExecStats) add(o ExecStats) {
+	s.AssignmentsTotal += o.AssignmentsTotal
+	s.AssignmentsPruned += o.AssignmentsPruned
+	s.RowsScanned += o.RowsScanned
+	s.RowsAffected += o.RowsAffected
+	if s.SnapshotTS == 0 {
+		s.SnapshotTS = o.SnapshotTS
+	}
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheBytesSaved += o.CacheBytesSaved
+	s.DiskHits += o.DiskHits
+	s.DiskMisses += o.DiskMisses
+	s.PrefetchFetched += o.PrefetchFetched
+	s.RowsCodeSkipped += o.RowsCodeSkipped
+	s.RowsDecoded += o.RowsDecoded
 }
 
 // Result is a query result set. Batches is the native columnar form;
@@ -191,85 +205,29 @@ func (e *Engine) QueryAt(ctx context.Context, sqlText string, ts truetime.Timest
 	return nil, fmt.Errorf("query: unsupported statement %T", stmt)
 }
 
-// scanTable plans, prunes and scans a table snapshot in parallel.
-func (e *Engine) scanTable(ctx context.Context, table meta.TableID, ts truetime.Timestamp, where sql.Expr, projection map[string]bool, stats *ExecStats) (*client.ScanPlan, []client.PosRow, error) {
+// scanTableBatches plans, prunes and scans a table snapshot in
+// parallel, returning one ColBatch per surviving assignment in
+// assignment order, and folds the scan's counters into stats.
+func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts truetime.Timestamp, where sql.Expr, projection map[string]bool, stats *ExecStats) ([]*client.ColBatch, error) {
 	plan, err := e.c.Plan(ctx, table, ts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	plan.Projection = projection
-	stats.SnapshotTS = plan.SnapshotTS
 	assignments := plan.Assignments
-	stats.AssignmentsTotal = len(assignments)
+	scan := ExecStats{SnapshotTS: plan.SnapshotTS, AssignmentsTotal: len(assignments)}
 
 	// Partition elimination (§7.2). Pruning is sound only when replacing
 	// change types cannot hide per-key state in pruned fragments, so it
 	// is applied to tables without a primary key.
 	if where != nil && len(plan.Schema.PrimaryKey) == 0 {
-		var pruned int
-		assignments, pruned = PruneAssignments(e.index, table, plan.Schema, sql.ExtractPredicates(where), assignments)
-		stats.AssignmentsPruned += pruned
+		assignments, scan.AssignmentsPruned = PruneAssignments(e.index, table, plan.Schema, sql.ExtractPredicates(where), assignments)
 	}
 
 	// Leaf stage: parallel shard scans (the Dremel leaf dispatch, §3.1).
 	// The prefetcher walks the surviving assignments ahead of the
 	// scanners, warming the disk tier (no-op without one).
-	cacheBefore := e.c.ReadCache().Stats()
-	e.c.Prefetch(assignments)
-	results := make([][]client.PosRow, len(assignments))
-	errs := make([]error, len(assignments))
-	sem := make(chan struct{}, e.cfg.Shards)
-	var wg sync.WaitGroup
-	for i, a := range assignments {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, a client.Assignment) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.c.ScanDetailed(ctx, plan, a)
-		}(i, a)
-	}
-	wg.Wait()
-	cacheAfter := e.c.ReadCache().Stats()
-	stats.CacheHits = cacheAfter.Hits - cacheBefore.Hits
-	stats.CacheMisses = cacheAfter.Misses - cacheBefore.Misses
-	stats.CacheBytesSaved = cacheAfter.BytesSaved - cacheBefore.BytesSaved
-	stats.DiskHits = cacheAfter.DiskHits - cacheBefore.DiskHits
-	stats.DiskMisses = cacheAfter.DiskMisses - cacheBefore.DiskMisses
-	stats.PrefetchFetched = cacheAfter.PrefetchFetched - cacheBefore.PrefetchFetched
-	var rows []client.PosRow
-	for i := range results {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
-		rows = append(rows, results[i]...)
-	}
-	stats.RowsScanned = int64(len(rows))
-	stats.RowsDecoded += int64(len(rows))
-	return plan, rows, nil
-}
-
-// scanTableBatches is scanTable's vectorized twin: the leaf stage
-// returns per-assignment ColBatches instead of concatenated rows, so
-// flat ROS fragments stay in their encoded columnar form all the way
-// to the predicate. Batch order follows assignment order — the same
-// order scanTable concatenates in.
-func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts truetime.Timestamp, where sql.Expr, projection map[string]bool, stats *ExecStats) (*client.ScanPlan, []*client.ColBatch, error) {
-	plan, err := e.c.Plan(ctx, table, ts)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan.Projection = projection
-	stats.SnapshotTS = plan.SnapshotTS
-	assignments := plan.Assignments
-	stats.AssignmentsTotal = len(assignments)
-	if where != nil && len(plan.Schema.PrimaryKey) == 0 {
-		var pruned int
-		assignments, pruned = PruneAssignments(e.index, table, plan.Schema, sql.ExtractPredicates(where), assignments)
-		stats.AssignmentsPruned += pruned
-	}
-
-	cacheBefore := e.c.ReadCache().Stats()
+	before := e.c.ReadCache().Stats()
 	e.c.Prefetch(assignments)
 	batches := make([]*client.ColBatch, len(assignments))
 	errs := make([]error, len(assignments))
@@ -285,20 +243,24 @@ func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts tr
 		}(i, a)
 	}
 	wg.Wait()
-	cacheAfter := e.c.ReadCache().Stats()
-	stats.CacheHits = cacheAfter.Hits - cacheBefore.Hits
-	stats.CacheMisses = cacheAfter.Misses - cacheBefore.Misses
-	stats.CacheBytesSaved = cacheAfter.BytesSaved - cacheBefore.BytesSaved
-	stats.DiskHits = cacheAfter.DiskHits - cacheBefore.DiskHits
-	stats.DiskMisses = cacheAfter.DiskMisses - cacheBefore.DiskMisses
-	stats.PrefetchFetched = cacheAfter.PrefetchFetched - cacheBefore.PrefetchFetched
+	after := e.c.ReadCache().Stats()
+	scan.CacheHits = after.Hits - before.Hits
+	scan.CacheMisses = after.Misses - before.Misses
+	scan.CacheBytesSaved = after.BytesSaved - before.BytesSaved
+	scan.DiskHits = after.DiskHits - before.DiskHits
+	scan.DiskMisses = after.DiskMisses - before.DiskMisses
+	scan.PrefetchFetched = after.PrefetchFetched - before.PrefetchFetched
 	for i := range batches {
 		if errs[i] != nil {
-			return nil, nil, errs[i]
+			return nil, errs[i]
 		}
-		stats.RowsScanned += int64(batches[i].NumVisible())
+		scan.RowsScanned += int64(batches[i].NumVisible())
 	}
-	return plan, batches, nil
+	// Every scanned row counts as decoded until a predicate proves it
+	// was skipped in code space.
+	scan.RowsDecoded = scan.RowsScanned
+	stats.add(scan)
+	return batches, nil
 }
 
 // PruneAssignments applies Big Metadata partition elimination (§7.2) to
@@ -306,7 +268,7 @@ func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts tr
 // inline fragment statistics) provably cannot match the predicates are
 // dropped. Undiscovered live tails are unprunable and always kept. It
 // returns the surviving assignments and the pruned count. Shared by the
-// query engine's scanTable and the read-session shard planner, so the
+// query engine's leaf stage and the read-session shard planner, so the
 // two paths cannot drift. Callers are responsible for the soundness
 // precondition: no pruning on primary-keyed tables.
 func PruneAssignments(index *bigmeta.Index, table meta.TableID, sc *schema.Schema, preds []bigmeta.Predicate, assignments []client.Assignment) ([]client.Assignment, int) {
@@ -383,26 +345,20 @@ func projectionOf(st *sql.SelectStmt, sc *schema.Schema) map[string]bool {
 	return proj
 }
 
-// resolveIfKeyed applies `_CHANGE_TYPE` replacement semantics when the
-// table has a primary key.
-func resolveIfKeyed(s *schema.Schema, rows []client.PosRow) []client.PosRow {
-	if len(s.PrimaryKey) == 0 {
-		return rows
+func hasAggregates(st *sql.SelectStmt) bool {
+	for _, it := range st.Items {
+		if _, ok := it.Expr.(*sql.Aggregate); ok {
+			return true
+		}
 	}
-	stamped := make([]rowenc.Stamped, len(rows))
-	bySeq := make(map[int64]client.PosRow, len(rows))
-	for i, r := range rows {
-		stamped[i] = r.Stamped
-		bySeq[r.Stamped.Seq] = r
-	}
-	resolved := dml.ResolveChanges(s, stamped, true)
-	out := make([]client.PosRow, 0, len(resolved))
-	for _, r := range resolved {
-		out = append(out, bySeq[r.Seq])
-	}
-	return out
+	return len(st.GroupBy) > 0
 }
 
+// execSelect runs a single-table SELECT: the leaf stage scans
+// ColBatches, change resolution (primary-keyed tables) and then the
+// predicate narrow each batch's selection, and output either streams
+// straight out as record batches (flat projections) or feeds the
+// aggregation/projection stages.
 func (e *Engine) execSelect(ctx context.Context, st *sql.SelectStmt, ts truetime.Timestamp) (*Result, error) {
 	if st.Join != nil {
 		return e.execSelectJoin(ctx, st, ts)
@@ -415,44 +371,31 @@ func (e *Engine) execSelect(ctx context.Context, st *sql.SelectStmt, ts truetime
 		return nil, err
 	}
 	res := &Result{}
-	proj := projectionOf(st, sc)
-	// Primary-keyed tables need per-row change resolution with full
-	// provenance, which only the row path provides.
-	if !e.cfg.DisableVectorized && len(sc.PrimaryKey) == 0 {
-		return e.execSelectVectorized(ctx, st, sc, ts, proj, res)
-	}
-	_, posRows, err := e.scanTable(ctx, meta.TableID(st.Table), ts, st.Where, proj, &res.Stats)
+	batches, err := e.scanTableBatches(ctx, meta.TableID(st.Table), ts, st.Where, projectionOf(st, sc), &res.Stats)
 	if err != nil {
 		return nil, err
 	}
-	posRows = resolveIfKeyed(sc, posRows)
-
-	// Filter.
-	var rows []schema.Row
-	for _, pr := range posRows {
-		row := pr.Stamped.Row
-		if st.Where != nil {
-			v, err := sql.Eval(st.Where, row)
-			if err != nil {
-				return nil, err
-			}
-			if !sql.Truthy(v) {
-				continue
-			}
+	resolveBatches(sc, batches)
+	pred := CompileVecPredicate(st.Where)
+	for _, b := range batches {
+		sel, fs, err := pred.Apply(b)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		b.Sel = sel
+		res.Stats.RowsCodeSkipped += fs.PrunedByCode
+		res.Stats.RowsDecoded -= fs.PrunedByCode
 	}
 
-	hasAgg := len(st.GroupBy) > 0
-	for _, it := range st.Items {
-		if _, ok := it.Expr.(*sql.Aggregate); ok {
-			hasAgg = true
-		}
+	if hasAggregates(st) {
+		return e.aggregateVec(st, batches, res)
 	}
-	if hasAgg {
-		return e.aggregate(st, sc, rows, res)
+	if len(st.OrderBy) == 0 && directEmitOK(st) {
+		return emitDirect(st, sc, batches, res)
 	}
-	return e.project(st, sc, rows, res)
+	// ORDER BY or computed items: materialize survivors for the
+	// projection stage.
+	return e.project(st, sc, rowsOf(batches), res)
 }
 
 // project emits plain (non-aggregate) select output.

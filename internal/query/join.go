@@ -69,10 +69,9 @@ func HashJoinRows(leftRows, rightRows []schema.Row, j *sql.JoinClause, leftArity
 // execSelectJoin executes a two-table equi-join SELECT: both sides are
 // scanned at the same pinned snapshot (the left plan's resolved
 // timestamp pins the right scan), change-resolved when primary-keyed,
-// hash-joined, then fed through the shared filter/aggregate/projection
-// stages over the concatenated row space. Joins always take the row
-// path: change resolution needs full row provenance, and the join
-// itself re-materializes rows anyway.
+// hash-joined, then fed through the filter/aggregate/projection stages
+// over the concatenated row space. The join re-materializes rows, so
+// both sides decode every surviving row.
 func (e *Engine) execSelectJoin(ctx context.Context, st *sql.SelectStmt, ts truetime.Timestamp) (*Result, error) {
 	leftSc, err := e.c.GetSchema(ctx, meta.TableID(st.Table))
 	if err != nil {
@@ -91,33 +90,17 @@ func (e *Engine) execSelectJoin(ctx context.Context, st *sql.SelectStmt, ts true
 	// re-derived from resolved offsets; full-width scans keep the
 	// operator simple and correct (left-side change resolution needs the
 	// PK columns regardless).
-	_, leftPos, err := e.scanTable(ctx, meta.TableID(st.Table), ts, nil, nil, &res.Stats)
+	left, err := e.scanTableBatches(ctx, meta.TableID(st.Table), ts, nil, nil, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
-	pinned := res.Stats.SnapshotTS
-	var rightStats ExecStats
-	_, rightPos, err := e.scanTable(ctx, meta.TableID(st.Join.Table), pinned, nil, nil, &rightStats)
+	right, err := e.scanTableBatches(ctx, meta.TableID(st.Join.Table), res.Stats.SnapshotTS, nil, nil, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.AssignmentsTotal += rightStats.AssignmentsTotal
-	res.Stats.RowsScanned += rightStats.RowsScanned
-	res.Stats.RowsDecoded += rightStats.RowsDecoded
-	res.Stats.CacheHits += rightStats.CacheHits
-	res.Stats.CacheMisses += rightStats.CacheMisses
-
-	leftPos = resolveIfKeyed(leftSc, leftPos)
-	rightPos = resolveIfKeyed(rightSc, rightPos)
-	leftRows := make([]schema.Row, len(leftPos))
-	for i, pr := range leftPos {
-		leftRows[i] = pr.Stamped.Row
-	}
-	rightRows := make([]schema.Row, len(rightPos))
-	for i, pr := range rightPos {
-		rightRows[i] = pr.Stamped.Row
-	}
-	joined := HashJoinRows(leftRows, rightRows, st.Join, len(leftSc.Fields))
+	resolveBatches(leftSc, left)
+	resolveBatches(rightSc, right)
+	joined := HashJoinRows(rowsOf(left), rowsOf(right), st.Join, len(leftSc.Fields))
 
 	var rows []schema.Row
 	for _, row := range joined {
@@ -133,14 +116,8 @@ func (e *Engine) execSelectJoin(ctx context.Context, st *sql.SelectStmt, ts true
 		rows = append(rows, row)
 	}
 
-	hasAgg := len(st.GroupBy) > 0
-	for _, it := range st.Items {
-		if _, ok := it.Expr.(*sql.Aggregate); ok {
-			hasAgg = true
-		}
-	}
 	joinedSc := &schema.Schema{Fields: sql.JoinedFields(leftSc, rightSc)}
-	if hasAgg {
+	if hasAggregates(st) {
 		return e.aggregate(st, joinedSc, rows, res)
 	}
 	return e.project(st, joinedSc, rows, res)

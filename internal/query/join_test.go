@@ -1,9 +1,13 @@
 package query_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"vortex/internal/client"
+	"vortex/internal/core"
+	"vortex/internal/meta"
 	"vortex/internal/query"
 	"vortex/internal/schema"
 	"vortex/internal/sql"
@@ -148,6 +152,57 @@ func TestJoinChangeResolution(t *testing.T) {
 	rows := res.Rows()
 	if len(rows) != 1 || rows[0][0].AsString() != "o1" || rows[0][1].AsString() != "UY" {
 		t.Fatalf("resolved join rows = %v", rows)
+	}
+}
+
+// TestJoinStatsCoverBothSides: a join's ExecStats are the sum of its
+// two scans, for every counter. The RAM tier is too small to hold
+// anything, so each side's warm scan is served by the disk tier and
+// DiskHits must count the fragments of both tables.
+func TestJoinStatsCoverBothSides(t *testing.T) {
+	r := core.NewRegion(core.DefaultConfig())
+	opts := client.DefaultOptions()
+	opts.ReadCacheBytes = 1
+	opts.DiskCacheDir = t.TempDir()
+	opts.DiskCacheBytes = 64 << 20
+	c := r.NewClient(opts)
+	ctx := context.Background()
+	e := &qenv{r: r, c: c, ctx: ctx, eng: query.New(c, r.BigMeta, r.Net, r.Router(), query.Config{})}
+	for table, sc := range map[string]*schema.Schema{"shop.orders": ordersSchema(), "shop.customers": customersSchema()} {
+		if err := c.CreateTable(ctx, meta.TableID(table), sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.seal(t, "shop.orders", []schema.Row{
+		orderRow("o1", "acme", 10, schema.ChangeUpsert),
+		orderRow("o2", "globex", 20, schema.ChangeUpsert),
+	})
+	e.seal(t, "shop.customers", []schema.Row{
+		customerRow("acme", "CL", schema.ChangeUpsert),
+		customerRow("globex", "AR", schema.ChangeUpsert),
+	})
+	const join = `SELECT o.orderId, c.country FROM shop.orders o JOIN shop.customers c ON o.customerKey = c.customerKey`
+	stats := func(sqlText string) query.ExecStats {
+		t.Helper()
+		res, err := e.eng.Query(ctx, sqlText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	stats(join) // cold: back-fills the disk tier
+	left, right, both := stats("SELECT COUNT(*) FROM shop.orders"), stats("SELECT COUNT(*) FROM shop.customers"), stats(join)
+	if left.DiskHits == 0 || right.DiskHits == 0 {
+		t.Fatalf("warm scans missed the disk tier: left %+v right %+v", left, right)
+	}
+	if both.DiskHits != left.DiskHits+right.DiskHits {
+		t.Fatalf("join DiskHits = %d, want %d (left) + %d (right)", both.DiskHits, left.DiskHits, right.DiskHits)
+	}
+	if both.RowsScanned != left.RowsScanned+right.RowsScanned || both.RowsDecoded != both.RowsScanned {
+		t.Fatalf("join row accounting: %+v (left %+v, right %+v)", both, left, right)
+	}
+	if both.AssignmentsTotal != left.AssignmentsTotal+right.AssignmentsTotal {
+		t.Fatalf("join AssignmentsTotal = %d, want %d + %d", both.AssignmentsTotal, left.AssignmentsTotal, right.AssignmentsTotal)
 	}
 }
 

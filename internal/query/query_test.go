@@ -44,12 +44,12 @@ func saleRow(day, i int, customer string, total int64) schema.Row {
 }
 
 type qenv struct {
-	r      *core.Region
-	c      *client.Client
-	eng    *query.Engine
-	rowEng *query.Engine // row-at-a-time twin for parity checking
-	opt    *optimizer.Optimizer
-	ctx    context.Context
+	r    *core.Region
+	c    *client.Client
+	eng  *query.Engine
+	opt  *optimizer.Optimizer
+	ctx  context.Context
+	seen map[string]int // SELECT occurrences, for golden keys
 }
 
 func newQEnv(t testing.TB, s *schema.Schema, table meta.TableID) *qenv {
@@ -61,10 +61,9 @@ func newQEnv(t testing.TB, s *schema.Schema, table meta.TableID) *qenv {
 		t.Fatal(err)
 	}
 	eng := query.New(c, r.BigMeta, r.Net, r.Router(), query.Config{MaxMaskRanges: 4})
-	rowEng := query.New(c, r.BigMeta, r.Net, r.Router(), query.Config{MaxMaskRanges: 4, DisableVectorized: true})
 	ocfg := optimizer.DefaultConfig()
 	opt := optimizer.New(ocfg, c, r.Net, r.Router(), r.Colossus, r.Clock)
-	return &qenv{r: r, c: c, eng: eng, rowEng: rowEng, opt: opt, ctx: ctx}
+	return &qenv{r: r, c: c, eng: eng, opt: opt, ctx: ctx}
 }
 
 func (e *qenv) ingest(t testing.TB, table meta.TableID, rows []schema.Row) {
@@ -106,10 +105,11 @@ func (e *qenv) seal(t testing.TB, table meta.TableID, rows []schema.Row) {
 	e.r.HeartbeatAll(e.ctx, false)
 }
 
-// mustQuery executes sqlText on the vectorized engine and, for
-// SELECTs, re-executes it at the same snapshot on a row-at-a-time
-// engine, failing unless the two paths and the batch/row views of the
-// result all agree. Every query in this file is thereby a parity case.
+// mustQuery executes sqlText and, for SELECTs, fails unless the result
+// matches its recorded golden digest (see golden_test.go) and the
+// batch and row views of the result agree. Every SELECT in this file
+// is thereby a regression case against the answers the row-at-a-time
+// engine gave.
 func (e *qenv) mustQuery(t testing.TB, sqlText string) *query.Result {
 	t.Helper()
 	res, err := e.eng.Query(e.ctx, sqlText)
@@ -117,33 +117,17 @@ func (e *qenv) mustQuery(t testing.TB, sqlText string) *query.Result {
 		t.Fatalf("query %q: %v", sqlText, err)
 	}
 	if strings.HasPrefix(strings.ToUpper(strings.TrimSpace(sqlText)), "SELECT") {
-		want, err := e.rowEng.QueryAt(e.ctx, sqlText, res.Stats.SnapshotTS)
-		if err != nil {
-			t.Fatalf("row-path query %q: %v", sqlText, err)
-		}
-		assertParity(t, sqlText, res, want)
+		e.checkGolden(t, sqlText, res)
+		assertViews(t, sqlText, res)
 	}
 	return res
 }
 
-// assertParity checks vectorized-vs-row results match and that the
-// columnar and row views of the vectorized result describe the same
-// data.
-func assertParity(t testing.TB, sqlText string, got, want *query.Result) {
+// assertViews checks that the columnar and row views of a result
+// describe the same data.
+func assertViews(t testing.TB, sqlText string, got *query.Result) {
 	t.Helper()
-	if fmt.Sprint(got.Columns) != fmt.Sprint(want.Columns) {
-		t.Fatalf("parity %q: columns %v vs %v", sqlText, got.Columns, want.Columns)
-	}
-	gr, wr := got.Rows(), want.Rows()
-	if len(gr) != len(wr) {
-		t.Fatalf("parity %q: %d rows vectorized, %d row-path", sqlText, len(gr), len(wr))
-	}
-	for i := range wr {
-		if fmt.Sprint(gr[i]) != fmt.Sprint(wr[i]) {
-			t.Fatalf("parity %q row %d: %v vs %v", sqlText, i, gr[i], wr[i])
-		}
-	}
-	// Batch view must reconstruct to the same rows.
+	gr := got.Rows()
 	var rebuilt [][]schema.Value
 	for _, b := range got.Batches() {
 		for i := 0; i < b.NumRows; i++ {
@@ -155,11 +139,11 @@ func assertParity(t testing.TB, sqlText string, got, want *query.Result) {
 		}
 	}
 	if len(rebuilt) != len(gr) {
-		t.Fatalf("parity %q: batches hold %d rows, Rows() %d", sqlText, len(rebuilt), len(gr))
+		t.Fatalf("%q: batches hold %d rows, Rows() %d", sqlText, len(rebuilt), len(gr))
 	}
 	for i := range gr {
 		if fmt.Sprint(rebuilt[i]) != fmt.Sprint(gr[i]) {
-			t.Fatalf("parity %q batch row %d: %v vs %v", sqlText, i, rebuilt[i], gr[i])
+			t.Fatalf("%q batch row %d: %v vs %v", sqlText, i, rebuilt[i], gr[i])
 		}
 	}
 }
@@ -481,13 +465,80 @@ func TestVectorizedCodeSkipStats(t *testing.T) {
 	if st.RowsDecoded >= st.RowsScanned {
 		t.Fatalf("selective scan decoded every row: %+v", st)
 	}
+}
 
-	// The row path decodes everything and skips nothing in code space.
-	rres, err := e.rowEng.Query(e.ctx, "SELECT salesOrderKey FROM d.skip WHERE customerKey = 'C-1'")
-	if err != nil {
+// TestVectorizedKeyedCodeSkip: primary-keyed tables ride the same batch
+// pipeline as keyless ones, so after change resolution a selective
+// predicate over a dictionary-encoded ROS column still prunes in code
+// space and the stats still balance.
+func TestVectorizedKeyedCodeSkip(t *testing.T) {
+	e := newQEnv(t, salesSchema(true), "d.pkskip")
+	var rows []schema.Row
+	for i := 0; i < 90; i++ {
+		rows = append(rows, saleRow(0, i, fmt.Sprintf("C-%d", i%3), int64(i)).WithChange(schema.ChangeUpsert))
+	}
+	e.seal(t, "d.pkskip", rows)
+	if _, err := e.opt.ConvertTable(e.ctx, "d.pkskip"); err != nil {
 		t.Fatal(err)
 	}
-	if rres.Stats.RowsCodeSkipped != 0 || rres.Stats.RowsDecoded != rres.Stats.RowsScanned {
-		t.Fatalf("row-path stats wrong: %+v", rres.Stats)
+
+	res := e.mustQuery(t, "SELECT salesOrderKey FROM d.pkskip WHERE customerKey = 'C-1'")
+	if got := len(res.Rows()); got != 30 {
+		t.Fatalf("rows = %d, want 30", got)
+	}
+	st := res.Stats
+	if st.RowsCodeSkipped == 0 {
+		t.Fatalf("keyed table skipped nothing in code space: %+v", st)
+	}
+	if st.RowsCodeSkipped+st.RowsDecoded != st.RowsScanned {
+		t.Fatalf("skipped(%d) + decoded(%d) != scanned(%d)", st.RowsCodeSkipped, st.RowsDecoded, st.RowsScanned)
+	}
+}
+
+// TestResolveBeforeFilter: change resolution must narrow the batches
+// before the predicate does. The base rows sit in a ROS fragment, the
+// changes in the WOS tail: an UPSERT moves k1 from 'open' to 'closed'
+// and a DELETE removes k2, so a filter applied first would still match
+// both stale 'open' rows.
+func TestResolveBeforeFilter(t *testing.T) {
+	sc := &schema.Schema{
+		Fields: []*schema.Field{
+			{Name: "id", Kind: schema.KindString, Mode: schema.Required},
+			{Name: "status", Kind: schema.KindString, Mode: schema.Nullable},
+		},
+		PrimaryKey: []string{"id"},
+	}
+	ticket := func(id, status string, ch schema.ChangeType) schema.Row {
+		return schema.NewRow(schema.String(id), schema.String(status)).WithChange(ch)
+	}
+	e := newQEnv(t, sc, "d.tickets")
+	e.seal(t, "d.tickets", []schema.Row{
+		ticket("k1", "open", schema.ChangeUpsert),
+		ticket("k2", "open", schema.ChangeUpsert),
+		ticket("k3", "open", schema.ChangeUpsert),
+		ticket("k4", "closed", schema.ChangeUpsert),
+	})
+	if _, err := e.opt.ConvertTable(e.ctx, "d.tickets"); err != nil {
+		t.Fatal(err)
+	}
+	e.ingest(t, "d.tickets", []schema.Row{
+		ticket("k1", "closed", schema.ChangeUpsert),
+		ticket("k2", "", schema.ChangeDelete),
+	})
+
+	for _, tc := range []struct {
+		name, sql, want string
+	}{
+		{"direct-emit", "SELECT id FROM d.tickets WHERE status = 'open'", `[["k3"]]`},
+		{"ordered", "SELECT id FROM d.tickets WHERE status = 'closed' ORDER BY id", `[["k1"] ["k4"]]`},
+		{"aggregate", "SELECT COUNT(*) FROM d.tickets WHERE status = 'open'", "[[1]]"},
+		{"grouped", "SELECT status, COUNT(*) FROM d.tickets GROUP BY status ORDER BY status", `[["closed" 2] ["open" 1]]`},
+		{"unfiltered", "SELECT id FROM d.tickets ORDER BY id", `[["k1"] ["k3"] ["k4"]]`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := fmt.Sprint(e.mustQuery(t, tc.sql).Rows()); got != tc.want {
+				t.Fatalf("%s = %s, want %s", tc.sql, got, tc.want)
+			}
+		})
 	}
 }

@@ -1,40 +1,33 @@
-// Vectorized leaf execution: predicates run directly on the encoded
-// column vectors that ScanBatch hands over from the read cache. A
-// conjunct that reads one flat column is decided in code space — once
-// per dictionary entry for DICT columns, once per run for RLE — and
-// survivors are tracked in a selection vector; values materialize only
-// for residual conjuncts and for output (late materialization).
+// Batch-native leaf execution: every SELECT consumes the ColBatches
+// that ScanBatch hands over and tracks survivors in each batch's
+// selection vector. `_CHANGE_TYPE` resolution narrows the selections
+// first, the WHERE clause next — a conjunct that reads one flat column
+// is decided in code space where the batch holds encoded vectors, once
+// per dictionary entry or run — and values materialize only for
+// residual conjuncts and for output (late materialization).
 package query
 
 import (
-	"context"
 	"sync"
 
 	"vortex/internal/client"
-	"vortex/internal/meta"
+	"vortex/internal/dml"
 	"vortex/internal/schema"
 	"vortex/internal/sql"
-	"vortex/internal/truetime"
 	"vortex/internal/wire"
 )
 
-// vecConjunct is one AND-conjunct of a WHERE clause. fieldIdx >= 0
-// when the conjunct reads exactly one flat top-level column, making it
-// eligible for code-space evaluation.
-type vecConjunct struct {
-	expr     sql.Expr
-	fieldIdx int
-}
-
-// VecPredicate is a WHERE clause compiled for columnar evaluation.
+// VecPredicate is a WHERE clause compiled for batch evaluation.
 type VecPredicate struct {
-	conjuncts []vecConjunct
+	terms []client.Conjunct
 }
 
 // CompileVecPredicate splits where into AND-conjuncts and classifies
-// each. The split is sound under three-valued logic: `a AND b` is
-// truthy exactly when both operands are, so filtering conjunct by
-// conjunct keeps the same rows the row path keeps.
+// each by the single flat column it reads, if any. The split is sound
+// under three-valued logic: `a AND b` is truthy exactly when both
+// operands are, so filtering conjunct by conjunct keeps the same rows
+// evaluating the whole clause per row keeps. A nil where compiles to
+// the predicate that keeps everything.
 func CompileVecPredicate(where sql.Expr) *VecPredicate {
 	p := &VecPredicate{}
 	var split func(e sql.Expr)
@@ -44,7 +37,13 @@ func CompileVecPredicate(where sql.Expr) *VecPredicate {
 			split(b.R)
 			return
 		}
-		p.conjuncts = append(p.conjuncts, vecConjunct{expr: e, fieldIdx: soleFlatColumn(e)})
+		p.terms = append(p.terms, client.Conjunct{
+			Field: soleFlatColumn(e),
+			Keep: func(row schema.Row) (bool, error) {
+				v, err := sql.Eval(e, row)
+				return err == nil && sql.Truthy(v), err
+			},
+		})
 	}
 	if where != nil {
 		split(where)
@@ -86,257 +85,72 @@ func soleFlatColumn(e sql.Expr) int {
 	return idx
 }
 
-// Apply filters a columnar batch, narrowing its selection vector.
-// Single-column conjuncts evaluate on the encoded vector (code-space
-// skips); residual conjuncts evaluate row-at-a-time over the
-// survivors via a reused scratch row.
+// Apply returns the visible rows of b that satisfy the predicate.
 func (p *VecPredicate) Apply(b *client.ColBatch) (wire.Selection, wire.FilterStats, error) {
-	sel := b.Sel
-	var fs wire.FilterStats
-	if p == nil || len(p.conjuncts) == 0 {
-		return sel, fs, nil
-	}
-	byField := make(map[int]*wire.Vector, len(b.Cols))
-	for k := range b.Cols {
-		byField[b.ColIdx[k]] = &b.Cols[k]
-	}
-	scratch := make([]schema.Value, b.Arity)
-	for i := range scratch {
-		scratch[i] = schema.Null()
-	}
-	row := schema.Row{Values: scratch}
-
-	var residual []vecConjunct
-	for _, c := range p.conjuncts {
-		if c.fieldIdx >= 0 {
-			if vec, ok := byField[c.fieldIdx]; ok {
-				expr, fi := c.expr, c.fieldIdx
-				nsel, st, err := vec.Filter(sel, func(v schema.Value) (bool, error) {
-					scratch[fi] = v
-					ev, err := sql.Eval(expr, row)
-					if err != nil {
-						return false, err
-					}
-					return sql.Truthy(ev), nil
-				})
-				if err != nil {
-					return nil, fs, err
-				}
-				sel = nsel
-				fs.PrunedByCode += st.PrunedByCode
-				fs.Evaluated += st.Evaluated
-				continue
-			}
-		}
-		residual = append(residual, c)
-	}
-	if len(residual) == 0 {
-		return sel, fs, nil
-	}
-
-	keep := func(i int32) (bool, error) {
-		for k := range b.Cols {
-			scratch[b.ColIdx[k]] = b.Cols[k].ValueAt(int(i))
-		}
-		fs.Evaluated++
-		for _, c := range residual {
-			ev, err := sql.Eval(c.expr, row)
-			if err != nil {
-				return false, err
-			}
-			if !sql.Truthy(ev) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	var out wire.Selection
-	if sel == nil {
-		out = make(wire.Selection, 0, b.NumRows)
-		for i := 0; i < b.NumRows; i++ {
-			ok, err := keep(int32(i))
-			if err != nil {
-				return nil, fs, err
-			}
-			if ok {
-				out = append(out, int32(i))
-			}
-		}
-	} else {
-		out = make(wire.Selection, 0, len(sel))
-		for _, i := range sel {
-			ok, err := keep(i)
-			if err != nil {
-				return nil, fs, err
-			}
-			if ok {
-				out = append(out, i)
-			}
-		}
-	}
-	return out, fs, nil
+	return b.Narrow(b.Sel, p.terms)
 }
 
-// filteredBatch is one leaf batch after predicate evaluation: either a
-// columnar batch with its surviving selection, or row-form survivors.
-type filteredBatch struct {
-	b    *client.ColBatch
-	sel  wire.Selection
-	rows []schema.Row
-}
-
-func (f *filteredBatch) count() int {
-	if f.b != nil && f.b.Columnar() {
-		if f.sel == nil {
-			return f.b.NumRows
-		}
-		return len(f.sel)
+// resolveBatches applies `_CHANGE_TYPE` replacement semantics across
+// the batches of a primary-keyed table's scan, narrowing each batch's
+// selection to the rows that survive. It runs before the predicate: a
+// filter applied first could hide the UPSERT or DELETE that kills an
+// older row which still matches.
+func resolveBatches(sc *schema.Schema, batches []*client.ColBatch) {
+	if len(sc.PrimaryKey) == 0 {
+		return
 	}
-	return len(f.rows)
-}
-
-// materialize appends the surviving rows in full-arity row form.
-func (f *filteredBatch) materialize(dst []schema.Row) []schema.Row {
-	if f.b == nil || !f.b.Columnar() {
-		return append(dst, f.rows...)
-	}
-	b := f.b
-	emit := func(i int32) {
-		vals := make([]schema.Value, b.Arity)
-		for k := range vals {
-			vals[k] = schema.Null()
-		}
-		for k := range b.Cols {
-			vals[b.ColIdx[k]] = b.Cols[k].ValueAt(int(i))
-		}
-		dst = append(dst, schema.Row{Values: vals, Change: schema.ChangeType(b.Changes[i])})
-	}
-	if f.sel == nil {
-		for i := 0; i < b.NumRows; i++ {
-			emit(int32(i))
-		}
-	} else {
-		for _, i := range f.sel {
-			emit(i)
-		}
-	}
-	return dst
-}
-
-// execSelectVectorized is the batch-native SELECT path for tables
-// without a primary key. The leaf stage scans ColBatches, the
-// predicate narrows selection vectors in code space, and output either
-// streams straight out as record batches (flat projections) or feeds
-// the shared aggregation/projection stages.
-func (e *Engine) execSelectVectorized(ctx context.Context, st *sql.SelectStmt, sc *schema.Schema, ts truetime.Timestamp, proj map[string]bool, res *Result) (*Result, error) {
-	_, batches, err := e.scanTableBatches(ctx, meta.TableID(st.Table), ts, st.Where, proj, &res.Stats)
-	if err != nil {
-		return nil, err
-	}
-	var pred *VecPredicate
-	if st.Where != nil {
-		pred = CompileVecPredicate(st.Where)
-	}
-
-	filtered := make([]filteredBatch, 0, len(batches))
+	var changes []dml.Change
+	var rows []int32
 	for _, b := range batches {
-		if b.Columnar() {
-			sel, fs, err := pred.Apply(b)
-			if err != nil {
-				return nil, err
-			}
-			res.Stats.RowsCodeSkipped += fs.PrunedByCode
-			res.Stats.RowsDecoded += int64(b.NumVisible()) - fs.PrunedByCode
-			filtered = append(filtered, filteredBatch{b: b, sel: sel})
-			continue
+		for cur := b.Cursor(b.Sel); cur.Next(); {
+			changes = append(changes, dml.ChangeOf(sc, cur.Seq(), cur.Row()))
+			rows = append(rows, cur.Index())
 		}
-		res.Stats.RowsDecoded += int64(len(b.Rows))
-		kept := make([]schema.Row, 0, len(b.Rows))
-		for _, pr := range b.Rows {
-			row := pr.Stamped.Row
-			if st.Where != nil {
-				v, err := sql.Eval(st.Where, row)
-				if err != nil {
-					return nil, err
-				}
-				if !sql.Truthy(v) {
-					continue
-				}
-			}
-			kept = append(kept, row)
-		}
-		filtered = append(filtered, filteredBatch{rows: kept})
 	}
+	dead := dml.Replay(changes, true)
+	k := 0
+	for _, b := range batches {
+		n := b.NumVisible()
+		sel := make(wire.Selection, 0, n)
+		for _, i := range rows[k : k+n] {
+			if !dead[k] {
+				sel = append(sel, i)
+			}
+			k++
+		}
+		b.Sel = sel
+	}
+}
 
-	hasAgg := len(st.GroupBy) > 0
-	for _, it := range st.Items {
-		if _, ok := it.Expr.(*sql.Aggregate); ok {
-			hasAgg = true
+// rowsOf materializes the selected rows of every batch.
+func rowsOf(batches []*client.ColBatch) []schema.Row {
+	var rows []schema.Row
+	for _, b := range batches {
+		for cur := b.Cursor(b.Sel); cur.Next(); {
+			rows = append(rows, cur.Retain())
 		}
 	}
-	if hasAgg {
-		return e.aggregateVec(st, filtered, res)
-	}
-	if len(st.OrderBy) == 0 && directEmitOK(st) {
-		return emitDirect(st, sc, filtered, res)
-	}
-	// ORDER BY or computed items: materialize survivors and reuse the
-	// shared projection stage.
-	var rows []schema.Row
-	for i := range filtered {
-		rows = filtered[i].materialize(rows)
-	}
-	return e.project(st, sc, rows, res)
+	return rows
 }
 
 // aggregateVec builds one partial group map per leaf batch in parallel
 // and merges them — aggregation consuming batches per shard.
-func (e *Engine) aggregateVec(st *sql.SelectStmt, filtered []filteredBatch, res *Result) (*Result, error) {
+func (e *Engine) aggregateVec(st *sql.SelectStmt, batches []*client.ColBatch, res *Result) (*Result, error) {
 	aggItems := collectAggItems(st)
-	partials := make([]map[string]*groupState, len(filtered))
-	errs := make([]error, len(filtered))
+	partials := make([]map[string]*groupState, len(batches))
+	errs := make([]error, len(batches))
 	sem := make(chan struct{}, e.cfg.Shards)
 	var wg sync.WaitGroup
-	for i := range filtered {
+	for i := range batches {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			f := &filtered[i]
 			groups := make(map[string]*groupState)
-			if f.b != nil && f.b.Columnar() {
-				b := f.b
-				scratch := make([]schema.Value, b.Arity)
-				for k := range scratch {
-					scratch[k] = schema.Null()
-				}
-				row := schema.Row{Values: scratch}
-				accum := func(ri int32) error {
-					for k := range b.Cols {
-						scratch[b.ColIdx[k]] = b.Cols[k].ValueAt(int(ri))
-					}
-					row.Change = schema.ChangeType(b.Changes[ri])
-					return accumRow(st, aggItems, groups, row)
-				}
-				if f.sel == nil {
-					for ri := 0; ri < b.NumRows; ri++ {
-						if errs[i] = accum(int32(ri)); errs[i] != nil {
-							return
-						}
-					}
-				} else {
-					for _, ri := range f.sel {
-						if errs[i] = accum(ri); errs[i] != nil {
-							return
-						}
-					}
-				}
-			} else {
-				for _, row := range f.rows {
-					if errs[i] = accumRow(st, aggItems, groups, row); errs[i] != nil {
-						return
-					}
+			for cur := batches[i].Cursor(batches[i].Sel); cur.Next(); {
+				if errs[i] = accumRow(st, aggItems, groups, cur.Row()); errs[i] != nil {
+					return
 				}
 			}
 			partials[i] = groups
@@ -366,14 +180,13 @@ func directEmitOK(st *sql.SelectStmt) bool {
 	return true
 }
 
-// emitDirect streams the surviving rows out as record batches, one per
+// emitDirect streams the selected rows out as record batches, one per
 // non-empty leaf batch, gathering each output column through the
 // selection vector — late materialization's last step.
-func emitDirect(st *sql.SelectStmt, sc *schema.Schema, filtered []filteredBatch, res *Result) (*Result, error) {
+func emitDirect(st *sql.SelectStmt, sc *schema.Schema, batches []*client.ColBatch, res *Result) (*Result, error) {
 	type outCol struct {
 		name string
 		idx  int // top-level field index
-		ref  *sql.ColumnRef
 	}
 	var outs []outCol
 	if st.Star {
@@ -382,8 +195,7 @@ func emitDirect(st *sql.SelectStmt, sc *schema.Schema, filtered []filteredBatch,
 		}
 	} else {
 		for _, it := range st.Items {
-			ref := it.Expr.(*sql.ColumnRef)
-			outs = append(outs, outCol{name: itemName(it), idx: ref.Indexes[0], ref: ref})
+			outs = append(outs, outCol{name: itemName(it), idx: it.Expr.(*sql.ColumnRef).Indexes[0]})
 		}
 	}
 	for _, o := range outs {
@@ -394,74 +206,46 @@ func emitDirect(st *sql.SelectStmt, sc *schema.Schema, filtered []filteredBatch,
 	if st.Limit >= 0 {
 		remaining = st.Limit
 	}
-	for i := range filtered {
+	res.batches = []*wire.RecordBatch{}
+	for _, b := range batches {
 		if remaining == 0 {
 			break
 		}
-		f := &filtered[i]
-		n := f.count()
+		n := b.NumVisible()
 		if n == 0 {
 			continue
 		}
+		sel := b.Sel
 		if remaining >= 0 && int64(n) > remaining {
 			n = int(remaining)
-		}
-		rb := &wire.RecordBatch{NumRows: n}
-		if f.b != nil && f.b.Columnar() {
-			b := f.b
-			sel := f.sel
-			if int(selLenFor(b, sel)) > n {
-				if sel == nil {
-					sel = wire.SelectAll(b.NumRows)
-				}
+			if sel == nil {
+				sel = wire.SelectAll(n)
+			} else {
 				sel = sel[:n]
 			}
-			byField := make(map[int]*wire.Vector, len(b.Cols))
-			for k := range b.Cols {
-				byField[b.ColIdx[k]] = &b.Cols[k]
-			}
-			for _, o := range outs {
-				vec := byField[o.idx]
-				var vals []schema.Value
-				if vec == nil {
-					vals = make([]schema.Value, n)
-					for k := range vals {
-						vals[k] = schema.Null()
-					}
-				} else {
-					vals = vec.Gather(sel)
+		}
+		cols, vsel := b.Vectors(sel)
+		byField := make(map[int]*wire.Vector, len(cols))
+		for k := range cols {
+			byField[b.ColIdx[k]] = &cols[k]
+		}
+		rb := &wire.RecordBatch{NumRows: n}
+		for _, o := range outs {
+			var vals []schema.Value
+			if vec := byField[o.idx]; vec != nil {
+				vals = vec.Gather(vsel)
+			} else {
+				vals = make([]schema.Value, n)
+				for k := range vals {
+					vals[k] = schema.Null()
 				}
-				rb.Cols = append(rb.Cols, wire.BatchColumn{Name: o.name, Values: vals})
 			}
-		} else {
-			for _, o := range outs {
-				vals := make([]schema.Value, 0, n)
-				for _, row := range f.rows[:n] {
-					if o.ref != nil {
-						vals = append(vals, o.ref.FieldValue(row))
-					} else if o.idx < len(row.Values) {
-						vals = append(vals, row.Values[o.idx])
-					} else {
-						vals = append(vals, schema.Null())
-					}
-				}
-				rb.Cols = append(rb.Cols, wire.BatchColumn{Name: o.name, Values: vals})
-			}
+			rb.Cols = append(rb.Cols, wire.BatchColumn{Name: o.name, Values: vals})
 		}
 		res.batches = append(res.batches, rb)
 		if remaining >= 0 {
 			remaining -= int64(n)
 		}
 	}
-	if res.batches == nil {
-		res.batches = []*wire.RecordBatch{}
-	}
 	return res, nil
-}
-
-func selLenFor(b *client.ColBatch, sel wire.Selection) int {
-	if sel == nil {
-		return b.NumRows
-	}
-	return len(sel)
 }

@@ -13,7 +13,6 @@ package readsession
 import (
 	"fmt"
 
-	"vortex/internal/client"
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/wire"
@@ -28,42 +27,6 @@ const (
 	colArity  = "__arity"
 	colChange = "__change"
 )
-
-// encodeBatchRows builds one record-batch frame from scanned rows:
-// the reserved identity columns plus every projected top-level schema
-// field, each column independently encoded (PLAIN/DICT/RLE) by the
-// wire codec.
-func encodeBatchRows(sc *schema.Schema, projection map[string]bool, rows []client.PosRow) []byte {
-	b := &wire.RecordBatch{NumRows: len(rows)}
-	seqs := make([]schema.Value, len(rows))
-	arity := make([]schema.Value, len(rows))
-	change := make([]schema.Value, len(rows))
-	for i, r := range rows {
-		seqs[i] = schema.Int64(r.Stamped.Seq)
-		arity[i] = schema.Int64(int64(len(r.Stamped.Row.Values)))
-		change[i] = schema.Int64(int64(r.Stamped.Row.Change))
-	}
-	b.Cols = append(b.Cols,
-		wire.BatchColumn{Name: colSeq, Values: seqs},
-		wire.BatchColumn{Name: colArity, Values: arity},
-		wire.BatchColumn{Name: colChange, Values: change},
-	)
-	for fi, f := range sc.Fields {
-		if projection != nil && !projection[f.Name] {
-			continue
-		}
-		vals := make([]schema.Value, len(rows))
-		for i, r := range rows {
-			if fi < len(r.Stamped.Row.Values) {
-				vals[i] = r.Stamped.Row.Values[fi]
-			} else {
-				vals[i] = schema.Null()
-			}
-		}
-		b.Cols = append(b.Cols, wire.BatchColumn{Name: f.Name, Values: vals})
-	}
-	return wire.EncodeRecordBatch(b)
-}
 
 // decodeBatchFrame decodes one record-batch frame and validates its
 // identity columns, so the row adapter can reassemble stamped rows

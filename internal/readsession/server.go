@@ -61,8 +61,7 @@ type Server struct {
 	index *bigmeta.Index // may be nil: planning falls back to inline fragment stats
 	clock truetime.Clock
 
-	batchRows  int
-	vectorized bool
+	batchRows int
 
 	sessions metrics.Counter
 	batches  metrics.Counter
@@ -79,9 +78,8 @@ type session struct {
 	id    string
 	table meta.TableID
 	plan  *client.ScanPlan
-	where sql.Expr // resolved row filter, nil for full scans
-	// pred is the filter compiled for columnar evaluation; nil-safe
-	// (a nil predicate applies as the identity selection).
+	// pred is the pushed-down row filter compiled for batch evaluation
+	// (keeps everything for full scans).
 	pred *query.VecPredicate
 	// minSeq > 0 serves only rows with storage sequence strictly
 	// greater than it (incremental change-stream sessions). Applied at
@@ -123,14 +121,13 @@ func NewServer(addr string, c *client.Client, index *bigmeta.Index, clock trueti
 		addr = DefaultAddr
 	}
 	s := &Server{
-		addr:       addr,
-		net:        c.Network(),
-		c:          c,
-		index:      index,
-		clock:      clock,
-		batchRows:  defaultBatchRows,
-		vectorized: true,
-		open:       make(map[string]*session),
+		addr:      addr,
+		net:       c.Network(),
+		c:         c,
+		index:     index,
+		clock:     clock,
+		batchRows: defaultBatchRows,
+		open:      make(map[string]*session),
 	}
 	srv := rpc.NewServer()
 	srv.RegisterUnary(wire.MethodOpenReadSession, s.handleOpen)
@@ -177,11 +174,6 @@ func (s *Server) SetBatchRows(n int) {
 		s.batchRows = n
 	}
 }
-
-// SetVectorized toggles the columnar serving path (on by default).
-// Off, every assignment is scanned row-at-a-time and re-encoded —
-// the baseline the vectorized-vs-row benchmark mode compares against.
-func (s *Server) SetVectorized(on bool) { s.vectorized = on }
 
 // parseWhere parses and resolves a predicate string against the table
 // schema by wrapping it in a synthetic SELECT.
@@ -273,16 +265,11 @@ func (s *Server) handleOpen(ctx context.Context, req any) (any, error) {
 		assignments, resp.AssignmentsPrune = query.PruneAssignments(s.index, r.Table, plan.Schema, sql.ExtractPredicates(where), assignments)
 	}
 
-	var pred *query.VecPredicate
-	if where != nil {
-		pred = query.CompileVecPredicate(where)
-	}
 	sess := &session{
 		id:           meta.RandomHex(8),
 		table:        r.Table,
 		plan:         plan,
-		where:        where,
-		pred:         pred,
+		pred:         query.CompileVecPredicate(where),
 		minSeq:       r.MinSeq,
 		leaseID:      leaseID,
 		leaseExpires: leaseExp,
@@ -430,100 +417,40 @@ func (s *Server) handleSplit(_ context.Context, req any) (any, error) {
 	return &wire.SplitShardResponse{OK: true, NewShard: wire.ShardInfo{ID: newShard.id, PlannedRows: plannedRows(tailAssignments)}}, nil
 }
 
-// filterRows applies the session's pushed-down predicate row-at-a-time
-// — the non-vectorized filter, shared by WOS scans and the baseline
-// serving mode.
-func filterRows(where sql.Expr, rows []client.PosRow) ([]client.PosRow, error) {
-	if where == nil {
-		return rows, nil
-	}
-	kept := rows[:0:0]
-	for _, r := range rows {
-		v, err := sql.Eval(where, r.Stamped.Row)
-		if err != nil {
-			return nil, err
-		}
-		if sql.Truthy(v) {
-			kept = append(kept, r)
-		}
-	}
-	return kept, nil
-}
-
-// filterMinSeq drops rows at or below the session's minimum sequence
-// (the row-form twin of the columnar selection narrowing).
-func filterMinSeq(minSeq int64, rows []client.PosRow) []client.PosRow {
-	if minSeq <= 0 {
-		return rows
-	}
-	kept := rows[:0:0]
-	for _, r := range rows {
-		if r.Stamped.Seq > minSeq {
-			kept = append(kept, r)
-		}
-	}
-	return kept
-}
-
 // served is one assignment's filtered scan result staged for a stream:
-// either columnar — the cache's encoded vectors plus identity columns,
-// with the predicate survivors in a selection vector — or row form.
-// Chunks of a columnar served re-encode straight into wire frames via
-// EncodeVectors, so serving never takes a row round-trip.
+// the leaf batch with its selection narrowed to the rows to serve
+// (explicit, never nil, so chunks slice it by position).
 type served struct {
-	cb   *client.ColBatch
-	cols []wire.Vector  // identity + projected data columns, physical row order
-	sel  wire.Selection // surviving visible rows, explicit (never nil)
-
-	rows []client.PosRow // row-form fallback
-
+	cb      *client.ColBatch
 	pruned  int64 // rows eliminated in code space
-	decoded int64 // rows materialized (row-form: rows scanned)
+	decoded int64 // the other visible rows
 }
 
-func (sv *served) count() int {
-	if sv.cb != nil {
-		return len(sv.sel)
-	}
-	return len(sv.rows)
-}
+func (sv *served) count() int { return len(sv.cb.Sel) }
 
-// encode renders the frame for served rows [lo, hi).
-func (sv *served) encode(plan *client.ScanPlan, lo, hi int) []byte {
-	if sv.cb == nil {
-		return encodeBatchRows(plan.Schema, plan.Projection, sv.rows[lo:hi])
-	}
-	return wire.EncodeVectors(sv.cols, sv.sel[lo:hi])
+// encode renders the frame for served rows [lo, hi): the identity
+// columns (__seq, __arity, __change) followed by the projected data
+// columns. A batch holding the cache's encoded vectors re-emits them
+// through the chunk's selection without a row round-trip; a batch
+// holding rows transposes just this chunk to PLAIN vectors, so a slow
+// reader pins one chunk of values, not an assignment's worth.
+func (sv *served) encode(lo, hi int) []byte {
+	chunk := sv.cb.Sel[lo:hi]
+	id := sv.cb.IdentityVectors(chunk)
+	id[0].Name, id[1].Name, id[2].Name = colSeq, colArity, colChange
+	cols, sel := sv.cb.Vectors(chunk)
+	return wire.EncodeVectors(append(id[:], cols...), sel)
 }
 
 // scanServed runs the leaf scan for one assignment and stages it for
-// serving. On the vectorized path immutable ROS fragments stay in the
-// cache's encoded vectors end to end: the predicate narrows the
-// selection in code space (once per dictionary entry, once per run),
-// so rows a DICT code or RLE run kills never materialize a value —
-// not at filter time and not at encode time.
+// serving: the predicate narrows the batch's selection — in code space
+// where the batch holds encoded vectors, so rows a DICT code or RLE
+// run kills never materialize a value, not at filter time and not at
+// encode time — and MinSeq narrows it further by sequence alone.
 func (s *Server) scanServed(ctx context.Context, sess *session, a client.Assignment) (*served, error) {
-	if !s.vectorized {
-		rows, err := s.c.ScanDetailed(ctx, sess.plan, a)
-		if err != nil {
-			return nil, err
-		}
-		scanned := len(rows)
-		if rows, err = filterRows(sess.where, rows); err != nil {
-			return nil, err
-		}
-		return &served{rows: filterMinSeq(sess.minSeq, rows), decoded: int64(scanned)}, nil
-	}
 	cb, err := s.c.ScanBatch(ctx, sess.plan, a)
 	if err != nil {
 		return nil, err
-	}
-	if !cb.Columnar() {
-		rows, err := filterRows(sess.where, cb.Rows)
-		if err != nil {
-			return nil, err
-		}
-		return &served{rows: filterMinSeq(sess.minSeq, rows), decoded: int64(len(cb.Rows))}, nil
 	}
 	visible := int64(cb.NumVisible())
 	sel, fs, err := sess.pred.Apply(cb)
@@ -534,56 +461,16 @@ func (s *Server) scanServed(ctx context.Context, sess *session, a client.Assignm
 		sel = wire.SelectAll(cb.NumRows)
 	}
 	if sess.minSeq > 0 {
-		// Narrow the selection by sequence without materializing values:
-		// cb.Seqs is already decoded per physical row.
 		kept := sel[:0:0]
 		for _, ri := range sel {
-			if cb.Seqs[ri] > sess.minSeq {
+			if cb.Seq(ri) > sess.minSeq {
 				kept = append(kept, ri)
 			}
 		}
 		sel = kept
 	}
-	return &served{
-		cb:      cb,
-		cols:    servedColumns(sess.plan, cb),
-		sel:     sel,
-		pruned:  fs.PrunedByCode,
-		decoded: visible - fs.PrunedByCode,
-	}, nil
-}
-
-// servedColumns builds the frame columns once per assignment, in
-// physical row order: the identity columns (__seq plain, __arity
-// constant, __change run-length) followed by each projected data
-// column as the reader's encoded vector, shared zero-copy with the
-// read cache.
-func servedColumns(plan *client.ScanPlan, cb *client.ColBatch) []wire.Vector {
-	seqVals := make([]schema.Value, cb.NumRows)
-	for i, q := range cb.Seqs {
-		seqVals[i] = schema.Int64(q)
-	}
-	var changeRuns []wire.Run
-	for i := 0; i < cb.NumRows; i++ {
-		v := int64(cb.Changes[i])
-		if n := len(changeRuns); n > 0 && changeRuns[n-1].Value.AsInt64() == v {
-			changeRuns[n-1].Len++
-			continue
-		}
-		changeRuns = append(changeRuns, wire.Run{Len: 1, Value: schema.Int64(v)})
-	}
-	cols := make([]wire.Vector, 0, 3+len(cb.Cols))
-	cols = append(cols,
-		wire.PlainVector(colSeq, seqVals),
-		wire.ConstVector(colArity, schema.Int64(int64(cb.Arity)), cb.NumRows),
-		wire.RLEVector(colChange, changeRuns),
-	)
-	for k := range cb.Cols {
-		v := cb.Cols[k]
-		v.Name = plan.Schema.Fields[cb.ColIdx[k]].Name
-		cols = append(cols, v)
-	}
-	return cols
+	cb.Sel = sel
+	return &served{cb: cb, pruned: fs.PrunedByCode, decoded: visible - fs.PrunedByCode}, nil
 }
 
 // renewLease extends the session lease when past its half-life, so GC
@@ -696,7 +583,7 @@ func (s *Server) handleReadRows(ctx context.Context, ss rpc.ServerStream) error 
 			if hi > n {
 				hi = n
 			}
-			payload := sv.encode(sess.plan, lo, hi)
+			payload := sv.encode(lo, hi)
 			resp := &wire.ReadRowsResponse{Offset: offset + int64(lo), RowCount: int64(hi - lo), Batch: payload}
 			if lo == start {
 				// The assignment's scan accounting rides its first batch.

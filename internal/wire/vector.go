@@ -186,7 +186,7 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 	var st FilterStats
 	switch v.Enc {
 	case BatchEncPlain:
-		out := make(Selection, 0, selLen(sel, len(v.Values)))
+		out := make(Selection, 0, sel.Count(len(v.Values)))
 		err := forEachSel(sel, len(v.Values), func(i int32) error {
 			st.Evaluated++
 			ok, err := keep(v.Values[i])
@@ -209,7 +209,7 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 			}
 			keepCode[c] = ok
 		}
-		out := make(Selection, 0, selLen(sel, len(v.Codes)))
+		out := make(Selection, 0, sel.Count(len(v.Codes)))
 		err := forEachSel(sel, len(v.Codes), func(i int32) error {
 			if keepCode[v.Codes[i]] {
 				out = append(out, i)
@@ -238,7 +238,7 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 			return keepRun[ri] == 1, nil
 		}
 		n := v.Len()
-		out := make(Selection, 0, selLen(sel, n))
+		out := make(Selection, 0, sel.Count(n))
 		if sel == nil {
 			i := int32(0)
 			for ri, r := range v.Runs {
@@ -282,7 +282,8 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 	return nil, st, fmt.Errorf("wire: filter on encoding 0x%02x", v.Enc)
 }
 
-func selLen(sel Selection, n int) int {
+// Count returns how many of n rows the selection picks.
+func (sel Selection) Count(n int) int {
 	if sel == nil {
 		return n
 	}
@@ -325,7 +326,7 @@ func EncodeVectors(cols []Vector, sel Selection) []byte {
 	if nRows < 0 {
 		nRows = 0
 	}
-	nSel := selLen(sel, nRows)
+	nSel := sel.Count(nRows)
 
 	var dst []byte
 	dst = appendBatchHeader(dst, nSel, len(cols))

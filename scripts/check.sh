@@ -47,10 +47,21 @@ go test -race -count=2 ./internal/rpc/
 go test -short ./internal/bench/
 
 # Vectorized execution smoke: code-skip accounting in the query engine
-# and columnar-vs-row serving parity in the read-session server — the
-# fast end-to-end proof that encoded-domain filtering still matches the
-# row path bit for bit.
+# on keyless and primary-keyed tables (TestVectorizedCodeSkipStats,
+# TestVectorizedKeyedCodeSkip) and read-session serving against the row
+# API as oracle (TestVectorizedServingParity) — the fast end-to-end
+# proof that encoded-domain filtering still returns what filtering
+# row by row returns.
 go test -short -count=1 -run 'TestVectorized' ./internal/query/ ./internal/readsession/
+
+# The seeded benchmark is a module of its own and imports internal
+# packages by name (query.Config, readsession.NewServer,
+# dml.ResolveChanges, wire.EncodeRecordBatch, wire.EncodeVectors,
+# query.PruneAssignments/HashJoinRows/DeltaGroup): its smoke test runs
+# every workload with a half-second window, so a change that breaks a
+# symbol or an oracle it relies on fails here and not in the benchmark
+# pipeline.
+go test -C benchmark ./...
 
 # Fanout overload smoke: the -short variant of the massive-fanout
 # experiment (128 zipf-skewed streams against squeezed quotas) asserts
