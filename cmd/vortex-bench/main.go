@@ -7,10 +7,11 @@
 //	vortex-bench -experiment all
 //	vortex-bench -experiment fig7 -duration 30s -writers 48
 //	vortex-bench -experiment fig8 -duration 20s
-//	vortex-bench -experiment read-cache -repeats 40 -read-out BENCH_read.json
-//	vortex-bench -experiment readsession -rows 20000 -session-out BENCH_readsession.json
-//	vortex-bench -experiment matview -matview-rows 20000 -matview-out BENCH_matview.json
 //	vortex-bench -experiment compression|unary-vs-bidi|wos-vs-ros|recluster|chaos
+//
+// Performance is measured elsewhere: benchmark/ holds the seeded
+// workloads, and this command only reproduces the paper's shapes under
+// the calibrated latency model.
 package main
 
 import (
@@ -21,35 +22,15 @@ import (
 	"time"
 
 	"vortex/internal/bench"
-	"vortex/internal/clusterd"
 )
 
 func main() {
-	// The cluster experiment spawns coordinator/worker processes by
-	// re-executing this binary; those children divert here.
-	clusterd.MaybeRunNode()
 	var (
-		experiment   = flag.String("experiment", "all", "fig7 | fig8 | compression | unary-vs-bidi | wos-vs-ros | recluster | chaos | read-cache | cachepressure | readsession | matview | fanout | cluster | all")
+		experiment   = flag.String("experiment", "all", "fig7 | fig8 | compression | unary-vs-bidi | wos-vs-ros | recluster | chaos | all")
 		duration     = flag.Duration("duration", 15*time.Second, "measurement duration for fig7/fig8")
 		writers      = flag.Int("writers", 32, "concurrent streams for fig7")
-		rows         = flag.Int("rows", 20000, "row count for wos-vs-ros and read-cache")
+		rows         = flag.Int("rows", 20000, "row count for wos-vs-ros")
 		chaosAppends = flag.Int("chaos-appends", 48, "append count for the chaos scenario")
-		repeats      = flag.Int("repeats", 40, "repeated queries per side for read-cache")
-		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "read cache byte budget for read-cache")
-		readOut      = flag.String("read-out", "BENCH_read.json", "output path for the read-cache JSON report")
-		sessionOut   = flag.String("session-out", "BENCH_readsession.json", "output path for the readsession JSON report")
-		streams      = flag.Int("streams", 2000, "concurrent append streams for fanout")
-		tables       = flag.Int("tables", 8, "zipf-skewed target tables for fanout")
-		seed         = flag.Int64("seed", 42, "workload seed for fanout")
-		fanoutOut    = flag.String("fanout-out", "BENCH_fanout.json", "output path for the fanout JSON report")
-		passes       = flag.Int("passes", 6, "full-table read passes per side for cachepressure")
-		pressureOut  = flag.String("pressure-out", "BENCH_cachepressure.json", "output path for the cachepressure JSON report")
-		clusterNodes = flag.Int("cluster-workers", 2, "worker processes for the cluster experiment")
-		clusterOut   = flag.String("cluster-out", "BENCH_cluster.json", "output path for the cluster JSON report")
-		mvRows       = flag.Int("matview-rows", 20000, "base-table rows for matview")
-		mvEpochs     = flag.Int("matview-epochs", 8, "churn epochs for matview")
-		mvChurn      = flag.Int("matview-churn", 600, "upserts/deletes per epoch for matview")
-		mvOut        = flag.String("matview-out", "BENCH_matview.json", "output path for the matview JSON report")
 	)
 	flag.Parse()
 	ctx := context.Background()
@@ -126,143 +107,6 @@ func main() {
 				return err
 			}
 			bench.PrintRecluster(out, steps)
-			return nil
-		})
-	}
-	if want("read-cache") {
-		run("read-cache", func() error {
-			res, err := bench.ReadCacheBench(ctx, *rows, *repeats, *cacheBytes)
-			if err != nil {
-				return err
-			}
-			bench.PrintReadCache(out, res)
-			f, err := os.Create(*readOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteReadCacheJSON(f, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *readOut)
-			return nil
-		})
-	}
-	if want("cachepressure") {
-		run("cachepressure", func() error {
-			res, err := bench.CachePressureBench(ctx, *rows, *passes, "")
-			if err != nil {
-				return err
-			}
-			bench.PrintCachePressure(out, res)
-			f, err := os.Create(*pressureOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteCachePressureJSON(f, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *pressureOut)
-			if res.StaleReads != 0 {
-				return fmt.Errorf("cachepressure: %d stale reads after GC, want 0", res.StaleReads)
-			}
-			return nil
-		})
-	}
-	if want("readsession") {
-		run("readsession", func() error {
-			res, err := bench.ReadSessionBench(ctx, *rows, nil)
-			if err != nil {
-				return err
-			}
-			bench.PrintReadSession(out, res)
-			f, err := os.Create(*sessionOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteReadSessionJSON(f, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *sessionOut)
-			return nil
-		})
-	}
-	if want("matview") {
-		run("matview", func() error {
-			res, err := bench.MatviewBench(ctx, *mvRows, *mvEpochs, *mvChurn)
-			if err != nil {
-				return err
-			}
-			bench.PrintMatview(out, res)
-			f, err := os.Create(*mvOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteMatviewJSON(f, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *mvOut)
-			return nil
-		})
-	}
-	// The fanout overload experiment is opt-in only: at its default
-	// scale (thousands of goroutines, a minute of drain headroom) it is
-	// too heavy for `-experiment all`.
-	if *experiment == "fanout" {
-		run("fanout", func() error {
-			res, err := bench.Fanout(ctx, *streams, *tables, *duration, *seed)
-			if err != nil {
-				return err
-			}
-			bench.PrintFanout(out, res)
-			f, err := os.Create(*fanoutOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteFanoutJSON(f, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *fanoutOut)
-			if ok, reason := bench.FanoutOK(res); !ok {
-				return fmt.Errorf("fanout invariant violated: %s", reason)
-			}
-			return nil
-		})
-	}
-	// The cluster experiment is opt-in only: it spawns real OS processes
-	// (a coordinator and workers over the TCP transport), which is the
-	// point — but too heavyweight for `-experiment all`.
-	if *experiment == "cluster" {
-		run("cluster", func() error {
-			exe, err := os.Executable()
-			if err != nil {
-				return err
-			}
-			dur := *duration
-			if dur > 10*time.Second {
-				dur = 10 * time.Second
-			}
-			res, err := bench.Cluster(ctx, exe, *clusterNodes, 8, dur, *seed)
-			if err != nil {
-				return err
-			}
-			bench.PrintCluster(out, res)
-			f, err := os.Create(*clusterOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteClusterJSON(f, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *clusterOut)
-			if ok, reason := bench.ClusterOK(res); !ok {
-				return fmt.Errorf("cluster invariant violated: %s", reason)
-			}
 			return nil
 		})
 	}

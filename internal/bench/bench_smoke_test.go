@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -112,127 +111,5 @@ func TestReclusterSmoke(t *testing.T) {
 	PrintRecluster(&buf, steps)
 	if !strings.Contains(buf.String(), "clustering ratio") {
 		t.Fatal("table missing ratio column")
-	}
-}
-
-func TestReadSessionBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("latency-model experiment")
-	}
-	res, err := ReadSessionBench(context.Background(), 3000, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Rows == 0 || p.Batches == 0 || p.Shards == 0 {
-			t.Fatalf("empty point: %+v", p)
-		}
-		if p.Rows != res.Points[0].Rows {
-			t.Fatalf("reader counts disagree on row count: %+v", res.Points)
-		}
-	}
-	if res.Split.MovedRows == 0 {
-		t.Fatalf("split moved no work: %+v", res.Split)
-	}
-	// No timing assertion: CI machines are noisy. The JSON must be
-	// well-formed and round-trip.
-	var buf bytes.Buffer
-	if err := WriteReadSessionJSON(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	var back ReadSessionResult
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("BENCH_readsession.json round-trip: %v", err)
-	}
-	if back.Experiment != "readsession" || len(back.Points) != 3 {
-		t.Fatalf("round-trip mismatch: %+v", back)
-	}
-	var tbl bytes.Buffer
-	PrintReadSession(&tbl, res)
-	if !strings.Contains(tbl.String(), "rows/s") || !strings.Contains(tbl.String(), "liquid split") {
-		t.Fatal("table missing readsession columns")
-	}
-}
-
-func TestReadCacheBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("latency-model experiment")
-	}
-	res, err := ReadCacheBench(context.Background(), 3000, 5, 16<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.On.Hits == 0 {
-		t.Fatalf("repeated scans produced no cache hits: %+v", res.On)
-	}
-	if res.Off.Hits != 0 || res.Off.BytesRead == 0 {
-		t.Fatalf("cache-off side should read everything from Colossus: %+v", res.Off)
-	}
-	if res.On.BytesRead >= res.Off.BytesRead {
-		t.Fatalf("cache saved no Colossus bytes: off=%d on=%d", res.Off.BytesRead, res.On.BytesRead)
-	}
-	if res.On.HitRatio <= 0.5 {
-		t.Fatalf("hit ratio = %v, expected mostly hits", res.On.HitRatio)
-	}
-	// No timing assertion: CI machines are noisy. The JSON must be
-	// well-formed and carry both sides.
-	var buf bytes.Buffer
-	if err := WriteReadCacheJSON(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	var back ReadCacheResult
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("BENCH_read.json round-trip: %v", err)
-	}
-	if back.Experiment != "read-cache" || back.On.Queries != 5 {
-		t.Fatalf("round-trip mismatch: %+v", back)
-	}
-	var tbl bytes.Buffer
-	PrintReadCache(&tbl, res)
-	if !strings.Contains(tbl.String(), "hit ratio") || !strings.Contains(tbl.String(), "speedup") {
-		t.Fatal("table missing cache columns")
-	}
-}
-
-// TestMatviewSmoke runs the matview experiment at tiny scale — it is
-// the -short proof that incremental maintenance still digest-equals a
-// full recompute under churn (check.sh runs it in the bench smoke).
-func TestMatviewSmoke(t *testing.T) {
-	baseRows, epochs, churn := 2000, 3, 150
-	if testing.Short() {
-		baseRows, epochs, churn = 600, 2, 60
-	}
-	res, err := MatviewBench(context.Background(), baseRows, epochs, churn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.DigestOK {
-		t.Fatal("maintained view diverged from recompute")
-	}
-	if len(res.Epochs) != epochs || res.TotalEvents == 0 {
-		t.Fatalf("unexpected shape: %+v", res)
-	}
-	for _, e := range res.Epochs {
-		if e.Events == 0 {
-			t.Fatalf("epoch %d consumed no events", e.Epoch)
-		}
-	}
-	var buf bytes.Buffer
-	PrintMatview(&buf, res)
-	if !strings.Contains(buf.String(), "recompute") {
-		t.Fatal("table missing recompute column")
-	}
-	if err := WriteMatviewJSON(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	var round MatviewResult
-	if err := json.Unmarshal(buf.Bytes()[strings.Index(buf.String(), "{"):], &round); err != nil {
-		t.Fatal(err)
-	}
-	if round.Experiment != "matview" {
-		t.Fatalf("experiment = %q", round.Experiment)
 	}
 }

@@ -119,7 +119,7 @@ func UnaryVsBidi(ctx context.Context, streams, totalAppends int) ([]ConnRow, err
 		gen := workload.NewGen(1, 100)
 		start := time.Now()
 		var appends int64
-		for si, n := range sizes {
+		for _, n := range sizes {
 			if n == 0 {
 				continue
 			}
@@ -127,7 +127,6 @@ func UnaryVsBidi(ctx context.Context, streams, totalAppends int) ([]ConnRow, err
 			if err != nil {
 				return nil, err
 			}
-			_ = si
 			for k := 0; k < n; k++ {
 				rows := gen.EventRows(time.Now(), 4, time.Microsecond)
 				if _, err := s.Append(ctx, rows, client.AppendOptions{Offset: -1}); err != nil {

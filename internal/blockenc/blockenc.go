@@ -182,7 +182,3 @@ func (s *Sealer) Open(sealed []byte) ([]byte, error) {
 	}
 	return plaintext, nil
 }
-
-// SealedOverhead returns the fixed per-block byte overhead of the
-// envelope (excluding compression effects).
-func SealedOverhead() int { return headerSize }

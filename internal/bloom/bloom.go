@@ -110,9 +110,6 @@ func (f *Filter) ContainsString(key string) bool { return f.Contains([]byte(key)
 // Count returns the number of Add calls.
 func (f *Filter) Count() uint64 { return f.count }
 
-// SizeBytes returns the marshaled size of the filter's bit array.
-func (f *Filter) SizeBytes() int { return len(f.blocks) * 32 }
-
 const marshalMagic = 0x424c4d31 // "BLM1"
 
 // Marshal serializes the filter: magic, block count, key count, blocks.

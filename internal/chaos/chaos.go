@@ -140,9 +140,6 @@ func NewSchedule(seed int64) *Schedule {
 	return &Schedule{seed: seed, crashers: make(map[string]func(string)), manual: make(map[string]bool)}
 }
 
-// Seed returns the schedule's seed.
-func (s *Schedule) Seed() int64 { return s.seed }
-
 func (s *Schedule) add(r *rule) *Schedule {
 	s.mu.Lock()
 	r.rng = rand.New(rand.NewSource(s.seed + int64(len(s.rules))*7919))
@@ -161,12 +158,6 @@ func (s *Schedule) FailBetween(point, target string, from, to int64) *Schedule {
 	return s.add(&rule{point: point, target: target, action: actionFail, from: from, to: to})
 }
 
-// FailProb fails each occurrence with probability p (per-rule seeded
-// RNG; deterministic only for a deterministic match order).
-func (s *Schedule) FailProb(point, target string, p float64) *Schedule {
-	return s.add(&rule{point: point, target: target, action: actionFail, prob: p})
-}
-
 // DelayAt injects a latency spike of d at the nth occurrences. The
 // sleep honours the caller's context, so per-attempt deadlines fire.
 func (s *Schedule) DelayAt(point, target string, d time.Duration, nth ...int64) *Schedule {
@@ -177,11 +168,6 @@ func (s *Schedule) DelayAt(point, target string, d time.Duration, nth ...int64) 
 // (1-based, inclusive).
 func (s *Schedule) DelayBetween(point, target string, d time.Duration, from, to int64) *Schedule {
 	return s.add(&rule{point: point, target: target, action: actionDelay, delay: d, from: from, to: to})
-}
-
-// DelayProb injects a latency spike of d with probability p.
-func (s *Schedule) DelayProb(point, target string, d time.Duration, p float64) *Schedule {
-	return s.add(&rule{point: point, target: target, action: actionDelay, delay: d, prob: p})
 }
 
 // CrashStreamServerAt crashes the Stream Server at addr when it serves

@@ -276,12 +276,6 @@ func (c *Client) AttachStream(ctx context.Context, id meta.StreamID) (*Stream, e
 // Info returns the stream's metadata.
 func (s *Stream) Info() meta.StreamInfo { return s.info }
 
-// Schema returns the schema the stream currently serializes under.
-func (s *Stream) Schema() *schema.Schema { return s.schema }
-
-// Length returns the client's view of the stream's row count.
-func (s *Stream) Length() int64 { return s.length }
-
 // ensureStreamlet acquires a writable streamlet from the SMS.
 func (s *Stream) ensureStreamlet(ctx context.Context, exclude string) error {
 	resp, err := s.c.smsRetry(ctx, s.info.Table, wire.MethodGetWritableStreamlet, &wire.GetWritableStreamletRequest{
@@ -868,14 +862,4 @@ func (c *Client) BatchCommit(ctx context.Context, table meta.TableID, streams []
 		return 0, err
 	}
 	return resp.(*wire.BatchCommitResponse).CommitTS, nil
-}
-
-// WriteCommitRecord asks the stream's server to flush its pending commit
-// record (normally written with the next append or after idling, §7.1).
-func (s *Stream) WriteCommitRecord(ctx context.Context) error {
-	if s.sl == nil {
-		return nil
-	}
-	_, err := s.c.net.Unary(ctx, s.sl.Server, wire.MethodWriteCommitRecord, &wire.WriteCommitRecordRequest{Streamlet: s.sl.ID})
-	return err
 }

@@ -4,7 +4,7 @@ package clusterd
 // TCPTransports (real sockets, same test process), driven by a client
 // on a third transport. This proves the wiring — colossus proxy, SMS
 // routing, stream-server instructs, read paths — without the process
-// orchestration, which TestClusterNode* and the bench cover.
+// orchestration, which TestLaunchLocalExactlyOnce covers.
 
 import (
 	"context"
@@ -31,6 +31,24 @@ func testKeyHex(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(key)
+}
+
+// joinCluster builds the client a separate process would: the cluster's
+// shared key, its own clock, and Colossus through the coordinator's
+// proxy.
+func joinCluster(t *testing.T, tr rpc.Transport, keyHex string, smsTasks int, opts client.Options) (*client.Client, truetime.Clock) {
+	t.Helper()
+	key, err := hex.DecodeString(keyHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyring := blockenc.NewKeyring()
+	if err := keyring.SetKey(blockenc.SystemKey, key); err != nil {
+		t.Fatal(err)
+	}
+	clock := truetime.NewSystem(4*time.Millisecond, 0)
+	store := colossusrpc.NewRemote(tr, colossusrpc.DefaultAddr)
+	return client.New(tr, Router(smsTasks), store, keyring, clock, opts), clock
 }
 
 // tcpCluster is an in-process coordinator+worker pair over real
@@ -91,14 +109,7 @@ func startTCPCluster(t *testing.T, opts client.Options) *tcpCluster {
 
 	clientTr := rpc.NewTCPTransport()
 	clientTr.AddRoutes(routes)
-	key, _ := hex.DecodeString(keyHex)
-	keyring := blockenc.NewKeyring()
-	if err := keyring.SetKey(blockenc.SystemKey, key); err != nil {
-		t.Fatal(err)
-	}
-	clock := truetime.NewSystem(4*time.Millisecond, 0)
-	store := colossusrpc.NewRemote(clientTr, colossusrpc.DefaultAddr)
-	c := client.New(clientTr, Router(2), store, keyring, clock, opts)
+	c, clock := joinCluster(t, clientTr, keyHex, 2, opts)
 	t.Cleanup(func() {
 		w.Stop()
 		clientTr.Close()
@@ -162,14 +173,7 @@ func TestCoordinatorWorkerOverTCP(t *testing.T) {
 	clientTr := rpc.NewTCPTransport()
 	defer clientTr.Close()
 	clientTr.AddRoutes(routes)
-	key, _ := hex.DecodeString(keyHex)
-	keyring := blockenc.NewKeyring()
-	if err := keyring.SetKey(blockenc.SystemKey, key); err != nil {
-		t.Fatal(err)
-	}
-	clock := truetime.NewSystem(4*time.Millisecond, 0)
-	store := colossusrpc.NewRemote(clientTr, colossusrpc.DefaultAddr)
-	c := client.New(clientTr, Router(2), store, keyring, clock, client.DefaultOptions())
+	c, clock := joinCluster(t, clientTr, keyHex, 2, client.DefaultOptions())
 
 	ctx := context.Background()
 	table := meta.TableID("t.cluster")

@@ -32,8 +32,8 @@ import (
 )
 
 // NodeConfigEnv is the environment variable carrying a NodeConfig to a
-// child process. Binaries that can serve as cluster nodes (vortex-bench
-// self-exec) check it at startup and divert into RunNode.
+// child process. Binaries that can serve as cluster nodes (vortexd, the
+// package's own test binary) check it at startup and divert into RunNode.
 const NodeConfigEnv = "VORTEX_CLUSTER_NODE_CONFIG"
 
 // RunNode runs one cluster node to completion: handshake on in/out,

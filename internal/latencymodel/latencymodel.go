@@ -100,9 +100,6 @@ func NewSampler(p Profile, seed int64) *Sampler {
 	return &Sampler{p: p, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Profile returns the sampler's profile.
-func (s *Sampler) Profile() Profile { return s.p }
-
 func (s *Sampler) locked(f func(rng *rand.Rand) time.Duration) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -116,7 +116,6 @@ type Result struct {
 
 	batches []*wire.RecordBatch
 	rows    [][]schema.Value
-	cursor  int
 }
 
 // Batches returns the result as columnar record batches. A result
@@ -169,18 +168,6 @@ func (r *Result) NumRows() int {
 		n += b.NumRows
 	}
 	return n
-}
-
-// Next returns the next row of the result, advancing an internal
-// cursor; ok is false once the result is exhausted.
-func (r *Result) Next() ([]schema.Value, bool) {
-	rows := r.Rows()
-	if r.cursor >= len(rows) {
-		return nil, false
-	}
-	row := rows[r.cursor]
-	r.cursor++
-	return row, true
 }
 
 // Query parses and executes one SQL statement at the current snapshot.

@@ -139,9 +139,6 @@ func NewServer(addr string, c *client.Client, index *bigmeta.Index, clock trueti
 	return s
 }
 
-// Addr returns the service's transport address.
-func (s *Server) Addr() string { return s.addr }
-
 // Crash simulates losing the read-session task: its handlers leave the
 // network and — unlike the SMS, whose state is all in Spanner — its
 // in-memory session registry is lost. Open sessions die with it; their

@@ -169,9 +169,6 @@ func (cn *Conn) Open(ctx context.Context, table meta.TableID, opts Options) (*Se
 	return s, nil
 }
 
-// ID returns the server-assigned session id.
-func (s *Session) ID() string { return s.id }
-
 // SnapshotTS returns the pinned snapshot timestamp.
 func (s *Session) SnapshotTS() truetime.Timestamp { return s.snapTS }
 

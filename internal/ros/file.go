@@ -693,12 +693,6 @@ func decodeColumn(body []byte, pos int) (*Column, int, error) {
 // RowCount returns the number of rows in the file.
 func (r *Reader) RowCount() int64 { return r.rowCount }
 
-// SchemaFingerprint returns the fingerprint the file was written under.
-func (r *Reader) SchemaFingerprint() uint64 { return r.fingerprint }
-
-// SchemaVersion returns the schema version the file was written under.
-func (r *Reader) SchemaVersion() int { return r.schemaVersion }
-
 // Partition returns the file's partition id (days since epoch).
 func (r *Reader) Partition() (int64, bool) { return r.partition, r.hasPartition }
 
@@ -719,18 +713,6 @@ func (r *Reader) Column(path string) *Column {
 		return nil
 	}
 	return c
-}
-
-// ColumnPaths returns the column paths in file order.
-func (r *Reader) ColumnPaths() []string { return append([]string(nil), r.order...) }
-
-// Stats returns the stats for every column, in file order.
-func (r *Reader) Stats() []ColumnStats {
-	out := make([]ColumnStats, 0, len(r.order))
-	for _, p := range r.order {
-		out = append(out, r.columns[p].Stats)
-	}
-	return out
 }
 
 // Rows re-assembles every row in the file under schema s (which must

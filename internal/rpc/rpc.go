@@ -527,12 +527,3 @@ func (ss *memServerStream) InflightBytes() int {
 	defer c.mu.Unlock()
 	return c.inflight
 }
-
-// ResponseInflightBytes reports the bytes currently counted against the
-// response-direction window.
-func (ss *memServerStream) ResponseInflightBytes() int {
-	c := ss.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.respInflight
-}

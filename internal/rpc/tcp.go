@@ -1011,12 +1011,6 @@ func (ss *tcpServerStream) InflightBytes() int {
 	return ss.queuedBytes
 }
 
-func (ss *tcpServerStream) ResponseInflightBytes() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.respInflight
-}
-
 func init() {
 	// Basic concrete types that may cross the wire inside `any` fields
 	// without a package-level registration of their own.

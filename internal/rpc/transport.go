@@ -76,9 +76,6 @@ type ServerStream interface {
 	// InflightBytes reports the bytes currently counted against the
 	// request-direction flow-control window.
 	InflightBytes() int
-	// ResponseInflightBytes reports the bytes counted against the
-	// response-direction window.
-	ResponseInflightBytes() int
 }
 
 var (

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 )
 
@@ -54,16 +53,6 @@ func (k Kind) String() string {
 		return n
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// KindFromName parses a kind name as produced by Kind.String.
-func KindFromName(name string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == strings.ToUpper(name) {
-			return k, nil
-		}
-	}
-	return KindInvalid, fmt.Errorf("schema: unknown type %q", name)
 }
 
 // Comparable reports whether values of this kind have a total order
@@ -447,15 +436,4 @@ func (s *Schema) Leaves() []LeafColumn {
 	}
 	walk(s.Fields, "", 0, 0, nil)
 	return out
-}
-
-// SortedTopLevelNames returns the top-level column names sorted, for
-// deterministic iteration in metadata structures.
-func (s *Schema) SortedTopLevelNames() []string {
-	names := make([]string, len(s.Fields))
-	for i, f := range s.Fields {
-		names[i] = f.Name
-	}
-	sort.Strings(names)
-	return names
 }

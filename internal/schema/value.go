@@ -203,9 +203,6 @@ func (v Value) Index(i int) Value { return v.list[i] }
 // FieldValue returns field i of a struct value.
 func (v Value) FieldValue(i int) Value { return v.fields[i] }
 
-// Elements returns a copy of the element slice of a repeated value.
-func (v Value) Elements() []Value { return append([]Value(nil), v.list...) }
-
 // Equal reports deep equality, including kind.
 func (v Value) Equal(o Value) bool {
 	if v.null || o.null {

@@ -157,12 +157,6 @@ func (a *admission) setQuotas(q Quotas) {
 	a.mu.Unlock()
 }
 
-func (a *admission) quotas() Quotas {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.q
-}
-
 func (a *admission) snapshot() AdmissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -305,9 +299,6 @@ func (a *admission) capShed(w time.Duration) time.Duration {
 // SetQuotas installs (or replaces) the task's admission quotas. The zero
 // Quotas disables admission control.
 func (t *Task) SetQuotas(q Quotas) { t.adm.setQuotas(q) }
-
-// Quotas returns the task's current admission quotas.
-func (t *Task) Quotas() Quotas { return t.adm.quotas() }
 
 // AdmissionStats snapshots the task's admission counters.
 func (t *Task) AdmissionStats() AdmissionStats { return t.adm.snapshot() }

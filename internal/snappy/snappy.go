@@ -182,18 +182,6 @@ func emitCopy(dst []byte, offset, length int) int {
 	return i + 2
 }
 
-// DecodedLen returns the length encoded in the block's preamble.
-func DecodedLen(src []byte) (int, error) {
-	n, read := binary.Uvarint(src)
-	if read <= 0 {
-		return 0, ErrCorrupt
-	}
-	if n > maxDecodedLen {
-		return 0, ErrTooLarge
-	}
-	return int(n), nil
-}
-
 // Decode decompresses src, returning the original bytes.
 func Decode(src []byte) ([]byte, error) {
 	n, read := binary.Uvarint(src)

@@ -82,13 +82,6 @@ func NewDB(clock truetime.Clock) *DB {
 // Clock returns the database's TrueTime clock.
 func (db *DB) Clock() truetime.Clock { return db.clock }
 
-// CommitCount returns the number of committed read-write transactions.
-func (db *DB) CommitCount() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.commits
-}
-
 // ConflictCount returns the number of optimistic-concurrency aborts
 // (including those that later succeeded on retry).
 func (db *DB) ConflictCount() int64 {
@@ -199,9 +192,6 @@ func (tx *Txn) Delete(key string) {
 	}
 	tx.writes[key] = write{deleted: true}
 }
-
-// ReadTimestamp returns the snapshot timestamp this transaction reads at.
-func (tx *Txn) ReadTimestamp() truetime.Timestamp { return tx.readTS }
 
 // ReadWriteTxn runs fn inside a snapshot-isolated optimistic transaction,
 // retrying automatically on conflict. If fn returns an error the

@@ -218,14 +218,6 @@ func (s *Server) Crash() {
 	s.net.Deregister(s.cfg.Addr)
 }
 
-// SetQuarantine marks the server as draining for maintenance; the SMS
-// stops placing new streamlets on quarantined servers (§5.5).
-func (s *Server) SetQuarantine(v bool) {
-	s.mu.Lock()
-	s.quarantine = v
-	s.mu.Unlock()
-}
-
 // assignTS hands out a strictly increasing TrueTime timestamp range of n
 // rows: the batch's first row gets the returned timestamp, row i gets
 // +i. Strict monotonicity across batches gives every row of this server

@@ -1,9 +1,7 @@
 #!/usr/bin/env sh
-# Full local check: formatting gate + vet + race-enabled tests across
-# every package. The chaos suite (internal/chaos, core/client chaos
-# tests) is expected to be deterministic under -race; any ordering
-# flake is a bug, so tests run with -shuffle=on to surface hidden
-# inter-test order dependencies.
+# Full local check and the CI gate: formatting, vet, every test under the
+# race detector, then three tables — packages that get a second race
+# pass, fuzz targets, and programs that have no tests of their own.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -15,96 +13,71 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+
+# The chaos suites are expected to be deterministic under -race; an
+# ordering flake is a bug, so -shuffle=on surfaces hidden inter-test
+# order dependencies.
 go test -race -shuffle=on ./...
 
-# The read-session subsystem and its dataflow source connector are the
-# most concurrency-dense packages (parallel shard readers, splits racing
-# the serve loop, simulated worker crashes): run them again under -race
-# with a higher shuffle-independent count so interleavings vary.
-go test -race -count=2 ./internal/readsession/ ./internal/dataflow/
+# Second race pass, -count=2 so interleavings vary: the packages whose
+# goroutines share state a single run may not reach.
+race_twice=$(sed 's|^\([a-z]*\) .*|./internal/\1/|' <<'EOF'
+readsession   parallel shard readers, splits racing the serve loop, simulated worker crashes
+dataflow      source connector fans shards out to readers and commits offsets behind them
+query         leaf scans sharded across workers share cached column vectors
+slicer        reassignment windows race load reports
+sms           token-bucket admission and heartbeat coalescing race thousands of writers
+rpc           unary calls and bi-di streams multiplexed over shared connections and windows
+matview       CDC deltas arrive through parallel shard readers and leave through the partitioned sink
+sql           feeds matview parsed definitions; cheap enough to ride along
+disktier      Put/Get/Invalidate race GC unlinks against lock-protected index state
+EOF
+)
+# shellcheck disable=SC2086  # one argument per package
+go test -race -count=2 $race_twice
 
-# The vectorized query engine shards leaf scans across workers and
-# shares cached column vectors between them: run it again under -race
-# so batch/selection handoffs see varied interleavings.
-go test -race -count=2 ./internal/query/
-
-# The overload-protection layer races admission bookkeeping, heartbeat
-# coalescing and Slicer reassignment windows against thousands of
-# writers: run the slicer and sms suites twice more under -race so the
-# token-bucket and double-assignment paths see varied interleavings.
-go test -race -count=2 ./internal/slicer/ ./internal/sms/
-
-# The transport layer multiplexes unary calls and bi-di streams over
-# shared connections (and, for TCP, over real sockets with per-stream
-# flow-control windows): run the rpc suite — including the
-# cross-transport conformance matrix — twice more under -race so
-# connection-teardown and window-update interleavings vary.
-go test -race -count=2 ./internal/rpc/
-
-# Bench smoke in -short mode: proves the experiment harness still builds
-# and runs end-to-end without paying for full latency-model experiments
-# (those are skipped under -short and run in the main suite above).
-go test -short ./internal/bench/
-
-# Vectorized execution smoke: code-skip accounting in the query engine
-# on keyless and primary-keyed tables (TestVectorizedCodeSkipStats,
-# TestVectorizedKeyedCodeSkip) and read-session serving against the row
-# API as oracle (TestVectorizedServingParity) — the fast end-to-end
-# proof that encoded-domain filtering still returns what filtering
-# row by row returns.
+# Encoded-domain filtering must return what filtering row by row
+# returns: code-skip accounting on keyless and keyed tables, and
+# read-session serving against the row API as oracle.
 go test -short -count=1 -run 'TestVectorized' ./internal/query/ ./internal/readsession/
 
 # The seeded benchmark is a module of its own and imports internal
-# packages by name (query.Config, readsession.NewServer,
-# dml.ResolveChanges, wire.EncodeRecordBatch, wire.EncodeVectors,
-# query.PruneAssignments/HashJoinRows/DeltaGroup): its smoke test runs
-# every workload with a half-second window, so a change that breaks a
-# symbol or an oracle it relies on fails here and not in the benchmark
-# pipeline.
+# packages by name, so a renamed symbol or a broken oracle fails here
+# and not in the benchmark pipeline.
 go test -C benchmark ./...
 
-# Fanout overload smoke: the -short variant of the massive-fanout
-# experiment (128 zipf-skewed streams against squeezed quotas) asserts
-# the no-loss and always-retryable invariants end to end.
-go test -short -count=1 -run 'TestFanoutSmoke' ./internal/bench/
+# Fuzz smoke: a short budget per decoder that faces a peer or a disk
+# catches regressions in the hostile-input guards without turning the
+# check into a soak. The checked-in corpora ran as plain seeds above;
+# this explores beyond them. One invocation per target is a go test
+# restriction.
+while read -r pkg target; do
+    go test -run '^$' -fuzz "${target}\$" -fuzztime 10s "./internal/$pkg/"
+done <<'EOF'
+rowenc    FuzzDecodeRow
+rowenc    FuzzDecodeRows
+blockenc  FuzzOpen
+wire      FuzzDecodeRecordBatch
+wire      FuzzSelectionGather
+disktier  FuzzDecodeEntry
+rpc       FuzzDecodeFrame
+sql       FuzzParse
+EOF
 
-# Materialized-view maintenance applies CDC deltas through the
-# dataflow source's parallel shard readers and writes view rows through
-# the partitioned sink; the sql package feeds it parsed definitions.
-# Run both twice more under -race so source/sink interleavings vary.
-go test -race -count=2 ./internal/matview/ ./internal/sql/
-
-# Matview smoke: the -short variant of the incremental-maintenance
-# experiment churns a joined GROUP BY view and asserts digest equality
-# against full recompute at every pinned snapshot.
-go test -short -count=1 -run 'TestMatviewSmoke' ./internal/bench/
-
-# Disk-tier cache: the on-disk LRU mixes file IO with lock-protected
-# index state and races Put/Get/Invalidate against GC unlinks — run it
-# twice more under -race so the unlink/overwrite interleavings vary.
-go test -race -count=2 ./internal/disktier/
-
-# Cache-pressure smoke: the -short variant of the tiered-cache
-# experiment (working set 10x RAM, prefetch-warmed disk tier) asserts
-# zero Colossus reads on the warm side and zero stale reads after GC.
-go test -short -count=1 -run 'TestCachePressureSmoke' ./internal/bench/
-
-# Cluster smoke: spawns a real coordinator + one worker as separate OS
-# processes talking over the TCP transport, drives a second of appends
-# through the full stack, and asserts the exactly-once invariant
-# (lost=0, phantom=0) across process boundaries.
-go test -short -count=1 -run 'TestClusterSmoke' ./internal/bench/
-
-# Fuzz smoke: a short budget per decoder target catches regressions in
-# the hostile-input guards without turning the check into a soak. The
-# checked-in corpora under testdata/fuzz run as plain seeds above; this
-# explores beyond them.
-for target in FuzzDecodeRow FuzzDecodeRows; do
-    go test -run '^$' -fuzz "${target}\$" -fuzztime 10s ./internal/rowenc/
-done
-go test -run '^$' -fuzz 'FuzzOpen$' -fuzztime 10s ./internal/blockenc/
-go test -run '^$' -fuzz 'FuzzDecodeRecordBatch$' -fuzztime 10s ./internal/wire/
-go test -run '^$' -fuzz 'FuzzSelectionGather$' -fuzztime 10s ./internal/wire/
-go test -run '^$' -fuzz 'FuzzDecodeEntry$' -fuzztime 10s ./internal/disktier/
-go test -run '^$' -fuzz 'FuzzDecodeFrame$' -fuzztime 10s ./internal/rpc/
-go test -run '^$' -fuzz 'FuzzParse$' -fuzztime 10s ./internal/sql/
+# Programs with no test files: run each once, so a panic or a failed
+# self-check (the examples and vortex-verify exit non-zero on one) fails
+# the gate. vortexd and vortexctl need a listening port and stay covered
+# by vet only.
+while read -r prog; do
+    echo "smoke: go run $prog"
+    # shellcheck disable=SC2086  # $prog is a path plus its flags
+    go run $prog >/dev/null </dev/null
+done <<'EOF'
+./cmd/vortex-bench -experiment compression
+./cmd/vortex-sim -seed 1 -duration 1s -quiet
+./cmd/vortex-verify
+./examples/quickstart
+./examples/clickstream
+./examples/cdc_upsert
+./examples/batch_etl
+EOF

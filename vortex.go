@@ -246,10 +246,8 @@ type OpenOption interface {
 
 type openConfig struct {
 	clusters            []string
-	streamServers       int
 	productionLatencies bool
 	seed                int64
-	maxFragmentBytes    int64
 	chaos               *chaos.Schedule
 	retry               *client.RetryPolicy
 	readCacheBytes      int64
@@ -269,11 +267,6 @@ func WithClusters(names ...string) OpenOption {
 	return openOptionFunc(func(c *openConfig) { c.clusters = names })
 }
 
-// WithStreamServers sizes the data plane per cluster.
-func WithStreamServers(n int) OpenOption {
-	return openOptionFunc(func(c *openConfig) { c.streamServers = n })
-}
-
 // WithProductionLatencies injects the paper-calibrated latency model
 // (p50 ≈ 10 ms appends); off by default for tests and examples.
 func WithProductionLatencies() OpenOption {
@@ -283,11 +276,6 @@ func WithProductionLatencies() OpenOption {
 // WithSeed makes latency sampling and retry jitter deterministic.
 func WithSeed(n int64) OpenOption {
 	return openOptionFunc(func(c *openConfig) { c.seed = n })
-}
-
-// WithMaxFragmentBytes overrides the fragment rotation size.
-func WithMaxFragmentBytes(n int64) OpenOption {
-	return openOptionFunc(func(c *openConfig) { c.maxFragmentBytes = n })
 }
 
 // WithChaos wires a deterministic fault-injection schedule through the
@@ -352,42 +340,6 @@ func WithHeartbeatCoalescing(window time.Duration, maxStreamlets int) OpenOption
 	})
 }
 
-// Config tunes an embedded region. It implements OpenOption, so
-// existing Open(Config{...}) callsites keep working.
-//
-// Deprecated: pass WithClusters-style options to Open instead.
-type Config struct {
-	// Clusters names the simulated Colossus/Borg clusters (default two).
-	Clusters []string
-	// StreamServersPerCluster sizes the data plane.
-	StreamServersPerCluster int
-	// ProductionLatencies injects the paper-calibrated latency model
-	// (p50 ≈ 10 ms appends); off by default for tests and examples.
-	ProductionLatencies bool
-	// Seed makes latency sampling deterministic.
-	Seed int64
-	// MaxFragmentBytes overrides fragment rotation size.
-	MaxFragmentBytes int64
-}
-
-func (cfg Config) applyOpen(c *openConfig) {
-	if len(cfg.Clusters) > 0 {
-		c.clusters = cfg.Clusters
-	}
-	if cfg.StreamServersPerCluster > 0 {
-		c.streamServers = cfg.StreamServersPerCluster
-	}
-	if cfg.ProductionLatencies {
-		c.productionLatencies = true
-	}
-	if cfg.Seed != 0 {
-		c.seed = cfg.Seed
-	}
-	if cfg.MaxFragmentBytes > 0 {
-		c.maxFragmentBytes = cfg.MaxFragmentBytes
-	}
-}
-
 // DB is an embedded Vortex region plus a client, query engine and
 // storage optimizer.
 type DB struct {
@@ -415,12 +367,6 @@ func Open(opts ...OpenOption) *DB {
 	rc := core.DefaultConfig()
 	if len(oc.clusters) >= 2 {
 		rc.Clusters = oc.clusters
-	}
-	if oc.streamServers > 0 {
-		rc.StreamServersPerCluster = oc.streamServers
-	}
-	if oc.maxFragmentBytes > 0 {
-		rc.MaxFragmentBytes = oc.maxFragmentBytes
 	}
 	rc.Seed = oc.seed
 	if oc.productionLatencies {
