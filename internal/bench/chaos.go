@@ -47,7 +47,7 @@ func Chaos(ctx context.Context, appends int) (*ChaosResult, error) {
 		appends = 16
 	}
 	n := int64(appends)
-	sched := chaos.NewSchedule(1).
+	sched := chaos.NewSchedule().
 		CrashStreamServerAt("ss-alpha-0", n/4).
 		ClusterOutage("beta", n/2, n/2+n/8).
 		FailAt(chaos.PointRPCResponse, "*/Append", n/8).

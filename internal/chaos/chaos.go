@@ -1,11 +1,11 @@
-// Package chaos is a deterministic, seedable fault-injection schedule
-// for the simulated region. Subsystems call Inject at named cut-points
-// (one per failure surface the paper's availability story exercises,
-// §5.6, §7.3); the schedule decides — from explicit occurrence rules or
-// a seeded RNG — whether that operation is dropped, delayed, or turned
-// into a process crash, and records every triggered injection in an
-// event log so tests can assert that the same schedule produces the
-// same failures.
+// Package chaos is a deterministic fault-injection schedule for the
+// simulated region. Subsystems call Inject at named cut-points (one per
+// failure surface the paper's availability story exercises, §5.6,
+// §7.3); the schedule decides — from explicit occurrence rules, counted
+// per rule — whether that operation is dropped, delayed, or turned into
+// a process crash, and records every triggered injection in an event
+// log so tests can assert that the same schedule produces the same
+// failures.
 //
 // The consuming packages (rpc, colossus, streamserver) do not import
 // this package; each declares a small local interface that *Schedule
@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -73,8 +72,8 @@ const (
 
 // rule is one injection rule. A rule matches when its point equals the
 // cut-point and its target pattern matches the target; each rule counts
-// its own matches (seen) and triggers on explicit occurrences, an
-// occurrence window, or a per-rule seeded coin flip.
+// its own matches (seen) and triggers on explicit occurrences or an
+// occurrence window.
 type rule struct {
 	point  string
 	target string // "", "addr", "addr/Method", or "*/Method"
@@ -82,8 +81,6 @@ type rule struct {
 
 	occurrences map[int64]bool
 	from, to    int64 // 1-based inclusive window; 0,0 = unused
-	prob        float64
-	rng         *rand.Rand
 
 	delay     time.Duration
 	crashKind string
@@ -112,20 +109,13 @@ func (r *rule) triggers(n int64) bool {
 	if r.occurrences != nil {
 		return r.occurrences[n]
 	}
-	if r.to > 0 {
-		return n >= r.from && n <= r.to
-	}
-	if r.prob > 0 {
-		return r.rng.Float64() < r.prob
-	}
-	return false
+	return r.to > 0 && n >= r.from && n <= r.to
 }
 
 // Schedule is a deterministic fault-injection plan. Safe for concurrent
 // use. The zero value is not usable; call NewSchedule.
 type Schedule struct {
 	mu       sync.Mutex
-	seed     int64
 	rules    []*rule
 	events   []Event
 	crashers map[string]func(target string)
@@ -133,16 +123,15 @@ type Schedule struct {
 	paused   bool
 }
 
-// NewSchedule returns an empty schedule. The seed drives every
-// probabilistic rule through per-rule RNGs, so two schedules built the
-// same way inject identically on identical workloads.
-func NewSchedule(seed int64) *Schedule {
-	return &Schedule{seed: seed, crashers: make(map[string]func(string)), manual: make(map[string]bool)}
+// NewSchedule returns an empty schedule. Rules fire on counted
+// occurrences only, so two schedules built the same way inject
+// identically on identical workloads.
+func NewSchedule() *Schedule {
+	return &Schedule{crashers: make(map[string]func(string)), manual: make(map[string]bool)}
 }
 
 func (s *Schedule) add(r *rule) *Schedule {
 	s.mu.Lock()
-	r.rng = rand.New(rand.NewSource(s.seed + int64(len(s.rules))*7919))
 	s.rules = append(s.rules, r)
 	s.mu.Unlock()
 	return s

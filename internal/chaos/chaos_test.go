@@ -19,7 +19,7 @@ import (
 // ---- Schedule unit behaviour ----------------------------------------
 
 func TestFailAtTriggersOnExactOccurrences(t *testing.T) {
-	s := chaos.NewSchedule(1).FailAt(chaos.PointRPCRequest, "ss-a/Append", 2, 4)
+	s := chaos.NewSchedule().FailAt(chaos.PointRPCRequest, "ss-a/Append", 2, 4)
 	ctx := context.Background()
 	var got []int
 	for i := 1; i <= 5; i++ {
@@ -54,7 +54,7 @@ func TestTargetPatterns(t *testing.T) {
 		{"*/Append", "ss-b-2/Flush", false},
 	}
 	for _, c := range cases {
-		s := chaos.NewSchedule(1).FailAt(chaos.PointRPCRequest, c.pattern, 1)
+		s := chaos.NewSchedule().FailAt(chaos.PointRPCRequest, c.pattern, 1)
 		err := s.Inject(ctx, chaos.PointRPCRequest, c.target)
 		if got := err != nil; got != c.match {
 			t.Errorf("pattern %q vs %q: injected=%v want %v", c.pattern, c.target, got, c.match)
@@ -63,7 +63,7 @@ func TestTargetPatterns(t *testing.T) {
 }
 
 func TestClusterOutageWindow(t *testing.T) {
-	s := chaos.NewSchedule(1).ClusterOutage("beta", 2, 3)
+	s := chaos.NewSchedule().ClusterOutage("beta", 2, 3)
 	ctx := context.Background()
 	if s.ClusterOut("beta") {
 		t.Fatal("out before first write")
@@ -88,7 +88,7 @@ func TestClusterOutageWindow(t *testing.T) {
 }
 
 func TestManualOutageTogglesWithoutConsumingRules(t *testing.T) {
-	s := chaos.NewSchedule(1).ClusterOutage("beta", 5, 5)
+	s := chaos.NewSchedule().ClusterOutage("beta", 5, 5)
 	ctx := context.Background()
 	s.StartClusterOutage("beta")
 	if !s.ClusterOut("beta") {
@@ -115,7 +115,7 @@ func TestManualOutageTogglesWithoutConsumingRules(t *testing.T) {
 }
 
 func TestDelayHonoursContext(t *testing.T) {
-	s := chaos.NewSchedule(1).DelayAt(chaos.PointRPCRequest, "a/B", 10*time.Second, 1)
+	s := chaos.NewSchedule().DelayAt(chaos.PointRPCRequest, "a/B", 10*time.Second, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -135,7 +135,7 @@ func TestDelayHonoursContext(t *testing.T) {
 // crash, and a Colossus outage window, and returns the injection log.
 func chaosWorkload(t *testing.T) string {
 	t.Helper()
-	sched := chaos.NewSchedule(42).
+	sched := chaos.NewSchedule().
 		FailAt(chaos.PointRPCResponse, "*/Append", 2).
 		DelayAt(chaos.PointRPCRequest, "*/Append", time.Millisecond, 4).
 		CrashStreamServerAt("ss-alpha-0", 6).
@@ -190,7 +190,7 @@ func TestInjectionLogIsDeterministic(t *testing.T) {
 // for a window; every acknowledged row must be present exactly once and
 // both the degraded-write and retry counters must be nonzero.
 func TestExactlyOnceUnderCrashAndOutage(t *testing.T) {
-	sched := chaos.NewSchedule(7).CrashStreamServerAt("ss-alpha-0", 5)
+	sched := chaos.NewSchedule().CrashStreamServerAt("ss-alpha-0", 5)
 	cfg := core.DefaultConfig()
 	cfg.Chaos = sched
 	r := core.NewRegion(cfg)
@@ -272,7 +272,7 @@ func TestExactlyOnceUnderCrashAndOutage(t *testing.T) {
 // client's flagged retry must receive the original ack — not a
 // WRONG_OFFSET, and the rows must not be doubled.
 func TestLostResponseIsReplayedNotDuplicated(t *testing.T) {
-	sched := chaos.NewSchedule(3).FailAt(chaos.PointRPCResponse, "*/Append", 3)
+	sched := chaos.NewSchedule().FailAt(chaos.PointRPCResponse, "*/Append", 3)
 	cfg := core.DefaultConfig()
 	cfg.Chaos = sched
 	r := core.NewRegion(cfg)

@@ -170,11 +170,10 @@ func (s *Schedule) AddSpec(sp Spec) *Schedule {
 	}
 }
 
-// FromSpecs builds a schedule carrying every spec. The seed only matters
-// for probabilistic rules added later; specs themselves are occurrence-
+// FromSpecs builds a schedule carrying every spec; specs are occurrence-
 // deterministic.
-func FromSpecs(seed int64, specs []Spec) *Schedule {
-	s := NewSchedule(seed)
+func FromSpecs(specs []Spec) *Schedule {
+	s := NewSchedule()
 	for _, sp := range specs {
 		s.AddSpec(sp)
 	}

@@ -53,7 +53,7 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 
 func TestAddSpecInjects(t *testing.T) {
 	ctx := context.Background()
-	s := FromSpecs(1, []Spec{
+	s := FromSpecs([]Spec{
 		{Action: SpecFail, Point: PointRPCRequest, Target: "ss-0", From: 2, To: 2},
 	})
 	if err := s.Inject(ctx, PointRPCRequest, "ss-0/Append"); err != nil {

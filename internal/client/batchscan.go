@@ -2,61 +2,86 @@ package client
 
 import (
 	"context"
-	"sort"
-	"strings"
 	"time"
 
 	"vortex/internal/meta"
+	"vortex/internal/ros"
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/wire"
 )
 
 // ColBatch is one assignment's scan result — the only thing a leaf
-// scan hands the query engine and the read-session server. Its
-// physical layout is chosen by the data and hidden from consumers: ROS
-// fragments with flat projected columns keep the read cache's encoded
-// vectors (zero-copy, read-only), everything else (WOS files, nested
-// projections) keeps decoded rows. Consumers address rows by physical
-// index through a wire.Selection and use three operations: Narrow a
-// selection by a predicate, walk selected rows with a Cursor, and emit
-// selected rows as Vectors.
+// scan produces; the row API (Scan, ReadAll) is PosRows over it. It has
+// one physical layout whatever the fragment's format: one vector per
+// projected column plus, per physical row, the storage sequence, the
+// change type and the value arity the row was written with. A ROS
+// fragment contributes the read cache's encoded vectors (DICT, RLE,
+// PLAIN — nested fields as PLAIN vectors of assembled values), a WOS
+// file its transposed PLAIN columns; both are shared with the cache and
+// read-only. Consumers address rows by physical index through a
+// wire.Selection and use three operations: Narrow a selection by a
+// predicate, walk selected rows with a Cursor, and emit selected rows
+// as Vectors.
 type ColBatch struct {
 	// FragID identifies the source fragment.
 	FragID meta.FragmentID
 	// NumRows is the physical row count selections index into.
 	NumRows int
-	// Sel selects the visible physical rows (deletion mask applied);
-	// nil selects all. Every selection a consumer derives starts here.
+	// Sel selects the visible physical rows (snapshot bound, stream
+	// visibility and deletion masks applied); nil selects all. Every
+	// selection a consumer derives starts here.
 	Sel wire.Selection
 	// ColIdx is the top-level field index of each projected column, in
 	// the order Vectors returns them.
 	ColIdx []int
+	// Cache is how the read cache served this scan: exactly one of Hits
+	// and Misses is 1 (both 0 for live files, which bypass the cache),
+	// BytesSaved is the RAM hit's credit, and DiskHits/DiskMisses are set
+	// when this scan itself went to the disk tier rather than sharing
+	// another caller's fetch. Summing the batches of a query gives its
+	// exact cache usage however many queries share the client.
+	Cache CacheStats
 
-	sc *schema.Schema
+	sc      *schema.Schema
+	cols    []wire.Vector // one per ColIdx entry
+	seqs    []int64       // per physical row
+	changes []byte        // per physical row
+	// arity is the written value arity per physical row; nil when every
+	// row has fullArity values.
+	arity     []int32
+	fullArity int
 
-	encoded  bool
-	cols     []wire.Vector   // encoded layout: one vector per ColIdx entry
-	seqs     []int64         // encoded layout: per physical row, shared with the reader
-	changes  []byte          // encoded layout: per physical row, shared with the reader
-	identity *[3]wire.Vector // encoded layout: IdentityVectors memo
+	// wos locates physical rows in their stream (PosRows); nil for ROS.
+	wos *wosPlacement
 
-	rows []PosRow // row layout: visibility-filtered, with provenance
+	identity *[3]wire.Vector // IdentityVectors memo
 }
 
-// Columnar reports whether the batch holds encoded vectors. Only tests
-// ask: production code never branches on the layout.
-func (b *ColBatch) Columnar() bool { return b.encoded }
+// wosPlacement is what PosRows needs to turn a WOS batch's physical
+// index back into row provenance.
+type wosPlacement struct {
+	blocks         []wosBlock
+	fragStartRow   int64 // streamlet-local offset of the fragment's first row
+	streamletStart int64 // stream offset of the streamlet's first row
+	live           bool
+	streamlet      meta.StreamletID
+	stream         meta.StreamID
+}
 
 // NumVisible returns the number of mask-visible rows.
 func (b *ColBatch) NumVisible() int { return b.Sel.Count(b.NumRows) }
 
 // Seq returns the storage sequence of physical row i.
-func (b *ColBatch) Seq(i int32) int64 {
-	if b.encoded {
-		return b.seqs[i]
+func (b *ColBatch) Seq(i int32) int64 { return b.seqs[i] }
+
+// arityOf returns how many leading fields physical row i was written
+// with, never more than the schema the batch is read under.
+func (b *ColBatch) arityOf(i int32) int {
+	if b.arity == nil {
+		return b.fullArity
 	}
-	return b.rows[i].Stamped.Seq
+	return min(int(b.arity[i]), len(b.sc.Fields))
 }
 
 // Conjunct is one AND-term of a predicate handed to Narrow.
@@ -69,34 +94,32 @@ type Conjunct struct {
 	Keep func(schema.Row) (bool, error)
 }
 
-// Narrow returns the rows of sel that satisfy every term. On the
-// encoded layout a single-field term is decided in code space — once
-// per dictionary entry, once per run — and the rows it drops are
-// counted in PrunedByCode without materializing a value; the remaining
-// terms are evaluated together in one cursor pass over the survivors.
+// Narrow returns the rows of sel that satisfy every term. A
+// single-field term is decided on that column's vector alone — once per
+// dictionary entry or run where the vector is encoded, and the rows
+// that kills are counted in PrunedByCode without materializing a value;
+// the remaining terms are evaluated together in one cursor pass over
+// the survivors.
 func (b *ColBatch) Narrow(sel wire.Selection, terms []Conjunct) (wire.Selection, wire.FilterStats, error) {
 	var fs wire.FilterStats
-	rest := terms
-	if b.encoded {
-		rest = nil
-		probe := schema.Row{Values: nullValues(len(b.sc.Fields))}
-		for _, t := range terms {
-			vec := b.vectorOf(t.Field)
-			if vec == nil {
-				rest = append(rest, t)
-				continue
-			}
-			nsel, st, err := vec.Filter(sel, func(v schema.Value) (bool, error) {
-				probe.Values[t.Field] = v
-				return t.Keep(probe)
-			})
-			if err != nil {
-				return nil, fs, err
-			}
-			sel = nsel
-			fs.PrunedByCode += st.PrunedByCode
-			fs.Evaluated += st.Evaluated
+	var rest []Conjunct
+	probe := schema.Row{Values: nullValues(len(b.sc.Fields))}
+	for _, t := range terms {
+		vec := b.vectorOf(t.Field)
+		if vec == nil {
+			rest = append(rest, t)
+			continue
 		}
+		nsel, st, err := vec.Filter(sel, func(v schema.Value) (bool, error) {
+			probe.Values[t.Field] = v
+			return t.Keep(probe)
+		})
+		if err != nil {
+			return nil, fs, err
+		}
+		sel = nsel
+		fs.PrunedByCode += st.PrunedByCode
+		fs.Evaluated += st.Evaluated
 	}
 	if len(rest) == 0 {
 		return sel, fs, nil
@@ -137,10 +160,9 @@ func nullValues(n int) []schema.Value {
 	return vals
 }
 
-// RowCursor walks the selected rows of a batch in order. On the
-// encoded layout it decodes each row into one reused scratch row,
-// advancing a run cursor per RLE column instead of searching the runs
-// per row.
+// RowCursor walks the selected rows of a batch in order, decoding each
+// into one reused scratch row and advancing a run cursor per RLE column
+// instead of searching the runs per row.
 type RowCursor struct {
 	b   *ColBatch
 	sel wire.Selection
@@ -156,14 +178,14 @@ type RowCursor struct {
 // Cursor returns a cursor over sel (nil: every physical row),
 // positioned before the first row.
 func (b *ColBatch) Cursor(sel wire.Selection) *RowCursor {
-	c := &RowCursor{b: b, sel: sel, n: sel.Count(b.NumRows)}
-	if b.encoded {
-		c.scratch = nullValues(len(b.sc.Fields))
-		c.run = make([]int, len(b.cols))
-		c.runStart = make([]int32, len(b.cols))
-		for k := range c.run {
-			c.run[k] = -1
-		}
+	c := &RowCursor{
+		b: b, sel: sel, n: sel.Count(b.NumRows),
+		scratch:  nullValues(len(b.sc.Fields)),
+		run:      make([]int, len(b.cols)),
+		runStart: make([]int32, len(b.cols)),
+	}
+	for k := range c.run {
+		c.run[k] = -1
 	}
 	return c
 }
@@ -179,9 +201,6 @@ func (c *RowCursor) Next() bool {
 		c.i = c.sel[c.k]
 	}
 	c.k++
-	if !c.b.encoded {
-		return true
-	}
 	for k := range c.b.cols {
 		v := &c.b.cols[k]
 		switch v.Enc {
@@ -210,117 +229,82 @@ func (c *RowCursor) Next() bool {
 func (c *RowCursor) Index() int32 { return c.i }
 
 // Seq returns the current row's storage sequence.
-func (c *RowCursor) Seq() int64 { return c.b.Seq(c.i) }
+func (c *RowCursor) Seq() int64 { return c.b.seqs[c.i] }
 
-// Row returns the current row. It is valid only until the next call to
-// Next (the encoded layout reuses one scratch row); use Retain to keep
-// it. Row-layout rows keep the arity they were written with, which
-// after schema evolution can be shorter than the schema.
+// Row returns the current row: projected fields hold their values, the
+// rest NULL. It is valid only until the next call to Next (one scratch
+// row is reused); use Retain to keep it. A row keeps the arity it was
+// written with, which after schema evolution can be shorter than the
+// schema.
 func (c *RowCursor) Row() schema.Row {
-	if !c.b.encoded {
-		return c.b.rows[c.i].Stamped.Row
-	}
-	return schema.Row{Values: c.scratch, Change: schema.ChangeType(c.b.changes[c.i])}
+	return schema.Row{Values: c.scratch[:c.b.arityOf(c.i)], Change: schema.ChangeType(c.b.changes[c.i])}
 }
 
-// Retain returns the current row in a form that stays valid after
-// Next. The result is read-only: it may share memory with the cache.
+// Retain returns the current row in a form that stays valid after Next.
 func (c *RowCursor) Retain() schema.Row {
 	row := c.Row()
-	if c.b.encoded {
-		row.Values = append([]schema.Value(nil), row.Values...)
-	}
+	row.Values = append([]schema.Value(nil), row.Values...)
 	return row
 }
 
-// PosRows materializes the batch's visible rows with provenance,
-// matching ScanDetailed's output for the same assignment.
+// PosRows materializes the batch's visible rows with the provenance DML
+// needs, computed from each row's physical index.
 func (b *ColBatch) PosRows() []PosRow {
-	if !b.encoded && b.Sel == nil {
-		return b.rows
-	}
 	out := make([]PosRow, 0, b.NumVisible())
-	if !b.encoded {
-		for _, i := range b.Sel {
-			out = append(out, b.rows[i])
-		}
-		return out
-	}
+	// One slab backs every row's values.
+	slab := make([]schema.Value, 0, cap(out)*len(b.sc.Fields))
+	blk := 0 // WOS: block holding the current row; selections ascend
 	for cur := b.Cursor(b.Sel); cur.Next(); {
-		out = append(out, PosRow{
-			Stamped:      rowenc.Stamped{Row: cur.Retain(), Seq: cur.Seq()},
+		row := cur.Row()
+		at := len(slab)
+		slab = append(slab, row.Values...)
+		row.Values = slab[at:len(slab):len(slab)]
+		pr := PosRow{
+			Stamped:      rowenc.Stamped{Row: row, Seq: cur.Seq()},
 			FragID:       b.FragID,
 			FragLocal:    int64(cur.Index()),
 			StreamOffset: -1,
-		})
+		}
+		if w := b.wos; w != nil {
+			for blk+1 < len(w.blocks) && cur.Index() >= w.blocks[blk+1].first {
+				blk++
+			}
+			local := w.blocks[blk].StartRow + int64(cur.Index()-w.blocks[blk].first)
+			pr.FragLocal = local - w.fragStartRow
+			pr.StreamOffset = w.streamletStart + local
+			pr.Live, pr.Streamlet, pr.Stream = w.live, w.streamlet, w.stream
+		}
+		out = append(out, pr)
 	}
 	return out
 }
 
-// Vectors emits the rows of sel as one vector per projected column
-// (named by schema field, ordered like ColIdx) plus the selection that
-// picks those rows out of the vectors, ready for wire.EncodeVectors or
-// Vector.Gather. The encoded layout returns its cached vectors with
-// sel itself; the row layout transposes just the selected rows to
-// PLAIN vectors and returns a nil selection, so callers that emit in
-// chunks should pass one chunk's rows at a time.
+// Vectors returns one vector per projected column (named by schema
+// field, ordered like ColIdx), covering every physical row, together
+// with the selection that picks sel's rows out of them — ready for
+// wire.EncodeVectors or Vector.Gather. The vectors are the cached ones:
+// nothing is copied, whatever sel selects.
 func (b *ColBatch) Vectors(sel wire.Selection) ([]wire.Vector, wire.Selection) {
-	if b.encoded {
-		return b.cols, sel
-	}
-	n := sel.Count(b.NumRows)
-	vals := make([][]schema.Value, len(b.ColIdx))
-	for k := range vals {
-		vals[k] = make([]schema.Value, 0, n)
-	}
-	for cur := b.Cursor(sel); cur.Next(); {
-		row := cur.Row()
-		for k, fi := range b.ColIdx {
-			if fi < len(row.Values) {
-				vals[k] = append(vals[k], row.Values[fi])
-			} else {
-				vals[k] = append(vals[k], schema.Null())
-			}
-		}
-	}
-	cols := make([]wire.Vector, len(vals))
-	for k := range vals {
-		cols[k] = wire.PlainVector(b.sc.Fields[b.ColIdx[k]].Name, vals[k])
-	}
-	return cols, nil
+	return b.cols, sel
 }
 
-// IdentityVectors emits, for the same sel and aligned with the vectors
-// and selection Vectors returns for it, the three unnamed row-identity
+// IdentityVectors returns, aligned with the vectors and selection
+// Vectors returns for the same sel, the three unnamed row-identity
 // columns: storage sequence, the value arity the row was written with,
 // and change type.
 func (b *ColBatch) IdentityVectors(sel wire.Selection) [3]wire.Vector {
-	if !b.encoded {
-		n := sel.Count(b.NumRows)
-		at := func(k int) *rowenc.Stamped {
-			if sel == nil {
-				return &b.rows[k].Stamped
-			}
-			return &b.rows[sel[k]].Stamped
-		}
-		seqs := make([]schema.Value, n)
-		for k := range seqs {
-			seqs[k] = schema.Int64(at(k).Seq)
-		}
-		return [3]wire.Vector{
-			wire.PlainVector("", seqs),
-			runVector(n, func(k int) int64 { return int64(len(at(k).Row.Values)) }),
-			runVector(n, func(k int) int64 { return int64(at(k).Row.Change) }),
-		}
-	}
 	if b.identity == nil {
 		seqs := make([]schema.Value, b.NumRows)
 		for i, q := range b.seqs {
 			seqs[i] = schema.Int64(q)
 		}
+		arity := wire.ConstVector("", schema.Int64(int64(b.fullArity)), b.NumRows)
+		if b.arity != nil {
+			arity = runVector(b.NumRows, func(i int) int64 { return int64(b.arityOf(int32(i))) })
+		}
 		b.identity = &[3]wire.Vector{
 			wire.PlainVector("", seqs),
-			wire.ConstVector("", schema.Int64(int64(len(b.sc.Fields))), b.NumRows),
+			arity,
 			runVector(b.NumRows, func(i int) int64 { return int64(b.changes[i]) }),
 		}
 	}
@@ -341,67 +325,100 @@ func runVector(n int, at func(i int) int64) wire.Vector {
 	return wire.RLEVector("", runs)
 }
 
-// ScanBatch reads one assignment in batch form. Immutable ROS
-// fragments whose projected columns are all flat return the cached
-// reader's encoded vectors without materializing a single row; WOS
-// files and nested projections carry ScanDetailed's rows.
+// ScanBatch reads one assignment. Immutable fragments come from the
+// read cache (load); a live tail file is read and decoded afresh. Either
+// way the scan itself is only a selection over the decoded columns:
+// nothing is materialized per row.
 func (c *Client) ScanBatch(ctx context.Context, plan *ScanPlan, a Assignment) (*ColBatch, error) {
-	if a.Frag.Format == meta.ROS && !a.Live {
-		start := time.Now()
-		rd, err := c.rosReader(a)
+	start := time.Now()
+	var b *ColBatch
+	if a.Live {
+		d, fragStartRow, err := c.readLiveWOS(ctx, plan, a)
 		if err != nil {
 			return nil, err
 		}
-		vecs, idxs, ok, err := rd.Vectors(plan.Schema, plan.Projection)
+		b = wosBatch(plan, a, meta.FragmentIDFor(a.Frag.Streamlet, a.FragIndex), fragStartRow, d)
+	} else {
+		v, use, err := c.load(a)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			b := &ColBatch{
-				FragID:  a.Frag.ID,
-				NumRows: int(rd.RowCount()),
-				ColIdx:  idxs,
-				sc:      plan.Schema,
-				encoded: true,
-				cols:    vecs,
-				seqs:    rd.Seqs(),
-				changes: rd.Changes(),
+		switch d := v.(type) {
+		case *ros.Reader:
+			if b, err = rosBatch(plan, a, d); err != nil {
+				return nil, err
 			}
-			if !a.Mask.Empty() {
-				sel := make(wire.Selection, 0, b.NumRows)
-				for i := 0; i < b.NumRows; i++ {
-					if !a.Mask.Deleted(int64(i)) {
-						sel = append(sel, int32(i))
-					}
-				}
-				b.Sel = sel
-			}
-			c.scanLatency.Record(time.Since(start))
-			return b, nil
+		case *wosColumns:
+			b = wosBatch(plan, a, a.Frag.ID, a.Frag.StartRow, d)
 		}
+		b.Cache = use
 	}
-	rows, err := c.ScanDetailed(ctx, plan, a)
+	c.scanLatency.Record(time.Since(start))
+	return b, nil
+}
+
+// rosBatch is a cached ROS reader's projected vectors with the
+// deletion mask as the selection.
+func rosBatch(plan *ScanPlan, a Assignment, rd *ros.Reader) (*ColBatch, error) {
+	vecs, idxs, _, err := rd.Vectors(plan.Schema, plan.Projection)
 	if err != nil {
 		return nil, err
 	}
-	b := &ColBatch{FragID: a.Frag.ID, NumRows: len(rows), sc: plan.Schema, rows: rows}
-	for fi, f := range plan.Schema.Fields {
-		if plan.Projection == nil || plan.Projection[f.Name] {
-			b.ColIdx = append(b.ColIdx, fi)
+	b := &ColBatch{
+		FragID:    a.Frag.ID,
+		NumRows:   int(rd.RowCount()),
+		ColIdx:    idxs,
+		sc:        plan.Schema,
+		cols:      vecs,
+		seqs:      rd.Seqs(),
+		changes:   rd.Changes(),
+		fullArity: len(plan.Schema.Fields),
+	}
+	if !a.Mask.Empty() {
+		sel := make(wire.Selection, 0, b.NumRows)
+		for i := 0; i < b.NumRows; i++ {
+			if !a.Mask.Deleted(int64(i)) {
+				sel = append(sel, int32(i))
+			}
 		}
+		b.Sel = sel
 	}
 	return b, nil
 }
 
-// projectionKey renders a canonical memo key for a projection set.
-func projectionKey(projection map[string]bool) string {
-	if projection == nil {
-		return "*"
+// wosBatch is a WOS file's decoded columns with the §7.1 snapshot
+// bound, stream visibility and deletion masks as the selection.
+// fragStartRow is the streamlet-local offset of the file's first row.
+func wosBatch(plan *ScanPlan, a Assignment, fragID meta.FragmentID, fragStartRow int64, d *wosColumns) *ColBatch {
+	b := &ColBatch{
+		FragID:    fragID,
+		NumRows:   d.n,
+		sc:        plan.Schema,
+		seqs:      d.seqs,
+		changes:   d.changes,
+		arity:     d.arity,
+		fullArity: min(len(d.cols), len(plan.Schema.Fields)),
+		wos: &wosPlacement{
+			blocks:         d.blocks,
+			fragStartRow:   fragStartRow,
+			streamletStart: a.streamletStart(),
+			live:           a.Live,
+			streamlet:      a.Frag.Streamlet,
+			stream:         a.Stream,
+		},
 	}
-	cols := make([]string, 0, len(projection))
-	for c := range projection {
-		cols = append(cols, c)
+	for fi, f := range plan.Schema.Fields {
+		if plan.Projection != nil && !plan.Projection[f.Name] {
+			continue
+		}
+		b.ColIdx = append(b.ColIdx, fi)
+		if fi < len(d.cols) {
+			b.cols = append(b.cols, wire.PlainVector(f.Name, d.cols[fi]))
+		} else {
+			// Field added after every row of this file was written.
+			b.cols = append(b.cols, wire.ConstVector(f.Name, schema.Null(), d.n))
+		}
 	}
-	sort.Strings(cols)
-	return strings.Join(cols, ",")
+	b.Sel = selectWOS(plan.SnapshotTS, a, b.wos, d)
+	return b
 }

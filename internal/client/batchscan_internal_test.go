@@ -4,13 +4,19 @@ import (
 	"fmt"
 	"testing"
 
+	"vortex/internal/blockenc"
+	"vortex/internal/dml"
+	"vortex/internal/fragment"
+	"vortex/internal/meta"
+	"vortex/internal/ros"
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
+	"vortex/internal/truetime"
 	"vortex/internal/wire"
 )
 
 func cursorSchema() *schema.Schema {
-	return &schema.Schema{Fields: []*schema.Field{
+	return &schema.Schema{PrimaryKey: []string{"k"}, Fields: []*schema.Field{
 		{Name: "k", Kind: schema.KindString, Mode: schema.Required},
 		{Name: "skipped", Kind: schema.KindInt64, Mode: schema.Nullable}, // not projected
 		{Name: "g", Kind: schema.KindInt64, Mode: schema.Nullable},
@@ -18,7 +24,7 @@ func cursorSchema() *schema.Schema {
 	}}
 }
 
-// encodedTestBatch is nine rows in the encoded layout: k DICT, g RLE
+// encodedTestBatch is nine rows as a ROS reader hands them over: k DICT, g RLE
 // with runs of 3, 2 and 4, and `added` a CONST NULL vector standing in
 // for a column the file predates.
 func encodedTestBatch() *ColBatch {
@@ -28,7 +34,6 @@ func encodedTestBatch() *ColBatch {
 		NumRows: 9,
 		ColIdx:  []int{0, 2, 3},
 		sc:      cursorSchema(),
-		encoded: true,
 		cols: []wire.Vector{
 			wire.DictVector("k", dict, []uint32{0, 1, 2, 0, 1, 2, 0, 1, 2}),
 			wire.RLEVector("g", []wire.Run{
@@ -38,8 +43,9 @@ func encodedTestBatch() *ColBatch {
 			}),
 			wire.ConstVector("added", schema.Null(), 9),
 		},
-		seqs:    []int64{100, 101, 102, 103, 104, 105, 106, 107, 108},
-		changes: []byte{0, 0, 1, 0, 0, 2, 0, 0, 1},
+		seqs:      []int64{100, 101, 102, 103, 104, 105, 106, 107, 108},
+		changes:   []byte{0, 0, 1, 0, 0, 2, 0, 0, 1},
+		fullArity: 4,
 	}
 }
 
@@ -93,31 +99,76 @@ func TestCursorEncodedSparseSelection(t *testing.T) {
 	}
 }
 
-// rowTestBatch is the same logical data as encodedTestBatch in the row
-// layout, except that row 4 was written before `added` (and `g`)
-// existed and so carries only two values.
-func rowTestBatch() *ColBatch {
-	enc := encodedTestBatch()
-	b := &ColBatch{FragID: "frag-1", NumRows: 9, ColIdx: enc.ColIdx, sc: enc.sc}
-	for cur := enc.Cursor(nil); cur.Next(); {
+// sealedBlocks seals rows into WOS data blocks the way a Stream Server
+// writes them, one block per group, returning the client that can open
+// them.
+func sealedBlocks(t *testing.T, groups ...[]schema.Row) (*Client, []fragment.Block) {
+	t.Helper()
+	sealer := blockenc.NewSealer(blockenc.NewKeyring())
+	var blocks []fragment.Block
+	start := int64(0)
+	for _, rows := range groups {
+		payload := rowenc.EncodeRows(rows)
+		sealed, err := sealer.Seal(payload, blockenc.Checksum(payload), blockenc.SystemKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, fragment.Block{
+			Kind:      fragment.BlockData,
+			Timestamp: truetime.Timestamp(100 + start),
+			StartRow:  start,
+			RowCount:  int64(len(rows)),
+			Payload:   sealed,
+		})
+		start += int64(len(rows))
+	}
+	return &Client{sealer: sealer}, blocks
+}
+
+// wosTestRows is the logical data of encodedTestBatch as a writer
+// appended it: full rows, except that row 4 was written before `g` and
+// `added` existed and so carries only two values.
+func wosTestRows() []schema.Row {
+	var rows []schema.Row
+	for cur := encodedTestBatch().Cursor(nil); cur.Next(); {
 		row := cur.Retain()
 		if cur.Index() == 4 {
 			row.Values = row.Values[:2]
 		}
-		b.rows = append(b.rows, PosRow{
-			Stamped:   rowenc.Stamped{Row: row, Seq: cur.Seq()},
-			FragID:    "frag-1",
-			FragLocal: int64(cur.Index()),
-		})
+		rows = append(rows, row)
 	}
-	return b
+	return rows
 }
 
-// TestCursorRowLayoutShortArity: the row layout hands rows out as
-// written — a short row stays short under the cursor — while Vectors
-// pads it to NULL and the identity columns record its true arity.
-func TestCursorRowLayoutShortArity(t *testing.T) {
-	b := rowTestBatch()
+// wosTestBatch decodes wosTestRows from two sealed blocks (rows 0-4 at
+// timestamp 100, rows 5-8 at 105 — the same seqs as encodedTestBatch)
+// and scans them at snapshot under the same projection.
+func wosTestBatch(t *testing.T, snapshot truetime.Timestamp, a Assignment) *ColBatch {
+	t.Helper()
+	rows := wosTestRows()
+	c, blocks := sealedBlocks(t, rows[:5], rows[5:])
+	d, err := c.decodeBlocks(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &ScanPlan{
+		SnapshotTS: snapshot,
+		Schema:     cursorSchema(),
+		Projection: map[string]bool{"k": true, "g": true, "added": true},
+	}
+	return wosBatch(plan, a, "frag-1", 0, d)
+}
+
+// TestShortArityKeepsArity: a WOS row written before a schema change
+// stays short under the cursor and in PosRows, its missing fields read
+// NULL in the column vectors, and the identity columns record its true
+// arity — which is what lets a read session hand it back short
+// (readsession.TestSessionShortArityRoundTrip).
+func TestShortArityKeepsArity(t *testing.T) {
+	b := wosTestBatch(t, 1000, Assignment{})
+	if b.Sel != nil || b.NumRows != 9 {
+		t.Fatalf("full-visibility scan: Sel %v over %d rows, want nil over 9", b.Sel, b.NumRows)
+	}
 	sel := wire.Selection{3, 4, 8}
 	var arities []int
 	for cur := b.Cursor(sel); cur.Next(); {
@@ -129,10 +180,19 @@ func TestCursorRowLayoutShortArity(t *testing.T) {
 	if fmt.Sprint(arities) != "[4 2 4]" {
 		t.Fatalf("cursor arities = %v, want [4 2 4]", arities)
 	}
+	for i, pr := range b.PosRows() {
+		want := 4
+		if i == 4 {
+			want = 2
+		}
+		if len(pr.Stamped.Row.Values) != want || pr.FragLocal != int64(i) || pr.StreamOffset != int64(i) || pr.Stamped.Seq != 100+int64(i) {
+			t.Fatalf("PosRows[%d] = %+v, want arity %d at offset %d", i, pr, want, i)
+		}
+	}
 
 	cols, vsel := b.Vectors(sel)
-	if vsel != nil || len(cols) != 3 {
-		t.Fatalf("row layout emitted %d vectors with selection %v", len(cols), vsel)
+	if len(cols) != 3 {
+		t.Fatalf("emitted %d vectors, want 3", len(cols))
 	}
 	for k, want := range []string{`["x" "y" "z"]`, `[20 NULL 30]`, `[NULL NULL NULL]`} {
 		if cols[k].Enc != wire.BatchEncPlain || cols[k].Name != b.sc.Fields[b.ColIdx[k]].Name {
@@ -150,35 +210,57 @@ func TestCursorRowLayoutShortArity(t *testing.T) {
 	}
 }
 
-// TestNarrowLayoutsAgree: the same predicate keeps the same rows on
-// both layouts; only the encoded one decides the single-column term in
-// code space, and the frames both emit decode to the same rows.
-func TestNarrowLayoutsAgree(t *testing.T) {
+// TestNarrowFormatsAgree: Narrow on a WOS batch keeps the same rows as
+// Narrow on the ROS conversion of the same rows; only the ROS one
+// decides the single-column term in code space, and the frames both
+// emit decode to the same rows.
+func TestNarrowFormatsAgree(t *testing.T) {
+	sc := cursorSchema()
+	w := ros.NewWriter(sc)
+	for i, row := range wosTestRows() {
+		if err := w.Add(row, 100+int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	file, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := ros.Open(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &ScanPlan{Schema: sc, Projection: map[string]bool{"k": true, "g": true, "added": true}}
+	rosB, err := rosBatch(plan, Assignment{}, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wosB := wosTestBatch(t, 1000, Assignment{})
+
 	terms := []Conjunct{
 		{Field: 0, Keep: func(r schema.Row) (bool, error) { return r.Values[0].AsString() != "y", nil }},
 		{Field: -1, Keep: func(r schema.Row) (bool, error) {
 			return len(r.Values) > 2 && r.Values[2].AsInt64() >= 20 && r.Values[0].AsString() == "z", nil
 		}},
 	}
-	enc, row := encodedTestBatch(), rowTestBatch()
-	esel, efs, err := enc.Narrow(enc.Sel, terms)
+	rsel, rfs, err := rosB.Narrow(rosB.Sel, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsel, rfs, err := row.Narrow(row.Sel, terms)
+	wsel, wfs, err := wosB.Narrow(wosB.Sel, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(esel) != "[5 8]" || fmt.Sprint(rsel) != "[5 8]" {
-		t.Fatalf("encoded kept %v, row layout kept %v, want [5 8]", esel, rsel)
+	if fmt.Sprint(rsel) != "[5 8]" || fmt.Sprint(wsel) != "[5 8]" {
+		t.Fatalf("ROS kept %v, WOS kept %v, want [5 8]", rsel, wsel)
 	}
-	if efs.PrunedByCode != 3 || rfs.PrunedByCode != 0 {
-		t.Fatalf("code-space pruning: encoded %+v, row layout %+v", efs, rfs)
+	if rfs.PrunedByCode != 3 || wfs.PrunedByCode != 0 {
+		t.Fatalf("code-space pruning: ROS %+v, WOS %+v", rfs, wfs)
 	}
 	var frames [2]string
-	for i, b := range []*ColBatch{enc, row} {
-		cols, vsel := b.Vectors(esel)
-		id := b.IdentityVectors(esel)
+	for i, b := range []*ColBatch{rosB, wosB} {
+		cols, vsel := b.Vectors(rsel)
+		id := b.IdentityVectors(rsel)
 		rb, _, err := wire.DecodeRecordBatch(wire.EncodeVectors(append(id[:], cols...), vsel))
 		if err != nil {
 			t.Fatal(err)
@@ -188,6 +270,56 @@ func TestNarrowLayoutsAgree(t *testing.T) {
 		}
 	}
 	if frames[0] != frames[1] {
-		t.Fatalf("layouts encode different frames:\nencoded: %s\nrows:    %s", frames[0], frames[1])
+		t.Fatalf("formats encode different frames:\nROS: %s\nWOS: %s", frames[0], frames[1])
+	}
+}
+
+// TestWarmSealedWOSSnapshotInsideFragment: a sealed WOS entry is cached
+// once and serves every snapshot. A scan at a snapshot inside the
+// fragment returns exactly the rows at or before it — the two-level
+// bound: a row past the snapshot ends only its block, a block past it
+// ends the fragment — and a snapshot covering every row selects all
+// without building a selection.
+func TestWarmSealedWOSSnapshotInsideFragment(t *testing.T) {
+	for _, tc := range []struct {
+		snapshot truetime.Timestamp
+		want     string
+	}{
+		{99, "[]"},
+		{100, "[0]"},
+		{103, "[0 1 2 3]"},
+		{104, "[0 1 2 3 4]"}, // first block complete, second not started
+		{106, "[0 1 2 3 4 5 6]"},
+		{107, "[0 1 2 3 4 5 6 7]"},
+		{108, "<nil>"},
+		{120, "<nil>"}, // between the newest row and the sealed boundary
+	} {
+		b := wosTestBatch(t, tc.snapshot, Assignment{})
+		got := "<nil>"
+		if b.Sel != nil {
+			got = fmt.Sprint(b.Sel)
+		}
+		if got != tc.want {
+			t.Errorf("snapshot %d selected %s, want %s", tc.snapshot, got, tc.want)
+		}
+		for _, pr := range b.PosRows() {
+			if truetime.Timestamp(pr.Stamped.Seq) > tc.snapshot {
+				t.Errorf("snapshot %d returned row with seq %d", tc.snapshot, pr.Stamped.Seq)
+			}
+		}
+	}
+
+	// Masks and stream visibility narrow the same selection.
+	mask := &dml.Mask{}
+	mask.Add(1, 3)
+	tail := &dml.Mask{}
+	tail.Add(7, 8)
+	b := wosTestBatch(t, 1000, Assignment{
+		Mask:     mask,
+		TailMask: tail,
+		Vis:      wire.StreamVisibility{Type: meta.Buffered, FlushedOffset: 8},
+	})
+	if got := fmt.Sprint(b.Sel); got != "[0 3 4 5 6]" {
+		t.Fatalf("masked scan selected %s, want [0 3 4 5 6]", got)
 	}
 }

@@ -1,0 +1,134 @@
+package client_test
+
+import (
+	"context"
+	"testing"
+
+	"vortex/internal/client"
+	"vortex/internal/core"
+	"vortex/internal/meta"
+	"vortex/internal/wire"
+	"vortex/internal/workload"
+)
+
+// benchRows is the size of each of the three pieces of the benchmark
+// table: rows converted to ROS, rows left as a sealed WOS fragment, and
+// rows on a stream that stays writable.
+const benchRows = 4096
+
+var benchSink int
+
+// BenchmarkScanBatch measures one leaf scan plus its consumption, per
+// fragment kind and per consumer shape (ROADMAP open item 1). Run with
+// -benchmem: allocs/op is the number to watch. Everything but the live
+// tail is served from a warm read cache.
+//
+//	flat ROS     five flat Sales columns — the cache's encoded vectors
+//	nested ROS   every column, including the repeated salesOrderLines struct
+//	sealed WOS   a finalized streamlet's file, every column
+//	live WOS     a writable streamlet's tail file: read, decoded and
+//	             commit-checked on every scan
+//
+//	cursor       walk the visible rows through a RowCursor
+//	encode       Vectors + IdentityVectors through wire.EncodeVectors, the
+//	             frame a read session serves
+func BenchmarkScanBatch(b *testing.B) {
+	r := core.NewRegion(core.DefaultConfig())
+	opts := client.DefaultOptions()
+	opts.ReadCacheBytes = 256 << 20
+	c := r.NewClient(opts)
+	ctx := context.Background()
+	const table = meta.TableID("d.sales")
+	if err := c.CreateTable(ctx, table, workload.SalesSchema()); err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewGen(1, 0)
+	write := func(seal bool) {
+		s, err := c.CreateStream(ctx, table, meta.Unbuffered)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for n := 0; n < benchRows; n += 256 {
+			if _, err := s.Append(ctx, gen.SalesRows(0, 256), client.AppendOptions{Offset: -1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if seal {
+			if _, err := s.Finalize(ctx); err != nil {
+				b.Fatal(err)
+			}
+			r.HeartbeatAll(ctx, false)
+		}
+	}
+	write(true)
+	convertTable(b, r, c, ctx, table)
+	write(true)
+	write(false)
+
+	flat := map[string]bool{"orderTimestamp": true, "salesOrderKey": true, "customerKey": true, "totalSale": true, "currencyKey": true}
+	kinds := []struct {
+		name       string
+		format     meta.Format
+		live       bool
+		projection map[string]bool
+	}{
+		{"flatROS", meta.ROS, false, flat},
+		{"nestedROS", meta.ROS, false, nil},
+		{"sealedWOS", meta.WOS, false, nil},
+		{"liveWOS", meta.WOS, true, nil},
+	}
+	consumers := []struct {
+		name string
+		use  func(*client.ColBatch) int
+	}{
+		{"cursor", func(cb *client.ColBatch) int {
+			n := 0
+			for cur := cb.Cursor(cb.Sel); cur.Next(); {
+				n += len(cur.Row().Values)
+			}
+			return n
+		}},
+		{"encode", func(cb *client.ColBatch) int {
+			id := cb.IdentityVectors(cb.Sel)
+			cols, sel := cb.Vectors(cb.Sel)
+			return len(wire.EncodeVectors(append(id[:], cols...), sel))
+		}},
+	}
+	for _, k := range kinds {
+		plan, err := c.Plan(ctx, table, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan.Projection = k.projection
+		var as []client.Assignment
+		for _, a := range plan.Assignments {
+			if a.Frag.Format == k.format && a.Live == k.live {
+				as = append(as, a)
+			}
+		}
+		for _, consumer := range consumers {
+			b.Run(k.name+"/"+consumer.name, func(b *testing.B) {
+				scan := func() (rows int) {
+					for _, a := range as {
+						cb, err := c.ScanBatch(ctx, plan, a)
+						if err != nil {
+							b.Fatal(err)
+						}
+						rows += cb.NumVisible()
+						benchSink += consumer.use(cb)
+					}
+					return rows
+				}
+				if rows := scan(); rows != benchRows { // also warms the cache
+					b.Fatalf("%d assignments hold %d rows, want %d", len(as), rows, benchRows)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					scan()
+				}
+				b.ReportMetric(float64(b.N)*benchRows/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
+	}
+}

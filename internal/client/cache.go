@@ -5,10 +5,6 @@ import (
 	"sync"
 
 	"vortex/internal/disktier"
-	"vortex/internal/meta"
-	"vortex/internal/ros"
-	"vortex/internal/schema"
-	"vortex/internal/truetime"
 )
 
 // ReadCache is a byte-bounded LRU over decoded fragment contents, keyed
@@ -16,17 +12,23 @@ import (
 // sealed fragments are immutable, so repeated selective scans should not
 // re-fetch and re-decode them from Colossus on every query.
 //
+// Every entry has one shape — {path, version, size, value} — and holds a
+// fragment decoded once into columns: a *ros.Reader (lazily decoded
+// encoded vectors) or a sealed WOS file's *wosColumns (PLAIN vectors).
+// Nothing per snapshot, per projection or per consumer is kept beside
+// it: a scan is a wire.Selection computed over the shared columns.
+//
 // The cache is snapshot-safe by construction:
 //
 //   - Only immutable bytes are cached. ROS fragment files never change
-//     after being written, and sealed-WOS entries are keyed by the
-//     fragment's CommittedBytes so a record refresh that moves the
-//     sealed boundary invalidates the entry. Live streamlet-tail files
-//     bypass the cache entirely (the scan path never consults it for
-//     live assignments).
+//     after being written (version 0), and a sealed-WOS entry's version
+//     is the fragment's CommittedBytes, so a record refresh that moves
+//     the sealed boundary invalidates the entry. Live streamlet-tail
+//     files bypass the cache entirely (the scan path never consults it
+//     for live assignments).
 //   - An entry holds the full decoded fragment, not a per-snapshot
-//     subset: snapshot filtering (block/row timestamps, deletion masks,
-//     projections) is re-applied on every scan, so one entry serves
+//     subset: snapshot filtering (block/row timestamps, deletion masks)
+//     is re-applied on every scan as a selection, so one entry serves
 //     every snapshot correctly.
 //   - Physical file deletion (SMS groomer, heartbeat-driven server GC)
 //     calls Invalidate with the deleted paths before any later scan can
@@ -58,56 +60,14 @@ type ReadCache struct {
 	oversizeRejects int64
 }
 
-// wosBlock is one decoded data block of a sealed WOS fragment. Blocks —
-// not flat rows — are cached because the scan loop's snapshot filter is
-// two-level: a block whose timestamp is past the snapshot ends the whole
-// fragment, while a row past the snapshot ends only its block.
-type wosBlock struct {
-	Timestamp truetime.Timestamp
-	StartRow  int64 // streamlet-local row offset of the block's first row
-	Rows      []schema.Row
-}
-
-// rosRowMemo is a fully assembled, unmasked PosRow view of a ROS
-// fragment under one (schema arity, projection) key. Scans with an
-// empty deletion mask return the slice unmodified, so consumers must
-// treat it as read-only like every other cached object.
-type rosRowMemo struct {
-	fragID meta.FragmentID
-	rows   []PosRow
-}
-
-// wosRowMemo is the fully visible PosRow view of a sealed WOS fragment:
-// valid only for scans whose snapshot covers maxRowTS and whose
-// assignment applies no mask or visibility restriction. maxRowTS is the
-// commit timestamp of the fragment's newest row — WOS storage sequence
-// numbers are timestamp-assigned (seq = block TrueTime timestamp + row
-// index within the block, see assembleWOS), so the newest row's seq IS
-// its commit timestamp and the snapshot guard compares like with like.
-type wosRowMemo struct {
-	fragID         meta.FragmentID
-	streamletStart int64
-	maxRowTS       truetime.Timestamp
-	rows           []PosRow
-}
-
-// maxRowMemos bounds how many projection variants one ROS entry
-// memoizes before recycling.
-const maxRowMemos = 4
-
-// cacheEntry is one fragment's decoded contents. Exactly one of ros/wos
-// is set. Cached data is shared across scans and must be treated as
-// read-only by every consumer.
+// cacheEntry is one fragment's decoded columns. Entries are immutable
+// once put, and the value is shared across scans: every consumer must
+// treat it as read-only.
 type cacheEntry struct {
-	path string
-	size int64 // raw file bytes this entry saves per hit
-
-	ros     *ros.Reader
-	rosRows map[string]rosRowMemo // projection key → assembled rows
-
-	wos            []wosBlock
-	committedBytes int64 // sealed boundary the wos blocks were decoded under
-	wosRows        *wosRowMemo
+	path    string
+	version int64 // CommittedBytes the value was decoded under; 0 for ROS
+	size    int64 // raw file bytes this entry saves per hit
+	value   any   // *ros.Reader or *wosColumns
 }
 
 // NewReadCache returns a cache bounded to maxBytes of raw fragment
@@ -227,203 +187,51 @@ func (c *ReadCache) diskPut(path string, data []byte) {
 	c.disk.Put(path, data)
 }
 
-// peekROS returns the cached reader without touching counters or LRU
-// order. The singleflight fill uses it to re-check after winning the
-// flight: the losing scan already counted its miss, so a silent peek
-// keeps hit/miss accounting one-per-scan.
-func (c *ReadCache) peekROS(path string) *ros.Reader {
+// get is the one counted lookup of a scan. It returns the entry for
+// path decoded under version, or nil, and the same verdict as the
+// caller's share of the counters: a hit moves the entry to the LRU
+// front and credits its bytes, anything else — absent, or decoded under
+// a different sealed boundary (the next put overwrites it) — is a miss.
+// A disabled cache counts, and reports, nothing.
+func (c *ReadCache) get(path string, version int64) (*cacheEntry, CacheStats) {
+	if c == nil {
+		return nil, CacheStats{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[path]
+	if !ok || el.Value.(*cacheEntry).version != version {
+		c.misses++
+		return nil, CacheStats{Misses: 1}
+	}
+	e := el.Value.(*cacheEntry)
+	c.lru.MoveToFront(el)
+	c.hits++
+	c.bytesSaved += e.size
+	return e, CacheStats{Hits: 1, BytesSaved: e.size}
+}
+
+// peek is get without touching counters or LRU order. The singleflight
+// fill uses it to re-check after winning the flight: the scan already
+// counted its miss, so a silent peek keeps accounting one-per-scan.
+func (c *ReadCache) peek(path string, version int64) *cacheEntry {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[path]; ok {
-		return el.Value.(*cacheEntry).ros
+	if el, ok := c.entries[path]; ok && el.Value.(*cacheEntry).version == version {
+		return el.Value.(*cacheEntry)
 	}
 	return nil
 }
 
-// peekWOS is peekROS for sealed-WOS block entries.
-func (c *ReadCache) peekWOS(path string, committedBytes int64) ([]wosBlock, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[path]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.ros != nil || e.committedBytes != committedBytes {
-		return nil, false
-	}
-	return e.wos, true
-}
-
-// getROS returns the cached reader for path, or nil on a miss.
-func (c *ReadCache) getROS(path string) *ros.Reader {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[path]
-	if !ok || el.Value.(*cacheEntry).ros == nil {
-		c.misses++
-		return nil
-	}
-	e := el.Value.(*cacheEntry)
-	c.lru.MoveToFront(el)
-	c.hits++
-	c.bytesSaved += e.size
-	return e.ros
-}
-
-// putROS caches a decoded ROS reader whose raw file was size bytes.
-func (c *ReadCache) putROS(path string, rd *ros.Reader, size int64) {
-	if c == nil || rd == nil {
-		return
-	}
-	c.put(&cacheEntry{path: path, size: size, ros: rd})
-}
-
-// getWOS returns the cached decoded blocks of a sealed WOS fragment. A
-// committedBytes mismatch means the entry was decoded under a different
-// sealed boundary and counts as a miss (the next put overwrites it).
-func (c *ReadCache) getWOS(path string, committedBytes int64) ([]wosBlock, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[path]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.ros != nil || e.committedBytes != committedBytes {
-		c.misses++
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	c.bytesSaved += e.size
-	return e.wos, true
-}
-
-// putWOS caches the decoded data blocks of a sealed WOS fragment.
-func (c *ReadCache) putWOS(path string, committedBytes int64, blocks []wosBlock, size int64) {
-	if c == nil {
-		return
-	}
-	c.put(&cacheEntry{path: path, size: size, wos: blocks, committedBytes: committedBytes})
-}
-
-// getROSRows returns the memoized row assembly for a projection of a
-// cached ROS fragment. A memo hit counts as a cache hit (it saves the
-// same raw bytes a reader hit would, plus the assembly); a memo miss
-// counts nothing — the follow-up getROS/getWOS lookup does the
-// accounting, so one scan never double-counts.
-func (c *ReadCache) getROSRows(path, projKey string, fragID meta.FragmentID) ([]PosRow, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[path]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	m, ok := e.rosRows[projKey]
-	if !ok || m.fragID != fragID {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	c.bytesSaved += e.size
-	return m.rows, true
-}
-
-// putROSRows memoizes an assembled projection of a cached ROS fragment.
-// The memo only attaches to an existing entry: if the reader itself was
-// never cached (or was evicted), there is nothing to hang it on.
-func (c *ReadCache) putROSRows(path, projKey string, fragID meta.FragmentID, rows []PosRow) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[path]
-	if !ok {
-		return
-	}
-	e := el.Value.(*cacheEntry)
-	if e.ros == nil {
-		return
-	}
-	if e.rosRows == nil {
-		e.rosRows = make(map[string]rosRowMemo, maxRowMemos)
-	}
-	if len(e.rosRows) >= maxRowMemos {
-		for k := range e.rosRows {
-			delete(e.rosRows, k)
-			break
-		}
-	}
-	e.rosRows[projKey] = rosRowMemo{fragID: fragID, rows: rows}
-}
-
-// getWOSRows returns the memoized full-visibility rows of a sealed WOS
-// fragment, provided the memo matches the assignment's identity and the
-// snapshot covers its newest row. Hit accounting mirrors getROSRows: a
-// memo hit counts, a miss defers to the getWOS lookup that follows.
-func (c *ReadCache) getWOSRows(path string, committedBytes int64, fragID meta.FragmentID, streamletStart int64, snapshotTS truetime.Timestamp) ([]PosRow, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[path]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.ros != nil || e.committedBytes != committedBytes || e.wosRows == nil {
-		return nil, false
-	}
-	m := e.wosRows
-	if m.fragID != fragID || m.streamletStart != streamletStart || m.maxRowTS > snapshotTS {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	c.bytesSaved += e.size
-	return m.rows, true
-}
-
-// putWOSRows memoizes the full-visibility row assembly of a sealed WOS
-// fragment onto its existing cache entry.
-func (c *ReadCache) putWOSRows(path string, committedBytes int64, m *wosRowMemo) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[path]
-	if !ok {
-		return
-	}
-	e := el.Value.(*cacheEntry)
-	if e.ros != nil || e.committedBytes != committedBytes {
-		return
-	}
-	e.wosRows = m
-}
-
+// put admits e, replacing any entry for the same path and evicting
+// from the LRU tail until the byte bound holds.
 func (c *ReadCache) put(e *cacheEntry) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxBytes <= 0 {

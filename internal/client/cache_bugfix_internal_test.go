@@ -6,66 +6,16 @@ import (
 	"testing"
 
 	"vortex/internal/disktier"
-	"vortex/internal/ros"
-	"vortex/internal/rowenc"
-	"vortex/internal/schema"
-	"vortex/internal/truetime"
 )
-
-// TestWOSRowMemoSnapshotBoundary pins down the memo guard's domain: the
-// memo's maxRowTS is the newest row's commit timestamp (WOS seqs are
-// timestamp-assigned), so a snapshot that exactly covers the newest row
-// must hit, a snapshot one tick older must miss — even when the
-// fragment's sealed boundary lies later than every row. A snapshot
-// sitting strictly between the newest row and the sealed boundary sees
-// the complete fragment and must be served by the memo.
-func TestWOSRowMemoSnapshotBoundary(t *testing.T) {
-	c := NewReadCache(1 << 20)
-	const (
-		path = "wos/d.t/s0/f-0"
-		cb   = int64(512)
-	)
-	// Rows committed at timestamps 100..104; the streamlet sealed at 120.
-	var rows []PosRow
-	for ts := int64(100); ts <= 104; ts++ {
-		rows = append(rows, PosRow{Stamped: rowenc.Stamped{Seq: ts}})
-	}
-	c.putWOS(path, cb, []wosBlock{{Timestamp: 100}}, 256)
-	c.putWOSRows(path, cb, &wosRowMemo{
-		fragID:   "f0",
-		maxRowTS: truetime.Timestamp(104),
-		rows:     rows,
-	})
-
-	cases := []struct {
-		snapshot truetime.Timestamp
-		wantHit  bool
-		why      string
-	}{
-		{103, false, "snapshot older than the newest row truncates the view"},
-		{104, true, "snapshot exactly at the newest row covers the full fragment"},
-		{105, true, "snapshot between newest row (104) and sealed boundary (120)"},
-		{120, true, "snapshot at the sealed boundary"},
-	}
-	for _, tc := range cases {
-		got, ok := c.getWOSRows(path, cb, "f0", 0, tc.snapshot)
-		if ok != tc.wantHit {
-			t.Errorf("snapshot %d: hit=%v, want %v (%s)", tc.snapshot, ok, tc.wantHit, tc.why)
-		}
-		if ok && len(got) != len(rows) {
-			t.Errorf("snapshot %d: %d rows, want %d", tc.snapshot, len(got), len(rows))
-		}
-	}
-}
 
 // TestOversizeRejectsCounted proves a put larger than the byte bound is
 // no longer a silent drop: the entry is still refused (admitting it
 // would evict the whole cache) but the rejection is counted.
 func TestOversizeRejectsCounted(t *testing.T) {
 	c := NewReadCache(100)
-	c.putROS("small", &ros.Reader{}, 40)
-	c.putROS("huge", &ros.Reader{}, 500)
-	c.putWOS("hugewos", 0, []wosBlock{{Timestamp: 1}}, 101)
+	putTest(c, "small", 0, 40)
+	putTest(c, "huge", 0, 500)
+	putTest(c, "hugewos", 64, 101)
 	st := c.Stats()
 	if st.OversizeRejects != 2 {
 		t.Fatalf("OversizeRejects = %d, want 2 (%+v)", st.OversizeRejects, st)
@@ -90,7 +40,7 @@ func TestDiskOnlyCacheNonNil(t *testing.T) {
 	if c == nil {
 		t.Fatal("disk-only cache must be non-nil")
 	}
-	c.putROS("p", &ros.Reader{}, 10)
+	putTest(c, "p", 0, 10)
 	if c.Contains("p") {
 		t.Fatal("RAM tier admitted an entry with no RAM budget")
 	}
@@ -113,11 +63,11 @@ func TestDiskOnlyCacheNonNil(t *testing.T) {
 	}
 }
 
-// TestCacheMemoAttachRace exercises memo attach (putROSRows/putWOSRows)
-// racing Invalidate and LRU eviction under a tiny byte bound. The
-// assertions are the race detector's — the test just has to survive a
-// hostile interleaving.
-func TestCacheMemoAttachRace(t *testing.T) {
+// TestCacheRace exercises put, get and peek under two versions racing
+// Invalidate and LRU eviction under a tiny byte bound. The assertions
+// are the race detector's — the test just has to survive a hostile
+// interleaving.
+func TestCacheRace(t *testing.T) {
 	tier, err := disktier.Open(t.TempDir(), 8<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +77,6 @@ func TestCacheMemoAttachRace(t *testing.T) {
 	for i := range paths {
 		paths[i] = fmt.Sprintf("frag-%d", i)
 	}
-	row := []PosRow{{Stamped: rowenc.Stamped{Seq: 7}}}
-	blocks := []wosBlock{{Timestamp: 7, Rows: []schema.Row{schema.NewRow()}}}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -137,20 +85,18 @@ func TestCacheMemoAttachRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				p := paths[(g+i)%len(paths)]
-				switch i % 8 {
+				switch i % 6 {
 				case 0:
-					c.putROS(p, &ros.Reader{}, 100)
+					putTest(c, p, 0, 100)
 				case 1:
-					c.putROSRows(p, "proj", "f", row)
+					c.get(p, 0)
 				case 2:
-					c.getROSRows(p, "proj", "f")
+					putTest(c, p, 64, 100)
 				case 3:
-					c.putWOS(p, 64, blocks, 100)
+					if e := c.peek(p, 64); e != nil && e.version != 64 {
+						t.Errorf("peek(%s, 64) returned version %d", p, e.version)
+					}
 				case 4:
-					c.putWOSRows(p, 64, &wosRowMemo{fragID: "f", maxRowTS: 7, rows: row})
-				case 5:
-					c.getWOSRows(p, 64, "f", 0, 10)
-				case 6:
 					c.diskPut(p, []byte("payload"))
 					c.diskGet(p)
 				default:

@@ -1,12 +1,6 @@
 package client
 
-import (
-	"testing"
-
-	"vortex/internal/ros"
-	"vortex/internal/schema"
-	"vortex/internal/truetime"
-)
+import "testing"
 
 func TestFragIndexFromPath(t *testing.T) {
 	cases := []struct {
@@ -32,19 +26,21 @@ func TestFragIndexFromPath(t *testing.T) {
 	}
 }
 
+// putTest admits a placeholder entry: the cache never looks inside a
+// value, only at its path, version and size.
+func putTest(c *ReadCache, path string, version, size int64) {
+	c.put(&cacheEntry{path: path, version: version, size: size, value: path})
+}
+
 func TestReadCacheNilSafe(t *testing.T) {
 	var c *ReadCache // NewReadCache(0) returns nil: the disabled cache
 	if NewReadCache(0) != nil || NewReadCache(-1) != nil {
 		t.Fatal("non-positive budget must disable the cache")
 	}
-	if rd := c.getROS("p"); rd != nil {
-		t.Fatal("nil cache returned a reader")
+	if e, use := c.get("p", 0); e != nil || use != (CacheStats{}) || c.peek("p", 0) != nil {
+		t.Fatal("nil cache returned an entry")
 	}
-	if _, ok := c.getWOS("p", 1); ok {
-		t.Fatal("nil cache returned wos blocks")
-	}
-	c.putROS("p", &ros.Reader{}, 10)
-	c.putWOS("p", 1, nil, 10)
+	putTest(c, "p", 0, 10)
 	if n := c.Invalidate("p"); n != 0 {
 		t.Fatalf("nil cache invalidated %d entries", n)
 	}
@@ -55,14 +51,15 @@ func TestReadCacheNilSafe(t *testing.T) {
 
 func TestReadCacheLRUEviction(t *testing.T) {
 	c := NewReadCache(100)
-	c.putROS("a", &ros.Reader{}, 40)
-	c.putROS("b", &ros.Reader{}, 40)
-	// Touch "a" so "b" is the least recently used entry.
-	if c.getROS("a") == nil {
-		t.Fatal("miss on a")
+	putTest(c, "a", 0, 40)
+	putTest(c, "b", 0, 40)
+	// Touch "a" so "b" is the least recently used entry; a peek of "b"
+	// must not count as a touch.
+	if e, _ := c.get("a", 0); e == nil || c.peek("b", 0) == nil {
+		t.Fatal("miss on a resident entry")
 	}
 	// 40+40+40 > 100: inserting "c" must evict "b", not "a".
-	c.putROS("c", &ros.Reader{}, 40)
+	putTest(c, "c", 0, 40)
 	if !c.Contains("a") || !c.Contains("c") || c.Contains("b") {
 		t.Fatalf("eviction order wrong: a=%v b=%v c=%v",
 			c.Contains("a"), c.Contains("b"), c.Contains("c"))
@@ -75,7 +72,7 @@ func TestReadCacheLRUEviction(t *testing.T) {
 		t.Fatalf("size = %d, want 80", st.SizeBytes)
 	}
 	// An entry larger than the whole budget is refused outright.
-	c.putROS("huge", &ros.Reader{}, 101)
+	putTest(c, "huge", 0, 101)
 	if c.Contains("huge") {
 		t.Fatal("oversized entry was cached")
 	}
@@ -83,11 +80,18 @@ func TestReadCacheLRUEviction(t *testing.T) {
 
 func TestReadCacheBytesSavedAndHitRatio(t *testing.T) {
 	c := NewReadCache(1 << 20)
-	c.putROS("a", &ros.Reader{}, 1000)
-	if c.getROS("a") == nil || c.getROS("a") == nil {
-		t.Fatal("expected hits")
+	putTest(c, "a", 0, 1000)
+	for i := 0; i < 2; i++ {
+		if e, use := c.get("a", 0); e == nil || use != (CacheStats{Hits: 1, BytesSaved: 1000}) {
+			t.Fatalf("lookup %d: entry %v, disposition %+v, want one hit saving 1000 bytes", i, e, use)
+		}
 	}
-	c.getROS("missing")
+	if e, use := c.get("missing", 0); e != nil || use != (CacheStats{Misses: 1}) {
+		t.Fatalf("absent path: entry %v, disposition %+v, want one miss", e, use)
+	}
+	// Peeks are silent: the scan that peeks already counted its lookup.
+	c.peek("a", 0)
+	c.peek("missing", 0)
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 2/1", st.Hits, st.Misses)
@@ -100,32 +104,36 @@ func TestReadCacheBytesSavedAndHitRatio(t *testing.T) {
 	}
 }
 
-func TestReadCacheWOSCommittedBytesMismatch(t *testing.T) {
+func TestReadCacheVersionMismatch(t *testing.T) {
 	c := NewReadCache(1 << 20)
-	blocks := []wosBlock{{Timestamp: truetime.Timestamp(7), StartRow: 0, Rows: []schema.Row{{}}}}
-	c.putWOS("p", 512, blocks, 100)
-	if got, ok := c.getWOS("p", 512); !ok || len(got) != 1 {
-		t.Fatal("expected hit at matching committedBytes")
+	putTest(c, "p", 512, 100)
+	if e, _ := c.get("p", 512); e == nil || e.value != "p" {
+		t.Fatal("expected hit at matching version")
 	}
-	// A record refresh moved the sealed boundary: the entry is stale.
-	if _, ok := c.getWOS("p", 768); ok {
-		t.Fatal("served wos blocks decoded under a different sealed boundary")
+	// A record refresh moved the sealed boundary: the entry is stale, for
+	// the counted and the silent lookup alike.
+	if e, use := c.get("p", 768); e != nil || use.Misses != 1 || c.peek("p", 768) != nil {
+		t.Fatal("served columns decoded under a different sealed boundary")
 	}
-	// Kind mismatch: a wos entry must not satisfy a ros lookup and vice
-	// versa.
-	if c.getROS("p") != nil {
-		t.Fatal("wos entry served as ros reader")
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
-	c.putROS("r", &ros.Reader{}, 10)
-	if _, ok := c.getWOS("r", 10); ok {
-		t.Fatal("ros entry served as wos blocks")
+	// The refill under the new boundary replaces the stale entry.
+	putTest(c, "p", 768, 120)
+	fresh, _ := c.get("p", 768)
+	stale, _ := c.get("p", 512)
+	if fresh == nil || stale != nil {
+		t.Fatal("refill did not replace the stale entry")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.SizeBytes != 120 {
+		t.Fatalf("after refill: %+v", st)
 	}
 }
 
 func TestReadCacheInvalidate(t *testing.T) {
 	c := NewReadCache(1 << 20)
-	c.putROS("a", &ros.Reader{}, 10)
-	c.putROS("b", &ros.Reader{}, 20)
+	putTest(c, "a", 0, 10)
+	putTest(c, "b", 0, 20)
 	if n := c.Invalidate("a", "nope"); n != 1 {
 		t.Fatalf("invalidated %d, want 1", n)
 	}
@@ -139,15 +147,15 @@ func TestReadCacheInvalidate(t *testing.T) {
 	if st.SizeBytes != 20 {
 		t.Fatalf("size = %d, want 20", st.SizeBytes)
 	}
-	if c.getROS("a") != nil {
+	if e, _ := c.get("a", 0); e != nil {
 		t.Fatal("invalidated entry still served")
 	}
 }
 
 func TestReadCacheOverwriteSamePath(t *testing.T) {
 	c := NewReadCache(1 << 20)
-	c.putROS("a", &ros.Reader{}, 10)
-	c.putROS("a", &ros.Reader{}, 30)
+	putTest(c, "a", 0, 10)
+	putTest(c, "a", 0, 30)
 	st := c.Stats()
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)

@@ -35,7 +35,7 @@ func chaosEnv(t *testing.T, sched *chaos.Schedule, opts client.Options) (*core.R
 // different server and complete every append.
 func TestRotationAfterMidAppendServerFailure(t *testing.T) {
 	// The first placement deterministically lands on ss-alpha-0.
-	sched := chaos.NewSchedule(5).CrashStreamServerAt("ss-alpha-0", 3)
+	sched := chaos.NewSchedule().CrashStreamServerAt("ss-alpha-0", 3)
 	_, c, ctx := chaosEnv(t, sched, client.DefaultOptions())
 	s, err := c.CreateStream(ctx, "d.t", meta.Unbuffered)
 	if err != nil {
@@ -66,7 +66,7 @@ func TestRotationAfterMidAppendServerFailure(t *testing.T) {
 // first FinalizeStream request; both operations are idempotent at the
 // SMS and must succeed through the retry helper.
 func TestFlushAndFinalizeUnderRetry(t *testing.T) {
-	sched := chaos.NewSchedule(9).
+	sched := chaos.NewSchedule().
 		FailAt(chaos.PointRPCRequest, "*/FlushStream", 1).
 		FailAt(chaos.PointRPCRequest, "*/FinalizeStream", 1)
 	_, c, ctx := chaosEnv(t, sched, client.DefaultOptions())
@@ -110,7 +110,7 @@ func TestReplicaFailoverOnRead(t *testing.T) {
 		}
 	}
 	r.Colossus.Cluster("alpha").SetChaos(
-		chaos.NewSchedule(3).FailBetween(chaos.PointColossusRead, "alpha", 1, 1<<30))
+		chaos.NewSchedule().FailBetween(chaos.PointColossusRead, "alpha", 1, 1<<30))
 	rows, _, err := c.ReadAll(ctx, "d.t", 0)
 	if err != nil {
 		t.Fatalf("read must fail over to the healthy replica: %v", err)
@@ -133,7 +133,7 @@ func TestReplicatedReadErrorBothReplicasDown(t *testing.T) {
 	if _, err := s.Append(ctx, []schema.Row{row(0)}, client.AtOffset(0)); err != nil {
 		t.Fatal(err)
 	}
-	r.Colossus.SetChaos(chaos.NewSchedule(4).
+	r.Colossus.SetChaos(chaos.NewSchedule().
 		FailBetween(chaos.PointColossusRead, "alpha", 1, 1<<30).
 		FailBetween(chaos.PointColossusRead, "beta", 1, 1<<30))
 	_, _, err = c.ReadAll(ctx, "d.t", 0)
@@ -166,7 +166,7 @@ func TestReplicatedReadErrorBothReplicasDown(t *testing.T) {
 // latency spikes on appends: hedges fire, and offset pinning plus the
 // server's retransmission memo keep the result exactly-once.
 func TestHedgedAppendDedupes(t *testing.T) {
-	sched := chaos.NewSchedule(13).
+	sched := chaos.NewSchedule().
 		DelayAt(chaos.PointRPCRequest, "*/Append", 30*time.Millisecond, 2, 5)
 	opts := client.DefaultOptions()
 	opts.ForceUnary = true

@@ -130,11 +130,11 @@ func TestPlanCoversWOSAndDiscoversTail(t *testing.T) {
 		t.Fatalf("scanned %d rows", len(got))
 	}
 	// Provenance for DML: stream offsets assigned densely from 0.
-	det, err := c.ScanDetailed(ctx, plan, plan.Assignments[0])
+	b, err := c.ScanBatch(ctx, plan, plan.Assignments[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pr := range det {
+	for i, pr := range b.PosRows() {
 		if pr.StreamOffset != int64(i) {
 			t.Fatalf("row %d stream offset = %d", i, pr.StreamOffset)
 		}

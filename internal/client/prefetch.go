@@ -52,7 +52,7 @@ func (c *Client) Prefetch(as []Assignment) <-chan struct{} {
 				tier.CountPrefetchSkipped()
 				return
 			}
-			if _, err := c.fragmentBytes(a.Frag.Clusters, a.Frag.Path); err == nil {
+			if _, _, err := c.fragmentBytes(a.Frag.Clusters, a.Frag.Path); err == nil {
 				tier.CountPrefetchFetched()
 			}
 		}()

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"vortex/internal/dml"
 	"vortex/internal/fragment"
@@ -281,10 +280,11 @@ type PosRow struct {
 // Scan reads one assignment and returns its visible rows, stamped with
 // their storage sequence numbers.
 func (c *Client) Scan(ctx context.Context, plan *ScanPlan, a Assignment) ([]rowenc.Stamped, error) {
-	detailed, err := c.ScanDetailed(ctx, plan, a)
+	b, err := c.ScanBatch(ctx, plan, a)
 	if err != nil {
 		return nil, err
 	}
+	detailed := b.PosRows()
 	out := make([]rowenc.Stamped, len(detailed))
 	for i, d := range detailed {
 		out[i] = d.Stamped
@@ -292,32 +292,20 @@ func (c *Client) Scan(ctx context.Context, plan *ScanPlan, a Assignment) ([]rowe
 	return out, nil
 }
 
-// ScanDetailed reads one assignment with per-row provenance.
-func (c *Client) ScanDetailed(ctx context.Context, plan *ScanPlan, a Assignment) ([]PosRow, error) {
-	start := time.Now()
-	var (
-		rows []PosRow
-		err  error
-	)
-	if a.Frag.Format == meta.ROS {
-		rows, err = c.scanROS(plan, a)
-	} else {
-		rows, err = c.scanWOS(ctx, plan, a)
-	}
-	if err == nil {
-		c.scanLatency.Record(time.Since(start))
-	}
-	return rows, err
-}
-
 // fragmentBytes returns the raw file bytes of an immutable (ROS or
 // sealed-WOS) fragment: disk tier first, then Colossus with a disk-tier
 // back-fill. Concurrent callers for the same path — demand scans and
-// the prefetcher alike — coalesce into one fetch.
-func (c *Client) fragmentBytes(clusters [2]string, path string) ([]byte, error) {
+// the prefetcher alike — coalesce into one fetch; only the caller that
+// ran it gets the disk tier's verdict in use, the others share the
+// bytes, not the credit.
+func (c *Client) fragmentBytes(clusters [2]string, path string) (data []byte, use CacheStats, err error) {
 	v, err := c.flight.Do("bytes:"+path, func() (any, error) {
 		if data, ok := c.cache.diskGet(path); ok {
+			use.DiskHits = 1
 			return data, nil
+		}
+		if c.cache.Disk() != nil {
+			use.DiskMisses = 1
 		}
 		data, _, err := c.readReplicated(clusters, path)
 		if err != nil {
@@ -327,94 +315,66 @@ func (c *Client) fragmentBytes(clusters [2]string, path string) ([]byte, error) 
 		return data, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, use, err
 	}
-	return v.([]byte), nil
+	return v.([]byte), use, nil
 }
 
-// rosReader returns the (cached) decoded reader for a ROS fragment,
-// fetching and opening the file on a miss. The miss fill is
-// singleflighted per path: N concurrent cold scans of one fragment pay
-// one fetch and one decode, not N.
-func (c *Client) rosReader(a Assignment) (*ros.Reader, error) {
-	if rd := c.cache.getROS(a.Frag.Path); rd != nil {
-		return rd, nil
+// load returns an immutable fragment decoded into columns — a
+// *ros.Reader, or a sealed WOS file's *wosColumns — and how the cache
+// served it. It is the one miss sequence for both formats: a counted
+// RAM lookup, then a fill singleflighted per (path, version) so N
+// concurrent cold scans of one fragment pay one fetch and one decode,
+// not N: a silent re-check, the tiered fragmentBytes fetch, the decode
+// and the put. Sealed WOS files are immutable only up to their
+// committed boundary, so CommittedBytes is their entry's version.
+func (c *Client) load(a Assignment) (any, CacheStats, error) {
+	path, version := a.Frag.Path, int64(0)
+	if a.Frag.Format == meta.WOS {
+		version = a.Frag.CommittedBytes
 	}
-	v, err := c.flight.Do("ros:"+a.Frag.Path, func() (any, error) {
-		if rd := c.cache.peekROS(a.Frag.Path); rd != nil {
-			return rd, nil // a previous flight filled it after our miss
+	e, use := c.cache.get(path, version)
+	if e != nil {
+		return e.value, use, nil
+	}
+	v, err := c.flight.Do(fmt.Sprintf("load:%s:%d", path, version), func() (any, error) {
+		if e := c.cache.peek(path, version); e != nil {
+			return e.value, nil // a previous flight filled it after our miss
 		}
-		data, err := c.fragmentBytes(a.Frag.Clusters, a.Frag.Path)
+		data, disk, err := c.fragmentBytes(a.Frag.Clusters, path)
 		if err != nil {
 			return nil, err
 		}
-		rd, err := ros.Open(data)
+		use.DiskHits, use.DiskMisses = disk.DiskHits, disk.DiskMisses
+		var value any
+		if a.Frag.Format == meta.ROS {
+			value, err = ros.Open(data)
+		} else {
+			value, err = c.decodeSealedWOS(a, data)
+		}
 		if err != nil {
 			return nil, err
 		}
-		c.cache.putROS(a.Frag.Path, rd, int64(len(data)))
-		return rd, nil
+		c.cache.put(&cacheEntry{path: path, version: version, size: int64(len(data)), value: value})
+		return value, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ros.Reader), nil
+	return v, use, err
 }
 
-// scanROS scans a ROS fragment. ROS files are immutable once written, so
-// the decoded reader is cached by path and the assembled rows of each
-// projection are memoized on the entry. A scan with an empty deletion
-// mask returns the memoized slice unmodified — no per-scan
-// re-materialization; masked scans filter-copy it.
-func (c *Client) scanROS(plan *ScanPlan, a Assignment) ([]PosRow, error) {
-	projKey := fmt.Sprintf("%d|%s", len(plan.Schema.Fields), projectionKey(plan.Projection))
-	rows, ok := c.cache.getROSRows(a.Frag.Path, projKey, a.Frag.ID)
-	if !ok {
-		rd, err := c.rosReader(a)
-		if err != nil {
-			return nil, err
-		}
-		stamped, err := rd.RowsProjected(plan.Schema, plan.Projection)
-		if err != nil {
-			return nil, err
-		}
-		rows = make([]PosRow, len(stamped))
-		for i, r := range stamped {
-			rows[i] = PosRow{Stamped: r, FragID: a.Frag.ID, FragLocal: int64(i), StreamOffset: -1}
-		}
-		c.cache.putROSRows(a.Frag.Path, projKey, a.Frag.ID, rows)
-	}
-	if a.Mask.Empty() {
-		return rows, nil
-	}
-	out := make([]PosRow, 0, len(rows))
-	for i := range rows {
-		if a.Mask.Deleted(rows[i].FragLocal) {
-			continue
-		}
-		out = append(out, rows[i])
-	}
-	return out, nil
-}
-
-// scanWOS reads a WOS fragment file and extracts the visible rows. For
-// live files it applies the §7.1 commit rule, consulting the second
-// replica or SMS reconciliation for the final append. Sealed fragments
-// (finalized streamlets) are immutable up to their committed boundary,
-// so their decoded blocks are cached keyed by (path, CommittedBytes);
-// live tail files always bypass the cache.
-func (c *Client) scanWOS(ctx context.Context, plan *ScanPlan, a Assignment) ([]PosRow, error) {
-	if !a.Live {
-		return c.scanSealedWOS(plan, a)
-	}
+// readLiveWOS reads a writable streamlet's file and decodes the blocks
+// the §7.1 commit rule admits, consulting the second replica or SMS
+// reconciliation for the final append. Live files are still being
+// appended to, so they always bypass the cache. It also returns the
+// streamlet-local offset of the file's first row.
+func (c *Client) readLiveWOS(ctx context.Context, plan *ScanPlan, a Assignment) (*wosColumns, int64, error) {
 	order := c.replicaOrder(a.Frag.Clusters)
 	data, usedCluster, err := c.readReplicated(a.Frag.Clusters, a.Frag.Path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	scan, err := fragment.Scan(data)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	blocks := scan.CommittedBlocks
 
@@ -430,7 +390,7 @@ func (c *Client) scanWOS(ctx context.Context, plan *ScanPlan, a Assignment) ([]P
 	} else if scan.TailBlock != nil {
 		include, err := c.decideTail(ctx, plan, a, scan, usedCluster, order)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if include {
 			blocks = append(append([]fragment.Block(nil), blocks...), *scan.TailBlock)
@@ -440,66 +400,18 @@ func (c *Client) scanWOS(ctx context.Context, plan *ScanPlan, a Assignment) ([]P
 	// Live files carry their own streamlet-local offsets; the header is
 	// authoritative.
 	fragStartRow := a.Frag.StartRow
-	if len(blocks) > 0 {
-		if first := firstDataBlock(blocks); first != nil {
-			fragStartRow = first.StartRow
-		}
+	if first := firstDataBlock(blocks); first != nil {
+		fragStartRow = first.StartRow
 	}
-	fragID := meta.FragmentIDFor(a.Frag.Streamlet, a.FragIndex)
 	decoded, err := c.decodeBlocks(blocks)
-	if err != nil {
-		return nil, err
-	}
-	return c.assembleWOS(plan, a, fragStartRow, fragID, decoded), nil
-}
-
-// scanSealedWOS scans a finalized-streamlet fragment. Sealed files are
-// immutable up to their committed boundary, so the decoded blocks are
-// cached keyed by (path, CommittedBytes), the raw bytes flow through
-// the tiered fragmentBytes path, and the miss fill is singleflighted —
-// only snapshot filtering (assembleWOS) runs per scan.
-func (c *Client) scanSealedWOS(plan *ScanPlan, a Assignment) ([]PosRow, error) {
-	if wosFastEligible(a) {
-		// Fast path: when the snapshot covers every row and the
-		// assignment restricts nothing, the memoized assembly is exact.
-		if rows, ok := c.cache.getWOSRows(a.Frag.Path, a.Frag.CommittedBytes,
-			a.Frag.ID, a.streamletStart(), plan.SnapshotTS); ok {
-			return rows, nil
-		}
-	}
-	blocks, ok := c.cache.getWOS(a.Frag.Path, a.Frag.CommittedBytes)
-	if !ok {
-		key := fmt.Sprintf("wos:%s:%d", a.Frag.Path, a.Frag.CommittedBytes)
-		v, err := c.flight.Do(key, func() (any, error) {
-			if cached, ok := c.cache.peekWOS(a.Frag.Path, a.Frag.CommittedBytes); ok {
-				return cached, nil // a previous flight filled it after our miss
-			}
-			data, err := c.fragmentBytes(a.Frag.Clusters, a.Frag.Path)
-			if err != nil {
-				return nil, err
-			}
-			decoded, err := c.decodeSealedWOS(a, data)
-			if err != nil {
-				return nil, err
-			}
-			c.cache.putWOS(a.Frag.Path, a.Frag.CommittedBytes, decoded, int64(len(data)))
-			return decoded, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		blocks = v.([]wosBlock)
-	}
-	rows := c.assembleWOS(plan, a, a.Frag.StartRow, a.Frag.ID, blocks)
-	c.maybeMemoWOS(plan, a, rows, blocks)
-	return rows, nil
+	return decoded, fragStartRow, err
 }
 
 // decodeSealedWOS parses a sealed fragment file and decodes its
 // committed data blocks. CommittedBytes, when recorded, bounds the
 // result: "clients will not read past the logical finalized size"
 // (§7.1).
-func (c *Client) decodeSealedWOS(a Assignment, data []byte) ([]wosBlock, error) {
+func (c *Client) decodeSealedWOS(a Assignment, data []byte) (*wosColumns, error) {
 	scan, err := fragment.Scan(data)
 	if err != nil {
 		return nil, err
@@ -517,14 +429,44 @@ func (c *Client) decodeSealedWOS(a Assignment, data []byte) ([]wosBlock, error) 
 	return c.decodeBlocks(blocks)
 }
 
-// decodeBlocks unseals and row-decodes WOS data blocks.
-func (c *Client) decodeBlocks(blocks []fragment.Block) ([]wosBlock, error) {
-	decoded := make([]wosBlock, 0, len(blocks))
+// wosBlock locates one data block of a WOS file in its decoded columns.
+// Blocks are kept because the snapshot bound is two-level: a block whose
+// timestamp is past the snapshot ends the whole fragment, a row past it
+// ends only its block.
+type wosBlock struct {
+	Timestamp truetime.Timestamp
+	StartRow  int64 // streamlet-local row offset of the block's first row
+	first     int32 // physical index of the block's first row
+}
+
+// wosColumns is a WOS file decoded once and transposed: one PLAIN
+// column per field any of its rows carries, short rows padded with
+// NULL. It carries no snapshot filtering — every scan applies its own
+// as a selection (selectWOS) — so a cached one serves every snapshot.
+type wosColumns struct {
+	n       int
+	blocks  []wosBlock
+	cols    [][]schema.Value
+	changes []byte
+	// seqs are timestamp-assigned: block TrueTime timestamp + row index
+	// within the block, so a row's seq is its commit timestamp.
+	seqs []int64
+	// arity is each row's written value count; nil when every row has
+	// len(cols) values (no schema change inside the file).
+	arity []int32
+}
+
+// decodeBlocks unseals and row-decodes WOS data blocks, then transposes
+// the rows into columns.
+func (c *Client) decodeBlocks(blocks []fragment.Block) (*wosColumns, error) {
+	d := &wosColumns{}
+	var decoded [][]schema.Row
+	narrow, width := 0, 0 // fewest and most values any row carries
 	for _, b := range blocks {
 		if b.Kind != fragment.BlockData {
 			continue
 		}
-		plain, err := c.openSealed(b.Payload)
+		plain, err := c.sealer.Open(b.Payload)
 		if err != nil {
 			return nil, err
 		}
@@ -532,93 +474,84 @@ func (c *Client) decodeBlocks(blocks []fragment.Block) ([]wosBlock, error) {
 		if err != nil {
 			return nil, err
 		}
-		decoded = append(decoded, wosBlock{Timestamp: b.Timestamp, StartRow: b.StartRow, Rows: rows})
+		for _, r := range rows {
+			if d.n == 0 || len(r.Values) < narrow {
+				narrow = len(r.Values)
+			}
+			width = max(width, len(r.Values))
+			d.n++
+		}
+		d.blocks = append(d.blocks, wosBlock{Timestamp: b.Timestamp, StartRow: b.StartRow, first: int32(d.n - len(rows))})
+		decoded = append(decoded, rows)
 	}
-	return decoded, nil
-}
-
-// wosFastEligible reports whether an assignment applies no row filter
-// beyond the snapshot bound: only then can the memoized full-visibility
-// assembly be reused verbatim. Buffered streams are excluded because
-// their flush frontier moves between snapshots.
-func wosFastEligible(a Assignment) bool {
-	if a.Live || !a.Mask.Empty() || a.TailMask != nil {
-		return false
+	cells := make([]schema.Value, d.n*width)
+	d.cols = make([][]schema.Value, width)
+	for f := range d.cols {
+		d.cols[f] = cells[f*d.n : (f+1)*d.n : (f+1)*d.n]
 	}
-	switch a.Vis.Type {
-	case meta.Buffered:
-		return false
-	case meta.Pending:
-		return a.Vis.Committed
+	d.changes = make([]byte, d.n)
+	d.seqs = make([]int64, d.n)
+	ragged := narrow != width
+	if ragged {
+		d.arity = make([]int32, d.n)
 	}
-	return true
-}
-
-// maybeMemoWOS memoizes a sealed fragment's assembled rows when the
-// scan that produced them was unrestricted AND its snapshot covered
-// every decoded row — i.e. the slice is the fragment's complete view.
-func (c *Client) maybeMemoWOS(plan *ScanPlan, a Assignment, rows []PosRow, blocks []wosBlock) {
-	if !wosFastEligible(a) || len(rows) == 0 {
-		return
-	}
-	total := 0
-	for _, b := range blocks {
-		total += len(b.Rows)
-	}
-	if len(rows) != total {
-		return // the snapshot truncated the view
-	}
-	maxSeq := rows[0].Stamped.Seq
-	for i := range rows {
-		if rows[i].Stamped.Seq > maxSeq {
-			maxSeq = rows[i].Stamped.Seq
+	for bi, rows := range decoded {
+		i := int(d.blocks[bi].first)
+		for k, r := range rows {
+			for f := range d.cols {
+				if f < len(r.Values) {
+					d.cols[f][i] = r.Values[f]
+				} else {
+					d.cols[f][i] = schema.Null()
+				}
+			}
+			d.changes[i] = byte(r.Change)
+			d.seqs[i] = int64(d.blocks[bi].Timestamp) + int64(k)
+			if ragged {
+				d.arity[i] = int32(len(r.Values))
+			}
+			i++
 		}
 	}
-	c.cache.putWOSRows(a.Frag.Path, a.Frag.CommittedBytes, &wosRowMemo{
-		fragID:         a.Frag.ID,
-		streamletStart: a.streamletStart(),
-		// Seqs are timestamp-assigned (assembleWOS: seq = block TrueTime
-		// timestamp + row index), so the max seq IS the newest row's
-		// commit timestamp — the value the snapshot guard compares.
-		maxRowTS: truetime.Timestamp(maxSeq),
-		rows:     rows,
-	})
+	return d, nil
 }
 
-// assembleWOS applies the §7.1 snapshot bound, visibility rules and
-// deletion masks to decoded blocks. Shared by the direct read and the
-// cache hit path: cached blocks carry no snapshot filtering, so every
-// scan re-applies it here. The bound is two-level — a block past the
-// snapshot ends the whole fragment, a row past it ends only its block.
-func (c *Client) assembleWOS(plan *ScanPlan, a Assignment, fragStartRow int64, fragID meta.FragmentID, blocks []wosBlock) []PosRow {
-	var out []PosRow
-	for _, b := range blocks {
-		if b.Timestamp > plan.SnapshotTS {
+// selectWOS applies the §7.1 snapshot bound, stream visibility and
+// deletion masks to a WOS file's decoded rows. The bound is two-level —
+// a block past the snapshot ends the whole fragment, a row past it ends
+// only its block. The result is nil while every row is visible, so a
+// full-visibility scan allocates nothing.
+func selectWOS(snapshot truetime.Timestamp, a Assignment, w *wosPlacement, d *wosColumns) wire.Selection {
+	var sel wire.Selection
+	all := true // every row before the current one is selected
+	drop := func(i int32) {
+		if all {
+			all, sel = false, wire.SelectAll(int(i))
+		}
+	}
+	for bi, b := range d.blocks {
+		if b.Timestamp > snapshot {
+			drop(b.first)
 			break
 		}
-		for i, r := range b.Rows {
-			seq := int64(b.Timestamp) + int64(i)
-			if truetime.Timestamp(seq) > plan.SnapshotTS {
+		end := int32(d.n)
+		if bi+1 < len(d.blocks) {
+			end = d.blocks[bi+1].first
+		}
+		for i := b.first; i < end; i++ {
+			if truetime.Timestamp(d.seqs[i]) > snapshot {
+				drop(i)
 				break
 			}
-			streamletLocal := b.StartRow + int64(i)
-			streamOffset := a.streamletStart() + streamletLocal
-			fragLocal := streamletLocal - fragStartRow
-			if !c.rowVisible(a, streamOffset, fragLocal) {
-				continue
+			local := b.StartRow + int64(i-b.first)
+			if !rowVisible(a, w.streamletStart+local, local-w.fragStartRow) {
+				drop(i)
+			} else if !all {
+				sel = append(sel, i)
 			}
-			out = append(out, PosRow{
-				Stamped:      rowenc.Stamped{Row: r, Seq: seq},
-				FragID:       fragID,
-				FragLocal:    fragLocal,
-				StreamOffset: streamOffset,
-				Live:         a.Live,
-				Streamlet:    a.Frag.Streamlet,
-				Stream:       a.Stream,
-			})
 		}
 	}
-	return out
+	return sel
 }
 
 func (a Assignment) streamletStart() int64 {
@@ -638,7 +571,7 @@ func firstDataBlock(blocks []fragment.Block) *fragment.Block {
 }
 
 // rowVisible applies stream-type visibility and deletion masks.
-func (c *Client) rowVisible(a Assignment, streamOffset, fragLocal int64) bool {
+func rowVisible(a Assignment, streamOffset, fragLocal int64) bool {
 	switch a.Vis.Type {
 	case meta.Buffered:
 		if streamOffset >= a.Vis.FlushedOffset {
@@ -732,10 +665,6 @@ func replicaHasBlock(scan *fragment.ScanResult, b *fragment.Block) bool {
 		}
 	}
 	return false
-}
-
-func (c *Client) openSealed(sealed []byte) ([]byte, error) {
-	return c.sealer.Open(sealed)
 }
 
 // ReadAll scans every assignment of a snapshot (in parallel) and returns

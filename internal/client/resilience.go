@@ -317,7 +317,7 @@ type Metrics struct {
 	// AppendLatency is the end-to-end Append latency distribution
 	// (successful calls, retries included).
 	AppendLatency *metrics.Histogram
-	// ScanLatency is the per-assignment ScanDetailed latency
+	// ScanLatency is the per-assignment ScanBatch latency
 	// distribution (successful scans, cache hits and misses alike).
 	ScanLatency *metrics.Histogram
 	// Cache is the read cache's counter snapshot (zero when disabled).

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 	"time"
 
 	"vortex/internal/bigmeta"
@@ -139,80 +138,6 @@ func (r *staticRouter) SMSFor(table meta.TableID) (string, error) {
 	return fmt.Sprintf("sms-%d", int(h.Sum32())%r.n), nil
 }
 
-// staticPlacer implements sms.Placer over a fixed server set:
-// least-placements wins, replicas are the server's home cluster plus the
-// next cluster in region order — core's placer minus chaos awareness,
-// which the multi-process cluster does not inject.
-type staticPlacer struct {
-	clusters []string
-
-	mu      sync.Mutex
-	servers map[string]*placedServer
-}
-
-type placedServer struct {
-	cluster    string
-	load       float64
-	placements int
-	quarantine bool
-}
-
-func newStaticPlacer(clusters []string, all []ServerSpec) *staticPlacer {
-	p := &staticPlacer{clusters: clusters, servers: make(map[string]*placedServer, len(all))}
-	for _, s := range all {
-		p.servers[s.Addr] = &placedServer{cluster: s.Cluster}
-	}
-	return p
-}
-
-// Pick implements sms.Placer.
-func (p *staticPlacer) Pick(exclude string) (string, [2]string, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	type cand struct {
-		addr string
-		cost float64
-	}
-	var cands []cand
-	for addr, st := range p.servers {
-		if st.quarantine || addr == exclude {
-			continue
-		}
-		cands = append(cands, cand{addr, st.load + float64(st.placements)*0.01})
-	}
-	if len(cands) == 0 {
-		return "", [2]string{}, errors.New("clusterd: no stream server available")
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].addr < cands[j].addr
-	})
-	chosen := cands[0].addr
-	st := p.servers[chosen]
-	st.placements++
-	home := st.cluster
-	second := home
-	for i, c := range p.clusters {
-		if c == home {
-			second = p.clusters[(i+1)%len(p.clusters)]
-			break
-		}
-	}
-	return chosen, [2]string{home, second}, nil
-}
-
-// ReportLoad implements sms.Placer.
-func (p *staticPlacer) ReportLoad(addr string, cpu, mem, _ float64, quarantine bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if st, ok := p.servers[addr]; ok {
-		st.load = cpu + mem
-		st.quarantine = quarantine
-	}
-}
-
 // Coordinator is a running coordinator node.
 type Coordinator struct {
 	Region       *colossus.Region
@@ -242,7 +167,10 @@ func StartCoordinator(net rpc.Transport, cfg NodeConfig) (*Coordinator, error) {
 	}
 	co.DB = spanner.NewDB(clock)
 	colossusrpc.Serve(net, colossusrpc.DefaultAddr, co.Region)
-	placer := newStaticPlacer(cfg.Clusters, cfg.AllServers)
+	placer := sms.NewPlacer(cfg.Clusters)
+	for _, s := range cfg.AllServers {
+		placer.AddServer(s.Addr, s.Cluster)
+	}
 	for i := 0; i < cfg.SMSTasks; i++ {
 		task := sms.New(fmt.Sprintf("sms-%d", i), co.DB, net, placer)
 		task.SetColossus(co.Region)

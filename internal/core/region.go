@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -87,7 +86,7 @@ type Region struct {
 	BigMeta       *bigmeta.Index
 	ReadSessions  *readsession.Server
 
-	placer *placer
+	placer *sms.Placer
 	router *router
 	chaos  *chaos.Schedule
 	cfg    Config
@@ -134,7 +133,7 @@ func NewRegion(cfg Config) *Region {
 	if sampler != nil {
 		r.Colossus.SetSampler(sampler)
 	}
-	r.placer = newPlacer(cfg.Clusters)
+	r.placer = sms.NewPlacer(cfg.Clusters)
 	r.router = &router{slicer: r.Slicer}
 	r.BigMeta = bigmeta.NewIndex()
 
@@ -162,7 +161,7 @@ func NewRegion(cfg Config) *Region {
 			srv := streamserver.New(sscfg, r.Colossus, clock, r.Keyring, r.router, r.Net)
 			srv.SetFileDeleteObserver(r.FragmentFilesDeleted)
 			r.StreamServers[addr] = srv
-			r.placer.addServer(addr, cl)
+			r.placer.AddServer(addr, cl)
 		}
 	}
 	r.cfg = cfg
@@ -187,7 +186,7 @@ func (r *Region) installChaos(s *chaos.Schedule) {
 	for _, srv := range r.StreamServers {
 		srv.SetChaos(s)
 	}
-	r.placer.setChaos(s)
+	r.placer.SetChaos(s)
 	s.OnCrash(chaos.KindStreamServer, r.CrashStreamServer)
 	s.OnCrash(chaos.KindSMS, r.CrashSMSTask)
 }
@@ -276,7 +275,7 @@ func (r *Region) CrashStreamServer(addr string) {
 	r.mu.Unlock()
 	if srv != nil {
 		srv.Crash()
-		r.placer.markDead(addr)
+		r.placer.SetDead(addr, true)
 	}
 }
 
@@ -299,7 +298,7 @@ func (r *Region) RestartStreamServer(addr string) *streamserver.Server {
 	r.mu.Lock()
 	r.StreamServers[addr] = srv
 	r.mu.Unlock()
-	r.placer.markAlive(addr)
+	r.placer.SetDead(addr, false)
 	return srv
 }
 
@@ -424,121 +423,4 @@ func (rt *router) SMSFor(table meta.TableID) (string, error) {
 		rt.slicer.RecordKeyLoad(key, 1)
 	}
 	return addr, err
-}
-
-// placer implements sms.Placer: least-loaded healthy server wins, and
-// the replica pair is the server's home cluster plus the next cluster in
-// the region (§5.2, §5.6).
-type placer struct {
-	mu       sync.Mutex
-	clusters []string
-	servers  map[string]*serverState
-	chaos    *chaos.Schedule
-}
-
-type serverState struct {
-	cluster    string
-	load       float64
-	quarantine bool
-	dead       bool
-	placements int
-}
-
-func newPlacer(clusters []string) *placer {
-	return &placer{clusters: clusters, servers: make(map[string]*serverState)}
-}
-
-func (p *placer) addServer(addr, cluster string) {
-	p.mu.Lock()
-	p.servers[addr] = &serverState{cluster: cluster}
-	p.mu.Unlock()
-}
-
-func (p *placer) markDead(addr string) {
-	p.mu.Lock()
-	if s, ok := p.servers[addr]; ok {
-		s.dead = true
-	}
-	p.mu.Unlock()
-}
-
-func (p *placer) markAlive(addr string) {
-	p.mu.Lock()
-	if s, ok := p.servers[addr]; ok {
-		s.dead = false
-	}
-	p.mu.Unlock()
-}
-
-func (p *placer) setChaos(s *chaos.Schedule) {
-	p.mu.Lock()
-	p.chaos = s
-	p.mu.Unlock()
-}
-
-// Pick implements sms.Placer.
-func (p *placer) Pick(exclude string) (string, [2]string, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	type cand struct {
-		addr string
-		cost float64
-	}
-	var cands, outCands []cand
-	for addr, st := range p.servers {
-		if st.dead || st.quarantine || addr == exclude {
-			continue
-		}
-		// Load plus a placement-count term keeps assignment spread even
-		// before the first heartbeats arrive.
-		c := cand{addr, st.load + float64(st.placements)*0.01}
-		// Servers whose home cluster is in a scheduled outage are a last
-		// resort: every write of theirs would start degraded.
-		if p.chaos != nil && p.chaos.ClusterOut(st.cluster) {
-			outCands = append(outCands, c)
-			continue
-		}
-		cands = append(cands, c)
-	}
-	if len(cands) == 0 {
-		cands = outCands
-	}
-	if len(cands) == 0 {
-		return "", [2]string{}, errors.New("core: no healthy stream server available")
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].addr < cands[j].addr
-	})
-	chosen := cands[0].addr
-	st := p.servers[chosen]
-	st.placements++
-	home := st.cluster
-	second := home
-	for i, c := range p.clusters {
-		if c == home {
-			second = p.clusters[(i+1)%len(p.clusters)]
-			// Skip partner clusters that are scheduled out: the streamlet
-			// starts single-homed rather than failing its first write.
-			for j := 2; p.chaos != nil && p.chaos.ClusterOut(second) && second != home && j <= len(p.clusters); j++ {
-				second = p.clusters[(i+j)%len(p.clusters)]
-			}
-			break
-		}
-	}
-	return chosen, [2]string{home, second}, nil
-}
-
-// ReportLoad implements sms.Placer.
-func (p *placer) ReportLoad(addr string, cpu, mem, throughput float64, quarantine bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.servers[addr]
-	if !ok {
-		return
-	}
-	st.load = cpu + mem
-	st.quarantine = quarantine
 }

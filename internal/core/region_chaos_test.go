@@ -17,7 +17,7 @@ import (
 // (§5.2): once the task is re-registered, retried client calls resume
 // against the same durable state and no acknowledged row is lost.
 func TestSMSTaskLossResumesAfterRestart(t *testing.T) {
-	sched := chaos.NewSchedule(11)
+	sched := chaos.NewSchedule()
 	cfg := DefaultConfig()
 	cfg.Chaos = sched
 	r := NewRegion(cfg)

@@ -102,7 +102,7 @@ func (e *env) lostPhantom(def *matview.Definition, at truetime.Timestamp) (lost,
 // must digest-equal the defining query recomputed at the cycle's pinned
 // snapshot: lost = 0, phantom = 0.
 func TestChaosMaintenanceSuite(t *testing.T) {
-	sched := chaos.NewSchedule(11).
+	sched := chaos.NewSchedule().
 		FailAt(chaos.PointStreamResp, readsession.DefaultAddr, 2, 7, 13)
 	e := newChaosEnv(t, sched)
 	e.r.ReadSessions.SetBatchRows(8)

@@ -151,8 +151,7 @@ func collectAggItems(st *sql.SelectStmt) []aggItem {
 }
 
 // accumRow folds one row into a partial group map — the leaf half of
-// the two-stage DAG, shared by the row-sharded and batch-sharded
-// partial builders. The row may be a reused scratch buffer: every
+// the two-stage DAG. The row may be a reused scratch buffer: every
 // value read out of it is copied by value.
 func accumRow(st *sql.SelectStmt, items []aggItem, groups map[string]*groupState, row schema.Row) error {
 	key, keyVals, err := groupKeyOf(st, row)
@@ -183,44 +182,29 @@ func accumRow(st *sql.SelectStmt, items []aggItem, groups map[string]*groupState
 	return nil
 }
 
-// aggregate runs two-stage grouped aggregation over the filtered rows.
-func (e *Engine) aggregate(st *sql.SelectStmt, sc *schema.Schema, rows []schema.Row, res *Result) (*Result, error) {
+// aggregate runs two-stage grouped aggregation: one partial group map
+// per shard, built in parallel (at most Config.Shards at a time), then
+// the merge. each feeds shard sh's rows to visit — a leaf batch's
+// selected rows on the single-table path, a slice of the joined rows on
+// the join path.
+func (e *Engine) aggregate(st *sql.SelectStmt, shards int, each func(sh int, visit func(schema.Row) error) error, res *Result) (*Result, error) {
 	aggItems := collectAggItems(st)
-
-	// Partial stage: shard the rows, build per-shard group maps.
-	shards := e.cfg.Shards
-	if shards > len(rows) {
-		shards = 1
-	}
 	partials := make([]map[string]*groupState, shards)
 	errs := make([]error, shards)
+	sem := make(chan struct{}, e.cfg.Shards)
 	var wg sync.WaitGroup
-	chunk := (len(rows) + shards - 1) / shards
-	if chunk == 0 {
-		chunk = 1
-	}
 	for sh := 0; sh < shards; sh++ {
-		lo := sh * chunk
-		hi := lo + chunk
-		if lo > len(rows) {
-			lo = len(rows)
-		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
 		wg.Add(1)
-		go func(sh, lo, hi int) {
+		sem <- struct{}{}
+		go func(sh int) {
 			defer wg.Done()
+			defer func() { <-sem }()
 			groups := make(map[string]*groupState)
-			for _, row := range rows[lo:hi] {
-				if err := accumRow(st, aggItems, groups, row); err != nil {
-					errs[sh] = err
-					return
-				}
-			}
+			errs[sh] = each(sh, func(row schema.Row) error {
+				return accumRow(st, aggItems, groups, row)
+			})
 			partials[sh] = groups
-			_ = sc
-		}(sh, lo, hi)
+		}(sh)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -232,7 +216,7 @@ func (e *Engine) aggregate(st *sql.SelectStmt, sc *schema.Schema, rows []schema.
 }
 
 // finalizeAgg merges partial group maps and renders the output rows —
-// the final stage of the DAG, shared by both leaf shapes.
+// the final stage of the DAG.
 func finalizeAgg(st *sql.SelectStmt, aggItems []aggItem, partials []map[string]*groupState, res *Result) (*Result, error) {
 	for _, it := range st.Items {
 		res.Columns = append(res.Columns, itemName(it))

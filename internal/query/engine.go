@@ -62,18 +62,23 @@ type ExecStats struct {
 	RowsScanned       int64
 	RowsAffected      int64
 	SnapshotTS        truetime.Timestamp
-	// Read-cache deltas observed across this query's leaf stage
-	// (best-effort when queries run concurrently on one client; all
-	// zero when the client has no read cache).
+	// How the read cache served this query's leaf scans, summed from the
+	// scans' own batches and so exact however many queries share the
+	// client: every scanned assignment that is not a live tail file is
+	// one hit or one miss (all zero when the client has no read cache).
 	CacheHits       int64
 	CacheMisses     int64
 	CacheBytesSaved int64
-	// Disk-tier deltas (see vortex.WithDiskCache): fragments served
-	// from the on-disk middle tier, misses that fell through to
-	// Colossus, and fragments the async prefetcher warmed ahead of this
-	// query's leaf scans. All zero without a disk tier.
-	DiskHits        int64
-	DiskMisses      int64
+	// The disk tier's part (see vortex.WithDiskCache): RAM misses this
+	// query itself served from the on-disk middle tier, and those it
+	// took on to Colossus; a scan that shared another caller's fetch
+	// counts neither. All zero without a disk tier.
+	DiskHits   int64
+	DiskMisses int64
+	// PrefetchFetched is the process-wide count of fragments the async
+	// prefetcher warmed into the disk tier while this query's leaf stage
+	// ran — a delta of a shared counter, so concurrent queries each see
+	// the others' prefetches too.
 	PrefetchFetched int64
 	// RowsCodeSkipped counts rows the leaf eliminated in encoded space —
 	// a predicate decided once per dictionary entry or RLE run killed
@@ -214,7 +219,7 @@ func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts tr
 	// Leaf stage: parallel shard scans (the Dremel leaf dispatch, §3.1).
 	// The prefetcher walks the surviving assignments ahead of the
 	// scanners, warming the disk tier (no-op without one).
-	before := e.c.ReadCache().Stats()
+	prefetched := e.c.ReadCache().Stats().PrefetchFetched
 	e.c.Prefetch(assignments)
 	batches := make([]*client.ColBatch, len(assignments))
 	errs := make([]error, len(assignments))
@@ -230,18 +235,17 @@ func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts tr
 		}(i, a)
 	}
 	wg.Wait()
-	after := e.c.ReadCache().Stats()
-	scan.CacheHits = after.Hits - before.Hits
-	scan.CacheMisses = after.Misses - before.Misses
-	scan.CacheBytesSaved = after.BytesSaved - before.BytesSaved
-	scan.DiskHits = after.DiskHits - before.DiskHits
-	scan.DiskMisses = after.DiskMisses - before.DiskMisses
-	scan.PrefetchFetched = after.PrefetchFetched - before.PrefetchFetched
-	for i := range batches {
+	scan.PrefetchFetched = e.c.ReadCache().Stats().PrefetchFetched - prefetched
+	for i, b := range batches {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		scan.RowsScanned += int64(batches[i].NumVisible())
+		scan.RowsScanned += int64(b.NumVisible())
+		scan.CacheHits += b.Cache.Hits
+		scan.CacheMisses += b.Cache.Misses
+		scan.CacheBytesSaved += b.Cache.BytesSaved
+		scan.DiskHits += b.Cache.DiskHits
+		scan.DiskMisses += b.Cache.DiskMisses
 	}
 	// Every scanned row counts as decoded until a predicate proves it
 	// was skipped in code space.
@@ -375,7 +379,7 @@ func (e *Engine) execSelect(ctx context.Context, st *sql.SelectStmt, ts truetime
 	}
 
 	if hasAggregates(st) {
-		return e.aggregateVec(st, batches, res)
+		return e.aggregateBatches(st, batches, res)
 	}
 	if len(st.OrderBy) == 0 && directEmitOK(st) {
 		return emitDirect(st, sc, batches, res)

@@ -118,7 +118,21 @@ func (e *Engine) execSelectJoin(ctx context.Context, st *sql.SelectStmt, ts true
 
 	joinedSc := &schema.Schema{Fields: sql.JoinedFields(leftSc, rightSc)}
 	if hasAggregates(st) {
-		return e.aggregate(st, joinedSc, rows, res)
+		// The joined rows have no leaf batches to shard by: cut them into
+		// contiguous chunks instead.
+		shards := e.cfg.Shards
+		if shards > len(rows) {
+			shards = 1
+		}
+		chunk := (len(rows) + shards - 1) / shards
+		return e.aggregate(st, shards, func(sh int, visit func(schema.Row) error) error {
+			for _, row := range rows[min(sh*chunk, len(rows)):min(sh*chunk+chunk, len(rows))] {
+				if err := visit(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, res)
 	}
 	return e.project(st, joinedSc, rows, res)
 }

@@ -155,6 +155,81 @@ func TestJoinChangeResolution(t *testing.T) {
 	}
 }
 
+// TestCacheStatsExactUnderConcurrency: ExecStats' cache counters are
+// summed from the query's own scans, so two queries running at once on
+// one client each account for exactly their own assignments — one hit
+// or one miss apiece — and together for exactly what the cache counted.
+// (Differencing the cache's process-wide counters around the leaf
+// stage, as the engine used to, credits each query with the other's
+// lookups whenever the two overlap.)
+func TestCacheStatsExactUnderConcurrency(t *testing.T) {
+	r := core.NewRegion(core.DefaultConfig())
+	opts := client.DefaultOptions()
+	opts.ReadCacheBytes = 32 << 20
+	c := r.NewClient(opts)
+	ctx := context.Background()
+	e := &qenv{r: r, c: c, ctx: ctx, eng: query.New(c, r.BigMeta, r.Net, r.Router(), query.Config{})}
+	for table, sc := range map[string]*schema.Schema{"shop.orders": ordersSchema(), "shop.customers": customersSchema()} {
+		if err := c.CreateTable(ctx, meta.TableID(table), sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Several sealed fragments per table and no live tail: every
+	// assignment goes through the cache.
+	for i := 0; i < 6; i++ {
+		e.seal(t, "shop.orders", []schema.Row{orderRow(fmt.Sprintf("o%d", i), "acme", int64(i), schema.ChangeUpsert)})
+		e.seal(t, "shop.customers", []schema.Row{customerRow(fmt.Sprintf("c%d", i), "CL", schema.ChangeUpsert)})
+	}
+	statements := []string{"SELECT COUNT(*) FROM shop.orders", "SELECT COUNT(*) FROM shop.customers"}
+	for round := 0; round < 20; round++ {
+		if round%5 == 0 {
+			// Drop everything so rounds mix misses with hits.
+			for _, table := range []meta.TableID{"shop.orders", "shop.customers"} {
+				plan, err := c.Plan(ctx, table, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range plan.Assignments {
+					c.ReadCache().Invalidate(a.Frag.Path)
+				}
+			}
+		}
+		before := c.ReadCache().Stats()
+		var got [2]query.ExecStats
+		var errs [2]error
+		start := make(chan struct{})
+		done := make(chan int)
+		for q := range statements {
+			go func(q int) {
+				<-start
+				var res *query.Result
+				if res, errs[q] = e.eng.Query(ctx, statements[q]); errs[q] == nil {
+					got[q] = res.Stats
+				}
+				done <- q
+			}(q)
+		}
+		close(start)
+		<-done
+		<-done
+		after := c.ReadCache().Stats()
+		for q, st := range got {
+			if errs[q] != nil {
+				t.Fatal(errs[q])
+			}
+			if scanned := int64(st.AssignmentsTotal - st.AssignmentsPruned); scanned == 0 || st.CacheHits+st.CacheMisses != scanned {
+				t.Fatalf("round %d %q: %d hits + %d misses over %d scanned assignments", round, statements[q], st.CacheHits, st.CacheMisses, scanned)
+			}
+		}
+		if hits, misses := got[0].CacheHits+got[1].CacheHits, got[0].CacheMisses+got[1].CacheMisses; hits != after.Hits-before.Hits || misses != after.Misses-before.Misses {
+			t.Fatalf("round %d: queries report %d hits %d misses, the cache counted %d and %d", round, hits, misses, after.Hits-before.Hits, after.Misses-before.Misses)
+		}
+		if saved := got[0].CacheBytesSaved + got[1].CacheBytesSaved; saved != after.BytesSaved-before.BytesSaved {
+			t.Fatalf("round %d: queries report %d bytes saved, the cache counted %d", round, saved, after.BytesSaved-before.BytesSaved)
+		}
+	}
+}
+
 // TestJoinStatsCoverBothSides: a join's ExecStats are the sum of its
 // two scans, for every counter. The RAM tier is too small to hold
 // anything, so each side's warm scan is served by the disk tier and

@@ -1,15 +1,14 @@
 // Batch-native leaf execution: every SELECT consumes the ColBatches
 // that ScanBatch hands over and tracks survivors in each batch's
 // selection vector. `_CHANGE_TYPE` resolution narrows the selections
-// first, the WHERE clause next — a conjunct that reads one flat column
-// is decided in code space where the batch holds encoded vectors, once
-// per dictionary entry or run — and values materialize only for
-// residual conjuncts and for output (late materialization).
+// first, the WHERE clause next — a conjunct that reads one column is
+// decided on that column's vector alone, in code space (once per
+// dictionary entry or run) where a ROS fragment stored it DICT or RLE —
+// and values materialize only for residual conjuncts and for output
+// (late materialization).
 package query
 
 import (
-	"sync"
-
 	"vortex/internal/client"
 	"vortex/internal/dml"
 	"vortex/internal/schema"
@@ -133,36 +132,16 @@ func rowsOf(batches []*client.ColBatch) []schema.Row {
 	return rows
 }
 
-// aggregateVec builds one partial group map per leaf batch in parallel
-// and merges them — aggregation consuming batches per shard.
-func (e *Engine) aggregateVec(st *sql.SelectStmt, batches []*client.ColBatch, res *Result) (*Result, error) {
-	aggItems := collectAggItems(st)
-	partials := make([]map[string]*groupState, len(batches))
-	errs := make([]error, len(batches))
-	sem := make(chan struct{}, e.cfg.Shards)
-	var wg sync.WaitGroup
-	for i := range batches {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			groups := make(map[string]*groupState)
-			for cur := batches[i].Cursor(batches[i].Sel); cur.Next(); {
-				if errs[i] = accumRow(st, aggItems, groups, cur.Row()); errs[i] != nil {
-					return
-				}
+// aggregateBatches aggregates with one shard per leaf batch.
+func (e *Engine) aggregateBatches(st *sql.SelectStmt, batches []*client.ColBatch, res *Result) (*Result, error) {
+	return e.aggregate(st, len(batches), func(i int, visit func(schema.Row) error) error {
+		for cur := batches[i].Cursor(batches[i].Sel); cur.Next(); {
+			if err := visit(cur.Row()); err != nil {
+				return err
 			}
-			partials[i] = groups
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
-	}
-	return finalizeAgg(st, aggItems, partials, res)
+		return nil
+	}, res)
 }
 
 // directEmitOK reports whether the select list can stream straight

@@ -59,7 +59,7 @@ func drainResilient(t testing.TB, e *rsEnv, sh *readsession.Shard, maxFaults int
 // path mid-scan: the stream dies with a batch in flight, and the reader
 // resumes from its checkpoint with no row lost or duplicated.
 func TestRPCDropMidBatch(t *testing.T) {
-	sched := chaos.NewSchedule(7).
+	sched := chaos.NewSchedule().
 		FailAt(chaos.PointStreamResp, readsession.DefaultAddr, 3)
 	e := newChaosRSEnv(t, "d.rpcdrop", sched)
 	e.seal(t, 0, 120)

@@ -397,6 +397,81 @@ func TestVectorizedServingParity(t *testing.T) {
 	}
 }
 
+// TestSessionShortArityRoundTrip: rows written before a schema change
+// keep their arity through a read session — the batch's `__arity`
+// column carries it across the wire — while a predicate on the added
+// column sees them as NULL, for the sealed-WOS file and a live tail
+// alike.
+func TestSessionShortArityRoundTrip(t *testing.T) {
+	e := newRSEnv(t, "d.arity")
+	write := func(seal bool) {
+		t.Helper()
+		s, err := e.c.CreateStream(e.ctx, e.table, meta.Unbuffered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := e.c.GetSchema(e.ctx, e.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := rsRow(0, len(sc.Fields)) // the writer's schema knowledge may lag: 4 values
+		if _, err := s.Append(e.ctx, []schema.Row{old}, client.AppendOptions{Offset: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if len(sc.Fields) == 4 {
+			if _, err := e.c.UpdateSchema(e.ctx, e.table, &schema.Field{Name: "tag", Kind: schema.KindString, Mode: schema.Nullable}); err != nil {
+				t.Fatal(err)
+			}
+			e.r.HeartbeatAll(e.ctx, false) // the Stream Server learns the new schema (§5.4.1)
+		}
+		wide := rsRow(1, 7)
+		wide.Values = append(wide.Values, schema.String("tagged"))
+		if _, err := s.Append(e.ctx, []schema.Row{wide}, client.AppendOptions{Offset: -1}); err != nil {
+			t.Fatal(err)
+		}
+		e.clock.Advance(2 * time.Millisecond)
+		if seal {
+			if _, err := s.Finalize(e.ctx); err != nil {
+				t.Fatal(err)
+			}
+			e.r.HeartbeatAll(e.ctx, false)
+		}
+	}
+	write(true)
+	write(false)
+
+	for _, tc := range []struct {
+		where string
+		want  string // arities in sequence order
+	}{
+		{"", "[4 5 4 5]"},
+		{"tag IS NULL", "[4 4]"},
+		{"tag = 'tagged'", "[5 5]"},
+	} {
+		for pass := 0; pass < 2; pass++ { // cold, then served from the cache
+			sess, err := readsession.Dial(e.c, "").Open(e.ctx, e.table, readsession.Options{Shards: 2, Where: tc.where})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := sess.ReadAll(e.ctx)
+			sess.Close(e.ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var arities []int
+			for _, r := range rows {
+				arities = append(arities, len(r.Row.Values))
+				if n := len(r.Row.Values); n == 5 && r.Row.Values[4].AsString() != "tagged" {
+					t.Fatalf("WHERE %q: wide row lost its added field: %v", tc.where, r.Row.Values)
+				}
+			}
+			if got := fmt.Sprint(arities); got != tc.want {
+				t.Fatalf("WHERE %q pass %d: arities %s, want %s", tc.where, pass, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestSplitExhaustedShard: once a shard's assignments are all served,
 // Split must decline rather than move served work.
 func TestSplitExhaustedShard(t *testing.T) {

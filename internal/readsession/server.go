@@ -427,10 +427,9 @@ func (sv *served) count() int { return len(sv.cb.Sel) }
 
 // encode renders the frame for served rows [lo, hi): the identity
 // columns (__seq, __arity, __change) followed by the projected data
-// columns. A batch holding the cache's encoded vectors re-emits them
-// through the chunk's selection without a row round-trip; a batch
-// holding rows transposes just this chunk to PLAIN vectors, so a slow
-// reader pins one chunk of values, not an assignment's worth.
+// columns. Both are the batch's shared vectors re-emitted through the
+// chunk's selection — no row round-trip, and nothing copied but the
+// frame itself, so a slow reader pins no values of its own.
 func (sv *served) encode(lo, hi int) []byte {
 	chunk := sv.cb.Sel[lo:hi]
 	id := sv.cb.IdentityVectors(chunk)
@@ -441,8 +440,8 @@ func (sv *served) encode(lo, hi int) []byte {
 
 // scanServed runs the leaf scan for one assignment and stages it for
 // serving: the predicate narrows the batch's selection — in code space
-// where the batch holds encoded vectors, so rows a DICT code or RLE
-// run kills never materialize a value, not at filter time and not at
+// on a ROS fragment's DICT and RLE vectors, so rows a dictionary code or
+// a run kills never materialize a value, not at filter time and not at
 // encode time — and MinSeq narrows it further by sequence alone.
 func (s *Server) scanServed(ctx context.Context, sess *session, a client.Assignment) (*served, error) {
 	cb, err := s.c.ScanBatch(ctx, sess.plan, a)

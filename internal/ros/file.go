@@ -482,20 +482,32 @@ func (c *Column) materialize() error {
 	return nil
 }
 
+// data decodes the column and returns it in the assembler's form.
+func (c *Column) data() (*columnData, error) {
+	if err := c.materialize(); err != nil {
+		return nil, err
+	}
+	return &columnData{leaf: c.Leaf, reps: c.Reps, defs: c.Defs, values: c.Values}, nil
+}
+
 // Reader provides access to one ROS file.
 type Reader struct {
-	fingerprint   uint64
-	schemaVersion int
-	rowCount      int64
-	partition     int64
-	hasPartition  bool
-	clusterMin    []schema.Value
-	clusterMax    []schema.Value
-	filter        *bloom.Filter
-	changes       []byte
-	seqs          []int64
-	columns       map[string]*Column
-	order         []string
+	fingerprint  uint64
+	rowCount     int64
+	partition    int64
+	hasPartition bool
+	clusterMin   []schema.Value
+	clusterMax   []schema.Value
+	filter       *bloom.Filter
+	changes      []byte
+	seqs         []int64
+	columns      map[string]*Column
+	order        []string
+
+	// Memoized assembled values of struct/repeated top-level fields
+	// (vector.go), shared read-only with every scan like Column.vec.
+	nestedMu sync.Mutex
+	nested   map[string]*wire.Vector
 }
 
 // Open parses a ROS file image.
@@ -529,11 +541,9 @@ func Open(data []byte) (*Reader, error) {
 		pos += n
 		return v, nil
 	}
-	schemaV, err := uv()
-	if err != nil {
+	if _, err := uv(); err != nil { // schema version: written, never consulted
 		return nil, err
 	}
-	r.schemaVersion = int(schemaV)
 	rc, err := uv()
 	if err != nil || rc > 1<<40 {
 		return nil, ErrCorrupt
@@ -746,11 +756,11 @@ func (r *Reader) RowsProjected(s *schema.Schema, projection map[string]bool) ([]
 		if !present[p] {
 			continue
 		}
-		c := r.columns[p]
-		if err := c.materialize(); err != nil {
+		cd, err := r.columns[p].data()
+		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, &columnData{leaf: c.Leaf, reps: c.Reps, defs: c.Defs, values: c.Values})
+		cols = append(cols, cd)
 	}
 	fileSchema, err := restrictSchema(s, present)
 	if err != nil {

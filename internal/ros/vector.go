@@ -9,44 +9,102 @@ import (
 	"vortex/internal/wire"
 )
 
-// Vectors returns the projected top-level columns of the file as
-// encoded wire vectors — the zero-copy handoff from the read cache to
-// the vectorized scanner. It is only defined for flat columns:
-// when any projected field is a struct or repeated, it returns
-// ok=false and the caller falls back to row assembly (RowsProjected).
-//
-// Vectors preserve the file's physical encoding: a dictionary column
+// Vectors returns the projected top-level columns of the file as wire
+// vectors — the handoff from the read cache to every scan. A flat
+// column preserves the file's physical encoding: a dictionary column
 // comes back as dict+codes without expansion, so predicates evaluate
-// once per distinct value, and unprojected columns are never decoded
-// at all. idxs holds each vector's top-level field index in s. The
-// returned vectors are cached on the reader's columns and shared
-// across scans — read-only, like everything else a cached Reader hands
-// out.
+// once per distinct value. A struct or repeated field comes back as a
+// PLAIN vector of its assembled values. Unprojected columns are never
+// decoded at all. idxs holds each vector's top-level field index in s;
+// ok is always true. The returned vectors are memoized on the reader
+// and shared across scans — read-only, like everything else a cached
+// Reader hands out.
 func (r *Reader) Vectors(s *schema.Schema, projection map[string]bool) (vecs []wire.Vector, idxs []int, ok bool, err error) {
 	for fi, f := range s.Fields {
 		if projection != nil && !projection[f.Name] {
 			continue
 		}
-		if f.Kind == schema.KindStruct || f.Mode == schema.Repeated {
-			return nil, nil, false, nil
-		}
-		col := r.columns[f.Name]
 		var v *wire.Vector
-		if col == nil {
-			// Field added by schema evolution after this file was written:
-			// every row reads as NULL.
-			cv := wire.ConstVector(f.Name, schema.Null(), int(r.rowCount))
-			v = &cv
-		} else {
+		if f.Kind == schema.KindStruct || f.Mode == schema.Repeated {
+			v, err = r.nestedVector(f)
+		} else if col := r.columns[f.Name]; col != nil {
 			v, err = col.vector(r.rowCount)
-			if err != nil {
-				return nil, nil, false, err
-			}
+		} else {
+			v = r.nullVector(f.Name)
+		}
+		if err != nil {
+			return nil, nil, false, err
 		}
 		vecs = append(vecs, *v)
 		idxs = append(idxs, fi)
 	}
 	return vecs, idxs, true, nil
+}
+
+// nullVector is the vector of a field added by schema evolution after
+// this file was written: every row reads as NULL.
+func (r *Reader) nullVector(name string) *wire.Vector {
+	v := wire.ConstVector(name, schema.Null(), int(r.rowCount))
+	return &v
+}
+
+// nestedVector assembles (and memoizes) one struct or repeated
+// top-level field from its leaf columns, one value per row.
+func (r *Reader) nestedVector(f *schema.Field) (*wire.Vector, error) {
+	r.nestedMu.Lock()
+	defer r.nestedMu.Unlock()
+	if v, ok := r.nested[f.Name]; ok {
+		return v, nil
+	}
+	v, err := r.assembleField(f)
+	if err != nil {
+		return nil, err
+	}
+	if r.nested == nil {
+		r.nested = make(map[string]*wire.Vector)
+	}
+	r.nested[f.Name] = v
+	return v, nil
+}
+
+func (r *Reader) assembleField(f *schema.Field) (*wire.Vector, error) {
+	one := &schema.Schema{Fields: []*schema.Field{f}}
+	var cols []*columnData
+	leaves := one.Leaves()
+	for _, l := range leaves {
+		c := r.columns[l.Path]
+		if c == nil {
+			continue
+		}
+		cd, err := c.data()
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, cd)
+	}
+	if len(cols) == 0 {
+		return r.nullVector(f.Name), nil
+	}
+	if len(cols) != len(leaves) {
+		return nil, fmt.Errorf("%w: field %q partially present", ErrSchemaMismatch, f.Name)
+	}
+	a := newAssembler(one, cols)
+	vals := make([]schema.Value, r.rowCount)
+	for i := range vals {
+		row, ok, err := a.nextRow()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("%w: field %q exhausted at row %d of %d", ErrCorrupt, f.Name, i, r.rowCount)
+		}
+		vals[i] = row.Values[0]
+	}
+	if !a.exhausted() {
+		return nil, fmt.Errorf("%w: field %q has entries after %d rows", ErrCorrupt, f.Name, r.rowCount)
+	}
+	v := wire.PlainVector(f.Name, vals)
+	return &v, nil
 }
 
 // Seqs returns the per-row storage sequence numbers. The slice is the

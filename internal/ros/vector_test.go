@@ -98,8 +98,11 @@ func TestVectorsProjectionSkipsDecode(t *testing.T) {
 	}
 }
 
-// TestVectorsNestedFallsBack: a struct field forces the row path.
-func TestVectorsNestedFallsBack(t *testing.T) {
+// TestVectorsNestedMatchRows: struct and repeated fields come back as
+// PLAIN vectors of assembled values that agree column-for-column with
+// the reference assembler, a nested-only projection decodes no flat
+// column, and the assembly is memoized.
+func TestVectorsNestedMatchRows(t *testing.T) {
 	s := dremelSchema()
 	w := NewWriter(s)
 	for i, r := range dremelRows() {
@@ -115,21 +118,48 @@ func TestVectorsNestedFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, ok, err := rd.Vectors(s, nil)
+	ref, err := Open(data) // a second reader, so the reference decodes nothing on rd
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("nested schema must fall back to row assembly")
+	rows, err := ref.Rows(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Projecting only the flat field still vectorizes.
-	vecs, idxs, ok, err := rd.Vectors(s, map[string]bool{"DocId": true})
-	if err != nil || !ok {
-		t.Fatalf("flat projection: ok=%v err=%v", ok, err)
+	check := func(projection map[string]bool, wantCols int) []wire.Vector {
+		t.Helper()
+		vecs, idxs, ok, err := rd.Vectors(s, projection)
+		if err != nil || !ok {
+			t.Fatalf("Vectors(%v): ok=%v err=%v", projection, ok, err)
+		}
+		if len(vecs) != wantCols {
+			t.Fatalf("Vectors(%v) returned %d columns, want %d", projection, len(vecs), wantCols)
+		}
+		for k, v := range vecs {
+			f := s.Fields[idxs[k]]
+			if v.Name != f.Name || v.Len() != len(rows) {
+				t.Fatalf("vector %d: name %q len %d, want %q/%d", k, v.Name, v.Len(), f.Name, len(rows))
+			}
+			if nested := f.Kind == schema.KindStruct || f.Mode == schema.Repeated; nested && v.Enc != wire.BatchEncPlain {
+				t.Fatalf("nested field %q came back with encoding %d", f.Name, v.Enc)
+			}
+			for i, r := range rows {
+				if got, want := v.ValueAt(i).String(), r.Row.Values[idxs[k]].String(); got != want {
+					t.Fatalf("row %d field %q: vector %s, Rows %s", i, f.Name, got, want)
+				}
+			}
+		}
+		return vecs
 	}
-	if len(vecs) != 1 || idxs[0] != 0 || vecs[0].ValueAt(1).AsInt64() != 20 {
-		t.Fatalf("DocId vector wrong: %v", vecs)
+	first := check(map[string]bool{"Name": true}, 1)
+	if c := rd.columns["DocId"]; c.vecDone || c.decoded {
+		t.Fatal("projecting only a nested field decoded the flat DocId column")
 	}
+	again := check(map[string]bool{"Name": true}, 1)
+	if &first[0].Values[0] != &again[0].Values[0] {
+		t.Fatal("nested vector was assembled twice instead of memoized")
+	}
+	check(nil, len(s.Fields))
 }
 
 // TestVectorsEvolvedFieldReadsNull: a field added after the file was

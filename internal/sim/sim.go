@@ -279,7 +279,7 @@ func runOnce(cfg Config, specs []chaos.Spec) *Result {
 	meta.SetEntropy(rand.New(rand.NewSource(cfg.Seed ^ 0x5eed1d)))
 	defer meta.SetEntropy(nil)
 
-	s.sched = chaos.FromSpecs(cfg.Seed, specs)
+	s.sched = chaos.FromSpecs(specs)
 	s.sched.Pause() // no faults during setup
 	s.region = core.NewRegion(core.Config{
 		Clusters:                simClusters(),

@@ -61,7 +61,7 @@ func (t *Task) handleAcquireLease(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.AcquireLeaseResponse{LeaseID: id, SnapshotTS: snap, Expires: rec.Expires}, nil
 }
@@ -95,7 +95,7 @@ func (t *Task) handleRenewLease(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.RenewLeaseResponse{Expires: expires}, nil
 }
@@ -107,7 +107,7 @@ func (t *Task) handleReleaseLease(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.ReleaseLeaseResponse{}, nil
 }

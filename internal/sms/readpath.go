@@ -36,7 +36,7 @@ func (t *Task) colossus() *colossus.Region {
 
 func (t *Task) handleHeartbeat(_ context.Context, req any) (any, error) {
 	r := req.(*wire.HeartbeatRequest)
-	t.placer.ReportLoad(r.Server, r.CPULoad, r.MemLoad, r.Throughput, r.Quarantine)
+	t.placer.ReportLoad(r.Server, r.CPULoad, r.MemLoad)
 
 	// Record liveness before anything can fail: a heartbeat that reaches
 	// us proves the server is up even if its deltas hit a txn abort.
@@ -123,7 +123,7 @@ func (t *Task) handleHeartbeat(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 
 	out := &wire.HeartbeatResponse{DeleteFragments: toDelete, UnknownStreamlets: unknown, ShedTables: shed}
@@ -224,7 +224,7 @@ func (t *Task) handleGC(_ context.Context, req any) (any, error) {
 		})
 		if err != nil {
 			t.notifyFilesDeleted(deletedPaths)
-			return nil, unwrapAbort(err)
+			return nil, err
 		}
 		resp.FragmentsDeleted++
 	}
@@ -600,7 +600,7 @@ func (t *Task) reconcile(_ context.Context, table meta.TableID, stream meta.Stre
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.ReconcileResponse{RowCount: totalRows, Fragments: frags}, nil
 }
@@ -743,7 +743,7 @@ func (t *Task) handleRegisterConversion(_ context.Context, req any) (any, error)
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	t.notifyFragments(r.Table, added, r.Old)
 	return &wire.RegisterConversionResponse{HandoffTS: handoff}, nil
@@ -762,7 +762,7 @@ func (t *Task) handleBeginDML(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.BeginDMLResponse{Token: token}, nil
 }
@@ -781,7 +781,7 @@ func (t *Task) handleEndDML(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.EndDMLResponse{}, nil
 }
@@ -835,7 +835,7 @@ func (t *Task) handleCommitDML(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.CommitDMLResponse{CommitTS: commitTS}, nil
 }

@@ -36,17 +36,6 @@ var (
 	ErrDMLActive       = errors.New("sms: yielding to active DML")
 )
 
-// Placer chooses a Stream Server for a new streamlet "based on load and
-// health characteristics" (§5.2) and receives the load reports carried
-// by heartbeats (§5.5).
-type Placer interface {
-	// Pick returns a stream server address and the two Colossus clusters
-	// its writes replicate to, avoiding exclude when possible.
-	Pick(exclude string) (addr string, clusters [2]string, err error)
-	// ReportLoad records one heartbeat's load information.
-	ReportLoad(addr string, cpu, mem, throughput float64, quarantine bool)
-}
-
 // FragmentListener observes committed fragment-set changes; the region
 // wires Big Metadata's indexer here (§6.2).
 type FragmentListener interface {
@@ -68,7 +57,7 @@ type Task struct {
 	db     *spanner.DB
 	clock  truetime.Clock
 	net    rpc.Transport
-	placer Placer
+	placer *Placer
 
 	mu         sync.Mutex
 	srv        *rpc.Server
@@ -108,7 +97,7 @@ func tailMaskKey(t meta.TableID, id meta.StreamletID) string {
 func dmlLockKey(t meta.TableID) string { return "dmllock/" + string(t) }
 
 // New creates an SMS task and registers its handlers on net at addr.
-func New(addr string, db *spanner.DB, net rpc.Transport, placer Placer) *Task {
+func New(addr string, db *spanner.DB, net rpc.Transport, placer *Placer) *Task {
 	t := &Task{
 		addr:      addr,
 		db:        db,
@@ -213,7 +202,7 @@ func (t *Task) handleCreateTable(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.CreateTableResponse{}, nil
 }
@@ -256,7 +245,7 @@ func (t *Task) handleUpdateSchema(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.UpdateSchemaResponse{Schema: evolved}, nil
 }
@@ -283,7 +272,7 @@ func (t *Task) handleCreateStream(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.CreateStreamResponse{Stream: info, Schema: sc}, nil
 }
@@ -401,7 +390,7 @@ func (t *Task) handleGetWritableStreamlet(ctx context.Context, req any) (any, er
 			return nil
 		})
 		if err != nil {
-			return nil, unwrapAbort(err)
+			return nil, err
 		}
 		if !created {
 			return &wire.GetWritableStreamletResponse{Streamlet: *sl, Schema: sc, Epoch: sl.Epoch}, nil
@@ -431,7 +420,7 @@ func (t *Task) handleGetWritableStreamlet(ctx context.Context, req any) (any, er
 			tx.Put(streamletKey(sl.Table, sl.ID), meta.MarshalStreamlet(cur))
 			return nil
 		}); err != nil {
-			return nil, unwrapAbort(err)
+			return nil, err
 		}
 		r = &wire.GetWritableStreamletRequest{Stream: r.Stream, ExcludeServer: failedServer}
 	}
@@ -469,7 +458,7 @@ func (t *Task) handleFlushStream(ctx context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.FlushStreamResponse{FlushedOffset: frontier}, nil
 }
@@ -550,7 +539,7 @@ func (t *Task) handleFinalizeStream(ctx context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.FinalizeStreamResponse{RowCount: total}, nil
 }
@@ -576,7 +565,7 @@ func (t *Task) handleDegradeStreamlet(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.DegradeStreamletResponse{}, nil
 }
@@ -598,7 +587,7 @@ func (t *Task) absorbStreamletFinalization(table meta.TableID, id meta.Streamlet
 		t.upsertFragments(tx, table, sl, frags)
 		return nil
 	})
-	return unwrapAbort(err)
+	return err
 }
 
 func (t *Task) handleBatchCommit(_ context.Context, req any) (any, error) {
@@ -630,7 +619,7 @@ func (t *Task) handleBatchCommit(_ context.Context, req any) (any, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, unwrapAbort(err)
+		return nil, err
 	}
 	return &wire.BatchCommitResponse{CommitTS: commitTS}, nil
 }
@@ -678,7 +667,3 @@ func (t *Task) upsertFragments(tx *spanner.Txn, table meta.TableID, sl *meta.Str
 		}
 	}
 }
-
-// unwrapAbort passes transaction errors through: the spanner.ErrAborted
-// wrapper preserves the handler's domain error for errors.Is matching.
-func unwrapAbort(err error) error { return err }

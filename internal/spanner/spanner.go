@@ -70,7 +70,6 @@ type DB struct {
 	mu   sync.Mutex
 	data map[string]*entry
 
-	commits   int64
 	conflicts int64
 }
 
@@ -255,7 +254,6 @@ func (db *DB) tryCommit(tx *Txn) (truetime.Timestamp, bool) {
 		}
 		e.versions = append(e.versions, version{ts: ts, value: w.value, deleted: w.deleted})
 	}
-	db.commits++
 	return ts, true
 }
 

@@ -94,7 +94,6 @@ type Server struct {
 	dirty       map[meta.StreamletID]bool
 	deletedAcks []meta.FragmentID
 	crashed     bool
-	quarantine  bool
 	// tableBytes accumulates appended bytes per table since the last
 	// acknowledged heartbeat; HeartbeatNow reports them to the SMS for
 	// byte-rate admission control (rolled back if the send fails).
@@ -183,7 +182,6 @@ func New(cfg Config, region colossus.Store, clock truetime.Clock, keyring *block
 	srv.RegisterUnary(wire.MethodFlush, s.handleFlush)
 	srv.RegisterUnary(wire.MethodFinalizeStreamlet, s.handleFinalizeStreamlet)
 	srv.RegisterUnary(wire.MethodStreamletState, s.handleStreamletState)
-	srv.RegisterUnary(wire.MethodWriteCommitRecord, s.handleWriteCommitRecord)
 	net.Register(cfg.Addr, srv)
 	return s
 }
@@ -756,30 +754,6 @@ func (s *Server) handleFlush(_ context.Context, req any) (any, error) {
 	return &wire.FlushResponse{}, nil
 }
 
-func (s *Server) handleWriteCommitRecord(_ context.Context, req any) (any, error) {
-	r, ok := req.(*wire.WriteCommitRecordRequest)
-	if !ok {
-		return nil, fmt.Errorf("streamserver: bad request type %T", req)
-	}
-	sl, found := s.lookup(r.Streamlet)
-	if !found {
-		return nil, fmt.Errorf("streamserver: %s: unknown streamlet %s", wire.ErrCodeUnknown, r.Streamlet)
-	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if !sl.pendingCommit || sl.cur == nil || sl.closed {
-		return &wire.WriteCommitRecordResponse{}, nil
-	}
-	blk := fragment.EncodeBlock(fragment.Block{Kind: fragment.BlockCommit, Timestamp: s.clock.Commit()})
-	if err := s.writeBoth(sl, blk); err != nil {
-		return nil, err
-	}
-	sl.cur.size += int64(len(blk))
-	sl.cur.info.CommittedBytes = sl.cur.size
-	sl.pendingCommit = false
-	return &wire.WriteCommitRecordResponse{}, nil
-}
-
 func (s *Server) handleFinalizeStreamlet(_ context.Context, req any) (any, error) {
 	r, ok := req.(*wire.FinalizeStreamletRequest)
 	if !ok {
@@ -878,7 +852,6 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 		}
 		ids = ids[:m]
 	}
-	quarantine := s.quarantine
 	acks := s.deletedAcks
 	s.deletedAcks = nil
 	pendingBytes := s.tableBytes
@@ -905,7 +878,6 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 		if req == nil {
 			req = &wire.HeartbeatRequest{
 				Server:           s.cfg.Addr,
-				Quarantine:       quarantine,
 				Throughput:       float64(s.bytesAppended.Value()),
 				FullSnapshot:     full,
 				DeletedFragments: acks,
@@ -934,7 +906,6 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 		if req == nil {
 			req = &wire.HeartbeatRequest{
 				Server:       s.cfg.Addr,
-				Quarantine:   quarantine,
 				Throughput:   float64(s.bytesAppended.Value()),
 				FullSnapshot: full,
 			}
@@ -949,7 +920,7 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 		// Still report load (and pending deletion acks) so placement and
 		// GC stay fresh.
 		if addr, err := s.router.SMSFor(""); err == nil {
-			byTask[addr] = &wire.HeartbeatRequest{Server: s.cfg.Addr, Quarantine: quarantine, FullSnapshot: full, DeletedFragments: acks}
+			byTask[addr] = &wire.HeartbeatRequest{Server: s.cfg.Addr, FullSnapshot: full, DeletedFragments: acks}
 			acks = nil
 		}
 	}

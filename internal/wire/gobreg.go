@@ -21,8 +21,6 @@ func init() {
 		&FinalizeStreamletResponse{},
 		&StreamletStateRequest{},
 		&StreamletStateResponse{},
-		&WriteCommitRecordRequest{},
-		&WriteCommitRecordResponse{},
 		&CreateTableRequest{},
 		&CreateTableResponse{},
 		&GetTableRequest{},

@@ -19,7 +19,6 @@ const (
 	MethodFlush             = "Flush"
 	MethodFinalizeStreamlet = "FinalizeStreamlet"
 	MethodStreamletState    = "StreamletState"
-	MethodWriteCommitRecord = "WriteCommitRecord"
 )
 
 // SMS method names.
@@ -163,16 +162,6 @@ type StreamletStateResponse struct {
 	Fragments []meta.FragmentInfo
 }
 
-// WriteCommitRecordRequest forces the pending commit record to be
-// written (normally piggybacked on the next append or written after a
-// short idle period, §7.1).
-type WriteCommitRecordRequest struct {
-	Streamlet meta.StreamletID
-}
-
-// WriteCommitRecordResponse acknowledges the commit record write.
-type WriteCommitRecordResponse struct{}
-
 // ---- SMS messages ----
 
 // CreateTableRequest creates a table with its logical metadata.
@@ -289,7 +278,6 @@ type HeartbeatRequest struct {
 	CPULoad    float64
 	MemLoad    float64
 	Throughput float64 // bytes/sec append throughput
-	Quarantine bool    // rollout/maintenance signal
 	Streamlets []StreamletHeartbeat
 	// FullSnapshot marks the periodic full-state heartbeat used to
 	// detect orphaned streamlets (§5.4.3).

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full local check and the CI gate: formatting, vet, every test under the
-# race detector, then three tables — packages that get a second race
-# pass, fuzz targets, and programs that have no tests of their own.
+# race detector, then four tables — packages that get a second race
+# pass, fuzz targets, programs that have no tests of their own, and the
+# code-line count per package.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -41,9 +42,11 @@ go test -race -count=2 $race_twice
 # read-session serving against the row API as oracle.
 go test -short -count=1 -run 'TestVectorized' ./internal/query/ ./internal/readsession/
 
-# The seeded benchmark is a module of its own and imports internal
-# packages by name, so a renamed symbol or a broken oracle fails here
-# and not in the benchmark pipeline.
+# The seeded benchmark is a module of its own, frozen between benchmark
+# PRs, and imports internal packages by name: vet catches a signature it
+# compiles against changing, the tests a broken oracle — here and not in
+# the benchmark pipeline.
+go vet -C benchmark ./...
 go test -C benchmark ./...
 
 # Fuzz smoke: a short budget per decoder that faces a peer or a disk
@@ -81,3 +84,7 @@ done <<'EOF'
 ./examples/cdc_upsert
 ./examples/batch_etl
 EOF
+
+# Non-test, non-comment Go lines per package: the number a simplicity
+# PR reports parent -> change.
+sh scripts/loc.sh

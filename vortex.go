@@ -84,7 +84,8 @@ type (
 	ErrorCode = client.ErrorCode
 	// RetryPolicy governs append and control-plane retries.
 	RetryPolicy = client.RetryPolicy
-	// ClientMetrics snapshots the client's resilience counters.
+	// ClientMetrics snapshots the client-wide counters (see
+	// DB.ClientMetrics).
 	ClientMetrics = client.Metrics
 	// CacheStats snapshots the read cache's counters (see WithReadCache).
 	CacheStats = client.CacheStats
@@ -409,17 +410,15 @@ func (db *DB) OpenReadSession(ctx context.Context, table TableID, opts ReadSessi
 	return readsession.Dial(db.c, "").Open(ctx, table, opts)
 }
 
-// ReadSessionStats snapshots the client-wide read-session counters
-// (batches, bytes, splits, resumes) accumulated across all sessions
-// opened from this DB.
-func (db *DB) ReadSessionStats() ClientMetrics { return db.c.Metrics() }
-
 // Chaos returns the fault-injection schedule the DB was opened with
 // (nil when none).
 func (db *DB) Chaos() *ChaosSchedule { return db.Region.Chaos() }
 
-// ClientMetrics snapshots the client's resilience counters (retries,
-// rotations, hedges, append latency).
+// ClientMetrics snapshots the DB's client-wide counters: resilience
+// (retries, rotations, hedges, push-backs, append and scan latency),
+// the read cache, and read-session consumption (batches, bytes, splits,
+// checkpoint resumes) accumulated across every session opened from
+// this DB.
 func (db *DB) ClientMetrics() ClientMetrics { return db.c.Metrics() }
 
 // IngestStats snapshots the region's overload-protection counters:

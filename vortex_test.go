@@ -156,7 +156,7 @@ func TestOpenOptions(t *testing.T) {
 	// 64 bytes/s against 1 KiB rows: the first heartbeat after an append
 	// reports a deficit and the SMS sheds the table for MaxShed.
 	squeezed := vortex.IngestQuotas{TableBytesPerSec: 64, ByteBurst: 64, MaxShed: 30 * time.Millisecond}
-	sched := vortex.NewChaosSchedule(1).FailAt(vortex.ChaosPointRPCResponse, "*/Append", 1)
+	sched := vortex.NewChaosSchedule().FailAt(vortex.ChaosPointRPCResponse, "*/Append", 1)
 
 	cases := []struct {
 		name  string
