@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,11 +15,18 @@ import (
 //
 //	offset 0  : magic 'V'
 //	offset 1  : magic 'X'
-//	offset 2  : protocol version (1)
+//	offset 2  : protocol version (2)
 //	offset 3  : frame type
 //	offset 4  : stream/call id, uint32 big-endian
 //	offset 8  : payload length, uint32 big-endian
 //	offset 12 : CRC32C (Castagnoli) of the payload, uint32 big-endian
+//
+// A payload is not self-contained: it is the next segment of the
+// connection's gob stream in that direction (tcp.go), so it decodes only
+// after every earlier payload on the connection, in order. Version 1
+// payloads each carried their own type descriptors; the two cannot be
+// told apart by their bytes, so a version 1 peer is refused here, at the
+// header.
 //
 // A corrupt header or a payload failing its checksum poisons the whole
 // connection: framing is lost, so the reader tears the connection down
@@ -26,7 +34,7 @@ import (
 const (
 	frameMagic0    = 'V'
 	frameMagic1    = 'X'
-	frameVersion   = 1
+	frameVersion   = 2
 	frameHeaderLen = 16
 
 	// maxFramePayload bounds a single frame. It is deliberately far above
@@ -64,18 +72,17 @@ type frame struct {
 	payload []byte
 }
 
-// appendFrame encodes one frame onto dst and returns the extended slice.
-func appendFrame(dst []byte, typ frameType, id uint32, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	hdr[0] = frameMagic0
-	hdr[1] = frameMagic1
-	hdr[2] = frameVersion
-	hdr[3] = byte(typ)
-	binary.BigEndian.PutUint32(hdr[4:8], id)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// putFrameHeader completes the frame held in buf — frameHeaderLen
+// reserved bytes followed by the payload — by filling the header in.
+func putFrameHeader(buf []byte, typ frameType, id uint32) {
+	payload := buf[frameHeaderLen:]
+	buf[0] = frameMagic0
+	buf[1] = frameMagic1
+	buf[2] = frameVersion
+	buf[3] = byte(typ)
+	binary.BigEndian.PutUint32(buf[4:8], id)
+	binary.BigEndian.PutUint32(buf[8:12], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[12:16], crc32.Checksum(payload, crcTable))
 }
 
 // parseFrameHeader validates a 16-byte header and returns the frame type,
@@ -123,19 +130,28 @@ func decodeFrame(b []byte) (frame, int, error) {
 	return frame{typ: typ, id: id, payload: payload}, total, nil
 }
 
-// readFrame reads and validates one frame from r. An io error mid-frame
-// (including EOF after a partial header or payload) is returned as-is so
-// the connection owner can map it onto the transport error contract.
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads and validates one frame from r. The payload is read
+// into buf when it fits and into a fresh slice otherwise, so the frame is
+// valid only until buf is next written. An io error mid-frame (including
+// EOF after a partial header or payload) is returned as-is so the
+// connection owner can map it onto the transport error contract.
+func readFrame(r *bufio.Reader, buf []byte) (frame, error) {
+	hdr, err := r.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return frame{}, err
 	}
-	typ, id, length, crc, err := parseFrameHeader(hdr[:])
+	typ, id, length, crc, err := parseFrameHeader(hdr)
 	if err != nil {
 		return frame{}, err
 	}
-	payload := make([]byte, length)
+	r.Discard(frameHeaderLen) // cannot fail: Peek just returned these bytes
+	if uint32(cap(buf)) < length {
+		buf = make([]byte, length)
+	}
+	payload := buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

@@ -8,6 +8,17 @@ import (
 	"testing"
 )
 
+// appendFrame encodes one frame around a ready-made payload onto dst —
+// what a connection does in place (writeFrame), for tests that need the
+// bytes of a frame without a connection.
+func appendFrame(dst []byte, typ frameType, id uint32, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = append(dst, payload...)
+	putFrameHeader(dst[start:], typ, id)
+	return dst
+}
+
 // FuzzDecodeFrame drives arbitrary bytes through the frame decoder — the
 // exact validation path a TCP connection reader runs on hostile input.
 // The decoder must never panic or over-read, and any frame it accepts
@@ -32,9 +43,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	badMagic[0] = 'Z'
 	f.Add(badMagic)
 
-	badVersion := append([]byte(nil), valid...)
-	badVersion[2] = 99
-	f.Add(badVersion)
+	for _, v := range []byte{1, 99} { // 1: stateless payloads, must be refused at the header
+		badVersion := append([]byte(nil), valid...)
+		badVersion[2] = v
+		f.Add(badVersion)
+	}
 
 	badType := append([]byte(nil), valid...)
 	badType[3] = 0

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -15,8 +16,9 @@ import (
 // TCPTransport is the real-socket Transport: logical server addresses
 // (the same "sms-0" / "ss-alpha-1" strings the in-memory transport uses)
 // are routed to host:port endpoints, and all traffic to one endpoint is
-// multiplexed over a single persistent connection carrying CRC32C-framed
-// gob messages (frame.go). Semantics match *Network exactly — the
+// multiplexed over a single persistent connection carrying one gob
+// stream each way, cut into CRC32C-protected frames (frame.go).
+// Semantics match *Network exactly — the
 // conformance suite holds both to the same contract:
 //
 //   - unary calls are request/response pairs correlated by call id;
@@ -339,18 +341,6 @@ type tcpReset struct {
 	Err *WireError
 }
 
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeGob(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
-
 type unaryResult struct {
 	m   any
 	err error
@@ -365,7 +355,20 @@ type tcpConn struct {
 	nc       net.Conn
 	hostport string // "" on accepted connections
 
-	wmu sync.Mutex // serializes whole-frame writes
+	// Write side. wmu makes encode + Write one critical section: the
+	// encoder sends a type's descriptor once per connection, so frames
+	// must reach the socket in the order they were encoded.
+	wmu  sync.Mutex
+	wbuf bytes.Buffer // the frame being built: header space, then enc's output
+	enc  *gob.Encoder // writes into wbuf
+
+	// Read side, owned by readLoop. Payloads are fed to dec in arrival
+	// order; it keeps the type descriptors and decode engines of every
+	// frame before.
+	br   *bufio.Reader
+	rbuf []byte       // payload buffer for frames up to connBufLen
+	rd   bytes.Reader // the current payload
+	dec  *gob.Decoder // reads from rd
 
 	mu       sync.Mutex
 	nextID   uint32
@@ -382,12 +385,20 @@ type tcpConn struct {
 	cancel context.CancelFunc
 }
 
+// connBufLen sizes a connection's socket read-ahead and its payload
+// buffer, and caps the write buffer kept between frames: a bigger message
+// gets a buffer of its own and gives it up afterwards, so one large read
+// response does not stay pinned per connection.
+const connBufLen = 32 << 10
+
 func newTCPConn(t *TCPTransport, nc net.Conn, hostport string) *tcpConn {
 	ctx, cancel := context.WithCancel(t.ctx)
-	return &tcpConn{
+	c := &tcpConn{
 		t:        t,
 		nc:       nc,
 		hostport: hostport,
+		br:       bufio.NewReaderSize(nc, connBufLen),
+		rbuf:     make([]byte, connBufLen),
 		calls:    make(map[uint32]chan unaryResult),
 		cancels:  make(map[uint32]context.CancelFunc),
 		opens:    make(map[uint32]chan *WireError),
@@ -397,6 +408,9 @@ func newTCPConn(t *TCPTransport, nc net.Conn, hostport string) *tcpConn {
 		ctx:      ctx,
 		cancel:   cancel,
 	}
+	c.enc = gob.NewEncoder(&c.wbuf)
+	c.dec = gob.NewDecoder(&c.rd)
+	return c
 }
 
 func (c *tcpConn) isDead() bool {
@@ -443,21 +457,27 @@ func (c *tcpConn) fail(err error) {
 	c.t.removeConn(c)
 }
 
-// writeFrame gob-encodes body (nil for a bare frame) and writes one
-// frame. A write failure kills the connection.
+// writeFrame appends body (nil for a bare frame) to the connection's gob
+// stream and writes the segment as one frame. Either failure kills the
+// connection: after a failed write framing is lost, and after a failed
+// encode the encoder may count a type descriptor as sent that the peer
+// never received, so nothing encoded later could be decoded.
 func (c *tcpConn) writeFrame(typ frameType, id uint32, body any) error {
-	var payload []byte
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf.Reset()
+	c.wbuf.Write(make([]byte, frameHeaderLen))
 	if body != nil {
-		var err error
-		payload, err = encodeGob(body)
-		if err != nil {
+		if err := c.enc.Encode(body); err != nil {
+			c.fail(fmt.Errorf("%w: connection to %s closed: a message could not be encoded: %v", ErrDropped, c.nc.RemoteAddr(), err))
 			return fmt.Errorf("rpc: encode frame %d: %w", typ, err)
 		}
 	}
-	buf := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), typ, id, payload)
-	c.wmu.Lock()
-	_, err := c.nc.Write(buf)
-	c.wmu.Unlock()
+	putFrameHeader(c.wbuf.Bytes(), typ, id)
+	_, err := c.nc.Write(c.wbuf.Bytes())
+	if c.wbuf.Cap() > connBufLen {
+		c.wbuf = bytes.Buffer{}
+	}
 	if err != nil {
 		werr := fmt.Errorf("%w: write to %s: %v", ErrDropped, c.nc.RemoteAddr(), err)
 		c.fail(werr)
@@ -468,7 +488,7 @@ func (c *tcpConn) writeFrame(typ frameType, id uint32, body any) error {
 
 func (c *tcpConn) readLoop() {
 	for {
-		f, err := readFrame(c.nc)
+		f, err := readFrame(c.br, c.rbuf)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: connection to %s lost: %v", ErrDropped, c.nc.RemoteAddr(), err))
 			return
@@ -480,6 +500,20 @@ func (c *tcpConn) readLoop() {
 	}
 }
 
+// decode reads f's payload, the next segment of the peer's gob stream,
+// into v. A segment holds exactly one value (after any descriptors for
+// types it is the first to use).
+func (c *tcpConn) decode(f frame, v any) error {
+	c.rd.Reset(f.payload)
+	if err := c.dec.Decode(v); err != nil {
+		return err
+	}
+	if c.rd.Len() != 0 {
+		return fmt.Errorf("%d bytes after the message in a type %d frame", c.rd.Len(), f.typ)
+	}
+	return nil
+}
+
 // dispatch routes one frame. It must never block on application code:
 // the reader staying responsive is what keeps window/credit frames
 // flowing and prevents cross-stream head-of-line deadlock.
@@ -487,7 +521,7 @@ func (c *tcpConn) dispatch(f frame) error {
 	switch f.typ {
 	case ftUnaryReq:
 		var req tcpUnaryReq
-		if err := decodeGob(f.payload, &req); err != nil {
+		if err := c.decode(f, &req); err != nil {
 			return err
 		}
 		hctx, hcancel := context.WithCancel(c.ctx)
@@ -504,7 +538,7 @@ func (c *tcpConn) dispatch(f frame) error {
 		}
 	case ftUnaryResp:
 		var resp tcpUnaryResp
-		if err := decodeGob(f.payload, &resp); err != nil {
+		if err := c.decode(f, &resp); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -516,13 +550,13 @@ func (c *tcpConn) dispatch(f frame) error {
 		}
 	case ftStreamOpen:
 		var open tcpStreamOpen
-		if err := decodeGob(f.payload, &open); err != nil {
+		if err := c.decode(f, &open); err != nil {
 			return err
 		}
 		c.serveStreamOpen(f.id, open)
 	case ftStreamAccept:
 		var acc tcpStreamAccept
-		if err := decodeGob(f.payload, &acc); err != nil {
+		if err := c.decode(f, &acc); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -534,7 +568,7 @@ func (c *tcpConn) dispatch(f frame) error {
 		}
 	case ftStreamMsg:
 		var msg tcpStreamMsg
-		if err := decodeGob(f.payload, &msg); err != nil {
+		if err := c.decode(f, &msg); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -545,7 +579,7 @@ func (c *tcpConn) dispatch(f frame) error {
 		}
 	case ftStreamResp:
 		var msg tcpStreamMsg
-		if err := decodeGob(f.payload, &msg); err != nil {
+		if err := c.decode(f, &msg); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -556,7 +590,7 @@ func (c *tcpConn) dispatch(f frame) error {
 		}
 	case ftWindow:
 		var w tcpWindow
-		if err := decodeGob(f.payload, &w); err != nil {
+		if err := c.decode(f, &w); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -578,7 +612,7 @@ func (c *tcpConn) dispatch(f frame) error {
 		}
 	case ftReset:
 		var r tcpReset
-		if err := decodeGob(f.payload, &r); err != nil {
+		if err := c.decode(f, &r); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -589,7 +623,7 @@ func (c *tcpConn) dispatch(f frame) error {
 		}
 	case ftHandlerDone:
 		var r tcpReset
-		if err := decodeGob(f.payload, &r); err != nil {
+		if err := c.decode(f, &r); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -748,6 +782,21 @@ func (c *tcpConn) openStream(ctx context.Context, addr, method string, window in
 	return cs, nil
 }
 
+// popFront removes and returns the first message of a stream's receive
+// queue. It clears the slot and lets go of a drained queue's array, so a
+// delivered message (a multi-megabyte read batch, say) is not kept
+// reachable by the queue it has left.
+func popFront(q *[]any) any {
+	s := *q
+	m := s[0]
+	s[0] = nil
+	if s = s[1:]; len(s) == 0 {
+		s = nil
+	}
+	*q = s
+	return m
+}
+
 // tcpClientStream is the dialing end of one stream. Its flow-control
 // ledger mirrors the in-memory streamCore: inflight counts bytes written
 // but not yet credited back by the server's Recv, and the window bounds
@@ -840,8 +889,7 @@ func (cs *tcpClientStream) Recv() (any, error) {
 		cs.cond.Wait()
 	}
 	if len(cs.recvQ) > 0 {
-		m := cs.recvQ[0]
-		cs.recvQ = cs.recvQ[1:]
+		m := popFront(&cs.recvQ)
 		cs.mu.Unlock()
 		// Return the message's credit so the server may push more.
 		cs.conn.writeFrame(ftWindow, cs.id, &tcpWindow{Bytes: sizeOf(m)})
@@ -968,8 +1016,7 @@ func (ss *tcpServerStream) Recv() (any, error) {
 		ss.cond.Wait()
 	}
 	if len(ss.recvQ) > 0 {
-		m := ss.recvQ[0]
-		ss.recvQ = ss.recvQ[1:]
+		m := popFront(&ss.recvQ)
 		size := sizeOf(m)
 		ss.queuedBytes -= size
 		ss.mu.Unlock()

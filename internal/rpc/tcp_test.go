@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-func newTCPPair(t *testing.T) (caller *TCPTransport, host *TCPTransport, srv *Server) {
+func newTCPPair(t testing.TB) (caller *TCPTransport, host *TCPTransport, srv *Server) {
 	t.Helper()
 	srv = NewServer()
 	host = NewTCPTransport()
@@ -97,17 +97,7 @@ func TestTCPConnectionResetMapsToDropped(t *testing.T) {
 
 func TestTCPStreamDiesWithDroppedOnReset(t *testing.T) {
 	caller, host, srv := newTCPPair(t)
-	srv.RegisterStream("echo", func(_ context.Context, ss ServerStream) error {
-		for {
-			m, err := ss.Recv()
-			if err != nil {
-				return nil
-			}
-			if err := ss.Send(m); err != nil {
-				return nil
-			}
-		}
-	})
+	srv.RegisterStream("echo", echoStream)
 	cs, err := caller.OpenStream(context.Background(), "task", "echo", 1<<20)
 	if err != nil {
 		t.Fatalf("open: %v", err)

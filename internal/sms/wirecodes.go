@@ -1,8 +1,7 @@
 package sms
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"time"
 
@@ -23,28 +22,48 @@ func init() {
 	rpc.RegisterErrorCode("sms.dmlactive", ErrDMLActive)
 	rpc.RegisterErrorCode("sms.exhausted", ErrResourceExhausted)
 
-	type pushBackWire struct {
-		Scope      string
-		Resource   string
-		RetryAfter time.Duration
+	rpc.RegisterTypedError("sms.pushback", encodePushBack, decodePushBack)
+}
+
+// A push-back crosses the wire as its scope and resource, each a uvarint
+// length and that many bytes, then the retry hint in nanoseconds as a
+// varint.
+func encodePushBack(err error) ([]byte, bool) {
+	var pb *PushBackError
+	if !errors.As(err, &pb) {
+		return nil, false
 	}
-	rpc.RegisterTypedError("sms.pushback",
-		func(err error) ([]byte, bool) {
-			var pb *PushBackError
-			if !errors.As(err, &pb) {
-				return nil, false
-			}
-			var buf bytes.Buffer
-			if gob.NewEncoder(&buf).Encode(pushBackWire{pb.Scope, pb.Resource, pb.RetryAfter}) != nil {
-				return nil, false
-			}
-			return buf.Bytes(), true
-		},
-		func(b []byte) error {
-			var w pushBackWire
-			if gob.NewDecoder(bytes.NewReader(b)).Decode(&w) != nil {
-				return nil
-			}
-			return &PushBackError{Scope: w.Scope, Resource: w.Resource, RetryAfter: w.RetryAfter}
-		})
+	b := binary.AppendUvarint(nil, uint64(len(pb.Scope)))
+	b = append(b, pb.Scope...)
+	b = binary.AppendUvarint(b, uint64(len(pb.Resource)))
+	b = append(b, pb.Resource...)
+	return binary.AppendVarint(b, int64(pb.RetryAfter)), true
+}
+
+// decodePushBack returns nil for bytes encodePushBack did not write; the
+// caller then falls back to the error's text.
+func decodePushBack(b []byte) error {
+	scope, b, ok := cutString(b)
+	if !ok {
+		return nil
+	}
+	resource, b, ok := cutString(b)
+	if !ok {
+		return nil
+	}
+	retryAfter, n := binary.Varint(b)
+	if n <= 0 || n != len(b) {
+		return nil
+	}
+	return &PushBackError{Scope: scope, Resource: resource, RetryAfter: time.Duration(retryAfter)}
+}
+
+// cutString splits a length-prefixed string off the front of b.
+func cutString(b []byte) (string, []byte, bool) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(b)-w) {
+		return "", nil, false
+	}
+	end := w + int(n)
+	return string(b[w:end]), b[end:], true
 }

@@ -37,6 +37,11 @@ EOF
 # shellcheck disable=SC2086  # one argument per package
 go test -race -count=2 $race_twice
 
+# The transport micro-benchmarks (frame codec, TCP unary echo, stream
+# ping-pong with its credit frames) run one iteration each, so they
+# cannot rot between the PRs that read their numbers.
+go test -run '^$' -bench . -benchtime 1x ./internal/rpc/
+
 # Encoded-domain filtering must return what filtering row by row
 # returns: code-skip accounting on keyless and keyed tables, and
 # read-session serving against the row API as oracle.
@@ -64,6 +69,7 @@ wire      FuzzDecodeRecordBatch
 wire      FuzzSelectionGather
 disktier  FuzzDecodeEntry
 rpc       FuzzDecodeFrame
+rpc       FuzzConnFrames
 sql       FuzzParse
 EOF
 
