@@ -13,8 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -44,14 +46,14 @@ type conformanceTarget struct {
 	name string
 	// make registers srv at the returned address and returns the
 	// transport a client should call through.
-	make func(t *testing.T, srv *Server) (Transport, string)
+	make func(t testing.TB, srv *Server) (Transport, string)
 }
 
 func conformanceTargets() []conformanceTarget {
 	return []conformanceTarget{
 		{
 			name: "inmemory",
-			make: func(t *testing.T, srv *Server) (Transport, string) {
+			make: func(t testing.TB, srv *Server) (Transport, string) {
 				n := NewNetwork(nil)
 				n.Register("conf-srv", srv)
 				return n, "conf-srv"
@@ -59,7 +61,7 @@ func conformanceTargets() []conformanceTarget {
 		},
 		{
 			name: "tcp",
-			make: func(t *testing.T, srv *Server) (Transport, string) {
+			make: func(t testing.TB, srv *Server) (Transport, string) {
 				host := NewTCPTransport()
 				host.Register("conf-srv", srv)
 				hostport, err := host.Listen("127.0.0.1:0")
@@ -465,6 +467,13 @@ func TestConformanceOversizeMessageLockStep(t *testing.T) {
 		allow <- struct{}{}
 		<-got
 		<-got
+		// Every byte came back: the direction is idle again, so a second
+		// oversize message is admitted like the first.
+		if err := cs.Send(&confSized{N: 3, Size: 500}); err != nil {
+			t.Fatalf("second oversize send: %v", err)
+		}
+		allow <- struct{}{}
+		<-got
 		close(allow)
 	})
 }
@@ -693,6 +702,80 @@ func TestConformanceServerSendAfterClientCloseFails(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("server handler never finished")
 		}
+	})
+}
+
+func TestConformanceCloseJoinsHandler(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr Transport, addr string, srv *Server) {
+		started := make(chan struct{})
+		var returned atomic.Bool
+		srv.RegisterStream("linger", func(ctx context.Context, _ ServerStream) error {
+			close(started)
+			<-ctx.Done()
+			// Long enough that a Close which does not wait is seen not to.
+			time.Sleep(50 * time.Millisecond)
+			returned.Store(true)
+			return nil
+		})
+		cs, err := tr.OpenStream(context.Background(), addr, "linger", 1024)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		<-started
+		cs.Close()
+		if !returned.Load() {
+			t.Fatal("Close returned before the handler did")
+		}
+		if err := cs.Send(&confMsg{}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("send on a closed stream: want ErrClosed, got %v", err)
+		}
+		if _, err := cs.Recv(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("recv on a closed stream: want ErrClosed, got %v", err)
+		}
+	})
+}
+
+func TestConformanceDeliveredMessageIsReleased(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr Transport, addr string, srv *Server) {
+		srv.RegisterStream("pair", func(ctx context.Context, ss ServerStream) error {
+			for i := 0; i < 2; i++ {
+				if err := ss.Send(&confSized{N: i, Size: 10}); err != nil {
+					return err
+				}
+			}
+			<-ctx.Done() // the stream, and so its queue, outlives the check
+			return nil
+		})
+		cs, err := tr.OpenStream(context.Background(), addr, "pair", 1024)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer cs.Close()
+		// With both messages queued, taking the first leaves the queue's
+		// array in use: only a cleared slot lets the message go.
+		end := cs.(*streamEnd)
+		eventually(t, func() bool {
+			end.mu.Lock()
+			defer end.mu.Unlock()
+			return len(end.inbox) == 2
+		}, "both messages should be queued at the client end")
+		collected := make(chan struct{})
+		func() {
+			m, err := cs.Recv()
+			if err != nil {
+				t.Fatalf("recv: %v", err)
+			}
+			runtime.SetFinalizer(m.(*confSized), func(*confSized) { close(collected) })
+		}()
+		eventually(t, func() bool {
+			runtime.GC()
+			select {
+			case <-collected:
+				return true
+			default:
+				return false
+			}
+		}, "a delivered message should not stay reachable from the stream's queue")
 	})
 }
 

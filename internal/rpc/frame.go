@@ -40,7 +40,8 @@ const (
 	// maxFramePayload bounds a single frame. It is deliberately far above
 	// any message the engine produces (fragments rotate at tens of MB)
 	// while still rejecting absurd lengths from corrupt or hostile peers
-	// before any allocation happens.
+	// before any allocation happens; below it, readFrame commits memory
+	// only as payload bytes arrive.
 	maxFramePayload = 256 << 20
 )
 
@@ -130,6 +131,12 @@ func decodeFrame(b []byte) (frame, int, error) {
 	return frame{typ: typ, id: id, payload: payload}, total, nil
 }
 
+// payloadStep is the most readFrame allocates on a header's say-so. The
+// length field is a claim by the peer, not data: a payload within the
+// step gets one slice of exactly its size, a longer one a slice that
+// doubles as its bytes actually arrive.
+const payloadStep = 1 << 20
+
 // readFrame reads and validates one frame from r. The payload is read
 // into buf when it fits and into a fresh slice otherwise, so the frame is
 // valid only until buf is next written. An io error mid-frame (including
@@ -148,15 +155,22 @@ func readFrame(r *bufio.Reader, buf []byte) (frame, error) {
 		return frame{}, err
 	}
 	r.Discard(frameHeaderLen) // cannot fail: Peek just returned these bytes
-	if uint32(cap(buf)) < length {
-		buf = make([]byte, length)
+	n := int(length)
+	if cap(buf) < n {
+		buf = make([]byte, min(n, payloadStep))
 	}
-	payload := buf[:length]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	payload := buf[:min(n, len(buf))]
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return frame{}, fmt.Errorf("%w: partial frame: %v", errBadFrame, err)
 		}
-		return frame{}, fmt.Errorf("%w: partial frame: %v", errBadFrame, err)
+		if got = len(payload); got == n {
+			break
+		}
+		payload = append(payload, make([]byte, min(n-got, got))...)
 	}
 	if crc32.Checksum(payload, crcTable) != crc {
 		return frame{}, fmt.Errorf("%w: payload checksum mismatch", errBadFrame)

@@ -9,16 +9,15 @@
 //     can throttle ingress when too much data is in flight.
 //
 // Fault injection (partitions, deregistered servers) and latency
-// injection (per-hop and per-byte, from the latency model) happen here,
-// so every caller exercises the same failure surface the production
-// system has.
+// injection (one sampled delay per hop, from the latency model) happen
+// here, so every caller exercises the same failure surface the
+// production system has.
 package rpc
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"vortex/internal/latencymodel"
@@ -38,8 +37,8 @@ var (
 )
 
 // Sized is implemented by messages that know their wire size; it drives
-// flow-control accounting and the bandwidth latency term. Messages that
-// do not implement it are accounted at a nominal size.
+// flow-control accounting. Messages that do not implement it are
+// accounted at a nominal size.
 type Sized interface{ WireSize() int }
 
 const nominalMessageSize = 256
@@ -230,7 +229,7 @@ func (n *Network) lookup(addr string) (*Server, error) {
 	return s, nil
 }
 
-func (n *Network) hop(size int) {
+func (n *Network) hop() {
 	if n.sampler == nil {
 		return
 	}
@@ -265,7 +264,7 @@ func (n *Network) Unary(ctx context.Context, addr, method string, req any) (any,
 		}
 	}
 	n.unaryCalls.Add(1)
-	n.hop(sizeOf(req))
+	n.hop()
 	// Chaos cut-point: the request may be dropped (or delayed) before the
 	// server sees it — the write never happens.
 	if err := n.inject(ctx, ChaosPointRequest, addr+"/"+method); err != nil {
@@ -279,7 +278,7 @@ func (n *Network) Unary(ctx context.Context, addr, method string, req any) (any,
 			return nil, cerr
 		}
 	}
-	n.hop(sizeOf(resp))
+	n.hop()
 	// Return the connection to the pool.
 	n.mu.Lock()
 	if n.idleConns[addr] < n.maxIdlePool {
@@ -289,44 +288,42 @@ func (n *Network) Unary(ctx context.Context, addr, method string, req any) (any,
 	return resp, err
 }
 
-// streamCore is the shared state of one bi-directional stream.
-type streamCore struct {
-	net  *Network
-	addr string
-
-	mu           sync.Mutex
-	sendQ        []any // client -> server
-	recvQ        []any // server -> client
-	inflight     int   // bytes sent by client, not yet received by server
-	respInflight int   // bytes sent by server, not yet received by client
-	window       int
-	sendDone     bool  // client called CloseSend
-	closed       bool  // stream torn down
-	err          error // terminal error
-	cond         *sync.Cond
+// memLink is the in-memory wiring of one direction of a stream: the
+// moves of the end `from` arrive at the end `to` by direct call. A
+// message crosses the simulated network on the way — partition check,
+// chaos cut-point, latency hop — and is counted once it has arrived.
+type memLink struct {
+	net      *Network
+	addr     string
+	from, to *streamEnd
+	point    string // the chaos cut-point messages of this direction cross
 }
 
-func (c *streamCore) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
+func (l *memLink) deliver(m any) error {
+	if l.point == ChaosPointStreamSend {
+		// Partition check on every request: a long-lived stream dies when
+		// the network does.
+		if _, err := l.net.lookup(l.addr); err != nil {
+			l.from.fail(err)
+			l.to.fail(err)
+			return err
+		}
 	}
-	c.closed = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	// Chaos cut-point: a request may be lost before the server sees it, a
+	// response after the server produced it — the reader must resume from
+	// its last checkpoint.
+	if err := l.net.inject(context.Background(), l.point, l.addr); err != nil {
+		return err
+	}
+	l.net.hop()
+	l.to.deliver(m)
+	l.net.streamMsgs.Add(1)
+	return nil
 }
 
-// memClientStream is the in-memory transport's client stream end.
-type memClientStream struct {
-	core   *streamCore
-	cancel context.CancelFunc
-	doneCh chan struct{} // closed when the handler returns
-}
-
-// memServerStream is the in-memory transport's server stream end.
-type memServerStream struct {
-	core *streamCore
-}
+func (l *memLink) credit(n int)    { l.to.credit(n) }
+func (l *memLink) halfClose()      { l.to.halfClose() }
+func (l *memLink) reset(err error) { l.to.reset(err) }
 
 // OpenStream establishes a long-lived bi-directional stream to
 // addr/method with the given flow-control window in bytes. The handler
@@ -348,182 +345,12 @@ func (n *Network) OpenStream(ctx context.Context, addr, method string, window in
 	if n.sampler != nil {
 		latencymodel.Sleep(n.sampler.ConnectionSetup())
 	}
-	core := &streamCore{net: n, addr: addr, window: window}
-	core.cond = sync.NewCond(&core.mu)
-	sctx, cancel := context.WithCancel(ctx)
-	cs := &memClientStream{core: core, cancel: cancel, doneCh: make(chan struct{})}
-	ss := &memServerStream{core: core}
-	go func() {
-		defer close(cs.doneCh)
-		err := h(sctx, ss)
-		if err == nil {
-			err = io.EOF
-		}
-		core.fail(err)
-		cancel()
-	}()
-	// Tear the stream down if the context is cancelled.
-	go func() {
-		<-sctx.Done()
-		core.fail(context.Cause(sctx))
-	}()
-	return cs, nil
-}
-
-// Send transmits one request to the server, blocking while the
-// flow-control window is exhausted — this is how the Stream Server
-// "throttles incoming appends when there is a large amount of data
-// in-flight" (§5.4.2).
-func (cs *memClientStream) Send(m any) error {
-	size := sizeOf(m)
-	c := cs.core
-	// Partition check on every message: a long-lived stream dies when
-	// the network does.
-	if _, err := c.net.lookup(c.addr); err != nil {
-		c.fail(err)
-		return err
-	}
-	if err := c.net.inject(context.Background(), ChaosPointStreamSend, c.addr); err != nil {
-		return err
-	}
-	c.net.hop(size)
-	c.mu.Lock()
-	// The window bounds *buffered* bytes, HTTP/2-style: a message larger
-	// than the whole window is still admitted once nothing else is in
-	// flight, so an undersized window degrades to lock-step transfer
-	// instead of wedging the stream.
-	for !c.closed && !c.sendDone && c.inflight+size > c.window && c.inflight > 0 {
-		c.cond.Wait()
-	}
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == io.EOF {
-			err = ErrClosed
-		}
-		return err
-	}
-	if c.sendDone {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.inflight += size
-	c.sendQ = append(c.sendQ, m)
-	c.net.streamMsgs.Add(1)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	return nil
-}
-
-// Recv returns the next response from the server, releasing its
-// flow-control credit so the server may push more. It returns io.EOF
-// when the handler finished cleanly and no responses remain.
-func (cs *memClientStream) Recv() (any, error) {
-	c := cs.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.recvQ) == 0 && !c.closed {
-		c.cond.Wait()
-	}
-	if len(c.recvQ) > 0 {
-		m := c.recvQ[0]
-		c.recvQ = c.recvQ[1:]
-		c.respInflight -= sizeOf(m)
-		c.cond.Broadcast()
-		return m, nil
-	}
-	return nil, c.err
-}
-
-// CloseSend signals that the client will send no more requests; the
-// server's Recv returns io.EOF after draining.
-func (cs *memClientStream) CloseSend() {
-	c := cs.core
-	c.mu.Lock()
-	c.sendDone = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// Close tears down the stream and waits for the handler to return.
-func (cs *memClientStream) Close() {
-	cs.core.fail(ErrClosed)
-	cs.cancel()
-	<-cs.doneCh
-}
-
-// Err returns the stream's terminal error, if any (io.EOF for a clean
-// handler completion).
-func (cs *memClientStream) Err() error {
-	c := cs.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Recv returns the next request from the client, blocking until one is
-// available. Receiving releases the message's flow-control credit. It
-// returns io.EOF after the client calls CloseSend and the queue drains.
-func (ss *memServerStream) Recv() (any, error) {
-	c := ss.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.sendQ) == 0 && !c.closed && !c.sendDone {
-		c.cond.Wait()
-	}
-	if len(c.sendQ) > 0 {
-		m := c.sendQ[0]
-		c.sendQ = c.sendQ[1:]
-		c.inflight -= sizeOf(m)
-		c.cond.Broadcast()
-		return m, nil
-	}
-	if c.closed && c.err != nil && c.err != io.EOF && !errors.Is(c.err, ErrClosed) {
-		return nil, c.err
-	}
-	return nil, io.EOF
-}
-
-// Send transmits one response to the client, blocking while the
-// response-direction flow-control window is exhausted. This is the
-// server-side mirror of ClientStream.Send: a slow reader draining a
-// record-batch stream throttles the server instead of letting it queue
-// unbounded bytes in transit.
-func (ss *memServerStream) Send(m any) error {
-	size := sizeOf(m)
-	c := ss.core
-	// Chaos cut-point: a response may be lost mid-stream after the server
-	// produced it — the reader must resume from its last checkpoint.
-	if err := c.net.inject(context.Background(), ChaosPointStreamResp, c.addr); err != nil {
-		return err
-	}
-	c.net.hop(size)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// As in ClientStream.Send, the window bounds buffered bytes: an
-	// oversized response is admitted once the direction is idle rather
-	// than failing the stream.
-	for !c.closed && c.respInflight+size > c.window && c.respInflight > 0 {
-		c.cond.Wait()
-	}
-	if c.closed {
-		if c.err != nil && c.err != io.EOF {
-			return c.err
-		}
-		return ErrClosed
-	}
-	c.respInflight += size
-	c.recvQ = append(c.recvQ, m)
-	c.net.streamMsgs.Add(1)
-	c.cond.Broadcast()
-	return nil
-}
-
-// InflightBytes reports the bytes currently counted against the
-// flow-control window (observable by tests and the Stream Server).
-func (ss *memServerStream) InflightBytes() int {
-	c := ss.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
+	client, server := newStreamEnd(window), newStreamEnd(window)
+	client.peer = &memLink{net: n, addr: addr, from: client, to: server, point: ChaosPointStreamSend}
+	server.peer = &memLink{net: n, addr: addr, from: server, to: client, point: ChaosPointStreamResp}
+	var sctx context.Context
+	sctx, server.cancel = context.WithCancel(ctx)
+	go server.serve(sctx, h)
+	go client.watch(ctx)
+	return client, nil
 }

@@ -3,12 +3,8 @@ package rpc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 type sizedMsg struct {
@@ -89,144 +85,6 @@ func TestPartitionBlocksTraffic(t *testing.T) {
 	}
 }
 
-func TestStreamEchoPipelined(t *testing.T) {
-	n := NewNetwork(nil)
-	n.Register("s", echoServer())
-	cs, err := n.OpenStream(context.Background(), "s", "echo", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pipeline sends without waiting for responses.
-	const msgs = 100
-	for i := 0; i < msgs; i++ {
-		if err := cs.Send(sizedMsg{id: i, size: 100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < msgs; i++ {
-		m, err := cs.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.(sizedMsg).id != i {
-			t.Fatalf("response %d arrived out of order: %v", i, m)
-		}
-	}
-	cs.CloseSend()
-	if _, err := cs.Recv(); err != io.EOF {
-		t.Fatalf("after clean close, Recv err = %v, want EOF", err)
-	}
-}
-
-func TestStreamFlowControlThrottles(t *testing.T) {
-	n := NewNetwork(nil)
-	s := NewServer()
-	gate := make(chan struct{})
-	var received atomic.Int64
-	s.RegisterStream("slow", func(_ context.Context, ss ServerStream) error {
-		for {
-			<-gate // only consume when the test allows
-			_, err := ss.Recv()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			received.Add(1)
-		}
-	})
-	n.Register("s", s)
-	cs, err := n.OpenStream(context.Background(), "s", "slow", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window fits two 400-byte messages; the third Send must block.
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < 3; i++ {
-			if err := cs.Send(sizedMsg{id: i, size: 400}); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("third send completed despite full window (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-		// Blocked, as required.
-	}
-	gate <- struct{}{} // server consumes one message, releasing credit
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("send did not unblock after credit release")
-	}
-	gate <- struct{}{}
-	gate <- struct{}{}
-	cs.CloseSend()
-	close(gate)
-	cs.Recv() // wait for handler exit via EOF path
-	if received.Load() != 3 {
-		t.Fatalf("server received %d messages, want 3", received.Load())
-	}
-}
-
-func TestStreamOversizeMessageLockStep(t *testing.T) {
-	// The window bounds *buffered* bytes, HTTP/2-style: a message larger
-	// than the whole window is still admitted when nothing is in flight,
-	// so an undersized window degrades to lock-step transfer instead of
-	// wedging the stream.
-	n := NewNetwork(nil)
-	n.Register("s", echoServer())
-	cs, err := n.OpenStream(context.Background(), "s", "echo", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := cs.Send(sizedMsg{id: i, size: 101}); err != nil {
-			t.Fatalf("oversize message %d rejected: %v", i, err)
-		}
-		m, err := cs.Recv()
-		if err != nil {
-			t.Fatalf("echo %d: %v", i, err)
-		}
-		if got := m.(sizedMsg).id; got != i {
-			t.Fatalf("echo %d returned id %d", i, got)
-		}
-	}
-	cs.CloseSend()
-	if _, err := cs.Recv(); err != io.EOF {
-		t.Fatalf("after CloseSend: %v, want EOF", err)
-	}
-}
-
-func TestStreamHandlerErrorPropagates(t *testing.T) {
-	n := NewNetwork(nil)
-	s := NewServer()
-	boom := errors.New("schema mismatch")
-	s.RegisterStream("fail", func(_ context.Context, ss ServerStream) error {
-		ss.Recv()
-		return boom
-	})
-	n.Register("s", s)
-	cs, err := n.OpenStream(context.Background(), "s", "fail", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Send(sizedMsg{size: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Recv(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want handler error", err)
-	}
-}
-
 func TestStreamDiesOnPartition(t *testing.T) {
 	n := NewNetwork(nil)
 	n.Register("s", echoServer())
@@ -243,95 +101,5 @@ func TestStreamDiesOnPartition(t *testing.T) {
 	n.SetPartitioned("s", true)
 	if err := cs.Send(sizedMsg{id: 2, size: 10}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("send through partition: err = %v", err)
-	}
-}
-
-func TestStreamContextCancel(t *testing.T) {
-	n := NewNetwork(nil)
-	s := NewServer()
-	s.RegisterStream("hang", func(ctx context.Context, ss ServerStream) error {
-		<-ctx.Done()
-		return ctx.Err()
-	})
-	n.Register("s", s)
-	ctx, cancel := context.WithCancel(context.Background())
-	cs, err := n.OpenStream(ctx, "s", "hang", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	if _, err := cs.Recv(); err == nil || err == io.EOF {
-		t.Fatalf("recv after cancel: err = %v, want cancellation", err)
-	}
-}
-
-func TestStreamCloseUnblocksAndStopsHandler(t *testing.T) {
-	n := NewNetwork(nil)
-	n.Register("s", echoServer())
-	cs, err := n.OpenStream(context.Background(), "s", "echo", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs.Close() // must wait for handler exit without deadlock
-	if err := cs.Send(sizedMsg{size: 1}); err == nil {
-		t.Fatal("send on closed stream accepted")
-	}
-}
-
-func TestConcurrentStreamsIsolated(t *testing.T) {
-	n := NewNetwork(nil)
-	n.Register("s", echoServer())
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cs, err := n.OpenStream(context.Background(), "s", "echo", 1<<20)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer cs.Close()
-			for i := 0; i < 50; i++ {
-				want := fmt.Sprintf("g%d-m%d", g, i)
-				if err := cs.Send(want); err != nil {
-					t.Error(err)
-					return
-				}
-				got, err := cs.Recv()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got != want {
-					t.Errorf("stream %d: got %v, want %v (cross-talk)", g, got, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-func TestServerSendAfterClientClose(t *testing.T) {
-	n := NewNetwork(nil)
-	s := NewServer()
-	errCh := make(chan error, 1)
-	s.RegisterStream("m", func(_ context.Context, ss ServerStream) error {
-		ss.Recv()
-		// Give the client time to Close.
-		time.Sleep(20 * time.Millisecond)
-		errCh <- ss.Send("late")
-		return nil
-	})
-	n.Register("s", s)
-	cs, err := n.OpenStream(context.Background(), "s", "m", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs.Send(sizedMsg{size: 1})
-	cs.Close()
-	if err := <-errCh; err == nil {
-		t.Fatal("server Send on torn-down stream accepted")
 	}
 }

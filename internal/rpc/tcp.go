@@ -7,7 +7,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -161,13 +160,7 @@ func (t *TCPTransport) Close() error {
 	}
 	t.closed = true
 	ln := t.ln
-	conns := make([]*tcpConn, 0, len(t.conns)+len(t.accepted))
-	for _, c := range t.conns {
-		conns = append(conns, c)
-	}
-	for c := range t.accepted {
-		conns = append(conns, c)
-	}
+	conns := t.allConns()
 	t.mu.Unlock()
 	t.cancel()
 	if ln != nil {
@@ -184,13 +177,7 @@ func (t *TCPTransport) Close() error {
 // Subsequent calls dial fresh connections.
 func (t *TCPTransport) AbortConnections() {
 	t.mu.Lock()
-	conns := make([]*tcpConn, 0, len(t.conns)+len(t.accepted))
-	for _, c := range t.conns {
-		conns = append(conns, c)
-	}
-	for c := range t.accepted {
-		conns = append(conns, c)
-	}
+	conns := t.allConns()
 	t.mu.Unlock()
 	for _, c := range conns {
 		if tc, ok := c.nc.(*net.TCPConn); ok {
@@ -198,6 +185,19 @@ func (t *TCPTransport) AbortConnections() {
 		}
 		c.nc.Close()
 	}
+}
+
+// allConns snapshots every established connection, dialed and accepted.
+// The caller holds t.mu.
+func (t *TCPTransport) allConns() []*tcpConn {
+	conns := make([]*tcpConn, 0, len(t.conns)+len(t.accepted))
+	for _, c := range t.conns {
+		conns = append(conns, c)
+	}
+	for c := range t.accepted {
+		conns = append(conns, c)
+	}
+	return conns
 }
 
 // Register attaches a server at the logical address addr; peers reach it
@@ -370,16 +370,14 @@ type tcpConn struct {
 	rd   bytes.Reader // the current payload
 	dec  *gob.Decoder // reads from rd
 
-	mu       sync.Mutex
-	nextID   uint32
-	calls    map[uint32]chan unaryResult
-	cancels  map[uint32]context.CancelFunc // inbound unary calls, by id
-	opens    map[uint32]chan *WireError
-	streams  map[uint32]*tcpClientStream
-	sstreams map[uint32]*tcpServerStream
-	dead     bool
-	deadErr  error
-	deadCh   chan struct{}
+	mu      sync.Mutex
+	nextID  uint32
+	calls   map[uint32]chan unaryResult
+	cancels map[uint32]context.CancelFunc // inbound unary calls, by id
+	streams map[uint32]*streamEnd         // client ends on a dialed connection, server ends on an accepted one
+	dead    bool
+	deadErr error
+	deadCh  chan struct{}
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -401,9 +399,7 @@ func newTCPConn(t *TCPTransport, nc net.Conn, hostport string) *tcpConn {
 		rbuf:     make([]byte, connBufLen),
 		calls:    make(map[uint32]chan unaryResult),
 		cancels:  make(map[uint32]context.CancelFunc),
-		opens:    make(map[uint32]chan *WireError),
-		streams:  make(map[uint32]*tcpClientStream),
-		sstreams: make(map[uint32]*tcpServerStream),
+		streams:  make(map[uint32]*streamEnd),
 		deadCh:   make(chan struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -419,7 +415,7 @@ func (c *tcpConn) isDead() bool {
 	return c.dead
 }
 
-// fail tears the connection down: every pending call, open and stream on
+// fail tears the connection down: every pending call and every stream on
 // it terminates with err (an ErrDropped-class error — the peer may have
 // acted on anything already written).
 func (c *tcpConn) fail(err error) {
@@ -431,13 +427,9 @@ func (c *tcpConn) fail(err error) {
 	c.dead = true
 	c.deadErr = err
 	calls := c.calls
-	opens := c.opens
 	streams := c.streams
-	sstreams := c.sstreams
 	c.calls = make(map[uint32]chan unaryResult)
-	c.opens = make(map[uint32]chan *WireError)
-	c.streams = make(map[uint32]*tcpClientStream)
-	c.sstreams = make(map[uint32]*tcpServerStream)
+	c.streams = make(map[uint32]*streamEnd)
 	close(c.deadCh)
 	c.mu.Unlock()
 	c.cancel()
@@ -445,14 +437,8 @@ func (c *tcpConn) fail(err error) {
 	for _, ch := range calls {
 		ch <- unaryResult{err: err}
 	}
-	for _, ch := range opens {
-		ch <- encodeWireError(err)
-	}
-	for _, cs := range streams {
-		cs.fail(err)
-	}
-	for _, ss := range sstreams {
-		ss.reset(err)
+	for _, e := range streams {
+		e.reset(err)
 	}
 	c.t.removeConn(c)
 }
@@ -559,79 +545,43 @@ func (c *tcpConn) dispatch(f frame) error {
 		if err := c.decode(f, &acc); err != nil {
 			return err
 		}
-		c.mu.Lock()
-		ch := c.opens[f.id]
-		delete(c.opens, f.id)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- acc.Err
+		if acc.Err != nil {
+			if e := c.stream(f.id, true); e != nil {
+				e.reset(decodeWireError(acc.Err))
+			}
+		} else if e := c.stream(f.id, false); e != nil {
+			select {
+			case e.accepted <- struct{}{}:
+			default: // not an end that is waiting to be accepted
+			}
 		}
-	case ftStreamMsg:
+	case ftStreamMsg, ftStreamResp:
 		var msg tcpStreamMsg
 		if err := c.decode(f, &msg); err != nil {
 			return err
 		}
-		c.mu.Lock()
-		ss := c.sstreams[f.id]
-		c.mu.Unlock()
-		if ss != nil {
-			ss.enqueue(msg.M)
-		}
-	case ftStreamResp:
-		var msg tcpStreamMsg
-		if err := c.decode(f, &msg); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		cs := c.streams[f.id]
-		c.mu.Unlock()
-		if cs != nil {
-			cs.enqueue(msg.M)
+		if e := c.stream(f.id, false); e != nil {
+			e.deliver(msg.M)
 		}
 	case ftWindow:
 		var w tcpWindow
 		if err := c.decode(f, &w); err != nil {
 			return err
 		}
-		c.mu.Lock()
-		cs := c.streams[f.id]
-		ss := c.sstreams[f.id]
-		c.mu.Unlock()
-		if cs != nil {
-			cs.credit(w.Bytes)
-		}
-		if ss != nil {
-			ss.credit(w.Bytes)
+		if e := c.stream(f.id, false); e != nil {
+			e.credit(w.Bytes)
 		}
 	case ftCloseSend:
-		c.mu.Lock()
-		ss := c.sstreams[f.id]
-		c.mu.Unlock()
-		if ss != nil {
-			ss.closeSend()
+		if e := c.stream(f.id, false); e != nil {
+			e.halfClose()
 		}
-	case ftReset:
+	case ftReset, ftHandlerDone:
 		var r tcpReset
 		if err := c.decode(f, &r); err != nil {
 			return err
 		}
-		c.mu.Lock()
-		ss := c.sstreams[f.id]
-		c.mu.Unlock()
-		if ss != nil {
-			ss.reset(decodeWireError(r.Err))
-		}
-	case ftHandlerDone:
-		var r tcpReset
-		if err := c.decode(f, &r); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		cs := c.streams[f.id]
-		delete(c.streams, f.id)
-		c.mu.Unlock()
-		if cs != nil {
-			cs.handlerDone(decodeWireError(r.Err))
+		if e := c.stream(f.id, true); e != nil {
+			e.reset(decodeWireError(r.Err))
 		}
 	default:
 		return fmt.Errorf("unexpected frame type %d", f.typ)
@@ -675,29 +625,64 @@ func (c *tcpConn) serveStreamOpen(id uint32, open tcpStreamOpen) {
 		c.writeFrame(ftStreamAccept, id, &tcpStreamAccept{Err: encodeWireError(err)})
 		return
 	}
-	hctx, hcancel := context.WithCancel(c.ctx)
-	ss := newTCPServerStream(c, id, open.Window, hcancel)
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		hcancel()
+	e := newStreamEnd(open.Window)
+	e.peer = tcpLink{c: c, id: id, msg: ftStreamResp, rst: ftHandlerDone}
+	var hctx context.Context
+	hctx, e.cancel = context.WithCancel(c.ctx)
+	if c.addStream(id, e) != nil {
+		e.cancel()
 		return
 	}
-	c.sstreams[id] = ss
-	c.mu.Unlock()
 	if c.writeFrame(ftStreamAccept, id, &tcpStreamAccept{}) != nil {
-		hcancel()
-		return
+		return // the connection is dead, and its failing has reset e
 	}
 	go func() {
-		herr := h(hctx, ss)
-		hcancel()
-		c.mu.Lock()
-		delete(c.sstreams, id)
-		c.mu.Unlock()
-		ss.finish(herr)
-		c.writeFrame(ftHandlerDone, id, &tcpReset{Err: encodeWireError(herr)})
+		e.serve(hctx, h)
+		c.stream(id, true)
 	}()
+}
+
+// tcpLink is the TCP wiring of a stream end's outgoing moves: each
+// becomes one frame on the connection. The incoming moves are the
+// peer's frames, which dispatch turns into calls on the local end.
+type tcpLink struct {
+	c        *tcpConn
+	id       uint32
+	msg, rst frameType // ftStreamMsg/ftReset from a client end, ftStreamResp/ftHandlerDone from a server end
+}
+
+func (l tcpLink) deliver(m any) error {
+	return l.c.writeFrame(l.msg, l.id, &tcpStreamMsg{M: m})
+}
+
+// The remaining moves have nobody to report a failed write to, and need
+// nobody: writeFrame fails the connection, which resets every end on it.
+
+func (l tcpLink) credit(n int)    { l.c.writeFrame(ftWindow, l.id, &tcpWindow{Bytes: n}) }
+func (l tcpLink) halfClose()      { l.c.writeFrame(ftCloseSend, l.id, nil) }
+func (l tcpLink) reset(err error) { l.c.writeFrame(l.rst, l.id, &tcpReset{Err: encodeWireError(err)}) }
+
+// addStream registers e under id, unless the connection is already dead.
+func (c *tcpConn) addStream(id uint32, e *streamEnd) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead {
+		return c.deadErr
+	}
+	c.streams[id] = e
+	return nil
+}
+
+// stream returns the end registered under id, nil if there is none, and
+// forgets it when drop is set.
+func (c *tcpConn) stream(id uint32, drop bool) *streamEnd {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.streams[id]
+	if drop {
+		delete(c.streams, id)
+	}
+	return e
 }
 
 func (c *tcpConn) newID() uint32 {
@@ -735,327 +720,34 @@ func (c *tcpConn) unary(ctx context.Context, addr, method string, req any) (any,
 
 func (c *tcpConn) openStream(ctx context.Context, addr, method string, window int) (ClientStream, error) {
 	id := c.newID()
-	acceptCh := make(chan *WireError, 1)
-	cs := newTCPClientStream(c, id, window)
-	c.mu.Lock()
-	if c.dead {
-		err := c.deadErr
-		c.mu.Unlock()
+	e := newStreamEnd(window)
+	e.peer = tcpLink{c: c, id: id, msg: ftStreamMsg, rst: ftReset}
+	e.accepted = make(chan struct{}, 1)
+	if err := c.addStream(id, e); err != nil {
 		return nil, err
 	}
-	c.opens[id] = acceptCh
-	c.streams[id] = cs
-	c.mu.Unlock()
 	if err := c.writeFrame(ftStreamOpen, id, &tcpStreamOpen{Addr: addr, Method: method, Window: window}); err != nil {
 		return nil, err
 	}
 	select {
-	case werr := <-acceptCh:
-		if werr != nil {
-			c.mu.Lock()
-			delete(c.streams, id)
-			c.mu.Unlock()
-			return nil, decodeWireError(werr)
+	case <-e.accepted:
+	case <-e.done:
+		// Refused, or the connection died — unless the accept and a quick
+		// handler's return have both arrived already.
+		select {
+		case <-e.accepted:
+		default:
+			return nil, e.Err()
 		}
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.opens, id)
-		delete(c.streams, id)
-		c.mu.Unlock()
-		c.writeFrame(ftReset, id, &tcpReset{Err: encodeWireError(ctx.Err())})
+		c.stream(id, true)
+		e.peer.reset(ctx.Err())
 		return nil, ctx.Err()
 	}
 	// Propagate caller cancellation as a stream reset for the life of the
 	// stream.
-	go func() {
-		select {
-		case <-ctx.Done():
-			err := context.Cause(ctx)
-			if err == nil {
-				err = context.Canceled
-			}
-			c.writeFrame(ftReset, id, &tcpReset{Err: encodeWireError(err)})
-			cs.fail(err)
-		case <-cs.doneCh:
-		}
-	}()
-	return cs, nil
-}
-
-// popFront removes and returns the first message of a stream's receive
-// queue. It clears the slot and lets go of a drained queue's array, so a
-// delivered message (a multi-megabyte read batch, say) is not kept
-// reachable by the queue it has left.
-func popFront(q *[]any) any {
-	s := *q
-	m := s[0]
-	s[0] = nil
-	if s = s[1:]; len(s) == 0 {
-		s = nil
-	}
-	*q = s
-	return m
-}
-
-// tcpClientStream is the dialing end of one stream. Its flow-control
-// ledger mirrors the in-memory streamCore: inflight counts bytes written
-// but not yet credited back by the server's Recv, and the window bounds
-// buffered bytes with the same oversize-degrades-to-lock-step rule.
-type tcpClientStream struct {
-	conn   *tcpConn
-	id     uint32
-	window int
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inflight int
-	recvQ    []any
-	sendDone bool
-	closed   bool
-	err      error
-	doneCh   chan struct{}
-	doneOnce sync.Once
-}
-
-func newTCPClientStream(c *tcpConn, id uint32, window int) *tcpClientStream {
-	cs := &tcpClientStream{conn: c, id: id, window: window, doneCh: make(chan struct{})}
-	cs.cond = sync.NewCond(&cs.mu)
-	return cs
-}
-
-func (cs *tcpClientStream) fail(err error) {
-	cs.mu.Lock()
-	if cs.err == nil {
-		cs.err = err
-	}
-	cs.closed = true
-	cs.cond.Broadcast()
-	cs.mu.Unlock()
-	cs.doneOnce.Do(func() { close(cs.doneCh) })
-}
-
-// handlerDone records the server handler's return. A nil error is the
-// clean completion the in-memory transport surfaces as io.EOF.
-func (cs *tcpClientStream) handlerDone(err error) {
-	if err == nil {
-		err = io.EOF
-	}
-	cs.fail(err)
-}
-
-func (cs *tcpClientStream) enqueue(m any) {
-	cs.mu.Lock()
-	cs.recvQ = append(cs.recvQ, m)
-	cs.cond.Broadcast()
-	cs.mu.Unlock()
-}
-
-func (cs *tcpClientStream) credit(bytes int) {
-	cs.mu.Lock()
-	cs.inflight -= bytes
-	if cs.inflight < 0 {
-		cs.inflight = 0
-	}
-	cs.cond.Broadcast()
-	cs.mu.Unlock()
-}
-
-func (cs *tcpClientStream) Send(m any) error {
-	size := sizeOf(m)
-	cs.mu.Lock()
-	for !cs.closed && !cs.sendDone && cs.inflight+size > cs.window && cs.inflight > 0 {
-		cs.cond.Wait()
-	}
-	if cs.closed {
-		err := cs.err
-		cs.mu.Unlock()
-		if err == io.EOF || err == nil {
-			err = ErrClosed
-		}
-		return err
-	}
-	if cs.sendDone {
-		cs.mu.Unlock()
-		return ErrClosed
-	}
-	cs.inflight += size
-	cs.mu.Unlock()
-	return cs.conn.writeFrame(ftStreamMsg, cs.id, &tcpStreamMsg{M: m})
-}
-
-func (cs *tcpClientStream) Recv() (any, error) {
-	cs.mu.Lock()
-	for len(cs.recvQ) == 0 && !cs.closed {
-		cs.cond.Wait()
-	}
-	if len(cs.recvQ) > 0 {
-		m := popFront(&cs.recvQ)
-		cs.mu.Unlock()
-		// Return the message's credit so the server may push more.
-		cs.conn.writeFrame(ftWindow, cs.id, &tcpWindow{Bytes: sizeOf(m)})
-		return m, nil
-	}
-	err := cs.err
-	cs.mu.Unlock()
-	return nil, err
-}
-
-func (cs *tcpClientStream) CloseSend() {
-	cs.mu.Lock()
-	already := cs.sendDone
-	cs.sendDone = true
-	cs.cond.Broadcast()
-	closed := cs.closed
-	cs.mu.Unlock()
-	if !already && !closed {
-		cs.conn.writeFrame(ftCloseSend, cs.id, nil)
-	}
-}
-
-func (cs *tcpClientStream) Close() {
-	cs.mu.Lock()
-	alreadyClosed := cs.closed
-	cs.mu.Unlock()
-	if !alreadyClosed {
-		cs.conn.writeFrame(ftReset, cs.id, &tcpReset{Err: encodeWireError(ErrClosed)})
-	}
-	cs.fail(ErrClosed)
-	// Wait for the remote handler to finish (its handlerDone frame) or
-	// for the connection to die — mirroring the in-memory Close, which
-	// joins the handler goroutine.
-	<-cs.doneCh
-}
-
-func (cs *tcpClientStream) Err() error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.err
-}
-
-// tcpServerStream is the accepting end of one stream, handed to the
-// registered StreamHandler.
-type tcpServerStream struct {
-	conn   *tcpConn
-	id     uint32
-	window int
-	cancel context.CancelFunc
-
-	mu           sync.Mutex
-	cond         *sync.Cond
-	recvQ        []any
-	queuedBytes  int // received, not yet Recv'd — the request-window debt
-	respInflight int // sent, not yet credited — the response-window debt
-	sendDone     bool
-	closed       bool
-	err          error
-}
-
-func newTCPServerStream(c *tcpConn, id uint32, window int, cancel context.CancelFunc) *tcpServerStream {
-	ss := &tcpServerStream{conn: c, id: id, window: window, cancel: cancel}
-	ss.cond = sync.NewCond(&ss.mu)
-	return ss
-}
-
-func (ss *tcpServerStream) enqueue(m any) {
-	ss.mu.Lock()
-	ss.recvQ = append(ss.recvQ, m)
-	ss.queuedBytes += sizeOf(m)
-	ss.cond.Broadcast()
-	ss.mu.Unlock()
-}
-
-func (ss *tcpServerStream) credit(bytes int) {
-	ss.mu.Lock()
-	ss.respInflight -= bytes
-	if ss.respInflight < 0 {
-		ss.respInflight = 0
-	}
-	ss.cond.Broadcast()
-	ss.mu.Unlock()
-}
-
-func (ss *tcpServerStream) closeSend() {
-	ss.mu.Lock()
-	ss.sendDone = true
-	ss.cond.Broadcast()
-	ss.mu.Unlock()
-}
-
-// reset terminates the stream from the client side (cancellation, Close,
-// or connection loss): the handler's context is cancelled and both
-// directions unblock.
-func (ss *tcpServerStream) reset(err error) {
-	ss.mu.Lock()
-	if ss.err == nil {
-		ss.err = err
-	}
-	ss.closed = true
-	ss.cond.Broadcast()
-	ss.mu.Unlock()
-	ss.cancel()
-}
-
-// finish marks the handler's own return so late Sends/Recvs fail rather
-// than touch a finished stream.
-func (ss *tcpServerStream) finish(err error) {
-	if err == nil {
-		err = io.EOF
-	}
-	ss.mu.Lock()
-	if ss.err == nil {
-		ss.err = err
-	}
-	ss.closed = true
-	ss.cond.Broadcast()
-	ss.mu.Unlock()
-}
-
-func (ss *tcpServerStream) Recv() (any, error) {
-	ss.mu.Lock()
-	for len(ss.recvQ) == 0 && !ss.closed && !ss.sendDone {
-		ss.cond.Wait()
-	}
-	if len(ss.recvQ) > 0 {
-		m := popFront(&ss.recvQ)
-		size := sizeOf(m)
-		ss.queuedBytes -= size
-		ss.mu.Unlock()
-		// Return the credit so the client may send more.
-		ss.conn.writeFrame(ftWindow, ss.id, &tcpWindow{Bytes: size})
-		return m, nil
-	}
-	if ss.closed && ss.err != nil && ss.err != io.EOF && !errors.Is(ss.err, ErrClosed) {
-		err := ss.err
-		ss.mu.Unlock()
-		return nil, err
-	}
-	ss.mu.Unlock()
-	return nil, io.EOF
-}
-
-func (ss *tcpServerStream) Send(m any) error {
-	size := sizeOf(m)
-	ss.mu.Lock()
-	for !ss.closed && ss.respInflight+size > ss.window && ss.respInflight > 0 {
-		ss.cond.Wait()
-	}
-	if ss.closed {
-		err := ss.err
-		ss.mu.Unlock()
-		if err != nil && err != io.EOF {
-			return err
-		}
-		return ErrClosed
-	}
-	ss.respInflight += size
-	ss.mu.Unlock()
-	return ss.conn.writeFrame(ftStreamResp, ss.id, &tcpStreamMsg{M: m})
-}
-
-func (ss *tcpServerStream) InflightBytes() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.queuedBytes
+	go e.watch(ctx)
+	return e, nil
 }
 
 func init() {

@@ -8,6 +8,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
@@ -176,17 +177,23 @@ func TestTCPDecodedBytesDoNotAliasReadBuffer(t *testing.T) {
 	}
 }
 
-func TestPopFrontReleasesDeliveredMessages(t *testing.T) {
-	backing := []any{"a", "b"}
-	q := backing
-	if m := popFront(&q); m != "a" || len(q) != 1 {
-		t.Fatalf("pop = %v, %d left", m, len(q))
+func TestInboxReleasesDeliveredMessages(t *testing.T) {
+	e := newStreamEnd(1 << 10)
+	e.peer = newStreamEnd(1 << 10) // an end is a streamPeer; this one only takes the credit
+	e.deliver("a")
+	e.deliver("b")
+	backing := e.inbox
+	if m, err := e.Recv(); m != "a" || err != nil || len(e.inbox) != 1 {
+		t.Fatalf("recv = %v, %v, %d left", m, err, len(e.inbox))
 	}
 	if backing[0] != nil {
-		t.Fatal("popped slot still references its message")
+		t.Fatal("the slot of a delivered message still references it")
 	}
-	if m := popFront(&q); m != "b" || q != nil {
-		t.Fatalf("pop = %v, queue %v; a drained queue must let go of its array", m, q)
+	if m, err := e.Recv(); m != "b" || err != nil || e.inbox != nil {
+		t.Fatalf("recv = %v, %v, inbox %v; a drained inbox must let go of its array", m, err, e.inbox)
+	}
+	if n := e.InflightBytes(); n != 0 {
+		t.Fatalf("%d bytes still counted against a drained inbox", n)
 	}
 }
 
@@ -229,6 +236,14 @@ func conversation() []byte {
 	return out
 }
 
+// hugeClaim is the opening of a frame whose header promises the largest
+// payload the format allows and whose sender then delivers a few bytes.
+func hugeClaim() []byte {
+	b := appendFrame(nil, ftUnaryReq, 1, []byte("a few bytes"))
+	binary.BigEndian.PutUint32(b[8:12], maxFramePayload)
+	return b
+}
+
 // FuzzConnFrames writes an arbitrary byte string to a host connection's
 // socket and hangs up. Whatever the bytes — valid frames, frames whose
 // payloads are not the gob the frame type promises, garbage — the read
@@ -252,6 +267,7 @@ func FuzzConnFrames(f *testing.F) {
 	// A stream message whose type descriptors never crossed this connection.
 	f.Add(valid[bytes.LastIndex(valid, []byte{frameMagic0, frameMagic1, frameVersion, byte(ftStreamMsg)}):])
 	f.Add([]byte("this is not a vortex frame at all--------"))
+	f.Add(hugeClaim()) // a header promising 256 MiB, then hang-up
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr := NewTCPTransport()
@@ -355,25 +371,31 @@ func BenchmarkTCPUnary(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPStreamPingPong is one append-sized message each way per
-// iteration plus the credit frame each Recv returns: four frames.
-func BenchmarkTCPStreamPingPong(b *testing.B) {
-	caller, _, srv := newTCPPair(b)
-	srv.RegisterStream("echo", echoStream)
-	cs, err := caller.OpenStream(context.Background(), "task", "echo", 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cs.Close()
-	msg := blobOf(1, 1400, 0xAB)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cs.Send(msg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cs.Recv(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkStreamPingPong is one append-sized message each way per
+// iteration plus the credit each Recv returns — over TCP, four frames;
+// in memory, the path every ingest append and read-session batch takes.
+func BenchmarkStreamPingPong(b *testing.B) {
+	for _, target := range conformanceTargets() {
+		b.Run(target.name, func(b *testing.B) {
+			srv := NewServer()
+			srv.RegisterStream("echo", echoStream)
+			tr, addr := target.make(b, srv)
+			cs, err := tr.OpenStream(context.Background(), addr, "echo", 1<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cs.Close()
+			msg := blobOf(1, 1400, 0xAB)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cs.Send(msg); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cs.Recv(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

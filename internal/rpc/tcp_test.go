@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -152,6 +153,33 @@ func TestTCPPartialFrameAndGarbageDoNotWedgeHost(t *testing.T) {
 	}
 	if resp.(*confMsg).ID != 3 {
 		t.Fatalf("bad resp %+v", resp)
+	}
+}
+
+func TestTCPHeaderClaimDoesNotAllocate(t *testing.T) {
+	// A length field is the peer's claim. One that promises 256 MiB and is
+	// followed by a hang-up must cost the host what arrived, not what was
+	// promised.
+	tr := NewTCPTransport()
+	defer tr.Close()
+	peer, nc := net.Pipe()
+	c := newTCPConn(tr, nc, "")
+	go func() {
+		peer.Write(hugeClaim())
+		peer.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.readLoop() // returns once the connection has failed
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("host allocated %d bytes for a frame of which a few arrived", grew)
+	}
+	c.mu.Lock()
+	err := c.deadErr
+	c.mu.Unlock()
+	if !errors.Is(err, ErrDropped) {
+		t.Fatalf("connection ended with %v, want an ErrDropped-class error", err)
 	}
 }
 

@@ -17,7 +17,10 @@ import "context"
 //     for multi-process clusters.
 //
 // Both obey the same contract, enforced by the cross-transport
-// conformance suite (conformance_test.go):
+// conformance suite (conformance_test.go). For streams that is by
+// construction: both ends of a stream, on either transport, are one type
+// (streamEnd, stream.go), and a transport only carries its four moves
+// to the peer.
 //
 //   - Unary returns ErrUnreachable for an unknown/unreachable address
 //     and ErrNoMethod for an unknown method, wrapping both with context;
@@ -29,7 +32,12 @@ import "context"
 //   - a handler returning nil surfaces io.EOF on the client Recv after
 //     the response queue drains; a handler error surfaces that error;
 //   - cancelling the OpenStream context tears the stream down on both
-//     ends.
+//     ends;
+//   - ClientStream.Close returns only after the handler has (its return
+//     has reached the client end, or the connection under the stream has
+//     died), so nothing the handler does can follow it;
+//   - a message handed out by Recv is released by the stream: the
+//     receive queue keeps no reference to it.
 type Transport interface {
 	// Unary performs one request/response call.
 	Unary(ctx context.Context, addr, method string, req any) (any, error)
@@ -56,7 +64,8 @@ type ClientStream interface {
 	// CloseSend signals that the client will send no more requests; the
 	// server's Recv returns io.EOF after draining.
 	CloseSend()
-	// Close tears down the stream and waits for the handler to finish.
+	// Close tears down the stream and waits for the handler to return.
+	// A handler must therefore end when its context does.
 	Close()
 	// Err returns the stream's terminal error, if any (io.EOF for a
 	// clean handler completion).
