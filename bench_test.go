@@ -141,7 +141,7 @@ func BenchmarkAppendBufferSize(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Append(ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+				if _, err := s.Append(ctx, rows); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -180,7 +180,7 @@ func BenchmarkPipelinedVsSerialAppends(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < batches; k++ {
-				if _, err := s.Append(ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+				if _, err := s.Append(ctx, rows); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -192,7 +192,7 @@ func BenchmarkPipelinedVsSerialAppends(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pending := make([]*client.PendingAppend, 0, batches)
 			for k := 0; k < batches; k++ {
-				p, err := s.AppendAsync(ctx, rows, client.AppendOptions{Offset: -1})
+				p, err := s.AppendAsync(ctx, rows)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -295,7 +295,7 @@ func BenchmarkUpsertMergeRead(b *testing.B) {
 		for j := range rows {
 			rows[j] = rows[j].WithChange(Upsert)
 		}
-		if _, err := s.Append(ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+		if _, err := s.Append(ctx, rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -239,7 +239,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	off, err := st.Append(r.Context(), rows, vortex.AppendOptions{Offset: -1})
+	off, err := st.Append(r.Context(), rows)
 	s.mu.Unlock()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)

@@ -46,7 +46,7 @@ func main() {
 		)
 	}
 	send := func(rows ...vortex.Row) {
-		if _, err := s.Append(ctx, rows, vortex.AppendOptions{Offset: -1}); err != nil {
+		if _, err := s.Append(ctx, rows); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -73,7 +73,7 @@ func Fig7(ctx context.Context, duration time.Duration, writers int, window time.
 			for time.Now().Before(deadline) {
 				rows := gen.EventRows(time.Now(), 16, time.Millisecond)
 				start := time.Now()
-				if _, err := s.Append(ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+				if _, err := s.Append(ctx, rows); err != nil {
 					errCh <- err
 					return
 				}
@@ -167,7 +167,7 @@ func Fig8(ctx context.Context, duration time.Duration) ([]Fig8Row, error) {
 					}
 					next = next.Add(interval)
 					start := time.Now()
-					if _, err := s.Append(ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+					if _, err := s.Append(ctx, rows); err != nil {
 						errCh <- err
 						return
 					}

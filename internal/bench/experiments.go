@@ -129,7 +129,7 @@ func UnaryVsBidi(ctx context.Context, streams, totalAppends int) ([]ConnRow, err
 			}
 			for k := 0; k < n; k++ {
 				rows := gen.EventRows(time.Now(), 4, time.Microsecond)
-				if _, err := s.Append(ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+				if _, err := s.Append(ctx, rows); err != nil {
 					return nil, err
 				}
 				appends++
@@ -198,7 +198,7 @@ func WOSvsROS(ctx context.Context, nRows int) ([]ScanRow, *query.Result, error) 
 		if lo+n > nRows {
 			n = nRows - lo
 		}
-		if _, err := s.Append(ctx, gen.SalesRows(lo%3, n), client.AppendOptions{Offset: -1}); err != nil {
+		if _, err := s.Append(ctx, gen.SalesRows(lo%3, n)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -317,7 +317,7 @@ func Recluster(ctx context.Context, rounds, rowsPerRound int) ([]ReclusterStep, 
 			if hi > len(rows) {
 				hi = len(rows)
 			}
-			if _, err := s.Append(ctx, rows[lo:hi], client.AppendOptions{Offset: -1}); err != nil {
+			if _, err := s.Append(ctx, rows[lo:hi]); err != nil {
 				return nil, err
 			}
 		}

@@ -49,7 +49,7 @@ func BenchmarkScanBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		for n := 0; n < benchRows; n += 256 {
-			if _, err := s.Append(ctx, gen.SalesRows(0, 256), client.AppendOptions{Offset: -1}); err != nil {
+			if _, err := s.Append(ctx, gen.SalesRows(0, 256)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -309,27 +309,6 @@ func (s *Stream) closeConn() {
 	s.failPending(fmt.Errorf("%w: connection closed", rpc.ErrClosed))
 }
 
-// AppendOptions is the legacy struct form of per-append options; it
-// implements AppendOption so existing callsites keep compiling.
-//
-// The zero value appends at the current end of the stream. Offset > 0
-// pins the landing offset (§4.2.2); use AtOffset(0) to pin offset zero.
-//
-// Deprecated: pass AtOffset / WithDeadline options instead.
-type AppendOptions struct {
-	// Offset, when > 0, is the stream offset the rows must land at.
-	// Zero or negative means "append at the current end".
-	Offset int64
-}
-
-func (o AppendOptions) applyAppend(c *appendConfig) {
-	if o.Offset > 0 {
-		c.offset = o.Offset
-	} else {
-		c.offset = -1
-	}
-}
-
 // Append appends rows and returns the stream offset of the first row.
 // It retries under the client's RetryPolicy — capped exponential
 // backoff with jitter, per-attempt deadlines, streamlet rotation across

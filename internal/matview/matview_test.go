@@ -82,7 +82,7 @@ func (e *env) append(table meta.TableID, rows ...schema.Row) {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	if _, err := s.Append(e.ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+	if _, err := s.Append(e.ctx, rows); err != nil {
 		e.t.Fatal(err)
 	}
 }

@@ -170,7 +170,7 @@ func (e *Engine) execMutation(ctx context.Context, table meta.TableID, where sql
 			if hi > len(reinsert) {
 				hi = len(reinsert)
 			}
-			if _, err := s.Append(ctx, reinsert[lo:hi], client.AppendOptions{Offset: -1}); err != nil {
+			if _, err := s.Append(ctx, reinsert[lo:hi]); err != nil {
 				return nil, err
 			}
 		}

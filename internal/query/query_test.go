@@ -78,7 +78,7 @@ func (e *qenv) ingest(t testing.TB, table meta.TableID, rows []schema.Row) {
 		if hi > len(rows) {
 			hi = len(rows)
 		}
-		if _, err := s.Append(e.ctx, rows[lo:hi], client.AppendOptions{Offset: -1}); err != nil {
+		if _, err := s.Append(e.ctx, rows[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func (e *qenv) seal(t testing.TB, table meta.TableID, rows []schema.Row) {
 		if hi > len(rows) {
 			hi = len(rows)
 		}
-		if _, err := s.Append(e.ctx, rows[lo:hi], client.AppendOptions{Offset: -1}); err != nil {
+		if _, err := s.Append(e.ctx, rows[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 	}

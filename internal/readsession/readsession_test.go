@@ -85,7 +85,7 @@ func (e *rsEnv) seal(t testing.TB, day, n int) {
 		for j := i; j < hi; j++ {
 			rows = append(rows, rsRow(day, j))
 		}
-		if _, err := s.Append(e.ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+		if _, err := s.Append(e.ctx, rows); err != nil {
 			t.Fatal(err)
 		}
 		e.clock.Advance(2 * time.Millisecond)
@@ -107,7 +107,7 @@ func (e *rsEnv) live(t testing.TB, day, n int) {
 	for j := 0; j < n; j++ {
 		rows = append(rows, rsRow(day, j))
 	}
-	if _, err := s.Append(e.ctx, rows, client.AppendOptions{Offset: -1}); err != nil {
+	if _, err := s.Append(e.ctx, rows); err != nil {
 		t.Fatal(err)
 	}
 	e.clock.Advance(2 * time.Millisecond)
@@ -415,7 +415,7 @@ func TestSessionShortArityRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		old := rsRow(0, len(sc.Fields)) // the writer's schema knowledge may lag: 4 values
-		if _, err := s.Append(e.ctx, []schema.Row{old}, client.AppendOptions{Offset: -1}); err != nil {
+		if _, err := s.Append(e.ctx, []schema.Row{old}); err != nil {
 			t.Fatal(err)
 		}
 		if len(sc.Fields) == 4 {
@@ -426,7 +426,7 @@ func TestSessionShortArityRoundTrip(t *testing.T) {
 		}
 		wide := rsRow(1, 7)
 		wide.Values = append(wide.Values, schema.String("tagged"))
-		if _, err := s.Append(e.ctx, []schema.Row{wide}, client.AppendOptions{Offset: -1}); err != nil {
+		if _, err := s.Append(e.ctx, []schema.Row{wide}); err != nil {
 			t.Fatal(err)
 		}
 		e.clock.Advance(2 * time.Millisecond)

@@ -23,15 +23,27 @@ const (
 	fileMagic = "VXR1"
 	// dictionary encoding is chosen when it pays for itself.
 	maxDictSize = 1024
+
+	// maxColumnEntries caps the (rep, def) entries of one column. Run-
+	// length levels let a few bytes claim any number of entries, so
+	// unlike a row count this one is not bounded by the file's length.
+	// rowenc caps one collection at 1<<24 elements and files are written
+	// a few thousand rows or one WOS fragment at a time, so a column past
+	// it is not one this system writes; Finish refuses to, so that Open
+	// never refuses a file a Writer produced.
+	maxColumnEntries = 1 << 24
+	// levelCapHint is the most a level slice is sized up front.
+	levelCapHint = 1 << 16
 )
 
-// Encoding identifies how a column's values are stored.
+// Encoding identifies how a column's value page is stored: the wire
+// codec's encoding byte, so the two enums cannot drift.
 type Encoding byte
 
-// Column encodings.
+// The encodings the Writer chooses between.
 const (
-	EncodingPlain Encoding = iota
-	EncodingDict
+	EncodingPlain = Encoding(wire.BatchEncPlain)
+	EncodingDict  = Encoding(wire.BatchEncDict)
 )
 
 // ColumnStats are the per-column properties carried by every ROS file
@@ -199,6 +211,9 @@ func (w *Writer) Finish() ([]byte, error) {
 
 	out = binary.AppendUvarint(out, uint64(len(w.striper.cols)))
 	for _, c := range w.striper.cols {
+		if len(c.reps) > maxColumnEntries {
+			return nil, fmt.Errorf("ros: column %q has %d entries, a file holds at most %d", c.leaf.Path, len(c.reps), maxColumnEntries)
+		}
 		out = encodeColumn(out, c)
 	}
 	var crc [4]byte
@@ -212,24 +227,6 @@ func appendValueList(dst []byte, vs []schema.Value) []byte {
 		dst = rowenc.AppendValue(dst, v)
 	}
 	return dst
-}
-
-func decodeValueList(data []byte, pos int) ([]schema.Value, int, error) {
-	n, used := binary.Uvarint(data[pos:])
-	if used <= 0 || n > 1<<16 {
-		return nil, 0, ErrCorrupt
-	}
-	pos += used
-	out := make([]schema.Value, n)
-	for i := range out {
-		v, used, err := rowenc.DecodeValue(data[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		out[i] = v
-		pos += used
-	}
-	return out, pos, nil
 }
 
 // rleEncode run-length encodes a byte slice as (count, value) pairs.
@@ -247,23 +244,22 @@ func rleEncode(levels []uint8) []byte {
 	return out
 }
 
+// rleDecode expands total levels. Zero-length runs and runs past total
+// are refused, and the slice starts at no more than levelCapHint and
+// grows as runs arrive, so a header's count alone commits little.
 func rleDecode(data []byte, total int) ([]uint8, error) {
-	out := make([]uint8, 0, total)
+	out := make([]uint8, 0, min(total, levelCapHint))
 	pos := 0
 	for len(out) < total {
 		n, used := binary.Uvarint(data[pos:])
-		if used <= 0 || int(n) > total-len(out) {
-			return nil, ErrCorrupt
-		}
 		pos += used
-		if pos >= len(data) && n > 0 {
+		if used <= 0 || n == 0 || n > uint64(total-len(out)) || pos >= len(data) {
 			return nil, ErrCorrupt
 		}
-		v := data[pos]
-		pos++
 		for k := uint64(0); k < n; k++ {
-			out = append(out, v)
+			out = append(out, data[pos])
 		}
+		pos++
 	}
 	if pos != len(data) {
 		return nil, ErrCorrupt
@@ -298,11 +294,9 @@ func encodeColumn(out []byte, c *columnData) []byte {
 	out = binary.AppendUvarint(out, uint64(len(defs)))
 	out = append(out, defs...)
 
-	// Values: choose dictionary encoding when it pays.
-	enc, page := encodeValues(c.values)
-	out = append(out, byte(enc))
-	out = binary.AppendUvarint(out, uint64(len(page)))
-	return append(out, page...)
+	// Values: encoding byte, page length, page — the wire codec's bytes.
+	page := encodeValues(c.values)
+	return wire.AppendColumn(out, &page, nil)
 }
 
 func computeStats(c *columnData) ColumnStats {
@@ -331,104 +325,17 @@ func computeStats(c *columnData) ColumnStats {
 	return s
 }
 
-func encodeValues(values []schema.Value) (Encoding, []byte) {
-	// Count distinct values by rendered key (cheap and kind-faithful for
-	// the scalar kinds we store).
+// encodeValues is the Writer's encoding policy, and only that: a
+// dictionary page when there are at least 8 values, at most maxDictSize
+// distinct ones and at most half as many distinct as values, a PLAIN
+// page otherwise. The bytes of either are wire.AppendColumn's.
+func encodeValues(values []schema.Value) wire.Vector {
 	if len(values) >= 8 {
-		distinct := make(map[string]int, maxDictSize+1)
-		keys := make([]string, len(values))
-		ok := true
-		for i, v := range values {
-			k := v.String()
-			keys[i] = k
-			if _, seen := distinct[k]; !seen {
-				if len(distinct) >= maxDictSize {
-					ok = false
-					break
-				}
-				distinct[k] = len(distinct)
-			}
-		}
-		if ok && len(distinct)*2 <= len(values) {
-			// Dictionary page: dict entries in first-seen order, then indexes.
-			var out []byte
-			out = binary.AppendUvarint(out, uint64(len(distinct)))
-			emitted := make(map[string]bool, len(distinct))
-			for i, v := range values {
-				if !emitted[keys[i]] {
-					emitted[keys[i]] = true
-					out = rowenc.AppendValue(out, v)
-				}
-			}
-			// Re-walk to emit dictionary ids in first-seen numbering.
-			ids := make(map[string]uint64, len(distinct))
-			next := uint64(0)
-			for _, k := range keys {
-				if _, seen := ids[k]; !seen {
-					ids[k] = next
-					next++
-				}
-			}
-			for _, k := range keys {
-				out = binary.AppendUvarint(out, ids[k])
-			}
-			return EncodingDict, out
+		if dict, codes, ok := wire.BuildDict(values, min(maxDictSize, len(values)/2)); ok {
+			return wire.DictVector("", dict, codes)
 		}
 	}
-	var out []byte
-	for _, v := range values {
-		out = rowenc.AppendValue(out, v)
-	}
-	return EncodingPlain, out
-}
-
-func decodeValues(enc Encoding, data []byte, n int) ([]schema.Value, error) {
-	switch enc {
-	case EncodingPlain:
-		out := make([]schema.Value, n)
-		pos := 0
-		for i := 0; i < n; i++ {
-			v, used, err := rowenc.DecodeValue(data[pos:])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-			pos += used
-		}
-		if pos != len(data) {
-			return nil, ErrCorrupt
-		}
-		return out, nil
-	case EncodingDict:
-		dn, used := binary.Uvarint(data)
-		if used <= 0 || dn > maxDictSize {
-			return nil, ErrCorrupt
-		}
-		pos := used
-		dict := make([]schema.Value, dn)
-		for i := range dict {
-			v, u, err := rowenc.DecodeValue(data[pos:])
-			if err != nil {
-				return nil, err
-			}
-			dict[i] = v
-			pos += u
-		}
-		out := make([]schema.Value, n)
-		for i := 0; i < n; i++ {
-			id, u := binary.Uvarint(data[pos:])
-			if u <= 0 || id >= dn {
-				return nil, ErrCorrupt
-			}
-			out[i] = dict[id]
-			pos += u
-		}
-		if pos != len(data) {
-			return nil, ErrCorrupt
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("%w: encoding %d", ErrCorrupt, enc)
+	return wire.PlainVector("", values)
 }
 
 // Column is one column chunk. Level and value pages are decoded lazily:
@@ -470,16 +377,47 @@ func (c *Column) materialize() error {
 	if err != nil {
 		return err
 	}
-	c.Defs, err = rleDecode(c.rawDefs, int(c.Stats.Entries))
+	c.Defs, err = c.defLevels()
 	if err != nil {
 		return err
 	}
-	c.Values, err = decodeValues(c.Stats.Encoding, c.rawValues, int(c.Stats.Values))
+	page, err := c.page()
 	if err != nil {
 		return err
 	}
+	c.Values = page.Gather(nil)
 	c.decoded = true
 	return nil
+}
+
+// page decodes the value page through the wire codec, in encoded form:
+// a dictionary page comes back as dictionary and codes.
+func (c *Column) page() (wire.Vector, error) {
+	v, err := wire.DecodeColumn(c.Leaf.Path, byte(c.Stats.Encoding), c.rawValues, int(c.Stats.Values))
+	if err != nil {
+		return v, fmt.Errorf("%w: column %q: %v", ErrCorrupt, c.Leaf.Path, err)
+	}
+	return v, nil
+}
+
+// defLevels decodes the definition levels and checks that the entries
+// they mark defined are exactly the value page's values, so whoever
+// pairs the two can index one by the other.
+func (c *Column) defLevels() ([]uint8, error) {
+	defs, err := rleDecode(c.rawDefs, int(c.Stats.Entries))
+	if err != nil {
+		return nil, err
+	}
+	defined := int64(0)
+	for _, d := range defs {
+		if int(d) == c.Leaf.MaxDef {
+			defined++
+		}
+	}
+	if defined != c.Stats.Values {
+		return nil, fmt.Errorf("%w: column %q defines %d entries, holds %d values", ErrCorrupt, c.Leaf.Path, defined, c.Stats.Values)
+	}
+	return defs, nil
 }
 
 // data decodes the column and returns it in the assembler's form.
@@ -492,7 +430,6 @@ func (c *Column) data() (*columnData, error) {
 
 // Reader provides access to one ROS file.
 type Reader struct {
-	fingerprint  uint64
 	rowCount     int64
 	partition    int64
 	hasPartition bool
@@ -510,6 +447,84 @@ type Reader struct {
 	nested   map[string]*wire.Vector
 }
 
+// cursor reads a file body front to back. A length is compared, as the
+// uvarint it was read as, against the bytes that remain, so none can
+// wrap negative or reach past the body.
+type cursor struct {
+	body []byte
+	pos  int
+}
+
+func (c *cursor) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(c.body[c.pos:])
+	if n <= 0 {
+		return 0, ErrCorrupt
+	}
+	c.pos += n
+	return v, nil
+}
+
+func (c *cursor) varint() (int64, error) {
+	v, n := binary.Varint(c.body[c.pos:])
+	if n <= 0 {
+		return 0, ErrCorrupt
+	}
+	c.pos += n
+	return v, nil
+}
+
+func (c *cursor) take(n uint64) ([]byte, error) {
+	if n > uint64(len(c.body)-c.pos) {
+		return nil, ErrCorrupt
+	}
+	b := c.body[c.pos : c.pos+int(n)]
+	c.pos += int(n)
+	return b, nil
+}
+
+// block reads a uvarint length and that many bytes.
+func (c *cursor) block() ([]byte, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	return c.take(n)
+}
+
+// flag reads a byte that must be 0 or 1.
+func (c *cursor) flag() (bool, error) {
+	b, err := c.take(1)
+	if err != nil || b[0] > 1 {
+		return false, ErrCorrupt
+	}
+	return b[0] == 1, nil
+}
+
+func (c *cursor) value() (schema.Value, error) {
+	v, n, err := rowenc.DecodeValue(c.body[c.pos:])
+	if err != nil {
+		return v, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	c.pos += n
+	return v, nil
+}
+
+// valueList reads a cluster-key list. Every value spends a byte, which
+// bounds the count before the list is sized by it.
+func (c *cursor) valueList() ([]schema.Value, error) {
+	n, err := c.uvarint()
+	if err != nil || n > uint64(len(c.body)-c.pos) {
+		return nil, ErrCorrupt
+	}
+	out := make([]schema.Value, n)
+	for i := range out {
+		if out[i], err = c.value(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // Open parses a ROS file image.
 func Open(data []byte) (*Reader, error) {
 	if len(data) < 4+1+8+4 || string(data[:4]) != fileMagic {
@@ -523,181 +538,125 @@ func Open(data []byte) (*Reader, error) {
 		return nil, fmt.Errorf("%w: version %d", ErrCorrupt, data[4])
 	}
 	r := &Reader{columns: make(map[string]*Column)}
-	r.fingerprint = binary.LittleEndian.Uint64(data[5:13])
-	pos := 13
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return 0, ErrCorrupt
-		}
-		pos += n
-		return v, nil
-	}
-	sv := func() (int64, error) {
-		v, n := binary.Varint(body[pos:])
-		if n <= 0 {
-			return 0, ErrCorrupt
-		}
-		pos += n
-		return v, nil
-	}
-	if _, err := uv(); err != nil { // schema version: written, never consulted
+	// Bytes 5..13 are the writer's schema fingerprint and the uvarint
+	// after them its schema version: written, never consulted (the
+	// caller resolves schema versions through the SMS).
+	c := &cursor{body: body, pos: 13}
+	if _, err := c.uvarint(); err != nil {
 		return nil, err
 	}
-	rc, err := uv()
-	if err != nil || rc > 1<<40 {
-		return nil, ErrCorrupt
+	rc, err := c.uvarint()
+	if err != nil {
+		return nil, err
 	}
-	r.rowCount = int64(rc)
-	if pos >= len(body) {
-		return nil, ErrCorrupt
+	if r.hasPartition, err = c.flag(); err != nil {
+		return nil, err
 	}
-	hasPart := body[pos]
-	pos++
-	if hasPart == 1 {
-		p, err := sv()
-		if err != nil {
+	if r.hasPartition {
+		if r.partition, err = c.varint(); err != nil {
 			return nil, err
 		}
-		r.partition, r.hasPartition = p, true
-	} else if hasPart != 0 {
-		return nil, ErrCorrupt
 	}
-	r.clusterMin, pos, err = decodeValueList(body, pos)
+	if r.clusterMin, err = c.valueList(); err != nil {
+		return nil, err
+	}
+	if r.clusterMax, err = c.valueList(); err != nil {
+		return nil, err
+	}
+	fb, err := c.block()
 	if err != nil {
 		return nil, err
 	}
-	r.clusterMax, pos, err = decodeValueList(body, pos)
-	if err != nil {
-		return nil, err
-	}
-	fl, err := uv()
-	if err != nil || pos+int(fl) > len(body) {
-		return nil, ErrCorrupt
-	}
-	r.filter, err = bloom.Unmarshal(body[pos : pos+int(fl)])
-	if err != nil {
+	if r.filter, err = bloom.Unmarshal(fb); err != nil {
 		return nil, fmt.Errorf("%w: bloom: %v", ErrCorrupt, err)
 	}
-	pos += int(fl)
 
-	// Row metadata.
-	if pos+int(r.rowCount) > len(body) {
-		return nil, ErrCorrupt
+	// Row metadata: a change byte and a sequence varint per row, which
+	// is what bounds the row count by the file's own length.
+	changes, err := c.take(rc)
+	if err != nil {
+		return nil, err
 	}
-	r.changes = append([]byte(nil), body[pos:pos+int(r.rowCount)]...)
-	pos += int(r.rowCount)
-	r.seqs = make([]int64, r.rowCount)
+	r.rowCount = int64(rc)
+	r.changes = append([]byte(nil), changes...)
+	r.seqs = make([]int64, rc)
 	for i := range r.seqs {
-		s, err := sv()
-		if err != nil {
+		if r.seqs[i], err = c.varint(); err != nil {
 			return nil, err
 		}
-		r.seqs[i] = s
 	}
 
-	ncols, err := uv()
+	ncols, err := c.uvarint()
 	if err != nil || ncols > 1<<16 {
 		return nil, ErrCorrupt
 	}
 	for i := 0; i < int(ncols); i++ {
-		col, next, err := decodeColumn(body, pos)
+		col, err := decodeColumn(c, r.rowCount)
 		if err != nil {
 			return nil, fmt.Errorf("column %d: %w", i, err)
 		}
 		r.columns[col.Leaf.Path] = col
 		r.order = append(r.order, col.Leaf.Path)
-		pos = next
 	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-pos)
+	if c.pos != len(body) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-c.pos)
 	}
 	return r, nil
 }
 
-func decodeColumn(body []byte, pos int) (*Column, int, error) {
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return 0, ErrCorrupt
-		}
-		pos += n
-		return v, nil
+// decodeColumn parses one column chunk's header and slices out its
+// three pages, which stay encoded until a scan asks for them. The entry
+// count is bounded here, before anything is sized by it: a flat column
+// has one entry per row, a repeated one at most maxColumnEntries.
+func decodeColumn(c *cursor, rowCount int64) (*Column, error) {
+	path, err := c.block()
+	if err != nil || len(path) > 1<<12 {
+		return nil, ErrCorrupt
 	}
-	plen, err := uv()
-	if err != nil || pos+int(plen) > len(body) || plen > 1<<12 {
-		return nil, 0, ErrCorrupt
-	}
-	path := string(body[pos : pos+int(plen)])
-	pos += int(plen)
-	if pos+3 > len(body) {
-		return nil, 0, ErrCorrupt
-	}
-	kind := schema.Kind(body[pos])
-	maxRep := int(body[pos+1])
-	maxDef := int(body[pos+2])
-	pos += 3
-	nEntries, err := uv()
-	if err != nil || nEntries > 1<<40 {
-		return nil, 0, ErrCorrupt
-	}
-	nValues, err := uv()
-	if err != nil || nValues > nEntries {
-		return nil, 0, ErrCorrupt
-	}
-	col := &Column{Leaf: schema.LeafColumn{Path: path, Kind: kind, MaxRep: maxRep, MaxDef: maxDef}}
-	col.Stats = ColumnStats{Path: path, Kind: kind, Entries: int64(nEntries), Values: int64(nValues)}
-	if pos >= len(body) {
-		return nil, 0, ErrCorrupt
-	}
-	hasRange := body[pos]
-	pos++
-	if hasRange == 1 {
-		mn, used, err := rowenc.DecodeValue(body[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		pos += used
-		mx, used, err := rowenc.DecodeValue(body[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		pos += used
-		col.Stats.Min, col.Stats.Max, col.Stats.HasRange = mn, mx, true
-	} else if hasRange != 0 {
-		return nil, 0, ErrCorrupt
-	}
-	nulls, err := uv()
+	hdr, err := c.take(3)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	col.Stats.NullCount = int64(nulls)
-
-	repLen, err := uv()
-	if err != nil || pos+int(repLen) > len(body) {
-		return nil, 0, ErrCorrupt
+	leaf := schema.LeafColumn{Path: string(path), Kind: schema.Kind(hdr[0]), MaxRep: int(hdr[1]), MaxDef: int(hdr[2])}
+	nEntries, err := c.uvarint()
+	if err != nil || nEntries > maxColumnEntries || (leaf.MaxRep == 0 && nEntries != uint64(rowCount)) {
+		return nil, fmt.Errorf("%w: column %q has %d entries for %d rows", ErrCorrupt, leaf.Path, nEntries, rowCount)
 	}
-	col.rawReps = body[pos : pos+int(repLen)]
-	pos += int(repLen)
-	defLen, err := uv()
-	if err != nil || pos+int(defLen) > len(body) {
-		return nil, 0, ErrCorrupt
+	nValues, err := c.uvarint()
+	if err != nil || nValues > nEntries {
+		return nil, ErrCorrupt
 	}
-	col.rawDefs = body[pos : pos+int(defLen)]
-	pos += int(defLen)
-	if pos >= len(body) {
-		return nil, 0, ErrCorrupt
+	col := &Column{Leaf: leaf}
+	col.Stats = ColumnStats{Path: leaf.Path, Kind: leaf.Kind, Entries: int64(nEntries), Values: int64(nValues), NullCount: int64(nEntries - nValues)}
+	if col.Stats.HasRange, err = c.flag(); err != nil {
+		return nil, err
 	}
-	enc := Encoding(body[pos])
-	pos++
-	col.Stats.Encoding = enc
-	vLen, err := uv()
-	if err != nil || pos+int(vLen) > len(body) {
-		return nil, 0, ErrCorrupt
+	if col.Stats.HasRange {
+		if col.Stats.Min, err = c.value(); err != nil {
+			return nil, err
+		}
+		if col.Stats.Max, err = c.value(); err != nil {
+			return nil, err
+		}
 	}
-	col.rawValues = body[pos : pos+int(vLen)]
-	pos += int(vLen)
-	return col, pos, nil
+	if nulls, err := c.uvarint(); err != nil || nulls != nEntries-nValues {
+		return nil, ErrCorrupt
+	}
+	if col.rawReps, err = c.block(); err != nil {
+		return nil, err
+	}
+	if col.rawDefs, err = c.block(); err != nil {
+		return nil, err
+	}
+	enc, err := c.take(1)
+	if err != nil {
+		return nil, err
+	}
+	col.Stats.Encoding = Encoding(enc[0])
+	if col.rawValues, err = c.block(); err != nil {
+		return nil, err
+	}
+	return col, nil
 }
 
 // RowCount returns the number of rows in the file.
@@ -853,9 +812,3 @@ func expandRow(full, fileSchema *schema.Schema, row schema.Row) schema.Row {
 	}
 	return schema.Row{Values: values}
 }
-
-// ChangeAt returns the change type of row i.
-func (r *Reader) ChangeAt(i int64) schema.ChangeType { return schema.ChangeType(r.changes[i]) }
-
-// SeqAt returns the sequence number of row i.
-func (r *Reader) SeqAt(i int64) int64 { return r.seqs[i] }

@@ -399,10 +399,10 @@ func TestChangeTypesAndSeqsPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.ChangeAt(0) != schema.ChangeUpsert || rd.ChangeAt(1) != schema.ChangeDelete {
+	if ch := rd.Changes(); schema.ChangeType(ch[0]) != schema.ChangeUpsert || schema.ChangeType(ch[1]) != schema.ChangeDelete {
 		t.Fatal("change types lost")
 	}
-	if rd.SeqAt(0) != 10 || rd.SeqAt(1) != 20 {
+	if seqs := rd.Seqs(); seqs[0] != 10 || seqs[1] != 20 {
 		t.Fatal("seqs lost")
 	}
 	rows, err := rd.Rows(s)

@@ -1,10 +1,16 @@
 // Package ros implements the read-optimized storage format (§5.1, §6.1)
 // — the stand-in for Capacitor/Parquet. Rows are shredded into columns
 // using Dremel repetition/definition levels (BigQuery's native model for
-// nested and repeated data), encoded per column with PLAIN or dictionary
-// encodings plus RLE'd levels, and stored with per-column statistics
-// (min/max, null counts) and a clustering-key bloom filter that Big
-// Metadata uses for partition elimination (§7.2).
+// nested and repeated data); each column's levels are run-length encoded
+// and its values stored as one PLAIN or dictionary page, with per-column
+// statistics (min/max, null counts) and a clustering-key bloom filter
+// that Big Metadata uses for partition elimination (§7.2).
+//
+// A value page is byte for byte a record-batch column, and this package
+// neither reads nor writes those bytes: internal/wire's column codec
+// does (AppendColumn, DecodeColumn, BuildDict). What ros keeps is the
+// policy — encodeValues decides when a dictionary pays — and everything
+// around the page: the file header, row metadata, levels, stats.
 package ros
 
 import (
@@ -221,8 +227,7 @@ func (a *assembler) assembleField(f *schema.Field, path string, def, repDepth in
 		}
 		if lead.peekDef() <= def {
 			// Undefined at this level: consume the null subtree entries.
-			a.consumeNullSubtree(f, path)
-			return schema.Null(), nil
+			return schema.Null(), a.consumeNullSubtree(f, path)
 		}
 		return a.assembleContent(f, path, def+1, repDepth)
 	case schema.Repeated:
@@ -234,8 +239,7 @@ func (a *assembler) assembleField(f *schema.Field, path string, def, repDepth in
 			return schema.Value{}, fmt.Errorf("ros: column %q exhausted mid-row", lead.col.leaf.Path)
 		}
 		if lead.peekDef() <= def {
-			a.consumeNullSubtree(f, path)
-			return schema.List(), nil
+			return schema.List(), a.consumeNullSubtree(f, path)
 		}
 		childRep := repDepth + 1
 		var elems []schema.Value
@@ -278,12 +282,19 @@ func (a *assembler) assembleContent(f *schema.Field, path string, def, repDepth 
 }
 
 // consumeNullSubtree advances one entry on every leaf under f.
-func (a *assembler) consumeNullSubtree(f *schema.Field, path string) {
+func (a *assembler) consumeNullSubtree(f *schema.Field, path string) error {
 	if f.Kind == schema.KindStruct {
 		for _, sub := range f.Fields {
-			a.consumeNullSubtree(sub, path+"."+sub.Name)
+			if err := a.consumeNullSubtree(sub, path+"."+sub.Name); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
-	a.byPath[path].take()
+	c := a.byPath[path]
+	if c.pos >= len(c.col.defs) {
+		return fmt.Errorf("ros: column %q exhausted mid-row", path)
+	}
+	c.take()
+	return nil
 }

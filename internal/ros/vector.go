@@ -1,10 +1,8 @@
 package ros
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/wire"
 )
@@ -28,7 +26,7 @@ func (r *Reader) Vectors(s *schema.Schema, projection map[string]bool) (vecs []w
 		if f.Kind == schema.KindStruct || f.Mode == schema.Repeated {
 			v, err = r.nestedVector(f)
 		} else if col := r.columns[f.Name]; col != nil {
-			v, err = col.vector(r.rowCount)
+			v, err = col.vector()
 		} else {
 			v = r.nullVector(f.Name)
 		}
@@ -117,109 +115,56 @@ func (r *Reader) Changes() []byte { return r.changes }
 // vector lazily builds (and memoizes) the column's encoded vector.
 // Unlike materialize, a null-free column skips level decoding entirely
 // and a dictionary column keeps its codes — nothing is expanded.
-func (c *Column) vector(rowCount int64) (*wire.Vector, error) {
+func (c *Column) vector() (*wire.Vector, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.vecDone {
 		return c.vec, c.vecErr
 	}
-	c.vec, c.vecErr = c.buildVector(rowCount)
+	c.vec, c.vecErr = c.buildVector()
 	c.vecDone = true
 	return c.vec, c.vecErr
 }
 
-func (c *Column) buildVector(rowCount int64) (*wire.Vector, error) {
-	if c.Leaf.MaxRep != 0 || c.Stats.Entries != rowCount {
+func (c *Column) buildVector() (*wire.Vector, error) {
+	if c.Leaf.MaxRep != 0 {
 		return nil, fmt.Errorf("%w: column %q is not flat", ErrCorrupt, c.Leaf.Path)
 	}
-	name := c.Leaf.Path
-	nulls := c.Stats.NullCount > 0
-	var defs []uint8
-	if nulls {
-		var err error
-		defs, err = rleDecode(c.rawDefs, int(c.Stats.Entries))
-		if err != nil {
-			return nil, err
-		}
+	page, err := c.page()
+	if err != nil {
+		return nil, err
 	}
-	switch c.Stats.Encoding {
-	case EncodingDict:
-		dict, codes, err := decodeDictPage(c.rawValues, int(c.Stats.Values))
-		if err != nil {
-			return nil, err
-		}
-		if !nulls {
-			v := wire.DictVector(name, dict, codes)
-			return &v, nil
-		}
+	if c.Stats.NullCount == 0 {
+		return &page, nil
+	}
+	defs, err := c.defLevels()
+	if err != nil {
+		return nil, err
+	}
+	if page.Enc == wire.BatchEncDict {
 		// Nulls become one extra dictionary entry, so code-space
 		// predicates see NULL like any other distinct value.
-		nullCode := uint32(len(dict))
-		dict = append(dict, schema.Null())
-		full := make([]uint32, rowCount)
-		vi := 0
-		for i := range full {
-			if int(defs[i]) == c.Leaf.MaxDef {
-				full[i] = codes[vi]
-				vi++
-			} else {
-				full[i] = nullCode
-			}
-		}
-		v := wire.DictVector(name, dict, full)
-		return &v, nil
-	default:
-		vals, err := decodeValues(c.Stats.Encoding, c.rawValues, int(c.Stats.Values))
-		if err != nil {
-			return nil, err
-		}
-		if !nulls {
-			v := wire.PlainVector(name, vals)
-			return &v, nil
-		}
-		full := make([]schema.Value, rowCount)
-		vi := 0
-		for i := range full {
-			if int(defs[i]) == c.Leaf.MaxDef {
-				full[i] = vals[vi]
-				vi++
-			} else {
-				full[i] = schema.Null()
-			}
-		}
-		v := wire.PlainVector(name, full)
+		v := wire.DictVector(page.Name, append(page.Dict, schema.Null()),
+			spread(defs, c.Leaf.MaxDef, page.Codes, uint32(len(page.Dict))))
 		return &v, nil
 	}
+	v := wire.PlainVector(page.Name, spread(defs, c.Leaf.MaxDef, page.Gather(nil), schema.Null()))
+	return &v, nil
 }
 
-// decodeDictPage decodes a dictionary value page without expanding
-// codes to values — the decode path of the code-space filter.
-func decodeDictPage(data []byte, n int) ([]schema.Value, []uint32, error) {
-	dn, used := binary.Uvarint(data)
-	if used <= 0 || dn > maxDictSize {
-		return nil, nil, ErrCorrupt
-	}
-	pos := used
-	dict := make([]schema.Value, dn)
-	for i := range dict {
-		v, u, err := rowenc.DecodeValue(data[pos:])
-		if err != nil {
-			return nil, nil, err
+// spread lays a value page out over the column's entries: the k-th
+// entry defs marks defined gets vals[k], every other entry null.
+// defLevels has checked that the defined entries number len(vals).
+func spread[T any](defs []uint8, maxDef int, vals []T, null T) []T {
+	full := make([]T, len(defs))
+	vi := 0
+	for i, d := range defs {
+		if int(d) == maxDef {
+			full[i] = vals[vi]
+			vi++
+		} else {
+			full[i] = null
 		}
-		dict[i] = v
-		pos += u
 	}
-	codes := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		id, u := binary.Uvarint(data[pos:])
-		if u <= 0 || id >= dn {
-			return nil, nil, ErrCorrupt
-		}
-		codes[i] = uint32(id)
-		pos += u
-	}
-	if pos != len(data) {
-		return nil, nil, ErrCorrupt
-	}
-	return dict, codes, nil
+	return full
 }

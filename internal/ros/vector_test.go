@@ -15,16 +15,26 @@ func flatSchema() *schema.Schema {
 	}}
 }
 
-func writeFlatFile(t *testing.T, s *schema.Schema, n int) *Reader {
-	t.Helper()
-	w := NewWriter(s)
+// flatRows generates n rows of flatSchema: a three-value region, a qty
+// that is NULL every fifth row, a unique id.
+func flatRows(n int) []schema.Row {
 	regions := []string{"us-west", "us-east", "eu-west"}
-	for i := 0; i < n; i++ {
+	rows := make([]schema.Row, n)
+	for i := range rows {
 		qty := schema.Null()
 		if i%5 != 0 {
 			qty = schema.Int64(int64(i % 7))
 		}
-		if err := w.Add(schema.NewRow(schema.String(regions[i%3]), qty, schema.Int64(int64(i))), int64(i)); err != nil {
+		rows[i] = schema.NewRow(schema.String(regions[i%3]), qty, schema.Int64(int64(i)))
+	}
+	return rows
+}
+
+func writeFlatFile(t *testing.T, s *schema.Schema, n int) *Reader {
+	t.Helper()
+	w := NewWriter(s)
+	for i, r := range flatRows(n) {
+		if err := w.Add(r, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

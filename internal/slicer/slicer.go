@@ -1,7 +1,7 @@
 // Package slicer simulates Slicer, Google's auto-sharding service, as
 // the Vortex control plane uses it (§5.2.1): it assigns keys (tables) to
 // tasks (SMS instances), redistributes assignments when tasks fail or
-// report load, and — crucially — is only *eventually* consistent:
+// keys run hot, and — crucially — is only *eventually* consistent:
 // "there can be rare times when two SMS tasks think that they both
 // manage the table's metadata". The simulation exposes that window
 // explicitly so tests can drive the double-ownership race the paper says
@@ -22,8 +22,8 @@ var ErrNoTasks = errors.New("slicer: no tasks registered")
 // Slicer assigns string keys to named tasks.
 type Slicer struct {
 	mu sync.Mutex
-	// tasks maps task name -> reported load.
-	tasks map[string]float64
+	// tasks is the set of registered task names.
+	tasks map[string]bool
 	// assign maps key -> current owner task.
 	assign map[string]string
 	// stale maps key -> previous owner that has not yet observed the
@@ -42,7 +42,7 @@ type Slicer struct {
 // notifying it".
 func New(notify func(key, task string)) *Slicer {
 	return &Slicer{
-		tasks:   make(map[string]float64),
+		tasks:   make(map[string]bool),
 		assign:  make(map[string]string),
 		stale:   make(map[string]string),
 		keyLoad: make(map[string]float64),
@@ -53,9 +53,7 @@ func New(notify func(key, task string)) *Slicer {
 // AddTask registers a task.
 func (s *Slicer) AddTask(task string) {
 	s.mu.Lock()
-	if _, ok := s.tasks[task]; !ok {
-		s.tasks[task] = 0
-	}
+	s.tasks[task] = true
 	s.mu.Unlock()
 }
 
@@ -92,6 +90,10 @@ func (s *Slicer) RemoveTask(task string) {
 func (s *Slicer) Tasks() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.tasksLocked()
+}
+
+func (s *Slicer) tasksLocked() []string {
 	out := make([]string, 0, len(s.tasks))
 	for t := range s.tasks {
 		out = append(out, t)
@@ -100,32 +102,18 @@ func (s *Slicer) Tasks() []string {
 	return out
 }
 
-// pickLocked chooses a task for key: the least-loaded task, breaking
-// ties by a stable hash so assignment is deterministic.
+// pickLocked chooses a task for a key that has none: a stable hash of
+// the key over the sorted task names, so first assignment is
+// deterministic and spreads keys evenly. Load plays no part here — it
+// moves keys afterwards, through RecordKeyLoad and RebalanceByLoad.
 func (s *Slicer) pickLocked(key string) (string, error) {
 	if len(s.tasks) == 0 {
 		return "", ErrNoTasks
 	}
-	names := make([]string, 0, len(s.tasks))
-	for t := range s.tasks {
-		names = append(names, t)
-	}
-	sort.Strings(names)
+	names := s.tasksLocked()
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	pref := h.Sum32() % uint32(len(names))
-	best := ""
-	var bestLoad float64
-	for i, t := range names {
-		load := s.tasks[t]
-		switch {
-		case best == "", load < bestLoad:
-			best, bestLoad = t, load
-		case load == bestLoad && uint32(i) == pref:
-			best = t
-		}
-	}
-	return best, nil
+	return names[h.Sum32()%uint32(len(names))], nil
 }
 
 // Lookup returns the task currently assigned to key, assigning one if
@@ -166,7 +154,7 @@ func (s *Slicer) Owns(task, key string) bool {
 // tests), leaving the previous owner in the stale window.
 func (s *Slicer) Reassign(key, task string) error {
 	s.mu.Lock()
-	if _, ok := s.tasks[task]; !ok {
+	if !s.tasks[task] {
 		s.mu.Unlock()
 		return fmt.Errorf("slicer: unknown task %q", task)
 	}
@@ -195,17 +183,6 @@ func (s *Slicer) Settle(key string) {
 func (s *Slicer) SettleAll() {
 	s.mu.Lock()
 	s.stale = make(map[string]string)
-	s.mu.Unlock()
-}
-
-// ReportLoad records a task's load. "Load balancing of metadata
-// operations across SMS tasks is achieved by reporting load information
-// to Slicer" (§5.2.1).
-func (s *Slicer) ReportLoad(task string, load float64) {
-	s.mu.Lock()
-	if _, ok := s.tasks[task]; ok {
-		s.tasks[task] = load
-	}
 	s.mu.Unlock()
 }
 
@@ -245,9 +222,10 @@ func (s *Slicer) StaleOwners() map[string]string {
 }
 
 // RebalanceByLoad redistributes keys using the accumulated per-key load
-// instead of raw key counts: under zipf-skewed popularity a task owning
-// one hot key can be busier than a task owning fifty cold ones, which
-// count-based Rebalance cannot see. It greedily moves the hottest keys
+// rather than key counts: under zipf-skewed popularity a task owning
+// one hot key can be busier than a task owning fifty cold ones. "Load
+// balancing of metadata operations across SMS tasks is achieved by
+// reporting load information to Slicer" (§5.2.1). It greedily moves the hottest keys
 // off the most loaded task onto the least loaded while the imbalance
 // exceeds 10%, at most maxMoves keys, leaving each moved key's previous
 // owner in the deliberate double-assignment window (§5.2.1) until
@@ -267,7 +245,7 @@ func (s *Slicer) RebalanceByLoad(maxMoves int) []string {
 		taskLoad[t] = 0
 	}
 	for key, t := range s.assign {
-		if _, ok := s.tasks[t]; !ok {
+		if !s.tasks[t] {
 			continue
 		}
 		owned[t] = append(owned[t], key)
@@ -331,48 +309,4 @@ func (s *Slicer) RebalanceByLoad(maxMoves int) []string {
 		}
 	}
 	return movedKeys
-}
-
-// Rebalance moves keys from the most loaded task to the least loaded
-// until their reported loads are within factor of each other, moving at
-// most maxMoves keys. It returns the number of keys moved. Loads are
-// treated as proportional to owned-key counts for the purpose of the
-// simulation's rebalancing decision.
-func (s *Slicer) Rebalance(maxMoves int) int {
-	s.mu.Lock()
-	owned := make(map[string][]string)
-	for key, t := range s.assign {
-		owned[t] = append(owned[t], key)
-	}
-	var moved []struct{ key, owner string }
-	for len(moved) < maxMoves {
-		var maxT, minT string
-		for t := range s.tasks {
-			if maxT == "" || len(owned[t]) > len(owned[maxT]) {
-				maxT = t
-			}
-			if minT == "" || len(owned[t]) < len(owned[minT]) {
-				minT = t
-			}
-		}
-		if maxT == "" || len(owned[maxT])-len(owned[minT]) <= 1 {
-			break
-		}
-		keys := owned[maxT]
-		sort.Strings(keys)
-		key := keys[len(keys)-1]
-		owned[maxT] = keys[:len(keys)-1]
-		owned[minT] = append(owned[minT], key)
-		s.stale[key] = maxT
-		s.assign[key] = minT
-		moved = append(moved, struct{ key, owner string }{key, minT})
-	}
-	notify := s.notify
-	s.mu.Unlock()
-	if notify != nil {
-		for _, m := range moved {
-			notify(m.key, m.owner)
-		}
-	}
-	return len(moved)
 }

@@ -2,7 +2,6 @@ package slicer
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -122,74 +121,6 @@ func TestRemoveLastTaskDropsAssignments(t *testing.T) {
 	s.RemoveTask("only")
 	if _, err := s.Lookup("k"); !errors.Is(err, ErrNoTasks) {
 		t.Fatalf("err = %v, want ErrNoTasks", err)
-	}
-}
-
-func TestLoadAwarePlacement(t *testing.T) {
-	s := New(nil)
-	s.AddTask("busy")
-	s.AddTask("idle")
-	s.ReportLoad("busy", 0.95)
-	s.ReportLoad("idle", 0.05)
-	for i := 0; i < 20; i++ {
-		owner, err := s.Lookup(fmt.Sprintf("fresh-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owner != "idle" {
-			t.Fatalf("key %d placed on the loaded task", i)
-		}
-	}
-}
-
-func TestRebalanceEvensKeyCounts(t *testing.T) {
-	s := New(nil)
-	s.AddTask("sms-0")
-	for i := 0; i < 10; i++ {
-		s.Lookup(fmt.Sprintf("t%d", i)) // all land on sms-0
-	}
-	s.AddTask("sms-1")
-	moved := s.Rebalance(100)
-	if moved == 0 {
-		t.Fatal("rebalance moved nothing")
-	}
-	counts := map[string]int{}
-	for i := 0; i < 10; i++ {
-		owner, _ := s.Lookup(fmt.Sprintf("t%d", i))
-		counts[owner]++
-	}
-	if counts["sms-0"] > 6 || counts["sms-1"] < 4 {
-		t.Fatalf("post-rebalance counts = %v", counts)
-	}
-	// Moved keys are in the stale window until settled.
-	stale := 0
-	for i := 0; i < 10; i++ {
-		k := fmt.Sprintf("t%d", i)
-		if s.Owns("sms-0", k) && s.Owns("sms-1", k) {
-			stale++
-		}
-	}
-	if stale != moved {
-		t.Fatalf("stale windows = %d, moved = %d", stale, moved)
-	}
-	s.SettleAll()
-	for i := 0; i < 10; i++ {
-		k := fmt.Sprintf("t%d", i)
-		if s.Owns("sms-0", k) && s.Owns("sms-1", k) {
-			t.Fatal("double ownership survived SettleAll")
-		}
-	}
-}
-
-func TestRebalanceRespectsMaxMoves(t *testing.T) {
-	s := New(nil)
-	s.AddTask("sms-0")
-	for i := 0; i < 10; i++ {
-		s.Lookup(fmt.Sprintf("t%d", i))
-	}
-	s.AddTask("sms-1")
-	if moved := s.Rebalance(2); moved != 2 {
-		t.Fatalf("moved %d keys, cap was 2", moved)
 	}
 }
 

@@ -6,12 +6,16 @@ import (
 	"sync"
 )
 
-// Placer chooses a Stream Server for a new streamlet "based on load and
-// health characteristics" (§5.2) and receives the load reports carried
-// by heartbeats (§5.5): the least-loaded live server wins, and the
-// replica pair is the server's home cluster plus the next cluster in
-// the region (§5.6). One implementation serves the in-process region
-// and the multi-process coordinator alike.
+// Placer chooses a Stream Server for a new streamlet. The paper places
+// "based on load and health characteristics" (§5.2); this one knows
+// health only — a server is live or dead, its home cluster in or out of
+// a scheduled outage — and spreads by count: the live server that has
+// been handed the fewest streamlets so far wins, ties going to the
+// lowest address. No load signal reaches it (heartbeats carry none), so
+// a server whose streamlets are hot and one whose streamlets are idle
+// look alike. The replica pair is the server's home cluster plus the
+// next cluster in the region (§5.6). One implementation serves the
+// in-process region and the multi-process coordinator alike.
 type Placer struct {
 	mu       sync.Mutex
 	clusters []string
@@ -23,7 +27,6 @@ type Placer struct {
 
 type placedServer struct {
 	cluster    string
-	load       float64
 	dead       bool
 	placements int
 }
@@ -66,17 +69,15 @@ func (p *Placer) Pick(exclude string) (string, [2]string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	type cand struct {
-		addr string
-		cost float64
+		addr       string
+		placements int
 	}
 	var cands, outCands []cand
 	for addr, st := range p.servers {
 		if st.dead || addr == exclude {
 			continue
 		}
-		// Load plus a placement-count term keeps assignment spread even
-		// before the first heartbeats arrive.
-		c := cand{addr, st.load + float64(st.placements)*0.01}
+		c := cand{addr, st.placements}
 		// Servers whose home cluster is in a scheduled outage are a last
 		// resort: every write of theirs would start degraded.
 		if p.clusterOut(st.cluster) {
@@ -92,8 +93,8 @@ func (p *Placer) Pick(exclude string) (string, [2]string, error) {
 		return "", [2]string{}, errors.New("sms: no healthy stream server available")
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
+		if cands[i].placements != cands[j].placements {
+			return cands[i].placements < cands[j].placements
 		}
 		return cands[i].addr < cands[j].addr
 	})
@@ -114,13 +115,4 @@ func (p *Placer) Pick(exclude string) (string, [2]string, error) {
 		}
 	}
 	return chosen, [2]string{home, second}, nil
-}
-
-// ReportLoad records one heartbeat's load information.
-func (p *Placer) ReportLoad(addr string, cpu, mem float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if st, ok := p.servers[addr]; ok {
-		st.load = cpu + mem
-	}
 }

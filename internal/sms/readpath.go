@@ -36,7 +36,6 @@ func (t *Task) colossus() *colossus.Region {
 
 func (t *Task) handleHeartbeat(_ context.Context, req any) (any, error) {
 	r := req.(*wire.HeartbeatRequest)
-	t.placer.ReportLoad(r.Server, r.CPULoad, r.MemLoad)
 
 	// Record liveness before anything can fail: a heartbeat that reaches
 	// us proves the server is up even if its deltas hit a txn abort.

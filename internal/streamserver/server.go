@@ -878,7 +878,6 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 		if req == nil {
 			req = &wire.HeartbeatRequest{
 				Server:           s.cfg.Addr,
-				Throughput:       float64(s.bytesAppended.Value()),
 				FullSnapshot:     full,
 				DeletedFragments: acks,
 			}
@@ -904,11 +903,7 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 		}
 		req := byTask[addr]
 		if req == nil {
-			req = &wire.HeartbeatRequest{
-				Server:       s.cfg.Addr,
-				Throughput:   float64(s.bytesAppended.Value()),
-				FullSnapshot: full,
-			}
+			req = &wire.HeartbeatRequest{Server: s.cfg.Addr, FullSnapshot: full}
 			byTask[addr] = req
 		}
 		if req.TableBytes == nil {

@@ -1,0 +1,242 @@
+// Column payloads: the one byte format a ROS value page and a
+// record-batch column share, and the only code that reads or writes it.
+//
+//	PLAIN  rows values back to back, each in the rowenc single-value codec
+//	DICT   uvarint n | n distinct values | one uvarint dictionary index per row
+//	RLE    (uvarint run length | value) until the runs cover rows
+//
+// On disk and on the wire a payload is preceded by its encoding byte and
+// its uvarint byte length; AppendColumn writes all three. The codec owns
+// the format; which encoding a column gets is its caller's policy — the
+// ROS writer's dictionary rule, EncodeRecordBatch's content chooser — and
+// reaches the codec as the Vector the caller built.
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"vortex/internal/rowenc"
+	"vortex/internal/schema"
+)
+
+// AppendColumn appends `encoding | uvarint length | payload` for the
+// selected rows of v, keeping v's encoding: a DICT vector emits a
+// dictionary compacted to the selection plus the selected codes, an RLE
+// vector its runs intersected with the selection.
+func AppendColumn(dst []byte, v *Vector, sel Selection) []byte {
+	enc, payload := columnPayload(v, sel)
+	dst = append(dst, enc)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	return append(dst, payload...)
+}
+
+func columnPayload(v *Vector, sel Selection) (byte, []byte) {
+	n := v.Len()
+	nSel := sel.Count(n)
+	var p []byte
+	switch {
+	case nSel == 0:
+		return BatchEncPlain, nil
+	case v.Enc == BatchEncDict:
+		// Compact the dictionary to the codes the selection actually
+		// uses (the decoder requires dictLen <= rows). If compaction
+		// leaves as many entries as rows, PLAIN is no bigger.
+		remap := make([]int32, len(v.Dict))
+		for i := range remap {
+			remap[i] = -1
+		}
+		var dict []schema.Value
+		codes := make([]uint32, 0, nSel)
+		_ = forEachSel(sel, n, func(i int32) error {
+			c := v.Codes[i]
+			if remap[c] < 0 {
+				remap[c] = int32(len(dict))
+				dict = append(dict, v.Dict[c])
+			}
+			codes = append(codes, uint32(remap[c]))
+			return nil
+		})
+		if len(dict) < nSel {
+			p = binary.AppendUvarint(p, uint64(len(dict)))
+			for _, d := range dict {
+				p = rowenc.AppendValue(p, d)
+			}
+			for _, c := range codes {
+				p = binary.AppendUvarint(p, uint64(c))
+			}
+			return BatchEncDict, p
+		}
+	case v.Enc == BatchEncRLE:
+		// Re-run the runs over the selection: adjacent selected rows in
+		// the same source run stay one run.
+		var runs []Run
+		ri, start := 0, int32(0)
+		_ = forEachSel(sel, n, func(i int32) error {
+			prev := ri
+			for ri < len(v.Runs) && i >= start+v.Runs[ri].Len {
+				start += v.Runs[ri].Len
+				ri++
+			}
+			if len(runs) > 0 && ri == prev && ri < len(v.Runs) {
+				runs[len(runs)-1].Len++
+				return nil
+			}
+			val := schema.Null()
+			if ri < len(v.Runs) {
+				val = v.Runs[ri].Value
+			}
+			runs = append(runs, Run{Len: 1, Value: val})
+			return nil
+		})
+		for _, r := range runs {
+			p = binary.AppendUvarint(p, uint64(r.Len))
+			p = rowenc.AppendValue(p, r.Value)
+		}
+		return BatchEncRLE, p
+	}
+	for _, val := range v.Gather(sel) {
+		p = rowenc.AppendValue(p, val)
+	}
+	return BatchEncPlain, p
+}
+
+// DecodeColumn decodes a payload of rows rows into a vector in encoded
+// form: DICT keeps its codes and RLE its runs, nothing is expanded. A
+// PLAIN or DICT payload spends at least one byte per row, so a row count
+// past the payload length is refused before anything is sized by it, and
+// runs are appended as their bytes arrive. Dictionary indexes and run
+// lengths are range-checked; bytes left over are an error. Every error
+// wraps ErrBatchCorrupt.
+func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, error) {
+	v := Vector{Name: name, Enc: enc}
+	if rows < 0 || rows > math.MaxInt32 || (enc != BatchEncRLE && rows > len(payload)) {
+		return v, fmt.Errorf("%w: %d rows in a %d-byte payload", ErrBatchCorrupt, rows, len(payload))
+	}
+	pos := 0
+	value := func() (schema.Value, error) {
+		val, n, err := rowenc.DecodeValue(payload[pos:])
+		if err != nil {
+			return val, fmt.Errorf("%w: %v", ErrBatchCorrupt, err)
+		}
+		pos += n
+		return val, nil
+	}
+	var err error
+	switch enc {
+	case BatchEncPlain:
+		v.Values = make([]schema.Value, rows)
+		for i := range v.Values {
+			if v.Values[i], err = value(); err != nil {
+				return v, err
+			}
+		}
+	case BatchEncRLE:
+		for covered := 0; covered < rows; {
+			runLen, n := binary.Uvarint(payload[pos:])
+			if n <= 0 || runLen == 0 || runLen > uint64(rows-covered) {
+				return v, fmt.Errorf("%w: run length", ErrBatchCorrupt)
+			}
+			pos += n
+			val, err := value()
+			if err != nil {
+				return v, err
+			}
+			v.Runs = append(v.Runs, Run{Len: int32(runLen), Value: val})
+			covered += int(runLen)
+		}
+	case BatchEncDict:
+		dictLen, n := binary.Uvarint(payload)
+		if n <= 0 || dictLen > uint64(rows) {
+			return v, fmt.Errorf("%w: dictionary length", ErrBatchCorrupt)
+		}
+		pos = n
+		v.Dict = make([]schema.Value, dictLen)
+		for i := range v.Dict {
+			if v.Dict[i], err = value(); err != nil {
+				return v, err
+			}
+		}
+		v.Codes = make([]uint32, rows)
+		for i := range v.Codes {
+			c, n := binary.Uvarint(payload[pos:])
+			if n <= 0 || c >= dictLen {
+				return v, fmt.Errorf("%w: dictionary index", ErrBatchCorrupt)
+			}
+			pos += n
+			v.Codes[i] = uint32(c)
+		}
+	default:
+		return v, fmt.Errorf("%w: encoding 0x%02x", ErrBatchCorrupt, enc)
+	}
+	if pos != len(payload) {
+		return v, fmt.Errorf("%w: %d trailing payload bytes", ErrBatchCorrupt, len(payload)-pos)
+	}
+	return v, nil
+}
+
+// BuildDict numbers the distinct values of vals in first-seen order,
+// equality being that of the canonical rowenc encoding. It gives up —
+// ok false — at the first value that would make the dictionary larger
+// than maxDistinct, so a caller whose policy caps the dictionary pays
+// for no more of a high-cardinality column than the cap.
+func BuildDict(vals []schema.Value, maxDistinct int) (dict []schema.Value, codes []uint32, ok bool) {
+	index := make(map[string]uint32)
+	codes = make([]uint32, len(vals))
+	var first []int32 // the row each dictionary entry first appears at
+	var key []byte
+	for i, v := range vals {
+		key = rowenc.AppendValue(key[:0], v)
+		c, seen := index[string(key)]
+		if !seen {
+			if len(first) >= maxDistinct {
+				return nil, nil, false
+			}
+			c = uint32(len(first))
+			index[string(key)] = c
+			first = append(first, int32(i))
+		}
+		codes[i] = c
+	}
+	dict = make([]schema.Value, len(first))
+	for c, i := range first {
+		dict[c] = vals[i]
+	}
+	return dict, codes, true
+}
+
+// chooseVector is EncodeRecordBatch's policy: RLE when values average
+// runs of at least two, DICT when at most half the values are distinct,
+// PLAIN otherwise. It depends on the content alone, so encode∘decode is
+// a fixpoint.
+func chooseVector(name string, vals []schema.Value) Vector {
+	n := len(vals)
+	var starts []int32 // first row of each run of equal values
+	var prev, cur []byte
+	for i, v := range vals {
+		cur = rowenc.AppendValue(cur[:0], v)
+		if i == 0 || !bytes.Equal(cur, prev) {
+			starts = append(starts, int32(i))
+		}
+		prev, cur = cur, prev
+	}
+	if n > 0 && len(starts)*2 <= n {
+		runs := make([]Run, len(starts))
+		for k, s := range starts {
+			end := int32(n)
+			if k+1 < len(starts) {
+				end = starts[k+1]
+			}
+			runs[k] = Run{Len: end - s, Value: vals[s]}
+		}
+		return RLEVector(name, runs)
+	}
+	if n > 0 {
+		if dict, codes, ok := BuildDict(vals, n/2); ok {
+			return DictVector(name, dict, codes)
+		}
+	}
+	return PlainVector(name, vals)
+}

@@ -1,13 +1,16 @@
 // Record-batch wire format: the self-describing columnar frame that
-// read-session shards stream to parallel consumers. A frame carries a
-// row count and named columns, each independently encoded as PLAIN
-// (every value), DICT (distinct values + indexes) or RLE (run-length
-// runs), with values in the rowenc single-value codec and the whole
-// frame CRC32C-framed end-to-end like append payloads (§5.4.5).
+// read-session shards stream to parallel consumers. A frame is a
+// header (magic VXRB, version, row count, column count), then per column
+// its name followed by `encoding | length | payload` — the column codec's
+// bytes (column.go), the same a ROS value page holds — and a CRC32C over
+// everything before it, end-to-end like append payloads (§5.4.5). This
+// file owns the framing and nothing below it: EncodeRecordBatch and
+// EncodeVectors write columns through AppendColumn, DecodeRecordBatch
+// reads them through DecodeColumn.
 //
-// The encoder picks each column's encoding deterministically from its
-// content, so encode∘decode is a fixpoint — the property the fuzz
-// target checks on every accepted input.
+// EncodeRecordBatch picks each column's encoding deterministically from
+// its content (chooseVector), so encode∘decode is a fixpoint — the
+// property the fuzz target checks on every accepted input.
 package wire
 
 import (
@@ -16,7 +19,6 @@ import (
 	"fmt"
 
 	"vortex/internal/blockenc"
-	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 )
 
@@ -56,78 +58,6 @@ type RecordBatch struct {
 	Cols    []BatchColumn
 }
 
-// valueKey returns an injective equality key for run/dictionary
-// detection: the value's canonical rowenc encoding.
-func valueKey(v schema.Value) string { return string(rowenc.AppendValue(nil, v)) }
-
-// chooseEncoding deterministically picks a column encoding: RLE when
-// values average runs of at least two, DICT when at most half the
-// values are distinct, PLAIN otherwise.
-func chooseEncoding(vals []schema.Value) byte {
-	n := len(vals)
-	if n == 0 {
-		return BatchEncPlain
-	}
-	runs := 1
-	for i := 1; i < n; i++ {
-		if valueKey(vals[i]) != valueKey(vals[i-1]) {
-			runs++
-		}
-	}
-	if runs*2 <= n {
-		return BatchEncRLE
-	}
-	distinct := make(map[string]struct{}, n)
-	for _, v := range vals {
-		distinct[valueKey(v)] = struct{}{}
-	}
-	if len(distinct)*2 <= n {
-		return BatchEncDict
-	}
-	return BatchEncPlain
-}
-
-func appendColumnPayload(dst []byte, enc byte, vals []schema.Value) []byte {
-	switch enc {
-	case BatchEncPlain:
-		for _, v := range vals {
-			dst = rowenc.AppendValue(dst, v)
-		}
-	case BatchEncRLE:
-		for i := 0; i < len(vals); {
-			j := i + 1
-			for j < len(vals) && valueKey(vals[j]) == valueKey(vals[i]) {
-				j++
-			}
-			dst = binary.AppendUvarint(dst, uint64(j-i))
-			dst = rowenc.AppendValue(dst, vals[i])
-			i = j
-		}
-	case BatchEncDict:
-		index := make(map[string]int)
-		var dict []schema.Value
-		idx := make([]int, len(vals))
-		for i, v := range vals {
-			k := valueKey(v)
-			d, ok := index[k]
-			if !ok {
-				d = len(dict)
-				index[k] = d
-				dict = append(dict, v)
-			}
-			idx[i] = d
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(dict)))
-		for _, v := range dict {
-			dst = rowenc.AppendValue(dst, v)
-		}
-		for _, d := range idx {
-			dst = binary.AppendUvarint(dst, uint64(d))
-		}
-	}
-	return dst
-}
-
 func appendBatchHeader(dst []byte, rows, cols int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, batchMagic)
 	dst = append(dst, batchVersion)
@@ -135,42 +65,21 @@ func appendBatchHeader(dst []byte, rows, cols int) []byte {
 	return binary.AppendUvarint(dst, uint64(cols))
 }
 
-func appendBatchColumn(dst []byte, name string, enc byte, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	dst = append(dst, name...)
-	dst = append(dst, enc)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
+// appendBatchColumn writes one named column: the name, then the
+// selected rows of v through the shared column writer.
+func appendBatchColumn(dst []byte, v *Vector, sel Selection) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(v.Name)))
+	dst = append(dst, v.Name...)
+	return AppendColumn(dst, v, sel)
 }
 
 func appendBatchCRC(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, blockenc.Checksum(dst))
 }
 
-// appendDictPayload emits an already-built dictionary page: the dict
-// entries followed by one code per row.
-func appendDictPayload(dst []byte, dict []schema.Value, codes []uint32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(dict)))
-	for _, v := range dict {
-		dst = rowenc.AppendValue(dst, v)
-	}
-	for _, c := range codes {
-		dst = binary.AppendUvarint(dst, uint64(c))
-	}
-	return dst
-}
-
-// appendRunsPayload emits already-built RLE runs.
-func appendRunsPayload(dst []byte, runs []Run) []byte {
-	for _, r := range runs {
-		dst = binary.AppendUvarint(dst, uint64(r.Len))
-		dst = rowenc.AppendValue(dst, r.Value)
-	}
-	return dst
-}
-
 // EncodeRecordBatch serializes b into a CRC-framed columnar frame,
-// choosing each column's encoding from its content. It panics if a
+// choosing each column's encoding from its content and writing it
+// through the same column writer as EncodeVectors. It panics if a
 // column's length disagrees with NumRows (a programming error, not a
 // wire condition).
 func EncodeRecordBatch(b *RecordBatch) []byte {
@@ -179,8 +88,8 @@ func EncodeRecordBatch(b *RecordBatch) []byte {
 		if len(col.Values) != b.NumRows {
 			panic(fmt.Sprintf("wire: column %q has %d values, batch has %d rows", col.Name, len(col.Values), b.NumRows))
 		}
-		enc := chooseEncoding(col.Values)
-		dst = appendBatchColumn(dst, col.Name, enc, appendColumnPayload(nil, enc, col.Values))
+		v := chooseVector(col.Name, col.Values)
+		dst = appendBatchColumn(dst, &v, nil)
 	}
 	return appendBatchCRC(dst)
 }
@@ -199,84 +108,22 @@ func (d *batchDecoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *batchDecoder) take(n int) ([]byte, error) {
-	if n < 0 || d.pos+n > len(d.data) {
+// take returns the next n bytes; n is compared as the uvarint it was
+// read as against the bytes that remain, so no length can wrap.
+func (d *batchDecoder) take(n uint64) ([]byte, error) {
+	if n > uint64(len(d.data)-d.pos) {
 		return nil, ErrBatchCorrupt
 	}
-	b := d.data[d.pos : d.pos+n]
-	d.pos += n
+	b := d.data[d.pos : d.pos+int(n)]
+	d.pos += int(n)
 	return b, nil
 }
 
-func decodeColumnPayload(enc byte, payload []byte, rows int) ([]schema.Value, error) {
-	capHint := rows
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	vals := make([]schema.Value, 0, capHint)
-	pos := 0
-	switch enc {
-	case BatchEncPlain:
-		for i := 0; i < rows; i++ {
-			v, n, err := rowenc.DecodeValue(payload[pos:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBatchCorrupt, err)
-			}
-			pos += n
-			vals = append(vals, v)
-		}
-	case BatchEncRLE:
-		for len(vals) < rows {
-			runLen, n := binary.Uvarint(payload[pos:])
-			if n <= 0 || runLen == 0 || runLen > uint64(rows-len(vals)) {
-				return nil, ErrBatchCorrupt
-			}
-			pos += n
-			v, vn, err := rowenc.DecodeValue(payload[pos:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBatchCorrupt, err)
-			}
-			pos += vn
-			for i := uint64(0); i < runLen; i++ {
-				vals = append(vals, v)
-			}
-		}
-	case BatchEncDict:
-		dictLen, n := binary.Uvarint(payload[pos:])
-		if n <= 0 || dictLen > uint64(rows) {
-			return nil, ErrBatchCorrupt
-		}
-		pos += n
-		dict := make([]schema.Value, 0, capHint)
-		for i := uint64(0); i < dictLen; i++ {
-			v, vn, err := rowenc.DecodeValue(payload[pos:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBatchCorrupt, err)
-			}
-			pos += vn
-			dict = append(dict, v)
-		}
-		for i := 0; i < rows; i++ {
-			idx, in := binary.Uvarint(payload[pos:])
-			if in <= 0 || idx >= uint64(len(dict)) {
-				return nil, ErrBatchCorrupt
-			}
-			pos += in
-			vals = append(vals, dict[idx])
-		}
-	default:
-		return nil, fmt.Errorf("%w: encoding 0x%02x", ErrBatchCorrupt, enc)
-	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrBatchCorrupt, len(payload)-pos)
-	}
-	return vals, nil
-}
-
 // DecodeRecordBatch decodes one frame from the front of data, returning
-// the batch and the number of bytes consumed. Malformed frames —
-// truncation, bad magic, CRC mismatch, over-long runs, out-of-range
-// dictionary indexes — are rejected with ErrBatchCorrupt.
+// the batch and the number of bytes consumed: each column through
+// DecodeColumn, then expanded to values. Malformed frames — truncation,
+// bad magic, CRC mismatch, over-long runs, out-of-range dictionary
+// indexes — are rejected with ErrBatchCorrupt.
 func DecodeRecordBatch(data []byte) (*RecordBatch, int, error) {
 	d := &batchDecoder{data: data}
 	hdr, err := d.take(5)
@@ -309,7 +156,7 @@ func DecodeRecordBatch(data []byte) (*RecordBatch, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		name, err := d.take(int(nameLen))
+		name, err := d.take(nameLen)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -321,15 +168,15 @@ func DecodeRecordBatch(data []byte) (*RecordBatch, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		payload, err := d.take(int(payloadLen))
+		payload, err := d.take(payloadLen)
 		if err != nil {
 			return nil, 0, err
 		}
-		vals, err := decodeColumnPayload(encByte[0], payload, int(rows))
+		v, err := DecodeColumn(string(name), encByte[0], payload, int(rows))
 		if err != nil {
 			return nil, 0, err
 		}
-		b.Cols = append(b.Cols, BatchColumn{Name: string(name), Values: vals})
+		b.Cols = append(b.Cols, BatchColumn{Name: v.Name, Values: v.Gather(nil)})
 	}
 	crcBytes, err := d.take(4)
 	if err != nil {

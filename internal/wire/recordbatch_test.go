@@ -78,15 +78,15 @@ func TestRecordBatchEmpty(t *testing.T) {
 
 func TestRecordBatchEncodingChoice(t *testing.T) {
 	runLengthy := intCol("c", 1, 1, 1, 1, 2, 2, 2, 2)
-	if enc := chooseEncoding(runLengthy.Values); enc != BatchEncRLE {
+	if enc := chooseVector("c", runLengthy.Values).Enc; enc != BatchEncRLE {
 		t.Fatalf("run-heavy column chose encoding %d, want RLE", enc)
 	}
 	lowCard := strCol("c", "a", "b", "a", "b", "a", "b", "a", "b")
-	if enc := chooseEncoding(lowCard.Values); enc != BatchEncDict {
+	if enc := chooseVector("c", lowCard.Values).Enc; enc != BatchEncDict {
 		t.Fatalf("low-cardinality column chose encoding %d, want DICT", enc)
 	}
 	unique := intCol("c", 1, 2, 3, 4, 5, 6, 7, 8)
-	if enc := chooseEncoding(unique.Values); enc != BatchEncPlain {
+	if enc := chooseVector("c", unique.Values).Enc; enc != BatchEncPlain {
 		t.Fatalf("unique column chose encoding %d, want PLAIN", enc)
 	}
 }

@@ -5,7 +5,10 @@
 // dictionary entry, once per run) and only surviving rows ever decode
 // to values. A Selection names the surviving row indexes; nil means
 // every row. EncodeVectors re-emits selected rows straight into a
-// record-batch frame without the content-scanning encoding chooser.
+// record-batch frame without the content-scanning encoding chooser. A
+// Vector is also what the column codec (column.go) decodes a payload
+// into and encodes one from: the in-memory form of the one byte format
+// ROS value pages and record-batch columns share.
 package wire
 
 import (
@@ -309,9 +312,9 @@ func forEachSel(sel Selection, n int, f func(int32) error) error {
 
 // EncodeVectors serializes the selected rows of the given columns into
 // one record-batch frame, preserving each vector's encoding instead of
-// re-scanning content like EncodeRecordBatch: DICT columns emit a
-// compacted dictionary plus selected codes, RLE columns emit runs
-// intersected with the selection. The output decodes with
+// re-scanning content like EncodeRecordBatch (AppendColumn: DICT columns
+// emit a compacted dictionary plus selected codes, RLE columns emit runs
+// intersected with the selection). The output decodes with
 // DecodeRecordBatch like any other frame. It panics when a vector's
 // length disagrees with the others (a programming error).
 func EncodeVectors(cols []Vector, sel Selection) []byte {
@@ -331,66 +334,7 @@ func EncodeVectors(cols []Vector, sel Selection) []byte {
 	var dst []byte
 	dst = appendBatchHeader(dst, nSel, len(cols))
 	for i := range cols {
-		dst = appendVectorColumn(dst, &cols[i], sel, nSel)
+		dst = appendBatchColumn(dst, &cols[i], sel)
 	}
 	return appendBatchCRC(dst)
-}
-
-func appendVectorColumn(dst []byte, v *Vector, sel Selection, nSel int) []byte {
-	switch v.Enc {
-	case BatchEncDict:
-		if nSel == 0 {
-			return appendBatchColumn(dst, v.Name, BatchEncPlain, nil)
-		}
-		// Compact the dictionary to the codes the selection actually
-		// uses (the decoder requires dictLen <= rows). If compaction
-		// leaves as many entries as rows, PLAIN is no bigger.
-		remap := make([]int32, len(v.Dict))
-		for i := range remap {
-			remap[i] = -1
-		}
-		var dict []schema.Value
-		codes := make([]uint32, 0, nSel)
-		_ = forEachSel(sel, len(v.Codes), func(i int32) error {
-			c := v.Codes[i]
-			if remap[c] < 0 {
-				remap[c] = int32(len(dict))
-				dict = append(dict, v.Dict[c])
-			}
-			codes = append(codes, uint32(remap[c]))
-			return nil
-		})
-		if len(dict) >= nSel {
-			return appendBatchColumn(dst, v.Name, BatchEncPlain, appendColumnPayload(nil, BatchEncPlain, v.Gather(sel)))
-		}
-		return appendBatchColumn(dst, v.Name, BatchEncDict, appendDictPayload(nil, dict, codes))
-	case BatchEncRLE:
-		if nSel == 0 {
-			return appendBatchColumn(dst, v.Name, BatchEncPlain, nil)
-		}
-		// Re-run the runs over the selection: adjacent selected rows in
-		// the same source run stay one run.
-		var runs []Run
-		ri, start := 0, int32(0)
-		_ = forEachSel(sel, v.Len(), func(i int32) error {
-			prev := ri
-			for ri < len(v.Runs) && i >= start+v.Runs[ri].Len {
-				start += v.Runs[ri].Len
-				ri++
-			}
-			if len(runs) > 0 && ri == prev && ri < len(v.Runs) {
-				runs[len(runs)-1].Len++
-				return nil
-			}
-			val := schema.Null()
-			if ri < len(v.Runs) {
-				val = v.Runs[ri].Value
-			}
-			runs = append(runs, Run{Len: 1, Value: val})
-			return nil
-		})
-		return appendBatchColumn(dst, v.Name, BatchEncRLE, appendRunsPayload(nil, runs))
-	default:
-		return appendBatchColumn(dst, v.Name, BatchEncPlain, appendColumnPayload(nil, BatchEncPlain, v.Gather(sel)))
-	}
 }

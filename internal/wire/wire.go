@@ -272,12 +272,11 @@ type StreamletHeartbeat struct {
 	Fragments []meta.FragmentInfo
 }
 
-// HeartbeatRequest carries streamlet deltas plus server load (§5.5).
+// HeartbeatRequest carries streamlet deltas (§5.5). The paper's
+// heartbeat also reports server load; this one reports none, because
+// nothing here measures it and placement spreads by count (sms.Placer).
 type HeartbeatRequest struct {
 	Server     string
-	CPULoad    float64
-	MemLoad    float64
-	Throughput float64 // bytes/sec append throughput
 	Streamlets []StreamletHeartbeat
 	// FullSnapshot marks the periodic full-state heartbeat used to
 	// detect orphaned streamlets (§5.4.3).

@@ -38,9 +38,10 @@ EOF
 go test -race -count=2 $race_twice
 
 # The transport micro-benchmarks (frame codec, TCP unary echo, stream
-# ping-pong with its credit frames) run one iteration each, so they
+# ping-pong with its credit frames) and the column codec's (PLAIN, DICT
+# and RLE pages, encode and decode) run one iteration each, so they
 # cannot rot between the PRs that read their numbers.
-go test -run '^$' -bench . -benchtime 1x ./internal/rpc/
+go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/
 
 # Encoded-domain filtering must return what filtering row by row
 # returns: code-skip accounting on keyless and keyed tables, and
@@ -65,6 +66,8 @@ done <<'EOF'
 rowenc    FuzzDecodeRow
 rowenc    FuzzDecodeRows
 blockenc  FuzzOpen
+fragment  FuzzScan
+ros       FuzzOpen
 wire      FuzzDecodeRecordBatch
 wire      FuzzSelectionGather
 disktier  FuzzDecodeEntry

@@ -72,10 +72,6 @@ type (
 	Stream = client.Stream
 	// AppendOption modifies one append call (see AtOffset, WithDeadline).
 	AppendOption = client.AppendOption
-	// AppendOptions is the legacy struct form of AppendOption.
-	//
-	// Deprecated: pass AtOffset / WithDeadline options instead.
-	AppendOptions = client.AppendOptions
 	// Error is the unified client error: a stable code, the failed
 	// operation, retryability, and the cause. errors.Is also matches
 	// the ErrWrongOffset-style sentinels.
