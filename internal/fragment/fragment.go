@@ -353,8 +353,7 @@ const footerLen = 4 + 8*5 + 4 // magic + 5 fixed fields + crc
 
 // EncodeFinalization returns the bytes appended at finalization: the
 // marshaled bloom filter followed by the footer.
-func EncodeFinalization(f Footer, filter *bloom.Filter) []byte {
-	bloomBytes := filter.Marshal()
+func EncodeFinalization(f Footer, bloomBytes []byte) []byte {
 	out := make([]byte, 0, len(bloomBytes)+footerLen)
 	out = append(out, bloomBytes...)
 	ftr := make([]byte, footerLen)

@@ -83,7 +83,7 @@ func buildFile(t testing.TB, blocks []Block, finalize bool) []byte {
 			RowCount:      rows,
 			MinTS:         minTS,
 			MaxTS:         maxTS,
-		}, f)...)
+		}, f.Marshal())...)
 	}
 	return file
 }

@@ -244,9 +244,12 @@ type FragmentInfo struct {
 	// a WOS fragment spans several. Nil means unpartitioned/unknown.
 	PartitionSet []int64 `json:"partition_set,omitempty"`
 	// ClusterMin/ClusterMax are the rowenc-encoded clustering key bounds
-	// of the fragment's rows; Bloom is the marshaled clustering/partition
-	// bloom filter. These are the column properties §7.2's partition
-	// elimination evaluates. Empty when unknown (e.g. unfinalized).
+	// of the fragment's rows; Bloom is the marshaled bloom filter over
+	// its clustering values, sized from the distinct values the fragment
+	// holds (this record is re-marshaled on heartbeats and parsed for
+	// every read view, so it is only as cheap as the filter is small).
+	// These are the column properties §7.2's partition elimination
+	// evaluates. Empty when unknown (e.g. unfinalized).
 	ClusterMin []byte `json:"cluster_min,omitempty"`
 	ClusterMax []byte `json:"cluster_max,omitempty"`
 	Bloom      []byte `json:"bloom,omitempty"`

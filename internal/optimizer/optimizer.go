@@ -124,6 +124,7 @@ func (o *Optimizer) ConvertTable(ctx context.Context, table meta.TableID) (Resul
 
 	files, infos, err := o.writeClusteredFiles(table, sc, all, clusters)
 	if err != nil {
+		o.deleteFiles(files, clusters)
 		return res, err
 	}
 	_, err = o.sms(ctx, table, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{
@@ -227,19 +228,17 @@ func clustersOf(rf wire.ReadFragment, fallback [2]string) [2]string {
 
 // writeClusteredFiles groups rows by partition, sorts each partition by
 // clustering key (stable by sequence), and writes ROS files of at most
-// TargetROSRows rows.
+// TargetROSRows rows. On error it returns the files already written,
+// which nothing has registered: the caller deletes them.
 func (o *Optimizer) writeClusteredFiles(table meta.TableID, sc *schema.Schema, rows []rowenc.Stamped, clusters [2]string) ([]string, []meta.FragmentInfo, error) {
 	groups := map[int64][]rowenc.Stamped{}
-	var hasNoPart bool
 	for _, r := range rows {
 		p, ok := sc.PartitionOf(r.Row)
 		if !ok {
-			hasNoPart = true
 			p = -1 << 62
 		}
 		groups[p] = append(groups[p], r)
 	}
-	_ = hasNoPart
 	parts := make([]int64, 0, len(groups))
 	for p := range groups {
 		parts = append(parts, p)
@@ -298,13 +297,20 @@ func (o *Optimizer) finishFile(table meta.TableID, sc *schema.Schema, w *ros.Wri
 	id := newROSID()
 	path := fmt.Sprintf("ros/%s/%s", table, id)
 	crc := blockenc.Checksum(data)
-	for _, cn := range clusters {
+	for i, cn := range clusters {
 		cl := o.region.Cluster(cn)
 		if cl == nil {
-			return nil, "", fmt.Errorf("optimizer: no cluster %q", cn)
+			err = fmt.Errorf("optimizer: no cluster %q", cn)
+		} else if _, err = cl.AppendAt(path, 0, data, crc); err != nil {
+			err = fmt.Errorf("optimizer: writing %s: %w", path, err)
 		}
-		if _, err := cl.AppendAt(path, 0, data, crc); err != nil {
-			return nil, "", fmt.Errorf("optimizer: writing %s: %w", path, err)
+		if err != nil {
+			// The file is registered nowhere yet: take back the replica
+			// an earlier cluster accepted rather than orphan it.
+			for _, written := range clusters[:i] {
+				_ = o.region.Cluster(written).Delete(path)
+			}
+			return nil, "", err
 		}
 	}
 	minSeq, maxSeq := w.SeqBounds()
@@ -321,7 +327,7 @@ func (o *Optimizer) finishFile(table meta.TableID, sc *schema.Schema, w *ros.Wri
 		SchemaVersion:  sc.Version,
 		Finalized:      true,
 		PartitionSet:   w.Partitions(),
-		Bloom:          w.BloomFilter().Marshal(),
+		Bloom:          w.Bloom(),
 	}
 	if mn, mx := w.ClusterBounds(); len(mn) > 0 {
 		info.ClusterMin = rowenc.EncodeValues(mn)

@@ -2,11 +2,14 @@ package optimizer_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"vortex/internal/client"
+	"vortex/internal/colossus"
 	"vortex/internal/core"
 	"vortex/internal/dml"
 	"vortex/internal/meta"
@@ -14,6 +17,7 @@ import (
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/wire"
+	"vortex/internal/workload"
 )
 
 func ordersSchema() *schema.Schema {
@@ -425,4 +429,115 @@ func TestConversionWhileStreamStillWritable(t *testing.T) {
 		}
 		seen[k] = true
 	}
+}
+
+// refuseWrites is a colossus.Chaos that lets a cluster's first `after`
+// writes through and refuses every later one: an outage that begins
+// between two writes of one conversion.
+type refuseWrites struct {
+	mu    sync.Mutex
+	after int
+	seen  int
+}
+
+func (c *refuseWrites) Inject(_ context.Context, point, _ string) error {
+	if point != colossus.ChaosPointWrite {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seen++
+	if c.seen > c.after {
+		return errors.New("outage")
+	}
+	return nil
+}
+
+// TestFailedConversionDeletesWhatItWrote: a conversion writes each ROS
+// file to two clusters and registers them all at the end, so a write
+// that fails part-way leaves files nothing knows about. The second
+// cluster goes down between the two writes of the second file: the
+// first file (both replicas) and the second file's first replica must be
+// gone again, the table still reads from WOS, and the conversion goes
+// through once the cluster is back.
+func TestFailedConversionDeletesWhatItWrote(t *testing.T) {
+	e := newEnv(t, 0)
+	if err := e.c.CreateTable(e.ctx, "d.orders", ordersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	var rows []schema.Row
+	for day := 0; day < 2; day++ { // two partitions: two files
+		for i := 0; i < 20; i++ {
+			rows = append(rows, orderRow(day, i, fmt.Sprintf("C-%02d", i%7)))
+		}
+	}
+	e.ingestAndSeal(t, "d.orders", rows)
+	plan, err := e.c.Plan(e.ctx, "d.orders", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := plan.Assignments[0].Frag.Clusters
+	second := e.r.Colossus.Cluster(pair[1])
+	second.SetChaos(&refuseWrites{after: 1})
+
+	if _, err := e.opt.ConvertTable(e.ctx, "d.orders"); err == nil {
+		t.Fatal("conversion succeeded with a cluster refusing writes")
+	}
+	for _, name := range pair {
+		left, err := e.r.Colossus.Cluster(name).List("ros/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Errorf("cluster %s still holds %v after the failed conversion", name, left)
+		}
+	}
+	if got := e.mustRead(t, "d.orders"); len(got) != len(rows) {
+		t.Fatalf("read %d rows after the failed conversion, want %d", len(got), len(rows))
+	}
+
+	second.SetChaos(nil)
+	res, err := e.opt.ConvertTable(e.ctx, "d.orders")
+	if err != nil || res.FilesWritten != 2 {
+		t.Fatalf("conversion after the outage = %+v, %v; want 2 files", res, err)
+	}
+	if got := e.mustRead(t, "d.orders"); len(got) != len(rows) {
+		t.Fatalf("read %d rows after conversion, want %d", len(got), len(rows))
+	}
+}
+
+// TestFragmentRecordsStaySmall: a fragment's metadata record — what the
+// SMS keeps in Spanner, re-marshals on heartbeats and parses for every
+// read view — carries the fragment's filter, so it is only as small as
+// the filter is. Sized from the keys the fragment holds, the record of a
+// finalized WOS fragment and of a ROS file both stay under 2 KiB (they
+// were ≈26 KB and ≈105 KB with fixed-capacity filters).
+func TestFragmentRecordsStaySmall(t *testing.T) {
+	e := newEnv(t, 0)
+	if err := e.c.CreateTable(e.ctx, "d.sales", workload.SalesSchema()); err != nil {
+		t.Fatal(err)
+	}
+	e.ingestAndSeal(t, "d.sales", workload.NewGen(3, 300).SalesRows(0, 600))
+	check := func(format meta.Format) {
+		t.Helper()
+		plan, err := e.c.Plan(e.ctx, "d.sales", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range plan.Assignments {
+			if a.Frag.Format != format || len(a.Frag.Bloom) == 0 {
+				t.Fatalf("fragment %s: format %v with a %d-byte filter, want %v with one", a.Frag.ID, a.Frag.Format, len(a.Frag.Bloom), format)
+			}
+			n := len(meta.MarshalFragment(&a.Frag))
+			t.Logf("%v fragment of %d rows: %d-byte record, %d-byte filter", format, a.Frag.RowCount, n, len(a.Frag.Bloom))
+			if n > 2<<10 {
+				t.Errorf("%v fragment %s (%d rows): record is %d bytes, %d of them filter", format, a.Frag.ID, a.Frag.RowCount, n, len(a.Frag.Bloom))
+			}
+		}
+	}
+	check(meta.WOS)
+	if _, err := e.opt.ConvertTable(e.ctx, "d.sales"); err != nil {
+		t.Fatal(err)
+	}
+	check(meta.ROS)
 }

@@ -230,6 +230,7 @@ func (o *Optimizer) mergePartition(ctx context.Context, table meta.TableID, plan
 	all = dml.ResolveChanges(plan.Schema, all, false)
 	files, infos, err := o.writeClusteredFiles(table, plan.Schema, all, clusters)
 	if err != nil {
+		o.deleteFiles(files, clusters)
 		return err
 	}
 	_, err = o.sms(ctx, table, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{

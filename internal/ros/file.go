@@ -4,12 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 
 	"vortex/internal/blockenc"
 	"vortex/internal/bloom"
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
+	"vortex/internal/snappy"
 	"vortex/internal/wire"
 )
 
@@ -21,6 +24,11 @@ var (
 
 const (
 	fileMagic = "VXR1"
+	// fileVersion 2 is the only layout this package reads or writes.
+	// Version 1 (a fixed 64 K-key filter, absolute sequence varints, a
+	// change byte per row, run-length-only levels) is refused: no file
+	// outlives the process that wrote it, so there is none to read.
+	fileVersion = 2
 	// dictionary encoding is chosen when it pays for itself.
 	maxDictSize = 1024
 
@@ -40,10 +48,22 @@ const (
 // codec's encoding byte, so the two enums cannot drift.
 type Encoding byte
 
+// pageSnappy, set in a page's encoding byte, says the page is the Snappy
+// block of the payload the other bits name. The Writer sets it on a page
+// that shrinks by a quarter or more — order keys sharing a prefix,
+// repeated clustering values — and on no other: most pages of varints
+// do not compress at all and would only pay the decode.
+const pageSnappy = 0x80
+
+// maxSnappyGain bounds what a Snappy block can decode to, per byte of
+// block: its densest element is three bytes copying 64.
+const maxSnappyGain = 22
+
 // The encodings the Writer chooses between.
 const (
 	EncodingPlain = Encoding(wire.BatchEncPlain)
 	EncodingDict  = Encoding(wire.BatchEncDict)
+	EncodingRLE   = Encoding(wire.BatchEncRLE)
 )
 
 // ColumnStats are the per-column properties carried by every ROS file
@@ -76,18 +96,20 @@ type Writer struct {
 
 	clusterMin []schema.Value
 	clusterMax []schema.Value
-	filter     *bloom.Filter
+	keys       *bloom.Builder
+	filter     []byte // marshaled by Finish
 }
 
-// bloomCapacity sizes the per-file clustering bloom filter.
-const bloomCapacity = 1 << 16
+// maxBloomKeys is the most distinct clustering values a file's filter
+// is sized for.
+const maxBloomKeys = 1 << 16
 
 // NewWriter returns a Writer for rows of schema s.
 func NewWriter(s *schema.Schema) *Writer {
 	return &Writer{
 		schema:  s,
 		striper: newStriper(s),
-		filter:  bloom.New(bloomCapacity, 0.01),
+		keys:    bloom.NewBuilder(maxBloomKeys),
 	}
 }
 
@@ -136,12 +158,11 @@ func (w *Writer) Add(r schema.Row, seq int64) error {
 		}
 		for _, v := range ck {
 			if !v.IsNull() {
-				w.filter.AddString(v.Key())
+				w.keys.AddString(v.Key())
 			}
 		}
 	}
 	if ok {
-		w.filter.AddString(fmt.Sprintf("__part:%d", part))
 		w.addPartition(part)
 	}
 	return nil
@@ -165,8 +186,9 @@ func (w *Writer) RowCount() int64 { return w.rowCount }
 // ClusterBounds returns the clustering-key range of the added rows.
 func (w *Writer) ClusterBounds() (min, max []schema.Value) { return w.clusterMin, w.clusterMax }
 
-// BloomFilter returns the file's clustering/partition bloom filter.
-func (w *Writer) BloomFilter() *bloom.Filter { return w.filter }
+// Bloom returns the marshaled filter over the file's clustering values,
+// as Finish wrote it.
+func (w *Writer) Bloom() []byte { return w.filter }
 
 // SeqBounds returns the min and max sequence numbers of the added rows.
 func (w *Writer) SeqBounds() (min, max int64) {
@@ -184,7 +206,7 @@ func (w *Writer) SeqBounds() (min, max int64) {
 // Finish encodes the file.
 func (w *Writer) Finish() ([]byte, error) {
 	out := []byte(fileMagic)
-	out = append(out, 1) // version
+	out = append(out, fileVersion)
 	var fp [8]byte
 	binary.LittleEndian.PutUint64(fp[:], w.schema.Fingerprint())
 	out = append(out, fp[:]...)
@@ -199,15 +221,18 @@ func (w *Writer) Finish() ([]byte, error) {
 	}
 	out = appendValueList(out, w.clusterMin)
 	out = appendValueList(out, w.clusterMax)
-	fb := w.filter.Marshal()
-	out = binary.AppendUvarint(out, uint64(len(fb)))
-	out = append(out, fb...)
+	w.filter = w.keys.Build().Marshal()
+	out = appendBlock(out, w.filter)
 
-	// Row metadata: change types and sequence numbers.
-	out = append(out, w.changes...)
+	// Row metadata: sequence numbers as offsets from the file's smallest
+	// (a file's rows were written close together, so its TrueTime
+	// sequences share their high bytes), change types as runs.
+	minSeq, _ := w.SeqBounds()
+	out = binary.AppendVarint(out, minSeq)
 	for _, s := range w.seqs {
-		out = binary.AppendVarint(out, s)
+		out = binary.AppendUvarint(out, uint64(s-minSeq))
 	}
+	out = appendBlock(out, rleEncode(w.changes))
 
 	out = binary.AppendUvarint(out, uint64(len(w.striper.cols)))
 	for _, c := range w.striper.cols {
@@ -219,6 +244,12 @@ func (w *Writer) Finish() ([]byte, error) {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], blockenc.Checksum(out))
 	return append(out, crc[:]...), nil
+}
+
+// appendBlock appends b behind its uvarint length.
+func appendBlock(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
 }
 
 func appendValueList(dst []byte, vs []schema.Value) []byte {
@@ -267,6 +298,69 @@ func rleDecode(data []byte, total int) ([]uint8, error) {
 	return out, nil
 }
 
+// A level stream is one mode byte and a payload: the levels as
+// rleEncode's runs, or bit-packed, low bits first, at the width of the
+// column's largest possible level. Long runs (a flat column's levels are
+// one run) favour the first; the levels of a repeated field, which
+// change at every entry, pack into a tenth of their runs.
+const (
+	levelsRuns   = 0
+	levelsPacked = 1
+)
+
+// encodeLevels picks the smaller of the two modes.
+func encodeLevels(levels []uint8, maxLevel int) []byte {
+	runs := rleEncode(levels)
+	width := bits.Len(uint(maxLevel))
+	if packed := (len(levels)*width + 7) / 8; packed < len(runs) {
+		out := make([]byte, 1+packed)
+		out[0] = levelsPacked
+		// width 0: every level is 0 and the entry count says it all.
+		for i := 0; width > 0 && i < len(levels); i++ {
+			// width <= 8, so a level spans at most two bytes.
+			bit := i * width
+			v := uint16(levels[i]) << (bit % 8)
+			out[1+bit/8] |= byte(v)
+			if v > 0xff {
+				out[2+bit/8] |= byte(v >> 8)
+			}
+		}
+		return out
+	}
+	return append([]byte{levelsRuns}, runs...)
+}
+
+// decodeLevels expands a level stream of total entries. A packed
+// stream's length is fixed by total and the width, and is checked
+// before the levels are sized by total.
+func decodeLevels(data []byte, total, maxLevel int) ([]uint8, error) {
+	if len(data) == 0 {
+		return nil, ErrCorrupt
+	}
+	mode, data := data[0], data[1:]
+	switch mode {
+	case levelsRuns:
+		return rleDecode(data, total)
+	case levelsPacked:
+		width := bits.Len(uint(maxLevel))
+		if len(data) != (total*width+7)/8 {
+			return nil, fmt.Errorf("%w: %d packed level bytes for %d entries of %d bits", ErrCorrupt, len(data), total, width)
+		}
+		out := make([]uint8, total)
+		mask := uint16(1)<<width - 1
+		for i := 0; width > 0 && i < total; i++ {
+			bit := i * width
+			v := uint16(data[bit/8])
+			if bit%8+width > 8 {
+				v |= uint16(data[bit/8+1]) << 8
+			}
+			out[i] = uint8(v >> (bit % 8) & mask)
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("%w: level mode %d", ErrCorrupt, mode)
+}
+
 // encodeColumn serializes one column chunk.
 func encodeColumn(out []byte, c *columnData) []byte {
 	out = binary.AppendUvarint(out, uint64(len(c.leaf.Path)))
@@ -286,17 +380,17 @@ func encodeColumn(out []byte, c *columnData) []byte {
 	}
 	out = binary.AppendUvarint(out, uint64(stats.NullCount))
 
-	// Levels.
-	reps := rleEncode(c.reps)
-	out = binary.AppendUvarint(out, uint64(len(reps)))
-	out = append(out, reps...)
-	defs := rleEncode(c.defs)
-	out = binary.AppendUvarint(out, uint64(len(defs)))
-	out = append(out, defs...)
+	out = appendBlock(out, encodeLevels(c.reps, c.leaf.MaxRep))
+	out = appendBlock(out, encodeLevels(c.defs, c.leaf.MaxDef))
 
-	// Values: encoding byte, page length, page — the wire codec's bytes.
-	page := encodeValues(c.values)
-	return wire.AppendColumn(out, &page, nil)
+	// Values: encoding byte, page length, page — the wire codec's
+	// payload, Snappy-compressed where that takes a quarter off it.
+	enc, page := encodeValues(c.values)
+	if z := snappy.Encode(page); len(z) <= len(page)*3/4 {
+		enc, page = enc|pageSnappy, z
+	}
+	out = append(out, enc)
+	return appendBlock(out, page)
 }
 
 func computeStats(c *columnData) ColumnStats {
@@ -328,14 +422,25 @@ func computeStats(c *columnData) ColumnStats {
 // encodeValues is the Writer's encoding policy, and only that: a
 // dictionary page when there are at least 8 values, at most maxDictSize
 // distinct ones and at most half as many distinct as values, a PLAIN
-// page otherwise. The bytes of either are wire.AppendColumn's.
-func encodeValues(values []schema.Value) wire.Vector {
+// page otherwise — unless the values average runs of two or more and
+// their run-length page is smaller still, which is what a clustered
+// file's clustering column looks like. The bytes of each are the wire
+// codec's.
+func encodeValues(values []schema.Value) (enc byte, page []byte) {
+	v := wire.PlainVector("", values)
 	if len(values) >= 8 {
 		if dict, codes, ok := wire.BuildDict(values, min(maxDictSize, len(values)/2)); ok {
-			return wire.DictVector("", dict, codes)
+			v = wire.DictVector("", dict, codes)
 		}
 	}
-	return wire.PlainVector("", values)
+	enc, page = wire.ColumnPayload(&v, nil)
+	if runs, ok := wire.BuildRuns(values, len(values)/2); ok {
+		rle := wire.RLEVector("", runs)
+		if e, p := wire.ColumnPayload(&rle, nil); len(p) < len(page) {
+			enc, page = e, p
+		}
+	}
+	return enc, page
 }
 
 // Column is one column chunk. Level and value pages are decoded lazily:
@@ -348,9 +453,10 @@ type Column struct {
 	Values []schema.Value
 	Stats  ColumnStats
 
-	rawReps   []byte
-	rawDefs   []byte
-	rawValues []byte
+	rawReps    []byte
+	rawDefs    []byte
+	rawValues  []byte
+	compressed bool // rawValues is a Snappy block of the page
 
 	// mu guards lazy decoding: a Reader may be shared across concurrent
 	// scans (the client's read cache hands one Reader to every query),
@@ -373,7 +479,7 @@ func (c *Column) materialize() error {
 		return nil
 	}
 	var err error
-	c.Reps, err = rleDecode(c.rawReps, int(c.Stats.Entries))
+	c.Reps, err = decodeLevels(c.rawReps, int(c.Stats.Entries), c.Leaf.MaxRep)
 	if err != nil {
 		return err
 	}
@@ -393,7 +499,20 @@ func (c *Column) materialize() error {
 // page decodes the value page through the wire codec, in encoded form:
 // a dictionary page comes back as dictionary and codes.
 func (c *Column) page() (wire.Vector, error) {
-	v, err := wire.DecodeColumn(c.Leaf.Path, byte(c.Stats.Encoding), c.rawValues, int(c.Stats.Values))
+	raw := c.rawValues
+	if c.compressed {
+		// The block's preamble is its decoded length, which Decode sizes
+		// its output by: refuse one no block this short can reach.
+		n, k := binary.Uvarint(raw)
+		if k <= 0 || n > uint64(len(raw))*maxSnappyGain {
+			return wire.Vector{}, fmt.Errorf("%w: column %q: %d-byte snappy page claims %d bytes", ErrCorrupt, c.Leaf.Path, len(raw), n)
+		}
+		var err error
+		if raw, err = snappy.Decode(raw); err != nil {
+			return wire.Vector{}, fmt.Errorf("%w: column %q: %v", ErrCorrupt, c.Leaf.Path, err)
+		}
+	}
+	v, err := wire.DecodeColumn(c.Leaf.Path, byte(c.Stats.Encoding), raw, int(c.Stats.Values))
 	if err != nil {
 		return v, fmt.Errorf("%w: column %q: %v", ErrCorrupt, c.Leaf.Path, err)
 	}
@@ -404,7 +523,7 @@ func (c *Column) page() (wire.Vector, error) {
 // they mark defined are exactly the value page's values, so whoever
 // pairs the two can index one by the other.
 func (c *Column) defLevels() ([]uint8, error) {
-	defs, err := rleDecode(c.rawDefs, int(c.Stats.Entries))
+	defs, err := decodeLevels(c.rawDefs, int(c.Stats.Entries), c.Leaf.MaxDef)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +554,7 @@ type Reader struct {
 	hasPartition bool
 	clusterMin   []schema.Value
 	clusterMax   []schema.Value
-	filter       *bloom.Filter
+	filter       []byte // marshaled; a slice of the file image
 	changes      []byte
 	seqs         []int64
 	columns      map[string]*Column
@@ -534,7 +653,7 @@ func Open(data []byte) (*Reader, error) {
 	if binary.LittleEndian.Uint32(data[len(data)-4:]) != blockenc.Checksum(body) {
 		return nil, fmt.Errorf("%w: checksum", ErrCorrupt)
 	}
-	if data[4] != 1 {
+	if data[4] != fileVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrCorrupt, data[4])
 	}
 	r := &Reader{columns: make(map[string]*Column)}
@@ -563,27 +682,38 @@ func Open(data []byte) (*Reader, error) {
 	if r.clusterMax, err = c.valueList(); err != nil {
 		return nil, err
 	}
-	fb, err := c.block()
-	if err != nil {
+	if r.filter, err = c.block(); err != nil {
 		return nil, err
-	}
-	if r.filter, err = bloom.Unmarshal(fb); err != nil {
-		return nil, fmt.Errorf("%w: bloom: %v", ErrCorrupt, err)
 	}
 
-	// Row metadata: a change byte and a sequence varint per row, which
-	// is what bounds the row count by the file's own length.
-	changes, err := c.take(rc)
+	// Row metadata. Every row spends at least one byte on its sequence
+	// offset, which bounds the row count by the file's own length before
+	// anything is sized by it.
+	if rc > uint64(len(body)-c.pos) {
+		return nil, fmt.Errorf("%w: %d rows in %d bytes", ErrCorrupt, rc, len(body)-c.pos)
+	}
+	r.rowCount = int64(rc)
+	minSeq, err := c.varint()
 	if err != nil {
 		return nil, err
 	}
-	r.rowCount = int64(rc)
-	r.changes = append([]byte(nil), changes...)
 	r.seqs = make([]int64, rc)
 	for i := range r.seqs {
-		if r.seqs[i], err = c.varint(); err != nil {
+		off, err := c.uvarint()
+		if err != nil {
 			return nil, err
 		}
+		r.seqs[i] = minSeq + int64(off)
+		if off > math.MaxInt64 || r.seqs[i] < minSeq {
+			return nil, fmt.Errorf("%w: sequence %d+%d overflows", ErrCorrupt, minSeq, off)
+		}
+	}
+	changes, err := c.block()
+	if err != nil {
+		return nil, err
+	}
+	if r.changes, err = rleDecode(changes, int(rc)); err != nil {
+		return nil, err
 	}
 
 	ncols, err := c.uvarint()
@@ -652,7 +782,8 @@ func decodeColumn(c *cursor, rowCount int64) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	col.Stats.Encoding = Encoding(enc[0])
+	col.Stats.Encoding = Encoding(enc[0] &^ pageSnappy)
+	col.compressed = enc[0]&pageSnappy != 0
 	if col.rawValues, err = c.block(); err != nil {
 		return nil, err
 	}
@@ -668,8 +799,10 @@ func (r *Reader) Partition() (int64, bool) { return r.partition, r.hasPartition 
 // ClusterRange returns the min and max clustering keys of the file.
 func (r *Reader) ClusterRange() (min, max []schema.Value) { return r.clusterMin, r.clusterMax }
 
-// Bloom returns the clustering/partition bloom filter.
-func (r *Reader) Bloom() *bloom.Filter { return r.filter }
+// Bloom parses the filter over the file's clustering values. Open only
+// slices it out: scans never consult it (Big Metadata prunes on the
+// copy in the fragment's metadata record).
+func (r *Reader) Bloom() (*bloom.Filter, error) { return bloom.Unmarshal(r.filter) }
 
 // Column returns the decoded column at path, or nil. It returns nil
 // also when the column's pages fail to decode; Rows reports such errors.

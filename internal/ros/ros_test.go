@@ -285,8 +285,12 @@ func TestClusterRangeBloomAndStats(t *testing.T) {
 	if mn[0].AsString() != "Allie" || mx[0].AsString() != "Tom" {
 		t.Fatalf("cluster range = %v..%v", mn, mx)
 	}
+	filter, err := rd.Bloom()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range customers {
-		if !rd.Bloom().ContainsString(c) {
+		if !filter.ContainsString(c) {
 			t.Fatalf("bloom lost customer %q", c)
 		}
 	}

@@ -1,16 +1,20 @@
 // Package ros implements the read-optimized storage format (§5.1, §6.1)
 // — the stand-in for Capacitor/Parquet. Rows are shredded into columns
 // using Dremel repetition/definition levels (BigQuery's native model for
-// nested and repeated data); each column's levels are run-length encoded
-// and its values stored as one PLAIN or dictionary page, with per-column
-// statistics (min/max, null counts) and a clustering-key bloom filter
-// that Big Metadata uses for partition elimination (§7.2).
+// nested and repeated data); each column's levels are stored as runs or
+// bit-packed, whichever is smaller, and its values as one PLAIN,
+// dictionary or run-length page, Snappy-compressed where that pays, with
+// per-column statistics (min/max, null counts) and a bloom filter over
+// the file's clustering values, sized from the keys the file holds,
+// that Big Metadata uses for partition elimination (§7.2). DESIGN.md §3
+// has the layout byte by byte.
 //
-// A value page is byte for byte a record-batch column, and this package
-// neither reads nor writes those bytes: internal/wire's column codec
-// does (AppendColumn, DecodeColumn, BuildDict). What ros keeps is the
-// policy — encodeValues decides when a dictionary pays — and everything
-// around the page: the file header, row metadata, levels, stats.
+// A value page is byte for byte a record-batch column's payload, and
+// this package neither reads nor writes those bytes: internal/wire's
+// column codec does (ColumnPayload, DecodeColumn, BuildDict, BuildRuns).
+// What ros keeps is the policy — encodeValues decides which encoding
+// pays — and everything around the page: the file header, row metadata,
+// levels, stats, page compression.
 package ros
 
 import (

@@ -10,8 +10,8 @@ import (
 // Vectors returns the projected top-level columns of the file as wire
 // vectors — the handoff from the read cache to every scan. A flat
 // column preserves the file's physical encoding: a dictionary column
-// comes back as dict+codes without expansion, so predicates evaluate
-// once per distinct value. A struct or repeated field comes back as a
+// comes back as dict+codes and a run-length column as its runs, without
+// expansion, so predicates evaluate once per distinct value or run. A struct or repeated field comes back as a
 // PLAIN vector of its assembled values. Unprojected columns are never
 // decoded at all. idxs holds each vector's top-level field index in s;
 // ok is always true. The returned vectors are memoized on the reader

@@ -1,0 +1,93 @@
+package sms_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"vortex/internal/client"
+	"vortex/internal/core"
+	"vortex/internal/meta"
+	"vortex/internal/ros"
+	"vortex/internal/rowenc"
+	"vortex/internal/wire"
+	"vortex/internal/workload"
+)
+
+// BenchmarkReadView times what every query, read session and conversion
+// pays before it reads a byte: the SMS read view of one table holding
+// 100 registered 512-row ROS fragments — each record with the filter
+// its file carries — and one writable streamlet that has rotated
+// through 8 fragments. Run with -benchmem: the view's cost is parsing
+// and copying fragment records, so bytes per op is the number to watch.
+func BenchmarkReadView(b *testing.B) {
+	const table = meta.TableID("d.sales")
+	ctx := context.Background()
+	cfg := core.DefaultConfig()
+	cfg.MaxFragmentBytes = 16 << 10
+	r := core.NewRegion(cfg)
+	c := r.NewClient(client.DefaultOptions())
+	sc := workload.SalesSchema()
+	if err := c.CreateTable(ctx, table, sc); err != nil {
+		b.Fatal(err)
+	}
+	addr, err := r.Router().SMSFor(table)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	gen := workload.NewGen(11, 300)
+	var infos []meta.FragmentInfo
+	for i := 0; i < 100; i++ {
+		w := ros.NewWriter(sc)
+		for k, row := range gen.SalesRows(0, 512) {
+			if err := w.Add(row, int64(i*512+k+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		file, err := w.Finish()
+		if err != nil {
+			b.Fatal(err)
+		}
+		mn, mx := w.ClusterBounds()
+		infos = append(infos, meta.FragmentInfo{
+			ID: meta.FragmentID(fmt.Sprintf("ros/bench-%03d", i)), Table: table, Format: meta.ROS,
+			Path: fmt.Sprintf("ros/%s/bench-%03d", table, i), Clusters: [2]string{"alpha", "beta"},
+			RowCount: w.RowCount(), CommittedBytes: int64(len(file)), Finalized: true, SchemaVersion: sc.Version,
+			PartitionSet: w.Partitions(), Bloom: w.Bloom(),
+			ClusterMin: rowenc.EncodeValues(mn), ClusterMax: rowenc.EncodeValues(mx),
+		})
+	}
+	if _, err := r.Net.Unary(ctx, addr, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{Table: table, New: infos}); err != nil {
+		b.Fatal(err)
+	}
+
+	s, err := c.CreateStream(ctx, table, meta.Unbuffered)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view := func() *wire.ReadViewResponse {
+		resp, err := r.Net.Unary(ctx, addr, wire.MethodReadView, &wire.ReadViewRequest{Table: table})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return resp.(*wire.ReadViewResponse)
+	}
+	for {
+		if _, err := s.Append(ctx, gen.SalesRows(0, 64), client.AtOffset(-1)); err != nil {
+			b.Fatal(err)
+		}
+		r.HeartbeatAll(ctx, false)
+		if v := view(); len(v.Streamlets) == 1 && v.Streamlets[0].Info.NextFragmentIndex >= 8 {
+			break
+		}
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := view(); len(v.Fragments) != len(infos) || len(v.Streamlets) != 1 {
+			b.Fatalf("view has %d fragments and %d streamlets, want %d and 1", len(v.Fragments), len(v.Streamlets), len(infos))
+		}
+	}
+}

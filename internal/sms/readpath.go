@@ -294,16 +294,23 @@ func (t *Task) handleReadView(_ context.Context, req any) (any, error) {
 			}
 		}
 
-		knownByStreamlet := map[meta.StreamletID][]meta.FragmentID{}
+		// Each record is parsed once, here; what the writable-streamlet
+		// pass below needs of it is its id and whether ts sees it.
+		type knownFragment struct {
+			id      meta.FragmentID
+			visible bool
+		}
+		knownByStreamlet := map[meta.StreamletID][]knownFragment{}
 		for _, kv := range tx.Scan(fragmentPrefix(r.Table)) {
 			f, err := meta.UnmarshalFragment(kv.Value)
 			if err != nil {
 				return err
 			}
+			visible := f.VisibleAt(ts)
 			if f.Streamlet != "" {
-				knownByStreamlet[f.Streamlet] = append(knownByStreamlet[f.Streamlet], f.ID)
+				knownByStreamlet[f.Streamlet] = append(knownByStreamlet[f.Streamlet], knownFragment{f.ID, visible})
 			}
-			if !f.VisibleAt(ts) {
+			if !visible {
 				continue
 			}
 			rf := wire.ReadFragment{Info: *f}
@@ -347,16 +354,9 @@ func (t *Task) handleReadView(_ context.Context, req any) (any, error) {
 			}
 			// Fragments already converted (invisible at ts) must be
 			// skipped; visible ones carry their deletion masks.
-			for _, fid := range knownByStreamlet[sl.ID] {
-				raw, ok := tx.Get(fragmentKey(r.Table, fid))
-				if !ok {
-					continue
-				}
-				f, err := meta.UnmarshalFragment(raw)
-				if err != nil {
-					continue
-				}
-				if !f.VisibleAt(ts) {
+			for _, kf := range knownByStreamlet[sl.ID] {
+				fid := kf.id
+				if !kf.visible {
 					rsl.DeletedFragments = append(rsl.DeletedFragments, fid)
 					continue
 				}

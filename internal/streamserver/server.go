@@ -145,11 +145,17 @@ type appendMemo struct {
 	resp        wire.AppendResponse
 }
 
-// fragWriter is the state of the currently-open fragment.
+// maxBloomKeys is the most distinct clustering values a fragment's
+// filter is sized for.
+const maxBloomKeys = 1 << 14
+
+// fragWriter is the state of the currently-open fragment. keys holds
+// the distinct clustering values seen so far; the filter is built from
+// them at finalization, sized for what the fragment holds.
 type fragWriter struct {
 	info       *meta.FragmentInfo
 	size       int64 // bytes written (identical in both replicas)
-	filter     *bloom.Filter
+	keys       *bloom.Builder
 	clusterMin []schema.Value
 	clusterMax []schema.Value
 	partitions map[int64]bool
@@ -625,7 +631,7 @@ func (s *Server) openFragment(sl *streamlet) error {
 	}
 	fw := &fragWriter{
 		info:       info,
-		filter:     bloom.New(1<<14, 0.01),
+		keys:       bloom.NewBuilder(maxBloomKeys),
 		partitions: make(map[int64]bool),
 	}
 	sl.cur = fw
@@ -661,19 +667,20 @@ func (s *Server) finalizeCurrentFragment(sl *streamlet) {
 	if fw == nil {
 		return
 	}
+	filter := fw.keys.Build().Marshal()
 	suffix := fragment.EncodeFinalization(fragment.Footer{
 		BloomOffset:   fw.size,
 		CommittedSize: fw.size,
 		RowCount:      fw.info.RowCount,
 		MinTS:         fw.info.MinRecordTS,
 		MaxTS:         fw.info.MaxRecordTS,
-	}, fw.filter)
+	}, filter)
 	// Best effort: a failed footer write leaves a valid unfinalized file.
 	if err := s.writeBoth(sl, suffix); err == nil {
 		fw.size += int64(len(suffix))
 	}
 	fw.info.Finalized = true
-	fw.info.Bloom = fw.filter.Marshal()
+	fw.info.Bloom = filter
 	if len(fw.clusterMin) > 0 {
 		fw.info.ClusterMin = rowenc.EncodeValues(fw.clusterMin)
 		fw.info.ClusterMax = rowenc.EncodeValues(fw.clusterMax)
@@ -695,7 +702,6 @@ func (s *Server) recordProps(sl *streamlet, rows []schema.Row) {
 	for _, r := range rows {
 		if p, ok := sl.schema.PartitionOf(r); ok {
 			fw.partitions[p] = true
-			fw.filter.AddString(fmt.Sprintf("__part:%d", p))
 		}
 		ck := sl.schema.ClusterKeyOf(r)
 		if len(ck) == 0 {
@@ -714,7 +720,7 @@ func (s *Server) recordProps(sl *streamlet, rows []schema.Row) {
 		}
 		for _, v := range ck {
 			if !v.IsNull() {
-				fw.filter.AddString(v.Key())
+				fw.keys.AddString(v.Key())
 			}
 		}
 	}

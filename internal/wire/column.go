@@ -27,13 +27,16 @@ import (
 // dictionary compacted to the selection plus the selected codes, an RLE
 // vector its runs intersected with the selection.
 func AppendColumn(dst []byte, v *Vector, sel Selection) []byte {
-	enc, payload := columnPayload(v, sel)
+	enc, payload := ColumnPayload(v, sel)
 	dst = append(dst, enc)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	return append(dst, payload...)
 }
 
-func columnPayload(v *Vector, sel Selection) (byte, []byte) {
+// ColumnPayload returns the encoding byte and bare payload AppendColumn
+// frames: for a caller that weighs one encoding's bytes against
+// another's, or stores the payload under a framing of its own.
+func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 	n := v.Len()
 	nSel := sel.Count(n)
 	var p []byte
@@ -213,30 +216,42 @@ func BuildDict(vals []schema.Value, maxDistinct int) (dict []schema.Value, codes
 // a fixpoint.
 func chooseVector(name string, vals []schema.Value) Vector {
 	n := len(vals)
-	var starts []int32 // first row of each run of equal values
-	var prev, cur []byte
-	for i, v := range vals {
-		cur = rowenc.AppendValue(cur[:0], v)
-		if i == 0 || !bytes.Equal(cur, prev) {
-			starts = append(starts, int32(i))
-		}
-		prev, cur = cur, prev
-	}
-	if n > 0 && len(starts)*2 <= n {
-		runs := make([]Run, len(starts))
-		for k, s := range starts {
-			end := int32(n)
-			if k+1 < len(starts) {
-				end = starts[k+1]
-			}
-			runs[k] = Run{Len: end - s, Value: vals[s]}
-		}
-		return RLEVector(name, runs)
-	}
 	if n > 0 {
+		if runs, ok := BuildRuns(vals, n/2); ok {
+			return RLEVector(name, runs)
+		}
 		if dict, codes, ok := BuildDict(vals, n/2); ok {
 			return DictVector(name, dict, codes)
 		}
 	}
 	return PlainVector(name, vals)
+}
+
+// BuildRuns groups vals into runs of neighbours equal under the
+// canonical rowenc encoding — BuildDict's equality. It gives up — ok
+// false — at the first run past maxRuns, and builds the runs only once
+// it knows there are few enough.
+func BuildRuns(vals []schema.Value, maxRuns int) (runs []Run, ok bool) {
+	var starts []int32 // first row of each run
+	var prev, cur []byte
+	for i, v := range vals {
+		cur = rowenc.AppendValue(cur[:0], v)
+		if i > 0 && bytes.Equal(cur, prev) {
+			continue
+		}
+		if len(starts) >= maxRuns {
+			return nil, false
+		}
+		starts = append(starts, int32(i))
+		prev, cur = cur, prev
+	}
+	runs = make([]Run, len(starts))
+	for k, s := range starts {
+		end := int32(len(vals))
+		if k+1 < len(starts) {
+			end = starts[k+1]
+		}
+		runs[k] = Run{Len: end - s, Value: vals[s]}
+	}
+	return runs, true
 }

@@ -91,7 +91,7 @@ func BenchmarkColumnCodec(b *testing.B) {
 		if v.Enc != shape.enc {
 			b.Fatalf("%s: column chose encoding %d, want %d", shape.name, v.Enc, shape.enc)
 		}
-		enc, payload := columnPayload(&v, nil)
+		enc, payload := ColumnPayload(&v, nil)
 		b.Run(shape.name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(payload)))
