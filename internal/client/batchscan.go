@@ -75,6 +75,10 @@ func (b *ColBatch) NumVisible() int { return b.Sel.Count(b.NumRows) }
 // Seq returns the storage sequence of physical row i.
 func (b *ColBatch) Seq(i int32) int64 { return b.seqs[i] }
 
+// RowMeta returns the storage sequence and change type of every
+// physical row. The slices are shared with the read cache: read-only.
+func (b *ColBatch) RowMeta() (seqs []int64, changes []byte) { return b.seqs, b.changes }
+
 // arityOf returns how many leading fields physical row i was written
 // with, never more than the schema the batch is read under.
 func (b *ColBatch) arityOf(i int32) int {

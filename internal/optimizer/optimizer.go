@@ -8,10 +8,12 @@
 package optimizer
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"vortex/internal/blockenc"
 	"vortex/internal/client"
@@ -53,6 +55,8 @@ type Optimizer struct {
 	router client.Router
 	region *colossus.Region
 	clock  truetime.Clock
+	// groupBytes is the constant of that name; tests shrink it.
+	groupBytes int64
 }
 
 // New returns an optimizer using the given client for reads and direct
@@ -64,7 +68,7 @@ func New(cfg Config, c *client.Client, net rpc.Transport, router client.Router, 
 	if cfg.DeltaMergeRatio <= 0 {
 		cfg.DeltaMergeRatio = 0.5
 	}
-	return &Optimizer{cfg: cfg, c: c, net: net, router: router, region: region, clock: clock}
+	return &Optimizer{cfg: cfg, c: c, net: net, router: router, region: region, clock: clock, groupBytes: groupBytes}
 }
 
 func (o *Optimizer) sms(ctx context.Context, table meta.TableID, method string, req any) (any, error) {
@@ -83,216 +87,369 @@ type Result struct {
 	Yielded            bool // storage optimization yielded to DML (§7.3)
 }
 
+// groupBytes bounds what one conversion group reads: candidates are
+// taken, in the order the SMS lists them, while their committed bytes
+// stay under it (a fragment larger than it is a group of its own). A
+// group's rows are all in memory while its files are written — as
+// schema.Values, 50 to 70 times their stored size (DESIGN.md §15) — so
+// this is what bounds a pass's memory whatever the backlog; and each
+// group is its own atomic swap, so a pass that yields to DML loses one
+// group's work.
+const groupBytes = 8 << 20
+
 // ConvertTable performs one WOS→ROS conversion pass (Figure 5): it asks
-// the SMS for candidate fragments, reads their visible rows, writes
-// per-partition clustered ROS files, and registers the swap atomically.
+// the SMS for candidate fragments and, group by group, reads their
+// visible rows, writes per-partition clustered ROS files, and registers
+// the swap atomically. The first group that yields to DML ends the pass.
 func (o *Optimizer) ConvertTable(ctx context.Context, table meta.TableID) (Result, error) {
 	var res Result
-	resp, err := o.sms(ctx, table, wire.MethodConversionCandidates, &wire.ConversionCandidatesRequest{Table: table})
+	cands, plan, err := o.candidates(ctx, table)
 	if err != nil {
 		return res, err
 	}
-	cands := resp.(*wire.ConversionCandidatesResponse).Fragments
-	if len(cands) == 0 {
-		return res, nil
-	}
-	sc, err := o.c.GetSchema(ctx, table)
-	if err != nil {
-		return res, err
-	}
-	plan := &client.ScanPlan{Table: table, SnapshotTS: o.clock.Now().Latest, Schema: sc}
-
-	var all []rowenc.Stamped
-	oldIDs := make([]meta.FragmentID, 0, len(cands))
-	applied := make(map[meta.FragmentID][]byte, len(cands))
-	var clusters [2]string
-	for _, rf := range cands {
-		a := client.Assignment{Frag: rf.Info, Mask: rf.Mask, Vis: rf.Vis, StreamStart: rf.StreamStart}
-		rows, err := o.c.Scan(ctx, plan, a)
-		if err != nil {
-			return res, fmt.Errorf("optimizer: reading %s: %w", rf.Info.ID, err)
+	for len(cands) > 0 {
+		n, size := 0, int64(0)
+		for n < len(cands) && (n == 0 || size+cands[n].Info.CommittedBytes <= o.groupBytes) {
+			size += cands[n].Info.CommittedBytes
+			n++
 		}
-		all = append(all, rows...)
-		oldIDs = append(oldIDs, rf.Info.ID)
-		applied[rf.Info.ID] = rf.Mask.Clone().Marshal()
-		clusters = rf.Info.Clusters
-	}
-
-	// Compact superseded UPSERT versions within the converted set;
-	// tombstones are kept (older data may exist elsewhere).
-	all = dml.ResolveChanges(sc, all, false)
-
-	files, infos, err := o.writeClusteredFiles(table, sc, all, clusters)
-	if err != nil {
-		o.deleteFiles(files, clusters)
-		return res, err
-	}
-	_, err = o.sms(ctx, table, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{
-		Table:        table,
-		Old:          oldIDs,
-		New:          infos,
-		AppliedMasks: applied,
-	})
-	if err != nil {
-		o.deleteFiles(files, clusters)
-		if errors.Is(err, sms.ErrDMLActive) || errors.Is(err, sms.ErrMasksChanged) {
+		group := make([]client.Assignment, n)
+		for i, rf := range cands[:n] {
+			group[i] = client.Assignment{Frag: rf.Info, Mask: rf.Mask, Vis: rf.Vis, StreamStart: rf.StreamStart}
+		}
+		cands = cands[n:]
+		files, rows, err := o.rewrite(ctx, table, plan, group)
+		if err == errYield {
 			res.Yielded = true
 			return res, nil
 		}
-		return res, err
+		if err != nil {
+			return res, err
+		}
+		res.FragmentsConverted += n
+		res.FilesWritten += files
+		res.RowsConverted += rows
 	}
-	res.FragmentsConverted = len(oldIDs)
-	res.FilesWritten = len(infos)
-	res.RowsConverted = int64(len(all))
 	return res, nil
 }
+
+// candidates asks the SMS for the table's conversion candidates and
+// builds the plan they are read under.
+func (o *Optimizer) candidates(ctx context.Context, table meta.TableID) ([]wire.ReadFragment, *client.ScanPlan, error) {
+	resp, err := o.sms(ctx, table, wire.MethodConversionCandidates, &wire.ConversionCandidatesRequest{Table: table})
+	if err != nil {
+		return nil, nil, err
+	}
+	cands := resp.(*wire.ConversionCandidatesResponse).Fragments
+	if len(cands) == 0 {
+		return nil, nil, nil
+	}
+	sc, err := o.c.GetSchema(ctx, table)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cands, &client.ScanPlan{Table: table, SnapshotTS: o.clock.Now().Latest, Schema: sc}, nil
+}
+
+// rewrite replaces the fragments of inputs by clustered ROS files of
+// their visible rows, superseded UPSERT versions compacted away, in one
+// atomic swap. It returns errYield when DML got in first; whatever it
+// wrote is then, as after any error, deleted again.
+func (o *Optimizer) rewrite(ctx context.Context, table meta.TableID, plan *client.ScanPlan, inputs []client.Assignment) (files int, rows int64, err error) {
+	rs, err := o.scanColumns(ctx, plan, inputs)
+	if err != nil {
+		return 0, 0, err
+	}
+	oldIDs := make([]meta.FragmentID, len(inputs))
+	applied := make(map[meta.FragmentID][]byte, len(inputs))
+	for i, a := range inputs {
+		oldIDs[i] = a.Frag.ID
+		applied[a.Frag.ID] = a.Mask.Clone().Marshal()
+	}
+	perm, cuts := o.clusteredOrder(plan.Schema, rs)
+	infos, err := o.writeFiles(table, plan.Schema, rs, perm, cuts, o.placement(inputs[len(inputs)-1].Frag.Clusters))
+	if err == nil {
+		_, err = o.sms(ctx, table, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{
+			Table:        table,
+			Old:          oldIDs,
+			New:          infos,
+			AppliedMasks: applied,
+		})
+	}
+	if err != nil {
+		o.deleteFiles(infos)
+		if errors.Is(err, sms.ErrDMLActive) || errors.Is(err, sms.ErrMasksChanged) {
+			err = errYield
+		}
+		return 0, 0, err
+	}
+	return len(infos), int64(len(perm)), nil
+}
+
+var errYield = errors.New("optimizer: yielded")
 
 // ConvertTableStable performs a 1:1 stable conversion of candidates:
 // each WOS fragment becomes exactly one ROS fragment with identical row
 // order and count, so deletion masks transfer verbatim and conversion
 // never conflicts with concurrent DML (§7.3).
 func (o *Optimizer) ConvertTableStable(ctx context.Context, table meta.TableID) (Result, error) {
-	var res Result
-	resp, err := o.sms(ctx, table, wire.MethodConversionCandidates, &wire.ConversionCandidatesRequest{Table: table})
+	cands, plan, err := o.candidates(ctx, table)
+	if err != nil || len(cands) == 0 {
+		return Result{}, err
+	}
+	req := &wire.RegisterConversionRequest{Table: table, TransferMasks: make(map[meta.FragmentID]meta.FragmentID)}
+	rows, err := o.writeStable(ctx, plan, cands, req)
+	if err == nil {
+		_, err = o.sms(ctx, table, wire.MethodRegisterConversion, req)
+	}
 	if err != nil {
-		return res, err
+		o.deleteFiles(req.New)
+		if errors.Is(err, sms.ErrDMLActive) {
+			return Result{Yielded: true}, nil
+		}
+		return Result{}, err
 	}
-	cands := resp.(*wire.ConversionCandidatesResponse).Fragments
-	if len(cands) == 0 {
-		return res, nil
-	}
-	sc, err := o.c.GetSchema(ctx, table)
-	if err != nil {
-		return res, err
-	}
-	plan := &client.ScanPlan{Table: table, SnapshotTS: o.clock.Now().Latest, Schema: sc}
-	var oldIDs []meta.FragmentID
-	var infos []meta.FragmentInfo
-	var files []string
-	transfer := make(map[meta.FragmentID]meta.FragmentID)
-	var clusters [2]string
+	return Result{FragmentsConverted: len(req.Old), FilesWritten: len(req.New), RowsConverted: rows}, nil
+}
+
+// writeStable writes each candidate's rows, masked ones included, as
+// one file in the order they have, and enters the pair in req. On error
+// req.New holds the files written until then.
+func (o *Optimizer) writeStable(ctx context.Context, plan *client.ScanPlan, cands []wire.ReadFragment, req *wire.RegisterConversionRequest) (rows int64, err error) {
+	var clusters [2]string // of the last candidate that names any
 	for _, rf := range cands {
 		// Read WITHOUT masks: the 1:1 output preserves every row so the
 		// mask's row indexes stay valid.
-		a := client.Assignment{Frag: rf.Info, Vis: rf.Vis, StreamStart: rf.StreamStart}
-		rows, err := o.c.Scan(ctx, plan, a)
+		rs, err := o.scanColumns(ctx, plan, []client.Assignment{{Frag: rf.Info, Vis: rf.Vis, StreamStart: rf.StreamStart}})
 		if err != nil {
-			return res, err
+			return 0, err
 		}
-		if int64(len(rows)) != rf.Info.RowCount {
-			return res, fmt.Errorf("optimizer: stable conversion of %s read %d rows, metadata says %d", rf.Info.ID, len(rows), rf.Info.RowCount)
+		if n := int64(len(rs.seqs)); n != rf.Info.RowCount {
+			return 0, fmt.Errorf("optimizer: stable conversion of %s read %d rows, metadata says %d", rf.Info.ID, n, rf.Info.RowCount)
 		}
-		w := ros.NewWriter(sc)
-		w.AllowMixedPartitions()
-		for _, r := range rows {
-			if err := w.Add(r.Row, r.Seq); err != nil {
-				return res, err
+		if rf.Info.Clusters[0] != "" {
+			clusters = rf.Info.Clusters
+		}
+		perm := wire.SelectAll(len(rs.seqs))
+		written, err := o.writeFiles(plan.Table, plan.Schema, rs, perm, []int{len(perm)}, o.placement(clusters))
+		if err != nil {
+			return 0, err
+		}
+		req.Old = append(req.Old, rf.Info.ID)
+		req.New = append(req.New, written...)
+		req.TransferMasks[rf.Info.ID] = written[0].ID
+		rows += rf.Info.RowCount
+	}
+	return rows, nil
+}
+
+// placement is the replica pair of a new ROS file: its sources' pair,
+// unless that names one cluster twice — a streamlet degraded to its one
+// healthy cluster (§5.6) — in which case the second replica goes to
+// another cluster of the region. Inheriting the degenerate pair would
+// write the file to one cluster twice (the second conditional write is
+// refused) and, had it gone through, leave the file single-homed.
+func (o *Optimizer) placement(from [2]string) [2]string {
+	if from[0] == from[1] {
+		for _, name := range o.region.ClusterNames() {
+			if name != from[0] {
+				from[1] = name
+				break
 			}
 		}
-		info, path, err := o.finishFile(table, sc, w, clustersOf(rf, clusters))
-		if err != nil {
-			return res, err
-		}
-		oldIDs = append(oldIDs, rf.Info.ID)
-		infos = append(infos, *info)
-		files = append(files, path)
-		transfer[rf.Info.ID] = info.ID
-		clusters = rf.Info.Clusters
-		res.RowsConverted += int64(len(rows))
 	}
-	_, err = o.sms(ctx, table, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{
-		Table:         table,
-		Old:           oldIDs,
-		New:           infos,
-		TransferMasks: transfer,
+	return from
+}
+
+// rowSet is the visible rows of some fragments held as columns — what
+// ScanBatch produced, concatenated in input order: cols[f][i] is row i's
+// value of top-level field f.
+type rowSet struct {
+	cols    [][]schema.Value
+	seqs    []int64
+	changes []byte
+}
+
+// scanColumns reads the inputs in order. Nothing is materialized per
+// row: each batch's cached vectors are gathered through its selection
+// onto the end of the set's columns.
+func (o *Optimizer) scanColumns(ctx context.Context, plan *client.ScanPlan, inputs []client.Assignment) (*rowSet, error) {
+	var most int64 // no input has more visible rows than rows
+	for _, a := range inputs {
+		most += a.Frag.RowCount
+	}
+	rs := &rowSet{cols: make([][]schema.Value, len(plan.Schema.Fields)), seqs: make([]int64, 0, most), changes: make([]byte, 0, most)}
+	for f := range rs.cols {
+		rs.cols[f] = make([]schema.Value, 0, most)
+	}
+	for _, a := range inputs {
+		b, err := o.c.ScanBatch(ctx, plan, a)
+		if err != nil {
+			return nil, fmt.Errorf("optimizer: reading %s: %w", a.Frag.ID, err)
+		}
+		vecs, sel := b.Vectors(b.Sel)
+		for k := range vecs {
+			f := b.ColIdx[k]
+			rs.cols[f] = append(rs.cols[f], vecs[k].Gather(sel)...)
+		}
+		seqs, changes := b.RowMeta()
+		if sel == nil {
+			rs.seqs, rs.changes = append(rs.seqs, seqs...), append(rs.changes, changes...)
+		}
+		for _, i := range sel {
+			rs.seqs, rs.changes = append(rs.seqs, seqs[i]), append(rs.changes, changes[i])
+		}
+	}
+	return rs, nil
+}
+
+// sortKey is a clustering value in a form that orders as
+// schema.Value.Compare does but is compared in place: a Value is 120
+// bytes, copied per operand per comparison. One column holds one kind,
+// so at most one of i, f and s differs between two keys of it.
+type sortKey struct {
+	null bool
+	i    int64
+	f    float64
+	s    string
+}
+
+func sortKeyOf(v schema.Value) sortKey {
+	switch {
+	case v.IsNull():
+		return sortKey{null: true}
+	case v.Kind() == schema.KindFloat64:
+		return sortKey{f: v.AsFloat64()}
+	case v.Kind() == schema.KindString:
+		return sortKey{s: v.AsString()}
+	case v.Kind() == schema.KindBytes:
+		return sortKey{s: string(v.AsBytes())}
+	}
+	return sortKey{i: v.AsInt64()}
+}
+
+func (a *sortKey) compare(b *sortKey) int {
+	switch {
+	case a.null && b.null:
+		return 0
+	case a.null: // NULL sorts first
+		return -1
+	case b.null:
+		return 1
+	case a.i != b.i:
+		return cmp.Compare(a.i, b.i)
+	case a.f < b.f: // not cmp.Compare: Value.Compare holds NaN equal to everything
+		return -1
+	case a.f > b.f:
+		return 1
+	}
+	return strings.Compare(a.s, b.s)
+}
+
+// noPartition groups the rows that have no partition value; it sorts
+// before every real partition.
+const noPartition = -1 << 62
+
+// clusteredOrder decides what a rewrite of rs writes and in which
+// order, reading only the key, sequence and change columns: rows
+// superseded under `_CHANGE_TYPE` are dropped (tombstones are kept:
+// older data may exist elsewhere), and the survivors come back as one
+// permutation ordered by partition, then clustering key, then sequence —
+// ties keeping input order — with cuts[k] the end in it of the k-th
+// file: of at most TargetROSRows rows, except that a file never ends
+// inside a partition's clustering-key run (the new baseline must be
+// non-overlapping in key ranges, §6.1) and never spans partitions.
+func (o *Optimizer) clusteredOrder(sc *schema.Schema, rs *rowSet) (perm []int32, cuts []int) {
+	var dead []bool
+	if len(sc.PrimaryKey) > 0 {
+		dead = dml.Replay(dml.ChangesOf(sc, rs.cols, rs.seqs, rs.changes), false)
+	}
+	perm = make([]int32, 0, len(rs.seqs))
+	for i := range rs.seqs {
+		if dead == nil || !dead[i] {
+			perm = append(perm, int32(i))
+		}
+	}
+	parts := make([]int64, len(rs.seqs))
+	pf := sc.FieldIndex(sc.PartitionField)
+	for i := range parts {
+		parts[i] = noPartition
+		if pf >= 0 {
+			if p, ok := schema.PartitionOfValue(rs.cols[pf][i]); ok {
+				parts[i] = p
+			}
+		}
+	}
+	keys := make([][]sortKey, 0, len(sc.ClusterBy))
+	for _, name := range sc.ClusterBy {
+		col := rs.cols[sc.FieldIndex(name)]
+		ks := make([]sortKey, len(col))
+		for i := range col {
+			ks[i] = sortKeyOf(col[i])
+		}
+		keys = append(keys, ks)
+	}
+	compareKeys := func(a, b int32) int {
+		for _, ks := range keys {
+			if c := ks[a].compare(&ks[b]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(parts[a], parts[b]); c != 0 {
+			return c
+		}
+		if c := compareKeys(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(rs.seqs[a], rs.seqs[b])
 	})
-	if err != nil {
-		o.deleteFiles(files, clusters)
-		if errors.Is(err, sms.ErrDMLActive) {
-			res.Yielded = true
-			return res, nil
+	for start := 0; start < len(perm); {
+		end := start + 1
+		for end < len(perm) && parts[perm[end]] == parts[perm[start]] &&
+			(end-start < int(o.cfg.TargetROSRows) || compareKeys(perm[end], perm[end-1]) == 0) {
+			end++
 		}
-		return res, err
+		cuts = append(cuts, end)
+		start = end
 	}
-	res.FragmentsConverted = len(oldIDs)
-	res.FilesWritten = len(infos)
-	return res, nil
+	return perm, cuts
 }
 
-func clustersOf(rf wire.ReadFragment, fallback [2]string) [2]string {
-	if rf.Info.Clusters[0] != "" {
-		return rf.Info.Clusters
-	}
-	return fallback
-}
-
-// writeClusteredFiles groups rows by partition, sorts each partition by
-// clustering key (stable by sequence), and writes ROS files of at most
-// TargetROSRows rows. On error it returns the files already written,
-// which nothing has registered: the caller deletes them.
-func (o *Optimizer) writeClusteredFiles(table meta.TableID, sc *schema.Schema, rows []rowenc.Stamped, clusters [2]string) ([]string, []meta.FragmentInfo, error) {
-	groups := map[int64][]rowenc.Stamped{}
-	for _, r := range rows {
-		p, ok := sc.PartitionOf(r.Row)
-		if !ok {
-			p = -1 << 62
+// writeFiles writes rows perm[:cuts[0]], perm[cuts[0]:cuts[1]], … of rs
+// as one ROS file each, on the given replica pair. On error it has
+// deleted what it wrote.
+func (o *Optimizer) writeFiles(table meta.TableID, sc *schema.Schema, rs *rowSet, perm []int32, cuts []int, clusters [2]string) ([]meta.FragmentInfo, error) {
+	infos := make([]meta.FragmentInfo, 0, len(cuts))
+	w := ros.NewWriter(sc)
+	w.AllowMixedPartitions() // tolerates the "no partition" group
+	start := 0
+	for _, end := range cuts {
+		w.Reset()
+		err := w.AddColumns(rs.cols, rs.seqs, rs.changes, perm[start:end])
+		var info *meta.FragmentInfo
+		if err == nil {
+			info, err = o.finishFile(table, sc, w, clusters)
 		}
-		groups[p] = append(groups[p], r)
-	}
-	parts := make([]int64, 0, len(groups))
-	for p := range groups {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
-
-	var files []string
-	var infos []meta.FragmentInfo
-	for _, p := range parts {
-		g := groups[p]
-		sort.SliceStable(g, func(i, j int) bool {
-			ci := schema.CompareClusterKeys(sc.ClusterKeyOf(g[i].Row), sc.ClusterKeyOf(g[j].Row))
-			if ci != 0 {
-				return ci < 0
-			}
-			return g[i].Seq < g[j].Seq
-		})
-		for start := int64(0); start < int64(len(g)); {
-			end := start + o.cfg.TargetROSRows
-			if end > int64(len(g)) {
-				end = int64(len(g))
-			}
-			// Never split a clustering-key run across files: the new
-			// baseline must be non-overlapping in key ranges (§6.1).
-			for end < int64(len(g)) &&
-				schema.CompareClusterKeys(sc.ClusterKeyOf(g[end].Row), sc.ClusterKeyOf(g[end-1].Row)) == 0 {
-				end++
-			}
-			w := ros.NewWriter(sc)
-			w.AllowMixedPartitions() // tolerates the "no partition" group
-			for _, r := range g[start:end] {
-				if err := w.Add(r.Row, r.Seq); err != nil {
-					return files, nil, err
-				}
-			}
-			info, path, err := o.finishFile(table, sc, w, clusters)
-			if err != nil {
-				return files, nil, err
-			}
-			files = append(files, path)
-			infos = append(infos, *info)
-			start = end
+		if err != nil {
+			o.deleteFiles(infos)
+			return nil, err
 		}
+		infos = append(infos, *info)
+		start = end
 	}
-	return files, infos, nil
+	return infos, nil
 }
 
 // finishFile encodes one ROS file, writes it to both replica clusters
 // and builds its FragmentInfo (with the column properties Big Metadata
 // indexes).
-func (o *Optimizer) finishFile(table meta.TableID, sc *schema.Schema, w *ros.Writer, clusters [2]string) (*meta.FragmentInfo, string, error) {
+func (o *Optimizer) finishFile(table meta.TableID, sc *schema.Schema, w *ros.Writer, clusters [2]string) (*meta.FragmentInfo, error) {
 	data, err := w.Finish()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	id := newROSID()
 	path := fmt.Sprintf("ros/%s/%s", table, id)
@@ -310,7 +467,7 @@ func (o *Optimizer) finishFile(table meta.TableID, sc *schema.Schema, w *ros.Wri
 			for _, written := range clusters[:i] {
 				_ = o.region.Cluster(written).Delete(path)
 			}
-			return nil, "", err
+			return nil, err
 		}
 	}
 	minSeq, maxSeq := w.SeqBounds()
@@ -333,14 +490,16 @@ func (o *Optimizer) finishFile(table meta.TableID, sc *schema.Schema, w *ros.Wri
 		info.ClusterMin = rowenc.EncodeValues(mn)
 		info.ClusterMax = rowenc.EncodeValues(mx)
 	}
-	return info, path, nil
+	return info, nil
 }
 
-func (o *Optimizer) deleteFiles(paths []string, clusters [2]string) {
-	for _, p := range paths {
-		for _, cn := range clusters {
+// deleteFiles takes back files nothing has registered, each from the
+// replica pair it was written to.
+func (o *Optimizer) deleteFiles(infos []meta.FragmentInfo) {
+	for _, info := range infos {
+		for _, cn := range info.Clusters {
 			if cl := o.region.Cluster(cn); cl != nil {
-				_ = cl.Delete(p)
+				_ = cl.Delete(info.Path)
 			}
 		}
 	}

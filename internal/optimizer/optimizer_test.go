@@ -56,7 +56,10 @@ func newEnv(t testing.TB, fragBytes int64) *env {
 	if fragBytes > 0 {
 		cfg.MaxFragmentBytes = fragBytes
 	}
-	r := core.NewRegion(cfg)
+	return newEnvIn(core.NewRegion(cfg))
+}
+
+func newEnvIn(r *core.Region) *env {
 	c := r.NewClient(client.DefaultOptions())
 	ocfg := optimizer.DefaultConfig()
 	ocfg.TargetROSRows = 100

@@ -2,17 +2,12 @@ package optimizer
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sort"
 
 	"vortex/internal/client"
-	"vortex/internal/dml"
 	"vortex/internal/meta"
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
-	"vortex/internal/sms"
-	"vortex/internal/wire"
 )
 
 // ClusterState describes a table's ROS layout with respect to its
@@ -207,48 +202,13 @@ func (o *Optimizer) Recluster(ctx context.Context, table meta.TableID, force boo
 	return merged, nil
 }
 
-var errYield = fmt.Errorf("optimizer: yielded")
-
-// mergePartition reads every fragment of one partition, merges rows in
-// clustering order, compacts superseded UPSERT versions, and swaps in a
-// fresh non-overlapping baseline.
-func (o *Optimizer) mergePartition(ctx context.Context, table meta.TableID, plan *client.ScanPlan, inputs []rosFrag) error {
-	var all []rowenc.Stamped
-	oldIDs := make([]meta.FragmentID, 0, len(inputs))
-	applied := make(map[meta.FragmentID][]byte, len(inputs))
-	var clusters [2]string
-	for _, f := range inputs {
-		rows, err := o.c.Scan(ctx, plan, f.a)
-		if err != nil {
-			return err
-		}
-		all = append(all, rows...)
-		oldIDs = append(oldIDs, f.a.Frag.ID)
-		applied[f.a.Frag.ID] = f.a.Mask.Clone().Marshal()
-		clusters = f.a.Frag.Clusters
+// mergePartition merges every fragment of one partition — baseline and
+// delta — into a fresh non-overlapping baseline: one rewrite.
+func (o *Optimizer) mergePartition(ctx context.Context, table meta.TableID, plan *client.ScanPlan, frags []rosFrag) error {
+	inputs := make([]client.Assignment, len(frags))
+	for i, f := range frags {
+		inputs[i] = f.a
 	}
-	all = dml.ResolveChanges(plan.Schema, all, false)
-	files, infos, err := o.writeClusteredFiles(table, plan.Schema, all, clusters)
-	if err != nil {
-		o.deleteFiles(files, clusters)
-		return err
-	}
-	_, err = o.sms(ctx, table, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{
-		Table:        table,
-		Old:          oldIDs,
-		New:          infos,
-		AppliedMasks: applied,
-	})
-	if err != nil {
-		o.deleteFiles(files, clusters)
-		if isYield(err) {
-			return errYield
-		}
-		return err
-	}
-	return nil
-}
-
-func isYield(err error) bool {
-	return err != nil && (errors.Is(err, sms.ErrDMLActive) || errors.Is(err, sms.ErrMasksChanged))
+	_, _, err := o.rewrite(ctx, table, plan, inputs)
+	return err
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"vortex/internal/blockenc"
@@ -87,17 +88,22 @@ type Writer struct {
 	seqs     []int64
 	rowCount int64
 
+	partitionField int   // top-level index of the partition column, or -1
+	clusterFields  []int // top-level index of each ClusterBy column, or -1
+
 	partition    int64
 	hasPartition bool
-	partitionSet bool
 	allowMixed   bool
-	mixed        bool
 	partitions   []int64
 
 	clusterMin []schema.Value
 	clusterMax []schema.Value
+	lastKey    []schema.Value // clustering key of the last row added
 	keys       *bloom.Builder
 	filter     []byte // marshaled by Finish
+
+	rowCols [][]schema.Value // Add's one-row columns, reused
+	undo    []int            // AddColumns: each striped column's entry and value count on entry
 }
 
 // maxBloomKeys is the most distinct clustering values a file's filter
@@ -106,11 +112,31 @@ const maxBloomKeys = 1 << 16
 
 // NewWriter returns a Writer for rows of schema s.
 func NewWriter(s *schema.Schema) *Writer {
-	return &Writer{
-		schema:  s,
-		striper: newStriper(s),
-		keys:    bloom.NewBuilder(maxBloomKeys),
+	w := &Writer{
+		schema:         s,
+		striper:        newStriper(s),
+		keys:           bloom.NewBuilder(maxBloomKeys),
+		partitionField: s.FieldIndex(s.PartitionField), // -1 when unpartitioned: no field is named ""
 	}
+	for _, name := range s.ClusterBy {
+		w.clusterFields = append(w.clusterFields, s.FieldIndex(name))
+	}
+	w.lastKey = make([]schema.Value, len(w.clusterFields))
+	w.undo = make([]int, 2*len(w.striper.cols))
+	return w
+}
+
+// Reset empties the Writer for the next file of the same schema. It
+// keeps the column buffers it has grown, so a pass that writes many
+// files sizes them once, for its largest.
+func (w *Writer) Reset() {
+	for _, c := range w.striper.cols {
+		c.reps, c.defs, c.values = c.reps[:0], c.defs[:0], c.values[:0]
+	}
+	w.seqs, w.changes, w.partitions = w.seqs[:0], w.changes[:0], w.partitions[:0]
+	w.rowCount, w.partition, w.hasPartition = 0, 0, false
+	w.clusterMin, w.clusterMax, w.filter = nil, nil, nil
+	w.keys = bloom.NewBuilder(maxBloomKeys)
 }
 
 // AllowMixedPartitions permits rows from several partitions in one file
@@ -119,56 +145,127 @@ func NewWriter(s *schema.Schema) *Writer {
 // partition id is then unset; PartitionSet returns the full set.
 func (w *Writer) AllowMixedPartitions() { w.allowMixed = true }
 
-// Add appends one row with its storage sequence number. Rows must be
-// schema-valid; all rows of a file must belong to the same partition
-// (the optimizer splits by partition, Figure 5).
-func (w *Writer) Add(r schema.Row, seq int64) error {
-	if err := w.schema.ValidateRow(r); err != nil {
-		return err
-	}
-	part, ok := w.schema.PartitionOf(r)
-	if w.rowCount == 0 {
-		w.partition, w.hasPartition = part, ok
-		w.partitionSet = true
-	} else if ok != w.hasPartition || (ok && part != w.partition) {
-		if !w.allowMixed {
-			return fmt.Errorf("ros: row partition %d differs from file partition %d", part, w.partition)
-		}
-		w.mixed = true
-		w.hasPartition = false
-	}
-	w.striper.addRow(r)
-	w.changes = append(w.changes, byte(r.Change))
-	w.seqs = append(w.seqs, seq)
-	w.rowCount++
+// oneRow is the permutation that adds a one-row column set.
+var oneRow = []int32{0}
 
-	// Clustering bookkeeping: range and bloom membership.
-	ck := w.schema.ClusterKeyOf(r)
-	if len(ck) > 0 {
-		if w.clusterMin == nil {
-			w.clusterMin = append([]schema.Value(nil), ck...)
-			w.clusterMax = append([]schema.Value(nil), ck...)
-		} else {
-			if schema.CompareClusterKeys(ck, w.clusterMin) < 0 {
-				w.clusterMin = append([]schema.Value(nil), ck...)
-			}
-			if schema.CompareClusterKeys(ck, w.clusterMax) > 0 {
-				w.clusterMax = append([]schema.Value(nil), ck...)
-			}
+// Add appends one row with its storage sequence number: AddColumns over
+// columns of one value each.
+func (w *Writer) Add(r schema.Row, seq int64) error {
+	w.rowCols = w.rowCols[:0]
+	for i := range r.Values {
+		w.rowCols = append(w.rowCols, r.Values[i:i+1])
+	}
+	return w.AddColumns(w.rowCols, []int64{seq}, []byte{byte(r.Change)}, oneRow)
+}
+
+// AddColumns appends rows held as columns: cols[f][i] is row i's value
+// of top-level field f, seqs[i] and changes[i] its storage sequence and
+// change type, and perm lists the rows to add, in file order. There may
+// be fewer columns than the schema has fields (rows written before the
+// trailing fields were added read NULL there), never more. Every value
+// must be valid for its field, which is checked while it is striped —
+// what schema.ValidateRow checks row by row; all rows of a file must
+// belong to the same partition (the optimizer splits by partition,
+// Figure 5) unless AllowMixedPartitions. A refused call adds nothing.
+func (w *Writer) AddColumns(cols [][]schema.Value, seqs []int64, changes []byte, perm []int32) error {
+	// What addColumns can change before it fails: the Writer's own fields
+	// (slices only ever grow, so their old headers restore them) and the
+	// lengths of the striped columns.
+	saved := *w
+	for k, c := range w.striper.cols {
+		w.undo[2*k], w.undo[2*k+1] = len(c.reps), len(c.values)
+	}
+	err := w.addColumns(cols, seqs, changes, perm)
+	if err != nil {
+		*w = saved
+		for k, c := range w.striper.cols {
+			c.reps, c.defs, c.values = c.reps[:w.undo[2*k]], c.defs[:w.undo[2*k]], c.values[:w.undo[2*k+1]]
 		}
-		for _, v := range ck {
+	}
+	return err
+}
+
+func (w *Writer) addColumns(cols [][]schema.Value, seqs []int64, changes []byte, perm []int32) error {
+	if len(cols) > len(w.schema.Fields) {
+		return fmt.Errorf("schema: row has %d values, schema has %d fields", len(cols), len(w.schema.Fields))
+	}
+	// column returns the values of top-level field f, nil when the rows
+	// do not carry it.
+	column := func(f int) []schema.Value {
+		if f < 0 || f >= len(cols) {
+			return nil
+		}
+		return cols[f]
+	}
+	for f, root := range w.striper.roots {
+		if err := root.stripeColumn(column(f), perm); err != nil {
+			return err
+		}
+	}
+	w.seqs = slices.Grow(w.seqs, len(perm))
+	w.changes = slices.Grow(w.changes, len(perm))
+	for _, i := range perm {
+		if changes[i] != byte(schema.ChangeInsert) && len(w.schema.PrimaryKey) == 0 {
+			return fmt.Errorf("schema: %v rows require a primary key on the table", schema.ChangeType(changes[i]))
+		}
+		w.seqs = append(w.seqs, seqs[i])
+		w.changes = append(w.changes, changes[i])
+	}
+
+	pcol := column(w.partitionField)
+	for k, i := range perm {
+		var part int64
+		var ok bool
+		if pcol != nil {
+			part, ok = schema.PartitionOfValue(pcol[i])
+		}
+		if w.rowCount == 0 && k == 0 {
+			w.partition, w.hasPartition = part, ok
+		} else if ok != w.hasPartition || (ok && part != w.partition) {
+			if !w.allowMixed {
+				return fmt.Errorf("ros: row partition %d differs from file partition %d", part, w.partition)
+			}
+			w.hasPartition = false
+		}
+		if ok {
+			w.addPartition(part)
+		}
+	}
+	// Clustering bookkeeping: range and bloom membership, once per run of
+	// rows sharing a key (a clustered file is sorted by it).
+	for k := 0; k < len(perm) && len(w.clusterFields) > 0; k++ {
+		run := w.rowCount > 0 || k > 0 // lastKey holds the previous row's key
+		for n, f := range w.clusterFields {
+			v := schema.Null()
+			if col := column(f); col != nil {
+				v = col[perm[k]]
+			}
+			run = run && v.Compare(w.lastKey[n]) == 0
+			w.lastKey[n] = v
+		}
+		if run {
+			continue
+		}
+		if w.clusterMin == nil || schema.CompareClusterKeys(w.lastKey, w.clusterMin) < 0 {
+			w.clusterMin = slices.Clone(w.lastKey)
+		}
+		if w.clusterMax == nil || schema.CompareClusterKeys(w.lastKey, w.clusterMax) > 0 {
+			w.clusterMax = slices.Clone(w.lastKey)
+		}
+		for _, v := range w.lastKey {
 			if !v.IsNull() {
 				w.keys.AddString(v.Key())
 			}
 		}
 	}
-	if ok {
-		w.addPartition(part)
-	}
+	w.rowCount += int64(len(perm))
 	return nil
 }
 
 func (w *Writer) addPartition(p int64) {
+	if n := len(w.partitions); n > 0 && w.partitions[n-1] == p {
+		return // the common case: a file of one partition
+	}
 	for _, q := range w.partitions {
 		if q == p {
 			return

@@ -74,11 +74,19 @@ func TestDremelPaperLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := newStriper(s)
-	for _, r := range dremelRows() {
-		if err := s.ValidateRow(r); err != nil {
+	rows := dremelRows()
+	for f, root := range st.roots {
+		col := make([]schema.Value, len(rows))
+		for i, r := range rows {
+			col[i] = r.Values[f]
+		}
+		if err := root.stripeColumn(col, []int32{0, 1}); err != nil {
 			t.Fatal(err)
 		}
-		st.addRow(r)
+	}
+	byPath := make(map[string]*columnData)
+	for _, c := range st.cols {
+		byPath[c.leaf.Path] = c
 	}
 	want := map[string][]levelTriple{
 		"DocId":          {{0, 0, "10"}, {0, 0, "20"}},
@@ -93,7 +101,7 @@ func TestDremelPaperLevels(t *testing.T) {
 		"Name.Url": {{0, 2, `"http://A"`}, {1, 2, `"http://B"`}, {1, 1, ""}, {0, 2, `"http://C"`}},
 	}
 	for path, triples := range want {
-		c := st.byPath[path]
+		c := byPath[path]
 		if c == nil {
 			t.Fatalf("no column %q", path)
 		}

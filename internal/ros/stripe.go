@@ -19,6 +19,7 @@ package ros
 
 import (
 	"fmt"
+	"slices"
 
 	"vortex/internal/schema"
 )
@@ -31,100 +32,187 @@ type columnData struct {
 	values []schema.Value // len == number of entries with def == MaxDef
 }
 
-// striper shreds rows into columnar (rep, def, value) triples.
+// striper shreds columns of top-level values into (rep, def, value)
+// triples, checking each value against its field on the way: the walk
+// that finds a value's leaves is the walk schema.ValidateRow makes, so a
+// value is visited once for both.
 type striper struct {
-	schema *schema.Schema
-	cols   []*columnData
-	// index maps a field-path position to its column; built once.
-	byPath map[string]*columnData
+	roots []*fieldNode  // one per top-level field
+	cols  []*columnData // every leaf, in schema.Leaves order
+}
+
+// fieldNode is one field of the schema placed in the striper: a scalar
+// field holds its column, a struct its sub-fields, and both the leaves
+// beneath them. The tree is resolved once per file, so striping a value
+// looks nothing up by path.
+type fieldNode struct {
+	f      *schema.Field
+	col    *columnData   // scalar fields
+	kids   []*fieldNode  // struct fields
+	leaves []*columnData // every leaf at or under this field
 }
 
 func newStriper(s *schema.Schema) *striper {
-	leaves := s.Leaves()
-	st := &striper{schema: s, byPath: make(map[string]*columnData, len(leaves))}
-	for _, l := range leaves {
-		c := &columnData{leaf: l}
-		st.cols = append(st.cols, c)
-		st.byPath[l.Path] = c
+	st := &striper{}
+	for _, l := range s.Leaves() {
+		st.cols = append(st.cols, &columnData{leaf: l})
 	}
+	next := 0 // Leaves enumerates depth first in field order, as place does
+	var place func(fields []*schema.Field) []*fieldNode
+	place = func(fields []*schema.Field) []*fieldNode {
+		nodes := make([]*fieldNode, len(fields))
+		for i, f := range fields {
+			n := &fieldNode{f: f}
+			first := next
+			if f.Kind == schema.KindStruct {
+				n.kids = place(f.Fields)
+			} else {
+				n.col = st.cols[next]
+				next++
+			}
+			n.leaves = st.cols[first:next]
+			nodes[i] = n
+		}
+		return nodes
+	}
+	st.roots = place(s.Fields)
 	return st
 }
 
-// addRow stripes one row. The row must already be schema-valid.
-func (st *striper) addRow(r schema.Row) {
-	for i, f := range st.schema.Fields {
-		var v schema.Value
-		if i < len(r.Values) {
-			v = r.Values[i]
-		} else {
-			v = schema.Null() // evolved-schema row: trailing fields read NULL
+// stripeColumn stripes rows perm[0], perm[1], … of one top-level
+// field's values. A nil col is a field none of the rows was written
+// with (schema evolution): every row reads NULL.
+func (n *fieldNode) stripeColumn(col []schema.Value, perm []int32) error {
+	if col == nil {
+		if n.f.Mode == schema.Required {
+			return fmt.Errorf("schema: row missing REQUIRED field %q", n.f.Name)
 		}
-		st.stripeField(f, f.Name, v, 0, 0, 0)
+		for range perm {
+			n.emitNull(0, 0)
+		}
+		return nil
 	}
+	// Size the leaves for the entries to come — one per row, or for a
+	// repeated field what a pass over the lists' lengths predicts (exact
+	// unless lists nest) — then stripe value by value.
+	entries := len(perm)
+	if n.f.Mode == schema.Repeated {
+		for _, i := range perm {
+			entries += max(len(col[i].Elems()), 1) - 1
+		}
+	}
+	for _, c := range n.leaves {
+		c.reps = slices.Grow(c.reps, entries)
+		c.defs = slices.Grow(c.defs, entries)
+		c.values = slices.Grow(c.values, entries)
+	}
+	for _, i := range perm {
+		if err := n.stripe(&col[i], 0, 0, 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// stripeField emits entries for field (and its subtree) given value v.
+// check refuses a present value a non-repeated field cannot hold.
+func (n *fieldNode) check(v *schema.Value) error {
+	if v.IsList() {
+		return fmt.Errorf("schema: field %q is not REPEATED but value is a list", n.f.Name)
+	}
+	return n.checkKind(v)
+}
+
+// checkKind refuses a present value, or an element of a repeated one,
+// of another kind than the field's.
+func (n *fieldNode) checkKind(v *schema.Value) error {
+	if v.Kind() != n.f.Kind {
+		return fmt.Errorf("schema: field %q expects %v, got %v", n.f.Name, n.f.Kind, v.Kind())
+	}
+	return nil
+}
+
+// stripe emits the entries of value v of this field and its subtree.
 // rep is the repetition level for the first atom emitted; def is the
 // definition level accumulated so far; repDepth is the repetition depth
 // of the enclosing context.
-func (st *striper) stripeField(f *schema.Field, path string, v schema.Value, rep, def, repDepth int) {
+func (n *fieldNode) stripe(v *schema.Value, rep, def, repDepth uint8) error {
+	f := n.f
+	if v.IsNull() {
+		if f.Mode == schema.Required {
+			return fmt.Errorf("schema: field %q is REQUIRED but value is NULL", f.Name)
+		}
+		n.emitNull(rep, def)
+		return nil
+	}
 	switch f.Mode {
-	case schema.Required:
-		st.stripeContent(f, path, v, rep, def, repDepth)
-	case schema.Nullable:
-		if v.IsNull() {
-			st.emitNullSubtree(f, path, rep, def)
-			return
-		}
-		st.stripeContent(f, path, v, rep, def+1, repDepth)
 	case schema.Repeated:
-		if v.IsNull() || v.Len() == 0 {
-			st.emitNullSubtree(f, path, rep, def)
-			return
+		if !v.IsList() {
+			return fmt.Errorf("schema: field %q is REPEATED but value is %v", f.Name, v.Kind())
 		}
-		childRep := repDepth + 1
-		for i := 0; i < v.Len(); i++ {
-			r := rep
-			if i > 0 {
-				r = childRep
+		elems := v.Elems()
+		if len(elems) == 0 {
+			n.emitNull(rep, def)
+			return nil
+		}
+		for i := range elems {
+			e := &elems[i]
+			if e.IsNull() {
+				return fmt.Errorf("schema: field %q: repeated elements cannot be NULL", f.Name)
 			}
-			st.stripeContent(f, path, v.Index(i), r, def+1, childRep)
+			if err := n.checkKind(e); err != nil {
+				return err
+			}
+			if err := n.stripeContent(e, rep, def+1, repDepth+1); err != nil {
+				return err
+			}
+			rep = repDepth + 1
 		}
+		return nil
+	case schema.Nullable:
+		def++
 	}
+	if err := n.check(v); err != nil {
+		return err
+	}
+	return n.stripeContent(v, rep, def, repDepth)
 }
 
-// stripeContent emits the content of a present (non-null) value.
-func (st *striper) stripeContent(f *schema.Field, path string, v schema.Value, rep, def, repDepth int) {
-	if f.Kind == schema.KindStruct {
-		for j, sub := range f.Fields {
-			var sv schema.Value
-			if j < v.Len() {
-				sv = v.FieldValue(j)
-			} else {
-				sv = schema.Null()
-			}
-			st.stripeField(sub, path+"."+sub.Name, sv, rep, def, repDepth)
-		}
-		return
+// stripeContent emits the content of a present (non-null) value of the
+// field's kind.
+func (n *fieldNode) stripeContent(v *schema.Value, rep, def, repDepth uint8) error {
+	f := n.f
+	if c := n.col; c != nil {
+		c.reps = append(c.reps, rep)
+		c.defs = append(c.defs, def)
+		c.values = append(c.values, *v)
+		return nil
 	}
-	c := st.byPath[path]
-	c.reps = append(c.reps, uint8(rep))
-	c.defs = append(c.defs, uint8(def))
-	c.values = append(c.values, v)
+	fields := v.Fields()
+	if len(fields) > len(n.kids) {
+		return fmt.Errorf("schema: struct %q has %d values for %d fields", f.Name, len(fields), len(n.kids))
+	}
+	for j, kid := range n.kids {
+		if j < len(fields) {
+			if err := kid.stripe(&fields[j], rep, def, repDepth); err != nil {
+				return err
+			}
+		} else if kid.f.Mode == schema.Required {
+			return fmt.Errorf("schema: struct %q missing REQUIRED field %q", f.Name, kid.f.Name)
+		} else {
+			kid.emitNull(rep, def)
+		}
+	}
+	return nil
 }
 
-// emitNullSubtree emits one (rep, def) entry — with no value — for every
-// leaf under f, recording that the path is undefined from level def on.
-func (st *striper) emitNullSubtree(f *schema.Field, path string, rep, def int) {
-	if f.Kind == schema.KindStruct {
-		for _, sub := range f.Fields {
-			st.emitNullSubtree(sub, path+"."+sub.Name, rep, def)
-		}
-		return
+// emitNull emits one (rep, def) entry — with no value — for every leaf
+// at or under the field, recording that the path is undefined from
+// level def on.
+func (n *fieldNode) emitNull(rep, def uint8) {
+	for _, c := range n.leaves {
+		c.reps = append(c.reps, rep)
+		c.defs = append(c.defs, def)
 	}
-	c := st.byPath[path]
-	c.reps = append(c.reps, uint8(rep))
-	c.defs = append(c.defs, uint8(def))
 }
 
 // assembler reconstructs rows from striped columns.

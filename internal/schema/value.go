@@ -203,6 +203,14 @@ func (v Value) Index(i int) Value { return v.list[i] }
 // FieldValue returns field i of a struct value.
 func (v Value) FieldValue(i int) Value { return v.fields[i] }
 
+// Elems returns the elements of a repeated value: the value's own
+// slice, for walking them in place (Index copies one out). Read-only.
+func (v Value) Elems() []Value { return v.list }
+
+// Fields returns the field values of a struct value: like Elems, the
+// value's own slice, read-only.
+func (v Value) Fields() []Value { return v.fields }
+
 // Equal reports deep equality, including kind.
 func (v Value) Equal(o Value) bool {
 	if v.null || o.null {
@@ -485,7 +493,12 @@ func (s *Schema) PartitionOf(r Row) (int64, bool) {
 	if i < 0 || i >= len(r.Values) {
 		return 0, false
 	}
-	v := r.Values[i]
+	return PartitionOfValue(r.Values[i])
+}
+
+// PartitionOfValue is PartitionOf given the partition column's value:
+// what a caller holding that column, not rows, partitions by.
+func PartitionOfValue(v Value) (int64, bool) {
 	if v.IsNull() {
 		return 0, false
 	}

@@ -39,10 +39,11 @@ go test -race -count=2 $race_twice
 
 # The transport micro-benchmarks (frame codec, TCP unary echo, stream
 # ping-pong with its credit frames), the column codec's (PLAIN, DICT
-# and RLE pages, encode and decode) and the SMS read view's (100 ROS
-# fragment records and a writable streamlet) run one iteration each, so
-# they cannot rot between the PRs that read their numbers.
-go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/sms/
+# and RLE pages, encode and decode), the SMS read view's (100 ROS
+# fragment records and a writable streamlet) and the optimizer's (one
+# ConvertTable over 54 000 loaded rows) run one iteration each, so they
+# cannot rot between the PRs that read their numbers.
+go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/sms/ ./internal/optimizer/
 
 # Encoded-domain filtering must return what filtering row by row
 # returns: code-skip accounting on keyless and keyed tables, and
