@@ -223,24 +223,6 @@ func BenchmarkBlockEnvelope(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionElimination measures pruning effectiveness and cost
-// (§7.2) on a multi-day table.
-func BenchmarkPartitionElimination(b *testing.B) {
-	ctx := context.Background()
-	steps, err := bench.Recluster(ctx, 2, 2000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(steps[len(steps)-1].PrunedPct, "pruned_pct")
-	for i := 0; i < b.N; i++ {
-		// The recluster harness embeds a point-query prune probe; re-run
-		// the cheapest configuration to time the prune path itself.
-		if _, err := bench.Compression(10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReplicationFactor ablates dual-cluster synchronous
 // replication (§5.6): append latency with max-of-two sampling vs one.
 func BenchmarkReplicationFactor(b *testing.B) {
@@ -259,20 +241,6 @@ func BenchmarkReplicationFactor(b *testing.B) {
 		}
 		b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "model_ms")
 	})
-}
-
-// BenchmarkOptimizerUnderDML measures the yield-to-DML design (§7.3):
-// conversion attempts while a DML window is open are wasted work the
-// stable 1:1 path avoids.
-func BenchmarkOptimizerUnderDML(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		steps, err := bench.Recluster(ctx, 1, 500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = steps
-	}
 }
 
 // BenchmarkUpsertMergeRead measures keyed-read resolution (§4.2.6).

@@ -75,13 +75,6 @@ type Options struct {
 	// paying a Colossus fetch. Both must be set to enable the tier.
 	DiskCacheDir   string
 	DiskCacheBytes int64
-	// DiskCache, when non-nil, is a pre-opened disk tier that takes
-	// precedence over DiskCacheDir/DiskCacheBytes — for callers that want
-	// to handle disktier.Open errors themselves.
-	DiskCache *disktier.Tier
-	// PrefetchInFlight bounds concurrent disk-tier prefetch fetches;
-	// <= 0 means the default (4).
-	PrefetchInFlight int
 }
 
 // DefaultOptions returns production-like client options.
@@ -149,8 +142,8 @@ func New(net rpc.Transport, router Router, region colossus.Store, keyring *block
 		opts.FlowControlWindow = 16 << 20
 	}
 	opts.Retry = opts.Retry.withDefaults()
-	disk := opts.DiskCache
-	if disk == nil && opts.DiskCacheDir != "" && opts.DiskCacheBytes > 0 {
+	var disk *disktier.Tier
+	if opts.DiskCacheDir != "" && opts.DiskCacheBytes > 0 {
 		// New cannot return an error; an unusable cache directory simply
 		// disables the tier.
 		disk, _ = disktier.Open(opts.DiskCacheDir, opts.DiskCacheBytes)
@@ -227,10 +220,6 @@ type Stream struct {
 	sl    *meta.StreamletInfo
 	epoch int64
 
-	// length is the client's view of the stream's current row count,
-	// advanced by successful appends (§4.2.2).
-	length int64
-
 	appendsSeen  int
 	lastBatchSeq int64
 	conn         rpc.ClientStream
@@ -291,10 +280,6 @@ func (s *Stream) ensureStreamlet(ctx context.Context, exclude string) error {
 	s.epoch = r.Epoch
 	if r.Schema.Version > s.schema.Version {
 		s.schema = r.Schema
-	}
-	// The stream's length resumes from the new streamlet's start.
-	if sl.StartOffset+sl.RowCount > s.length {
-		s.length = sl.StartOffset + sl.RowCount
 	}
 	s.closeConn()
 	return nil
@@ -407,9 +392,6 @@ func (s *Stream) Append(ctx context.Context, rows []schema.Row, opts ...AppendOp
 		}
 		sameStreamletFails = 0
 		if resp.Error == "" {
-			if end := resp.StreamOffset + resp.RowCount; end > s.length {
-				s.length = end
-			}
 			s.appendsSeen++
 			s.lastBatchSeq = int64(resp.Timestamp)
 			s.c.appendLatency.Record(time.Since(t0))
@@ -681,11 +663,9 @@ func (s *Stream) ensureConn(ctx context.Context) error {
 
 // PendingAppend is an in-flight pipelined append (§4.2.2).
 type PendingAppend struct {
-	offset   int64
-	rowCount int64
-	done     chan struct{}
-	resp     *wire.AppendResponse
-	err      error
+	done chan struct{}
+	resp *wire.AppendResponse
+	err  error
 }
 
 // Wait blocks for the append's result, returning the stream offset the
@@ -729,7 +709,7 @@ func (s *Stream) AppendAsync(ctx context.Context, rows []schema.Row, opts ...App
 		ExpectedStreamOffset: cfg.offset,
 		SchemaVersion:        s.schema.Version,
 	}
-	p := &PendingAppend{offset: cfg.offset, rowCount: int64(len(rows)), done: make(chan struct{})}
+	p := &PendingAppend{done: make(chan struct{})}
 	s.pendingMu.Lock()
 	first := len(s.pending) == 0
 	s.pending = append(s.pending, p)
@@ -765,11 +745,6 @@ func (s *Stream) collectResponses(conn rpc.ClientStream) {
 			return
 		}
 		p.resp = m.(*wire.AppendResponse)
-		if p.resp.Error == "" {
-			if end := p.resp.StreamOffset + p.resp.RowCount; end > s.length {
-				s.length = end
-			}
-		}
 		close(p.done)
 		if empty {
 			return

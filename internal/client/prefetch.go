@@ -2,9 +2,8 @@ package client
 
 import "sync"
 
-// defaultPrefetchInFlight bounds concurrent prefetch fetches when the
-// option is unset.
-const defaultPrefetchInFlight = 4
+// prefetchInFlight bounds concurrent prefetch fetches.
+const prefetchInFlight = 4
 
 // Prefetch asynchronously warms the disk tier with the raw bytes of the
 // given assignments' fragments, so the scanner that follows hits local
@@ -13,7 +12,7 @@ const defaultPrefetchInFlight = 4
 //
 // Live assignments are skipped (their files are still being appended
 // to), as are fragments already resident in either tier. At most
-// Options.PrefetchInFlight fetches run concurrently; each goes through
+// prefetchInFlight fetches run concurrently; each goes through
 // fragmentBytes, so a demand scan racing the prefetcher coalesces onto
 // the same flight instead of fetching twice.
 //
@@ -27,11 +26,7 @@ func (c *Client) Prefetch(as []Assignment) <-chan struct{} {
 		close(done)
 		return done
 	}
-	budget := c.opts.PrefetchInFlight
-	if budget <= 0 {
-		budget = defaultPrefetchInFlight
-	}
-	sem := make(chan struct{}, budget)
+	sem := make(chan struct{}, prefetchInFlight)
 	var wg sync.WaitGroup
 	for _, a := range as {
 		if a.Live || a.Frag.Path == "" {

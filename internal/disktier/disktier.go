@@ -24,6 +24,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"vortex/internal/bin"
 )
 
 // On-disk entry format (all integers written with binary varint / fixed LE):
@@ -78,24 +80,14 @@ func DecodeEntry(data []byte) (path string, payload []byte, err error) {
 	if data[len(magic)] != version {
 		return "", nil, ErrBadVersion
 	}
-	rest := data[len(magic)+1:]
-	pathLen, n := binary.Uvarint(rest)
-	if n <= 0 || pathLen > uint64(len(rest)-n) {
+	r := bin.NewReader(data[len(magic)+1:])
+	rawPath := r.Block()
+	crc := r.Uint32()
+	payload = r.Block()
+	if r.Err() != nil || r.Len() != 0 {
 		return "", nil, ErrTruncated
 	}
-	rest = rest[n:]
-	path = string(rest[:pathLen])
-	rest = rest[pathLen:]
-	if len(rest) < 4 {
-		return "", nil, ErrTruncated
-	}
-	crc := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	payLen, n := binary.Uvarint(rest)
-	if n <= 0 || payLen != uint64(len(rest)-n) {
-		return "", nil, ErrTruncated
-	}
-	payload = rest[n:]
+	path = string(rawPath)
 	if crc32.Checksum(payload, castagnoli) != crc {
 		return "", nil, ErrChecksum
 	}

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 
+	"vortex/internal/bin"
 	"vortex/internal/blockenc"
 	"vortex/internal/bloom"
 	"vortex/internal/truetime"
@@ -128,61 +129,33 @@ func ParseHeader(data []byte) (Header, int, error) {
 	if data[4] != 1 {
 		return h, 0, fmt.Errorf("%w: version %d", ErrCorruptHeader, data[4])
 	}
-	pos := 5
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
-	sv := func() (int64, bool) {
-		v, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
-	idLen, ok := uv()
-	if !ok || pos+int(idLen) > len(data) || idLen > 1<<16 {
+	r := bin.NewReader(data[5:])
+	id := r.Block()
+	h.Index = int(r.Uvarint())
+	h.SchemaVersion = int(r.Uvarint())
+	h.WriterEpoch = r.Varint()
+	// A File Map entry is one uvarint and five varints: six bytes at least.
+	nmap := r.Count(6)
+	if r.Err() != nil || len(id) > 1<<16 || nmap > 1<<20 {
 		return h, 0, ErrCorruptHeader
 	}
-	h.StreamletID = string(data[pos : pos+int(idLen)])
-	pos += int(idLen)
-	idx, ok1 := uv()
-	schemaV, ok2 := uv()
-	epoch, ok3 := sv()
-	nmap, ok4 := uv()
-	if !ok1 || !ok2 || !ok3 || !ok4 || nmap > 1<<20 {
-		return h, 0, ErrCorruptHeader
-	}
-	h.Index, h.SchemaVersion, h.WriterEpoch = int(idx), int(schemaV), epoch
+	h.StreamletID = string(id)
 	h.FileMap = make([]FileMapEntry, nmap)
 	for i := range h.FileMap {
-		eIdx, okA := uv()
-		size, okB := sv()
-		start, okC := sv()
-		rows, okD := sv()
-		minTS, okE := sv()
-		maxTS, okF := sv()
-		if !okA || !okB || !okC || !okD || !okE || !okF {
-			return h, 0, ErrCorruptHeader
-		}
-		h.FileMap[i] = FileMapEntry{
-			Index: int(eIdx), CommittedSize: size, StartRow: start, RowCount: rows,
-			MinTS: truetime.Timestamp(minTS), MaxTS: truetime.Timestamp(maxTS),
-		}
+		e := &h.FileMap[i]
+		e.Index = int(r.Uvarint())
+		e.CommittedSize, e.StartRow, e.RowCount = r.Varint(), r.Varint(), r.Varint()
+		e.MinTS, e.MaxTS = truetime.Timestamp(r.Varint()), truetime.Timestamp(r.Varint())
 	}
-	if pos+4 > len(data) {
+	end := 5 + r.Pos()
+	crc := r.Uint32()
+	if r.Err() != nil {
 		return h, 0, ErrCorruptHeader
 	}
-	want := binary.LittleEndian.Uint32(data[pos:])
-	if blockenc.Checksum(data[:pos]) != want {
+	if blockenc.Checksum(data[:end]) != crc {
 		return h, 0, fmt.Errorf("%w: checksum", ErrCorruptHeader)
 	}
-	return h, pos + 4, nil
+	return h, end + 4, nil
 }
 
 // Block is one parsed fragment block.
@@ -217,55 +190,26 @@ func EncodeBlock(b Block) []byte {
 // parseBlock parses one block at data[pos:]. It returns ok=false when the
 // bytes do not form a complete valid block (torn tail).
 func parseBlock(data []byte, pos int64) (Block, int64, bool) {
-	var b Block
-	p := int(pos)
-	if p+2 > len(data) || data[p] != blockMagic {
-		return b, 0, false
+	r := bin.NewReader(data[pos:])
+	magic, kind := r.Byte(), BlockKind(r.Byte())
+	ts, start, rows := r.Varint(), r.Varint(), r.Varint()
+	plen := r.Uvarint()
+	wantCRC := r.Uint32()
+	payload := r.Bytes(plen)
+	if r.Err() != nil || magic != blockMagic || kind < BlockData || kind > BlockSentinel || plen > 1<<31 ||
+		blockenc.Checksum(payload) != wantCRC {
+		return Block{}, 0, false
 	}
-	kind := BlockKind(data[p+1])
-	if kind < BlockData || kind > BlockSentinel {
-		return b, 0, false
-	}
-	p += 2
-	sv := func() (int64, bool) {
-		v, n := binary.Varint(data[p:])
-		if n <= 0 {
-			return 0, false
-		}
-		p += n
-		return v, true
-	}
-	ts, ok1 := sv()
-	start, ok2 := sv()
-	rows, ok3 := sv()
-	if !ok1 || !ok2 || !ok3 {
-		return b, 0, false
-	}
-	plen, n := binary.Uvarint(data[p:])
-	if n <= 0 || plen > 1<<31 {
-		return b, 0, false
-	}
-	p += n
-	if p+4+int(plen) > len(data) {
-		return b, 0, false
-	}
-	wantCRC := binary.LittleEndian.Uint32(data[p:])
-	p += 4
-	payload := data[p : p+int(plen)]
-	if blockenc.Checksum(payload) != wantCRC {
-		return b, 0, false
-	}
-	p += int(plen)
-	b = Block{
+	next := pos + int64(r.Pos())
+	return Block{
 		Kind:      kind,
 		Timestamp: truetime.Timestamp(ts),
 		StartRow:  start,
 		RowCount:  rows,
 		Payload:   append([]byte(nil), payload...),
 		Offset:    pos,
-		Size:      int64(p) - pos,
-	}
-	return b, int64(p), true
+		Size:      next - pos,
+	}, next, true
 }
 
 // ScanResult is the outcome of scanning a fragment's block sequence.

@@ -1,7 +1,9 @@
 package fragment
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +55,31 @@ func TestHeaderRejectsCorruption(t *testing.T) {
 	for cut := 0; cut < len(enc); cut++ {
 		if _, _, err := ParseHeader(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestScanBoundsAllocationByInput: a File Map entry spends at least six
+// bytes, so a header whose entry count its bytes cannot hold is refused
+// before the File Map is sized by it. Believed, 2^20 entries were 48 MB.
+func TestScanBoundsAllocationByInput(t *testing.T) {
+	bare := []byte(headerMagic + "\x01\x00\x00\x00\x00") // version, empty id, index, schema, epoch
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"FileMap count 2^20", append(bare, 0x80, 0x80, 0x40)},
+		{"FileMap count 2^20 over one entry", append(append(bare, 0x80, 0x80, 0x40), make([]byte, 6+4)...)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Scan(tc.data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptHeader) {
+			t.Errorf("%s: err = %v, want ErrCorruptHeader", tc.name, err)
+		}
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(tc.data)+1<<20); grew > bound {
+			t.Errorf("%s: refusing %d bytes allocated %d", tc.name, len(tc.data), grew)
 		}
 	}
 }

@@ -60,10 +60,6 @@ func (cp *Checkpoint) clone() *Checkpoint {
 	return out
 }
 
-func (cp *Checkpoint) encodeRows(t meta.TableID, rows []schema.Row) {
-	cp.Rows[t] = rowenc.EncodeRows(rows)
-}
-
 func (cp *Checkpoint) decodeRows(t meta.TableID) ([]schema.Row, error) {
 	b := cp.Rows[t]
 	if len(b) == 0 {

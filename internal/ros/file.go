@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 
+	"vortex/internal/bin"
 	"vortex/internal/blockenc"
 	"vortex/internal/bloom"
 	"vortex/internal/rowenc"
@@ -377,19 +378,17 @@ func rleEncode(levels []uint8) []byte {
 // grows as runs arrive, so a header's count alone commits little.
 func rleDecode(data []byte, total int) ([]uint8, error) {
 	out := make([]uint8, 0, min(total, levelCapHint))
-	pos := 0
+	r := bin.NewReader(data)
 	for len(out) < total {
-		n, used := binary.Uvarint(data[pos:])
-		pos += used
-		if used <= 0 || n == 0 || n > uint64(total-len(out)) || pos >= len(data) {
+		n, level := r.Uvarint(), r.Byte()
+		if r.Err() != nil || n == 0 || n > uint64(total-len(out)) {
 			return nil, ErrCorrupt
 		}
 		for k := uint64(0); k < n; k++ {
-			out = append(out, data[pos])
+			out = append(out, level)
 		}
-		pos++
 	}
-	if pos != len(data) {
+	if r.Len() != 0 {
 		return nil, ErrCorrupt
 	}
 	return out, nil
@@ -600,8 +599,8 @@ func (c *Column) page() (wire.Vector, error) {
 	if c.compressed {
 		// The block's preamble is its decoded length, which Decode sizes
 		// its output by: refuse one no block this short can reach.
-		n, k := binary.Uvarint(raw)
-		if k <= 0 || n > uint64(len(raw))*maxSnappyGain {
+		r := bin.NewReader(raw)
+		if n := r.Uvarint(); r.Err() != nil || n > uint64(len(raw))*maxSnappyGain {
 			return wire.Vector{}, fmt.Errorf("%w: column %q: %d-byte snappy page claims %d bytes", ErrCorrupt, c.Leaf.Path, len(raw), n)
 		}
 		var err error
@@ -663,84 +662,6 @@ type Reader struct {
 	nested   map[string]*wire.Vector
 }
 
-// cursor reads a file body front to back. A length is compared, as the
-// uvarint it was read as, against the bytes that remain, so none can
-// wrap negative or reach past the body.
-type cursor struct {
-	body []byte
-	pos  int
-}
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.body[c.pos:])
-	if n <= 0 {
-		return 0, ErrCorrupt
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.body[c.pos:])
-	if n <= 0 {
-		return 0, ErrCorrupt
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *cursor) take(n uint64) ([]byte, error) {
-	if n > uint64(len(c.body)-c.pos) {
-		return nil, ErrCorrupt
-	}
-	b := c.body[c.pos : c.pos+int(n)]
-	c.pos += int(n)
-	return b, nil
-}
-
-// block reads a uvarint length and that many bytes.
-func (c *cursor) block() ([]byte, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return c.take(n)
-}
-
-// flag reads a byte that must be 0 or 1.
-func (c *cursor) flag() (bool, error) {
-	b, err := c.take(1)
-	if err != nil || b[0] > 1 {
-		return false, ErrCorrupt
-	}
-	return b[0] == 1, nil
-}
-
-func (c *cursor) value() (schema.Value, error) {
-	v, n, err := rowenc.DecodeValue(c.body[c.pos:])
-	if err != nil {
-		return v, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	c.pos += n
-	return v, nil
-}
-
-// valueList reads a cluster-key list. Every value spends a byte, which
-// bounds the count before the list is sized by it.
-func (c *cursor) valueList() ([]schema.Value, error) {
-	n, err := c.uvarint()
-	if err != nil || n > uint64(len(c.body)-c.pos) {
-		return nil, ErrCorrupt
-	}
-	out := make([]schema.Value, n)
-	for i := range out {
-		if out[i], err = c.value(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Open parses a ROS file image.
 func Open(data []byte) (*Reader, error) {
 	if len(data) < 4+1+8+4 || string(data[:4]) != fileMagic {
@@ -753,68 +674,42 @@ func Open(data []byte) (*Reader, error) {
 	if data[4] != fileVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrCorrupt, data[4])
 	}
-	r := &Reader{columns: make(map[string]*Column)}
 	// Bytes 5..13 are the writer's schema fingerprint and the uvarint
 	// after them its schema version: written, never consulted (the
 	// caller resolves schema versions through the SMS).
-	c := &cursor{body: body, pos: 13}
-	if _, err := c.uvarint(); err != nil {
-		return nil, err
-	}
-	rc, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if r.hasPartition, err = c.flag(); err != nil {
-		return nil, err
-	}
+	c := bin.NewReader(body[13:])
+	c.Uvarint()
+	// Every row spends at least one byte on its sequence offset.
+	rc := c.Count(1)
+	r := &Reader{columns: make(map[string]*Column), rowCount: int64(rc)}
+	r.hasPartition = readFlag(c)
 	if r.hasPartition {
-		if r.partition, err = c.varint(); err != nil {
-			return nil, err
-		}
+		r.partition = c.Varint()
 	}
-	if r.clusterMin, err = c.valueList(); err != nil {
-		return nil, err
-	}
-	if r.clusterMax, err = c.valueList(); err != nil {
-		return nil, err
-	}
-	if r.filter, err = c.block(); err != nil {
-		return nil, err
-	}
+	r.clusterMin, r.clusterMax = readValueList(c), readValueList(c)
+	r.filter = c.Block()
 
-	// Row metadata. Every row spends at least one byte on its sequence
-	// offset, which bounds the row count by the file's own length before
-	// anything is sized by it.
-	if rc > uint64(len(body)-c.pos) {
-		return nil, fmt.Errorf("%w: %d rows in %d bytes", ErrCorrupt, rc, len(body)-c.pos)
-	}
-	r.rowCount = int64(rc)
-	minSeq, err := c.varint()
-	if err != nil {
-		return nil, err
-	}
+	// Row metadata: sequence offsets from the smallest, change-type runs.
+	minSeq := c.Varint()
 	r.seqs = make([]int64, rc)
 	for i := range r.seqs {
-		off, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		off := c.Uvarint()
 		r.seqs[i] = minSeq + int64(off)
 		if off > math.MaxInt64 || r.seqs[i] < minSeq {
 			return nil, fmt.Errorf("%w: sequence %d+%d overflows", ErrCorrupt, minSeq, off)
 		}
 	}
-	changes, err := c.block()
-	if err != nil {
-		return nil, err
+	changes := c.Block()
+	if c.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, c.Err())
 	}
-	if r.changes, err = rleDecode(changes, int(rc)); err != nil {
+	var err error
+	if r.changes, err = rleDecode(changes, rc); err != nil {
 		return nil, err
 	}
 
-	ncols, err := c.uvarint()
-	if err != nil || ncols > 1<<16 {
+	ncols := c.Uvarint()
+	if ncols > 1<<16 {
 		return nil, ErrCorrupt
 	}
 	for i := 0; i < int(ncols); i++ {
@@ -825,64 +720,66 @@ func Open(data []byte) (*Reader, error) {
 		r.columns[col.Leaf.Path] = col
 		r.order = append(r.order, col.Leaf.Path)
 	}
-	if c.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-c.pos)
+	if c.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, c.Err())
+	}
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, c.Len())
 	}
 	return r, nil
+}
+
+// readFlag reads a byte that must be 0 or 1.
+func readFlag(c *bin.Reader) bool {
+	b := c.Byte()
+	if b > 1 {
+		c.Fail(fmt.Errorf("flag byte %d", b))
+	}
+	return b == 1
+}
+
+// readValueList reads a cluster-key list. Every value spends a byte.
+func readValueList(c *bin.Reader) []schema.Value {
+	out := make([]schema.Value, c.Count(1))
+	for i := range out {
+		out[i] = rowenc.ReadValue(c)
+	}
+	return out
 }
 
 // decodeColumn parses one column chunk's header and slices out its
 // three pages, which stay encoded until a scan asks for them. The entry
 // count is bounded here, before anything is sized by it: a flat column
 // has one entry per row, a repeated one at most maxColumnEntries.
-func decodeColumn(c *cursor, rowCount int64) (*Column, error) {
-	path, err := c.block()
-	if err != nil || len(path) > 1<<12 {
+func decodeColumn(c *bin.Reader, rowCount int64) (*Column, error) {
+	path := c.Block()
+	kind, maxRep, maxDef := c.Byte(), c.Byte(), c.Byte()
+	nEntries, nValues := c.Uvarint(), c.Uvarint()
+	if c.Err() != nil || len(path) > 1<<12 {
 		return nil, ErrCorrupt
 	}
-	hdr, err := c.take(3)
-	if err != nil {
-		return nil, err
-	}
-	leaf := schema.LeafColumn{Path: string(path), Kind: schema.Kind(hdr[0]), MaxRep: int(hdr[1]), MaxDef: int(hdr[2])}
-	nEntries, err := c.uvarint()
-	if err != nil || nEntries > maxColumnEntries || (leaf.MaxRep == 0 && nEntries != uint64(rowCount)) {
+	leaf := schema.LeafColumn{Path: string(path), Kind: schema.Kind(kind), MaxRep: int(maxRep), MaxDef: int(maxDef)}
+	if nEntries > maxColumnEntries || (leaf.MaxRep == 0 && nEntries != uint64(rowCount)) {
 		return nil, fmt.Errorf("%w: column %q has %d entries for %d rows", ErrCorrupt, leaf.Path, nEntries, rowCount)
 	}
-	nValues, err := c.uvarint()
-	if err != nil || nValues > nEntries {
+	if nValues > nEntries {
 		return nil, ErrCorrupt
 	}
 	col := &Column{Leaf: leaf}
 	col.Stats = ColumnStats{Path: leaf.Path, Kind: leaf.Kind, Entries: int64(nEntries), Values: int64(nValues), NullCount: int64(nEntries - nValues)}
-	if col.Stats.HasRange, err = c.flag(); err != nil {
-		return nil, err
+	if col.Stats.HasRange = readFlag(c); col.Stats.HasRange {
+		col.Stats.Min, col.Stats.Max = rowenc.ReadValue(c), rowenc.ReadValue(c)
 	}
-	if col.Stats.HasRange {
-		if col.Stats.Min, err = c.value(); err != nil {
-			return nil, err
-		}
-		if col.Stats.Max, err = c.value(); err != nil {
-			return nil, err
-		}
-	}
-	if nulls, err := c.uvarint(); err != nil || nulls != nEntries-nValues {
+	if nulls := c.Uvarint(); c.Err() == nil && nulls != nEntries-nValues {
 		return nil, ErrCorrupt
 	}
-	if col.rawReps, err = c.block(); err != nil {
-		return nil, err
-	}
-	if col.rawDefs, err = c.block(); err != nil {
-		return nil, err
-	}
-	enc, err := c.take(1)
-	if err != nil {
-		return nil, err
-	}
-	col.Stats.Encoding = Encoding(enc[0] &^ pageSnappy)
-	col.compressed = enc[0]&pageSnappy != 0
-	if col.rawValues, err = c.block(); err != nil {
-		return nil, err
+	col.rawReps, col.rawDefs = c.Block(), c.Block()
+	enc := c.Byte()
+	col.Stats.Encoding = Encoding(enc &^ pageSnappy)
+	col.compressed = enc&pageSnappy != 0
+	col.rawValues = c.Block()
+	if c.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, c.Err())
 	}
 	return col, nil
 }

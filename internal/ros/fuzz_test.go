@@ -32,6 +32,7 @@ func seal(data []byte) []byte {
 // an empty filter, sequences 1..rows, every row an INSERT).
 type handFile struct {
 	rows    int
+	keys    []byte   // the cluster min and max lists; nil = two empty ones
 	filter  []byte   // length-prefixed; nil = a well-formed empty filter
 	seqs    []byte   // nil = min 1, offsets 0..rows-1
 	columns [][]byte // handColumn chunks
@@ -42,7 +43,11 @@ func (h handFile) bytes() []byte {
 	out = append(out, make([]byte, 8)...)           // schema fingerprint
 	out = binary.AppendUvarint(out, 1)              // schema version
 	out = binary.AppendUvarint(out, uint64(h.rows)) // row count
-	out = append(out, 0, 0, 0)                      // no partition, empty cluster min and max
+	out = append(out, 0)                            // no partition
+	if h.keys == nil {
+		h.keys = []byte{0, 0}
+	}
+	out = append(out, h.keys...)
 	if h.filter == nil {
 		h.filter = appendBlock(nil, bloom.NewBuilder(1).Build().Marshal())
 	}
@@ -141,6 +146,8 @@ func hostileFiles() []hostileFile {
 		{"snappy page declaring more than its bytes can decode to", handFile{rows: 2, columns: [][]byte{
 			handColumn(flatID, 2, 2, noLevels, noLevels, byte(EncodingPlain)|pageSnappy, append(binary.AppendUvarint(nil, 1<<30), 0, 0, 0, 0)),
 		}}.bytes(), idSchema},
+		// 2^40 cluster-key values in a file of a few dozen bytes.
+		{"cluster-key list past the body", handFile{keys: binary.AppendUvarint(nil, 1<<40)}.bytes(), idSchema},
 	}
 }
 

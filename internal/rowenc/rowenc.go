@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"vortex/internal/bin"
 	"vortex/internal/schema"
 )
 
@@ -89,166 +90,95 @@ func appendValue(dst []byte, v schema.Value) []byte {
 // DecodeRow decodes one row from the front of data, returning the row and
 // the number of bytes consumed.
 func DecodeRow(data []byte) (schema.Row, int, error) {
-	d := &decoder{data: data}
-	change, err := d.uvarint()
-	if err != nil {
-		return schema.Row{}, 0, err
+	r := bin.NewReader(data)
+	row := readRow(r)
+	if err := r.Err(); err != nil {
+		return schema.Row{}, 0, corrupt(err)
 	}
+	return row, r.Pos(), nil
+}
+
+// corrupt wraps a reader's failure in ErrCorrupt.
+func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrCorrupt, err) }
+
+// readRow reads one row; a failure is left in r.
+func readRow(r *bin.Reader) schema.Row {
+	change := r.Uvarint()
 	if change > uint64(schema.ChangeDelete) {
-		return schema.Row{}, 0, fmt.Errorf("%w: change type %d", ErrCorrupt, change)
+		r.Fail(fmt.Errorf("change type %d", change))
 	}
-	n, err := d.uvarint()
-	if err != nil {
-		return schema.Row{}, 0, err
-	}
-	if n > maxDecodeElems {
-		return schema.Row{}, 0, fmt.Errorf("%w: %d values", ErrCorrupt, n)
-	}
-	values := make([]schema.Value, n)
+	values := make([]schema.Value, readCount(r, "values"))
 	for i := range values {
-		values[i], err = d.value(0)
-		if err != nil {
-			return schema.Row{}, 0, err
-		}
+		values[i] = ReadValue(r)
 	}
-	return schema.Row{Values: values, Change: schema.ChangeType(change)}, d.pos, nil
+	return schema.Row{Values: values, Change: schema.ChangeType(change)}
 }
 
-type decoder struct {
-	data []byte
-	pos  int
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		return 0, ErrCorrupt
+// readCount reads the element count of a row, list or struct: every
+// element spends at least its tag byte.
+func readCount(r *bin.Reader, what string) int {
+	n := r.Count(1)
+	if n > maxDecodeElems {
+		r.Fail(fmt.Errorf("%d %s", n, what))
+		return 0
 	}
-	d.pos += n
-	return v, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		return 0, ErrCorrupt
-	}
-	d.pos += n
-	return v, nil
-}
-
-func (d *decoder) take(n int) ([]byte, error) {
-	if n < 0 || d.pos+n > len(d.data) {
-		return nil, ErrCorrupt
-	}
-	b := d.data[d.pos : d.pos+n]
-	d.pos += n
-	return b, nil
+	return n
 }
 
 const maxValueDepth = 32
 
-func (d *decoder) value(depth int) (schema.Value, error) {
+// ReadValue reads one value in the single-value codec; a failure is left
+// in r. The ROS format and the column codec read their values through it.
+func ReadValue(r *bin.Reader) schema.Value { return readValue(r, 0) }
+
+func readValue(r *bin.Reader, depth int) schema.Value {
 	if depth > maxValueDepth {
-		return schema.Value{}, fmt.Errorf("%w: nesting too deep", ErrCorrupt)
+		r.Fail(errors.New("nesting too deep"))
+		return schema.Value{}
 	}
-	if d.pos >= len(d.data) {
-		return schema.Value{}, ErrCorrupt
-	}
-	tag := d.data[d.pos]
-	d.pos++
-	if tag == flagNull {
-		return schema.Null(), nil
-	}
-	if tag == flagList {
-		n, err := d.uvarint()
-		if err != nil {
-			return schema.Value{}, err
-		}
-		if n > maxDecodeElems {
-			return schema.Value{}, fmt.Errorf("%w: %d list elements", ErrCorrupt, n)
-		}
-		elems := make([]schema.Value, n)
+	switch tag := r.Byte(); tag {
+	case flagNull:
+		return schema.Null()
+	case flagList:
+		elems := make([]schema.Value, readCount(r, "list elements"))
 		for i := range elems {
-			elems[i], err = d.value(depth + 1)
-			if err != nil {
-				return schema.Value{}, err
-			}
+			elems[i] = readValue(r, depth+1)
 		}
-		return schema.List(elems...), nil
-	}
-	switch k := schema.Kind(tag); k {
-	case schema.KindInt64, schema.KindTimestamp, schema.KindDate, schema.KindNumeric:
-		i, err := d.varint()
-		if err != nil {
-			return schema.Value{}, err
+		return schema.List(elems...)
+	case byte(schema.KindInt64):
+		return schema.Int64(r.Varint())
+	case byte(schema.KindTimestamp):
+		return schema.TimestampNanos(r.Varint())
+	case byte(schema.KindDate):
+		return schema.DateDays(r.Varint())
+	case byte(schema.KindNumeric):
+		return schema.Numeric(r.Varint())
+	case byte(schema.KindFloat64):
+		return schema.Float64(math.Float64frombits(r.Uint64()))
+	case byte(schema.KindBool):
+		b := r.Byte()
+		if b > 1 {
+			r.Fail(fmt.Errorf("bool byte %d", b))
 		}
-		switch k {
-		case schema.KindInt64:
-			return schema.Int64(i), nil
-		case schema.KindTimestamp:
-			return schema.TimestampNanos(i), nil
-		case schema.KindDate:
-			return schema.DateDays(i), nil
-		default:
-			return schema.Numeric(i), nil
-		}
-	case schema.KindFloat64:
-		b, err := d.take(8)
-		if err != nil {
-			return schema.Value{}, err
-		}
-		return schema.Float64(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
-	case schema.KindBool:
-		b, err := d.take(1)
-		if err != nil {
-			return schema.Value{}, err
-		}
-		if b[0] > 1 {
-			return schema.Value{}, fmt.Errorf("%w: bool byte %d", ErrCorrupt, b[0])
-		}
-		return schema.Bool(b[0] == 1), nil
-	case schema.KindString, schema.KindJSON:
-		n, err := d.uvarint()
-		if err != nil {
-			return schema.Value{}, err
-		}
-		b, err := d.take(int(n))
-		if err != nil {
-			return schema.Value{}, err
-		}
-		if k == schema.KindString {
-			return schema.String(string(b)), nil
-		}
-		return schema.RawJSON(string(b)), nil
-	case schema.KindBytes:
-		n, err := d.uvarint()
-		if err != nil {
-			return schema.Value{}, err
-		}
-		b, err := d.take(int(n))
-		if err != nil {
-			return schema.Value{}, err
-		}
-		return schema.Bytes(b), nil
-	case schema.KindStruct:
-		n, err := d.uvarint()
-		if err != nil {
-			return schema.Value{}, err
-		}
-		if n > maxDecodeElems {
-			return schema.Value{}, fmt.Errorf("%w: %d struct fields", ErrCorrupt, n)
-		}
-		fields := make([]schema.Value, n)
+		return schema.Bool(b == 1)
+	case byte(schema.KindString):
+		return schema.String(string(r.Block()))
+	case byte(schema.KindJSON):
+		return schema.RawJSON(string(r.Block()))
+	case byte(schema.KindBytes):
+		return schema.Bytes(r.Block())
+	case byte(schema.KindStruct):
+		fields := make([]schema.Value, readCount(r, "struct fields"))
 		for i := range fields {
-			fields[i], err = d.value(depth + 1)
-			if err != nil {
-				return schema.Value{}, err
-			}
+			fields[i] = readValue(r, depth+1)
 		}
-		return schema.Struct(fields...), nil
+		return schema.Struct(fields...)
+	default:
+		if r.Err() == nil { // not the zero a failed read returns
+			r.Fail(fmt.Errorf("tag 0x%02x", tag))
+		}
+		return schema.Value{}
 	}
-	return schema.Value{}, fmt.Errorf("%w: tag 0x%02x", ErrCorrupt, tag)
 }
 
 // AppendValue appends the encoding of a single value to dst. The ROS
@@ -258,12 +188,12 @@ func AppendValue(dst []byte, v schema.Value) []byte { return appendValue(dst, v)
 // DecodeValue decodes a single value from the front of data, returning
 // the value and the number of bytes consumed.
 func DecodeValue(data []byte) (schema.Value, int, error) {
-	d := &decoder{data: data}
-	v, err := d.value(0)
-	if err != nil {
-		return schema.Value{}, 0, err
+	r := bin.NewReader(data)
+	v := ReadValue(r)
+	if err := r.Err(); err != nil {
+		return schema.Value{}, 0, corrupt(err)
 	}
-	return v, d.pos, nil
+	return v, r.Pos(), nil
 }
 
 // EncodeValues concatenates the encodings of vs (cluster-key bounds in
@@ -279,14 +209,12 @@ func EncodeValues(vs []schema.Value) []byte {
 // DecodeValues decodes a concatenation produced by EncodeValues.
 func DecodeValues(data []byte) ([]schema.Value, error) {
 	var out []schema.Value
-	pos := 0
-	for pos < len(data) {
-		v, used, err := DecodeValue(data[pos:])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		pos += used
+	r := bin.NewReader(data)
+	for r.Len() > 0 {
+		out = append(out, ReadValue(r))
+	}
+	if err := r.Err(); err != nil {
+		return nil, corrupt(err)
 	}
 	return out, nil
 }
@@ -314,36 +242,38 @@ func EncodeRows(rows []schema.Row) []byte {
 // DecodeRows decodes a batch encoded by EncodeRows. The input must be
 // exactly one batch: trailing bytes are an error (WOS blocks are exact).
 func DecodeRows(data []byte) ([]schema.Row, error) {
-	n, read := binary.Uvarint(data)
-	if read <= 0 {
-		return nil, ErrCorrupt
-	}
-	if n > maxDecodeElems {
-		return nil, fmt.Errorf("%w: %d rows", ErrCorrupt, n)
-	}
-	rows := make([]schema.Row, n)
-	pos := read
+	r := bin.NewReader(data)
+	rows := make([]schema.Row, readRowCount(r))
 	for i := range rows {
-		r, used, err := DecodeRow(data[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		rows[i] = r
-		pos += used
+		rows[i] = readRow(r)
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+	if err := r.Err(); err != nil {
+		return nil, corrupt(err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
 	}
 	return rows, nil
 }
 
-// RowCount returns the number of rows in an EncodeRows payload without
-// decoding them (the Stream Server tracks row counts but never parses
-// row contents).
-func RowCount(data []byte) (int, error) {
-	n, read := binary.Uvarint(data)
-	if read <= 0 || n > maxDecodeElems {
-		return 0, ErrCorrupt
+// readRowCount reads a batch's row count: every row spends at least two
+// bytes, its change type and its value count.
+func readRowCount(r *bin.Reader) int {
+	n := r.Count(2)
+	if n > maxDecodeElems {
+		r.Fail(fmt.Errorf("%d rows", n))
+		return 0
 	}
-	return int(n), nil
+	return n
+}
+
+// RowCount returns the number of rows in an EncodeRows payload without
+// decoding them.
+func RowCount(data []byte) (int, error) {
+	r := bin.NewReader(data)
+	n := readRowCount(r)
+	if err := r.Err(); err != nil {
+		return 0, corrupt(err)
+	}
+	return n, nil
 }

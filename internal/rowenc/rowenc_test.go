@@ -1,8 +1,11 @@
 package rowenc
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -153,6 +156,35 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// Hostile element count must not allocate absurdly.
 	if _, err := DecodeRows([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}); err == nil {
 		t.Fatal("hostile row count accepted")
+	}
+}
+
+// TestDecodeRowsBoundsAllocationByInput: a count is refused unless the
+// bytes that remain could hold its elements, so refusing a hostile batch
+// allocates in proportion to the batch, not to the count it claims —
+// each of these claims 2^24 elements, hundreds of megabytes if believed.
+func TestDecodeRowsBoundsAllocationByInput(t *testing.T) {
+	huge := binary.AppendUvarint(nil, maxDecodeElems)
+	oneRow := []byte{1, byte(schema.ChangeInsert)} // one row, then its value count
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"batch row count", huge},
+		{"row value count", append(oneRow, huge...)},
+		{"list length", append(append(oneRow, 1, flagList), huge...)},
+		{"struct field count", append(append(oneRow, 1, byte(schema.KindStruct)), huge...)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeRows(tc.data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(tc.data)+1<<20); grew > bound {
+			t.Errorf("%s: refusing %d bytes allocated %d", tc.name, len(tc.data), grew)
+		}
 	}
 }
 

@@ -745,7 +745,7 @@ func (t *Task) handleRegisterConversion(_ context.Context, req any) (any, error)
 		return nil, err
 	}
 	t.notifyFragments(r.Table, added, r.Old)
-	return &wire.RegisterConversionResponse{HandoffTS: handoff}, nil
+	return &wire.RegisterConversionResponse{}, nil
 }
 
 func (t *Task) handleBeginDML(_ context.Context, req any) (any, error) {

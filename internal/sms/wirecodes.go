@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"vortex/internal/bin"
 	"vortex/internal/rpc"
 )
 
@@ -43,27 +44,11 @@ func encodePushBack(err error) ([]byte, bool) {
 // decodePushBack returns nil for bytes encodePushBack did not write; the
 // caller then falls back to the error's text.
 func decodePushBack(b []byte) error {
-	scope, b, ok := cutString(b)
-	if !ok {
+	r := bin.NewReader(b)
+	scope, resource := r.Block(), r.Block()
+	retryAfter := r.Varint()
+	if r.Err() != nil || r.Len() != 0 {
 		return nil
 	}
-	resource, b, ok := cutString(b)
-	if !ok {
-		return nil
-	}
-	retryAfter, n := binary.Varint(b)
-	if n <= 0 || n != len(b) {
-		return nil
-	}
-	return &PushBackError{Scope: scope, Resource: resource, RetryAfter: time.Duration(retryAfter)}
-}
-
-// cutString splits a length-prefixed string off the front of b.
-func cutString(b []byte) (string, []byte, bool) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)-w) {
-		return "", nil, false
-	}
-	end := w + int(n)
-	return string(b[w:end]), b[end:], true
+	return &PushBackError{Scope: string(scope), Resource: string(resource), RetryAfter: time.Duration(retryAfter)}
 }

@@ -56,8 +56,6 @@ type Config struct {
 	// fragments "small enough that conversion ... happens frequently,
 	// but not so small that too many Fragments are created" (§5.3).
 	MaxFragmentBytes int64
-	// MaxBlockBytes caps one buffered write (the paper's 2MB, §5.4.4).
-	MaxBlockBytes int
 	// HeartbeatCoalesce, when positive, suppresses delta heartbeats that
 	// would fire within this window of the previous one, so control-plane
 	// traffic stays O(servers) under thousands of dirty streams instead
@@ -72,7 +70,7 @@ type Config struct {
 
 // DefaultConfig returns production-like defaults.
 func DefaultConfig(addr string) Config {
-	return Config{Addr: addr, MaxFragmentBytes: 8 << 20, MaxBlockBytes: 2 << 20}
+	return Config{Addr: addr, MaxFragmentBytes: 8 << 20}
 }
 
 // Server is one Stream Server task.
@@ -165,9 +163,6 @@ type fragWriter struct {
 func New(cfg Config, region colossus.Store, clock truetime.Clock, keyring *blockenc.Keyring, router Router, net rpc.Transport) *Server {
 	if cfg.MaxFragmentBytes <= 0 {
 		cfg.MaxFragmentBytes = 8 << 20
-	}
-	if cfg.MaxBlockBytes <= 0 {
-		cfg.MaxBlockBytes = 2 << 20
 	}
 	s := &Server{
 		cfg:        cfg,

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"vortex/internal/bin"
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 )
@@ -118,64 +119,50 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 	if rows < 0 || rows > math.MaxInt32 || (enc != BatchEncRLE && rows > len(payload)) {
 		return v, fmt.Errorf("%w: %d rows in a %d-byte payload", ErrBatchCorrupt, rows, len(payload))
 	}
-	pos := 0
-	value := func() (schema.Value, error) {
-		val, n, err := rowenc.DecodeValue(payload[pos:])
-		if err != nil {
-			return val, fmt.Errorf("%w: %v", ErrBatchCorrupt, err)
-		}
-		pos += n
-		return val, nil
-	}
-	var err error
+	r := bin.NewReader(payload)
 	switch enc {
 	case BatchEncPlain:
 		v.Values = make([]schema.Value, rows)
 		for i := range v.Values {
-			if v.Values[i], err = value(); err != nil {
-				return v, err
-			}
+			v.Values[i] = rowenc.ReadValue(r)
 		}
 	case BatchEncRLE:
 		for covered := 0; covered < rows; {
-			runLen, n := binary.Uvarint(payload[pos:])
-			if n <= 0 || runLen == 0 || runLen > uint64(rows-covered) {
-				return v, fmt.Errorf("%w: run length", ErrBatchCorrupt)
+			runLen := r.Uvarint()
+			if runLen == 0 || runLen > uint64(rows-covered) {
+				r.Fail(fmt.Errorf("run length %d with %d rows left", runLen, rows-covered))
+				break
 			}
-			pos += n
-			val, err := value()
-			if err != nil {
-				return v, err
-			}
-			v.Runs = append(v.Runs, Run{Len: int32(runLen), Value: val})
+			v.Runs = append(v.Runs, Run{Len: int32(runLen), Value: rowenc.ReadValue(r)})
 			covered += int(runLen)
 		}
 	case BatchEncDict:
-		dictLen, n := binary.Uvarint(payload)
-		if n <= 0 || dictLen > uint64(rows) {
-			return v, fmt.Errorf("%w: dictionary length", ErrBatchCorrupt)
+		// Every entry and every code spends at least a byte.
+		dictLen := r.Count(1)
+		if dictLen > rows {
+			return v, fmt.Errorf("%w: %d dictionary entries for %d rows", ErrBatchCorrupt, dictLen, rows)
 		}
-		pos = n
 		v.Dict = make([]schema.Value, dictLen)
 		for i := range v.Dict {
-			if v.Dict[i], err = value(); err != nil {
-				return v, err
-			}
+			v.Dict[i] = rowenc.ReadValue(r)
 		}
 		v.Codes = make([]uint32, rows)
 		for i := range v.Codes {
-			c, n := binary.Uvarint(payload[pos:])
-			if n <= 0 || c >= dictLen {
-				return v, fmt.Errorf("%w: dictionary index", ErrBatchCorrupt)
+			c := r.Uvarint()
+			if c >= uint64(dictLen) {
+				r.Fail(fmt.Errorf("dictionary index %d of %d", c, dictLen))
+				break
 			}
-			pos += n
 			v.Codes[i] = uint32(c)
 		}
 	default:
 		return v, fmt.Errorf("%w: encoding 0x%02x", ErrBatchCorrupt, enc)
 	}
-	if pos != len(payload) {
-		return v, fmt.Errorf("%w: %d trailing payload bytes", ErrBatchCorrupt, len(payload)-pos)
+	if r.Err() != nil {
+		return v, fmt.Errorf("%w: %v", ErrBatchCorrupt, r.Err())
+	}
+	if r.Len() != 0 {
+		return v, fmt.Errorf("%w: %d trailing payload bytes", ErrBatchCorrupt, r.Len())
 	}
 	return v, nil
 }

@@ -13,26 +13,33 @@ import (
 )
 
 // TestDecodeColumnRefusesRowsPastPayload: a PLAIN or DICT payload spends
-// at least a byte per row, so a row count larger than the payload is
-// refused before anything is sized by it — a ROS column header or a
-// frame header cannot make the decoder allocate on its say-so.
+// at least a byte per row and per dictionary entry, so a row count or a
+// dictionary length larger than the payload is refused before anything
+// is sized by it — a ROS column header, a frame header or a page cannot
+// make the decoder allocate on its say-so.
 func TestDecodeColumnRefusesRowsPastPayload(t *testing.T) {
 	const claimed = 1 << 20 // ~120 MiB of schema.Values if it were believed
 	plain := rowenc.AppendValue(nil, schema.Int64(7))
 	dict := binary.AppendUvarint(nil, 1)
 	dict = rowenc.AppendValue(dict, schema.Int64(7))
 	dict = append(dict, 0, 0, 0)
+	hugeDict := append(binary.AppendUvarint(nil, 1<<62), make([]byte, 8)...)
 	for _, tc := range []struct {
 		name    string
 		enc     byte
 		payload []byte
-	}{{"plain", BatchEncPlain, plain}, {"dict", BatchEncDict, dict}} {
+		rows    int
+	}{
+		{"plain", BatchEncPlain, plain, claimed},
+		{"dict", BatchEncDict, dict, claimed},
+		{"dictionary length", BatchEncDict, hugeDict, len(hugeDict)},
+	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecodeColumn("c", tc.enc, tc.payload, claimed)
+		_, err := DecodeColumn("c", tc.enc, tc.payload, tc.rows)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrBatchCorrupt) {
-			t.Errorf("%s: %d rows in %d bytes: err = %v, want ErrBatchCorrupt", tc.name, claimed, len(tc.payload), err)
+			t.Errorf("%s: %d rows in %d bytes: err = %v, want ErrBatchCorrupt", tc.name, tc.rows, len(tc.payload), err)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 			t.Errorf("%s: refusing the payload allocated %d bytes", tc.name, got)

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"vortex/internal/bin"
 	"vortex/internal/blockenc"
 	"vortex/internal/schema"
 )
@@ -94,96 +95,42 @@ func EncodeRecordBatch(b *RecordBatch) []byte {
 	return appendBatchCRC(dst)
 }
 
-type batchDecoder struct {
-	data []byte
-	pos  int
-}
-
-func (d *batchDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		return 0, ErrBatchCorrupt
-	}
-	d.pos += n
-	return v, nil
-}
-
-// take returns the next n bytes; n is compared as the uvarint it was
-// read as against the bytes that remain, so no length can wrap.
-func (d *batchDecoder) take(n uint64) ([]byte, error) {
-	if n > uint64(len(d.data)-d.pos) {
-		return nil, ErrBatchCorrupt
-	}
-	b := d.data[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return b, nil
-}
-
 // DecodeRecordBatch decodes one frame from the front of data, returning
 // the batch and the number of bytes consumed: each column through
 // DecodeColumn, then expanded to values. Malformed frames — truncation,
 // bad magic, CRC mismatch, over-long runs, out-of-range dictionary
 // indexes — are rejected with ErrBatchCorrupt.
 func DecodeRecordBatch(data []byte) (*RecordBatch, int, error) {
-	d := &batchDecoder{data: data}
-	hdr, err := d.take(5)
-	if err != nil {
-		return nil, 0, err
-	}
-	if binary.LittleEndian.Uint32(hdr) != batchMagic || hdr[4] != batchVersion {
+	r := bin.NewReader(data)
+	magic, version := r.Uint32(), r.Byte()
+	rows, nCols := r.Uvarint(), r.Uvarint()
+	switch {
+	case r.Err() != nil:
+		return nil, 0, fmt.Errorf("%w: header: %v", ErrBatchCorrupt, r.Err())
+	case magic != batchMagic || version != batchVersion:
 		return nil, 0, fmt.Errorf("%w: bad magic/version", ErrBatchCorrupt)
-	}
-	rows, err := d.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if rows > maxBatchRows {
+	case rows > maxBatchRows:
 		return nil, 0, fmt.Errorf("%w: %d rows", ErrBatchCorrupt, rows)
-	}
-	nCols, err := d.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if nCols > maxBatchCols {
+	case nCols > maxBatchCols:
 		return nil, 0, fmt.Errorf("%w: %d columns", ErrBatchCorrupt, nCols)
-	}
-	if rows*nCols > maxBatchValues {
+	case rows*nCols > maxBatchValues:
 		return nil, 0, fmt.Errorf("%w: %d values", ErrBatchCorrupt, rows*nCols)
 	}
 	b := &RecordBatch{NumRows: int(rows)}
 	for i := uint64(0); i < nCols; i++ {
-		nameLen, err := d.uvarint()
-		if err != nil {
-			return nil, 0, err
+		name, enc, payload := r.Block(), r.Byte(), r.Block()
+		if r.Err() != nil {
+			return nil, 0, fmt.Errorf("%w: column %d: %v", ErrBatchCorrupt, i, r.Err())
 		}
-		name, err := d.take(nameLen)
-		if err != nil {
-			return nil, 0, err
-		}
-		encByte, err := d.take(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		payloadLen, err := d.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err := d.take(payloadLen)
-		if err != nil {
-			return nil, 0, err
-		}
-		v, err := DecodeColumn(string(name), encByte[0], payload, int(rows))
+		v, err := DecodeColumn(string(name), enc, payload, int(rows))
 		if err != nil {
 			return nil, 0, err
 		}
 		b.Cols = append(b.Cols, BatchColumn{Name: v.Name, Values: v.Gather(nil)})
 	}
-	crcBytes, err := d.take(4)
-	if err != nil {
-		return nil, 0, err
-	}
-	if binary.LittleEndian.Uint32(crcBytes) != blockenc.Checksum(data[:d.pos-4]) {
+	end := r.Pos()
+	if crc := r.Uint32(); r.Err() != nil || crc != blockenc.Checksum(data[:end]) {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBatchCorrupt)
 	}
-	return b, d.pos, nil
+	return b, r.Pos(), nil
 }

@@ -426,10 +426,8 @@ type RegisterConversionRequest struct {
 	TransferMasks map[meta.FragmentID]meta.FragmentID
 }
 
-// RegisterConversionResponse carries the handoff timestamp.
-type RegisterConversionResponse struct {
-	HandoffTS truetime.Timestamp
-}
+// RegisterConversionResponse acknowledges.
+type RegisterConversionResponse struct{}
 
 // BeginDMLRequest announces a running DML statement on a table; while
 // any is active the storage optimizer will not commit (§7.3).
@@ -477,7 +475,6 @@ type GCRequest struct {
 // GCResponse reports what was collected.
 type GCResponse struct {
 	FragmentsDeleted int
-	StreamsDeleted   int
 }
 
 // ---- Snapshot lease messages (SMS) ----

@@ -39,11 +39,12 @@ go test -race -count=2 $race_twice
 
 # The transport micro-benchmarks (frame codec, TCP unary echo, stream
 # ping-pong with its credit frames), the column codec's (PLAIN, DICT
-# and RLE pages, encode and decode), the SMS read view's (100 ROS
-# fragment records and a writable streamlet) and the optimizer's (one
-# ConvertTable over 54 000 loaded rows) run one iteration each, so they
-# cannot rot between the PRs that read their numbers.
-go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/sms/ ./internal/optimizer/
+# and RLE pages, encode and decode), the row codec's, the ROS file
+# writer's and reader's, the SMS read view's (100 ROS fragment records
+# and a writable streamlet) and the optimizer's (one ConvertTable over
+# 54 000 loaded rows) run one iteration each, so they cannot rot
+# between the PRs that read their numbers.
+go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/
 
 # Encoded-domain filtering must return what filtering row by row
 # returns: code-skip accounting on keyless and keyed tables, and
@@ -65,6 +66,7 @@ go test -C benchmark ./...
 while read -r pkg target; do
     go test -run '^$' -fuzz "${target}\$" -fuzztime 10s "./internal/$pkg/"
 done <<'EOF'
+bin       FuzzReader
 rowenc    FuzzDecodeRow
 rowenc    FuzzDecodeRows
 blockenc  FuzzOpen
