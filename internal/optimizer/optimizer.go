@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 
 	"vortex/internal/blockenc"
 	"vortex/internal/client"
@@ -303,49 +302,6 @@ func (o *Optimizer) scanColumns(ctx context.Context, plan *client.ScanPlan, inpu
 	return rs, nil
 }
 
-// sortKey is a clustering value in a form that orders as
-// schema.Value.Compare does but is compared in place: a Value is 120
-// bytes, copied per operand per comparison. One column holds one kind,
-// so at most one of i, f and s differs between two keys of it.
-type sortKey struct {
-	null bool
-	i    int64
-	f    float64
-	s    string
-}
-
-func sortKeyOf(v schema.Value) sortKey {
-	switch {
-	case v.IsNull():
-		return sortKey{null: true}
-	case v.Kind() == schema.KindFloat64:
-		return sortKey{f: v.AsFloat64()}
-	case v.Kind() == schema.KindString:
-		return sortKey{s: v.AsString()}
-	case v.Kind() == schema.KindBytes:
-		return sortKey{s: string(v.AsBytes())}
-	}
-	return sortKey{i: v.AsInt64()}
-}
-
-func (a *sortKey) compare(b *sortKey) int {
-	switch {
-	case a.null && b.null:
-		return 0
-	case a.null: // NULL sorts first
-		return -1
-	case b.null:
-		return 1
-	case a.i != b.i:
-		return cmp.Compare(a.i, b.i)
-	case a.f < b.f: // not cmp.Compare: Value.Compare holds NaN equal to everything
-		return -1
-	case a.f > b.f:
-		return 1
-	}
-	return strings.Compare(a.s, b.s)
-}
-
 // noPartition groups the rows that have no partition value; it sorts
 // before every real partition.
 const noPartition = -1 << 62
@@ -380,18 +336,13 @@ func (o *Optimizer) clusteredOrder(sc *schema.Schema, rs *rowSet) (perm []int32,
 			}
 		}
 	}
-	keys := make([][]sortKey, 0, len(sc.ClusterBy))
+	keys := make([][]schema.Value, 0, len(sc.ClusterBy))
 	for _, name := range sc.ClusterBy {
-		col := rs.cols[sc.FieldIndex(name)]
-		ks := make([]sortKey, len(col))
-		for i := range col {
-			ks[i] = sortKeyOf(col[i])
-		}
-		keys = append(keys, ks)
+		keys = append(keys, rs.cols[sc.FieldIndex(name)])
 	}
 	compareKeys := func(a, b int32) int {
-		for _, ks := range keys {
-			if c := ks[a].compare(&ks[b]); c != 0 {
+		for _, col := range keys {
+			if c := col[a].Compare(col[b]); c != 0 {
 				return c
 			}
 		}

@@ -325,10 +325,11 @@ func peakHeap(f func()) uint64 {
 }
 
 // boundedHeapFactor is the most a pass's heap may rise, as a multiple of
-// the group budget: a group's rows are in memory twice as 120-byte
+// the group budget: a group's rows are in memory twice as 24-byte
 // schema.Values (the decoded fragments and their concatenation), plus the
-// writer's columns and the garbage of the group before.
-const boundedHeapFactor = 150
+// strings behind them, the writer's columns and the garbage of the group
+// before. The pass logs ≈21×; the rest is room for when the GC runs.
+const boundedHeapFactor = 60
 
 // TestConvertTableIsBoundedByTheGroupBudget: a table of more than four
 // budgets converts in as many swaps as it has groups, to the rows a

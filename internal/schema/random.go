@@ -61,7 +61,7 @@ func RandomScalar(rng *rand.Rand, k Kind) Value {
 	case KindBytes:
 		b := make([]byte, rng.Intn(24))
 		rng.Read(b)
-		return Value{kind: KindBytes, b: b}
+		return bytesValue(b)
 	case KindTimestamp:
 		base := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 		return TimestampNanos(base + rng.Int63n(int64(400*24*time.Hour)))

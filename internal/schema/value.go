@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // NumericScale is the fixed-point scale of KindNumeric values: NUMERIC is
@@ -18,26 +19,87 @@ const NumericScale = 1_000_000_000
 // Value is one (possibly nested, possibly repeated) datum. The zero Value
 // is NULL. Values are immutable by convention: accessors return copies of
 // mutable internals where aliasing would be observable.
+//
+// A Value is three machine words. n holds the payload of the integer
+// kinds (INT64, BOOL as 0/1, TIMESTAMP ns, DATE days, NUMERIC 1e-9
+// units) or a FLOAT64's bits; p points at the data of a STRING, JSON or
+// BYTES value, or at the first element of a list's or a struct's
+// []Value, and n is then its length. The GC traces p, so a Value keeps
+// its backing array alive as the string or slice header it came from
+// did. Which of p and n means what depends on kind and rep alone, and
+// every accessor checks them first: a view another kind does not have
+// reads as zero, "", nil or no elements.
 type Value struct {
-	kind   Kind
-	null   bool
-	i      int64   // Int64, Bool(0/1), Timestamp(ns), Date(days), Numeric(1e-9)
-	f      float64 // Float64
-	s      string  // String, JSON
-	b      []byte  // Bytes
-	list   []Value // Repeated elements (kind is the element kind)
-	fields []Value // Struct field values, parallel to Field.Fields
-	rep    bool    // true if this Value is a repeated list
+	_    [0]func()      // not comparable with ==, as a struct of slices is not
+	p    unsafe.Pointer // STRING/JSON/BYTES data, or a list's or struct's elements
+	n    int64          // integer payload, FLOAT64 bits, or the length behind p
+	kind uint8          // a Kind; KindInvalid for NULL and lists
+	null bool
+	rep  bool // a repeated list
+}
+
+// intKinds are the kinds whose payload is n itself.
+const intKinds = 1<<KindInt64 | 1<<KindBool | 1<<KindTimestamp | 1<<KindDate | 1<<KindNumeric
+
+// int is the integer payload; 0 for every other kind.
+func (v Value) int() int64 {
+	if intKinds>>v.kind&1 != 0 {
+		return v.n
+	}
+	return 0
+}
+
+// str is the STRING or JSON payload; "" for every other kind.
+func (v Value) str() string {
+	if k := Kind(v.kind); k == KindString || k == KindJSON {
+		return unsafe.String((*byte)(v.p), int(v.n))
+	}
+	return ""
+}
+
+// byt is the BYTES payload, not copied; nil for every other kind.
+func (v Value) byt() []byte {
+	if Kind(v.kind) == KindBytes {
+		return unsafe.Slice((*byte)(v.p), int(v.n))
+	}
+	return nil
+}
+
+// elems is a list's elements; nil unless the value is a list.
+func (v Value) elems() []Value {
+	if v.rep {
+		return unsafe.Slice((*Value)(v.p), int(v.n))
+	}
+	return nil
+}
+
+// fields is a struct's field values; nil unless the value is a struct.
+func (v Value) fields() []Value {
+	if Kind(v.kind) == KindStruct {
+		return unsafe.Slice((*Value)(v.p), int(v.n))
+	}
+	return nil
+}
+
+func intValue(k Kind, i int64) Value { return Value{kind: uint8(k), n: i} }
+
+func strValue(k Kind, s string) Value {
+	return Value{kind: uint8(k), p: unsafe.Pointer(unsafe.StringData(s)), n: int64(len(s))}
+}
+
+// bytesValue wraps b without copying it: for callers that own b.
+func bytesValue(b []byte) Value {
+	return Value{kind: uint8(KindBytes), p: unsafe.Pointer(unsafe.SliceData(b)), n: int64(len(b))}
 }
 
 // Null returns a NULL value (assignable to any nullable field).
 func Null() Value { return Value{null: true} }
 
 // Int64 returns an INTEGER value.
-func Int64(v int64) Value { return Value{kind: KindInt64, i: v} }
+func Int64(v int64) Value { return intValue(KindInt64, v) }
 
 // Float64 returns a FLOAT64 value.
-func Float64(v float64) Value { return Value{kind: KindFloat64, f: v} }
+func Float64(v float64) Value { return Value{kind: uint8(KindFloat64), n: int64(math.Float64bits(v))} }
 
 // Bool returns a BOOL value.
 func Bool(v bool) Value {
@@ -45,20 +107,20 @@ func Bool(v bool) Value {
 	if v {
 		i = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return intValue(KindBool, i)
 }
 
 // String returns a STRING value.
-func String(v string) Value { return Value{kind: KindString, s: v} }
+func String(v string) Value { return strValue(KindString, v) }
 
 // Bytes returns a BYTES value (the slice is copied).
-func Bytes(v []byte) Value { return Value{kind: KindBytes, b: append([]byte(nil), v...)} }
+func Bytes(v []byte) Value { return bytesValue(append([]byte(nil), v...)) }
 
 // Timestamp returns a TIMESTAMP value.
-func Timestamp(t time.Time) Value { return Value{kind: KindTimestamp, i: t.UnixNano()} }
+func Timestamp(t time.Time) Value { return intValue(KindTimestamp, t.UnixNano()) }
 
 // TimestampNanos returns a TIMESTAMP value from epoch nanoseconds.
-func TimestampNanos(ns int64) Value { return Value{kind: KindTimestamp, i: ns} }
+func TimestampNanos(ns int64) Value { return intValue(KindTimestamp, ns) }
 
 // Date returns a DATE value from a time (its UTC calendar date).
 func Date(t time.Time) Value {
@@ -67,14 +129,14 @@ func Date(t time.Time) Value {
 	if u.Unix() < 0 && u.Unix()%86400 != 0 {
 		days--
 	}
-	return Value{kind: KindDate, i: days}
+	return intValue(KindDate, days)
 }
 
 // DateDays returns a DATE value from days since the Unix epoch.
-func DateDays(days int64) Value { return Value{kind: KindDate, i: days} }
+func DateDays(days int64) Value { return intValue(KindDate, days) }
 
 // Numeric returns a NUMERIC value from a scaled integer (1e-9 units).
-func Numeric(scaled int64) Value { return Value{kind: KindNumeric, i: scaled} }
+func Numeric(scaled int64) Value { return intValue(KindNumeric, scaled) }
 
 // NumericFromString parses a decimal literal like "123.456" into NUMERIC.
 func NumericFromString(s string) (Value, error) {
@@ -126,23 +188,23 @@ func JSON(doc string) (Value, error) {
 	if err != nil {
 		return Value{}, fmt.Errorf("schema: canonicalize JSON: %w", err)
 	}
-	return Value{kind: KindJSON, s: string(canon)}, nil
+	return strValue(KindJSON, string(canon)), nil
 }
 
 // RawJSON returns a JSON value without re-canonicalizing doc. It is for
 // decoders reading documents that were canonicalized by JSON when first
 // constructed; arbitrary user input must go through JSON instead.
-func RawJSON(doc string) Value { return Value{kind: KindJSON, s: doc} }
+func RawJSON(doc string) Value { return strValue(KindJSON, doc) }
 
 // Struct returns a STRUCT value with the given field values (parallel to
 // the schema's Field.Fields).
 func Struct(fieldValues ...Value) Value {
-	return Value{kind: KindStruct, fields: fieldValues}
+	return Value{kind: uint8(KindStruct), p: unsafe.Pointer(unsafe.SliceData(fieldValues)), n: int64(len(fieldValues))}
 }
 
 // List returns a REPEATED value holding the given elements.
 func List(elems ...Value) Value {
-	return Value{rep: true, list: elems}
+	return Value{rep: true, p: unsafe.Pointer(unsafe.SliceData(elems)), n: int64(len(elems))}
 }
 
 // IsNull reports whether the value is NULL.
@@ -152,64 +214,65 @@ func (v Value) IsNull() bool { return v.null }
 func (v Value) IsList() bool { return v.rep }
 
 // Kind returns the value's kind (KindInvalid for NULL and lists).
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return Kind(v.kind) }
 
 // AsInt64 returns the INTEGER payload.
-func (v Value) AsInt64() int64 { return v.i }
+func (v Value) AsInt64() int64 { return v.int() }
 
 // AsFloat64 returns the FLOAT64 payload; INTEGER and NUMERIC values are
 // widened.
 func (v Value) AsFloat64() float64 {
-	switch v.kind {
+	switch Kind(v.kind) {
 	case KindFloat64:
-		return v.f
+		return math.Float64frombits(uint64(v.n))
 	case KindNumeric:
-		return float64(v.i) / NumericScale
+		return float64(v.n) / NumericScale
 	default:
-		return float64(v.i)
+		return float64(v.int())
 	}
 }
 
 // AsBool returns the BOOL payload.
-func (v Value) AsBool() bool { return v.i != 0 }
+func (v Value) AsBool() bool { return v.int() != 0 }
 
 // AsString returns the STRING or JSON payload.
-func (v Value) AsString() string { return v.s }
+func (v Value) AsString() string { return v.str() }
 
 // AsBytes returns a copy of the BYTES payload.
-func (v Value) AsBytes() []byte { return append([]byte(nil), v.b...) }
+func (v Value) AsBytes() []byte { return append([]byte(nil), v.byt()...) }
 
 // AsTime returns the TIMESTAMP payload as a time.Time (UTC).
-func (v Value) AsTime() time.Time { return time.Unix(0, v.i).UTC() }
+func (v Value) AsTime() time.Time { return time.Unix(0, v.int()).UTC() }
 
 // AsDateDays returns the DATE payload as days since the epoch.
-func (v Value) AsDateDays() int64 { return v.i }
+func (v Value) AsDateDays() int64 { return v.int() }
 
 // AsNumericScaled returns the NUMERIC payload in 1e-9 units.
-func (v Value) AsNumericScaled() int64 { return v.i }
+func (v Value) AsNumericScaled() int64 { return v.int() }
 
 // Len returns the number of elements of a repeated value, or the number
 // of fields of a struct value.
 func (v Value) Len() int {
-	if v.rep {
-		return len(v.list)
+	if v.rep || Kind(v.kind) == KindStruct {
+		return int(v.n)
 	}
-	return len(v.fields)
+	return 0
 }
 
 // Index returns element i of a repeated value.
-func (v Value) Index(i int) Value { return v.list[i] }
+func (v Value) Index(i int) Value { return v.elems()[i] }
 
 // FieldValue returns field i of a struct value.
-func (v Value) FieldValue(i int) Value { return v.fields[i] }
+func (v Value) FieldValue(i int) Value { return v.fields()[i] }
 
 // Elems returns the elements of a repeated value: the value's own
-// slice, for walking them in place (Index copies one out). Read-only.
-func (v Value) Elems() []Value { return v.list }
+// slice, for walking them in place (Index copies one out). Read-only;
+// its capacity is its length, so an append copies.
+func (v Value) Elems() []Value { return v.elems() }
 
 // Fields returns the field values of a struct value: like Elems, the
 // value's own slice, read-only.
-func (v Value) Fields() []Value { return v.fields }
+func (v Value) Fields() []Value { return v.fields() }
 
 // Equal reports deep equality, including kind.
 func (v Value) Equal(o Value) bool {
@@ -220,39 +283,36 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	if v.rep {
-		if len(v.list) != len(o.list) {
-			return false
-		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
-				return false
-			}
-		}
-		return true
+		return equalAll(v.elems(), o.elems())
 	}
 	if v.kind != o.kind {
 		return false
 	}
-	switch v.kind {
+	switch Kind(v.kind) {
 	case KindFloat64:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
+		a, b := v.AsFloat64(), o.AsFloat64()
+		return a == b || (math.IsNaN(a) && math.IsNaN(b))
 	case KindString, KindJSON:
-		return v.s == o.s
+		return v.str() == o.str()
 	case KindBytes:
-		return bytes.Equal(v.b, o.b)
+		return bytes.Equal(v.byt(), o.byt())
 	case KindStruct:
-		if len(v.fields) != len(o.fields) {
+		return equalAll(v.fields(), o.fields())
+	default:
+		return v.n == o.n
+	}
+}
+
+func equalAll(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
 			return false
 		}
-		for i := range v.fields {
-			if !v.fields[i].Equal(o.fields[i]) {
-				return false
-			}
-		}
-		return true
-	default:
-		return v.i == o.i
 	}
+	return true
 }
 
 // Compare orders two scalar values of the same comparable kind:
@@ -270,31 +330,32 @@ func (v Value) Compare(o Value) int {
 		}
 	}
 	if v.kind != o.kind {
-		panic(fmt.Sprintf("schema: comparing %v with %v", v.kind, o.kind))
+		panic(fmt.Sprintf("schema: comparing %v with %v", v.Kind(), o.Kind()))
 	}
-	switch v.kind {
+	switch Kind(v.kind) {
 	case KindInt64, KindBool, KindTimestamp, KindDate, KindNumeric:
 		switch {
-		case v.i < o.i:
+		case v.n < o.n:
 			return -1
-		case v.i > o.i:
+		case v.n > o.n:
 			return 1
 		}
 		return 0
 	case KindFloat64:
+		a, b := v.AsFloat64(), o.AsFloat64()
 		switch {
-		case v.f < o.f:
+		case a < b:
 			return -1
-		case v.f > o.f:
+		case a > b:
 			return 1
 		}
 		return 0
 	case KindString, KindJSON:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	case KindBytes:
-		return bytes.Compare(v.b, o.b)
+		return bytes.Compare(v.byt(), o.byt())
 	}
-	panic(fmt.Sprintf("schema: kind %v is not comparable", v.kind))
+	panic(fmt.Sprintf("schema: kind %v is not comparable", v.Kind()))
 }
 
 // String renders the value for logs and query output.
@@ -303,51 +364,51 @@ func (v Value) String() string {
 		return "NULL"
 	}
 	if v.rep {
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
-			parts[i] = e.String()
-		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return "[" + joinValues(v.elems()) + "]"
 	}
-	switch v.kind {
+	switch Kind(v.kind) {
 	case KindInt64:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindFloat64:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat64(), 'g', -1, 64)
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	case KindJSON:
-		return v.s
+		return v.str()
 	case KindBytes:
-		return fmt.Sprintf("b%q", v.b)
+		return fmt.Sprintf("b%q", v.byt())
 	case KindTimestamp:
 		return v.AsTime().Format(time.RFC3339Nano)
 	case KindDate:
-		return time.Unix(v.i*86400, 0).UTC().Format("2006-01-02")
+		return time.Unix(v.n*86400, 0).UTC().Format("2006-01-02")
 	case KindNumeric:
-		whole, frac := v.i/NumericScale, v.i%NumericScale
+		whole, frac := v.n/NumericScale, v.n%NumericScale
 		if frac == 0 {
 			return strconv.FormatInt(whole, 10)
 		}
 		neg := ""
-		if v.i < 0 {
+		if v.n < 0 {
 			neg = "-"
 			whole, frac = -whole, -frac
 		}
 		return fmt.Sprintf("%s%d.%s", neg, whole, strings.TrimRight(fmt.Sprintf("%09d", frac), "0"))
 	case KindStruct:
-		parts := make([]string, len(v.fields))
-		for i, f := range v.fields {
-			parts[i] = f.String()
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		return "{" + joinValues(v.fields()) + "}"
 	}
 	return "INVALID"
+}
+
+func joinValues(vs []Value) string {
+	parts := make([]string, len(vs))
+	for i, e := range vs {
+		parts[i] = e.String()
+	}
+	return strings.Join(parts, ", ")
 }
 
 // Key renders the value as a canonical lookup key for bloom-filter
@@ -356,11 +417,11 @@ func (v Value) String() string {
 // read path (partition elimination probes) is what makes the
 // no-false-negative guarantee hold end to end.
 func (v Value) Key() string {
-	switch v.kind {
+	switch Kind(v.kind) {
 	case KindString, KindJSON:
-		return v.s
+		return v.str()
 	case KindBytes:
-		return string(v.b)
+		return string(v.byt())
 	default:
 		return v.String()
 	}
