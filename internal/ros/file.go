@@ -52,9 +52,9 @@ type Encoding byte
 
 // pageSnappy, set in a page's encoding byte, says the page is the Snappy
 // block of the payload the other bits name. The Writer sets it on a page
-// that shrinks by a quarter or more — order keys sharing a prefix,
-// repeated clustering values — and on no other: most pages of varints
-// do not compress at all and would only pay the decode.
+// Snappy makes smaller — order keys sharing a prefix, repeated
+// clustering values — and on no other: a page of varints that does not
+// compress at all is stored as it is and pays no decode.
 const pageSnappy = 0x80
 
 // maxSnappyGain bounds what a Snappy block can decode to, per byte of
@@ -480,9 +480,12 @@ func encodeColumn(out []byte, c *columnData) []byte {
 	out = appendBlock(out, encodeLevels(c.defs, c.leaf.MaxDef))
 
 	// Values: encoding byte, page length, page — the wire codec's
-	// payload, Snappy-compressed where that takes a quarter off it.
+	// payload, Snappy-compressed where that makes it any smaller. A
+	// threshold below 1 would put a cliff in the stored size: a page
+	// whose ratio sits at the threshold is stored raw or compressed on
+	// a byte's difference in its input.
 	enc, page := encodeValues(c.values)
-	if z := snappy.Encode(page); len(z) <= len(page)*3/4 {
+	if z := snappy.Encode(page); len(z) < len(page) {
 		enc, page = enc|pageSnappy, z
 	}
 	out = append(out, enc)

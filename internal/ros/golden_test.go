@@ -38,35 +38,35 @@ func TestGoldenFormats(t *testing.T) {
 		want   [5]string // ros file, vectors frame, selected frame, re-encoded batch, selected run-length frame
 	}{
 		{"sales", workload.SalesSchema(), workload.NewGen(1, 1000).SalesRows(0, 2000), [5]string{
-			"3e7aef6e77f7d15f43111548967077d58939243aa13bf5230dedac4a8921a12e",
+			"a28758da1be13ce3321be5bad1dfaeb0d169ab862e2fc8fca10dd419f644be04",
 			"c486cb45c38d3307e5625145fd7f838d266bdb1cf9190bf00e20585583b84914",
 			"9e654650338b30de5ee538b314881bb3f3f8f72f7cce16a31e06a16b714f5a14",
 			"c486cb45c38d3307e5625145fd7f838d266bdb1cf9190bf00e20585583b84914",
 			"bc7ceaa91ddbb9f33a955ba47754288d049388d6f84c3af8b8e9b8f4abc0f927",
 		}},
 		{"sales-repetitive", workload.SalesSchema(), workload.NewGen(2, 8).SalesRows(0, 2000), [5]string{
-			"21c5356ae6e798212fbc44ce0460ebb00b12626b0c57ba9a9ce281af92c3aa58",
+			"c27a0b7de6895ec3b175b859d67ff07e2a58888b9d75ec3487a4f497672bee93",
 			"9597c846f5ac24c3b6e5c444f3bdc93052b8b2a5d50c5c994ced6dbb66da285f",
 			"4c01cfc11f113b496f442b9a12fdaa6102119b26aeafa413345ad49d2caeb979",
 			"9597c846f5ac24c3b6e5c444f3bdc93052b8b2a5d50c5c994ced6dbb66da285f",
 			"21bc37c3abb103dbc758cb85761ac63bba6940f8fd4a76fc089dc84d9d2107dc",
 		}},
 		{"sales-sorted", workload.SalesSchema(), sortedByCluster(workload.SalesSchema(), workload.NewGen(2, 8).SalesRows(0, 2000)), [5]string{
-			"8034f3afe512341a6c78ead2d2a51fa1f3f2d9bdd7827d79926dd4e794366232",
+			"188bef0d596889c3d5900700f907b52468657e1727915c3ccae5a44c5f8acfc8",
 			"60cedf0b7e7468640e5951e0d30f60d1192edbc5fbcb731b3df9c6aa7077655d",
 			"fff37c822899012a5ea90dc423b75b8e4a9805df60e9f96c2b713110ef8398f6",
 			"60cedf0b7e7468640e5951e0d30f60d1192edbc5fbcb731b3df9c6aa7077655d",
 			"93cf1c9313f05d052a4dd7ba2b084f2e24b5c89f304fee862b5e9b48349cd23f",
 		}},
 		{"events", workload.EventsSchema(), workload.NewGen(3, 50).EventRows(at, 2000, time.Second), [5]string{
-			"2cc60d7846858a2f471ccd35654754c76a6aa2ef02ae9ecce16372e72a7a1f0e",
+			"91f993e9f4f1f87b9993acaed5f5e79ba9bec59f3f2da72f8256b0050b13b86f",
 			"0aa34545415fa11b823d85b0ce780fd46166585016c8d0e54a134bcbb1626c81",
 			"ac4e01789c5f0bc2f543c53982b5ce003546d1d90230d31d667d56b30db2fbe6",
 			"0aa34545415fa11b823d85b0ce780fd46166585016c8d0e54a134bcbb1626c81",
 			"0b945c967d1994eafbf5ab57089ad973218614a232f7714107ea64b5e7fe7c44",
 		}},
 		{"log", workload.LogSchema(), workload.NewGen(4, 20).LogRows(2000), [5]string{
-			"d9b641bc609291f3d34509362c5c726938e9e9f44eff6a05bb160cfac926a969",
+			"77881ddbd96ab75bab16593bcac3f1e0be770dea5ba36270ac8bc249d907d0c2",
 			"fff49e3b428a1b6fa80f6bbaf160aeade1806348917d597621c8ac4d5a2496e6",
 			"2a10b153079c309d0b49c1082e8d6ca587e455cd3e73b68fd6f2c0692af343ef",
 			"fff49e3b428a1b6fa80f6bbaf160aeade1806348917d597621c8ac4d5a2496e6",
