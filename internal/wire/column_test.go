@@ -18,7 +18,7 @@ import (
 // is sized by it — a ROS column header, a frame header or a page cannot
 // make the decoder allocate on its say-so.
 func TestDecodeColumnRefusesRowsPastPayload(t *testing.T) {
-	const claimed = 1 << 20 // ~120 MiB of schema.Values if it were believed
+	const claimed = 1 << 20 // ~24 MiB of schema.Values if it were believed
 	plain := rowenc.AppendValue(nil, schema.Int64(7))
 	dict := binary.AppendUvarint(nil, 1)
 	dict = rowenc.AppendValue(dict, schema.Int64(7))

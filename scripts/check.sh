@@ -17,7 +17,9 @@ go vet ./...
 
 # The chaos suites are expected to be deterministic under -race; an
 # ordering flake is a bug, so -shuffle=on surfaces hidden inter-test
-# order dependencies.
+# order dependencies. -race also turns on checkptr, which checks every
+# unsafe.Pointer conversion schema.Value makes (value.go builds its
+# string, bytes and element views with unsafe.String and unsafe.Slice).
 go test -race -shuffle=on ./...
 
 # Second race pass, -count=2 so interleavings vary: the packages whose
@@ -41,10 +43,12 @@ go test -race -count=2 $race_twice
 # ping-pong with its credit frames), the column codec's (PLAIN, DICT
 # and RLE pages, encode and decode), the row codec's, the ROS file
 # writer's and reader's, the SMS read view's (100 ROS fragment records
-# and a writable streamlet) and the optimizer's (one ConvertTable over
-# 54 000 loaded rows) run one iteration each, so they cannot rot
-# between the PRs that read their numbers.
-go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/
+# and a writable streamlet), the optimizer's (one ConvertTable over
+# 54 000 loaded rows), the leaf scan's (cursor walk and encode per
+# fragment kind) and schema.Value's (a clustering sort over columns of
+# values) run one iteration each, so they cannot rot between the PRs
+# that read their numbers.
+go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/ ./internal/client/ ./internal/schema/
 
 # Encoded-domain filtering must return what filtering row by row
 # returns: code-skip accounting on keyless and keyed tables, and
