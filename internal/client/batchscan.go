@@ -9,6 +9,7 @@ import (
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/wire"
+	"vortex/internal/workpool"
 )
 
 // ColBatch is one assignment's scan result — the only thing a leaf
@@ -359,6 +360,26 @@ func (c *Client) ScanBatch(ctx context.Context, plan *ScanPlan, a Assignment) (*
 	}
 	c.scanLatency.Record(time.Since(start))
 	return b, nil
+}
+
+// ScanBatches scans the assignments on up to workers goroutines and
+// returns their batches in assignment order. It hands out no assignment
+// once one has failed or ctx is done, and returns the error of the first
+// assignment, in order, that failed.
+func (c *Client) ScanBatches(ctx context.Context, plan *ScanPlan, as []Assignment, workers int) ([]*ColBatch, error) {
+	batches := make([]*ColBatch, len(as))
+	err := workpool.Run(len(as), workers, func(_, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var err error
+		batches[i], err = c.ScanBatch(ctx, plan, as[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return batches, nil
 }
 
 // rosBatch is a cached ROS reader's projected vectors with the

@@ -3,10 +3,10 @@ package client
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"vortex/internal/dml"
 	"vortex/internal/fragment"
@@ -667,30 +667,23 @@ func replicaHasBlock(scan *fragment.ScanResult, b *fragment.Block) bool {
 	return false
 }
 
-// ReadAll scans every assignment of a snapshot (in parallel) and returns
-// all visible rows. Row order across assignments is by storage sequence.
+// ReadAll scans every assignment of a snapshot, GOMAXPROCS at a time,
+// and returns all visible rows. Row order across assignments is by
+// storage sequence.
 func (c *Client) ReadAll(ctx context.Context, table meta.TableID, snapshotTS truetime.Timestamp) ([]rowenc.Stamped, *ScanPlan, error) {
 	plan, err := c.Plan(ctx, table, snapshotTS)
 	if err != nil {
 		return nil, nil, err
 	}
-	results := make([][]rowenc.Stamped, len(plan.Assignments))
-	errs := make([]error, len(plan.Assignments))
-	var wg sync.WaitGroup
-	for i, a := range plan.Assignments {
-		wg.Add(1)
-		go func(i int, a Assignment) {
-			defer wg.Done()
-			results[i], errs[i] = c.Scan(ctx, plan, a)
-		}(i, a)
+	batches, err := c.ScanBatches(ctx, plan, plan.Assignments, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
 	var all []rowenc.Stamped
-	for i := range results {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
+	for _, b := range batches {
+		for _, r := range b.PosRows() {
+			all = append(all, r.Stamped)
 		}
-		all = append(all, results[i]...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
 	return all, plan, nil

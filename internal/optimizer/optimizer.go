@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"vortex/internal/blockenc"
@@ -26,6 +27,7 @@ import (
 	"vortex/internal/sms"
 	"vortex/internal/truetime"
 	"vortex/internal/wire"
+	"vortex/internal/workpool"
 )
 
 // Config tunes the optimizer.
@@ -90,7 +92,7 @@ type Result struct {
 // taken, in the order the SMS lists them, while their committed bytes
 // stay under it (a fragment larger than it is a group of its own). A
 // group's rows are all in memory while its files are written — as
-// schema.Values, 50 to 70 times their stored size (DESIGN.md §15) — so
+// schema.Values, some 21 to 25 times their stored size (DESIGN.md §15) — so
 // this is what bounds a pass's memory whatever the backlog; and each
 // group is its own atomic swap, so a pass that yields to DML loses one
 // group's work.
@@ -269,23 +271,24 @@ type rowSet struct {
 	changes []byte
 }
 
-// scanColumns reads the inputs in order. Nothing is materialized per
-// row: each batch's cached vectors are gathered through its selection
-// onto the end of the set's columns.
+// scanColumns reads the inputs, each on a worker, and concatenates
+// their rows in input order. Nothing is materialized per row: each
+// batch's cached vectors are gathered through its selection onto the end
+// of the set's columns.
 func (o *Optimizer) scanColumns(ctx context.Context, plan *client.ScanPlan, inputs []client.Assignment) (*rowSet, error) {
-	var most int64 // no input has more visible rows than rows
-	for _, a := range inputs {
-		most += a.Frag.RowCount
+	batches, err := o.c.ScanBatches(ctx, plan, inputs, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, fmt.Errorf("optimizer: reading %d fragments: %w", len(inputs), err)
 	}
-	rs := &rowSet{cols: make([][]schema.Value, len(plan.Schema.Fields)), seqs: make([]int64, 0, most), changes: make([]byte, 0, most)}
+	var rows int
+	for _, b := range batches {
+		rows += b.NumVisible()
+	}
+	rs := &rowSet{cols: make([][]schema.Value, len(plan.Schema.Fields)), seqs: make([]int64, 0, rows), changes: make([]byte, 0, rows)}
 	for f := range rs.cols {
-		rs.cols[f] = make([]schema.Value, 0, most)
+		rs.cols[f] = make([]schema.Value, 0, rows)
 	}
-	for _, a := range inputs {
-		b, err := o.c.ScanBatch(ctx, plan, a)
-		if err != nil {
-			return nil, fmt.Errorf("optimizer: reading %s: %w", a.Frag.ID, err)
-		}
+	for _, b := range batches {
 		vecs, sel := b.Vectors(b.Sel)
 		for k := range vecs {
 			f := b.ColIdx[k]
@@ -315,16 +318,14 @@ const noPartition = -1 << 62
 // file: of at most TargetROSRows rows, except that a file never ends
 // inside a partition's clustering-key run (the new baseline must be
 // non-overlapping in key ranges, §6.1) and never spans partitions.
+//
+// The survivors are first split into one run per partition, in input
+// order, and each run is sorted on a worker: the permutation one stable
+// sort by (partition, key, sequence) would give.
 func (o *Optimizer) clusteredOrder(sc *schema.Schema, rs *rowSet) (perm []int32, cuts []int) {
 	var dead []bool
 	if len(sc.PrimaryKey) > 0 {
 		dead = dml.Replay(dml.ChangesOf(sc, rs.cols, rs.seqs, rs.changes), false)
-	}
-	perm = make([]int32, 0, len(rs.seqs))
-	for i := range rs.seqs {
-		if dead == nil || !dead[i] {
-			perm = append(perm, int32(i))
-		}
 	}
 	parts := make([]int64, len(rs.seqs))
 	pf := sc.FieldIndex(sc.PartitionField)
@@ -334,6 +335,31 @@ func (o *Optimizer) clusteredOrder(sc *schema.Schema, rs *rowSet) (perm []int32,
 			if p, ok := schema.PartitionOfValue(rs.cols[pf][i]); ok {
 				parts[i] = p
 			}
+		}
+	}
+	// A counting sort by partition: each run's size, then its place.
+	size, total := map[int64]int{}, 0
+	var order []int64
+	for i, p := range parts {
+		if dead == nil || !dead[i] {
+			if size[p] == 0 {
+				order = append(order, p)
+			}
+			size[p]++
+			total++
+		}
+	}
+	slices.Sort(order)
+	run, runs := make(map[int64]int, len(order)), make([][]int32, len(order))
+	perm = make([]int32, total)
+	at := 0
+	for k, p := range order {
+		run[p], runs[k] = k, perm[at:at:at+size[p]]
+		at += size[p]
+	}
+	for i, p := range parts {
+		if dead == nil || !dead[i] {
+			runs[run[p]] = append(runs[run[p]], int32(i))
 		}
 	}
 	keys := make([][]schema.Value, 0, len(sc.ClusterBy))
@@ -348,14 +374,14 @@ func (o *Optimizer) clusteredOrder(sc *schema.Schema, rs *rowSet) (perm []int32,
 		}
 		return 0
 	}
-	slices.SortStableFunc(perm, func(a, b int32) int {
-		if c := cmp.Compare(parts[a], parts[b]); c != 0 {
-			return c
-		}
-		if c := compareKeys(a, b); c != 0 {
-			return c
-		}
-		return cmp.Compare(rs.seqs[a], rs.seqs[b])
+	_ = workpool.Run(len(runs), runtime.GOMAXPROCS(0), func(_, k int) error { // a sort cannot fail
+		slices.SortStableFunc(runs[k], func(a, b int32) int {
+			if c := compareKeys(a, b); c != 0 {
+				return c
+			}
+			return cmp.Compare(rs.seqs[a], rs.seqs[b])
+		})
+		return nil
 	})
 	for start := 0; start < len(perm); {
 		end := start + 1
@@ -370,64 +396,55 @@ func (o *Optimizer) clusteredOrder(sc *schema.Schema, rs *rowSet) (perm []int32,
 }
 
 // writeFiles writes rows perm[:cuts[0]], perm[cuts[0]:cuts[1]], … of rs
-// as one ROS file each, on the given replica pair. On error it has
+// as one ROS file each, on the given replica pair. The files are encoded
+// on workers, each with its own Writer; only when every one has encoded
+// are they given ids and written, in file order, so the ids drawn and
+// the writes Colossus sees do not depend on the workers. On error it has
 // deleted what it wrote.
 func (o *Optimizer) writeFiles(table meta.TableID, sc *schema.Schema, rs *rowSet, perm []int32, cuts []int, clusters [2]string) ([]meta.FragmentInfo, error) {
-	infos := make([]meta.FragmentInfo, 0, len(cuts))
-	w := ros.NewWriter(sc)
-	w.AllowMixedPartitions() // tolerates the "no partition" group
-	start := 0
-	for _, end := range cuts {
-		w.Reset()
-		err := w.AddColumns(rs.cols, rs.seqs, rs.changes, perm[start:end])
-		var info *meta.FragmentInfo
-		if err == nil {
-			info, err = o.finishFile(table, sc, w, clusters)
+	infos := make([]meta.FragmentInfo, len(cuts))
+	data := make([][]byte, len(cuts))
+	writers := make([]*ros.Writer, runtime.GOMAXPROCS(0))
+	err := workpool.Run(len(cuts), len(writers), func(w, k int) error {
+		if writers[w] == nil {
+			writers[w] = ros.NewWriter(sc)
+			writers[w].AllowMixedPartitions() // tolerates the "no partition" group
 		}
-		if err != nil {
-			o.deleteFiles(infos)
+		start := 0
+		if k > 0 {
+			start = cuts[k-1]
+		}
+		var err error
+		data[k], err = encodeFile(sc, writers[w], rs, perm[start:cuts[k]], &infos[k])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k := range infos {
+		if err := o.storeFile(table, &infos[k], data[k], clusters); err != nil {
+			o.deleteFiles(infos[:k])
 			return nil, err
 		}
-		infos = append(infos, *info)
-		start = end
 	}
 	return infos, nil
 }
 
-// finishFile encodes one ROS file, writes it to both replica clusters
-// and builds its FragmentInfo (with the column properties Big Metadata
-// indexes).
-func (o *Optimizer) finishFile(table meta.TableID, sc *schema.Schema, w *ros.Writer, clusters [2]string) (*meta.FragmentInfo, error) {
+// encodeFile encodes rows perm of rs as one ROS file on w and fills in
+// what info says of the file's contents: the column properties Big
+// Metadata indexes.
+func encodeFile(sc *schema.Schema, w *ros.Writer, rs *rowSet, perm []int32, info *meta.FragmentInfo) ([]byte, error) {
+	w.Reset()
+	if err := w.AddColumns(rs.cols, rs.seqs, rs.changes, perm); err != nil {
+		return nil, err
+	}
 	data, err := w.Finish()
 	if err != nil {
 		return nil, err
 	}
-	id := newROSID()
-	path := fmt.Sprintf("ros/%s/%s", table, id)
-	crc := blockenc.Checksum(data)
-	for i, cn := range clusters {
-		cl := o.region.Cluster(cn)
-		if cl == nil {
-			err = fmt.Errorf("optimizer: no cluster %q", cn)
-		} else if _, err = cl.AppendAt(path, 0, data, crc); err != nil {
-			err = fmt.Errorf("optimizer: writing %s: %w", path, err)
-		}
-		if err != nil {
-			// The file is registered nowhere yet: take back the replica
-			// an earlier cluster accepted rather than orphan it.
-			for _, written := range clusters[:i] {
-				_ = o.region.Cluster(written).Delete(path)
-			}
-			return nil, err
-		}
-	}
 	minSeq, maxSeq := w.SeqBounds()
-	info := &meta.FragmentInfo{
-		ID:             meta.FragmentID("ros/" + id),
-		Table:          table,
+	*info = meta.FragmentInfo{
 		Format:         meta.ROS,
-		Path:           path,
-		Clusters:       clusters,
 		RowCount:       w.RowCount(),
 		CommittedBytes: int64(len(data)),
 		MinRecordTS:    truetime.Timestamp(minSeq),
@@ -441,7 +458,34 @@ func (o *Optimizer) finishFile(table meta.TableID, sc *schema.Schema, w *ros.Wri
 		info.ClusterMin = rowenc.EncodeValues(mn)
 		info.ClusterMax = rowenc.EncodeValues(mx)
 	}
-	return info, nil
+	return data, nil
+}
+
+// storeFile gives an encoded file its id and writes it to both replica
+// clusters, completing its info.
+func (o *Optimizer) storeFile(table meta.TableID, info *meta.FragmentInfo, data []byte, clusters [2]string) error {
+	id := newROSID()
+	path := fmt.Sprintf("ros/%s/%s", table, id)
+	crc := blockenc.Checksum(data)
+	for i, cn := range clusters {
+		var err error
+		cl := o.region.Cluster(cn)
+		if cl == nil {
+			err = fmt.Errorf("optimizer: no cluster %q", cn)
+		} else if _, err = cl.AppendAt(path, 0, data, crc); err != nil {
+			err = fmt.Errorf("optimizer: writing %s: %w", path, err)
+		}
+		if err != nil {
+			// The file is registered nowhere yet: take back the replica
+			// an earlier cluster accepted rather than orphan it.
+			for _, written := range clusters[:i] {
+				_ = o.region.Cluster(written).Delete(path)
+			}
+			return err
+		}
+	}
+	info.ID, info.Table, info.Path, info.Clusters = meta.FragmentID("ros/"+id), table, path, clusters
+	return nil
 }
 
 // deleteFiles takes back files nothing has registered, each from the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -263,11 +264,18 @@ func parityTables() []parityTable {
 
 // TestColumnPipelineWritesTheRowLoopsFiles: for each seeded table, what
 // ConvertTable and ConvertTableStable leave in Colossus equals, byte for
-// byte, what the oracle writes from the same candidates.
+// byte, what the oracle writes from the same candidates — on a worker
+// pool of one and of four.
 func TestColumnPipelineWritesTheRowLoopsFiles(t *testing.T) {
 	for _, pt := range parityTables() {
 		t.Run(pt.name, func(t *testing.T) {
-			for _, stable := range []bool{false, true} {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, run := range []struct {
+				procs  int
+				stable bool
+			}{{1, false}, {4, false}, {1, true}, {4, true}} {
+				stable := run.stable
+				runtime.GOMAXPROCS(run.procs)
 				e := newEnv(t, 4096) // many small fragments: many candidates
 				table := meta.TableID("d.parity")
 				if err := e.c.CreateTable(e.ctx, table, pt.sc); err != nil {
@@ -308,7 +316,7 @@ func TestColumnPipelineWritesTheRowLoopsFiles(t *testing.T) {
 				}
 				got := e.rosFiles(t, table)
 				if res.files != len(got) {
-					t.Fatalf("stable=%v: result counts %d files, Colossus holds %d", stable, res.files, len(got))
+					t.Fatalf("%+v: result counts %d files, Colossus holds %d", run, res.files, len(got))
 				}
 				sameFiles(t, got, want)
 			}

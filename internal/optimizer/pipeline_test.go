@@ -2,9 +2,13 @@ package optimizer_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"hash/fnv"
+	mathrand "math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +17,7 @@ import (
 	"vortex/internal/blockenc"
 	"vortex/internal/chaos"
 	"vortex/internal/client"
+	"vortex/internal/colossus"
 	"vortex/internal/core"
 	"vortex/internal/meta"
 	"vortex/internal/optimizer"
@@ -259,17 +264,20 @@ func TestStableConversionDeletesWhatItWrote(t *testing.T) {
 	}
 }
 
-// registrations counts the optimizer's RegisterConversion calls and can
-// refuse one as the SMS refuses while a DML statement runs.
+// registrations counts the optimizer's RegisterConversion calls, keeps
+// the files the last one registered, and can refuse one as the SMS
+// refuses while a DML statement runs.
 type registrations struct {
 	rpc.Transport
 	calls  int
 	refuse int // which call to answer with ErrDMLActive; 0: none
+	last   []meta.FragmentInfo
 }
 
 func (r *registrations) Unary(ctx context.Context, addr, method string, req any) (any, error) {
 	if method == wire.MethodRegisterConversion {
 		r.calls++
+		r.last = req.(*wire.RegisterConversionRequest).New
 		if r.calls == r.refuse {
 			return nil, sms.ErrDMLActive
 		}
@@ -327,8 +335,8 @@ func peakHeap(f func()) uint64 {
 // boundedHeapFactor is the most a pass's heap may rise, as a multiple of
 // the group budget: a group's rows are in memory twice as 24-byte
 // schema.Values (the decoded fragments and their concatenation), plus the
-// strings behind them, the writer's columns and the garbage of the group
-// before. The pass logs ≈21×; the rest is room for when the GC runs.
+// strings behind them, the workers' writer columns and the garbage of the group
+// before. The pass logs 21–25×; the rest is room for when the GC runs.
 const boundedHeapFactor = 60
 
 // TestConvertTableIsBoundedByTheGroupBudget: a table of more than four
@@ -440,5 +448,160 @@ func TestConvertTableIsBoundedByTheGroupBudget(t *testing.T) {
 	}
 	if got := contentDigest(yielded.e.mustRead(t, "d.big")); got != want {
 		t.Fatal("the table's rows changed across the refused and the following pass")
+	}
+}
+
+// TestReplicaWriteFailureDeletesEveryEarlierFile: files are written in
+// file order once all are encoded. When a replica write of file k fails
+// — on the first cluster of the pair or the second — files 0…k-1 are
+// deleted from both clusters, along with file k's first replica, and
+// nothing is registered.
+func TestReplicaWriteFailureDeletesEveryEarlierFile(t *testing.T) {
+	const days, perDay = 4, 20 // one file per day
+	for _, replica := range []int{0, 1} {
+		for k := range days {
+			e := newEnv(t, 0)
+			if err := e.c.CreateTable(e.ctx, "d.orders", ordersSchema()); err != nil {
+				t.Fatal(err)
+			}
+			var rows []schema.Row
+			for day := range days {
+				for i := range perDay {
+					rows = append(rows, orderRow(day, i, fmt.Sprintf("C-%02d", i%7)))
+				}
+			}
+			e.ingestAndSeal(t, "d.orders", rows)
+			cands := e.candidates(t, "d.orders")
+			pair := cands[len(cands)-1].Info.Clusters
+			e.r.Colossus.Cluster(pair[replica]).SetChaos(&refuseWrites{after: k})
+			reg := &registrations{Transport: e.r.Net}
+			opt := optimizer.New(optimizer.DefaultConfig(), e.c, reg, e.r.Router(), e.r.Colossus, e.r.Clock)
+
+			_, err := opt.ConvertTable(e.ctx, "d.orders")
+			if err == nil || !strings.Contains(err.Error(), "outage") {
+				t.Fatalf("replica %d refusing file %d: conversion = %v, want the outage", replica, k, err)
+			}
+			if held := e.rosPaths(t); len(held) != 0 || reg.calls != 0 {
+				t.Fatalf("replica %d refusing file %d: %d registrations, clusters hold %v", replica, k, reg.calls, held)
+			}
+			e.r.Colossus.Cluster(pair[replica]).SetChaos(nil)
+			res, err := opt.ConvertTable(e.ctx, "d.orders")
+			if err != nil || res.FilesWritten != days {
+				t.Fatalf("conversion once healed = %+v, %v; want %d files", res, err, days)
+			}
+			if got := e.mustRead(t, "d.orders"); len(got) != len(rows) {
+				t.Fatalf("read %d rows after conversion, want %d", len(got), len(rows))
+			}
+		}
+	}
+}
+
+// cancelOnRead is a colossus.Chaos that cancels a context at the first
+// read it sees, and lets the read through.
+type cancelOnRead struct{ cancel context.CancelFunc }
+
+func (c cancelOnRead) Inject(_ context.Context, point, _ string) error {
+	if point == colossus.ChaosPointRead {
+		c.cancel()
+	}
+	return nil
+}
+
+// TestCancelMidScanStopsTheConversion: a context cancelled while a
+// group's fragments are being read ends the conversion with the
+// context's error, having written and registered nothing, and leaves no
+// scan worker behind — on a pool of one and of four.
+func TestCancelMidScanStopsTheConversion(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		e := newEnv(t, 4096) // many small fragments: more than the workers
+		if err := e.c.CreateTable(e.ctx, "d.orders", ordersSchema()); err != nil {
+			t.Fatal(err)
+		}
+		var rows []schema.Row
+		for i := range 400 {
+			rows = append(rows, orderRow(i%3, i, fmt.Sprintf("C-%02d", i%7)))
+		}
+		e.ingestAndSeal(t, "d.orders", rows)
+		if n := len(e.candidates(t, "d.orders")); n < 2*procs+2 {
+			t.Fatalf("only %d candidates", n)
+		}
+		ctx, cancel := context.WithCancel(e.ctx)
+		defer cancel()
+		for _, name := range e.r.Colossus.ClusterNames() {
+			e.r.Colossus.Cluster(name).SetChaos(cancelOnRead{cancel})
+		}
+		reg := &registrations{Transport: e.r.Net}
+		cold := e.r.NewClient(client.DefaultOptions()) // reads every fragment from Colossus
+		opt := optimizer.New(optimizer.DefaultConfig(), cold, reg, e.r.Router(), e.r.Colossus, e.r.Clock)
+
+		before := runtime.NumGoroutine()
+		_, err := opt.ConvertTable(ctx, "d.orders")
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("procs %d: conversion = %v, want context.Canceled", procs, err)
+		}
+		if held := e.rosPaths(t); len(held) != 0 || reg.calls != 0 {
+			t.Fatalf("procs %d: %d registrations, clusters hold %v", procs, reg.calls, held)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("procs %d: %d goroutines after the cancelled conversion, %d before", procs, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for _, name := range e.r.Colossus.ClusterNames() {
+			e.r.Colossus.Cluster(name).SetChaos(nil)
+		}
+	}
+}
+
+// TestWorkersKeepFileOrder: under seeded ids, a pass on one worker and a
+// pass on four draw the same ids for the same files, and register them
+// in partition order — whatever order the partitions arrive in.
+func TestWorkersKeepFileOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer meta.SetEntropy(nil)
+	type file struct {
+		id    meta.FragmentID
+		parts []int64
+		rows  int64
+	}
+	var passes [][]file
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		meta.SetEntropy(mathrand.New(mathrand.NewSource(7)))
+		e := newEnv(t, 4096)
+		if err := e.c.CreateTable(e.ctx, "d.orders", ordersSchema()); err != nil {
+			t.Fatal(err)
+		}
+		var rows []schema.Row
+		for i := range 600 {
+			rows = append(rows, orderRow([]int{2, 0, 3, 1}[i%4], i, fmt.Sprintf("C-%02d", i%7)))
+		}
+		e.ingestAndSeal(t, "d.orders", rows)
+		reg := &registrations{Transport: e.r.Net}
+		opt := optimizer.New(optimizer.DefaultConfig(), e.c, reg, e.r.Router(), e.r.Colossus, e.r.Clock)
+		if _, err := opt.ConvertTable(e.ctx, "d.orders"); err != nil || reg.calls != 1 {
+			t.Fatalf("procs %d: conversion = %v in %d swaps", procs, err, reg.calls)
+		}
+		var pass []file
+		for _, info := range reg.last {
+			pass = append(pass, file{info.ID, info.PartitionSet, info.RowCount})
+		}
+		if len(pass) != 4 {
+			t.Fatalf("procs %d: %d files for 4 partitions", procs, len(pass))
+		}
+		for k := 1; k < len(pass); k++ {
+			if len(pass[k].parts) != 1 || pass[k].parts[0] < pass[k-1].parts[0] {
+				t.Fatalf("procs %d: file %d holds partitions %v after file %d's %v", procs, k, pass[k].parts, k-1, pass[k-1].parts)
+			}
+		}
+		passes = append(passes, pass)
+	}
+	if !slices.EqualFunc(passes[0], passes[1], func(a, b file) bool {
+		return a.id == b.id && slices.Equal(a.parts, b.parts) && a.rows == b.rows
+	}) {
+		t.Fatalf("one worker registered %v, four %v", passes[0], passes[1])
 	}
 }

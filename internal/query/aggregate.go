@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"vortex/internal/schema"
 	"vortex/internal/sql"
+	"vortex/internal/workpool"
 )
 
 // aggState is one aggregate accumulator. It is mergeable, so leaf shards
@@ -190,27 +190,15 @@ func accumRow(st *sql.SelectStmt, items []aggItem, groups map[string]*groupState
 func (e *Engine) aggregate(st *sql.SelectStmt, shards int, each func(sh int, visit func(schema.Row) error) error, res *Result) (*Result, error) {
 	aggItems := collectAggItems(st)
 	partials := make([]map[string]*groupState, shards)
-	errs := make([]error, shards)
-	sem := make(chan struct{}, e.cfg.Shards)
-	var wg sync.WaitGroup
-	for sh := 0; sh < shards; sh++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(sh int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			groups := make(map[string]*groupState)
-			errs[sh] = each(sh, func(row schema.Row) error {
-				return accumRow(st, aggItems, groups, row)
-			})
-			partials[sh] = groups
-		}(sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := workpool.Run(shards, e.cfg.Shards, func(_, sh int) error {
+		groups := make(map[string]*groupState)
+		partials[sh] = groups
+		return each(sh, func(row schema.Row) error {
+			return accumRow(st, aggItems, groups, row)
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return finalizeAgg(st, aggItems, partials, res)
 }

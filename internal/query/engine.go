@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"vortex/internal/bigmeta"
 	"vortex/internal/client"
@@ -221,25 +220,12 @@ func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts tr
 	// scanners, warming the disk tier (no-op without one).
 	prefetched := e.c.ReadCache().Stats().PrefetchFetched
 	e.c.Prefetch(assignments)
-	batches := make([]*client.ColBatch, len(assignments))
-	errs := make([]error, len(assignments))
-	sem := make(chan struct{}, e.cfg.Shards)
-	var wg sync.WaitGroup
-	for i, a := range assignments {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, a client.Assignment) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			batches[i], errs[i] = e.c.ScanBatch(ctx, plan, a)
-		}(i, a)
+	batches, err := e.c.ScanBatches(ctx, plan, assignments, e.cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	scan.PrefetchFetched = e.c.ReadCache().Stats().PrefetchFetched - prefetched
-	for i, b := range batches {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+	for _, b := range batches {
 		scan.RowsScanned += int64(b.NumVisible())
 		scan.CacheHits += b.Cache.Hits
 		scan.CacheMisses += b.Cache.Misses
