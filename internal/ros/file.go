@@ -57,10 +57,6 @@ type Encoding byte
 // compress at all is stored as it is and pays no decode.
 const pageSnappy = 0x80
 
-// maxSnappyGain bounds what a Snappy block can decode to, per byte of
-// block: its densest element is three bytes copying 64.
-const maxSnappyGain = 22
-
 // The encodings the Writer chooses between.
 const (
 	EncodingPlain = Encoding(wire.BatchEncPlain)
@@ -600,12 +596,6 @@ func (c *Column) materialize() error {
 func (c *Column) page() (wire.Vector, error) {
 	raw := c.rawValues
 	if c.compressed {
-		// The block's preamble is its decoded length, which Decode sizes
-		// its output by: refuse one no block this short can reach.
-		r := bin.NewReader(raw)
-		if n := r.Uvarint(); r.Err() != nil || n > uint64(len(raw))*maxSnappyGain {
-			return wire.Vector{}, fmt.Errorf("%w: column %q: %d-byte snappy page claims %d bytes", ErrCorrupt, c.Leaf.Path, len(raw), n)
-		}
 		var err error
 		if raw, err = snappy.Decode(raw); err != nil {
 			return wire.Vector{}, fmt.Errorf("%w: column %q: %v", ErrCorrupt, c.Leaf.Path, err)

@@ -10,6 +10,8 @@ package snappy
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
+	"sync"
 )
 
 const (
@@ -26,13 +28,15 @@ const (
 // ErrCorrupt is returned when Decode encounters an invalid Snappy stream.
 var ErrCorrupt = errors.New("snappy: corrupt input")
 
-// ErrTooLarge is returned when the decoded length prefix exceeds what a
-// sane caller could have encoded.
+// ErrTooLarge is returned when the decoded length prefix exceeds what
+// the block's own bytes could decode to.
 var ErrTooLarge = errors.New("snappy: decoded block is too large")
 
-// maxDecodedLen guards against hostile length prefixes (1GB is far above
-// any block the engine writes; fragment blocks are ≤2MB).
-const maxDecodedLen = 1 << 30
+// maxGain bounds what a block can decode to, per byte of block: its
+// densest element is a three-byte copy of 64 bytes. Decode refuses a
+// preamble past it before sizing its output by the preamble, so what it
+// allocates is bounded by its input.
+const maxGain = 22
 
 // MaxEncodedLen returns the worst-case compressed size for srcLen input
 // bytes. It mirrors the bound from the Snappy reference implementation.
@@ -64,22 +68,36 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i:])
+}
+
 func hash(u uint32, shift uint) uint32 {
 	return (u * 0x1e35a7bd) >> shift
 }
+
+// maxTableSize is the largest hash table a block gets: one entry per
+// byte of the block, up to this many.
+const maxTableSize = 1 << 14
+
+// tables recycles hash tables: a block clears only the tableSize entries
+// it uses, which for a small block is far less than the whole array.
+var tables = sync.Pool{New: func() any { return new([maxTableSize]uint16) }}
 
 // encodeBlock compresses a block of at least 16 and at most 65536 bytes
 // using a greedy LZ77 with a 4-byte hash table, writing literal and copy
 // elements into dst. It returns the number of bytes written.
 func encodeBlock(dst, src []byte) (d int) {
-	const maxTableSize = 1 << 14
 	shift := uint(32 - 8)
 	tableSize := 1 << 8
 	for tableSize < maxTableSize && tableSize < len(src) {
 		shift--
 		tableSize *= 2
 	}
-	var table [maxTableSize]uint16
+	pooled := tables.Get().(*[maxTableSize]uint16)
+	defer tables.Put(pooled)
+	table := pooled[:tableSize]
+	clear(table)
 
 	// sLimit keeps a safety margin so 4-byte loads never run off the end.
 	sLimit := len(src) - 4
@@ -93,12 +111,7 @@ func encodeBlock(dst, src []byte) (d int) {
 			// Found a match: flush pending literals, then extend.
 			d += emitLiteral(dst[d:], src[nextEmit:s])
 			base := s
-			i := candidate + 4
-			s += 4
-			for s < len(src) && src[i] == src[s] {
-				i++
-				s++
-			}
+			s = extendMatch(src, candidate+4, s+4)
 			d += emitCopy(dst[d:], base-candidate, s-base)
 			nextEmit = s
 			// Re-prime the table at the end of the match so adjacent
@@ -116,6 +129,24 @@ func encodeBlock(dst, src []byte) (d int) {
 		d += emitLiteral(dst[d:], src[nextEmit:])
 	}
 	return d
+}
+
+// extendMatch returns where the match of src[s:] against the earlier
+// src[i:] ends: 8 bytes per step while 8 remain, the first differing
+// byte found from the XOR of the two words.
+func extendMatch(src []byte, i, s int) int {
+	for s+8 <= len(src) {
+		if x := load64(src, i) ^ load64(src, s); x != 0 {
+			return s + bits.TrailingZeros64(x)>>3
+		}
+		i += 8
+		s += 8
+	}
+	for s < len(src) && src[i] == src[s] {
+		i++
+		s++
+	}
+	return s
 }
 
 // emitLiteral writes a literal element for lit and returns bytes written.
@@ -188,7 +219,7 @@ func Decode(src []byte) ([]byte, error) {
 	if read <= 0 {
 		return nil, ErrCorrupt
 	}
-	if n > maxDecodedLen {
+	if n > uint64(len(src))*maxGain {
 		return nil, ErrTooLarge
 	}
 	dst := make([]byte, n)
@@ -226,7 +257,7 @@ func Decode(src []byte) ([]byte, error) {
 					return nil, ErrCorrupt
 				}
 				v := binary.LittleEndian.Uint32(src[s:])
-				if v > maxDecodedLen {
+				if uint64(v) >= uint64(len(dst)-d) {
 					return nil, ErrCorrupt
 				}
 				x = int(v)
@@ -281,13 +312,17 @@ func Decode(src []byte) ([]byte, error) {
 }
 
 // copyWithin performs an LZ77 back-reference copy, which may overlap
-// itself (offset < length produces run-length expansion).
+// itself (offset < length produces run-length expansion). The first
+// copy takes min(offset, length) bytes; after it the bytes from
+// d-offset on repeat with period offset, so each further copy can take
+// as many as there are, doubling the run.
 func copyWithin(dst []byte, d *int, offset, length int) error {
 	if offset <= 0 || offset > *d || length > len(dst)-*d {
 		return ErrCorrupt
 	}
-	for i := 0; i < length; i++ {
-		dst[*d+i] = dst[*d-offset+i]
+	from, to := *d-offset, *d
+	for n := 0; n < length; {
+		n += copy(dst[to+n:to+length], dst[from:to+n])
 	}
 	*d += length
 	return nil

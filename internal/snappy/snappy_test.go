@@ -3,6 +3,7 @@ package snappy
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -160,8 +161,117 @@ func TestOverlappingCopyExpansion(t *testing.T) {
 	}
 }
 
+// TestCopyWithinMatchesTheByteLoop: for every offset up to and past the
+// length, the doubling copy leaves what copying one byte at a time does.
+func TestCopyWithinMatchesTheByteLoop(t *testing.T) {
+	prefix := []byte("0123456789abcdefghij")
+	for offset := 1; offset <= len(prefix); offset++ {
+		for length := 1; length <= 70; length++ {
+			got := append(append([]byte(nil), prefix...), make([]byte, length)...)
+			want := slices.Clone(got)
+			d := len(prefix)
+			if err := copyWithin(got, &d, offset, length); err != nil || d != len(got) {
+				t.Fatalf("offset %d length %d: %v, end %d", offset, length, err, d)
+			}
+			for i := len(prefix); i < len(want); i++ {
+				want[i] = want[i-offset]
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("offset %d length %d: %q, want %q", offset, length, got, want)
+			}
+		}
+	}
+}
+
+// byteLoopEncodeBlock is encodeBlock as it was written first: a zeroed
+// table of maxTableSize entries per block and a match extended one byte
+// at a time. encodeBlock must make the same parse, so Encode's bytes —
+// and every ROS page and WOS block written with them — stay the same.
+func byteLoopEncodeBlock(dst, src []byte) (d int) {
+	shift := uint(32 - 8)
+	tableSize := 1 << 8
+	for tableSize < maxTableSize && tableSize < len(src) {
+		shift--
+		tableSize *= 2
+	}
+	var table [maxTableSize]uint16
+	sLimit := len(src) - 4
+	nextEmit := 0
+	s := 0
+	for s <= sLimit {
+		h := hash(load32(src, s), shift) & uint32(tableSize-1)
+		candidate := int(table[h])
+		table[h] = uint16(s)
+		if candidate < s && load32(src, candidate) == load32(src, s) {
+			d += emitLiteral(dst[d:], src[nextEmit:s])
+			base := s
+			i := candidate + 4
+			s += 4
+			for s < len(src) && src[i] == src[s] {
+				i++
+				s++
+			}
+			d += emitCopy(dst[d:], base-candidate, s-base)
+			nextEmit = s
+			if s <= sLimit {
+				table[hash(load32(src, s-1), shift)&uint32(tableSize-1)] = uint16(s - 1)
+			}
+			continue
+		}
+		s += 1 + (s-nextEmit)>>5
+	}
+	if nextEmit < len(src) {
+		d += emitLiteral(dst[d:], src[nextEmit:])
+	}
+	return d
+}
+
+// TestEncodeBlockKeepsTheByteLoopsParse: blocks of every table size, in
+// an order where a small block follows a large one on a recycled table,
+// encode to exactly the bytes of the byte-loop encoder.
+func TestEncodeBlockKeepsTheByteLoopsParse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	words := []string{"alpha", "beta", "customerKey=", "2023-10-01", "\x00\x00\x00\x00", "region=us-west;"}
+	for round := 0; round < 200; round++ {
+		n := 16 + rng.Intn(maxBlockSize-16)
+		if round%2 == 1 {
+			n = 16 + rng.Intn(600) // a small table after a large one
+		}
+		var b bytes.Buffer
+		for b.Len() < n {
+			switch rng.Intn(3) {
+			case 0:
+				b.WriteString(words[rng.Intn(len(words))])
+			case 1:
+				b.WriteByte(byte(rng.Intn(4)))
+			default:
+				b.Write(bytes.Repeat([]byte{byte(rng.Intn(256))}, rng.Intn(40)))
+			}
+		}
+		src := b.Bytes()[:n]
+		got := make([]byte, MaxEncodedLen(n))
+		want := make([]byte, MaxEncodedLen(n))
+		g, w := encodeBlock(got, src), byteLoopEncodeBlock(want, src)
+		if !bytes.Equal(got[:g], want[:w]) {
+			t.Fatalf("round %d: %d-byte block encodes to %d bytes, the byte loop to %d", round, n, g, w)
+		}
+	}
+}
+
 func BenchmarkEncodeStructured(b *testing.B) {
 	src := bytes.Repeat([]byte("customerKey=ACME;region=us-west;qty=3;total=99.90\n"), 2000)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Encode(src)
+	}
+}
+
+// BenchmarkEncodeSmall encodes one block the size of a 16-row append
+// payload (1 288 bytes): the size where preparing the hash table, not
+// matching, is most of the work.
+func BenchmarkEncodeSmall(b *testing.B) {
+	src := bytes.Repeat([]byte("customerKey=ACME;region=us-west;qty=3;total=99.90\n"), 26)[:1288]
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
