@@ -34,6 +34,7 @@ rpc           unary calls and bi-di streams multiplexed over shared connections 
 matview       CDC deltas arrive through parallel shard readers and leave through the partitioned sink
 sql           feeds matview parsed definitions; cheap enough to ride along
 disktier      Put/Get/Invalidate race GC unlinks against lock-protected index state
+optimizer     scan, sort and write workers share a group's columns
 EOF
 )
 # shellcheck disable=SC2086  # one argument per package
@@ -45,10 +46,11 @@ go test -race -count=2 $race_twice
 # writer's and reader's, the SMS read view's (100 ROS fragment records
 # and a writable streamlet), the optimizer's (one ConvertTable over
 # 54 000 loaded rows), the leaf scan's (cursor walk and encode per
-# fragment kind) and schema.Value's (a clustering sort over columns of
-# values) run one iteration each, so they cannot rot between the PRs
-# that read their numbers.
-go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/ ./internal/client/ ./internal/schema/
+# fragment kind), schema.Value's (a clustering sort over columns of
+# values) and Snappy's (encode and decode of structured bytes) run one
+# iteration each, so they cannot rot between the PRs that read their
+# numbers.
+go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/ ./internal/client/ ./internal/schema/ ./internal/snappy/
 
 # Encoded-domain filtering must return what filtering row by row
 # returns: code-skip accounting on keyless and keyed tables, and
@@ -71,6 +73,7 @@ while read -r pkg target; do
     go test -run '^$' -fuzz "${target}\$" -fuzztime 10s "./internal/$pkg/"
 done <<'EOF'
 bin       FuzzReader
+snappy    FuzzDecode
 rowenc    FuzzDecodeRow
 rowenc    FuzzDecodeRows
 blockenc  FuzzOpen
