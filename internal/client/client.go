@@ -170,27 +170,28 @@ func New(net rpc.Transport, router Router, region colossus.Store, keyring *block
 // for GC-driven invalidation.
 func (c *Client) ReadCache() *ReadCache { return c.cache }
 
-func (c *Client) sms(ctx context.Context, table meta.TableID, method string, req any) (any, error) {
-	addr, err := c.router.SMSFor(table)
+// CallSMS routes table to its SMS task and calls m there.
+func CallSMS[Req, Resp any](ctx context.Context, net rpc.Transport, router Router, table meta.TableID, m rpc.Method[Req, Resp], req *Req) (*Resp, error) {
+	addr, err := router.SMSFor(table)
 	if err != nil {
 		return nil, err
 	}
-	return c.net.Unary(ctx, addr, method, req)
+	return m.Call(ctx, net, addr, req)
 }
 
 // CreateTable creates a table.
 func (c *Client) CreateTable(ctx context.Context, table meta.TableID, s *schema.Schema) error {
-	_, err := c.sms(ctx, table, wire.MethodCreateTable, &wire.CreateTableRequest{Table: table, Schema: s})
+	_, err := CallSMS(ctx, c.net, c.router, table, wire.CreateTable, &wire.CreateTableRequest{Table: table, Schema: s})
 	return err
 }
 
 // GetSchema fetches (and caches) a table's current schema.
 func (c *Client) GetSchema(ctx context.Context, table meta.TableID) (*schema.Schema, error) {
-	resp, err := c.sms(ctx, table, wire.MethodGetTable, &wire.GetTableRequest{Table: table})
+	resp, err := CallSMS(ctx, c.net, c.router, table, wire.GetTable, &wire.GetTableRequest{Table: table})
 	if err != nil {
 		return nil, err
 	}
-	sc := resp.(*wire.GetTableResponse).Schema
+	sc := resp.Schema
 	c.mu.Lock()
 	c.schemas[table] = sc
 	c.mu.Unlock()
@@ -199,11 +200,11 @@ func (c *Client) GetSchema(ctx context.Context, table meta.TableID) (*schema.Sch
 
 // UpdateSchema adds a field to the table schema (§5.4.1).
 func (c *Client) UpdateSchema(ctx context.Context, table meta.TableID, f *schema.Field) (*schema.Schema, error) {
-	resp, err := c.sms(ctx, table, wire.MethodUpdateSchema, &wire.UpdateSchemaRequest{Table: table, Field: f})
+	resp, err := CallSMS(ctx, c.net, c.router, table, wire.UpdateSchema, &wire.UpdateSchemaRequest{Table: table, Field: f})
 	if err != nil {
 		return nil, err
 	}
-	sc := resp.(*wire.UpdateSchemaResponse).Schema
+	sc := resp.Schema
 	c.mu.Lock()
 	c.schemas[table] = sc
 	c.mu.Unlock()
@@ -238,11 +239,10 @@ type Stream struct {
 
 // CreateStream creates a stream on a table (§4.2.1).
 func (c *Client) CreateStream(ctx context.Context, table meta.TableID, typ meta.StreamType) (*Stream, error) {
-	resp, err := c.sms(ctx, table, wire.MethodCreateStream, &wire.CreateStreamRequest{Table: table, Type: typ})
+	r, err := CallSMS(ctx, c.net, c.router, table, wire.CreateStream, &wire.CreateStreamRequest{Table: table, Type: typ})
 	if err != nil {
 		return nil, err
 	}
-	r := resp.(*wire.CreateStreamResponse)
 	return &Stream{c: c, info: r.Stream, schema: r.Schema}, nil
 }
 
@@ -250,11 +250,11 @@ func (c *Client) CreateStream(ctx context.Context, table meta.TableID, typ meta.
 // Dataflow worker reattaching to its dedicated stream, §7.4). The handle
 // resumes at the stream's current length.
 func (c *Client) AttachStream(ctx context.Context, id meta.StreamID) (*Stream, error) {
-	resp, err := c.sms(ctx, "", wire.MethodGetStream, &wire.GetStreamRequest{Stream: id})
+	resp, err := CallSMS(ctx, c.net, c.router, "", wire.GetStream, &wire.GetStreamRequest{Stream: id})
 	if err != nil {
 		return nil, err
 	}
-	info := resp.(*wire.GetStreamResponse).Stream
+	info := resp.Stream
 	sc, err := c.GetSchema(ctx, info.Table)
 	if err != nil {
 		return nil, err
@@ -267,14 +267,13 @@ func (s *Stream) Info() meta.StreamInfo { return s.info }
 
 // ensureStreamlet acquires a writable streamlet from the SMS.
 func (s *Stream) ensureStreamlet(ctx context.Context, exclude string) error {
-	resp, err := s.c.smsRetry(ctx, s.info.Table, wire.MethodGetWritableStreamlet, &wire.GetWritableStreamletRequest{
+	r, err := smsRetry(ctx, s.c, s.info.Table, wire.GetWritableStreamlet, &wire.GetWritableStreamletRequest{
 		Stream:        s.info.ID,
 		ExcludeServer: exclude,
 	})
 	if err != nil {
 		return err
 	}
-	r := resp.(*wire.GetWritableStreamletResponse)
 	sl := r.Streamlet
 	s.sl = &sl
 	s.epoch = r.Epoch
@@ -509,12 +508,8 @@ func (s *Stream) sendHedged(ctx context.Context, req *wire.AppendRequest, pinned
 	addr := s.sl.Server
 	ch := make(chan result, 2)
 	call := func(r *wire.AppendRequest, hedge bool) {
-		resp, err := s.c.net.Unary(hctx, addr, wire.MethodAppend, r)
-		if err != nil {
-			ch <- result{nil, err, hedge}
-			return
-		}
-		ch <- result{resp.(*wire.AppendResponse), nil, hedge}
+		resp, err := wire.Append.Call(hctx, s.c.net, addr, r)
+		ch <- result{resp, err, hedge}
 	}
 	go call(req, false)
 	timer := time.NewTimer(d)
@@ -604,7 +599,7 @@ func (s *Stream) rotate(ctx context.Context) {
 	// successor's start offset is derived from this streamlet's durable
 	// row count (§7.1). Retry it across control-plane loss; if it still
 	// fails, the next GetWritableStreamlet surfaces the inconsistency.
-	_, _ = s.c.smsRetry(ctx, s.info.Table, wire.MethodReconcile, &wire.ReconcileRequest{
+	_, _ = smsRetry(ctx, s.c, s.info.Table, wire.Reconcile, &wire.ReconcileRequest{
 		Table:     failed.Table,
 		Stream:    failed.Stream,
 		Streamlet: failed.ID,
@@ -616,11 +611,7 @@ func (s *Stream) send(ctx context.Context, req *wire.AppendRequest) (*wire.Appen
 	if s.useBidi() {
 		return s.sendBidi(ctx, req)
 	}
-	resp, err := s.c.net.Unary(ctx, s.sl.Server, wire.MethodAppend, req)
-	if err != nil {
-		return nil, err
-	}
-	return resp.(*wire.AppendResponse), nil
+	return wire.Append.Call(ctx, s.c.net, s.sl.Server, req)
 }
 
 func (s *Stream) useBidi() bool {
@@ -640,11 +631,7 @@ func (s *Stream) sendBidi(ctx context.Context, req *wire.AppendRequest) (*wire.A
 	if err := s.conn.Send(req); err != nil {
 		return nil, err
 	}
-	m, err := s.conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	return m.(*wire.AppendResponse), nil
+	return wire.Append.Response(s.conn)
 }
 
 func (s *Stream) ensureConn(ctx context.Context) error {
@@ -652,7 +639,7 @@ func (s *Stream) ensureConn(ctx context.Context) error {
 		return nil
 	}
 	s.closeConn()
-	conn, err := s.c.net.OpenStream(ctx, s.sl.Server, wire.MethodAppend, s.c.opts.FlowControlWindow)
+	conn, err := s.c.net.OpenStream(ctx, s.sl.Server, wire.Append.Name(), s.c.opts.FlowControlWindow)
 	if err != nil {
 		return err
 	}
@@ -728,7 +715,7 @@ func (s *Stream) AppendAsync(ctx context.Context, rows []schema.Row, opts ...App
 // collectResponses drains bi-di responses in order onto the pending queue.
 func (s *Stream) collectResponses(conn rpc.ClientStream) {
 	for {
-		m, err := conn.Recv()
+		resp, err := wire.Append.Response(conn)
 		s.pendingMu.Lock()
 		if len(s.pending) == 0 {
 			s.pendingMu.Unlock()
@@ -744,7 +731,7 @@ func (s *Stream) collectResponses(conn rpc.ClientStream) {
 			s.failPending(err)
 			return
 		}
-		p.resp = m.(*wire.AppendResponse)
+		p.resp = resp
 		close(p.done)
 		if empty {
 			return
@@ -782,12 +769,12 @@ func (s *Stream) Flush(ctx context.Context, offset int64) error {
 	// Durable flush record in the WOS log (§5.4.4), best effort when the
 	// streamlet is unreachable — the SMS frontier is authoritative.
 	if s.sl != nil {
-		_, _ = s.c.net.Unary(ctx, s.sl.Server, wire.MethodFlush, &wire.FlushRequest{
+		_, _ = wire.Flush.Call(ctx, s.c.net, s.sl.Server, &wire.FlushRequest{
 			Streamlet:    s.sl.ID,
 			StreamOffset: offset,
 		})
 	}
-	_, err := s.c.smsRetry(ctx, s.info.Table, wire.MethodFlushStream, &wire.FlushStreamRequest{
+	_, err := smsRetry(ctx, s.c, s.info.Table, wire.FlushStream, &wire.FlushStreamRequest{
 		Stream: s.info.ID,
 		Offset: offset,
 	})
@@ -799,21 +786,21 @@ func (s *Stream) Flush(ctx context.Context, offset int64) error {
 // Finalization is idempotent at the SMS, so retrying it is safe.
 func (s *Stream) Finalize(ctx context.Context) (int64, error) {
 	s.closeConn()
-	resp, err := s.c.smsRetry(ctx, s.info.Table, wire.MethodFinalizeStream, &wire.FinalizeStreamRequest{Stream: s.info.ID})
+	resp, err := smsRetry(ctx, s.c, s.info.Table, wire.FinalizeStream, &wire.FinalizeStreamRequest{Stream: s.info.ID})
 	if err != nil {
 		return 0, err
 	}
 	s.finalized = true
 	s.sl = nil
-	return resp.(*wire.FinalizeStreamResponse).RowCount, nil
+	return resp.RowCount, nil
 }
 
 // BatchCommit atomically commits PENDING streams (§4.2.4). All streams
 // must belong to the same table.
 func (c *Client) BatchCommit(ctx context.Context, table meta.TableID, streams []meta.StreamID) (truetime.Timestamp, error) {
-	resp, err := c.sms(ctx, table, wire.MethodBatchCommit, &wire.BatchCommitRequest{Streams: streams})
+	resp, err := CallSMS(ctx, c.net, c.router, table, wire.BatchCommit, &wire.BatchCommitRequest{Streams: streams})
 	if err != nil {
 		return 0, err
 	}
-	return resp.(*wire.BatchCommitResponse).CommitTS, nil
+	return resp.CommitTS, nil
 }

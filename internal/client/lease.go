@@ -18,30 +18,29 @@ import (
 // units (0 = server default), returning the lease id, the pinned
 // snapshot and the expiry.
 func (c *Client) AcquireReadLease(ctx context.Context, table meta.TableID, snapshotTS, ttl truetime.Timestamp) (string, truetime.Timestamp, truetime.Timestamp, error) {
-	resp, err := c.smsRetry(ctx, table, wire.MethodAcquireLease, &wire.AcquireLeaseRequest{
+	r, err := smsRetry(ctx, c, table, wire.AcquireLease, &wire.AcquireLeaseRequest{
 		Table: table, SnapshotTS: snapshotTS, TTL: ttl,
 	})
 	if err != nil {
 		return "", 0, 0, err
 	}
-	r := resp.(*wire.AcquireLeaseResponse)
 	return r.LeaseID, r.SnapshotTS, r.Expires, nil
 }
 
 // RenewReadLease extends a lease by ttl from now.
 func (c *Client) RenewReadLease(ctx context.Context, table meta.TableID, leaseID string, ttl truetime.Timestamp) (truetime.Timestamp, error) {
-	resp, err := c.smsRetry(ctx, table, wire.MethodRenewLease, &wire.RenewLeaseRequest{
+	resp, err := smsRetry(ctx, c, table, wire.RenewLease, &wire.RenewLeaseRequest{
 		Table: table, LeaseID: leaseID, TTL: ttl,
 	})
 	if err != nil {
 		return 0, err
 	}
-	return resp.(*wire.RenewLeaseResponse).Expires, nil
+	return resp.Expires, nil
 }
 
 // ReleaseReadLease drops a lease. Idempotent.
 func (c *Client) ReleaseReadLease(ctx context.Context, table meta.TableID, leaseID string) error {
-	_, err := c.smsRetry(ctx, table, wire.MethodReleaseLease, &wire.ReleaseLeaseRequest{
+	_, err := smsRetry(ctx, c, table, wire.ReleaseLease, &wire.ReleaseLeaseRequest{
 		Table: table, LeaseID: leaseID,
 	})
 	return err

@@ -65,11 +65,10 @@ type ScanPlan struct {
 // Plan obtains the read view from the SMS and expands it — including
 // discovering tail files the SMS has not heard about — into assignments.
 func (c *Client) Plan(ctx context.Context, table meta.TableID, snapshotTS truetime.Timestamp) (*ScanPlan, error) {
-	resp, err := c.sms(ctx, table, wire.MethodReadView, &wire.ReadViewRequest{Table: table, SnapshotTS: snapshotTS})
+	view, err := CallSMS(ctx, c.net, c.router, table, wire.ReadView, &wire.ReadViewRequest{Table: table, SnapshotTS: snapshotTS})
 	if err != nil {
 		return nil, err
 	}
-	view := resp.(*wire.ReadViewResponse)
 	plan := &ScanPlan{Table: table, SnapshotTS: view.SnapshotTS, Schema: view.Schema}
 	for _, rf := range view.Fragments {
 		plan.Assignments = append(plan.Assignments, Assignment{
@@ -636,7 +635,7 @@ func (c *Client) decideTail(ctx context.Context, plan *ScanPlan, a Assignment, s
 	}
 	// Replicas disagree or one is unreachable: only the SMS can make a
 	// consistent decision for all readers.
-	resp, err := c.sms(ctx, a.Frag.Table, wire.MethodReconcile, &wire.ReconcileRequest{
+	rec, err := CallSMS(ctx, c.net, c.router, a.Frag.Table, wire.Reconcile, &wire.ReconcileRequest{
 		Table:     a.Frag.Table,
 		Stream:    a.Stream,
 		Streamlet: a.Frag.Streamlet,
@@ -644,7 +643,6 @@ func (c *Client) decideTail(ctx context.Context, plan *ScanPlan, a Assignment, s
 	if err != nil {
 		return false, fmt.Errorf("client: reconcile: %w", err)
 	}
-	rec := resp.(*wire.ReconcileResponse)
 	for _, f := range rec.Fragments {
 		if f.Path == a.Frag.Path {
 			return scan.TailBlock.Offset+scan.TailBlock.Size <= f.CommittedBytes, nil

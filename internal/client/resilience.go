@@ -355,7 +355,8 @@ func (c *Client) Metrics() Metrics {
 // smsRetry is a unary SMS call retried under the client's policy while
 // the failure looks transient (an unreachable task mid-restart,
 // placement exhaustion during an outage).
-func (c *Client) smsRetry(ctx context.Context, table meta.TableID, method string, req any) (any, error) {
+func smsRetry[Req, Resp any](ctx context.Context, c *Client, table meta.TableID, m rpc.Method[Req, Resp], req *Req) (*Resp, error) {
+	method := m.Name()
 	pol := c.opts.Retry
 	attempts := pol.MaxAttempts
 	if attempts <= 0 {
@@ -378,7 +379,7 @@ func (c *Client) smsRetry(ctx context.Context, table meta.TableID, method string
 				return nil, err
 			}
 		}
-		resp, err := c.sms(ctx, table, method, req)
+		resp, err := CallSMS(ctx, c.net, c.router, table, m, req)
 		if err == nil {
 			return resp, nil
 		}

@@ -10,7 +10,6 @@ package colossusrpc
 
 import (
 	"context"
-	"encoding/gob"
 	"sync"
 
 	"vortex/internal/colossus"
@@ -41,9 +40,20 @@ type blobResp struct {
 	OK    bool
 }
 
+// The proxy's methods. They share one request and one response shape.
+var (
+	blobCreate   = rpc.NewMethod[blobReq, blobResp]("colossus.create")
+	blobAppend   = rpc.NewMethod[blobReq, blobResp]("colossus.append")
+	blobAppendAt = rpc.NewMethod[blobReq, blobResp]("colossus.appendat")
+	blobRead     = rpc.NewMethod[blobReq, blobResp]("colossus.read")
+	blobSize     = rpc.NewMethod[blobReq, blobResp]("colossus.size")
+	blobExists   = rpc.NewMethod[blobReq, blobResp]("colossus.exists")
+	blobList     = rpc.NewMethod[blobReq, blobResp]("colossus.list")
+	blobDelete   = rpc.NewMethod[blobReq, blobResp]("colossus.delete")
+	listClusters = rpc.NewMethod[blobReq, blobResp]("colossus.clusters")
+)
+
 func init() {
-	gob.Register(&blobReq{})
-	gob.Register(&blobResp{})
 	rpc.RegisterErrorCode("colossus.unavailable", colossus.ErrUnavailable)
 	rpc.RegisterErrorCode("colossus.notfound", colossus.ErrNotFound)
 	rpc.RegisterErrorCode("colossus.exists", colossus.ErrExists)
@@ -55,76 +65,47 @@ func init() {
 // Serve registers a unary service exposing the region on net at addr.
 func Serve(net rpc.Transport, addr string, region *colossus.Region) {
 	srv := rpc.NewServer()
-	blob := func(req any) (colossus.Blobs, *blobReq, error) {
-		r := req.(*blobReq)
-		b := region.Blob(r.Cluster)
-		if b == nil {
-			return nil, nil, colossus.ErrUnavailable
-		}
-		return b, r, nil
+	// serve handles m with op on the blob store of the cluster a request
+	// names.
+	serve := func(m rpc.Method[blobReq, blobResp], op func(colossus.Blobs, *blobReq) (*blobResp, error)) {
+		m.Handle(srv, func(_ context.Context, r *blobReq) (*blobResp, error) {
+			b := region.Blob(r.Cluster)
+			if b == nil {
+				return nil, colossus.ErrUnavailable
+			}
+			return op(b, r)
+		})
 	}
-	srv.RegisterUnary("colossus.create", func(_ context.Context, req any) (any, error) {
-		b, r, err := blob(req)
-		if err != nil {
-			return nil, err
-		}
+	serve(blobCreate, func(b colossus.Blobs, r *blobReq) (*blobResp, error) {
 		return &blobResp{}, b.Create(r.Path)
 	})
-	srv.RegisterUnary("colossus.append", func(_ context.Context, req any) (any, error) {
-		b, r, err := blob(req)
-		if err != nil {
-			return nil, err
-		}
+	serve(blobAppend, func(b colossus.Blobs, r *blobReq) (*blobResp, error) {
 		size, err := b.Append(r.Path, r.Data, r.CRC)
 		return &blobResp{Size: size}, err
 	})
-	srv.RegisterUnary("colossus.appendat", func(_ context.Context, req any) (any, error) {
-		b, r, err := blob(req)
-		if err != nil {
-			return nil, err
-		}
+	serve(blobAppendAt, func(b colossus.Blobs, r *blobReq) (*blobResp, error) {
 		size, err := b.AppendAt(r.Path, r.ExpectSize, r.Data, r.CRC)
 		return &blobResp{Size: size}, err
 	})
-	srv.RegisterUnary("colossus.read", func(_ context.Context, req any) (any, error) {
-		b, r, err := blob(req)
-		if err != nil {
-			return nil, err
-		}
+	serve(blobRead, func(b colossus.Blobs, r *blobReq) (*blobResp, error) {
 		data, err := b.Read(r.Path, r.Off, r.N)
 		return &blobResp{Data: data}, err
 	})
-	srv.RegisterUnary("colossus.size", func(_ context.Context, req any) (any, error) {
-		b, r, err := blob(req)
-		if err != nil {
-			return nil, err
-		}
+	serve(blobSize, func(b colossus.Blobs, r *blobReq) (*blobResp, error) {
 		size, err := b.Size(r.Path)
 		return &blobResp{Size: size}, err
 	})
-	srv.RegisterUnary("colossus.exists", func(_ context.Context, req any) (any, error) {
-		b, r, err := blob(req)
-		if err != nil {
-			return nil, err
-		}
+	serve(blobExists, func(b colossus.Blobs, r *blobReq) (*blobResp, error) {
 		return &blobResp{OK: b.Exists(r.Path)}, nil
 	})
-	srv.RegisterUnary("colossus.list", func(_ context.Context, req any) (any, error) {
-		b, r, err := blob(req)
-		if err != nil {
-			return nil, err
-		}
+	serve(blobList, func(b colossus.Blobs, r *blobReq) (*blobResp, error) {
 		names, err := b.List(r.Prefix)
 		return &blobResp{Names: names}, err
 	})
-	srv.RegisterUnary("colossus.delete", func(_ context.Context, req any) (any, error) {
-		b, r, err := blob(req)
-		if err != nil {
-			return nil, err
-		}
+	serve(blobDelete, func(b colossus.Blobs, r *blobReq) (*blobResp, error) {
 		return &blobResp{}, b.Delete(r.Path)
 	})
-	srv.RegisterUnary("colossus.clusters", func(_ context.Context, _ any) (any, error) {
+	listClusters.Handle(srv, func(context.Context, *blobReq) (*blobResp, error) {
 		return &blobResp{Names: region.ClusterNames()}, nil
 	})
 	net.Register(addr, srv)
@@ -144,15 +125,8 @@ func NewRemote(net rpc.Transport, addr string) *Remote {
 	return &Remote{net: net, addr: addr}
 }
 
-func (r *Remote) call(method string, req *blobReq) (*blobResp, error) {
-	resp, err := r.net.Unary(context.Background(), r.addr, method, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp == nil {
-		return &blobResp{}, nil
-	}
-	return resp.(*blobResp), nil
+func (r *Remote) call(m rpc.Method[blobReq, blobResp], req *blobReq) (*blobResp, error) {
+	return m.Call(context.Background(), r.net, r.addr, req)
 }
 
 // ClusterNames fetches the cluster list (cached after first success).
@@ -163,7 +137,7 @@ func (r *Remote) ClusterNames() []string {
 	if cached != nil {
 		return append([]string(nil), cached...)
 	}
-	resp, err := r.call("colossus.clusters", &blobReq{})
+	resp, err := r.call(listClusters, &blobReq{})
 	if err != nil {
 		return nil
 	}
@@ -205,12 +179,12 @@ var _ colossus.Blobs = (*remoteBlobs)(nil)
 func (b *remoteBlobs) Name() string { return b.cluster }
 
 func (b *remoteBlobs) Create(path string) error {
-	_, err := b.r.call("colossus.create", &blobReq{Cluster: b.cluster, Path: path})
+	_, err := b.r.call(blobCreate, &blobReq{Cluster: b.cluster, Path: path})
 	return err
 }
 
 func (b *remoteBlobs) Append(path string, data []byte, crc uint32) (int64, error) {
-	resp, err := b.r.call("colossus.append", &blobReq{Cluster: b.cluster, Path: path, Data: data, CRC: crc})
+	resp, err := b.r.call(blobAppend, &blobReq{Cluster: b.cluster, Path: path, Data: data, CRC: crc})
 	if err != nil {
 		return 0, err
 	}
@@ -218,7 +192,7 @@ func (b *remoteBlobs) Append(path string, data []byte, crc uint32) (int64, error
 }
 
 func (b *remoteBlobs) AppendAt(path string, expectSize int64, data []byte, crc uint32) (int64, error) {
-	resp, err := b.r.call("colossus.appendat", &blobReq{Cluster: b.cluster, Path: path, ExpectSize: expectSize, Data: data, CRC: crc})
+	resp, err := b.r.call(blobAppendAt, &blobReq{Cluster: b.cluster, Path: path, ExpectSize: expectSize, Data: data, CRC: crc})
 	if err != nil {
 		return 0, err
 	}
@@ -226,7 +200,7 @@ func (b *remoteBlobs) AppendAt(path string, expectSize int64, data []byte, crc u
 }
 
 func (b *remoteBlobs) Read(path string, off, n int64) ([]byte, error) {
-	resp, err := b.r.call("colossus.read", &blobReq{Cluster: b.cluster, Path: path, Off: off, N: n})
+	resp, err := b.r.call(blobRead, &blobReq{Cluster: b.cluster, Path: path, Off: off, N: n})
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +208,7 @@ func (b *remoteBlobs) Read(path string, off, n int64) ([]byte, error) {
 }
 
 func (b *remoteBlobs) Size(path string) (int64, error) {
-	resp, err := b.r.call("colossus.size", &blobReq{Cluster: b.cluster, Path: path})
+	resp, err := b.r.call(blobSize, &blobReq{Cluster: b.cluster, Path: path})
 	if err != nil {
 		return 0, err
 	}
@@ -242,12 +216,12 @@ func (b *remoteBlobs) Size(path string) (int64, error) {
 }
 
 func (b *remoteBlobs) Exists(path string) bool {
-	resp, err := b.r.call("colossus.exists", &blobReq{Cluster: b.cluster, Path: path})
+	resp, err := b.r.call(blobExists, &blobReq{Cluster: b.cluster, Path: path})
 	return err == nil && resp.OK
 }
 
 func (b *remoteBlobs) List(prefix string) ([]string, error) {
-	resp, err := b.r.call("colossus.list", &blobReq{Cluster: b.cluster, Prefix: prefix})
+	resp, err := b.r.call(blobList, &blobReq{Cluster: b.cluster, Prefix: prefix})
 	if err != nil {
 		return nil, err
 	}
@@ -255,6 +229,6 @@ func (b *remoteBlobs) List(prefix string) ([]string, error) {
 }
 
 func (b *remoteBlobs) Delete(path string) error {
-	_, err := b.r.call("colossus.delete", &blobReq{Cluster: b.cluster, Path: path})
+	_, err := b.r.call(blobDelete, &blobReq{Cluster: b.cluster, Path: path})
 	return err
 }

@@ -72,14 +72,6 @@ func New(cfg Config, c *client.Client, net rpc.Transport, router client.Router, 
 	return &Optimizer{cfg: cfg, c: c, net: net, router: router, region: region, clock: clock, groupBytes: groupBytes}
 }
 
-func (o *Optimizer) sms(ctx context.Context, table meta.TableID, method string, req any) (any, error) {
-	addr, err := o.router.SMSFor(table)
-	if err != nil {
-		return nil, err
-	}
-	return o.net.Unary(ctx, addr, method, req)
-}
-
 // Result summarizes one optimization pass.
 type Result struct {
 	FragmentsConverted int
@@ -137,11 +129,11 @@ func (o *Optimizer) ConvertTable(ctx context.Context, table meta.TableID) (Resul
 // candidates asks the SMS for the table's conversion candidates and
 // builds the plan they are read under.
 func (o *Optimizer) candidates(ctx context.Context, table meta.TableID) ([]wire.ReadFragment, *client.ScanPlan, error) {
-	resp, err := o.sms(ctx, table, wire.MethodConversionCandidates, &wire.ConversionCandidatesRequest{Table: table})
+	resp, err := client.CallSMS(ctx, o.net, o.router, table, wire.ConversionCandidates, &wire.ConversionCandidatesRequest{Table: table})
 	if err != nil {
 		return nil, nil, err
 	}
-	cands := resp.(*wire.ConversionCandidatesResponse).Fragments
+	cands := resp.Fragments
 	if len(cands) == 0 {
 		return nil, nil, nil
 	}
@@ -170,7 +162,7 @@ func (o *Optimizer) rewrite(ctx context.Context, table meta.TableID, plan *clien
 	perm, cuts := o.clusteredOrder(plan.Schema, rs)
 	infos, err := o.writeFiles(table, plan.Schema, rs, perm, cuts, o.placement(inputs[len(inputs)-1].Frag.Clusters))
 	if err == nil {
-		_, err = o.sms(ctx, table, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{
+		_, err = client.CallSMS(ctx, o.net, o.router, table, wire.RegisterConversion, &wire.RegisterConversionRequest{
 			Table:        table,
 			Old:          oldIDs,
 			New:          infos,
@@ -201,7 +193,7 @@ func (o *Optimizer) ConvertTableStable(ctx context.Context, table meta.TableID) 
 	req := &wire.RegisterConversionRequest{Table: table, TransferMasks: make(map[meta.FragmentID]meta.FragmentID)}
 	rows, err := o.writeStable(ctx, plan, cands, req)
 	if err == nil {
-		_, err = o.sms(ctx, table, wire.MethodRegisterConversion, req)
+		_, err = client.CallSMS(ctx, o.net, o.router, table, wire.RegisterConversion, req)
 	}
 	if err != nil {
 		o.deleteFiles(req.New)

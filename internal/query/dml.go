@@ -42,17 +42,12 @@ func (e *Engine) execMutation(ctx context.Context, table meta.TableID, where sql
 
 	// Announce the running statement: the storage optimizer yields while
 	// any DML window is open (§7.3).
-	addr, err := e.router.SMSFor(table)
+	begin, err := client.CallSMS(ctx, e.net, e.router, table, wire.BeginDML, &wire.BeginDMLRequest{Table: table})
 	if err != nil {
 		return nil, err
 	}
-	beginResp, err := e.net.Unary(ctx, addr, wire.MethodBeginDML, &wire.BeginDMLRequest{Table: table})
-	if err != nil {
-		return nil, err
-	}
-	token := beginResp.(*wire.BeginDMLResponse).Token
 	defer func() {
-		_, _ = e.net.Unary(ctx, addr, wire.MethodEndDML, &wire.EndDMLRequest{Table: table, Token: token})
+		_, _ = client.CallSMS(ctx, e.net, e.router, table, wire.EndDML, &wire.EndDMLRequest{Table: table, Token: begin.Token})
 	}()
 
 	res := &Result{Columns: []string{"rows_affected"}}
@@ -180,7 +175,7 @@ func (e *Engine) execMutation(ctx context.Context, table meta.TableID, where sql
 		reinsertStreams = append(reinsertStreams, s.Info().ID)
 	}
 
-	if _, err := e.net.Unary(ctx, addr, wire.MethodCommitDML, &wire.CommitDMLRequest{
+	if _, err := client.CallSMS(ctx, e.net, e.router, table, wire.CommitDML, &wire.CommitDMLRequest{
 		Table:           table,
 		FragmentMasks:   fragMasks,
 		TailMasks:       tailMasks,

@@ -130,10 +130,10 @@ func NewServer(addr string, c *client.Client, index *bigmeta.Index, clock trueti
 		open:      make(map[string]*session),
 	}
 	srv := rpc.NewServer()
-	srv.RegisterUnary(wire.MethodOpenReadSession, s.handleOpen)
-	srv.RegisterUnary(wire.MethodCloseReadSession, s.handleClose)
-	srv.RegisterUnary(wire.MethodSplitShard, s.handleSplit)
-	srv.RegisterStream(wire.MethodReadRows, s.handleReadRows)
+	wire.OpenReadSession.Handle(srv, s.handleOpen)
+	wire.CloseReadSession.Handle(srv, s.handleClose)
+	wire.SplitShard.Handle(srv, s.handleSplit)
+	srv.RegisterStream(wire.ReadRows.Name(), s.handleReadRows)
 	s.srv = srv
 	s.net.Register(addr, srv)
 	return s
@@ -207,8 +207,7 @@ func whereColumns(e sql.Expr, into map[string]bool) {
 	}
 }
 
-func (s *Server) handleOpen(ctx context.Context, req any) (any, error) {
-	r := req.(*wire.OpenReadSessionRequest)
+func (s *Server) handleOpen(ctx context.Context, r *wire.OpenReadSessionRequest) (*wire.OpenReadSessionResponse, error) {
 	nShards := r.MaxShards
 	if nShards <= 0 {
 		nShards = 1
@@ -224,7 +223,7 @@ func (s *Server) handleOpen(ctx context.Context, req any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (any, error) {
+	fail := func(err error) (*wire.OpenReadSessionResponse, error) {
 		_ = s.c.ReleaseReadLease(ctx, r.Table, leaseID)
 		return nil, err
 	}
@@ -360,8 +359,7 @@ func (s *Server) lookup(sessionID string) *session {
 	return s.open[sessionID]
 }
 
-func (s *Server) handleClose(ctx context.Context, req any) (any, error) {
-	r := req.(*wire.CloseReadSessionRequest)
+func (s *Server) handleClose(ctx context.Context, r *wire.CloseReadSessionRequest) (*wire.CloseReadSessionResponse, error) {
 	s.mu.Lock()
 	sess := s.open[r.SessionID]
 	delete(s.open, r.SessionID)
@@ -375,8 +373,7 @@ func (s *Server) handleClose(ctx context.Context, req any) (any, error) {
 	return &wire.CloseReadSessionResponse{}, nil
 }
 
-func (s *Server) handleSplit(_ context.Context, req any) (any, error) {
-	r := req.(*wire.SplitShardRequest)
+func (s *Server) handleSplit(_ context.Context, r *wire.SplitShardRequest) (*wire.SplitShardResponse, error) {
 	sess := s.lookup(r.SessionID)
 	if sess == nil {
 		return nil, fmt.Errorf("readsession: %s: session %s", errCodeUnknownSession, r.SessionID)
@@ -498,13 +495,9 @@ func sendErr(ss rpc.ServerStream, offset int64, code string) error {
 // assignments, same per-assignment scan order, same filter — so a
 // reader resuming from a checkpoint sees exactly the suffix it missed.
 func (s *Server) handleReadRows(ctx context.Context, ss rpc.ServerStream) error {
-	m, err := ss.Recv()
+	req, err := wire.ReadRows.Request(ss)
 	if err != nil {
 		return err
-	}
-	req, ok := m.(*wire.ReadRowsRequest)
-	if !ok {
-		return fmt.Errorf("readsession: unexpected stream message %T", m)
 	}
 	sess := s.lookup(req.SessionID)
 	if sess == nil {

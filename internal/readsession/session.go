@@ -135,7 +135,7 @@ type Shard struct {
 
 // Open starts a read session over table.
 func (cn *Conn) Open(ctx context.Context, table meta.TableID, opts Options) (*Session, error) {
-	resp, err := cn.net.Unary(ctx, cn.addr, wire.MethodOpenReadSession, &wire.OpenReadSessionRequest{
+	r, err := wire.OpenReadSession.Call(ctx, cn.net, cn.addr, &wire.OpenReadSessionRequest{
 		Table:      table,
 		SnapshotTS: opts.SnapshotTS,
 		MaxShards:  opts.Shards,
@@ -146,7 +146,6 @@ func (cn *Conn) Open(ctx context.Context, table meta.TableID, opts Options) (*Se
 	if err != nil {
 		return nil, err
 	}
-	r := resp.(*wire.OpenReadSessionResponse)
 	window := opts.Window
 	if window <= 0 {
 		window = defaultWindow
@@ -193,13 +192,12 @@ func (s *Session) Stats() Stats {
 // (liquid sharding: a straggler hands work to an idle reader). Returns
 // the new shard, or nil when the shard had no splittable remainder.
 func (s *Session) Split(ctx context.Context, sh *Shard) (*Shard, error) {
-	resp, err := s.conn.net.Unary(ctx, s.conn.addr, wire.MethodSplitShard, &wire.SplitShardRequest{
+	r, err := wire.SplitShard.Call(ctx, s.conn.net, s.conn.addr, &wire.SplitShardRequest{
 		SessionID: s.id, ShardID: sh.id,
 	})
 	if err != nil {
 		return nil, err
 	}
-	r := resp.(*wire.SplitShardResponse)
 	if !r.OK {
 		return nil, nil
 	}
@@ -227,7 +225,7 @@ func (s *Session) Close(ctx context.Context) error {
 	for _, sh := range shards {
 		sh.closeStream()
 	}
-	_, err := s.conn.net.Unary(ctx, s.conn.addr, wire.MethodCloseReadSession, &wire.CloseReadSessionRequest{SessionID: s.id})
+	_, err := wire.CloseReadSession.Call(ctx, s.conn.net, s.conn.addr, &wire.CloseReadSessionRequest{SessionID: s.id})
 	return err
 }
 
@@ -254,7 +252,7 @@ func (sh *Shard) ensureStream(ctx context.Context, resumed bool) error {
 	if sh.stream != nil {
 		return nil
 	}
-	cs, err := sh.sess.conn.net.OpenStream(ctx, sh.sess.conn.addr, wire.MethodReadRows, sh.sess.window)
+	cs, err := sh.sess.conn.net.OpenStream(ctx, sh.sess.conn.addr, wire.ReadRows.Name(), sh.sess.window)
 	if err != nil {
 		return err
 	}
@@ -286,7 +284,7 @@ func (sh *Shard) Next(ctx context.Context) (*Batch, error) {
 		if err := sh.ensureStream(ctx, sh.pos > 0); err != nil {
 			return nil, err
 		}
-		m, err := sh.stream.Recv()
+		resp, err := wire.ReadRows.Response(sh.stream)
 		if err != nil {
 			// Stream died (RPC fault, server restart): surface the error;
 			// the next call re-opens from the volatile position.
@@ -296,11 +294,6 @@ func (sh *Shard) Next(ctx context.Context) (*Batch, error) {
 				err = rpc.ErrClosed
 			}
 			return nil, err
-		}
-		resp, ok := m.(*wire.ReadRowsResponse)
-		if !ok {
-			sh.closeStream()
-			return nil, fmt.Errorf("readsession: unexpected message %T", m)
 		}
 		if resp.Error != "" {
 			sh.closeStream()

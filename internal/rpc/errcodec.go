@@ -142,6 +142,7 @@ func init() {
 	RegisterErrorCode("rpc.nomethod", ErrNoMethod)
 	RegisterErrorCode("rpc.closed", ErrClosed)
 	RegisterErrorCode("rpc.dropped", ErrDropped)
+	RegisterErrorCode("rpc.badmessage", ErrBadMessage)
 	RegisterErrorCode("ctx.canceled", context.Canceled)
 	RegisterErrorCode("ctx.deadline", context.DeadlineExceeded)
 	RegisterErrorCode("io.eof", io.EOF)

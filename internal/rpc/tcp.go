@@ -306,8 +306,8 @@ func (t *TCPTransport) OpenStream(ctx context.Context, addr, method string, wind
 }
 
 // Gob payload bodies for each frame type. Message fields are interfaces:
-// the concrete types must be gob-registered (internal/wire does this for
-// every storage message from init()).
+// the concrete types must be gob-registered (NewMethod does this for the
+// request and response types of every method it declares).
 type tcpUnaryReq struct {
 	Addr   string
 	Method string

@@ -211,15 +211,7 @@ func (l *loopConn) Close() error                { return nil }
 // conversation returns the bytes a dialing connection writes for one
 // unary call and one short stream, every frame type a host can receive.
 func conversation() []byte {
-	tr := NewTCPTransport()
-	defer tr.Close()
-	c := newTCPConn(tr, &loopConn{}, "")
-	var out []byte
-	for _, fr := range []struct {
-		typ  frameType
-		id   uint32
-		body any
-	}{
+	return frames([]testFrame{
 		{ftUnaryReq, 1, &tcpUnaryReq{Addr: "task", Method: "echo", M: &confMsg{ID: 1, Body: "x"}}},
 		{ftUnaryCancel, 1, nil},
 		{ftStreamOpen, 2, &tcpStreamOpen{Addr: "task", Method: "echo", Window: 1 << 10}},
@@ -227,7 +219,22 @@ func conversation() []byte {
 		{ftWindow, 2, &tcpWindow{Bytes: 64}},
 		{ftCloseSend, 2, nil},
 		{ftReset, 2, &tcpReset{Err: encodeWireError(ErrClosed)}},
-	} {
+	})
+}
+
+type testFrame struct {
+	typ  frameType
+	id   uint32
+	body any
+}
+
+// frames encodes frs as one connection's gob stream would carry them.
+func frames(frs []testFrame) []byte {
+	tr := NewTCPTransport()
+	defer tr.Close()
+	c := newTCPConn(tr, &loopConn{}, "")
+	var out []byte
+	for _, fr := range frs {
 		if err := c.writeFrame(fr.typ, fr.id, fr.body); err != nil {
 			panic(err)
 		}
@@ -248,7 +255,9 @@ func hugeClaim() []byte {
 // socket and hangs up. Whatever the bytes — valid frames, frames whose
 // payloads are not the gob the frame type promises, garbage — the read
 // loop must not panic or hang, and must leave the connection failed
-// with an ErrDropped-class error once the input ends.
+// with an ErrDropped-class error once the input ends. The host serves an
+// untyped echo and one typed method, so a decoded message of any
+// registered type can reach Handle's check as well.
 func FuzzConnFrames(f *testing.F) {
 	valid := conversation()
 	f.Add(valid)
@@ -268,6 +277,13 @@ func FuzzConnFrames(f *testing.F) {
 	f.Add(valid[bytes.LastIndex(valid, []byte{frameMagic0, frameMagic1, frameVersion, byte(ftStreamMsg)}):])
 	f.Add([]byte("this is not a vortex frame at all--------"))
 	f.Add(hugeClaim()) // a header promising 256 MiB, then hang-up
+	// The typed method called with another registered type, with no
+	// message at all, and well-formed.
+	f.Add(frames([]testFrame{
+		{ftUnaryReq, 1, &tcpUnaryReq{Addr: "task", Method: confInc.Name(), M: blobOf(1, 8, 0xDD)}},
+		{ftUnaryReq, 2, &tcpUnaryReq{Addr: "task", Method: confInc.Name()}},
+		{ftUnaryReq, 3, &tcpUnaryReq{Addr: "task", Method: confInc.Name(), M: &confMsg{ID: 3}}},
+	}))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr := NewTCPTransport()
@@ -275,6 +291,9 @@ func FuzzConnFrames(f *testing.F) {
 		srv := NewServer()
 		srv.RegisterUnary("echo", func(_ context.Context, req any) (any, error) { return req, nil })
 		srv.RegisterStream("echo", echoStream)
+		confInc.Handle(srv, func(_ context.Context, m *confMsg) (*confSized, error) {
+			return &confSized{N: m.ID + 1}, nil
+		})
 		tr.Register("task", srv)
 
 		peer, nc := net.Pipe()

@@ -403,8 +403,8 @@ func (s *overloadSim) probeStaleOwners(ctx context.Context) {
 			continue
 		}
 		req := &wire.GetWritableStreamletRequest{Stream: w.stream.Info().ID}
-		fromNew, errNew := s.region.Net.Unary(ctx, newOwner, wire.MethodGetWritableStreamlet, req)
-		fromOld, errOld := s.region.Net.Unary(ctx, windows[key], wire.MethodGetWritableStreamlet, req)
+		fromNew, errNew := wire.GetWritableStreamlet.Call(ctx, s.region.Net, newOwner, req)
+		fromOld, errOld := wire.GetWritableStreamlet.Call(ctx, s.region.Net, windows[key], req)
 		for _, err := range []error{errNew, errOld} {
 			if err != nil && !errors.Is(err, sms.ErrResourceExhausted) {
 				s.fail("double-assignment-window", fmt.Sprintf("probe t=%s: %s", table, errCategory(err)))
@@ -415,8 +415,7 @@ func (s *overloadSim) probeStaleOwners(ctx context.Context) {
 			s.logf("e%d probe t=%s shed", s.epoch, table)
 			continue
 		}
-		a := fromNew.(*wire.GetWritableStreamletResponse).Streamlet.ID
-		b := fromOld.(*wire.GetWritableStreamletResponse).Streamlet.ID
+		a, b := fromNew.Streamlet.ID, fromOld.Streamlet.ID
 		if a != b {
 			s.fail("double-assignment-window", fmt.Sprintf("t=%s owners diverge: new=%s stale=%s", table, a, b))
 			return

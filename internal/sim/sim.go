@@ -471,12 +471,12 @@ func (s *simulation) maintenancePhase(ctx context.Context) {
 
 func (s *simulation) runGC(ctx context.Context) {
 	for _, addr := range s.region.SMSAddrs() {
-		resp, err := s.region.Net.Unary(ctx, addr, wire.MethodGC, &wire.GCRequest{})
+		gr, err := wire.GC.Call(ctx, s.region.Net, addr, &wire.GCRequest{})
 		if err != nil {
 			s.logf("e%d maint gc %s err=%s", s.epoch, addr, errCategory(err))
 			continue
 		}
-		if gr := resp.(*wire.GCResponse); gr.FragmentsDeleted > 0 {
+		if gr.FragmentsDeleted > 0 {
 			s.logf("e%d maint gc %s frags=%d", s.epoch, addr, gr.FragmentsDeleted)
 		}
 	}

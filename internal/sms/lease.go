@@ -40,8 +40,7 @@ func leasePrefix(t meta.TableID) string { return fmt.Sprintf("leases/%s/", t) }
 // holder never releases: expiry is enforced on every GC decision.
 const defaultLeaseTTL = truetime.Timestamp(30e9) // 30s in clock units
 
-func (t *Task) handleAcquireLease(_ context.Context, req any) (any, error) {
-	r := req.(*wire.AcquireLeaseRequest)
+func (t *Task) handleAcquireLease(_ context.Context, r *wire.AcquireLeaseRequest) (*wire.AcquireLeaseResponse, error) {
 	ttl := r.TTL
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
@@ -66,8 +65,7 @@ func (t *Task) handleAcquireLease(_ context.Context, req any) (any, error) {
 	return &wire.AcquireLeaseResponse{LeaseID: id, SnapshotTS: snap, Expires: rec.Expires}, nil
 }
 
-func (t *Task) handleRenewLease(_ context.Context, req any) (any, error) {
-	r := req.(*wire.RenewLeaseRequest)
+func (t *Task) handleRenewLease(_ context.Context, r *wire.RenewLeaseRequest) (*wire.RenewLeaseResponse, error) {
 	ttl := r.TTL
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
@@ -100,8 +98,7 @@ func (t *Task) handleRenewLease(_ context.Context, req any) (any, error) {
 	return &wire.RenewLeaseResponse{Expires: expires}, nil
 }
 
-func (t *Task) handleReleaseLease(_ context.Context, req any) (any, error) {
-	r := req.(*wire.ReleaseLeaseRequest)
+func (t *Task) handleReleaseLease(_ context.Context, r *wire.ReleaseLeaseRequest) (*wire.ReleaseLeaseResponse, error) {
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		tx.Delete(leaseKey(r.Table, r.LeaseID))
 		return nil

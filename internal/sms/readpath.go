@@ -34,8 +34,7 @@ func (t *Task) colossus() *colossus.Region {
 
 // ---- heartbeat ----
 
-func (t *Task) handleHeartbeat(_ context.Context, req any) (any, error) {
-	r := req.(*wire.HeartbeatRequest)
+func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
 
 	// Record liveness before anything can fail: a heartbeat that reaches
 	// us proves the server is up even if its deltas hit a txn abort.
@@ -149,8 +148,7 @@ func (t *Task) handleHeartbeat(_ context.Context, req any) (any, error) {
 // fragments retired by conversion or reclustering, which have no owning
 // streamlet — deleting both their files and their Spanner records once
 // past retention.
-func (t *Task) handleGC(_ context.Context, req any) (any, error) {
-	r := req.(*wire.GCRequest)
+func (t *Task) handleGC(_ context.Context, r *wire.GCRequest) (*wire.GCResponse, error) {
 	retention := r.Retention
 	if retention == 0 {
 		t.mu.Lock()
@@ -249,8 +247,7 @@ func (t *Task) SetRetention(d truetime.Timestamp) {
 
 // ---- read view ----
 
-func (t *Task) handleReadView(_ context.Context, req any) (any, error) {
-	r := req.(*wire.ReadViewRequest)
+func (t *Task) handleReadView(_ context.Context, r *wire.ReadViewRequest) (*wire.ReadViewResponse, error) {
 	ts := r.SnapshotTS
 	if ts == 0 {
 		// "a query is guaranteed to return data that was just written":
@@ -381,8 +378,7 @@ func (t *Task) handleReadView(_ context.Context, req any) (any, error) {
 
 // ---- reconciliation (§5.6) ----
 
-func (t *Task) handleReconcile(ctx context.Context, req any) (any, error) {
-	r := req.(*wire.ReconcileRequest)
+func (t *Task) handleReconcile(ctx context.Context, r *wire.ReconcileRequest) (*wire.ReconcileResponse, error) {
 	return t.reconcile(ctx, r.Table, r.Stream, r.Streamlet)
 }
 
@@ -606,8 +602,7 @@ func (t *Task) reconcile(_ context.Context, table meta.TableID, stream meta.Stre
 
 // ---- conversion (§6.1) and DML coordination (§7.3) ----
 
-func (t *Task) handleConversionCandidates(_ context.Context, req any) (any, error) {
-	r := req.(*wire.ConversionCandidatesRequest)
+func (t *Task) handleConversionCandidates(_ context.Context, r *wire.ConversionCandidatesRequest) (*wire.ConversionCandidatesResponse, error) {
 	resp := &wire.ConversionCandidatesResponse{}
 	err := t.db.ReadTxn(func(tx *spanner.Txn) error {
 		streams := map[meta.StreamID]*meta.StreamInfo{}
@@ -675,8 +670,7 @@ func (t *Task) handleConversionCandidates(_ context.Context, req any) (any, erro
 	return resp, nil
 }
 
-func (t *Task) handleRegisterConversion(_ context.Context, req any) (any, error) {
-	r := req.(*wire.RegisterConversionRequest)
+func (t *Task) handleRegisterConversion(_ context.Context, r *wire.RegisterConversionRequest) (*wire.RegisterConversionResponse, error) {
 	var handoff truetime.Timestamp
 	var added []meta.FragmentInfo
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
@@ -748,8 +742,7 @@ func (t *Task) handleRegisterConversion(_ context.Context, req any) (any, error)
 	return &wire.RegisterConversionResponse{}, nil
 }
 
-func (t *Task) handleBeginDML(_ context.Context, req any) (any, error) {
-	r := req.(*wire.BeginDMLRequest)
+func (t *Task) handleBeginDML(_ context.Context, r *wire.BeginDMLRequest) (*wire.BeginDMLResponse, error) {
 	var token int64
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		n := 0
@@ -766,8 +759,7 @@ func (t *Task) handleBeginDML(_ context.Context, req any) (any, error) {
 	return &wire.BeginDMLResponse{Token: token}, nil
 }
 
-func (t *Task) handleEndDML(_ context.Context, req any) (any, error) {
-	r := req.(*wire.EndDMLRequest)
+func (t *Task) handleEndDML(_ context.Context, r *wire.EndDMLRequest) (*wire.EndDMLResponse, error) {
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		n := 0
 		if raw, ok := tx.Get(dmlLockKey(r.Table)); ok {
@@ -785,8 +777,7 @@ func (t *Task) handleEndDML(_ context.Context, req any) (any, error) {
 	return &wire.EndDMLResponse{}, nil
 }
 
-func (t *Task) handleCommitDML(_ context.Context, req any) (any, error) {
-	r := req.(*wire.CommitDMLRequest)
+func (t *Task) handleCommitDML(_ context.Context, r *wire.CommitDMLRequest) (*wire.CommitDMLResponse, error) {
 	var commitTS truetime.Timestamp
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		commitTS = t.clock.Commit()

@@ -109,28 +109,28 @@ func New(addr string, db *spanner.DB, net rpc.Transport, placer *Placer) *Task {
 		retention: truetime.Timestamp(0),
 	}
 	srv := rpc.NewServer()
-	srv.RegisterUnary(wire.MethodCreateTable, t.handleCreateTable)
-	srv.RegisterUnary(wire.MethodGetTable, t.handleGetTable)
-	srv.RegisterUnary(wire.MethodUpdateSchema, t.handleUpdateSchema)
-	srv.RegisterUnary(wire.MethodCreateStream, t.handleCreateStream)
-	srv.RegisterUnary(wire.MethodGetStream, t.handleGetStream)
-	srv.RegisterUnary(wire.MethodGetWritableStreamlet, t.handleGetWritableStreamlet)
-	srv.RegisterUnary(wire.MethodFlushStream, t.handleFlushStream)
-	srv.RegisterUnary(wire.MethodFinalizeStream, t.handleFinalizeStream)
-	srv.RegisterUnary(wire.MethodBatchCommit, t.handleBatchCommit)
-	srv.RegisterUnary(wire.MethodHeartbeat, t.handleHeartbeat)
-	srv.RegisterUnary(wire.MethodReadView, t.handleReadView)
-	srv.RegisterUnary(wire.MethodReconcile, t.handleReconcile)
-	srv.RegisterUnary(wire.MethodConversionCandidates, t.handleConversionCandidates)
-	srv.RegisterUnary(wire.MethodRegisterConversion, t.handleRegisterConversion)
-	srv.RegisterUnary(wire.MethodBeginDML, t.handleBeginDML)
-	srv.RegisterUnary(wire.MethodEndDML, t.handleEndDML)
-	srv.RegisterUnary(wire.MethodCommitDML, t.handleCommitDML)
-	srv.RegisterUnary(wire.MethodGC, t.handleGC)
-	srv.RegisterUnary(wire.MethodDegradeStreamlet, t.handleDegradeStreamlet)
-	srv.RegisterUnary(wire.MethodAcquireLease, t.handleAcquireLease)
-	srv.RegisterUnary(wire.MethodRenewLease, t.handleRenewLease)
-	srv.RegisterUnary(wire.MethodReleaseLease, t.handleReleaseLease)
+	wire.CreateTable.Handle(srv, t.handleCreateTable)
+	wire.GetTable.Handle(srv, t.handleGetTable)
+	wire.UpdateSchema.Handle(srv, t.handleUpdateSchema)
+	wire.CreateStream.Handle(srv, t.handleCreateStream)
+	wire.GetStream.Handle(srv, t.handleGetStream)
+	wire.GetWritableStreamlet.Handle(srv, t.handleGetWritableStreamlet)
+	wire.FlushStream.Handle(srv, t.handleFlushStream)
+	wire.FinalizeStream.Handle(srv, t.handleFinalizeStream)
+	wire.BatchCommit.Handle(srv, t.handleBatchCommit)
+	wire.Heartbeat.Handle(srv, t.handleHeartbeat)
+	wire.ReadView.Handle(srv, t.handleReadView)
+	wire.Reconcile.Handle(srv, t.handleReconcile)
+	wire.ConversionCandidates.Handle(srv, t.handleConversionCandidates)
+	wire.RegisterConversion.Handle(srv, t.handleRegisterConversion)
+	wire.BeginDML.Handle(srv, t.handleBeginDML)
+	wire.EndDML.Handle(srv, t.handleEndDML)
+	wire.CommitDML.Handle(srv, t.handleCommitDML)
+	wire.GC.Handle(srv, t.handleGC)
+	wire.DegradeStreamlet.Handle(srv, t.handleDegradeStreamlet)
+	wire.AcquireLease.Handle(srv, t.handleAcquireLease)
+	wire.RenewLease.Handle(srv, t.handleRenewLease)
+	wire.ReleaseLease.Handle(srv, t.handleReleaseLease)
 	t.srv = srv
 	net.Register(addr, srv)
 	return t
@@ -186,8 +186,7 @@ func (t *Task) notifyFilesDeleted(paths []string) {
 
 // ---- table / schema ----
 
-func (t *Task) handleCreateTable(_ context.Context, req any) (any, error) {
-	r := req.(*wire.CreateTableRequest)
+func (t *Task) handleCreateTable(_ context.Context, r *wire.CreateTableRequest) (*wire.CreateTableResponse, error) {
 	if r.Table == "" || r.Schema == nil {
 		return nil, fmt.Errorf("%w: table and schema required", ErrBadRequest)
 	}
@@ -215,8 +214,7 @@ func getSchema(tx *spanner.Txn, table meta.TableID) (*schema.Schema, error) {
 	return schema.Unmarshal(raw)
 }
 
-func (t *Task) handleGetTable(_ context.Context, req any) (any, error) {
-	r := req.(*wire.GetTableRequest)
+func (t *Task) handleGetTable(_ context.Context, r *wire.GetTableRequest) (*wire.GetTableResponse, error) {
 	var sc *schema.Schema
 	err := t.db.ReadTxn(func(tx *spanner.Txn) error {
 		var err error
@@ -229,8 +227,7 @@ func (t *Task) handleGetTable(_ context.Context, req any) (any, error) {
 	return &wire.GetTableResponse{Schema: sc}, nil
 }
 
-func (t *Task) handleUpdateSchema(_ context.Context, req any) (any, error) {
-	r := req.(*wire.UpdateSchemaRequest)
+func (t *Task) handleUpdateSchema(_ context.Context, r *wire.UpdateSchemaRequest) (*wire.UpdateSchemaResponse, error) {
 	var evolved *schema.Schema
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		cur, err := getSchema(tx, r.Table)
@@ -252,8 +249,7 @@ func (t *Task) handleUpdateSchema(_ context.Context, req any) (any, error) {
 
 // ---- streams ----
 
-func (t *Task) handleCreateStream(_ context.Context, req any) (any, error) {
-	r := req.(*wire.CreateStreamRequest)
+func (t *Task) handleCreateStream(_ context.Context, r *wire.CreateStreamRequest) (*wire.CreateStreamResponse, error) {
 	var info meta.StreamInfo
 	var sc *schema.Schema
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
@@ -285,8 +281,7 @@ func getStream(tx *spanner.Txn, id meta.StreamID) (*meta.StreamInfo, error) {
 	return meta.UnmarshalStream(raw)
 }
 
-func (t *Task) handleGetStream(_ context.Context, req any) (any, error) {
-	r := req.(*wire.GetStreamRequest)
+func (t *Task) handleGetStream(_ context.Context, r *wire.GetStreamRequest) (*wire.GetStreamResponse, error) {
 	var info *meta.StreamInfo
 	err := t.db.ReadTxn(func(tx *spanner.Txn) error {
 		var err error
@@ -315,8 +310,7 @@ func streamletsOf(tx *spanner.Txn, table meta.TableID, stream meta.StreamID) ([]
 	return out, nil
 }
 
-func (t *Task) handleGetWritableStreamlet(ctx context.Context, req any) (any, error) {
-	r := req.(*wire.GetWritableStreamletRequest)
+func (t *Task) handleGetWritableStreamlet(ctx context.Context, r *wire.GetWritableStreamletRequest) (*wire.GetWritableStreamletResponse, error) {
 	for attempt := 0; attempt < 4; attempt++ {
 		var (
 			sl         *meta.StreamletInfo
@@ -396,7 +390,7 @@ func (t *Task) handleGetWritableStreamlet(ctx context.Context, req any) (any, er
 			return &wire.GetWritableStreamletResponse{Streamlet: *sl, Schema: sc, Epoch: sl.Epoch}, nil
 		}
 		// Instruct the chosen Stream Server to host the streamlet (§5.2).
-		_, err = t.net.Unary(ctx, sl.Server, wire.MethodCreateStreamlet, &wire.CreateStreamletRequest{
+		_, err = wire.CreateStreamlet.Call(ctx, t.net, sl.Server, &wire.CreateStreamletRequest{
 			Info:   *sl,
 			Schema: sc,
 			Epoch:  sl.Epoch,
@@ -427,8 +421,7 @@ func (t *Task) handleGetWritableStreamlet(ctx context.Context, req any) (any, er
 	return nil, fmt.Errorf("%w: no stream server accepted the streamlet", ErrUnavailable)
 }
 
-func (t *Task) handleFlushStream(ctx context.Context, req any) (any, error) {
-	r := req.(*wire.FlushStreamRequest)
+func (t *Task) handleFlushStream(ctx context.Context, r *wire.FlushStreamRequest) (*wire.FlushStreamResponse, error) {
 	var frontier int64
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		stream, err := getStream(tx, r.Stream)
@@ -473,9 +466,9 @@ func (t *Task) streamLength(ctx context.Context, tx *spanner.Txn, stream *meta.S
 	var length int64
 	for _, sl := range sls {
 		if sl.State == meta.StreamletWritable {
-			resp, err := t.net.Unary(ctx, sl.Server, wire.MethodStreamletState, &wire.StreamletStateRequest{Streamlet: sl.ID})
+			resp, err := wire.StreamletState.Call(ctx, t.net, sl.Server, &wire.StreamletStateRequest{Streamlet: sl.ID})
 			if err == nil {
-				length += resp.(*wire.StreamletStateResponse).RowCount
+				length += resp.RowCount
 				continue
 			}
 			// Fall back to the cached count.
@@ -485,8 +478,7 @@ func (t *Task) streamLength(ctx context.Context, tx *spanner.Txn, stream *meta.S
 	return length, nil
 }
 
-func (t *Task) handleFinalizeStream(ctx context.Context, req any) (any, error) {
-	r := req.(*wire.FinalizeStreamRequest)
+func (t *Task) handleFinalizeStream(ctx context.Context, r *wire.FinalizeStreamRequest) (*wire.FinalizeStreamResponse, error) {
 	// First close the writable streamlet on its server (outside the txn).
 	var writable *meta.StreamletInfo
 	err := t.db.ReadTxn(func(tx *spanner.Txn) error {
@@ -507,17 +499,14 @@ func (t *Task) handleFinalizeStream(ctx context.Context, req any) (any, error) {
 		return nil, err
 	}
 	if writable != nil {
-		resp, err := t.net.Unary(ctx, writable.Server, wire.MethodFinalizeStreamlet, &wire.FinalizeStreamletRequest{Streamlet: writable.ID})
+		fin, err := wire.FinalizeStreamlet.Call(ctx, t.net, writable.Server, &wire.FinalizeStreamletRequest{Streamlet: writable.ID})
 		if err != nil {
 			// Server unreachable: settle the streamlet by reconciliation.
 			if _, rerr := t.reconcile(ctx, writable.Table, writable.Stream, writable.ID); rerr != nil {
 				return nil, fmt.Errorf("finalize: server unreachable and reconcile failed: %w", rerr)
 			}
-		} else {
-			fin := resp.(*wire.FinalizeStreamletResponse)
-			if err := t.absorbStreamletFinalization(writable.Table, writable.ID, fin.RowCount, fin.Fragments); err != nil {
-				return nil, err
-			}
+		} else if err := t.absorbStreamletFinalization(writable.Table, writable.ID, fin.RowCount, fin.Fragments); err != nil {
+			return nil, err
 		}
 	}
 	var total int64
@@ -549,8 +538,7 @@ func (t *Task) handleFinalizeStream(ctx context.Context, req any) (any, error) {
 // outage. The owning Stream Server calls this synchronously before
 // acknowledging its first degraded write, so reconciliation and readers
 // never consult the out cluster's stale replica. Idempotent.
-func (t *Task) handleDegradeStreamlet(_ context.Context, req any) (any, error) {
-	r := req.(*wire.DegradeStreamletRequest)
+func (t *Task) handleDegradeStreamlet(_ context.Context, r *wire.DegradeStreamletRequest) (*wire.DegradeStreamletResponse, error) {
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		raw, ok := tx.Get(streamletKey(r.Table, r.Streamlet))
 		if !ok {
@@ -590,8 +578,7 @@ func (t *Task) absorbStreamletFinalization(table meta.TableID, id meta.Streamlet
 	return err
 }
 
-func (t *Task) handleBatchCommit(_ context.Context, req any) (any, error) {
-	r := req.(*wire.BatchCommitRequest)
+func (t *Task) handleBatchCommit(_ context.Context, r *wire.BatchCommitRequest) (*wire.BatchCommitResponse, error) {
 	if len(r.Streams) == 0 {
 		return nil, fmt.Errorf("%w: no streams", ErrBadRequest)
 	}

@@ -177,12 +177,12 @@ func New(cfg Config, region colossus.Store, clock truetime.Clock, keyring *block
 		shedUntil:  make(map[meta.TableID]truetime.Timestamp),
 	}
 	srv := rpc.NewServer()
-	srv.RegisterUnary(wire.MethodCreateStreamlet, s.handleCreateStreamlet)
-	srv.RegisterUnary(wire.MethodAppend, s.handleAppendUnary)
-	srv.RegisterStream(wire.MethodAppend, s.handleAppendStream)
-	srv.RegisterUnary(wire.MethodFlush, s.handleFlush)
-	srv.RegisterUnary(wire.MethodFinalizeStreamlet, s.handleFinalizeStreamlet)
-	srv.RegisterUnary(wire.MethodStreamletState, s.handleStreamletState)
+	wire.CreateStreamlet.Handle(srv, s.handleCreateStreamlet)
+	wire.Append.Handle(srv, s.handleAppendUnary)
+	srv.RegisterStream(wire.Append.Name(), s.handleAppendStream)
+	wire.Flush.Handle(srv, s.handleFlush)
+	wire.FinalizeStreamlet.Handle(srv, s.handleFinalizeStreamlet)
+	wire.StreamletState.Handle(srv, s.handleStreamletState)
 	net.Register(cfg.Addr, srv)
 	return s
 }
@@ -278,11 +278,7 @@ func (s *Server) shedDeadline(table meta.TableID) (time.Duration, bool) {
 
 // ---- handlers ----
 
-func (s *Server) handleCreateStreamlet(_ context.Context, req any) (any, error) {
-	r, ok := req.(*wire.CreateStreamletRequest)
-	if !ok {
-		return nil, fmt.Errorf("streamserver: bad request type %T", req)
-	}
+func (s *Server) handleCreateStreamlet(_ context.Context, r *wire.CreateStreamletRequest) (*wire.CreateStreamletResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.streamlets[r.Info.ID]; exists {
@@ -299,26 +295,18 @@ func (s *Server) handleCreateStreamlet(_ context.Context, req any) (any, error) 
 	return &wire.CreateStreamletResponse{}, nil
 }
 
-func (s *Server) handleAppendUnary(ctx context.Context, req any) (any, error) {
-	r, ok := req.(*wire.AppendRequest)
-	if !ok {
-		return nil, fmt.Errorf("streamserver: bad request type %T", req)
-	}
+func (s *Server) handleAppendUnary(ctx context.Context, r *wire.AppendRequest) (*wire.AppendResponse, error) {
 	return s.append(ctx, r)
 }
 
 func (s *Server) handleAppendStream(ctx context.Context, stream rpc.ServerStream) error {
 	for {
-		m, err := stream.Recv()
+		r, err := wire.Append.Request(stream)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
-		}
-		r, ok := m.(*wire.AppendRequest)
-		if !ok {
-			return fmt.Errorf("streamserver: bad stream message type %T", m)
 		}
 		resp, err := s.append(ctx, r)
 		if err != nil {
@@ -563,7 +551,7 @@ func (s *Server) degradeStreamlet(sl *streamlet, healthy string) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.net.Unary(context.Background(), addr, wire.MethodDegradeStreamlet, &wire.DegradeStreamletRequest{
+	_, err = wire.DegradeStreamlet.Call(context.Background(), s.net, addr, &wire.DegradeStreamletRequest{
 		Table:     sl.info.Table,
 		Stream:    sl.info.Stream,
 		Streamlet: sl.info.ID,
@@ -721,11 +709,7 @@ func (s *Server) recordProps(sl *streamlet, rows []schema.Row) {
 	}
 }
 
-func (s *Server) handleFlush(_ context.Context, req any) (any, error) {
-	r, ok := req.(*wire.FlushRequest)
-	if !ok {
-		return nil, fmt.Errorf("streamserver: bad request type %T", req)
-	}
+func (s *Server) handleFlush(_ context.Context, r *wire.FlushRequest) (*wire.FlushResponse, error) {
 	sl, found := s.lookup(r.Streamlet)
 	if !found {
 		return nil, fmt.Errorf("streamserver: %s: unknown streamlet %s", wire.ErrCodeUnknown, r.Streamlet)
@@ -755,11 +739,7 @@ func (s *Server) handleFlush(_ context.Context, req any) (any, error) {
 	return &wire.FlushResponse{}, nil
 }
 
-func (s *Server) handleFinalizeStreamlet(_ context.Context, req any) (any, error) {
-	r, ok := req.(*wire.FinalizeStreamletRequest)
-	if !ok {
-		return nil, fmt.Errorf("streamserver: bad request type %T", req)
-	}
+func (s *Server) handleFinalizeStreamlet(_ context.Context, r *wire.FinalizeStreamletRequest) (*wire.FinalizeStreamletResponse, error) {
 	sl, found := s.lookup(r.Streamlet)
 	if !found {
 		return nil, fmt.Errorf("streamserver: %s: unknown streamlet %s", wire.ErrCodeUnknown, r.Streamlet)
@@ -783,11 +763,7 @@ func (s *Server) handleFinalizeStreamlet(_ context.Context, req any) (any, error
 	return &wire.FinalizeStreamletResponse{RowCount: sl.rowCount, Fragments: copyFragments(sl.fragments)}, nil
 }
 
-func (s *Server) handleStreamletState(_ context.Context, req any) (any, error) {
-	r, ok := req.(*wire.StreamletStateRequest)
-	if !ok {
-		return nil, fmt.Errorf("streamserver: bad request type %T", req)
-	}
+func (s *Server) handleStreamletState(_ context.Context, r *wire.StreamletStateRequest) (*wire.StreamletStateResponse, error) {
 	sl, found := s.lookup(r.Streamlet)
 	if !found {
 		return nil, fmt.Errorf("streamserver: %s: unknown streamlet %s", wire.ErrCodeUnknown, r.Streamlet)
@@ -927,7 +903,7 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 	}
 	var firstErr error
 	for addr, req := range byTask {
-		resp, err := s.net.Unary(ctx, addr, wire.MethodHeartbeat, req)
+		resp, err := wire.Heartbeat.Call(ctx, s.net, addr, req)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -948,7 +924,7 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 			continue
 		}
 		s.hbSent.Add(1)
-		s.applyHeartbeatResponse(resp.(*wire.HeartbeatResponse))
+		s.applyHeartbeatResponse(resp)
 	}
 	return firstErr
 }

@@ -8,6 +8,7 @@ package wire
 import (
 	"vortex/internal/dml"
 	"vortex/internal/meta"
+	"vortex/internal/rpc"
 	"vortex/internal/schema"
 	"vortex/internal/truetime"
 )
@@ -54,6 +55,46 @@ const (
 	MethodCloseReadSession = "CloseReadSession"
 	MethodSplitShard       = "SplitShard"
 	MethodReadRows         = "ReadRows" // bi-di stream
+)
+
+// The methods, each bound to its request and response types. Handlers
+// and callers go through these declarations (rpc.Method), and declaring
+// a method registers its two message types with gob: they are the whole
+// set of storage messages the TCP transport carries.
+var (
+	CreateStreamlet   = rpc.NewMethod[CreateStreamletRequest, CreateStreamletResponse](MethodCreateStreamlet)
+	Append            = rpc.NewMethod[AppendRequest, AppendResponse](MethodAppend)
+	Flush             = rpc.NewMethod[FlushRequest, FlushResponse](MethodFlush)
+	FinalizeStreamlet = rpc.NewMethod[FinalizeStreamletRequest, FinalizeStreamletResponse](MethodFinalizeStreamlet)
+	StreamletState    = rpc.NewMethod[StreamletStateRequest, StreamletStateResponse](MethodStreamletState)
+
+	CreateTable          = rpc.NewMethod[CreateTableRequest, CreateTableResponse](MethodCreateTable)
+	GetTable             = rpc.NewMethod[GetTableRequest, GetTableResponse](MethodGetTable)
+	UpdateSchema         = rpc.NewMethod[UpdateSchemaRequest, UpdateSchemaResponse](MethodUpdateSchema)
+	CreateStream         = rpc.NewMethod[CreateStreamRequest, CreateStreamResponse](MethodCreateStream)
+	GetStream            = rpc.NewMethod[GetStreamRequest, GetStreamResponse](MethodGetStream)
+	GetWritableStreamlet = rpc.NewMethod[GetWritableStreamletRequest, GetWritableStreamletResponse](MethodGetWritableStreamlet)
+	FlushStream          = rpc.NewMethod[FlushStreamRequest, FlushStreamResponse](MethodFlushStream)
+	FinalizeStream       = rpc.NewMethod[FinalizeStreamRequest, FinalizeStreamResponse](MethodFinalizeStream)
+	BatchCommit          = rpc.NewMethod[BatchCommitRequest, BatchCommitResponse](MethodBatchCommit)
+	Heartbeat            = rpc.NewMethod[HeartbeatRequest, HeartbeatResponse](MethodHeartbeat)
+	ReadView             = rpc.NewMethod[ReadViewRequest, ReadViewResponse](MethodReadView)
+	Reconcile            = rpc.NewMethod[ReconcileRequest, ReconcileResponse](MethodReconcile)
+	DegradeStreamlet     = rpc.NewMethod[DegradeStreamletRequest, DegradeStreamletResponse](MethodDegradeStreamlet)
+	RegisterConversion   = rpc.NewMethod[RegisterConversionRequest, RegisterConversionResponse](MethodRegisterConversion)
+	ConversionCandidates = rpc.NewMethod[ConversionCandidatesRequest, ConversionCandidatesResponse](MethodConversionCandidates)
+	CommitDML            = rpc.NewMethod[CommitDMLRequest, CommitDMLResponse](MethodCommitDML)
+	BeginDML             = rpc.NewMethod[BeginDMLRequest, BeginDMLResponse](MethodBeginDML)
+	EndDML               = rpc.NewMethod[EndDMLRequest, EndDMLResponse](MethodEndDML)
+	GC                   = rpc.NewMethod[GCRequest, GCResponse](MethodGC)
+	AcquireLease         = rpc.NewMethod[AcquireLeaseRequest, AcquireLeaseResponse](MethodAcquireLease)
+	RenewLease           = rpc.NewMethod[RenewLeaseRequest, RenewLeaseResponse](MethodRenewLease)
+	ReleaseLease         = rpc.NewMethod[ReleaseLeaseRequest, ReleaseLeaseResponse](MethodReleaseLease)
+
+	OpenReadSession  = rpc.NewMethod[OpenReadSessionRequest, OpenReadSessionResponse](MethodOpenReadSession)
+	CloseReadSession = rpc.NewMethod[CloseReadSessionRequest, CloseReadSessionResponse](MethodCloseReadSession)
+	SplitShard       = rpc.NewMethod[SplitShardRequest, SplitShardResponse](MethodSplitShard)
+	ReadRows         = rpc.NewMethod[ReadRowsRequest, ReadRowsResponse](MethodReadRows)
 )
 
 // ---- Stream Server messages ----

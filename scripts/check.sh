@@ -15,6 +15,18 @@ fi
 
 go vet ./...
 
+# One typed path per RPC method: outside internal/rpc, handlers and
+# callers go through the rpc.Method declarations, never the untyped
+# Server.RegisterUnary / Transport.Unary or an assertion on a message.
+# benchmark/ is frozen and vetted on its own below.
+untyped=$(grep -rnE --include='*.go' --exclude='*_test.go' 'RegisterUnary\(|\.Unary\(|\.\(\*wire\.' . |
+    grep -vE '^\./(internal/rpc|benchmark|\.bench_build)/' || true)
+if [ -n "$untyped" ]; then
+    echo "untyped rpc use outside internal/rpc (declare the method with rpc.NewMethod and use Call/Handle):" >&2
+    echo "$untyped" >&2
+    exit 1
+fi
+
 # The chaos suites are expected to be deterministic under -race; an
 # ordering flake is a bug, so -shuffle=on surfaces hidden inter-test
 # order dependencies. -race also turns on checkptr, which checks every
