@@ -92,11 +92,7 @@ func (r *Reader) uvarint() uint64 {
 // Varint reads a zig-zag signed varint.
 func (r *Reader) Varint() int64 {
 	u := r.Uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Uint32 reads a little-endian uint32.

@@ -18,8 +18,8 @@ import (
 // projected column plus, per physical row, the storage sequence, the
 // change type and the value arity the row was written with. A ROS
 // fragment contributes the read cache's encoded vectors (DICT, RLE,
-// PLAIN — nested fields as PLAIN vectors of assembled values), a WOS
-// file its transposed PLAIN columns; both are shared with the cache and
+// typed PLAIN — nested fields as PLAIN vectors of assembled values), a
+// WOS file its transposed PLAIN columns of values; both are shared with the cache and
 // read-only. Consumers address rows by physical index through a
 // wire.Selection and use three operations: Narrow a selection by a
 // predicate, walk selected rows with a Cursor, and emit selected rows
@@ -165,9 +165,14 @@ func nullValues(n int) []schema.Value {
 	return vals
 }
 
-// RowCursor walks the selected rows of a batch in order, decoding each
-// into one reused scratch row and advancing a run cursor per RLE column
-// instead of searching the runs per row.
+// cursorBlock is how many rows a RowCursor decodes at a time.
+const cursorBlock = 64
+
+// RowCursor walks the selected rows of a batch in order. It decodes
+// them a block at a time, column by column, into reused scratch rows —
+// a PLAIN or DICT column in one Vector.LoadValues loop per block, an RLE
+// column by a run cursor that only moves forward — so no value is
+// built through a call per row.
 type RowCursor struct {
 	b   *ColBatch
 	sel wire.Selection
@@ -175,19 +180,27 @@ type RowCursor struct {
 	k   int   // rows visited
 	i   int32 // current physical row
 
-	scratch  []schema.Value
-	run      []int   // per column: current RLE run, -1 before the first
-	runStart []int32 // per column: first physical row of the run after it
+	width    int            // values per scratch row: the schema's fields
+	rows     []schema.Value // the block's scratch rows, back to back
+	idx      wire.Selection // the block's physical rows
+	at       int            // the current row's place in the block
+	run      []int          // per column: current RLE run, -1 before the first
+	runStart []int32        // per column: first physical row of the run after it
 }
 
 // Cursor returns a cursor over sel (nil: every physical row),
 // positioned before the first row.
 func (b *ColBatch) Cursor(sel wire.Selection) *RowCursor {
+	n := sel.Count(b.NumRows)
 	c := &RowCursor{
-		b: b, sel: sel, n: sel.Count(b.NumRows),
-		scratch:  nullValues(len(b.sc.Fields)),
+		b: b, sel: sel, n: n,
+		width:    len(b.sc.Fields),
+		rows:     nullValues(min(n, cursorBlock) * len(b.sc.Fields)),
 		run:      make([]int, len(b.cols)),
 		runStart: make([]int32, len(b.cols)),
+	}
+	if sel == nil {
+		c.idx = make(wire.Selection, 0, min(n, cursorBlock))
 	}
 	for k := range c.run {
 		c.run[k] = -1
@@ -200,34 +213,44 @@ func (c *RowCursor) Next() bool {
 	if c.k >= c.n {
 		return false
 	}
-	if c.sel == nil {
-		c.i = int32(c.k)
-	} else {
-		c.i = c.sel[c.k]
+	if c.at++; c.at >= len(c.idx) {
+		c.fill()
 	}
+	c.i = c.idx[c.at]
 	c.k++
+	return true
+}
+
+// fill decodes the block of selected rows that starts at the next one.
+func (c *RowCursor) fill() {
+	m := min(cursorBlock, c.n-c.k)
+	if c.sel == nil {
+		c.idx = c.idx[:m]
+		for j := range c.idx {
+			c.idx[j] = int32(c.k + j)
+		}
+	} else {
+		c.idx = c.sel[c.k : c.k+m]
+	}
+	c.at = 0
 	for k := range c.b.cols {
 		v := &c.b.cols[k]
-		switch v.Enc {
-		case wire.BatchEncPlain:
-			c.scratch[c.b.ColIdx[k]] = v.Values[c.i]
-		case wire.BatchEncDict:
-			c.scratch[c.b.ColIdx[k]] = v.Dict[v.Codes[c.i]]
-		case wire.BatchEncRLE:
-			// Selections ascend, so runs only move forward; the scratch
-			// slot is rewritten only when the run changes.
-			moved := false
-			for c.run[k]+1 < len(v.Runs) && c.i >= c.runStart[k] {
+		dst := c.rows[c.b.ColIdx[k]:]
+		if v.Enc != wire.BatchEncRLE {
+			v.LoadValues(dst, c.width, c.idx)
+			continue
+		}
+		// Selections ascend, so runs only move forward.
+		for j, i := range c.idx {
+			for c.run[k]+1 < len(v.Runs) && i >= c.runStart[k] {
 				c.run[k]++
 				c.runStart[k] += v.Runs[c.run[k]].Len
-				moved = true
 			}
-			if moved {
-				c.scratch[c.b.ColIdx[k]] = v.Runs[c.run[k]].Value
+			if c.run[k] >= 0 {
+				dst[j*c.width] = v.Runs[c.run[k]].Value
 			}
 		}
 	}
-	return true
 }
 
 // Index returns the current row's physical index.
@@ -237,12 +260,14 @@ func (c *RowCursor) Index() int32 { return c.i }
 func (c *RowCursor) Seq() int64 { return c.b.seqs[c.i] }
 
 // Row returns the current row: projected fields hold their values, the
-// rest NULL. It is valid only until the next call to Next (one scratch
-// row is reused); use Retain to keep it. A row keeps the arity it was
+// rest NULL. It is valid only until the next call to Next (scratch rows
+// are reused); use Retain to keep it. A row keeps the arity it was
 // written with, which after schema evolution can be shorter than the
 // schema.
 func (c *RowCursor) Row() schema.Row {
-	return schema.Row{Values: c.scratch[:c.b.arityOf(c.i)], Change: schema.ChangeType(c.b.changes[c.i])}
+	at := c.at * c.width
+	arity := c.b.arityOf(c.i)
+	return schema.Row{Values: c.rows[at : at+arity : at+arity], Change: schema.ChangeType(c.b.changes[c.i])}
 }
 
 // Retain returns the current row in a form that stays valid after Next.
@@ -295,20 +320,17 @@ func (b *ColBatch) Vectors(sel wire.Selection) ([]wire.Vector, wire.Selection) {
 
 // IdentityVectors returns, aligned with the vectors and selection
 // Vectors returns for the same sel, the three unnamed row-identity
-// columns: storage sequence, the value arity the row was written with,
-// and change type.
+// columns: storage sequence (the batch's own sequences as a typed
+// column, not copied), the value arity the row was written with, and
+// change type.
 func (b *ColBatch) IdentityVectors(sel wire.Selection) [3]wire.Vector {
 	if b.identity == nil {
-		seqs := make([]schema.Value, b.NumRows)
-		for i, q := range b.seqs {
-			seqs[i] = schema.Int64(q)
-		}
 		arity := wire.ConstVector("", schema.Int64(int64(b.fullArity)), b.NumRows)
 		if b.arity != nil {
 			arity = runVector(b.NumRows, func(i int) int64 { return int64(b.arityOf(int32(i))) })
 		}
 		b.identity = &[3]wire.Vector{
-			wire.PlainVector("", seqs),
+			wire.IntVector("", schema.KindInt64, b.seqs, nil),
 			arity,
 			runVector(b.NumRows, func(i int) int64 { return int64(b.changes[i]) }),
 		}

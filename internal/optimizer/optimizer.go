@@ -284,7 +284,7 @@ func (o *Optimizer) scanColumns(ctx context.Context, plan *client.ScanPlan, inpu
 		vecs, sel := b.Vectors(b.Sel)
 		for k := range vecs {
 			f := b.ColIdx[k]
-			rs.cols[f] = append(rs.cols[f], vecs[k].Gather(sel)...)
+			rs.cols[f] = vecs[k].AppendValues(rs.cols[f], sel)
 		}
 		seqs, changes := b.RowMeta()
 		if sel == nil {

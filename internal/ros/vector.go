@@ -11,8 +11,10 @@ import (
 // vectors — the handoff from the read cache to every scan. A flat
 // column preserves the file's physical encoding: a dictionary column
 // comes back as dict+codes and a run-length column as its runs, without
-// expansion, so predicates evaluate once per distinct value or run. A struct or repeated field comes back as a
-// PLAIN vector of its assembled values. Unprojected columns are never
+// expansion, so predicates evaluate once per distinct value or run; a
+// PLAIN column of one scalar kind comes back typed, its NULLs in a
+// validity bitmap. A struct or repeated field comes back as a PLAIN
+// vector of its assembled values. Unprojected columns are never
 // decoded at all. idxs holds each vector's top-level field index in s;
 // ok is always true. The returned vectors are memoized on the reader
 // and shared across scans — read-only, like everything else a cached
@@ -113,8 +115,9 @@ func (r *Reader) Seqs() []int64 { return r.seqs }
 func (r *Reader) Changes() []byte { return r.changes }
 
 // vector lazily builds (and memoizes) the column's encoded vector.
-// Unlike materialize, a null-free column skips level decoding entirely
-// and a dictionary column keeps its codes — nothing is expanded.
+// Unlike materialize, a null-free column skips level decoding entirely,
+// a dictionary column keeps its codes and a typed page its unboxed
+// payloads — nothing is expanded to values.
 func (c *Column) vector() (*wire.Vector, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -146,6 +149,17 @@ func (c *Column) buildVector() (*wire.Vector, error) {
 		// predicates see NULL like any other distinct value.
 		v := wire.DictVector(page.Name, append(page.Dict, schema.Null()),
 			spread(defs, c.Leaf.MaxDef, page.Codes, uint32(len(page.Dict))))
+		return &v, nil
+	}
+	if page.Typed() {
+		// The page holds the defined entries; the bitmap places them.
+		valid := wire.AllValid(len(defs))
+		for i, d := range defs {
+			if int(d) != c.Leaf.MaxDef {
+				valid.SetNull(i)
+			}
+		}
+		v := page.Spread(len(defs), valid)
 		return &v, nil
 	}
 	v := wire.PlainVector(page.Name, spread(defs, c.Leaf.MaxDef, page.Gather(nil), schema.Null()))

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"vortex/internal/bin"
 	"vortex/internal/schema"
@@ -53,30 +54,20 @@ func appendValue(dst []byte, v schema.Value) []byte {
 		}
 		return dst
 	}
-	k := v.Kind()
-	dst = append(dst, byte(k))
-	switch k {
-	case schema.KindInt64, schema.KindTimestamp, schema.KindDate, schema.KindNumeric:
-		dst = binary.AppendVarint(dst, v.AsInt64())
+	switch k := v.Kind(); k {
+	case schema.KindInt64, schema.KindTimestamp, schema.KindDate, schema.KindNumeric, schema.KindBool:
+		return AppendInt(dst, k, v.AsInt64())
 	case schema.KindFloat64:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.AsFloat64()))
-		dst = append(dst, buf[:]...)
-	case schema.KindBool:
-		b := byte(0)
-		if v.AsBool() {
-			b = 1
-		}
-		dst = append(dst, b)
+		return AppendFloat(dst, v.AsFloat64())
 	case schema.KindString, schema.KindJSON:
-		s := v.AsString()
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+		return AppendString(dst, k, v.AsString())
 	case schema.KindBytes:
+		dst = append(dst, byte(k))
 		b := v.AsBytes()
 		dst = binary.AppendUvarint(dst, uint64(len(b)))
 		dst = append(dst, b...)
 	case schema.KindStruct:
+		dst = append(dst, byte(k))
 		dst = binary.AppendUvarint(dst, uint64(v.Len()))
 		for i := 0; i < v.Len(); i++ {
 			dst = appendValue(dst, v.FieldValue(i))
@@ -86,6 +77,56 @@ func appendValue(dst []byte, v schema.Value) []byte {
 	}
 	return dst
 }
+
+// TagNull is the whole encoding of a NULL. Every other scalar's
+// encoding starts with its kind as one byte.
+const TagNull = flagNull
+
+// FloatLen is the length of every FLOAT64 encoding.
+const FloatLen = 9
+
+// AppendInt appends the encoding of the value of integer kind k —
+// INT64, TIMESTAMP, DATE or NUMERIC, a zig-zag varint after the tag, or
+// BOOL, one byte 0 or 1 — whose payload is n. AppendInt, AppendFloat
+// and AppendString write the scalars for AppendValue and for a column
+// that holds them unboxed; IntLen and StringLen size them.
+func AppendInt(dst []byte, k schema.Kind, n int64) []byte {
+	dst = append(dst, byte(k))
+	if k == schema.KindBool {
+		if n != 0 {
+			n = 1
+		}
+		return append(dst, byte(n))
+	}
+	return binary.AppendVarint(dst, n)
+}
+
+// AppendFloat appends the encoding of a FLOAT64: its bits, little-endian.
+func AppendFloat(dst []byte, f float64) []byte {
+	dst = append(dst, byte(schema.KindFloat64))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+// AppendString appends the encoding of a STRING or JSON value (k): a
+// uvarint length and the bytes.
+func AppendString(dst []byte, k schema.Kind, s string) []byte {
+	dst = append(dst, byte(k))
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// IntLen is the length of AppendInt's encoding of k and n.
+func IntLen(k schema.Kind, n int64) int {
+	if k == schema.KindBool {
+		return 2
+	}
+	return 1 + uvarintLen(uint64(n<<1)^uint64(n>>63))
+}
+
+// StringLen is the length of AppendString's encoding of s.
+func StringLen(s string) int { return 1 + uvarintLen(uint64(len(s))) + len(s) }
+
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // DecodeRow decodes one row from the front of data, returning the row and
 // the number of bytes consumed.

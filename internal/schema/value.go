@@ -92,6 +92,17 @@ func bytesValue(b []byte) Value {
 	return Value{kind: uint8(KindBytes), p: unsafe.Pointer(unsafe.SliceData(b)), n: int64(len(b))}
 }
 
+// IntOf returns the value of integer kind k — INT64, BOOL (n 0 or 1),
+// TIMESTAMP, DATE or NUMERIC — whose payload is n: AsInt64's inverse,
+// for a column that stores its kind once and its payloads unboxed. Any
+// other kind panics.
+func IntOf(k Kind, n int64) Value {
+	if intKinds>>k&1 == 0 {
+		panic("schema: IntOf of a kind without an integer payload")
+	}
+	return intValue(k, n)
+}
+
 // Null returns a NULL value (assignable to any nullable field).
 func Null() Value { return Value{null: true} }
 

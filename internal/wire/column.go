@@ -17,6 +17,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"vortex/internal/bin"
 	"vortex/internal/rowenc"
@@ -26,8 +28,17 @@ import (
 // AppendColumn appends `encoding | uvarint length | payload` for the
 // selected rows of v, keeping v's encoding: a DICT vector emits a
 // dictionary compacted to the selection plus the selected codes, an RLE
-// vector its runs intersected with the selection.
+// vector its runs intersected with the selection, a typed vector its
+// rows straight from their unboxed payloads, sized first so they are
+// written once, in place.
 func AppendColumn(dst []byte, v *Vector, sel Selection) []byte {
+	if v.Typed() && sel.Count(v.Len()) > 0 {
+		size := v.typedSize(sel)
+		dst = slices.Grow(dst, 1+binary.MaxVarintLen64+size)
+		dst = append(dst, BatchEncPlain)
+		dst = binary.AppendUvarint(dst, uint64(size))
+		return v.appendTyped(dst, sel)
+	}
 	enc, payload := ColumnPayload(v, sel)
 	dst = append(dst, enc)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
@@ -46,33 +57,39 @@ func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 		return BatchEncPlain, nil
 	case v.Enc == BatchEncDict:
 		// Compact the dictionary to the codes the selection actually
-		// uses (the decoder requires dictLen <= rows). If compaction
-		// leaves as many entries as rows, PLAIN is no bigger.
+		// uses (the decoder requires dictLen <= rows), encoding each
+		// entry once, in first-use order. If compaction leaves as many
+		// entries as rows, every row brought its own entry: those
+		// encodings in order are the PLAIN payload, which is no bigger.
 		remap := make([]int32, len(v.Dict))
 		for i := range remap {
 			remap[i] = -1
 		}
-		var dict []schema.Value
-		codes := make([]uint32, 0, nSel)
-		_ = forEachSel(sel, n, func(i int32) error {
+		var entries []byte
+		dictLen := int32(0)
+		codes := make([]uint32, nSel)
+		for k := range codes {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
 			c := v.Codes[i]
 			if remap[c] < 0 {
-				remap[c] = int32(len(dict))
-				dict = append(dict, v.Dict[c])
+				remap[c] = dictLen
+				dictLen++
+				entries = rowenc.AppendValue(entries, v.Dict[c])
 			}
-			codes = append(codes, uint32(remap[c]))
-			return nil
-		})
-		if len(dict) < nSel {
-			p = binary.AppendUvarint(p, uint64(len(dict)))
-			for _, d := range dict {
-				p = rowenc.AppendValue(p, d)
-			}
-			for _, c := range codes {
-				p = binary.AppendUvarint(p, uint64(c))
-			}
-			return BatchEncDict, p
+			codes[k] = uint32(remap[c])
 		}
+		if int(dictLen) == nSel {
+			return BatchEncPlain, entries
+		}
+		p = binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen32+len(entries)+2*nSel), uint64(dictLen))
+		p = append(p, entries...)
+		for _, c := range codes {
+			p = binary.AppendUvarint(p, uint64(c))
+		}
+		return BatchEncDict, p
 	case v.Enc == BatchEncRLE:
 		// Re-run the runs over the selection: adjacent selected rows in
 		// the same source run stay one run.
@@ -101,10 +118,72 @@ func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 		}
 		return BatchEncRLE, p
 	}
-	for _, val := range v.Gather(sel) {
-		p = rowenc.AppendValue(p, val)
+	if v.Typed() {
+		return BatchEncPlain, v.appendTyped(make([]byte, 0, v.typedSize(sel)), sel)
+	}
+	for k := 0; k < nSel; k++ {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		p = rowenc.AppendValue(p, v.Values[i])
 	}
 	return BatchEncPlain, p
+}
+
+// typedSize is the length of the selected rows of a typed vector in
+// the rowenc single-value codec.
+func (v *Vector) typedSize(sel Selection) int {
+	size := 0
+	if sel == nil {
+		for i, n := 0, v.Len(); i < n; i++ {
+			size += v.rowSize(i)
+		}
+		return size
+	}
+	for _, i := range sel {
+		size += v.rowSize(int(i))
+	}
+	return size
+}
+
+func (v *Vector) rowSize(i int) int {
+	switch {
+	case !v.Valid.Has(i):
+		return 1
+	case v.Kind == schema.KindFloat64:
+		return rowenc.FloatLen
+	case v.Kind == schema.KindString || v.Kind == schema.KindJSON:
+		return rowenc.StringLen(v.Str[v.Offs[i]:v.Offs[i+1]])
+	}
+	return rowenc.IntLen(v.Kind, v.Ints[i])
+}
+
+// appendTyped appends the selected rows of a typed vector in the rowenc
+// single-value codec: the bytes AppendValue writes for their Values.
+func (v *Vector) appendTyped(dst []byte, sel Selection) []byte {
+	if sel == nil {
+		for i, n := 0, v.Len(); i < n; i++ {
+			dst = v.appendRow(dst, i)
+		}
+		return dst
+	}
+	for _, i := range sel {
+		dst = v.appendRow(dst, int(i))
+	}
+	return dst
+}
+
+func (v *Vector) appendRow(dst []byte, i int) []byte {
+	switch {
+	case !v.Valid.Has(i):
+		return append(dst, rowenc.TagNull)
+	case v.Kind == schema.KindFloat64:
+		return rowenc.AppendFloat(dst, v.Floats[i])
+	case v.Kind == schema.KindString || v.Kind == schema.KindJSON:
+		return rowenc.AppendString(dst, v.Kind, v.Str[v.Offs[i]:v.Offs[i+1]])
+	}
+	return rowenc.AppendInt(dst, v.Kind, v.Ints[i])
 }
 
 // DecodeColumn decodes a payload of rows rows into a vector in encoded
@@ -122,10 +201,7 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 	r := bin.NewReader(payload)
 	switch enc {
 	case BatchEncPlain:
-		v.Values = make([]schema.Value, rows)
-		for i := range v.Values {
-			v.Values[i] = rowenc.ReadValue(r)
-		}
+		decodePlain(&v, r, payload, rows)
 	case BatchEncRLE:
 		for covered := 0; covered < rows; {
 			runLen := r.Uvarint()
@@ -165,6 +241,110 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 		return v, fmt.Errorf("%w: %d trailing payload bytes", ErrBatchCorrupt, r.Len())
 	}
 	return v, nil
+}
+
+// decodePlain reads a PLAIN payload of rows values into v in one pass.
+// It types the column while every value is NULL or of the first
+// non-NULL value's kind. At the first value that is neither, or that
+// cannot be typed, it promotes the rows read so far to Values and reads
+// the rest with rowenc.ReadValue. The typed reads follow rowenc's
+// scalar layouts byte for byte, and refuse what ReadValue refuses;
+// FuzzDecodeColumn holds them to it.
+func decodePlain(v *Vector, r *bin.Reader, payload []byte, rows int) {
+	var str strings.Builder // typed STRING/JSON: Str as it grows
+	for i := 0; i < rows; {
+		if r.Len() == 0 {
+			r.Byte() // records the short read
+			return
+		}
+		switch tag := payload[r.Pos()]; {
+		case tag == rowenc.TagNull:
+			r.Byte()
+			if v.Valid == nil {
+				v.Valid = AllValid(rows)
+			}
+			v.Valid.SetNull(i)
+			if v.Offs != nil {
+				v.Offs[i+1] = int32(str.Len())
+			}
+			i++
+			continue
+		case v.Typed() && tag == byte(v.Kind):
+		case !v.Typed() && typedKind(schema.Kind(tag)) && len(payload) <= math.MaxInt32:
+			v.Kind = schema.Kind(tag)
+			switch v.Kind {
+			case schema.KindFloat64:
+				v.Floats = make([]float64, rows)
+			case schema.KindString, schema.KindJSON:
+				v.Offs = make([]int32, rows+1)
+				str.Grow(len(payload) - rows) // every row spends a tag byte
+			default:
+				v.Ints = make([]int64, rows)
+			}
+		default:
+			v.promote(i, rows, str.String())
+			for ; i < rows; i++ {
+				v.Values[i] = rowenc.ReadValue(r)
+			}
+			return
+		}
+		i = v.readRun(r, payload, i, rows, &str)
+	}
+	if !v.Typed() { // every row NULL, or none
+		v.promote(rows, rows, "")
+		return
+	}
+	v.Str = str.String()
+}
+
+// readRun reads the values of v's kind from row i on, up to the first
+// row that is not one, and returns that row.
+func (v *Vector) readRun(r *bin.Reader, payload []byte, i, rows int, str *strings.Builder) int {
+	tag := byte(v.Kind)
+	next := func() bool { return i < rows && r.Len() > 0 && payload[r.Pos()] == tag }
+	switch v.Kind {
+	case schema.KindFloat64:
+		for floats := v.Floats; next(); i++ {
+			r.Byte()
+			floats[i] = math.Float64frombits(r.Uint64())
+		}
+	case schema.KindString, schema.KindJSON:
+		for offs := v.Offs; next(); i++ {
+			r.Byte()
+			str.Write(r.Block())
+			offs[i+1] = int32(str.Len())
+		}
+	case schema.KindBool:
+		for ints := v.Ints; next(); i++ {
+			r.Byte()
+			b := r.Byte()
+			if b > 1 {
+				r.Fail(fmt.Errorf("bool byte %d", b))
+			}
+			ints[i] = int64(b)
+		}
+	default:
+		for ints := v.Ints; next(); i++ {
+			r.Byte()
+			ints[i] = r.Varint()
+		}
+	}
+	return i
+}
+
+// promote turns a typed vector whose first n of rows rows are read into
+// an untyped one with those n values, the rest to be read.
+func (v *Vector) promote(n, rows int, str string) {
+	v.Str = str
+	vals := make([]schema.Value, rows)
+	for i := 0; i < n; i++ {
+		if v.Typed() {
+			vals[i] = v.ValueAt(i)
+		} else {
+			vals[i] = schema.Null()
+		}
+	}
+	*v = Vector{Name: v.Name, Enc: BatchEncPlain, Values: vals}
 }
 
 // BuildDict numbers the distinct values of vals in first-seen order,

@@ -122,4 +122,118 @@ func BenchmarkColumnCodec(b *testing.B) {
 			}
 		})
 	}
+
+	// PLAIN columns of one scalar kind, as a ROS page or a read-session
+	// frame carries them: encode is the vector DecodeColumn returns
+	// written back out, whole and through a one-in-three selection (a
+	// filtered chunk); decode is DecodeColumn alone (a ROS page opening
+	// into its cached vector), decode-values adds Gather(nil)
+	// (DecodeRecordBatch's column path).
+	ints := make([]schema.Value, len(rows))
+	numerics := column("totalSale")
+	for i := range ints {
+		ints[i] = schema.Int64(int64(i) * 2654435761 % 1_000_000_007)
+		if i%5 == 4 {
+			numerics[i] = schema.Null()
+		}
+	}
+	var third Selection
+	for i := 0; i < len(rows); i += 3 {
+		third = append(third, int32(i))
+	}
+	for _, shape := range []struct {
+		name string
+		vals []schema.Value
+	}{
+		{"int64", ints},
+		{"timestamp", column("orderTimestamp")},
+		{"numeric-nulls", numerics},
+		{"string", column("salesOrderKey")},
+	} {
+		pv := PlainVector("c", shape.vals)
+		_, payload := ColumnPayload(&pv, nil)
+		v, err := DecodeColumn("c", BatchEncPlain, payload, len(shape.vals))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, enc := range []struct {
+			name string
+			sel  Selection
+		}{{"encode", nil}, {"encode-sel3", third}} {
+			b.Run("plain-"+shape.name+"/"+enc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(payload)))
+				var buf []byte
+				for i := 0; i < b.N; i++ {
+					buf = AppendColumn(buf[:0], &v, enc.sel)
+				}
+			})
+		}
+		b.Run("plain-"+shape.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeColumn("c", BatchEncPlain, payload, len(shape.vals)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("plain-"+shape.name+"/decode-values", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			for i := 0; i < b.N; i++ {
+				v, err := DecodeColumn("c", BatchEncPlain, payload, len(shape.vals))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := v.Gather(nil); len(got) != len(shape.vals) {
+					b.Fatalf("decoded %d values, want %d", len(got), len(shape.vals))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVectorFilter times the code-space filter on one column of
+// 4 096 Sales rows, customerKey = one customer, in each form a scan
+// meets it: DICT (one evaluation per distinct value), RLE over the
+// sorted column (one per run) and PLAIN as DecodeColumn returns it (one
+// per row, each handed a Value built for it).
+func BenchmarkVectorFilter(b *testing.B) {
+	s := workload.SalesSchema()
+	rows := workload.NewGen(1, 64).SalesRows(0, 4096)
+	vals := make([]schema.Value, len(rows))
+	for i, r := range rows {
+		vals[i] = r.Values[s.FieldIndex("customerKey")]
+	}
+	want := vals[len(vals)/2]
+	keep := func(v schema.Value) (bool, error) { return v.Equal(want), nil }
+	dict, codes, _ := BuildDict(vals, len(vals))
+	sorted := append([]schema.Value(nil), vals...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
+	runs, _ := BuildRuns(sorted, len(sorted))
+	pv := PlainVector("c", vals)
+	_, payload := ColumnPayload(&pv, nil)
+	plain, err := DecodeColumn("c", BatchEncPlain, payload, len(vals))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    Vector
+	}{
+		{"dict", DictVector("c", dict, codes)},
+		{"rle", RLEVector("c", runs)},
+		{"plain", plain},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sel, _, err := c.v.Filter(nil, keep)
+				if err != nil || len(sel) == 0 {
+					b.Fatalf("filter kept %d rows: %v", len(sel), err)
+				}
+			}
+		})
+	}
 }

@@ -97,7 +97,9 @@ func EncodeRecordBatch(b *RecordBatch) []byte {
 
 // DecodeRecordBatch decodes one frame from the front of data, returning
 // the batch and the number of bytes consumed: each column through
-// DecodeColumn, then expanded to values. Malformed frames — truncation,
+// DecodeColumn, then expanded to values in one pass. A typed column's
+// strings share the one string it decoded them into, so no value costs
+// an allocation of its own. Malformed frames — truncation,
 // bad magic, CRC mismatch, over-long runs, out-of-range dictionary
 // indexes — are rejected with ErrBatchCorrupt.
 func DecodeRecordBatch(data []byte) (*RecordBatch, int, error) {

@@ -13,6 +13,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 
 	"vortex/internal/schema"
 )
@@ -38,23 +39,66 @@ type Run struct {
 	Value schema.Value
 }
 
-// Vector is one column in encoded form. Exactly one of Values
-// (BatchEncPlain), Dict+Codes (BatchEncDict) or Runs (BatchEncRLE) is
-// populated, per Enc. Vectors handed out by readers are shared across
-// scans and must be treated as read-only.
+// Vector is one column in encoded form. Enc says which fields hold it:
+//
+//	PLAIN, typed  Kind, Valid, and Ints, Floats or Str+Offs by kind
+//	PLAIN         Values
+//	DICT          Dict+Codes
+//	RLE           Runs
+//
+// A PLAIN column whose rows are all NULL or of one kind among INT64,
+// TIMESTAMP, DATE, NUMERIC, BOOL, FLOAT64, STRING and JSON is typed: its
+// payloads sit unboxed and a schema.Value is built only when ValueAt,
+// Gather or Filter hands one out. DecodeColumn types every such column;
+// a nested, BYTES or mixed-kind column keeps Values. Vectors handed out
+// by readers are shared across scans and must be treated as read-only.
 type Vector struct {
 	Name string
 	Enc  byte
 
-	Values []schema.Value // PLAIN: one value per row
+	Kind   schema.Kind // typed PLAIN: the column's kind; KindInvalid otherwise
+	Ints   []int64     // typed INT64, TIMESTAMP, DATE, NUMERIC, BOOL (0 or 1); 0 at NULLs
+	Floats []float64   // typed FLOAT64; 0 at NULLs
+	Str    string      // typed STRING, JSON: every row's bytes back to back
+	Offs   []int32     // typed STRING, JSON: row i is Str[Offs[i]:Offs[i+1]]; empty at NULLs
+	Valid  Bitmap      // typed: the rows that are not NULL; nil when all are
+
+	Values []schema.Value // untyped PLAIN: one value per row
 	Dict   []schema.Value // DICT: distinct values; may include NULL
 	Codes  []uint32       // DICT: per-row dictionary index
 	Runs   []Run          // RLE: runs covering all rows in order
 }
 
+// Bitmap marks the rows of a typed column that are not NULL: bit i%64
+// of word i/64 for row i. A nil Bitmap marks every row.
+type Bitmap []uint64
+
+// AllValid returns a Bitmap of n rows that marks every one; SetNull
+// unmarks a row.
+func AllValid(n int) Bitmap {
+	b := make(Bitmap, (n+63)/64)
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	return b
+}
+
+// Has reports whether row i is not NULL.
+func (b Bitmap) Has(i int) bool { return b == nil || b[i>>6]&(1<<(i&63)) != 0 }
+
+// SetNull marks row i NULL.
+func (b Bitmap) SetNull(i int) { b[i>>6] &^= 1 << (i & 63) }
+
 // PlainVector wraps per-row values.
 func PlainVector(name string, vals []schema.Value) Vector {
 	return Vector{Name: name, Enc: BatchEncPlain, Values: vals}
+}
+
+// IntVector wraps a typed column of integer kind k (INT64, TIMESTAMP,
+// DATE, NUMERIC, or BOOL as 0 and 1), sharing ints; valid nil means no
+// row is NULL.
+func IntVector(name string, k schema.Kind, ints []int64, valid Bitmap) Vector {
+	return Vector{Name: name, Enc: BatchEncPlain, Kind: k, Ints: ints, Valid: valid}
 }
 
 // DictVector wraps a dictionary column.
@@ -75,11 +119,32 @@ func ConstVector(name string, v schema.Value, n int) Vector {
 	return RLEVector(name, []Run{{Len: int32(n), Value: v}})
 }
 
+// Typed reports whether v is a typed PLAIN column.
+func (v *Vector) Typed() bool { return v.Kind != schema.KindInvalid }
+
+// typedKind reports whether a PLAIN column of kind k is typed.
+func typedKind(k schema.Kind) bool {
+	switch k {
+	case schema.KindInt64, schema.KindTimestamp, schema.KindDate, schema.KindNumeric, schema.KindBool,
+		schema.KindFloat64, schema.KindString, schema.KindJSON:
+		return true
+	}
+	return false
+}
+
 // Len returns the row count the vector covers.
 func (v *Vector) Len() int {
 	switch v.Enc {
 	case BatchEncPlain:
-		return len(v.Values)
+		switch v.Kind {
+		case schema.KindInvalid:
+			return len(v.Values)
+		case schema.KindFloat64:
+			return len(v.Floats)
+		case schema.KindString, schema.KindJSON:
+			return len(v.Offs) - 1
+		}
+		return len(v.Ints)
 	case BatchEncDict:
 		return len(v.Codes)
 	case BatchEncRLE:
@@ -93,12 +158,33 @@ func (v *Vector) Len() int {
 }
 
 // ValueAt decodes the value at row i. For RLE vectors this walks the
-// runs; batch-oriented callers should iterate via Gather or Filter
-// instead of calling ValueAt in a hot loop.
+// runs; batch-oriented callers should iterate via Gather, LoadValues or
+// Filter instead of calling ValueAt in a hot loop. It inlines to an
+// index for an untyped PLAIN vector.
 func (v *Vector) ValueAt(i int) schema.Value {
+	if v.Enc == BatchEncPlain && !v.Typed() {
+		return v.Values[i]
+	}
+	return v.valueAt(i)
+}
+
+// valueAt is ValueAt past its inlined case. A typed string row is a
+// substring of Str: nothing is copied.
+func (v *Vector) valueAt(i int) schema.Value {
 	switch v.Enc {
 	case BatchEncPlain:
-		return v.Values[i]
+		if !v.Valid.Has(i) {
+			return schema.Null()
+		}
+		switch v.Kind {
+		case schema.KindFloat64:
+			return schema.Float64(v.Floats[i])
+		case schema.KindString:
+			return schema.String(v.Str[v.Offs[i]:v.Offs[i+1]])
+		case schema.KindJSON:
+			return schema.RawJSON(v.Str[v.Offs[i]:v.Offs[i+1]])
+		}
+		return schema.IntOf(v.Kind, v.Ints[i])
 	case BatchEncDict:
 		return v.Dict[v.Codes[i]]
 	case BatchEncRLE:
@@ -114,55 +200,130 @@ func (v *Vector) ValueAt(i int) schema.Value {
 
 // Gather materializes the selected rows (late materialization: only
 // called on predicate survivors). A nil selection materializes every
-// row; for PLAIN vectors that case returns the backing slice without
-// copying, so callers must not mutate the result.
+// row; for an untyped PLAIN vector that case returns the backing slice
+// without copying, so callers must not mutate the result.
 func (v *Vector) Gather(sel Selection) []schema.Value {
-	if sel == nil {
-		if v.Enc == BatchEncPlain {
-			return v.Values
-		}
-		n := v.Len()
-		out := make([]schema.Value, n)
-		switch v.Enc {
-		case BatchEncDict:
-			for i, c := range v.Codes {
-				out[i] = v.Dict[c]
-			}
-		case BatchEncRLE:
-			i := 0
-			for _, r := range v.Runs {
-				for k := int32(0); k < r.Len; k++ {
-					out[i] = r.Value
-					i++
-				}
-			}
-		}
-		return out
+	if sel == nil && v.Enc == BatchEncPlain && !v.Typed() {
+		return v.Values
 	}
-	out := make([]schema.Value, len(sel))
-	switch v.Enc {
-	case BatchEncPlain:
-		for k, i := range sel {
-			out[k] = v.Values[i]
+	return v.AppendValues(nil, sel)
+}
+
+// AppendValues appends the selected rows' values to dst (nil sel: every
+// row) and returns the extended slice.
+func (v *Vector) AppendValues(dst []schema.Value, sel Selection) []schema.Value {
+	n := sel.Count(v.Len())
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	v.LoadValues(dst[at:], 1, sel)
+	return dst
+}
+
+// LoadValues stores the selected rows' values (nil sel: every row) at
+// dst[0], dst[stride], dst[2*stride], …: Gather into memory the caller
+// lays out, such as a block of row-major cursor rows. A typed column is
+// built in one loop per kind, with its NULLs laid over it after.
+func (v *Vector) LoadValues(dst []schema.Value, stride int, sel Selection) {
+	n := sel.Count(v.Len())
+	row := func(o int) int {
+		if sel == nil {
+			return o
 		}
-	case BatchEncDict:
-		for k, i := range sel {
-			out[k] = v.Dict[v.Codes[i]]
+		return int(sel[o])
+	}
+	switch {
+	case v.Enc == BatchEncPlain && !v.Typed():
+		for o := 0; o < n; o++ {
+			dst[o*stride] = v.Values[row(o)]
 		}
-	case BatchEncRLE:
-		// Selections are sorted, so one forward walk over the runs covers
+	case v.Enc == BatchEncDict:
+		for o := 0; o < n; o++ {
+			dst[o*stride] = v.Dict[v.Codes[row(o)]]
+		}
+	case v.Enc == BatchEncRLE:
+		// Selections ascend, so one forward walk over the runs covers
 		// every selected row.
 		ri, start := 0, int32(0)
-		for k, i := range sel {
+		for o := 0; o < n; o++ {
+			i := int32(row(o))
 			for ri < len(v.Runs) && i >= start+v.Runs[ri].Len {
 				start += v.Runs[ri].Len
 				ri++
 			}
 			if ri < len(v.Runs) {
-				out[k] = v.Runs[ri].Value
+				dst[o*stride] = v.Runs[ri].Value
 			} else {
-				out[k] = schema.Null()
+				dst[o*stride] = schema.Null()
 			}
+		}
+	case v.Kind == schema.KindFloat64:
+		for o, floats := 0, v.Floats; o < n; o++ {
+			dst[o*stride] = schema.Float64(floats[row(o)])
+		}
+	case v.Kind == schema.KindString:
+		for o, str, offs := 0, v.Str, v.Offs; o < n; o++ {
+			i := row(o)
+			dst[o*stride] = schema.String(str[offs[i]:offs[i+1]])
+		}
+	case v.Kind == schema.KindJSON:
+		for o, str, offs := 0, v.Str, v.Offs; o < n; o++ {
+			i := row(o)
+			dst[o*stride] = schema.RawJSON(str[offs[i]:offs[i+1]])
+		}
+	default:
+		for o, k, ints := 0, v.Kind, v.Ints; o < n; o++ {
+			dst[o*stride] = schema.IntOf(k, ints[row(o)])
+		}
+	}
+	if v.Typed() && v.Valid != nil {
+		for o := 0; o < n; o++ {
+			if !v.Valid.Has(row(o)) {
+				dst[o*stride] = schema.Null()
+			}
+		}
+	}
+}
+
+// Spread lays a typed column out over n rows: row i takes the next of
+// v's rows where valid (not nil; Spread keeps it) marks it, and is NULL
+// where it does not. It is how a ROS value page, which holds only the
+// defined entries, becomes its column; Str is shared, not copied.
+func (v *Vector) Spread(n int, valid Bitmap) Vector {
+	out := Vector{Name: v.Name, Enc: BatchEncPlain, Kind: v.Kind, Valid: valid}
+	switch v.Kind {
+	case schema.KindFloat64:
+		out.Floats = spreadRows(v, n, valid, v.Floats)
+	case schema.KindString, schema.KindJSON:
+		// Row i ends where the last of v's rows placed so far ends.
+		out.Str, out.Offs = v.Str, make([]int32, n+1)
+		k := 0
+		for i := 0; i < n; i++ {
+			if valid.Has(i) {
+				if !v.Valid.Has(k) {
+					valid.SetNull(i)
+				}
+				k++
+			}
+			out.Offs[i+1] = v.Offs[k]
+		}
+	default:
+		out.Ints = spreadRows(v, n, valid, v.Ints)
+	}
+	return out
+}
+
+// spreadRows is Spread for one payload slice; a row v holds as NULL
+// stays NULL.
+func spreadRows[T any](v *Vector, n int, valid Bitmap, rows []T) []T {
+	out := make([]T, n)
+	k := 0
+	for i := range out {
+		if valid.Has(i) {
+			if !v.Valid.Has(k) {
+				valid.SetNull(i)
+			}
+			out[i] = rows[k]
+			k++
 		}
 	}
 	return out
@@ -189,10 +350,11 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 	var st FilterStats
 	switch v.Enc {
 	case BatchEncPlain:
-		out := make(Selection, 0, sel.Count(len(v.Values)))
-		err := forEachSel(sel, len(v.Values), func(i int32) error {
+		n := v.Len()
+		out := make(Selection, 0, sel.Count(n))
+		err := forEachSel(sel, n, func(i int32) error {
 			st.Evaluated++
-			ok, err := keep(v.Values[i])
+			ok, err := keep(v.ValueAt(int(i)))
 			if err != nil {
 				return err
 			}

@@ -15,8 +15,18 @@ func i64s(vals ...int64) []schema.Value {
 	return out
 }
 
+// decodedPlain is vals decoded from their PLAIN payload: the typed
+// form when they are NULLs and one scalar kind.
+func decodedPlain(name string, vals []schema.Value) Vector {
+	v, err := DecodeColumn(name, BatchEncPlain, plainPayload(vals...), len(vals))
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // testVectors returns the same logical column (0,0,1,1,1,2,NULL,2) in
-// all three encodings.
+// all three encodings, PLAIN both as values and typed.
 func testVectors() []Vector {
 	plain := []schema.Value{
 		schema.Int64(0), schema.Int64(0), schema.Int64(1), schema.Int64(1),
@@ -35,11 +45,15 @@ func testVectors() []Vector {
 		PlainVector("c", plain),
 		DictVector("c", dict, codes),
 		RLEVector("c", runs),
+		decodedPlain("c", plain),
 	}
 }
 
 func TestVectorValueAtAndGather(t *testing.T) {
 	want := testVectors()[0].Values
+	if typed := testVectors()[3]; !typed.Typed() || typed.Valid.Has(6) || !typed.Valid.Has(7) {
+		t.Fatalf("PLAIN ints with a NULL decoded as %+v, want typed with row 6 NULL", typed)
+	}
 	for _, v := range testVectors() {
 		if v.Len() != len(want) {
 			t.Fatalf("enc %d: Len=%d want %d", v.Enc, v.Len(), len(want))
@@ -156,7 +170,7 @@ func TestEncodeVectorsRoundTrip(t *testing.T) {
 	vecs := testVectors()
 	sels := []Selection{nil, {}, {0}, {0, 2, 5, 6, 7}, {6}, {0, 1, 2, 3, 4, 5, 6, 7}}
 	for _, sel := range sels {
-		cols := []Vector{vecs[0], vecs[1], vecs[2], ConstVector("k", schema.Int64(7), 8)}
+		cols := append(vecs[:len(vecs):len(vecs)], ConstVector("k", schema.Int64(7), 8))
 		for i := range cols {
 			cols[i].Name = string(rune('a' + i))
 		}
@@ -208,6 +222,7 @@ func FuzzSelectionGather(f *testing.F) {
 	f.Add(uint16(0x0f), uint8(0), uint8(3))
 	f.Add(uint16(0xaaaa), uint8(1), uint8(7))
 	f.Add(uint16(0xffff), uint8(2), uint8(1))
+	f.Add(uint16(0x5a5a), uint8(3), uint8(4))
 	f.Fuzz(func(t *testing.T, selBits uint16, encPick uint8, mod uint8) {
 		if mod == 0 {
 			mod = 1
@@ -222,9 +237,14 @@ func FuzzSelectionGather(f *testing.F) {
 			}
 		}
 		var v Vector
-		switch encPick % 3 {
+		switch encPick % 4 {
 		case 0:
 			v = PlainVector("c", vals)
+		case 3:
+			v = decodedPlain("c", vals)
+			if !v.Typed() {
+				t.Fatalf("%v decoded untyped", vals)
+			}
 		case 1:
 			var dict []schema.Value
 			idx := map[string]uint32{}

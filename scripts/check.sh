@@ -27,6 +27,18 @@ if [ -n "$untyped" ]; then
     exit 1
 fi
 
+# One file may convert unsafe.Pointer: schema/value.go, which keeps the
+# rules that make its three-word Value sound (DESIGN.md §11). A typed
+# vector or any other code that wants a view without a copy asks schema
+# for it rather than importing unsafe itself.
+unsafe_users=$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"unsafe"' . |
+    grep -vE '^\./(internal/schema/value\.go|\.bench_build/)' || true)
+if [ -n "$unsafe_users" ]; then
+    echo "unsafe imported outside internal/schema/value.go:" >&2
+    echo "$unsafe_users" >&2
+    exit 1
+fi
+
 # The chaos suites are expected to be deterministic under -race; an
 # ordering flake is a bug, so -shuffle=on surfaces hidden inter-test
 # order dependencies. -race also turns on checkptr, which checks every
@@ -92,6 +104,7 @@ blockenc  FuzzOpen
 fragment  FuzzScan
 ros       FuzzOpen
 wire      FuzzDecodeRecordBatch
+wire      FuzzDecodeColumn
 wire      FuzzSelectionGather
 disktier  FuzzDecodeEntry
 rpc       FuzzDecodeFrame
