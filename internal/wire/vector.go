@@ -341,6 +341,10 @@ type FilterStats struct {
 	Evaluated int64
 }
 
+// filterBlock is how many rows of a PLAIN vector Filter builds values
+// for at a time.
+const filterBlock = 64
+
 // Filter narrows a selection by a single-column predicate. The
 // predicate runs once per distinct code for DICT vectors and once per
 // run for RLE vectors — rows are then kept or dropped wholesale by
@@ -350,20 +354,34 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 	var st FilterStats
 	switch v.Enc {
 	case BatchEncPlain:
-		n := v.Len()
-		out := make(Selection, 0, sel.Count(n))
-		err := forEachSel(sel, n, func(i int32) error {
-			st.Evaluated++
-			ok, err := keep(v.ValueAt(int(i)))
-			if err != nil {
-				return err
+		// Rows are handed to keep from a block of values built by one
+		// LoadValues loop, not one ValueAt call each.
+		n := sel.Count(v.Len())
+		out := make(Selection, 0, n)
+		var vals [filterBlock]schema.Value
+		var rows [filterBlock]int32
+		for at := 0; at < n; at += filterBlock {
+			block := rows[:min(filterBlock, n-at)]
+			if sel != nil {
+				block = sel[at : at+len(block)]
+			} else {
+				for j := range block {
+					block[j] = int32(at + j)
+				}
 			}
-			if ok {
-				out = append(out, i)
+			v.LoadValues(vals[:], 1, block)
+			for j, i := range block {
+				st.Evaluated++
+				ok, err := keep(vals[j])
+				if err != nil {
+					return out, st, err
+				}
+				if ok {
+					out = append(out, i)
+				}
 			}
-			return nil
-		})
-		return out, st, err
+		}
+		return out, st, nil
 	case BatchEncDict:
 		keepCode := make([]bool, len(v.Dict))
 		for c, dv := range v.Dict {
