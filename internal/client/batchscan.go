@@ -19,8 +19,8 @@ import (
 // change type and the value arity the row was written with. A ROS
 // fragment contributes the read cache's encoded vectors (DICT, RLE,
 // typed PLAIN — nested fields as PLAIN vectors of assembled values), a
-// WOS file its transposed PLAIN columns of values; both are shared with the cache and
-// read-only. Consumers address rows by physical index through a
+// WOS file its transposed PLAIN columns of values; both are shared with
+// the cache and read-only. Consumers address rows by physical index through a
 // wire.Selection and use three operations: Narrow a selection by a
 // predicate, walk selected rows with a Cursor, and emit selected rows
 // as Vectors.
