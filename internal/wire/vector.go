@@ -341,7 +341,7 @@ type FilterStats struct {
 	Evaluated int64
 }
 
-// filterBlock is how many rows of a PLAIN vector Filter builds values
+// filterBlock is how many rows of a typed vector Filter builds values
 // for at a time.
 const filterBlock = 64
 
@@ -354,34 +354,22 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 	var st FilterStats
 	switch v.Enc {
 	case BatchEncPlain:
-		// Rows are handed to keep from a block of values built by one
-		// LoadValues loop, not one ValueAt call each.
-		n := sel.Count(v.Len())
-		out := make(Selection, 0, n)
-		var vals [filterBlock]schema.Value
-		var rows [filterBlock]int32
-		for at := 0; at < n; at += filterBlock {
-			block := rows[:min(filterBlock, n-at)]
-			if sel != nil {
-				block = sel[at : at+len(block)]
-			} else {
-				for j := range block {
-					block[j] = int32(at + j)
-				}
-			}
-			v.LoadValues(vals[:], 1, block)
-			for j, i := range block {
-				st.Evaluated++
-				ok, err := keep(vals[j])
-				if err != nil {
-					return out, st, err
-				}
-				if ok {
-					out = append(out, i)
-				}
-			}
+		if v.Typed() {
+			return v.filterTyped(sel, keep)
 		}
-		return out, st, nil
+		out := make(Selection, 0, sel.Count(len(v.Values)))
+		err := forEachSel(sel, len(v.Values), func(i int32) error {
+			st.Evaluated++
+			ok, err := keep(v.Values[i])
+			if err != nil {
+				return err
+			}
+			if ok {
+				out = append(out, i)
+			}
+			return nil
+		})
+		return out, st, err
 	case BatchEncDict:
 		keepCode := make([]bool, len(v.Dict))
 		for c, dv := range v.Dict {
@@ -463,6 +451,38 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 		return out, st, nil
 	}
 	return nil, st, fmt.Errorf("wire: filter on encoding 0x%02x", v.Enc)
+}
+
+// filterTyped is Filter on a typed vector: keep is handed rows from a
+// block of values built by one LoadValues loop, not one call each.
+func (v *Vector) filterTyped(sel Selection, keep func(schema.Value) (bool, error)) (Selection, FilterStats, error) {
+	var st FilterStats
+	n := sel.Count(v.Len())
+	out := make(Selection, 0, n)
+	var vals [filterBlock]schema.Value
+	var rows [filterBlock]int32
+	for at := 0; at < n; at += filterBlock {
+		block := rows[:min(filterBlock, n-at)]
+		if sel != nil {
+			block = sel[at : at+len(block)]
+		} else {
+			for j := range block {
+				block[j] = int32(at + j)
+			}
+		}
+		v.LoadValues(vals[:], 1, block)
+		for j, i := range block {
+			st.Evaluated++
+			ok, err := keep(vals[j])
+			if err != nil {
+				return out, st, err
+			}
+			if ok {
+				out = append(out, i)
+			}
+		}
+	}
+	return out, st, nil
 }
 
 // Count returns how many of n rows the selection picks.
