@@ -240,6 +240,14 @@ func (v *Vector) LoadValues(dst []schema.Value, stride int, sel Selection) {
 		for o := 0; o < n; o++ {
 			dst[o*stride] = v.Dict[v.Codes[row(o)]]
 		}
+	case v.Enc == BatchEncRLE && sel == nil:
+		o := 0
+		for _, r := range v.Runs {
+			for k := int32(0); k < r.Len; k++ {
+				dst[o*stride] = r.Value
+				o++
+			}
+		}
 	case v.Enc == BatchEncRLE:
 		// Selections ascend, so one forward walk over the runs covers
 		// every selected row.
