@@ -186,6 +186,7 @@ type RowCursor struct {
 	at       int            // the current row's place in the block
 	run      []int          // per column: current RLE run, -1 before the first
 	runStart []int32        // per column: first physical row of the run after it
+	held     []int          // per RLE column: the run every scratch row holds, or -1
 }
 
 // Cursor returns a cursor over sel (nil: every physical row),
@@ -198,12 +199,13 @@ func (b *ColBatch) Cursor(sel wire.Selection) *RowCursor {
 		rows:     nullValues(min(n, cursorBlock) * len(b.sc.Fields)),
 		run:      make([]int, len(b.cols)),
 		runStart: make([]int32, len(b.cols)),
+		held:     make([]int, len(b.cols)),
 	}
 	if sel == nil {
 		c.idx = make(wire.Selection, 0, min(n, cursorBlock))
 	}
 	for k := range c.run {
-		c.run[k] = -1
+		c.run[k], c.held[k] = -1, -1
 	}
 	return c
 }
@@ -240,16 +242,32 @@ func (c *RowCursor) fill() {
 			v.LoadValues(dst, c.width, c.idx)
 			continue
 		}
-		// Selections ascend, so runs only move forward.
-		for j, i := range c.idx {
-			for c.run[k]+1 < len(v.Runs) && i >= c.runStart[k] {
-				c.run[k]++
-				c.runStart[k] += v.Runs[c.run[k]].Len
+		// Selections ascend, so runs only move forward. A block that one
+		// run covers is not rewritten when its rows hold that run already.
+		c.advance(k, c.idx[0])
+		if last := c.idx[len(c.idx)-1]; c.run[k]+1 == len(v.Runs) || last < c.runStart[k] {
+			if c.run[k] >= 0 && c.held[k] != c.run[k] {
+				for j := range c.idx {
+					dst[j*c.width] = v.Runs[c.run[k]].Value
+				}
+				c.held[k] = c.run[k]
 			}
-			if c.run[k] >= 0 {
-				dst[j*c.width] = v.Runs[c.run[k]].Value
-			}
+			continue
 		}
+		c.held[k] = -1
+		for j, i := range c.idx {
+			c.advance(k, i)
+			dst[j*c.width] = v.Runs[c.run[k]].Value
+		}
+	}
+}
+
+// advance moves RLE column k's run cursor to the run holding row i.
+func (c *RowCursor) advance(k int, i int32) {
+	runs := c.b.cols[k].Runs
+	for c.run[k]+1 < len(runs) && i >= c.runStart[k] {
+		c.run[k]++
+		c.runStart[k] += runs[c.run[k]].Len
 	}
 }
 
