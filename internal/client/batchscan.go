@@ -348,7 +348,7 @@ func (b *ColBatch) IdentityVectors(sel wire.Selection) [3]wire.Vector {
 			arity = runVector(b.NumRows, func(i int) int64 { return int64(b.arityOf(int32(i))) })
 		}
 		b.identity = &[3]wire.Vector{
-			wire.IntVector("", schema.KindInt64, b.seqs, nil),
+			wire.IntVector("", schema.KindInt64, b.seqs),
 			arity,
 			runVector(b.NumRows, func(i int) int64 { return int64(b.changes[i]) }),
 		}

@@ -95,10 +95,9 @@ func PlainVector(name string, vals []schema.Value) Vector {
 }
 
 // IntVector wraps a typed column of integer kind k (INT64, TIMESTAMP,
-// DATE, NUMERIC, or BOOL as 0 and 1), sharing ints; valid nil means no
-// row is NULL.
-func IntVector(name string, k schema.Kind, ints []int64, valid Bitmap) Vector {
-	return Vector{Name: name, Enc: BatchEncPlain, Kind: k, Ints: ints, Valid: valid}
+// DATE, NUMERIC, or BOOL as 0 and 1) with no NULLs, sharing ints.
+func IntVector(name string, k schema.Kind, ints []int64) Vector {
+	return Vector{Name: name, Enc: BatchEncPlain, Kind: k, Ints: ints}
 }
 
 // DictVector wraps a dictionary column.
@@ -349,10 +348,6 @@ type FilterStats struct {
 	Evaluated int64
 }
 
-// filterBlock is how many rows of a typed vector Filter builds values
-// for at a time.
-const filterBlock = 64
-
 // Filter narrows a selection by a single-column predicate. The
 // predicate runs once per distinct code for DICT vectors and once per
 // run for RLE vectors — rows are then kept or dropped wholesale by
@@ -461,36 +456,53 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 	return nil, st, fmt.Errorf("wire: filter on encoding 0x%02x", v.Enc)
 }
 
-// filterTyped is Filter on a typed vector: keep is handed rows from a
-// block of values built by one LoadValues loop, not one call each.
+// filterTyped is Filter on a typed vector: each row's value is built
+// where keep is called, in one loop per kind.
 func (v *Vector) filterTyped(sel Selection, keep func(schema.Value) (bool, error)) (Selection, FilterStats, error) {
 	var st FilterStats
 	n := sel.Count(v.Len())
 	out := make(Selection, 0, n)
-	var vals [filterBlock]schema.Value
-	var rows [filterBlock]int32
-	for at := 0; at < n; at += filterBlock {
-		block := rows[:min(filterBlock, n-at)]
-		if sel != nil {
-			block = sel[at : at+len(block)]
-		} else {
-			for j := range block {
-				block[j] = int32(at + j)
-			}
+	row := func(o int) int32 {
+		if sel == nil {
+			return int32(o)
 		}
-		v.LoadValues(vals[:], 1, block)
-		for j, i := range block {
-			st.Evaluated++
-			ok, err := keep(vals[j])
-			if err != nil {
-				return out, st, err
-			}
-			if ok {
-				out = append(out, i)
-			}
+		return sel[o]
+	}
+	test := func(i int32, val schema.Value) error {
+		st.Evaluated++
+		if !v.Valid.Has(int(i)) {
+			val = schema.Null()
+		}
+		ok, err := keep(val)
+		if ok && err == nil {
+			out = append(out, i)
+		}
+		return err
+	}
+	var err error
+	switch k, str, offs := v.Kind, v.Str, v.Offs; k {
+	case schema.KindFloat64:
+		for o := 0; o < n && err == nil; o++ {
+			i := row(o)
+			err = test(i, schema.Float64(v.Floats[i]))
+		}
+	case schema.KindString:
+		for o := 0; o < n && err == nil; o++ {
+			i := row(o)
+			err = test(i, schema.String(str[offs[i]:offs[i+1]]))
+		}
+	case schema.KindJSON:
+		for o := 0; o < n && err == nil; o++ {
+			i := row(o)
+			err = test(i, schema.RawJSON(str[offs[i]:offs[i+1]]))
+		}
+	default:
+		for o := 0; o < n && err == nil; o++ {
+			i := row(o)
+			err = test(i, schema.IntOf(k, v.Ints[i]))
 		}
 	}
-	return out, st, nil
+	return out, st, err
 }
 
 // Count returns how many of n rows the selection picks.
