@@ -166,7 +166,7 @@ func nullValues(n int) []schema.Value {
 }
 
 // cursorBlock is how many rows a RowCursor decodes at a time.
-const cursorBlock = 16
+const cursorBlock = 64
 
 // RowCursor walks the selected rows of a batch in order. It decodes
 // them a block at a time, column by column, into reused scratch rows —
