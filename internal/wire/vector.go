@@ -1,7 +1,7 @@
 // Vectorized column access: the encoded-form counterpart of the
 // materialized RecordBatch. A Vector keeps one column in whichever
-// encoding it was stored under — PLAIN values, DICT dictionary+codes,
-// or RLE runs — so predicates can be evaluated in code space (once per
+// encoding it was stored under — PLAIN (unboxed when the column is of
+// one scalar kind), DICT dictionary+codes, or RLE runs — so predicates can be evaluated in code space (once per
 // dictionary entry, once per run) and only surviving rows ever decode
 // to values. A Selection names the surviving row indexes; nil means
 // every row. EncodeVectors re-emits selected rows straight into a
