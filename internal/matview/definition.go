@@ -43,14 +43,9 @@ type Definition struct {
 	// item, with the group-by columns forming the primary key.
 	ViewSchema *schema.Schema
 
-	// itemGroup[i] is the GroupBy position of item i (or -1 for
-	// aggregate items); itemAgg[i] is the aggregate position (-1 for
-	// group items). Together they map DeltaGroup state to view rows in
-	// select-item order, mirroring the engine's finalizeAgg layout.
-	itemGroup []int
-	itemAgg   []int
-	aggFns    []sql.AggFunc
-	aggItems  []query.AggPlanItem
+	// grouping folds base rows into DeltaGroups and renders a group as
+	// its view row — the snapshot engine's GROUP BY mechanism.
+	grouping *query.Grouping
 }
 
 // Compile parses and resolves a CREATE MATERIALIZED VIEW statement and
@@ -123,9 +118,9 @@ func Compile(text string, schemaOf SchemaFunc) (*Definition, error) {
 // inferSchema derives the view's table schema from the resolved items.
 func (d *Definition) inferSchema() error {
 	st := d.Stmt
-	groupPos := make(map[string]int, len(st.GroupBy))
-	for i, g := range st.GroupBy {
-		groupPos[g.Name()] = i
+	gr, err := query.NewGrouping(st)
+	if err != nil {
+		return fmt.Errorf("matview: %s: %w", d.View, err)
 	}
 	vs := &schema.Schema{}
 	seen := map[string]bool{}
@@ -146,27 +141,16 @@ func (d *Definition) inferSchema() error {
 				return fmt.Errorf("matview: %s: %w", d.View, err)
 			}
 			vs.Fields = append(vs.Fields, &schema.Field{Name: name, Kind: kind, Mode: schema.Nullable})
-			d.itemGroup = append(d.itemGroup, -1)
-			d.itemAgg = append(d.itemAgg, len(d.aggFns))
-			d.aggFns = append(d.aggFns, x.Func)
-		case *sql.ColumnRef:
-			pos, ok := groupPos[x.Name()]
-			if !ok {
-				return fmt.Errorf("matview: %s: %s is neither aggregated nor grouped", d.View, x.Name())
-			}
+		case *sql.ColumnRef: // a grouped column: NewGrouping refuses any other
 			vs.Fields = append(vs.Fields, &schema.Field{Name: name, Kind: x.Leaf.Kind, Mode: schema.Required})
 			vs.PrimaryKey = append(vs.PrimaryKey, name)
-			d.itemGroup = append(d.itemGroup, pos)
-			d.itemAgg = append(d.itemAgg, -1)
 			grouped++
-		default:
-			return fmt.Errorf("matview: %s: select item %d must be a column or an aggregate", d.View, i)
 		}
 	}
 	if grouped != len(st.GroupBy) {
 		return fmt.Errorf("matview: %s: every GROUP BY column must appear as a select item (they form the view's primary key)", d.View)
 	}
-	d.aggItems = query.AggPlanOf(st)
+	d.grouping = gr
 	d.ViewSchema = vs
 	return nil
 }
@@ -255,22 +239,9 @@ func selectString(st *sql.SelectStmt) string {
 // live=false renders the retraction form: key columns populated (they
 // address the row), aggregate columns NULL, change type DELETE.
 func (d *Definition) ViewRow(g *query.DeltaGroup, live bool) schema.Row {
-	vals := make([]schema.Value, len(d.itemGroup))
-	for i := range d.itemGroup {
-		switch {
-		case d.itemGroup[i] >= 0:
-			vals[i] = g.Keys[d.itemGroup[i]]
-		case live:
-			vals[i] = g.Aggs[d.itemAgg[i]].Result()
-		default:
-			vals[i] = schema.Null()
-		}
-	}
-	row := schema.Row{Values: vals}
+	row := schema.Row{Values: d.grouping.Row(g, live), Change: schema.ChangeDelete}
 	if live {
 		row.Change = schema.ChangeUpsert
-	} else {
-		row.Change = schema.ChangeDelete
 	}
 	return row
 }

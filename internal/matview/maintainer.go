@@ -367,14 +367,9 @@ func (m *Maintainer) groupApply(row schema.Row, delta int64, dirty map[string]bo
 			return nil
 		}
 	}
-	key, vals := query.GroupKeyOf(st, row)
-	g := m.groups[key]
-	if g == nil {
-		g = query.NewDeltaGroup(vals, m.def.aggFns)
-		m.groups[key] = g
-	}
+	key, err := m.def.grouping.Apply(m.groups, row, delta)
 	dirty[key] = true
-	return g.ApplyDelta(m.def.aggItems, row, delta)
+	return err
 }
 
 // checkpoint renders the maintainer's durable state. Live base rows are

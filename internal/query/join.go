@@ -14,7 +14,7 @@ import (
 // refs. ok is false when any key column is NULL — NULL never joins
 // (SQL inner-join semantics), and the same rule keeps the symmetric
 // hash-join index in matview free of NULL buckets. The rendering is the
-// same NUL-joined value encoding groupKeyOf uses, so join keys and
+// same NUL-joined value encoding GroupKeyOf uses, so join keys and
 // group keys hash compatibly.
 func JoinKey(refs []*sql.ColumnRef, row schema.Row) (string, bool) {
 	var b strings.Builder
@@ -41,11 +41,12 @@ func JoinRow(left, right schema.Row, leftArity int) schema.Row {
 	return schema.Row{Values: vals}
 }
 
-// HashJoinRows is the shared equi-join kernel: it builds a hash table
+// HashJoinRows is the one-shot equi-join kernel: it builds a hash table
 // over the right rows and probes it with the left rows, emitting
-// concatenated joined rows. Both the snapshot join operator and the
-// matview initial build run on it. Output order is left-major (probe
-// order), deterministic for deterministic inputs.
+// concatenated joined rows. The snapshot join operator runs on it; the
+// matview maintainer joins incrementally instead (one symmetric index
+// per side, built from JoinKey and JoinRow). Output order is
+// left-major (probe order), deterministic for deterministic inputs.
 func HashJoinRows(leftRows, rightRows []schema.Row, j *sql.JoinClause, leftArity int) []schema.Row {
 	index := make(map[string][]schema.Row, len(rightRows))
 	for _, r := range rightRows {

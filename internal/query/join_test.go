@@ -343,51 +343,85 @@ func TestKeylessDeleteNotPhantom(t *testing.T) {
 	}
 }
 
+// TestDeltaAggRetraction drives each accumulator through its steps in
+// order, and again as two partials: the +1 steps split between them
+// (first half, second half), merged, then the -1 steps applied to the
+// merge. Both must give the case's result.
 func TestDeltaAggRetraction(t *testing.T) {
 	type step struct {
 		v     schema.Value
 		delta int64
 	}
+	num := func(units, nanos int64) schema.Value { return schema.Numeric(units*schema.NumericScale + nanos) }
 	cases := []struct {
 		fn    sql.AggFunc
+		star  bool // COUNT(*): the step values are ignored
 		steps []step
 		want  string
+		kind  schema.Kind // when set, the result's kind
 	}{
-		{sql.AggCount, []step{{schema.Int64(1), 1}, {schema.Int64(2), 1}, {schema.Int64(1), -1}}, "1"},
-		{sql.AggSum, []step{{schema.Int64(10), 1}, {schema.Int64(5), 1}, {schema.Int64(10), -1}}, "5"},
-		// Kind demotion: retract the only float contribution and the sum
-		// is integral again.
-		{sql.AggSum, []step{{schema.Int64(3), 1}, {schema.Float64(1.5), 1}, {schema.Float64(1.5), -1}}, "3"},
+		{sql.AggCount, true, []step{{schema.Value{}, 1}, {schema.Value{}, 1}, {schema.Value{}, 1}, {schema.Value{}, -1}}, "2", schema.KindInt64},
+		{sql.AggCount, false, []step{{schema.Int64(1), 1}, {schema.Int64(2), 1}, {schema.Int64(1), -1}}, "1", 0},
+		{sql.AggSum, false, []step{{schema.Int64(10), 1}, {schema.Int64(5), 1}, {schema.Int64(10), -1}}, "5", schema.KindInt64},
+		{sql.AggSum, false, []step{{schema.Int64(2), 1}, {num(1, 5e8), 1}, {num(4, 0), 1}, {num(4, 0), -1}}, "3.5", schema.KindNumeric},
+		{sql.AggSum, false, []step{{schema.Float64(1.5), 1}, {schema.Int64(2), 1}, {num(1, 25e7), 1}}, "4.75", schema.KindFloat64},
+		// Kind demotion: retract the only float (or numeric)
+		// contribution and the sum is integral again.
+		{sql.AggSum, false, []step{{schema.Int64(3), 1}, {schema.Float64(1.5), 1}, {schema.Float64(1.5), -1}}, "3", schema.KindInt64},
+		{sql.AggSum, false, []step{{schema.Int64(3), 1}, {num(1, 5e8), 1}, {num(1, 5e8), -1}}, "3", schema.KindInt64},
 		// Retracting the current MIN falls back to the next value.
-		{sql.AggMin, []step{{schema.Int64(1), 1}, {schema.Int64(2), 1}, {schema.Int64(1), -1}}, "2"},
-		{sql.AggMax, []step{{schema.Int64(9), 1}, {schema.Int64(9), 1}, {schema.Int64(2), 1}, {schema.Int64(9), -1}}, "9"},
-		{sql.AggAvg, []step{{schema.Int64(2), 1}, {schema.Int64(4), 1}, {schema.Int64(6), 1}, {schema.Int64(6), -1}}, "3"},
-		// Draining to empty: SUM goes NULL, COUNT goes 0.
-		{sql.AggSum, []step{{schema.Int64(7), 1}, {schema.Int64(7), -1}}, "NULL"},
-		{sql.AggCount, []step{{schema.Int64(7), 1}, {schema.Int64(7), -1}}, "0"},
+		{sql.AggMin, false, []step{{schema.Int64(1), 1}, {schema.Int64(2), 1}, {schema.Int64(1), -1}}, "2", 0},
+		{sql.AggMax, false, []step{{schema.Int64(9), 1}, {schema.Int64(9), 1}, {schema.Int64(2), 1}, {schema.Int64(9), -1}}, "9", 0},
+		// The extreme sits only in the second partial.
+		{sql.AggMin, false, []step{{schema.Int64(5), 1}, {schema.Int64(7), 1}, {schema.Int64(1), 1}}, "1", 0},
+		{sql.AggMax, false, []step{{schema.String("b"), 1}, {schema.String("a"), 1}, {schema.String("z"), 1}, {schema.String("a"), -1}}, `"z"`, 0},
+		{sql.AggMin, false, []step{{schema.Int64(5), 1}, {schema.Int64(7), 1}, {schema.Int64(1), 1}, {schema.Int64(1), -1}}, "5", 0},
+		{sql.AggAvg, false, []step{{schema.Int64(2), 1}, {schema.Int64(4), 1}, {schema.Int64(6), 1}, {schema.Int64(6), -1}}, "3", schema.KindFloat64},
+		// Draining to empty: SUM, AVG and MIN go NULL, COUNT goes 0.
+		{sql.AggSum, false, []step{{schema.Int64(7), 1}, {schema.Int64(7), -1}}, "NULL", 0},
+		{sql.AggAvg, false, []step{{schema.Int64(7), 1}, {schema.Int64(8), 1}, {schema.Int64(7), -1}, {schema.Int64(8), -1}}, "NULL", 0},
+		{sql.AggMin, false, []step{{schema.Int64(3), 1}, {schema.Int64(4), 1}, {schema.Int64(3), -1}, {schema.Int64(4), -1}}, "NULL", 0},
+		{sql.AggCount, false, []step{{schema.Int64(7), 1}, {schema.Int64(7), -1}}, "0", 0},
 		// NULLs never contribute in either direction.
-		{sql.AggCount, []step{{schema.Int64(7), 1}, {schema.Null(), 1}, {schema.Null(), -1}}, "1"},
+		{sql.AggCount, false, []step{{schema.Int64(7), 1}, {schema.Null(), 1}, {schema.Null(), -1}}, "1", 0},
 	}
 	for i, c := range cases {
-		d := query.NewDeltaAgg(c.fn)
-		for _, s := range c.steps {
-			if err := d.Apply(s.v, false, s.delta); err != nil {
+		apply := func(d *query.DeltaAgg, s step) {
+			if err := d.Apply(s.v, c.star, s.delta); err != nil {
 				t.Fatalf("case %d: %v", i, err)
 			}
 		}
-		if got := d.Result().String(); got != c.want {
-			t.Errorf("case %d (%v): result = %s, want %s", i, c.fn, got, c.want)
+		check := func(how string, d *query.DeltaAgg) {
+			got := d.Result()
+			if got.String() != c.want || (c.kind != 0 && got.Kind() != c.kind) {
+				t.Errorf("case %d (%v) %s: result = %s (%v), want %s (%v)", i, c.fn, how, got, got.Kind(), c.want, c.kind)
+			}
 		}
-	}
-	// COUNT(*) rows via the star path.
-	d := query.NewDeltaAgg(sql.AggCount)
-	for _, delta := range []int64{1, 1, 1, -1} {
-		if err := d.Apply(schema.Value{}, true, delta); err != nil {
-			t.Fatal(err)
+		whole := query.NewDeltaAgg(c.fn)
+		var inserts, retracts []step
+		for _, s := range c.steps {
+			apply(whole, s)
+			if s.delta > 0 {
+				inserts = append(inserts, s)
+			} else {
+				retracts = append(retracts, s)
+			}
 		}
-	}
-	if got := d.Result().AsInt64(); got != 2 {
-		t.Fatalf("COUNT(*) = %d", got)
+		check("in order", whole)
+
+		first, second := query.NewDeltaAgg(c.fn), query.NewDeltaAgg(c.fn)
+		for k, s := range inserts {
+			if k < len(inserts)/2 {
+				apply(first, s)
+			} else {
+				apply(second, s)
+			}
+		}
+		first.Merge(second)
+		for _, s := range retracts {
+			apply(first, s)
+		}
+		check("merged", first)
 	}
 }
 

@@ -221,6 +221,33 @@ func TestAggregation(t *testing.T) {
 	}
 }
 
+// TestAggregateOrderByGroupedColumn: ORDER BY in a grouped query orders
+// by a grouped column's values even when it is not selected, and
+// refuses a column that is neither grouped nor an output alias.
+func TestAggregateOrderByGroupedColumn(t *testing.T) {
+	e := newQEnv(t, salesSchema(false), "d.aggorder")
+	var rows []schema.Row
+	for i := 0; i < 40; i++ {
+		rows = append(rows, saleRow(0, i, fmt.Sprintf("C-%d", i%3), int64(i)))
+	}
+	e.ingest(t, "d.aggorder", rows)
+
+	res, err := e.eng.Query(e.ctx, `SELECT COUNT(*) AS n, MIN(qty) AS lo FROM d.aggorder GROUP BY qty ORDER BY qty DESC LIMIT 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, row := range res.Rows() {
+		got = append(got, row[1].AsInt64())
+	}
+	if fmt.Sprint(got) != "[39 38 37 36 35]" {
+		t.Fatalf("lo = %v, want [39 38 37 36 35]", got)
+	}
+	if _, err := e.eng.Query(e.ctx, `SELECT customerKey, COUNT(*) AS n FROM d.aggorder GROUP BY customerKey ORDER BY qty`); err == nil {
+		t.Fatal("ORDER BY a column that is neither grouped nor an alias succeeded")
+	}
+}
+
 func TestQueryUnionWOSAndROS(t *testing.T) {
 	e := newQEnv(t, salesSchema(false), "d.union")
 	var sealed []schema.Row
@@ -429,7 +456,8 @@ func TestQueryErrors(t *testing.T) {
 		"SELECT nope FROM d.err",
 		"SELECT * FROM d.missing",
 		"SELEKT * FROM d.err",
-		"SELECT customerKey, COUNT(*) FROM d.err", // missing GROUP BY
+		"SELECT customerKey, COUNT(*) FROM d.err",                          // missing GROUP BY
+		"SELECT customerKey, COUNT(*) + 1 FROM d.err GROUP BY customerKey", // an aggregate inside an expression
 	} {
 		if _, err := e.eng.Query(e.ctx, q); err == nil {
 			t.Errorf("query %q succeeded", q)

@@ -71,10 +71,11 @@ go test -race -count=2 $race_twice
 # and a writable streamlet), the optimizer's (one ConvertTable over
 # 54 000 loaded rows), the leaf scan's (cursor walk and encode per
 # fragment kind), schema.Value's (a clustering sort over columns of
-# values) and Snappy's (encode and decode of structured bytes) run one
-# iteration each, so they cannot rot between the PRs that read their
-# numbers.
-go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/ ./internal/client/ ./internal/schema/ ./internal/snappy/
+# values), Snappy's (encode and decode of structured bytes) and the
+# query engine's (GROUP BY over DICT, INT64 and RLE keys, and MIN/MAX)
+# run one iteration each, so they cannot rot between the PRs that read
+# their numbers.
+go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/ ./internal/client/ ./internal/schema/ ./internal/snappy/ ./internal/query/
 
 # Encoded-domain filtering must return what filtering row by row
 # returns: code-skip accounting on keyless and keyed tables, and
