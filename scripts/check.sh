@@ -39,6 +39,22 @@ if [ -n "$unsafe_users" ]; then
     exit 1
 fi
 
+# One owner per SMS metadata transition (DESIGN.md §6): only
+# finalizeStreamlet sets a streamlet FINALIZED, so no finalization skips
+# fragment and tail-mask mapping, and only getMask parses a stored mask,
+# so no reader takes a corrupt one for "nothing deleted".
+sms_owners=$(awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[([].*/, "", fn) }
+    /^[[:space:]]*\/\// { next }
+    /([^=!<>]=|:)[[:space:]]*meta\.StreamletFinalized/ && fn != "finalizeStreamlet" { print FILENAME ":" FNR ": " $0 }
+    /dml\.Unmarshal\(/ && fn != "getMask" { print FILENAME ":" FNR ": " $0 }
+' $(ls internal/sms/*.go | grep -v '_test\.go$'))
+if [ -n "$sms_owners" ]; then
+    echo "SMS transition outside its owner (StreamletFinalized is set in finalizeStreamlet, masks are parsed in getMask):" >&2
+    echo "$sms_owners" >&2
+    exit 1
+fi
+
 # The chaos suites are expected to be deterministic under -race; an
 # ordering flake is a bug, so -shuffle=on surfaces hidden inter-test
 # order dependencies. -race also turns on checkptr, which checks every
