@@ -64,6 +64,15 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
+// Peek returns the next byte without reading it; false when none
+// remains.
+func (r *Reader) Peek() (byte, bool) {
+	if r.pos >= len(r.data) {
+		return 0, false
+	}
+	return r.data[r.pos], true
+}
+
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	if r.pos < len(r.data) && r.data[r.pos] < 0x80 {

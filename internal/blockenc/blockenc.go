@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"vortex/internal/snappy"
 )
@@ -119,7 +120,7 @@ func (s *Sealer) Seal(plaintext []byte, expectedCRC uint32, id KeyID) ([]byte, e
 	compressed := snappy.Encode(plaintext)
 	// Decompress-and-verify guard (§5.4.5): prove the compressor did not
 	// corrupt the data before the original bytes are dropped.
-	verify, err := snappy.Decode(compressed)
+	verify, err := snappy.Decode(nil, compressed)
 	if err != nil {
 		return nil, fmt.Errorf("blockenc: verifying compression: %w", err)
 	}
@@ -145,9 +146,26 @@ func (s *Sealer) Seal(plaintext []byte, expectedCRC uint32, id KeyID) ([]byte, e
 	return out, nil
 }
 
+// PlainLen returns the plaintext length a sealed block's header
+// records, never more than the block's bytes could open to: what Open
+// returns if it opens the block. A caller that sizes buffers before
+// opening sizes them by it.
+func PlainLen(sealed []byte) int {
+	if len(sealed) < headerSize {
+		return 0
+	}
+	return min(int(binary.LittleEndian.Uint32(sealed[21:25])), snappy.MaxDecodedLen(len(sealed)-headerSize))
+}
+
 // Open reverses Seal: verifies the stored-byte CRC, decrypts,
-// decompresses and verifies the end-to-end plaintext CRC.
-func (s *Sealer) Open(sealed []byte) ([]byte, error) {
+// decompresses and verifies the end-to-end plaintext CRC. A caller that
+// opens block after block lends one buffer, as Open(sealed, buf...),
+// and passes each result back the same way: the plaintext is written
+// over its front, the decrypted block behind it, whenever its capacity
+// holds both. A caller with no buffer passes none. A header length no
+// block of this size could decode to is refused before anything is
+// sized by it.
+func (s *Sealer) Open(sealed []byte, dst ...byte) ([]byte, error) {
 	if len(sealed) < headerSize || string(sealed[0:4]) != magic {
 		return nil, ErrCorrupt
 	}
@@ -164,13 +182,18 @@ func (s *Sealer) Open(sealed []byte) ([]byte, error) {
 	if Checksum(ciphertext) != cipherCRC {
 		return nil, fmt.Errorf("%w: stored bytes corrupted", ErrChecksum)
 	}
+	n := PlainLen(sealed)
+	if uint32(n) != plainLen {
+		return nil, fmt.Errorf("%w: length %d from %d stored bytes", ErrCorrupt, plainLen, len(ciphertext))
+	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, fmt.Errorf("blockenc: cipher: %w", err)
 	}
-	compressed := make([]byte, len(ciphertext))
+	buf := slices.Grow(dst[:0], n+len(ciphertext))[:n+len(ciphertext)]
+	compressed := buf[n:]
 	cipher.NewCTR(block, iv).XORKeyStream(compressed, ciphertext)
-	plaintext, err := snappy.Decode(compressed)
+	plaintext, err := snappy.Decode(buf[:0:n], compressed)
 	if err != nil {
 		return nil, fmt.Errorf("blockenc: decompress: %w", err)
 	}
@@ -180,5 +203,8 @@ func (s *Sealer) Open(sealed []byte) ([]byte, error) {
 	if Checksum(plaintext) != plainCRC {
 		return nil, fmt.Errorf("%w: plaintext corrupted", ErrChecksum)
 	}
-	return plaintext, nil
+	// The plaintext is buf[:n]; handed out with all of buf's capacity,
+	// it can be lent back for a next block the size of this one's
+	// plaintext and decrypted bytes together.
+	return buf[:n], nil
 }

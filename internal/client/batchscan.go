@@ -19,11 +19,11 @@ import (
 // change type and the value arity the row was written with. A ROS
 // fragment contributes the read cache's encoded vectors (DICT, RLE,
 // typed PLAIN — nested fields as PLAIN vectors of assembled values), a
-// WOS file its transposed PLAIN columns of values; both are shared with
-// the cache and read-only. Consumers address rows by physical index through a
-// wire.Selection and use three operations: Narrow a selection by a
-// predicate, walk selected rows with a Cursor, and emit selected rows
-// as Vectors.
+// WOS file its PLAIN columns, typed where a field is of one scalar
+// kind; both are shared with the cache and read-only. Consumers address
+// rows by physical index through a wire.Selection and use three
+// operations: Narrow a selection by a predicate, walk selected rows
+// with a Cursor, and emit selected rows as Vectors.
 type ColBatch struct {
 	// FragID identifies the source fragment.
 	FragID meta.FragmentID
@@ -478,7 +478,9 @@ func wosBatch(plan *ScanPlan, a Assignment, fragID meta.FragmentID, fragStartRow
 		}
 		b.ColIdx = append(b.ColIdx, fi)
 		if fi < len(d.cols) {
-			b.cols = append(b.cols, wire.PlainVector(f.Name, d.cols[fi]))
+			col := d.cols[fi] // shares the cached column's storage
+			col.Name = f.Name
+			b.cols = append(b.cols, col)
 		} else {
 			// Field added after every row of this file was written.
 			b.cols = append(b.cols, wire.ConstVector(f.Name, schema.Null(), d.n))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"vortex/internal/blockenc"
 	"vortex/internal/dml"
 	"vortex/internal/fragment"
 	"vortex/internal/meta"
@@ -104,25 +103,11 @@ func TestCursorEncodedSparseSelection(t *testing.T) {
 // them.
 func sealedBlocks(t *testing.T, groups ...[]schema.Row) (*Client, []fragment.Block) {
 	t.Helper()
-	sealer := blockenc.NewSealer(blockenc.NewKeyring())
-	var blocks []fragment.Block
-	start := int64(0)
+	var plains [][]byte
 	for _, rows := range groups {
-		payload := rowenc.EncodeRows(rows)
-		sealed, err := sealer.Seal(payload, blockenc.Checksum(payload), blockenc.SystemKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks = append(blocks, fragment.Block{
-			Kind:      fragment.BlockData,
-			Timestamp: truetime.Timestamp(100 + start),
-			StartRow:  start,
-			RowCount:  int64(len(rows)),
-			Payload:   sealed,
-		})
-		start += int64(len(rows))
+		plains = append(plains, rowenc.EncodeRows(rows))
 	}
-	return &Client{sealer: sealer}, blocks
+	return sealedPayloads(t, plains...)
 }
 
 // wosTestRows is the logical data of encodedTestBatch as a writer

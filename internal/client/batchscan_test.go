@@ -63,16 +63,15 @@ func TestRepeatScanSharesCachedColumns(t *testing.T) {
 			if second.Cache.Hits != 1 || second.Cache.Misses != 0 || second.Cache.BytesSaved == 0 {
 				t.Fatalf("%v repeat scan disposition = %+v, want one RAM hit", format, second.Cache)
 			}
-			// The v column is PLAIN in both formats: same backing array,
-			// the transposed values of a WOS file or the unboxed
-			// integers of a ROS page.
+			// The v column is typed INT64 PLAIN in both formats: the
+			// same backing array of unboxed integers, decoded from a WOS
+			// file's rows or from a ROS page.
 			fv, _ := first.Vectors(nil)
 			sv, _ := second.Vectors(nil)
-			shared := len(fv[1].Values) > 0 && &fv[1].Values[0] == &sv[1].Values[0]
-			if format == meta.ROS {
-				shared = fv[1].Kind == schema.KindInt64 && len(fv[1].Ints) > 0 && &fv[1].Ints[0] == &sv[1].Ints[0]
+			if fv[1].Kind != schema.KindInt64 || sv[1].Kind != schema.KindInt64 {
+				t.Fatalf("%v column %q is kind %v then %v, want typed INT64", format, fv[1].Name, fv[1].Kind, sv[1].Kind)
 			}
-			if !shared {
+			if len(fv[1].Ints) == 0 || &fv[1].Ints[0] != &sv[1].Ints[0] {
 				t.Fatalf("%v repeat scan re-decoded column %q instead of sharing the cached vector", format, fv[1].Name)
 			}
 		}

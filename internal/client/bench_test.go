@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"vortex/internal/client"
 	"vortex/internal/core"
@@ -28,6 +29,8 @@ var benchSink int
 //	sealed WOS   a finalized streamlet's file, every column
 //	live WOS     a writable streamlet's tail file: read, decoded and
 //	             commit-checked on every scan
+//	... Events   the same two on the flat Events table, whose every
+//	             column is a typed one (Sales' nested column is not)
 //
 //	cursor       walk the visible rows through a RowCursor
 //	encode       Vectors + IdentityVectors through wire.EncodeVectors, the
@@ -38,18 +41,27 @@ func BenchmarkScanBatch(b *testing.B) {
 	opts.ReadCacheBytes = 256 << 20
 	c := r.NewClient(opts)
 	ctx := context.Background()
-	const table = meta.TableID("d.sales")
+	const table, events = meta.TableID("d.sales"), meta.TableID("d.events")
 	if err := c.CreateTable(ctx, table, workload.SalesSchema()); err != nil {
 		b.Fatal(err)
 	}
-	gen := workload.NewGen(1, 0)
-	write := func(seal bool) {
+	if err := c.CreateTable(ctx, events, workload.EventsSchema()); err != nil {
+		b.Fatal(err)
+	}
+	gen, egen := workload.NewGen(1, 0), workload.NewGen(1, 64)
+	at := time.Unix(1700000000, 0)
+	write := func(table meta.TableID, seal bool) {
 		s, err := c.CreateStream(ctx, table, meta.Unbuffered)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for n := 0; n < benchRows; n += 256 {
-			if _, err := s.Append(ctx, gen.SalesRows(0, 256)); err != nil {
+			rows := gen.SalesRows(0, 256)
+			if table == events {
+				rows = egen.EventRows(at, 256, time.Second)
+				at = at.Add(256 * time.Second)
+			}
+			if _, err := s.Append(ctx, rows); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -60,22 +72,27 @@ func BenchmarkScanBatch(b *testing.B) {
 			r.HeartbeatAll(ctx, false)
 		}
 	}
-	write(true)
+	write(table, true)
 	convertTable(b, r, c, ctx, table)
-	write(true)
-	write(false)
+	write(table, true)
+	write(table, false)
+	write(events, true)
+	write(events, false)
 
 	flat := map[string]bool{"orderTimestamp": true, "salesOrderKey": true, "customerKey": true, "totalSale": true, "currencyKey": true}
 	kinds := []struct {
 		name       string
+		table      meta.TableID
 		format     meta.Format
 		live       bool
 		projection map[string]bool
 	}{
-		{"flatROS", meta.ROS, false, flat},
-		{"nestedROS", meta.ROS, false, nil},
-		{"sealedWOS", meta.WOS, false, nil},
-		{"liveWOS", meta.WOS, true, nil},
+		{"flatROS", table, meta.ROS, false, flat},
+		{"nestedROS", table, meta.ROS, false, nil},
+		{"sealedWOS", table, meta.WOS, false, nil},
+		{"liveWOS", table, meta.WOS, true, nil},
+		{"sealedWOSEvents", events, meta.WOS, false, nil},
+		{"liveWOSEvents", events, meta.WOS, true, nil},
 	}
 	consumers := []struct {
 		name string
@@ -95,7 +112,7 @@ func BenchmarkScanBatch(b *testing.B) {
 		}},
 	}
 	for _, k := range kinds {
-		plan, err := c.Plan(ctx, table, 0)
+		plan, err := c.Plan(ctx, k.table, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

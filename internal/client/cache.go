@@ -14,7 +14,8 @@ import (
 //
 // Every entry has one shape — {path, version, size, value} — and holds a
 // fragment decoded once into columns: a *ros.Reader (lazily decoded
-// encoded vectors) or a sealed WOS file's *wosColumns (PLAIN vectors).
+// encoded vectors) or a sealed WOS file's *wosColumns (PLAIN vectors,
+// typed where a field is of one scalar kind).
 // Nothing per snapshot, per projection or per consumer is kept beside
 // it: a scan is a wire.Selection computed over the shared columns.
 //

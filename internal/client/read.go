@@ -3,11 +3,14 @@ package client
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 
+	"vortex/internal/bin"
+	"vortex/internal/blockenc"
 	"vortex/internal/dml"
 	"vortex/internal/fragment"
 	"vortex/internal/meta"
@@ -438,14 +441,15 @@ type wosBlock struct {
 	first     int32 // physical index of the block's first row
 }
 
-// wosColumns is a WOS file decoded once and transposed: one PLAIN
-// column per field any of its rows carries, short rows padded with
-// NULL. It carries no snapshot filtering — every scan applies its own
-// as a selection (selectWOS) — so a cached one serves every snapshot.
+// wosColumns is a WOS file decoded once into columns: one PLAIN vector
+// per field any of its rows carries, typed where the field's values are
+// of one scalar kind, NULL in the rows too short to carry the field. It
+// carries no snapshot filtering — every scan applies its own as a
+// selection (selectWOS) — so a cached one serves every snapshot.
 type wosColumns struct {
 	n       int
 	blocks  []wosBlock
-	cols    [][]schema.Value
+	cols    []wire.Vector // unnamed: a scan names them by its schema
 	changes []byte
 	// seqs are timestamp-assigned: block TrueTime timestamp + row index
 	// within the block, so a row's seq is its commit timestamp.
@@ -455,64 +459,115 @@ type wosColumns struct {
 	arity []int32
 }
 
-// decodeBlocks unseals and row-decodes WOS data blocks, then transposes
-// the rows into columns.
+// decodeBlocks unseals WOS data blocks and decodes their rows in one
+// pass straight into one wire.ColumnBuilder per field. The builders are
+// sized from the blocks' header row counts, so a block holding another
+// number of rows than its header says is refused, and no string column
+// grows past the file's plaintext bytes. Every block is opened into one
+// buffer, sized for the largest and reused across the file; the
+// builders copy out what they keep.
 func (c *Client) decodeBlocks(blocks []fragment.Block) (*wosColumns, error) {
 	d := &wosColumns{}
-	var decoded [][]schema.Row
-	narrow, width := 0, 0 // fewest and most values any row carries
+	plainBytes, scratch := 0, 0 // the file's plaintext; the most one Open needs
 	for _, b := range blocks {
 		if b.Kind != fragment.BlockData {
 			continue
 		}
-		plain, err := c.sealer.Open(b.Payload)
-		if err != nil {
-			return nil, err
+		// Every row spends at least two bytes of plaintext: a count its
+		// block could not hold is refused before anything is sized by it.
+		plainLen := blockenc.PlainLen(b.Payload)
+		if b.RowCount < 0 || b.RowCount > int64(plainLen/2) || int64(d.n)+b.RowCount > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: a block of %d plaintext bytes whose header says %d rows", rowenc.ErrCorrupt, plainLen, b.RowCount)
 		}
-		rows, err := rowenc.DecodeRows(plain)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			if d.n == 0 || len(r.Values) < narrow {
-				narrow = len(r.Values)
-			}
-			width = max(width, len(r.Values))
-			d.n++
-		}
-		d.blocks = append(d.blocks, wosBlock{Timestamp: b.Timestamp, StartRow: b.StartRow, first: int32(d.n - len(rows))})
-		decoded = append(decoded, rows)
-	}
-	cells := make([]schema.Value, d.n*width)
-	d.cols = make([][]schema.Value, width)
-	for f := range d.cols {
-		d.cols[f] = cells[f*d.n : (f+1)*d.n : (f+1)*d.n]
+		d.blocks = append(d.blocks, wosBlock{Timestamp: b.Timestamp, StartRow: b.StartRow, first: int32(d.n)})
+		d.n += int(b.RowCount)
+		plainBytes += plainLen
+		scratch = max(scratch, plainLen+len(b.Payload))
 	}
 	d.changes = make([]byte, d.n)
 	d.seqs = make([]int64, d.n)
-	ragged := narrow != width
-	if ragged {
-		d.arity = make([]int32, d.n)
-	}
-	for bi, rows := range decoded {
-		i := int(d.blocks[bi].first)
-		for k, r := range rows {
-			for f := range d.cols {
-				if f < len(r.Values) {
-					d.cols[f][i] = r.Values[f]
-				} else {
-					d.cols[f][i] = schema.Null()
-				}
-			}
-			d.changes[i] = byte(r.Change)
-			d.seqs[i] = int64(d.blocks[bi].Timestamp) + int64(k)
-			if ragged {
-				d.arity[i] = int32(len(r.Values))
-			}
-			i++
+	dec := wosDecoder{d: d, strMax: plainBytes}
+	plain := make([]byte, 0, scratch)
+	for _, b := range blocks {
+		if b.Kind != fragment.BlockData {
+			continue
+		}
+		var err error
+		if plain, err = c.sealer.Open(b.Payload, plain...); err != nil {
+			return nil, err
+		}
+		if err := dec.block(plain, int(b.RowCount), b.Timestamp); err != nil {
+			return nil, err
 		}
 	}
+	d.cols = make([]wire.Vector, len(dec.fields))
+	for f, fb := range dec.fields {
+		d.cols[f] = fb.Vector()
+	}
 	return d, nil
+}
+
+// wosDecoder reads the rows of a file's blocks, in order, into its
+// columns.
+type wosDecoder struct {
+	d      *wosColumns
+	fields []*wire.ColumnBuilder
+	strMax int // the file's plaintext bytes: no string column holds more
+	next   int // the next row's index in d
+	width  int // the first row's value count
+}
+
+// block reads one EncodeRows payload of n rows stamped ts: each row's
+// header through rowenc's own reader, each value into its field's
+// builder, a NULL into every field a short row lacks. A field first seen
+// on a longer row starts NULL in every row before it. It refuses what
+// rowenc.DecodeRows refuses, and a payload of other than n rows.
+func (w *wosDecoder) block(plain []byte, n int, ts truetime.Timestamp) error {
+	r := bin.NewReader(plain)
+	if got := rowenc.ReadRowCount(r); r.Err() == nil && got != n {
+		return fmt.Errorf("%w: a block of %d rows whose header says %d", rowenc.ErrCorrupt, got, n)
+	}
+	d := w.d
+	for k := 0; k < n && r.Err() == nil; k++ {
+		i := w.next
+		change, arity := rowenc.ReadRowHeader(r)
+		for len(w.fields) < arity {
+			fb := wire.NewColumnBuilder("", d.n, w.strMax)
+			for fb.Len() < i {
+				fb.AppendNull()
+			}
+			w.fields = append(w.fields, fb)
+		}
+		for f, fb := range w.fields {
+			if f < arity {
+				fb.Read(r, 1)
+			} else {
+				fb.AppendNull()
+			}
+		}
+		if i == 0 {
+			w.width = arity
+		}
+		if d.arity == nil && arity != w.width {
+			d.arity = make([]int32, d.n)
+			for j := range i {
+				d.arity[j] = int32(w.width)
+			}
+		}
+		if d.arity != nil {
+			d.arity[i] = int32(arity)
+		}
+		d.changes[i] = byte(change)
+		d.seqs[i] = int64(ts) + int64(k)
+		w.next++
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%w: %v", rowenc.ErrCorrupt, err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", rowenc.ErrCorrupt, r.Len())
+	}
+	return nil
 }
 
 // selectWOS applies the §7.1 snapshot bound, stream visibility and
@@ -543,7 +598,7 @@ func selectWOS(snapshot truetime.Timestamp, a Assignment, w *wosPlacement, d *wo
 				break
 			}
 			local := b.StartRow + int64(i-b.first)
-			if !rowVisible(a, w.streamletStart+local, local-w.fragStartRow) {
+			if !rowVisible(&a, w.streamletStart+local, local-w.fragStartRow) {
 				drop(i)
 			} else if !all {
 				sel = append(sel, i)
@@ -569,8 +624,9 @@ func firstDataBlock(blocks []fragment.Block) *fragment.Block {
 	return nil
 }
 
-// rowVisible applies stream-type visibility and deletion masks.
-func rowVisible(a Assignment, streamOffset, fragLocal int64) bool {
+// rowVisible applies stream-type visibility and deletion masks. It runs
+// once per row, so it takes the assignment by pointer, not by copy.
+func rowVisible(a *Assignment, streamOffset, fragLocal int64) bool {
 	switch a.Vis.Type {
 	case meta.Buffered:
 		if streamOffset >= a.Vis.FlushedOffset {

@@ -597,7 +597,7 @@ func (c *Column) page() (wire.Vector, error) {
 	raw := c.rawValues
 	if c.compressed {
 		var err error
-		if raw, err = snappy.Decode(raw); err != nil {
+		if raw, err = snappy.Decode(nil, raw); err != nil {
 			return wire.Vector{}, fmt.Errorf("%w: column %q: %v", ErrCorrupt, c.Leaf.Path, err)
 		}
 	}

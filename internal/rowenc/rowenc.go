@@ -144,15 +144,25 @@ func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrCorrupt, err) }
 
 // readRow reads one row; a failure is left in r.
 func readRow(r *bin.Reader) schema.Row {
+	change, n := ReadRowHeader(r)
+	values := make([]schema.Value, n)
+	for i := range values {
+		values[i] = ReadValue(r)
+	}
+	return schema.Row{Values: values, Change: change}
+}
+
+// ReadRowHeader reads what precedes a row's values: its change type and
+// its value count, under the bounds DecodeRows applies. A failure is
+// left in r. A decoder that reads the values some other way than
+// ReadValue into a row — straight into columns — reads its rows' headers
+// here.
+func ReadRowHeader(r *bin.Reader) (schema.ChangeType, int) {
 	change := r.Uvarint()
 	if change > uint64(schema.ChangeDelete) {
 		r.Fail(fmt.Errorf("change type %d", change))
 	}
-	values := make([]schema.Value, readCount(r, "values"))
-	for i := range values {
-		values[i] = ReadValue(r)
-	}
-	return schema.Row{Values: values, Change: schema.ChangeType(change)}
+	return schema.ChangeType(change), readCount(r, "values")
 }
 
 // readCount reads the element count of a row, list or struct: every
@@ -284,7 +294,7 @@ func EncodeRows(rows []schema.Row) []byte {
 // exactly one batch: trailing bytes are an error (WOS blocks are exact).
 func DecodeRows(data []byte) ([]schema.Row, error) {
 	r := bin.NewReader(data)
-	rows := make([]schema.Row, readRowCount(r))
+	rows := make([]schema.Row, ReadRowCount(r))
 	for i := range rows {
 		rows[i] = readRow(r)
 	}
@@ -297,9 +307,10 @@ func DecodeRows(data []byte) ([]schema.Row, error) {
 	return rows, nil
 }
 
-// readRowCount reads a batch's row count: every row spends at least two
-// bytes, its change type and its value count.
-func readRowCount(r *bin.Reader) int {
+// ReadRowCount reads the row count that starts an EncodeRows batch:
+// every row spends at least two bytes, its change type and its value
+// count. A failure is left in r.
+func ReadRowCount(r *bin.Reader) int {
 	n := r.Count(2)
 	if n > maxDecodeElems {
 		r.Fail(fmt.Errorf("%d rows", n))
@@ -312,7 +323,7 @@ func readRowCount(r *bin.Reader) int {
 // decoding them.
 func RowCount(data []byte) (int, error) {
 	r := bin.NewReader(data)
-	n := readRowCount(r)
+	n := ReadRowCount(r)
 	if err := r.Err(); err != nil {
 		return 0, corrupt(err)
 	}

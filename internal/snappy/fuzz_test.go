@@ -8,9 +8,11 @@ import (
 
 // FuzzDecode feeds arbitrary bytes to Decode, which must refuse a
 // hostile block with an error, never a panic, and never decode to more
-// than maxGain times the block. A block it accepts must re-encode and
-// decode to the same bytes, and the same bytes taken as a plaintext must
-// survive Encode and Decode.
+// than maxGain times the block. Decoding again over a dirty buffer, one
+// with room to spare and one a byte short, must give the same bytes or
+// the same error as a fresh decode. A block it accepts must re-encode
+// and decode to the same bytes, and the same bytes taken as a plaintext
+// must survive Encode and Decode.
 func FuzzDecode(f *testing.F) {
 	for _, plain := range [][]byte{
 		nil,
@@ -27,16 +29,27 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x0e, 0x08, 'a', 'b', 'c', 0x1d, 0x03})        // copy-1 of 11 at offset 3
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, err := Decode(data); err == nil {
+		got, err := Decode(nil, data)
+		for _, room := range []int{len(got) + 7, len(got) - 1} {
+			dirty := bytes.Repeat([]byte{0xa5}, max(room, 0))
+			again, againErr := Decode(dirty, data)
+			if againErr != err || !bytes.Equal(again, got) {
+				t.Fatalf("decode over a dirty %d-byte buffer = %x, %v; fresh = %x, %v", len(dirty), again, againErr, got, err)
+			}
+			if len(got) > 0 && room >= len(got) && &again[0] != &dirty[0] {
+				t.Fatalf("decode did not reuse a %d-byte buffer for %d bytes", room, len(got))
+			}
+		}
+		if err == nil {
 			if len(got) > len(data)*maxGain {
 				t.Fatalf("%d-byte block decoded to %d bytes", len(data), len(got))
 			}
-			back, err := Decode(Encode(got))
+			back, err := Decode(nil, Encode(got))
 			if err != nil || !bytes.Equal(back, got) {
 				t.Fatalf("re-encoded block decodes differently: %v", err)
 			}
 		}
-		back, err := Decode(Encode(data))
+		back, err := Decode(nil, Encode(data))
 		if err != nil || !bytes.Equal(back, data) {
 			t.Fatalf("Decode(Encode(x)) != x: %v", err)
 		}

@@ -38,6 +38,11 @@ var ErrTooLarge = errors.New("snappy: decoded block is too large")
 // allocates is bounded by its input.
 const maxGain = 22
 
+// MaxDecodedLen returns the most a block of srcLen bytes can decode to:
+// the bound Decode holds a block's length preamble to, for a caller
+// that sizes something by a length it was told before decoding.
+func MaxDecodedLen(srcLen int) int { return srcLen * maxGain }
+
 // MaxEncodedLen returns the worst-case compressed size for srcLen input
 // bytes. It mirrors the bound from the Snappy reference implementation.
 func MaxEncodedLen(srcLen int) int {
@@ -213,16 +218,24 @@ func emitCopy(dst []byte, offset, length int) int {
 	return i + 2
 }
 
-// Decode decompresses src, returning the original bytes.
-func Decode(src []byte) ([]byte, error) {
+// Decode decompresses src, returning the original bytes. They are
+// written over the front of dst when its capacity holds them, else into
+// a new slice; dst may be nil. Every byte of the result is written
+// before Decode returns it, so whatever dst held does not show through.
+// dst must not overlap src.
+func Decode(dst, src []byte) ([]byte, error) {
 	n, read := binary.Uvarint(src)
 	if read <= 0 {
 		return nil, ErrCorrupt
 	}
-	if n > uint64(len(src))*maxGain {
+	if n > uint64(MaxDecodedLen(len(src))) {
 		return nil, ErrTooLarge
 	}
-	dst := make([]byte, n)
+	if uint64(cap(dst)) >= n {
+		dst = dst[:n]
+	} else {
+		dst = make([]byte, n)
+	}
 	s := read
 	d := 0
 	for s < len(src) {

@@ -12,7 +12,7 @@ import (
 func roundTrip(t *testing.T, src []byte) {
 	t.Helper()
 	enc := Encode(src)
-	got, err := Decode(enc)
+	got, err := Decode(nil, enc)
 	if err != nil {
 		t.Fatalf("Decode(%d bytes): %v", len(src), err)
 	}
@@ -49,7 +49,7 @@ func TestRoundTripRandomIncompressible(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(src []byte) bool {
 		enc := Encode(src)
-		got, err := Decode(enc)
+		got, err := Decode(nil, enc)
 		return err == nil && bytes.Equal(got, src)
 	}
 	cfg := &quick.Config{MaxCount: 300}
@@ -73,7 +73,7 @@ func TestRoundTripStructuredProperty(t *testing.T) {
 			b.WriteByte('\n')
 		}
 		enc := Encode(b.Bytes())
-		got, err := Decode(enc)
+		got, err := Decode(nil, enc)
 		return err == nil && bytes.Equal(got, b.Bytes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -120,7 +120,7 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		{0x01, 0x00, 'a', 'b'}, // trailing garbage: decoded longer than header
 	}
 	for i, c := range cases {
-		if _, err := Decode(c); err == nil {
+		if _, err := Decode(nil, c); err == nil {
 			t.Errorf("case %d: Decode accepted corrupt input", i)
 		}
 	}
@@ -135,7 +135,7 @@ func TestDecodeRejectsHugeLength(t *testing.T) {
 	pre[3] = 0x80
 	pre[4] = 0x80
 	pre[5] = 0x20
-	if _, err := Decode(pre[:6]); err == nil {
+	if _, err := Decode(nil, pre[:6]); err == nil {
 		t.Fatal("Decode accepted a 2^41-byte length prefix")
 	}
 }
@@ -285,7 +285,7 @@ func BenchmarkDecodeStructured(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
+		if _, err := Decode(nil, enc); err != nil {
 			b.Fatal(err)
 		}
 	}

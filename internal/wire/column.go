@@ -201,7 +201,10 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 	r := bin.NewReader(payload)
 	switch enc {
 	case BatchEncPlain:
-		decodePlain(&v, r, payload, rows)
+		// Every row spends a tag byte: the rest bounds a string column.
+		b := NewColumnBuilder(name, rows, len(payload)-rows)
+		b.Read(r, rows)
+		v = b.Vector()
 	case BatchEncRLE:
 		for covered := 0; covered < rows; {
 			runLen := r.Uvarint()
@@ -243,65 +246,104 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 	return v, nil
 }
 
-// decodePlain reads a PLAIN payload of rows values into v in one pass.
-// It types the column while every value is NULL or of the first
-// non-NULL value's kind. At the first value that is neither, or that
-// cannot be typed, it promotes the rows read so far to Values and reads
-// the rest with rowenc.ReadValue. The typed reads follow rowenc's
-// scalar layouts byte for byte, and refuse what ReadValue refuses;
-// FuzzDecodeColumn holds them to it.
-func decodePlain(v *Vector, r *bin.Reader, payload []byte, rows int) {
-	var str strings.Builder // typed STRING/JSON: Str as it grows
-	for i := 0; i < rows; {
-		if r.Len() == 0 {
-			r.Byte() // records the short read
+// ColumnBuilder builds one PLAIN column of a known row count a value at
+// a time, in one pass. It holds the one rule by which a PLAIN column is
+// typed, for DecodeColumn's PLAIN case and the WOS row decoder alike:
+// the column stays typed while every value is NULL or of the first
+// non-NULL value's kind. At a value of a second kind, of a kind a typed
+// vector does not hold (BYTES, STRUCT, a list), or a string that would
+// take Str past MaxInt32 bytes, the rows read so far are promoted to
+// Values and the rest are read with rowenc.ReadValue. The typed reads
+// follow rowenc's scalar layouts byte for byte and refuse what ReadValue
+// refuses; FuzzDecodeColumn holds them to it. Whatever the builder
+// keeps is copied out of the bytes it reads, so a caller may reuse
+// them once Read returns.
+type ColumnBuilder struct {
+	v        Vector
+	rows     int             // the column's row count
+	n        int             // rows added so far
+	promoted bool            // v holds Values
+	str      strings.Builder // typed STRING/JSON: Str as it grows
+	strMax   int             // the most bytes Str can hold
+}
+
+// NewColumnBuilder returns a builder for a column of rows rows whose
+// strings, if it holds strings, take no more than strMax bytes: a bound
+// the caller knows from its input. Str is sized to what the rows read
+// so far project over the whole column, up to strMax, and regrown by
+// the same projection, not by doubling.
+func NewColumnBuilder(name string, rows, strMax int) *ColumnBuilder {
+	return &ColumnBuilder{v: Vector{Name: name, Enc: BatchEncPlain}, rows: rows, strMax: strMax}
+}
+
+// Len returns the number of rows added so far.
+func (b *ColumnBuilder) Len() int { return b.n }
+
+// AppendNull adds a NULL row.
+func (b *ColumnBuilder) AppendNull() {
+	v := &b.v
+	if b.promoted {
+		v.Values[b.n] = schema.Null()
+	} else {
+		if v.Valid == nil {
+			v.Valid = AllValid(b.rows)
+		}
+		v.Valid.SetNull(b.n)
+		if v.Offs != nil {
+			v.Offs[b.n+1] = int32(b.str.Len())
+		}
+	}
+	b.n++
+}
+
+// Read reads the next n values, each in the rowenc single-value codec,
+// from r. A failure is left in r; the builder is then not to be used.
+func (b *ColumnBuilder) Read(r *bin.Reader, n int) {
+	v := &b.v
+	for end := b.n + n; b.n < end; {
+		if b.promoted {
+			for ; b.n < end; b.n++ {
+				v.Values[b.n] = rowenc.ReadValue(r)
+			}
 			return
 		}
-		switch tag := payload[r.Pos()]; {
+		tag, ok := r.Peek()
+		switch {
+		case !ok:
+			r.Byte() // records the short read
+			return
 		case tag == rowenc.TagNull:
 			r.Byte()
-			if v.Valid == nil {
-				v.Valid = AllValid(rows)
-			}
-			v.Valid.SetNull(i)
-			if v.Offs != nil {
-				v.Offs[i+1] = int32(str.Len())
-			}
-			i++
+			b.AppendNull()
 			continue
 		case v.Typed() && tag == byte(v.Kind):
-		case !v.Typed() && typedKind(schema.Kind(tag)) && len(payload) <= math.MaxInt32:
+		case !v.Typed() && typedKind(schema.Kind(tag)):
 			v.Kind = schema.Kind(tag)
 			switch v.Kind {
 			case schema.KindFloat64:
-				v.Floats = make([]float64, rows)
+				v.Floats = make([]float64, b.rows)
 			case schema.KindString, schema.KindJSON:
-				v.Offs = make([]int32, rows+1)
-				str.Grow(len(payload) - rows) // every row spends a tag byte
+				v.Offs = make([]int32, b.rows+1)
 			default:
-				v.Ints = make([]int64, rows)
+				v.Ints = make([]int64, b.rows)
 			}
 		default:
-			v.promote(i, rows, str.String())
-			for ; i < rows; i++ {
-				v.Values[i] = rowenc.ReadValue(r)
-			}
-			return
+			b.promote()
+			continue
 		}
-		i = v.readRun(r, payload, i, rows, &str)
+		b.readRun(r, end)
 	}
-	if !v.Typed() { // every row NULL, or none
-		v.promote(rows, rows, "")
-		return
-	}
-	v.Str = str.String()
 }
 
-// readRun reads the values of v's kind from row i on, up to the first
-// row that is not one, and returns that row.
-func (v *Vector) readRun(r *bin.Reader, payload []byte, i, rows int, str *strings.Builder) int {
+// readRun reads the values of v's kind from row b.n on, up to the first
+// that is not one or row end.
+func (b *ColumnBuilder) readRun(r *bin.Reader, end int) {
+	v, i := &b.v, b.n
 	tag := byte(v.Kind)
-	next := func() bool { return i < rows && r.Len() > 0 && payload[r.Pos()] == tag }
+	next := func() bool {
+		t, ok := r.Peek()
+		return i < end && ok && t == tag
+	}
 	switch v.Kind {
 	case schema.KindFloat64:
 		for floats := v.Floats; next(); i++ {
@@ -311,17 +353,32 @@ func (v *Vector) readRun(r *bin.Reader, payload []byte, i, rows int, str *string
 	case schema.KindString, schema.KindJSON:
 		for offs := v.Offs; next(); i++ {
 			r.Byte()
-			str.Write(r.Block())
-			offs[i+1] = int32(str.Len())
+			s := r.Block()
+			if b.str.Cap()-b.str.Len() < len(s) {
+				if b.str.Len()+len(s) > math.MaxInt32 {
+					val := schema.String(string(s))
+					if v.Kind == schema.KindJSON {
+						val = schema.RawJSON(string(s))
+					}
+					b.n = i
+					b.promote()
+					v.Values[i] = val
+					b.n++
+					return
+				}
+				b.grow(len(s), i)
+			}
+			b.str.Write(s)
+			offs[i+1] = int32(b.str.Len())
 		}
 	case schema.KindBool:
 		for ints := v.Ints; next(); i++ {
 			r.Byte()
-			b := r.Byte()
-			if b > 1 {
-				r.Fail(fmt.Errorf("bool byte %d", b))
+			c := r.Byte()
+			if c > 1 {
+				r.Fail(fmt.Errorf("bool byte %d", c))
 			}
-			ints[i] = int64(b)
+			ints[i] = int64(c)
 		}
 	default:
 		for ints := v.Ints; next(); i++ {
@@ -329,15 +386,25 @@ func (v *Vector) readRun(r *bin.Reader, payload []byte, i, rows int, str *string
 			ints[i] = r.Varint()
 		}
 	}
-	return i
+	b.n = i
 }
 
-// promote turns a typed vector whose first n of rows rows are read into
-// an untyped one with those n values, the rest to be read.
-func (v *Vector) promote(n, rows int, str string) {
-	v.Str = str
-	vals := make([]schema.Value, rows)
-	for i := 0; i < n; i++ {
+// grow makes room in Str for extra more bytes at row i: what the bytes
+// of rows 0..i project over the column, with an eighth to spare, but
+// never past strMax or MaxInt32.
+func (b *ColumnBuilder) grow(extra, i int) {
+	used := b.str.Len() + extra
+	want := used * b.rows / (i + 1)
+	want = max(min(want+want/8, b.strMax, math.MaxInt32), used)
+	b.str.Grow(want - b.str.Len())
+}
+
+// promote turns the rows read so far into Values, the rest to be read.
+func (b *ColumnBuilder) promote() {
+	v := &b.v
+	v.Str = b.str.String()
+	vals := make([]schema.Value, b.rows)
+	for i := 0; i < b.n; i++ {
 		if v.Typed() {
 			vals[i] = v.ValueAt(i)
 		} else {
@@ -345,6 +412,19 @@ func (v *Vector) promote(n, rows int, str string) {
 		}
 	}
 	*v = Vector{Name: v.Name, Enc: BatchEncPlain, Values: vals}
+	b.promoted = true
+}
+
+// Vector returns the column built: typed, or Values when it was
+// promoted or every row is NULL.
+func (b *ColumnBuilder) Vector() Vector {
+	if !b.promoted && !b.v.Typed() { // every row NULL, or none
+		b.promote()
+	}
+	if b.v.Typed() {
+		b.v.Str = b.str.String()
+	}
+	return b.v
 }
 
 // BuildDict numbers the distinct values of vals in first-seen order,

@@ -118,6 +118,7 @@ snappy    FuzzDecode
 rowenc    FuzzDecodeRow
 rowenc    FuzzDecodeRows
 blockenc  FuzzOpen
+client    FuzzDecodeWOSBlocks
 fragment  FuzzScan
 ros       FuzzOpen
 wire      FuzzDecodeRecordBatch
