@@ -112,12 +112,20 @@ func TestSeedSweep(t *testing.T) {
 	}
 	// Seeds 80 and 99 lost an acknowledged DELETE: a reconcile finalized
 	// the statement's streamlet between its plan and its commit, and the
-	// tail mask never reached the fragments. Each replays its minimized
-	// schedule at the settings of scripts/sweep.sh.
+	// tail mask never reached the fragments. Seeds 22 and 69 lost
+	// acknowledged appends: a reconcile whose sentinel failed during a
+	// write outage finalized the streamlet anyway, and its old server
+	// kept acknowledging into the unfenced file. Each replays its
+	// minimized schedule at the settings of scripts/sweep.sh.
 	for _, pin := range []struct {
 		seed   int64
 		replay string
-	}{{80, "outage:beta:10-12"}, {99, "outage:beta:56-60"}} {
+	}{
+		{80, "outage:beta:10-12"},
+		{99, "outage:beta:56-60"},
+		{22, "outage:beta:42-47,outage:beta:38-42,outage:alpha:5-6"},
+		{69, "outage:beta:31-36,outage:alpha:34-41,outage:beta:48-51,crash-ss:ss-beta-2:5"},
+	} {
 		specs, err := chaos.ParseSpecs(pin.replay)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -153,5 +154,54 @@ func TestDegradeSealedStreamlet(t *testing.T) {
 	}
 	if got.State != meta.StreamletFinalized || got.RowCount != sealed.RowCount {
 		t.Fatalf("degrade disturbed sealed record: %+v", got)
+	}
+}
+
+// TestFinalizedRecordAnswersItsServer pins that no heartbeat changes a
+// FINALIZED record, and that the record answers a server still writing
+// to it: a heartbeat reporting it writable gets it back in
+// FinalizedStreamlets, and a degrade gets Finalized (§5.6).
+func TestFinalizedRecordAnswersItsServer(t *testing.T) {
+	r, addr, ctx, id, sl := degradeEnv(t)
+	if _, err := r.Net.Unary(ctx, addr, wire.MethodFinalizeStream, &wire.FinalizeStreamRequest{Stream: id}); err != nil {
+		t.Fatal(err)
+	}
+	sealed := streamletRecord(t, r, sl.ID)
+	extra := meta.FragmentInfo{ID: meta.FragmentIDFor(sl.ID, 9), Streamlet: sl.ID, Table: "d.t", Index: 9, Format: meta.WOS, RowCount: 5}
+	for _, state := range []meta.StreamletState{meta.StreamletWritable, meta.StreamletFinalized} {
+		report := sealed
+		report.State = state
+		report.RowCount += 5
+		resp, err := r.Net.Unary(ctx, addr, wire.MethodHeartbeat, &wire.HeartbeatRequest{
+			Server:     sl.Server,
+			Streamlets: []wire.StreamletHeartbeat{{Info: report, Fragments: []meta.FragmentInfo{extra}}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed := slices.Contains(resp.(*wire.HeartbeatResponse).FinalizedStreamlets, sl.ID)
+		if listed != (state == meta.StreamletWritable) {
+			t.Fatalf("report %v: listed back as finalized = %v", state, listed)
+		}
+		if got := streamletRecord(t, r, sl.ID); got.State != meta.StreamletFinalized || got.RowCount != sealed.RowCount {
+			t.Fatalf("report %v changed the record: %+v", state, got)
+		}
+		if err := r.DB.ReadTxn(func(tx *spanner.Txn) error {
+			if _, ok := tx.Get(fmt.Sprintf("fragments/d.t/%s", extra.ID)); ok {
+				return fmt.Errorf("report %v registered fragment %s", state, extra.ID)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := r.Net.Unary(ctx, addr, wire.MethodDegradeStreamlet, &wire.DegradeStreamletRequest{
+		Table: "d.t", Stream: id, Streamlet: sl.ID, Clusters: [2]string{sl.Clusters[0], sl.Clusters[0]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.(*wire.DegradeStreamletResponse).Finalized {
+		t.Fatal("degrade of a FINALIZED streamlet did not say so")
 	}
 }

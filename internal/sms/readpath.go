@@ -50,7 +50,7 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 	// over-quota tables come back as shed instructions on the response.
 	shed := t.adm.debitBytes(r.TableBytes)
 
-	var unknown []meta.StreamletID
+	var unknown, finalized []meta.StreamletID
 	var toDelete []meta.FragmentID
 	tables := map[meta.TableID]bool{}
 	for _, hb := range r.Streamlets {
@@ -58,7 +58,7 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 	}
 
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
-		unknown, toDelete = nil, nil
+		unknown, finalized, toDelete = nil, nil, nil
 		streamletIDs := map[meta.StreamletID]bool{}
 		for _, hb := range r.Streamlets {
 			streamletIDs[hb.Info.ID] = true
@@ -70,23 +70,19 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 			if err != nil {
 				return err
 			}
-			// A finalized streamlet's Spanner record is authoritative
-			// (§6.2): a report on it only registers fragments, and only
-			// once the server has finalized the streamlet too.
-			finalized := hb.Info.State == meta.StreamletFinalized
-			if cur.State != meta.StreamletFinalized {
-				cur.RowCount = hb.Info.RowCount
-				cur.NextFragmentIndex = hb.Info.NextFragmentIndex
-				if finalized {
-					err = finalizeStreamlet(tx, cur, hb.Fragments)
-				} else {
-					tx.Put(streamletKey(cur.Table, cur.ID), meta.MarshalStreamlet(cur))
-					err = upsertFragments(tx, cur, hb.Fragments)
+			// A FINALIZED record is authoritative (§6.2): no report
+			// changes it, and a server still writing learns it lost
+			// the streamlet (§5.6).
+			if cur.State == meta.StreamletFinalized {
+				if hb.Info.State != meta.StreamletFinalized {
+					finalized = append(finalized, hb.Info.ID)
 				}
-			} else if finalized {
-				err = upsertFragments(tx, cur, hb.Fragments)
+				continue
 			}
-			if err != nil {
+			cur.RowCount = hb.Info.RowCount
+			cur.NextFragmentIndex = hb.Info.NextFragmentIndex
+			tx.Put(streamletKey(cur.Table, cur.ID), meta.MarshalStreamlet(cur))
+			if err := upsertFragments(tx, cur, hb.Fragments); err != nil {
 				return err
 			}
 		}
@@ -134,7 +130,7 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 		return nil, err
 	}
 
-	out := &wire.HeartbeatResponse{DeleteFragments: toDelete, UnknownStreamlets: unknown, ShedTables: shed}
+	out := &wire.HeartbeatResponse{DeleteFragments: toDelete, UnknownStreamlets: unknown, FinalizedStreamlets: finalized, ShedTables: shed}
 	if len(tables) > 0 {
 		// Current schemas for the server's tables (§5.4.1), read outside
 		// the mutating transaction to keep its validation set small.
@@ -360,22 +356,34 @@ func (t *Task) handleReconcile(ctx context.Context, r *wire.ReconcileRequest) (*
 	return t.reconcile(ctx, r.Table, r.Stream, r.Streamlet)
 }
 
-// reconcile determines a streamlet's true committed length by inspecting
-// the log-file replicas, poisons any zombie writer with a sentinel
-// record, and persists the reconciled state as authoritative.
+// reconcile settles a writable streamlet (§5.6, §7.1): it reads the
+// committed length off the log-file replicas, fences the old writer,
+// and only then stores the result as the FINALIZED record. The fence is
+// a sentinel at the end of every live file plus a claim on the next
+// fragment path: a header carrying the reconciliation's epoch and a
+// sentinel, created at size 0, so the writer's next create fails. Each
+// must land on at least one replica; the writer's conditional append
+// then fails there, or its degrade onto the other replica finds the
+// record FINALIZED. A fence that lands nowhere, or that finds a file
+// grown since the scan (the writer moved), fails with a retryable
+// ErrUnavailable and finalizes nothing. A FINALIZED streamlet is
+// answered from its record.
 func (t *Task) reconcile(_ context.Context, table meta.TableID, stream meta.StreamID, id meta.StreamletID) (*wire.ReconcileResponse, error) {
 	region := t.colossus()
 	if region == nil {
 		return nil, fmt.Errorf("%w: reconciliation requires colossus access", ErrUnavailable)
 	}
 	var slInfo *meta.StreamletInfo
+	var settled *wire.ReconcileResponse
 	err := t.db.ReadTxn(func(tx *spanner.Txn) error {
 		var err error
-		slInfo, err = getStreamlet(tx, table, id)
+		if slInfo, err = getStreamlet(tx, table, id); err == nil && slInfo.State == meta.StreamletFinalized {
+			settled, err = recordedState(tx, slInfo)
+		}
 		return err
 	})
-	if err != nil {
-		return nil, err
+	if err != nil || settled != nil {
+		return settled, err
 	}
 
 	newEpoch := int64(t.clock.Commit())
@@ -385,8 +393,13 @@ func (t *Task) reconcile(_ context.Context, table meta.TableID, stream meta.Stre
 		cluster *colossus.Cluster
 		files   map[string]*fragment.ScanResult
 	}
+	clusters := slInfo.Clusters[:]
+	if clusters[0] == clusters[1] {
+		clusters = clusters[:1] // degraded: one replica
+	}
 	var replicas []replicaScan
-	for _, cn := range slInfo.Clusters {
+	lastIndex := -1
+	for _, cn := range clusters {
 		c := region.Cluster(cn)
 		if c == nil || !c.Available() {
 			continue
@@ -397,6 +410,9 @@ func (t *Task) reconcile(_ context.Context, table meta.TableID, stream meta.Stre
 		}
 		rs := replicaScan{cluster: c, files: map[string]*fragment.ScanResult{}}
 		for _, p := range paths {
+			if idx, err := strconv.Atoi(strings.TrimPrefix(p, prefix+"f-")); err == nil && idx > lastIndex {
+				lastIndex = idx
+			}
 			data, err := c.Read(p, 0, -1)
 			if err != nil {
 				continue
@@ -435,6 +451,7 @@ func (t *Task) reconcile(_ context.Context, table meta.TableID, stream meta.Stre
 	}
 	frags := make([]meta.FragmentInfo, 0, len(paths))
 	var totalRows int64
+	var sentinels [][]fenceWrite
 	for p := range paths {
 		var scans []*fragment.ScanResult
 		for _, rs := range replicas {
@@ -531,40 +548,114 @@ func (t *Task) reconcile(_ context.Context, table meta.TableID, stream meta.Stre
 		totalRows += info.RowCount
 		frags = append(frags, info)
 
-		// Poison the file in every reachable replica: a sentinel at the
-		// reconciled size invalidates the old writer's sole-writer
-		// assumption (§5.6).
-		sentinel := fragment.EncodeBlock(fragment.Block{
-			Kind:      fragment.BlockSentinel,
-			Timestamp: t.clock.Commit(),
-			StartRow:  newEpoch,
-		})
+		// A file with a footer on any replica was closed by its writer
+		// and cannot grow; every other file gets a sentinel at its end.
+		var writes []fenceWrite
+		closed := false
 		for _, rs := range replicas {
 			if s, ok := rs.files[p]; ok {
+				closed = closed || s.Footer != nil
 				end := s.CommittedSize
 				if s.TailBlock != nil {
 					end = s.TailBlock.Offset + s.TailBlock.Size
 				}
-				if s.Footer == nil { // finalized files cannot grow anyway
-					_, _ = rs.cluster.AppendAt(p, end, sentinel, blockenc.Checksum(sentinel))
-				}
+				writes = append(writes, fenceWrite{rs.cluster, p, end})
 			}
+		}
+		if !closed {
+			sentinels = append(sentinels, writes)
 		}
 	}
 
+	sentinel := fragment.EncodeBlock(fragment.Block{
+		Kind:      fragment.BlockSentinel,
+		Timestamp: t.clock.Commit(),
+		StartRow:  newEpoch,
+	})
+	for _, writes := range sentinels {
+		if err := fence(id, sentinel, writes); err != nil {
+			return nil, err
+		}
+	}
+	claimIndex := lastIndex + 1
+	claim := append(fragment.EncodeHeader(fragment.Header{
+		StreamletID: string(id),
+		Index:       claimIndex,
+		WriterEpoch: newEpoch,
+	}), sentinel...)
+	claims := make([]fenceWrite, len(replicas))
+	for i, rs := range replicas {
+		claims[i] = fenceWrite{rs.cluster, streamserver.FragmentPath(table, id, claimIndex), 0}
+	}
+	if err := fence(id, claim, claims); err != nil {
+		return nil, err
+	}
+
 	// Persist the reconciled truth.
+	var resp *wire.ReconcileResponse
 	_, err = t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		cur, err := getStreamlet(tx, table, id)
 		if err != nil {
 			return err
 		}
+		if cur.State == meta.StreamletFinalized {
+			// Settled meanwhile, by FinalizeStream or another reconcile.
+			resp, err = recordedState(tx, cur)
+			return err
+		}
+		if cur.Clusters != slInfo.Clusters {
+			// The writer degraded after the scan, onto a replica the
+			// fence may have missed; its degraded writes are not counted.
+			return fmt.Errorf("%w: streamlet %s degraded during reconciliation", ErrUnavailable, id)
+		}
 		cur.RowCount = totalRows
+		resp = &wire.ReconcileResponse{RowCount: totalRows, Fragments: frags}
 		return finalizeStreamlet(tx, cur, frags)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &wire.ReconcileResponse{RowCount: totalRows, Fragments: frags}, nil
+	return resp, nil
+}
+
+// fenceWrite is one replica's part of a fence: bytes appended where the
+// scan found the file's end (0 for a file to create).
+type fenceWrite struct {
+	cluster *colossus.Cluster
+	path    string
+	at      int64
+}
+
+// fence appends data through each write. It holds once one lands; it
+// fails retryably if none does, or if any finds its file grown since
+// the scan, which means the writer moved on and the scan is stale.
+func fence(id meta.StreamletID, data []byte, writes []fenceWrite) error {
+	landed := false
+	for _, w := range writes {
+		_, err := w.cluster.AppendAt(w.path, w.at, data, blockenc.Checksum(data))
+		if errors.Is(err, colossus.ErrSizeMismatch) {
+			return fmt.Errorf("%w: streamlet %s moved during reconciliation: %v", ErrUnavailable, id, err)
+		}
+		landed = landed || err == nil
+	}
+	if !landed {
+		return fmt.Errorf("%w: no replica of streamlet %s took the fence", ErrUnavailable, id)
+	}
+	return nil
+}
+
+// recordedState answers a reconciliation from a FINALIZED record, which
+// is authoritative (§6.2).
+func recordedState(tx *spanner.Txn, sl *meta.StreamletInfo) (*wire.ReconcileResponse, error) {
+	resp := &wire.ReconcileResponse{RowCount: sl.RowCount}
+	for _, kv := range tx.Scan(streamletFragmentPrefix(sl.Table, sl.ID)) {
+		f, err := meta.UnmarshalFragment(kv.Value)
+		if err != nil {
+			return nil, err
+		}
+		resp.Fragments = append(resp.Fragments, *f)
+	}
+	return resp, nil
 }
 
 // ---- conversion (§6.1) and DML coordination (§7.3) ----

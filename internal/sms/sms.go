@@ -331,13 +331,13 @@ func streamletsOf(tx *spanner.Txn, table meta.TableID, stream meta.StreamID) ([]
 func (t *Task) handleGetWritableStreamlet(ctx context.Context, r *wire.GetWritableStreamletRequest) (*wire.GetWritableStreamletResponse, error) {
 	for attempt := 0; attempt < 4; attempt++ {
 		var (
-			sl         *meta.StreamletInfo
+			sl, stale  *meta.StreamletInfo
 			sc         *schema.Schema
 			created    bool
 			tokenTaken bool
 		)
 		_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
-			sl, sc, created = nil, nil, false
+			sl, stale, sc, created = nil, nil, nil, false
 			stream, err := getStream(tx, r.Stream)
 			if err != nil {
 				return err
@@ -361,11 +361,11 @@ func (t *Task) handleGetWritableStreamlet(ctx context.Context, r *wire.GetWritab
 					sl = last
 					return nil
 				}
-				// The client reports the server failed: close this
-				// streamlet; its true length is settled by reconciliation.
-				if err := finalizeStreamlet(tx, last, nil); err != nil {
-					return err
-				}
+				// The client reports the server failed: the streamlet
+				// is settled by reconciliation, which fences the server
+				// before it finalizes (§5.6).
+				stale = last
+				return nil
 			}
 			// Create the next streamlet — first pay the creation budget.
 			// The tokenTaken flag lives outside the closure so a Spanner
@@ -404,6 +404,12 @@ func (t *Task) handleGetWritableStreamlet(ctx context.Context, r *wire.GetWritab
 		})
 		if err != nil {
 			return nil, err
+		}
+		if stale != nil {
+			if _, err := t.reconcile(ctx, stale.Table, stale.Stream, stale.ID); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		if !created {
 			return &wire.GetWritableStreamletResponse{Streamlet: *sl, Schema: sc, Epoch: sl.Epoch}, nil
@@ -520,8 +526,8 @@ func (t *Task) handleFinalizeStream(ctx context.Context, r *wire.FinalizeStreamR
 			}
 		} else if _, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 			sl, err := getStreamlet(tx, writable.Table, writable.ID)
-			if err != nil {
-				return err
+			if err != nil || sl.State == meta.StreamletFinalized {
+				return err // a FINALIZED record is authoritative (§6.2)
 			}
 			sl.RowCount = fin.RowCount
 			return finalizeStreamlet(tx, sl, fin.Fragments)
@@ -557,13 +563,17 @@ func (t *Task) handleFinalizeStream(ctx context.Context, r *wire.FinalizeStreamR
 // the §5.6 fallback to single-cluster replication during a Colossus
 // outage. The owning Stream Server calls this synchronously before
 // acknowledging its first degraded write, so reconciliation and readers
-// never consult the out cluster's stale replica. Idempotent.
+// never consult the out cluster's stale replica. Idempotent. On a
+// FINALIZED record the answer says so: a reconciliation fenced the
+// server, which must not acknowledge the write it was degrading.
 func (t *Task) handleDegradeStreamlet(_ context.Context, r *wire.DegradeStreamletRequest) (*wire.DegradeStreamletResponse, error) {
+	resp := &wire.DegradeStreamletResponse{}
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		sl, err := getStreamlet(tx, r.Table, r.Streamlet)
 		if err != nil {
 			return err
 		}
+		resp.Finalized = sl.State == meta.StreamletFinalized
 		sl.Clusters = r.Clusters
 		tx.Put(streamletKey(r.Table, r.Streamlet), meta.MarshalStreamlet(sl))
 		return nil
@@ -571,7 +581,7 @@ func (t *Task) handleDegradeStreamlet(_ context.Context, r *wire.DegradeStreamle
 	if err != nil {
 		return nil, err
 	}
-	return &wire.DegradeStreamletResponse{}, nil
+	return resp, nil
 }
 
 func (t *Task) handleBatchCommit(_ context.Context, r *wire.BatchCommitRequest) (*wire.BatchCommitResponse, error) {

@@ -7,6 +7,7 @@
 package streamserver
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -116,6 +117,8 @@ type Server struct {
 }
 
 // streamlet is the server's in-memory truth about one streamlet.
+// info.RowCount counts the acknowledged rows; info.State is WRITABLE
+// until relinquish, the one transition out of it.
 type streamlet struct {
 	mu        sync.Mutex
 	info      meta.StreamletInfo
@@ -123,12 +126,10 @@ type streamlet struct {
 	epoch     int64
 	fragments []*meta.FragmentInfo
 	cur       *fragWriter
-	rowCount  int64 // committed rows (local truth)
 	// pendingCommit marks that the last data block has no successor yet:
 	// the commit record is combined with the next append or written
 	// after inactivity (§7.1).
 	pendingCommit bool
-	closed        bool
 	// lastAppend remembers the most recent acknowledged append so a
 	// retransmission whose ack was lost (or a hedged duplicate) can be
 	// answered with the original response instead of WRONG_OFFSET —
@@ -341,7 +342,7 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.closed {
+	if sl.info.State == meta.StreamletFinalized {
 		return fail(wire.ErrCodeStreamletClosed, "")
 	}
 	// Load shedding (§5.5): the SMS told us this table is over its
@@ -375,7 +376,7 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 		return fail(wire.ErrCodeBadPayload, err.Error())
 	}
 	// Offset validation (§4.2.2).
-	streamOffset := sl.info.StartOffset + sl.rowCount
+	streamOffset := sl.info.StartOffset + sl.info.RowCount
 	if r.ExpectedStreamOffset >= 0 && r.ExpectedStreamOffset != streamOffset {
 		// A flagged retransmission of the last acknowledged batch (same
 		// offset, same payload CRC) replays the original ack: the first
@@ -390,21 +391,17 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 
 	ts := s.assignTS(int64(len(rows)))
 	if err := s.writeDataBlock(sl, r.Payload, ts, int64(len(rows))); err != nil {
+		// Whatever failed the write, the streamlet ends here; the client
+		// rotates and reconciliation settles its length (§5.3, §5.6).
+		s.relinquish(sl)
 		if errors.Is(err, colossus.ErrSizeMismatch) {
-			// A sentinel (or competing writer) poisoned the log: this
-			// server is a zombie for the streamlet and relinquishes (§5.6).
-			sl.closed = true
-			s.markDirty(sl.info.ID)
 			return fail(wire.ErrCodeStreamletClosed, "ownership lost")
 		}
-		sl.closed = true
-		s.markDirty(sl.info.ID)
 		return fail(wire.ErrCodeIO, err.Error())
 	}
 	// Update column properties for pruning (§7.2).
 	s.recordProps(sl, rows)
-	sl.rowCount += int64(len(rows))
-	sl.info.RowCount = sl.rowCount
+	sl.info.RowCount += int64(len(rows))
 	sl.pendingCommit = true
 	s.markDirty(sl.info.ID)
 	s.appendOps.Add(1)
@@ -424,7 +421,8 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 
 // writeDataBlock writes one sealed data block (preceded by a pending
 // commit record if any) to both replicas, opening and rotating fragments
-// as needed. Caller holds sl.mu.
+// as needed. It gives up once the streamlet is relinquished. Caller
+// holds sl.mu.
 func (s *Server) writeDataBlock(sl *streamlet, payload []byte, ts truetime.Timestamp, nrows int64) error {
 	sealed, err := s.sealer.Seal(payload, blockenc.Checksum(payload), s.keyID)
 	if err != nil {
@@ -434,11 +432,7 @@ func (s *Server) writeDataBlock(sl *streamlet, payload []byte, ts truetime.Times
 	for attempt := 0; attempt < 3; attempt++ {
 		if sl.cur == nil {
 			if err := s.openFragment(sl); err != nil {
-				lastErr = err
-				if errors.Is(err, colossus.ErrSizeMismatch) {
-					return err
-				}
-				continue
+				return err
 			}
 		}
 		var buf []byte
@@ -448,13 +442,13 @@ func (s *Server) writeDataBlock(sl *streamlet, payload []byte, ts truetime.Times
 		buf = append(buf, fragment.EncodeBlock(fragment.Block{
 			Kind:      fragment.BlockData,
 			Timestamp: ts,
-			StartRow:  sl.rowCount,
+			StartRow:  sl.info.RowCount,
 			RowCount:  nrows,
 			Payload:   sealed,
 		})...)
 		if err := s.writeBoth(sl, buf); err != nil {
 			lastErr = err
-			if errors.Is(err, colossus.ErrSizeMismatch) {
+			if sl.info.State == meta.StreamletFinalized {
 				return err
 			}
 			// Rotate: close the failed fragment at its committed size and
@@ -484,74 +478,71 @@ func (s *Server) writeDataBlock(sl *streamlet, payload []byte, ts truetime.Times
 // cluster entries) writes once; a dual-homed streamlet whose one failed
 // replica sits in a scheduled cluster outage degrades in place — after
 // the SMS durably records the new replica set — instead of failing the
-// append. Caller holds sl.mu.
+// append. A size mismatch on either replica means a reconciliation
+// fenced the file (§5.6): the server relinquishes the streamlet. Caller
+// holds sl.mu.
 func (s *Server) writeBoth(sl *streamlet, data []byte) error {
 	crc := blockenc.Checksum(data)
 	path := sl.cur.info.Path
 	expect := sl.cur.size
 	clusters := sl.info.Clusters
-	if clusters[0] == clusters[1] {
-		c := s.region.Blob(clusters[0])
+	var errs [2]error
+	write := func(i int) {
+		c := s.region.Blob(clusters[i])
 		if c == nil {
-			return fmt.Errorf("streamserver: no cluster %q", clusters[0])
+			errs[i] = fmt.Errorf("streamserver: no cluster %q", clusters[i])
+			return
 		}
-		_, err := c.AppendAt(path, expect, data, crc)
-		return err
+		_, errs[i] = c.AppendAt(path, expect, data, crc)
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, name := range clusters {
-		c := s.region.Blob(name)
-		if c == nil {
-			errs[i] = fmt.Errorf("streamserver: no cluster %q", name)
-			continue
-		}
+	if clusters[0] != clusters[1] {
 		wg.Add(1)
-		go func(i int, c colossus.Blobs) {
+		go func() {
 			defer wg.Done()
-			_, errs[i] = c.AppendAt(path, expect, data, crc)
-		}(i, c)
+			write(1)
+		}()
 	}
+	write(0)
 	wg.Wait()
 	if errs[0] == nil && errs[1] == nil {
 		return nil
 	}
-	for i := range errs {
-		if errs[i] == nil || errs[1-i] != nil {
-			continue // not the exactly-one-replica-failed case
+	for _, err := range errs {
+		if errors.Is(err, colossus.ErrSizeMismatch) {
+			s.relinquish(sl)
+			return err
 		}
-		if errors.Is(errs[i], colossus.ErrSizeMismatch) {
-			break // ownership loss, not an outage
-		}
-		chaos := s.chaosSchedule()
-		if chaos == nil || !chaos.ClusterOut(clusters[i]) {
-			break
-		}
-		// Degraded single-cluster commit (§5.6): the healthy replica has
-		// the bytes; record the fallback durably, then acknowledge.
-		if err := s.degradeStreamlet(sl, clusters[1-i]); err != nil {
-			break
-		}
-		s.degradedWrites.Add(1)
-		return nil
 	}
-	if errs[0] != nil {
-		return errs[0]
+	// Degraded single-cluster commit (§5.6): exactly one replica of a
+	// dual-homed streamlet failed, in a scheduled outage, and the other
+	// has the bytes; record the fallback durably, then acknowledge.
+	if clusters[0] != clusters[1] && (errs[0] == nil) != (errs[1] == nil) {
+		out, healthy := clusters[0], clusters[1]
+		if errs[0] == nil {
+			out, healthy = healthy, out
+		}
+		if chaos := s.chaosSchedule(); chaos != nil && chaos.ClusterOut(out) && s.degradeStreamlet(sl, healthy) == nil {
+			s.degradedWrites.Add(1)
+			return nil
+		}
 	}
-	return errs[1]
+	return cmp.Or(errs[0], errs[1])
 }
 
 // degradeStreamlet flips the streamlet (and its open fragment) to
 // single-cluster replication on healthy, synchronously recording the
 // change at the SMS so reconciliation and readers stop consulting the
 // out cluster's stale replica. Earlier, completed fragments stay
-// dual-homed — both their replicas are whole. Caller holds sl.mu.
+// dual-homed — both their replicas are whole. A FINALIZED answer means
+// a reconciliation took the streamlet: the server relinquishes it and
+// the degraded write fails. Caller holds sl.mu.
 func (s *Server) degradeStreamlet(sl *streamlet, healthy string) error {
 	addr, err := s.router.SMSFor(sl.info.Table)
 	if err != nil {
 		return err
 	}
-	_, err = wire.DegradeStreamlet.Call(context.Background(), s.net, addr, &wire.DegradeStreamletRequest{
+	resp, err := wire.DegradeStreamlet.Call(context.Background(), s.net, addr, &wire.DegradeStreamletRequest{
 		Table:     sl.info.Table,
 		Stream:    sl.info.Stream,
 		Streamlet: sl.info.ID,
@@ -559,6 +550,10 @@ func (s *Server) degradeStreamlet(sl *streamlet, healthy string) error {
 	})
 	if err != nil {
 		return err
+	}
+	if resp.Finalized {
+		s.relinquish(sl)
+		return fmt.Errorf("streamserver: %s: streamlet %s is finalized", wire.ErrCodeStreamletClosed, sl.info.ID)
 	}
 	sl.info.Clusters = [2]string{healthy, healthy}
 	if sl.cur != nil {
@@ -578,8 +573,10 @@ func StreamletPrefix(table meta.TableID, sl meta.StreamletID) string {
 	return fmt.Sprintf("wos/%s/%s/", table, sl)
 }
 
-// openFragment creates the next fragment file with a File Map header.
-// Caller holds sl.mu.
+// openFragment creates the next fragment file with a File Map header. A
+// failed create relinquishes the streamlet: a reconciliation may have
+// claimed the path (§5.6), and a half-created file may sit in one
+// cluster. Caller holds sl.mu.
 func (s *Server) openFragment(sl *streamlet) error {
 	idx := sl.info.NextFragmentIndex
 	var fmap []fragment.FileMapEntry
@@ -608,7 +605,7 @@ func (s *Server) openFragment(sl *streamlet) error {
 		Format:        meta.WOS,
 		Path:          FragmentPath(sl.info.Table, sl.info.ID, idx),
 		Clusters:      sl.info.Clusters,
-		StartRow:      sl.rowCount,
+		StartRow:      sl.info.RowCount,
 		CreationTS:    s.clock.Commit(),
 		SchemaVersion: sl.schema.Version,
 	}
@@ -618,14 +615,11 @@ func (s *Server) openFragment(sl *streamlet) error {
 		partitions: make(map[int64]bool),
 	}
 	sl.cur = fw
-	// Burn the index even if the creation write fails: a half-created
-	// file may exist in one cluster, and reusing its path would trip the
-	// conditional-append guard.
-	sl.info.NextFragmentIndex = idx + 1
 	if err := s.writeBoth(sl, hdr); err != nil {
-		sl.cur = nil
+		s.relinquish(sl)
 		return err
 	}
+	sl.info.NextFragmentIndex = idx + 1
 	fw.size = int64(len(hdr))
 	info.CommittedBytes = fw.size
 	sl.fragments = append(sl.fragments, info)
@@ -716,7 +710,7 @@ func (s *Server) handleFlush(_ context.Context, r *wire.FlushRequest) (*wire.Flu
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.closed {
+	if sl.info.State == meta.StreamletFinalized {
 		return nil, fmt.Errorf("streamserver: %s", wire.ErrCodeStreamletClosed)
 	}
 	if sl.cur == nil {
@@ -746,7 +740,7 @@ func (s *Server) handleFinalizeStreamlet(_ context.Context, r *wire.FinalizeStre
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if !sl.closed {
+	if sl.info.State != meta.StreamletFinalized {
 		if sl.pendingCommit && sl.cur != nil {
 			blk := fragment.EncodeBlock(fragment.Block{Kind: fragment.BlockCommit, Timestamp: s.clock.Commit()})
 			if err := s.writeBoth(sl, blk); err == nil {
@@ -756,11 +750,25 @@ func (s *Server) handleFinalizeStreamlet(_ context.Context, r *wire.FinalizeStre
 			}
 		}
 		s.finalizeCurrentFragment(sl)
-		sl.closed = true
-		sl.info.State = meta.StreamletFinalized
-		s.markDirty(sl.info.ID)
+		s.relinquish(sl)
 	}
-	return &wire.FinalizeStreamletResponse{RowCount: sl.rowCount, Fragments: copyFragments(sl.fragments)}, nil
+	return &wire.FinalizeStreamletResponse{RowCount: sl.info.RowCount, Fragments: copyFragments(sl.fragments)}, nil
+}
+
+// relinquish is the one transition of a streamlet out of WRITABLE: the
+// open fragment closes at its committed size, appends fail with
+// STREAMLET_CLOSED from here on, and the next heartbeat reports the
+// final state. The server calls it when it finalizes the streamlet and
+// whenever it learns the streamlet is no longer its own (§5.6): a write
+// that found a fenced file, a fragment it could not create, or an SMS
+// answer naming the record FINALIZED. Caller holds sl.mu.
+func (s *Server) relinquish(sl *streamlet) {
+	if sl.info.State == meta.StreamletFinalized {
+		return
+	}
+	s.abandonCurrentFragment(sl)
+	sl.info.State = meta.StreamletFinalized
+	s.markDirty(sl.info.ID)
 }
 
 func (s *Server) handleStreamletState(_ context.Context, r *wire.StreamletStateRequest) (*wire.StreamletStateResponse, error) {
@@ -770,7 +778,7 @@ func (s *Server) handleStreamletState(_ context.Context, r *wire.StreamletStateR
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return &wire.StreamletStateResponse{RowCount: sl.rowCount, Fragments: copyFragments(sl.fragments)}, nil
+	return &wire.StreamletStateResponse{RowCount: sl.info.RowCount, Fragments: copyFragments(sl.fragments)}, nil
 }
 
 func copyFragments(fs []*meta.FragmentInfo) []meta.FragmentInfo {
@@ -967,6 +975,15 @@ func (s *Server) applyHeartbeatResponse(resp *wire.HeartbeatResponse) {
 			delete(s.streamlets, id)
 		}
 		s.mu.Unlock()
+	}
+	// Streamlets a reconciliation finalized behind this server's back
+	// are no longer its own (§5.6).
+	for _, id := range resp.FinalizedStreamlets {
+		if sl, ok := s.lookup(id); ok {
+			sl.mu.Lock()
+			s.relinquish(sl)
+			sl.mu.Unlock()
+		}
 	}
 	// Shed instructions: reject the listed tables' appends until the
 	// deadline. Instructions extend but never shorten an active shed —

@@ -3,6 +3,8 @@ package streamserver
 import (
 	"context"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,5 +244,60 @@ func TestAssignTSMonotonicAndDense(t *testing.T) {
 	// Timestamps stay close to real time (bounded drift).
 	if drift := time.Duration(int64(last) - time.Now().UnixNano()); drift > time.Second {
 		t.Fatalf("sequence drifted %v from wall time", drift)
+	}
+}
+
+// TestHeartbeatRelinquishRacesAppends relinquishes a streamlet through a
+// heartbeat answer while appends race it: each append is acknowledged
+// or refused STREAMLET_CLOSED, none lands after the transition, and the
+// server's row count is exactly the rows it acknowledged.
+func TestHeartbeatRelinquishRacesAppends(t *testing.T) {
+	srv, _, net := newServer(t, 0)
+	createStreamlet(t, net, "s-1/sl-0")
+	payload := rowenc.EncodeRows([]schema.Row{schema.NewRow(schema.String("k"), schema.Int64(1))})
+	var acked atomic.Int64
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			closed := false
+			for i := 0; i < 50; i++ {
+				if g == 0 && i == 5 {
+					close(started)
+				}
+				resp, err := net.Unary(context.Background(), "ss-1", wire.MethodAppend, &wire.AppendRequest{
+					Streamlet: "s-1/sl-0", Payload: payload, CRC: blockenc.Checksum(payload), ExpectedStreamOffset: -1,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				switch code := resp.(*wire.AppendResponse).Error; {
+				case code == "" && closed:
+					t.Error("append acknowledged after a refusal")
+				case code == "":
+					acked.Add(1)
+				case code == wire.ErrCodeStreamletClosed:
+					closed = true
+				default:
+					t.Errorf("append: %q", code)
+				}
+			}
+		}(g)
+	}
+	<-started
+	srv.applyHeartbeatResponse(&wire.HeartbeatResponse{FinalizedStreamlets: []meta.StreamletID{"s-1/sl-0"}})
+	wg.Wait()
+	resp, err := net.Unary(context.Background(), "ss-1", wire.MethodStreamletState, &wire.StreamletStateRequest{Streamlet: "s-1/sl-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.(*wire.StreamletStateResponse).RowCount; got != acked.Load() {
+		t.Fatalf("row count %d, acknowledged %d", got, acked.Load())
+	}
+	if r := appendRows(t, net, "s-1/sl-0", -1, 1); r.Error != wire.ErrCodeStreamletClosed {
+		t.Fatalf("append after relinquish: %q", r.Error)
 	}
 }

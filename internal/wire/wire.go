@@ -335,12 +335,14 @@ type HeartbeatRequest struct {
 
 // HeartbeatResponse instructs the Stream Server: current schemas for its
 // tables (how schema changes reach writers, §5.4.1), fragments to
-// garbage collect, and streamlets the SMS does not know (candidates for
-// deletion if sufficiently old).
+// garbage collect, streamlets the SMS does not know (candidates for
+// deletion if sufficiently old), and streamlets reported writable whose
+// record is FINALIZED (the server relinquishes them).
 type HeartbeatResponse struct {
-	Schemas           map[meta.TableID]*schema.Schema
-	DeleteFragments   []meta.FragmentID
-	UnknownStreamlets []meta.StreamletID
+	Schemas             map[meta.TableID]*schema.Schema
+	DeleteFragments     []meta.FragmentID
+	UnknownStreamlets   []meta.StreamletID
+	FinalizedStreamlets []meta.StreamletID
 	// ShedTables instructs the server to reject appends to each listed
 	// table with ErrCodeResourceExhausted for the given duration (nanos):
 	// the SMS found the table (or the region) over its byte-rate quota.
@@ -429,7 +431,11 @@ type DegradeStreamletRequest struct {
 }
 
 // DegradeStreamletResponse acknowledges the durable replica-set change.
-type DegradeStreamletResponse struct{}
+// Finalized reports that the streamlet's record is FINALIZED: the caller
+// no longer owns it and must not acknowledge the degraded write.
+type DegradeStreamletResponse struct {
+	Finalized bool
+}
 
 // ConversionCandidatesRequest asks the SMS for fragments ready to be
 // converted WOS→ROS (§6.1).

@@ -2,7 +2,8 @@
 # Full local check and the CI gate: formatting, vet, every test under the
 # race detector, then four tables — packages that get a second race
 # pass, fuzz targets, programs that have no tests of their own, and the
-# code-line count per package.
+# code-line count per package — with a 20-seed simulation sweep before
+# the last.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,19 +40,27 @@ if [ -n "$unsafe_users" ]; then
     exit 1
 fi
 
-# One owner per SMS metadata transition (DESIGN.md §6): only
-# finalizeStreamlet sets a streamlet FINALIZED, so no finalization skips
-# fragment and tail-mask mapping, and only getMask parses a stored mask,
-# so no reader takes a corrupt one for "nothing deleted".
-sms_owners=$(awk '
-    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[([].*/, "", fn) }
-    /^[[:space:]]*\/\// { next }
-    /([^=!<>]=|:)[[:space:]]*meta\.StreamletFinalized/ && fn != "finalizeStreamlet" { print FILENAME ":" FNR ": " $0 }
-    /dml\.Unmarshal\(/ && fn != "getMask" { print FILENAME ":" FNR ": " $0 }
-' $(ls internal/sms/*.go | grep -v '_test\.go$'))
-if [ -n "$sms_owners" ]; then
-    echo "SMS transition outside its owner (StreamletFinalized is set in finalizeStreamlet, masks are parsed in getMask):" >&2
-    echo "$sms_owners" >&2
+# One owner per metadata transition (DESIGN.md §6). In internal/sms
+# only finalizeStreamlet sets a streamlet FINALIZED, so no finalization
+# skips fragment and tail-mask mapping, and only getMask parses a stored
+# mask, so no reader takes a corrupt one for "nothing deleted". In
+# internal/streamserver only relinquish does, so every way a server
+# gives a streamlet up closes its fragment and reaches its heartbeat.
+owners=$(while read -r pkg owner; do
+    awk -v owner="$owner" '
+        /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[([].*/, "", fn) }
+        /^[[:space:]]*\/\// { next }
+        /([^=!<>]=|:)[[:space:]]*meta\.StreamletFinalized/ && fn != owner { print FILENAME ":" FNR ": " $0 }
+        /dml\.Unmarshal\(/ && fn != "getMask" { print FILENAME ":" FNR ": " $0 }
+    ' $(ls "internal/$pkg"/*.go | grep -v '_test\.go$')
+done <<'EOF'
+sms           finalizeStreamlet
+streamserver  relinquish
+EOF
+)
+if [ -n "$owners" ]; then
+    echo "transition outside its owner (StreamletFinalized is set in sms.finalizeStreamlet and streamserver.relinquish, masks are parsed in getMask):" >&2
+    echo "$owners" >&2
     exit 1
 fi
 
@@ -147,6 +156,10 @@ done <<'EOF'
 ./examples/cdc_upsert
 ./examples/batch_etl
 EOF
+
+# Seed sweep of the simulation harness: seeds 1..20 at -clients 4
+# -duration 3s, every invariant under each seed's random chaos program.
+sh scripts/sweep.sh 20
 
 # Non-test, non-comment Go lines per package: the number a simplicity
 # PR reports parent -> change.
