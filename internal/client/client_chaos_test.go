@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +92,36 @@ func TestFlushAndFinalizeUnderRetry(t *testing.T) {
 	}
 	if c.Metrics().SMSRetries == 0 {
 		t.Fatal("dropped control-plane requests must be counted as SMS retries")
+	}
+}
+
+// TestReaderRetriesReconcile drops the reader's first Reconcile request.
+// With the second replica unreadable, only the SMS can decide whether
+// the live file's final append committed (§7.1). A reconcile is
+// idempotent — a FINALIZED record is answered from the record — so the
+// scan retries it and returns every row.
+func TestReaderRetriesReconcile(t *testing.T) {
+	sched := chaos.NewSchedule().FailAt(chaos.PointRPCRequest, "*/Reconcile", 1)
+	r, c, ctx := chaosEnv(t, sched, client.DefaultOptions())
+	s, err := c.CreateStream(ctx, "d.t", meta.Unbuffered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Append(ctx, []schema.Row{row(i)}, client.AtOffset(int64(i))); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	r.Colossus.Cluster("beta").SetAvailable(false)
+	rows, _, err := c.ReadAll(ctx, "d.t", 0)
+	if err != nil {
+		t.Fatalf("a dropped reconcile must be retried: %v", err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("read %d rows, want 3", len(rows))
+	}
+	if !strings.Contains(sched.LogString(), "Reconcile") {
+		t.Fatalf("no Reconcile request was dropped: %s", sched.LogString())
 	}
 }
 

@@ -690,8 +690,9 @@ func (c *Client) decideTail(ctx context.Context, plan *ScanPlan, a Assignment, s
 		}
 	}
 	// Replicas disagree or one is unreachable: only the SMS can make a
-	// consistent decision for all readers.
-	rec, err := CallSMS(ctx, c.net, c.router, a.Frag.Table, wire.Reconcile, &wire.ReconcileRequest{
+	// consistent decision for all readers. A reconcile is idempotent (a
+	// FINALIZED record is answered from the record), so it is retried.
+	rec, err := smsRetry(ctx, c, a.Frag.Table, wire.Reconcile, &wire.ReconcileRequest{
 		Table:     a.Frag.Table,
 		Stream:    a.Stream,
 		Streamlet: a.Frag.Streamlet,

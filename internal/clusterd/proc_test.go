@@ -97,11 +97,7 @@ func TestLaunchLocalExactlyOnce(t *testing.T) {
 					case err == nil:
 						committed = true
 					case errors.Is(err, client.ErrWrongOffset):
-						rec := verify.AppendRecord{Table: table, Stream: stream.Info().ID, Offset: next, RowCount: int64(len(rows)), FirstSeq: -1}
-						for _, r := range rows {
-							rec.RowHashes = append(rec.RowHashes, verify.RowHash(r))
-						}
-						ledger.Record(rec)
+						ledger.Record(verify.NewAppendRecord(table, stream.Info().ID, next, rows, -1))
 						committed = true
 					default:
 						time.Sleep(5 * time.Millisecond)

@@ -111,26 +111,6 @@ func parseFrameHeader(hdr []byte) (frameType, uint32, uint32, uint32, error) {
 	return typ, id, length, crc, nil
 }
 
-// decodeFrame decodes one frame from the front of b, returning the frame
-// and the number of bytes consumed. It is the pure-function core the
-// connection reader and the fuzz target share: every validation the wire
-// path performs happens here.
-func decodeFrame(b []byte) (frame, int, error) {
-	typ, id, length, crc, err := parseFrameHeader(b)
-	if err != nil {
-		return frame{}, 0, err
-	}
-	total := frameHeaderLen + int(length)
-	if len(b) < total {
-		return frame{}, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes)", errBadFrame, len(b)-frameHeaderLen, length)
-	}
-	payload := b[frameHeaderLen:total]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return frame{}, 0, fmt.Errorf("%w: payload checksum mismatch", errBadFrame)
-	}
-	return frame{typ: typ, id: id, payload: payload}, total, nil
-}
-
 // payloadStep is the most readFrame allocates on a header's say-so. The
 // length field is a claim by the peer, not data: a payload within the
 // step gets one slice of exactly its size, a longer one a slice that

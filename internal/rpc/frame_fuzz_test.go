@@ -1,10 +1,12 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"testing"
 )
 
@@ -19,10 +21,16 @@ func appendFrame(dst []byte, typ frameType, id uint32, payload []byte) []byte {
 	return dst
 }
 
-// FuzzDecodeFrame drives arbitrary bytes through the frame decoder — the
-// exact validation path a TCP connection reader runs on hostile input.
-// The decoder must never panic or over-read, and any frame it accepts
-// must re-encode to the identical bytes (the format is canonical).
+// FuzzDecodeFrame drives arbitrary bytes through readFrame, the decoder
+// a TCP connection's read loop runs on hostile input. The payload buffer
+// it lends holds 8 bytes with room for 64, so a payload lands in it,
+// grows in it by doubling as bytes arrive (the path a payload past
+// payloadStep takes, here at a size a fuzzer reaches), or gets a fresh
+// slice.
+// The decoder must never panic or over-read; it fails with io.EOF on no
+// input, io.ErrUnexpectedEOF on a short header and errBadFrame on
+// anything else; and any frame it accepts must re-encode to the
+// identical bytes (the format is canonical).
 func FuzzDecodeFrame(f *testing.F) {
 	valid := appendFrame(nil, ftUnaryReq, 42, []byte("hello vortex"))
 	f.Add(valid)
@@ -53,22 +61,31 @@ func FuzzDecodeFrame(f *testing.F) {
 	badType[3] = 0
 	f.Add(badType)
 
+	grown := appendFrame(nil, ftStreamMsg, 3, bytes.Repeat([]byte{0x5a}, 40))
+	f.Add(grown)
+	f.Add(grown[:len(grown)-1]) // the peer hangs up while the payload grows
+	f.Add(appendFrame(nil, ftStreamResp, 5, bytes.Repeat([]byte{0xa5}, 100)))
+
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, n, err := decodeFrame(b)
+		in := bytes.NewReader(b)
+		br := bufio.NewReaderSize(in, frameHeaderLen)
+		fr, err := readFrame(br, make([]byte, 8, 64))
 		if err != nil {
-			if !errors.Is(err, errBadFrame) {
-				t.Fatalf("decode error is not errBadFrame: %v", err)
+			switch {
+			case len(b) == 0 && err == io.EOF:
+			case len(b) > 0 && len(b) < frameHeaderLen && err == io.ErrUnexpectedEOF:
+			case len(b) >= frameHeaderLen && errors.Is(err, errBadFrame):
+			default:
+				t.Fatalf("%d input bytes: error %v is outside the contract", len(b), err)
 			}
 			return
 		}
-		if n < frameHeaderLen || n > len(b) {
-			t.Fatalf("consumed %d bytes of %d", n, len(b))
+		n := frameHeaderLen + len(fr.payload)
+		if read := len(b) - in.Len() - br.Buffered(); read != n {
+			t.Fatalf("consumed %d bytes for a frame of %d", read, n)
 		}
 		if fr.typ < ftUnaryReq || fr.typ > ftHandlerDone {
 			t.Fatalf("accepted unknown frame type %d", fr.typ)
-		}
-		if len(fr.payload) != n-frameHeaderLen {
-			t.Fatalf("payload length %d inconsistent with consumed %d", len(fr.payload), n)
 		}
 		if crc32.Checksum(fr.payload, crcTable) != binary.BigEndian.Uint32(b[12:16]) {
 			t.Fatal("accepted payload whose checksum does not match header")

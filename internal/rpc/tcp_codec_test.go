@@ -6,6 +6,7 @@ package rpc
 // ErrDropped contract and never in a peer that silently mis-decodes.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -264,7 +265,7 @@ func FuzzConnFrames(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[frameHeaderLen+5:]) // starts mid-frame
 	// Gob damage under a checksum that matches: only the decoder can object.
-	first, _, err := decodeFrame(valid)
+	first, err := readFrame(bufio.NewReader(bytes.NewReader(valid)), nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -2,55 +2,37 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 
 	"vortex/internal/client"
-	"vortex/internal/meta"
 	"vortex/internal/schema"
-	"vortex/internal/verify"
 	"vortex/internal/workload"
 )
 
 func eventsSchema() *schema.Schema { return workload.EventsSchema() }
 func logSchema() *schema.Schema    { return workload.LogSchema() }
 
-// pendingBatch is an append whose outcome is in doubt: the rows may or
-// may not be durable. The client retries it at the same pinned offset;
-// WRONG_OFFSET on such a retry means the original attempt landed and
-// only the ack was lost — recorded with FirstSeq=-1 for the verifier's
-// content-based resolution.
-type pendingBatch struct {
-	rows   []schema.Row
-	hashes []uint32
-	off    int64
-}
-
 // simClient is one logically concurrent workload client: it owns a
-// dedicated stream on the ledger table (the paper's model) and appends
-// at pinned offsets so every write is exactly-once by construction.
+// dedicated stream on the ledger table (the paper's model), appends
+// through its exactly-once writer and reads the table back.
 type simClient struct {
-	id      int
-	sim     *simulation
-	rng     *rand.Rand
-	gen     *workload.Gen
-	cl      *client.Client
-	stream  *client.Stream
-	next    int64 // next pinned stream offset
-	pending *pendingBatch
-	wrote   bool // stream has rows (worth finalizing)
+	*writer
+	rng *rand.Rand
+	gen *workload.Gen
 }
 
-func newSimClient(id int, s *simulation, cl *client.Client) *simClient {
+func newSimClient(id int, s *simulation) *simClient {
+	copts := client.DefaultOptions()
+	copts.Seed = s.cfg.Seed*1009 + int64(id)
 	seed := s.cfg.Seed*7907 + int64(id)
+	w := &writer{h: s.harness, name: fmt.Sprintf("c%d", id), table: tableLedger, cl: s.region.NewClient(copts)}
+	w.applied, w.settled = w.record, w.logAttempt
 	return &simClient{
-		id:  id,
-		sim: s,
-		rng: rand.New(rand.NewSource(seed)),
-		gen: workload.NewGen(seed, 50),
-		cl:  cl,
+		writer: w,
+		rng:    rand.New(rand.NewSource(seed)),
+		gen:    workload.NewGen(seed, 50),
 	}
 }
 
@@ -61,97 +43,20 @@ func (c *simClient) step(ctx context.Context) {
 		return
 	}
 	if c.stream == nil {
-		c.openStream(ctx)
+		if err := c.open(ctx); err != nil {
+			c.h.logf("e%d %s create-stream err=%s", c.h.epoch, c.name, errCategory(err))
+		} else {
+			c.h.logf("e%d %s stream open", c.h.epoch, c.name)
+		}
 		return
 	}
 	switch c.rng.Intn(10) {
 	case 7, 8:
 		c.read(ctx)
 	default:
-		c.append(ctx)
+		n := 1 + c.rng.Intn(3)
+		c.append(ctx, c.gen.EventRows(c.h.clock.At().Time(), n, 0))
 	}
-}
-
-func (c *simClient) openStream(ctx context.Context) {
-	st, err := c.cl.CreateStream(ctx, tableLedger, meta.Unbuffered)
-	if err != nil {
-		c.sim.logf("e%d c%d create-stream err=%s", c.sim.epoch, c.id, errCategory(err))
-		return
-	}
-	c.stream, c.next, c.wrote = st, 0, false
-	c.sim.logf("e%d c%d stream open", c.sim.epoch, c.id)
-}
-
-func (c *simClient) append(ctx context.Context) {
-	n := 1 + c.rng.Intn(3)
-	rows := c.gen.EventRows(c.sim.clock.At().Time(), n, 0)
-	hashes := make([]uint32, n)
-	for i, r := range rows {
-		hashes[i] = verify.RowHash(r)
-	}
-	off := c.next
-	_, seq, err := c.stream.AppendTracked(ctx, rows, client.AtOffset(off))
-	switch {
-	case err == nil:
-		c.record(rows, hashes, off, seq)
-		c.sim.logf("e%d c%d append n=%d off=%d ok", c.sim.epoch, c.id, n, off)
-	case errors.Is(err, client.ErrStreamFinalized):
-		// A previous finalize landed despite its error; rotate.
-		c.sim.logf("e%d c%d append off=%d err=STREAM_FINALIZED rotate", c.sim.epoch, c.id, off)
-		c.stream = nil
-	case errors.Is(err, client.ErrWrongOffset):
-		// The client library retries internally, so a dropped response
-		// surfaces as WRONG_OFFSET even on a first call: we are this
-		// stream's only writer and acked prefixes are durable, so a
-		// length past our pinned offset means this batch landed and the
-		// ack was lost. Record it for content-based resolution; if that
-		// reasoning is ever wrong, the verifier reports it as phantoms.
-		c.record(rows, hashes, off, -1)
-		c.sim.logf("e%d c%d append n=%d off=%d landed (ack lost)", c.sim.epoch, c.id, n, off)
-	default:
-		// In doubt: the batch may be durable with the ack lost.
-		c.pending = &pendingBatch{rows: rows, hashes: hashes, off: off}
-		c.sim.logf("e%d c%d append n=%d off=%d err=%s pending", c.sim.epoch, c.id, n, off, errCategory(err))
-	}
-}
-
-// resolve retries the in-doubt batch at its pinned offset.
-func (c *simClient) resolve(ctx context.Context) {
-	p := c.pending
-	if c.stream == nil {
-		return
-	}
-	_, seq, err := c.stream.AppendTracked(ctx, p.rows, client.AtOffset(p.off))
-	switch {
-	case err == nil:
-		c.record(p.rows, p.hashes, p.off, seq)
-		c.pending = nil
-		c.sim.logf("e%d c%d resolve off=%d retried", c.sim.epoch, c.id, p.off)
-	case errors.Is(err, client.ErrWrongOffset):
-		// The stream is already past our offset: the original attempt
-		// landed. Record it with an unknown sequence; the verifier
-		// resolves it by content.
-		c.record(p.rows, p.hashes, p.off, -1)
-		c.pending = nil
-		c.sim.logf("e%d c%d resolve off=%d landed", c.sim.epoch, c.id, p.off)
-	default:
-		c.sim.logf("e%d c%d resolve off=%d err=%s still-pending", c.sim.epoch, c.id, p.off, errCategory(err))
-	}
-}
-
-func (c *simClient) record(rows []schema.Row, hashes []uint32, off, firstSeq int64) {
-	c.sim.ledger.Record(verify.AppendRecord{
-		Table:     tableLedger,
-		Stream:    c.stream.Info().ID,
-		Offset:    off,
-		RowCount:  int64(len(rows)),
-		FirstSeq:  firstSeq,
-		RowHashes: hashes,
-	})
-	c.next = off + int64(len(rows))
-	c.wrote = true
-	c.sim.res.Appends++
-	c.sim.res.Rows += int64(len(rows))
 }
 
 // read runs a strictly sequential snapshot scan (assignment by
@@ -160,35 +65,20 @@ func (c *simClient) record(rows []schema.Row, hashes []uint32, off, firstSeq int
 func (c *simClient) read(ctx context.Context) {
 	plan, err := c.cl.Plan(ctx, tableLedger, 0)
 	if err != nil {
-		c.sim.logf("e%d c%d read err=%s", c.sim.epoch, c.id, errCategory(err))
+		c.h.logf("e%d %s read err=%s", c.h.epoch, c.name, errCategory(err))
 		return
 	}
 	total := 0
 	for _, a := range plan.Assignments {
 		rows, err := c.cl.Scan(ctx, plan, a)
 		if err != nil {
-			c.sim.logf("e%d c%d read err=%s", c.sim.epoch, c.id, errCategory(err))
+			c.h.logf("e%d %s read err=%s", c.h.epoch, c.name, errCategory(err))
 			return
 		}
 		total += len(rows)
 	}
-	c.sim.res.Reads++
-	c.sim.logf("e%d c%d read rows=%d", c.sim.epoch, c.id, total)
-}
-
-// rotate finalizes the client's stream (making its fragments conversion
-// candidates) and opens a fresh one next step. Only safe with no batch
-// in doubt — a pending append must stay pinned to its stream.
-func (c *simClient) rotate(ctx context.Context) {
-	if c.stream == nil || c.pending != nil || !c.wrote {
-		return
-	}
-	if _, err := c.stream.Finalize(ctx); err != nil {
-		c.sim.logf("e%d c%d finalize err=%s", c.sim.epoch, c.id, errCategory(err))
-		return
-	}
-	c.sim.logf("e%d c%d finalize off=%d", c.sim.epoch, c.id, c.next)
-	c.stream = nil
+	c.h.res.Reads++
+	c.h.logf("e%d %s read rows=%d", c.h.epoch, c.name, total)
 }
 
 // dmlActor exercises live DML against background maintenance: it
@@ -197,14 +87,10 @@ func (c *simClient) rotate(ctx context.Context) {
 // idempotent (keyed predicates), so an in-doubt delete is retried until
 // it succeeds; the model is only compared when nothing is in flight.
 type dmlActor struct {
-	sim     *simulation
-	rng     *rand.Rand
-	gen     *workload.Gen
-	cl      *client.Client
-	stream  *client.Stream
-	next    int64
-	pending *pendingBatch
-	wrote   bool
+	*writer
+	sim *simulation
+	rng *rand.Rand
+	gen *workload.Gen
 
 	model      map[string]int64 // host key → live row count
 	total      int64
@@ -215,13 +101,15 @@ func newDMLActor(s *simulation) *dmlActor {
 	seed := s.cfg.Seed*6133 + 17
 	copts := client.DefaultOptions()
 	copts.Seed = seed
-	return &dmlActor{
-		sim:   s,
-		rng:   rand.New(rand.NewSource(seed)),
-		gen:   workload.NewGen(seed, 8), // small key pool → contended deletes
-		cl:    s.region.NewClient(copts),
-		model: make(map[string]int64),
+	d := &dmlActor{
+		writer: &writer{h: s.harness, name: "dml", table: tableDML, cl: s.region.NewClient(copts)},
+		sim:    s,
+		rng:    rand.New(rand.NewSource(seed)),
+		gen:    workload.NewGen(seed, 8), // small key pool → contended deletes
+		model:  make(map[string]int64),
 	}
+	d.applied, d.settled = d.countRows, d.logAttempt
+	return d
 }
 
 func (d *dmlActor) idle() bool { return d.pending == nil && d.pendingDel == "" }
@@ -231,59 +119,34 @@ func (d *dmlActor) modelCount() int64 { return d.total }
 func (d *dmlActor) step(ctx context.Context) {
 	if !d.idle() {
 		d.resolve(ctx)
+		d.retryDelete(ctx)
 		return
 	}
 	if d.stream == nil {
-		st, err := d.cl.CreateStream(ctx, tableDML, meta.Unbuffered)
-		if err != nil {
+		if err := d.open(ctx); err != nil {
 			d.sim.logf("e%d dml create-stream err=%s", d.sim.epoch, errCategory(err))
-			return
 		}
-		d.stream, d.next, d.wrote = st, 0, false
 		return
 	}
 	if d.total > 0 && d.rng.Intn(4) == 0 {
 		d.delete(ctx)
 		return
 	}
-	d.append(ctx)
-}
-
-func (d *dmlActor) append(ctx context.Context) {
 	n := 1 + d.rng.Intn(3)
 	rows := make([]schema.Row, n)
 	for i := range rows {
 		rows[i] = d.gen.LogRow(d.sim.clock.At().Time())
 	}
-	off := d.next
-	_, _, err := d.stream.AppendTracked(ctx, rows, client.AtOffset(off))
-	switch {
-	case err == nil:
-		d.applyAppend(rows, off)
-		d.sim.logf("e%d dml append n=%d off=%d ok", d.sim.epoch, n, off)
-	case errors.Is(err, client.ErrStreamFinalized):
-		d.sim.logf("e%d dml append off=%d err=STREAM_FINALIZED rotate", d.sim.epoch, off)
-		d.stream = nil
-	case errors.Is(err, client.ErrWrongOffset):
-		// Same reasoning as the ledger clients: sole writer + durable
-		// acked prefix ⇒ the batch landed with its ack lost.
-		d.applyAppend(rows, off)
-		d.sim.logf("e%d dml append n=%d off=%d landed (ack lost)", d.sim.epoch, n, off)
-	default:
-		d.pending = &pendingBatch{rows: rows, off: off}
-		d.sim.logf("e%d dml append n=%d off=%d err=%s pending", d.sim.epoch, n, off, errCategory(err))
-	}
+	d.append(ctx, rows)
 }
 
-func (d *dmlActor) applyAppend(rows []schema.Row, off int64) {
+// countRows is the DML actor's applied callback: the model counts the
+// landed rows per host key.
+func (d *dmlActor) countRows(rows []schema.Row, _, _ int64) {
 	for _, r := range rows {
 		d.model[r.Values[1].AsString()]++ // field 1 is the host key
 		d.total++
 	}
-	d.next = off + int64(len(rows))
-	d.wrote = true
-	d.sim.res.Appends++
-	d.sim.res.Rows += int64(len(rows))
 }
 
 func (d *dmlActor) delete(ctx context.Context) {
@@ -319,38 +182,11 @@ func (d *dmlActor) runDelete(ctx context.Context, key string) {
 	d.sim.logf("e%d dml delete key=%s affected=%d", d.sim.epoch, key, res.Stats.RowsAffected)
 }
 
-func (d *dmlActor) resolve(ctx context.Context) {
-	if d.pending != nil && d.stream != nil {
-		p := d.pending
-		_, _, err := d.stream.AppendTracked(ctx, p.rows, client.AtOffset(p.off))
-		switch {
-		case err == nil:
-			d.applyAppend(p.rows, p.off)
-			d.pending = nil
-			d.sim.logf("e%d dml resolve off=%d retried", d.sim.epoch, p.off)
-		case errors.Is(err, client.ErrWrongOffset):
-			d.applyAppend(p.rows, p.off)
-			d.pending = nil
-			d.sim.logf("e%d dml resolve off=%d landed", d.sim.epoch, p.off)
-		default:
-			d.sim.logf("e%d dml resolve off=%d err=%s still-pending", d.sim.epoch, p.off, errCategory(err))
-		}
-	}
+// retryDelete reruns an in-doubt DELETE.
+func (d *dmlActor) retryDelete(ctx context.Context) {
 	if d.pendingDel != "" {
 		d.runDelete(ctx, d.pendingDel)
 	}
-}
-
-func (d *dmlActor) rotate(ctx context.Context) {
-	if d.stream == nil || d.pending != nil || !d.wrote {
-		return
-	}
-	if _, err := d.stream.Finalize(ctx); err != nil {
-		d.sim.logf("e%d dml finalize err=%s", d.sim.epoch, errCategory(err))
-		return
-	}
-	d.sim.logf("e%d dml finalize off=%d", d.sim.epoch, d.next)
-	d.stream = nil
 }
 
 // storedCount queries COUNT(*) through the engine at the latest

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -54,18 +53,11 @@ func accountsSchema() *schema.Schema {
 	}
 }
 
-// matviewActor owns the accounts table's CDC churn and the view's
-// maintainer. Its append discipline mirrors simClient: pinned offsets,
-// WRONG_OFFSET means the batch landed with its ack lost, anything else
-// in doubt goes pending for a same-offset retry.
+// matviewActor owns the accounts table's CDC churn, appended through
+// its exactly-once writer, and the view's maintainer.
 type matviewActor struct {
-	sim     *simulation
-	rng     *rand.Rand
-	cl      *client.Client
-	stream  *client.Stream
-	next    int64
-	pending *pendingBatch
-	wrote   bool
+	*writer
+	rng *rand.Rand
 
 	live   map[string]bool // account ids believed live (delete targeting only)
 	nextID int64
@@ -79,13 +71,14 @@ func newMatviewActor(s *simulation) *matviewActor {
 	seed := s.cfg.Seed*9173 + 29
 	copts := client.DefaultOptions()
 	copts.Seed = seed
-	return &matviewActor{
-		sim:   s,
-		rng:   rand.New(rand.NewSource(seed)),
-		cl:    s.region.NewClient(copts),
-		live:  map[string]bool{},
-		store: matview.NewMemStore(),
+	a := &matviewActor{
+		writer: &writer{h: s.harness, name: "mv", table: tableAccounts, cl: s.region.NewClient(copts)},
+		rng:    rand.New(rand.NewSource(seed)),
+		live:   map[string]bool{},
+		store:  matview.NewMemStore(),
 	}
+	a.applied, a.settled = a.track, a.logAttempt
+	return a
 }
 
 // init compiles the view and builds its (initially empty) maintainer;
@@ -125,12 +118,9 @@ func (a *matviewActor) step(ctx context.Context) {
 		return
 	}
 	if a.stream == nil {
-		st, err := a.cl.CreateStream(ctx, tableAccounts, meta.Unbuffered)
-		if err != nil {
-			a.sim.logf("e%d mv create-stream err=%s", a.sim.epoch, errCategory(err))
-			return
+		if err := a.open(ctx); err != nil {
+			a.h.logf("e%d mv create-stream err=%s", a.h.epoch, errCategory(err))
 		}
-		a.stream, a.next, a.wrote = st, 0, false
 		return
 	}
 	a.append(ctx, a.genRows())
@@ -173,27 +163,9 @@ func (a *matviewActor) upsertRow(id string) schema.Row {
 	return row
 }
 
-func (a *matviewActor) append(ctx context.Context, rows []schema.Row) {
-	off := a.next
-	_, err := a.stream.Append(ctx, rows, client.AtOffset(off))
-	switch {
-	case err == nil:
-		a.applied(rows, off)
-		a.sim.logf("e%d mv append n=%d off=%d ok", a.sim.epoch, len(rows), off)
-	case errors.Is(err, client.ErrStreamFinalized):
-		a.sim.logf("e%d mv append off=%d err=STREAM_FINALIZED rotate", a.sim.epoch, off)
-		a.stream = nil
-	case errors.Is(err, client.ErrWrongOffset):
-		// Sole writer + durable acked prefix: the batch landed, ack lost.
-		a.applied(rows, off)
-		a.sim.logf("e%d mv append n=%d off=%d landed (ack lost)", a.sim.epoch, len(rows), off)
-	default:
-		a.pending = &pendingBatch{rows: rows, off: off}
-		a.sim.logf("e%d mv append n=%d off=%d err=%s pending", a.sim.epoch, len(rows), off, errCategory(err))
-	}
-}
-
-func (a *matviewActor) applied(rows []schema.Row, off int64) {
+// track is the view actor's applied callback: the live set follows the
+// landed upserts and deletes.
+func (a *matviewActor) track(rows []schema.Row, _, _ int64) {
 	for _, r := range rows {
 		id := r.Values[0].AsString()
 		if r.Change == schema.ChangeDelete {
@@ -202,45 +174,6 @@ func (a *matviewActor) applied(rows []schema.Row, off int64) {
 			a.live[id] = true
 		}
 	}
-	a.next = off + int64(len(rows))
-	a.wrote = true
-	a.sim.res.Appends++
-	a.sim.res.Rows += int64(len(rows))
-}
-
-// resolve retries the in-doubt batch at its pinned offset.
-func (a *matviewActor) resolve(ctx context.Context) {
-	p := a.pending
-	if p == nil || a.stream == nil {
-		return
-	}
-	_, err := a.stream.Append(ctx, p.rows, client.AtOffset(p.off))
-	switch {
-	case err == nil:
-		a.applied(p.rows, p.off)
-		a.pending = nil
-		a.sim.logf("e%d mv resolve off=%d retried", a.sim.epoch, p.off)
-	case errors.Is(err, client.ErrWrongOffset):
-		a.applied(p.rows, p.off)
-		a.pending = nil
-		a.sim.logf("e%d mv resolve off=%d landed", a.sim.epoch, p.off)
-	default:
-		a.sim.logf("e%d mv resolve off=%d err=%s still-pending", a.sim.epoch, p.off, errCategory(err))
-	}
-}
-
-// rotate finalizes the churn stream so the accounts table's fragments
-// become conversion candidates, like the other actors.
-func (a *matviewActor) rotate(ctx context.Context) {
-	if a.stream == nil || a.pending != nil || !a.wrote {
-		return
-	}
-	if _, err := a.stream.Finalize(ctx); err != nil {
-		a.sim.logf("e%d mv finalize err=%s", a.sim.epoch, errCategory(err))
-		return
-	}
-	a.sim.logf("e%d mv finalize off=%d", a.sim.epoch, a.next)
-	a.stream = nil
 }
 
 // checkMatview runs the per-epoch view-parity invariant (verify phase,
@@ -307,9 +240,6 @@ func (s *simulation) drainMatview(ctx context.Context) {
 	var st *matview.RefreshStats
 	var err error
 	for attempt := 0; attempt < 4; attempt++ {
-		if a.pending != nil {
-			a.resolve(ctx)
-		}
 		if st, err = a.m.Refresh(ctx); err == nil {
 			break
 		}

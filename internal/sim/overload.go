@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -32,8 +31,8 @@ import (
 	"vortex/internal/client"
 	"vortex/internal/core"
 	"vortex/internal/meta"
+	"vortex/internal/schema"
 	"vortex/internal/sms"
-	"vortex/internal/truetime"
 	"vortex/internal/verify"
 	"vortex/internal/wire"
 	"vortex/internal/workload"
@@ -63,66 +62,29 @@ func squeezeQuotas() sms.Quotas {
 	}
 }
 
-// overWriter is one fanout writer: a dedicated stream on its zipf-chosen
-// table, appending at pinned offsets. A shed batch is deferred — kept
-// byte-identical and retried at the same offset — so recovery proves the
-// push-back was honest (retry succeeds, exactly once).
+// overWriter is one fanout writer: a dedicated stream on its
+// zipf-chosen table. A shed batch stays pending — byte-identical, retried
+// at the same offset — so recovery proves the push-back was honest
+// (retry succeeds, exactly once).
 type overWriter struct {
-	id     int
-	table  meta.TableID
-	cl     *client.Client
-	rng    *rand.Rand
-	gen    *workload.Gen
-	stream *client.Stream
-	next   int64
-	defer_ *pendingBatch
+	*writer
+	rng *rand.Rand
+	gen *workload.Gen
 }
 
 type overloadSim struct {
-	cfg     Config
-	clock   *truetime.Manual
-	region  *core.Region
-	ledger  *verify.Ledger
-	plain   *client.Client
+	*harness
 	writers []*overWriter
 	tables  []meta.TableID
-
-	epoch int
-	out   io.Writer
-	res   *Result
 }
 
 // runOverload executes the program. Callers hold runMu (entropy hook).
 func runOverload(cfg Config) *Result {
-	base := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
-	s := &overloadSim{
-		cfg:    cfg,
-		clock:  truetime.NewManual(base, time.Millisecond),
-		ledger: verify.NewLedger(),
-		out:    cfg.Log,
-		res:    &Result{Seed: cfg.Seed},
-	}
-	if s.out == nil {
-		s.out = io.Discard
-	}
-	meta.SetEntropy(rand.New(rand.NewSource(cfg.Seed ^ 0x5eed1d)))
-	defer meta.SetEntropy(nil)
-
-	s.region = core.NewRegion(core.Config{
-		Clusters:                simClusters(),
-		SMSTasks:                smsTasks,
-		StreamServersPerCluster: serversPerCluster,
-		ClockEpsilon:            time.Millisecond,
-		Clock:                   s.clock,
-		MaxFragmentBytes:        fragmentBytes,
-		Seed:                    cfg.Seed,
-		Quotas:                  squeezeQuotas(),
-		HeartbeatCoalesce:       5 * time.Millisecond,
-		HeartbeatMaxStreamlets:  8,
-	})
-	popts := client.DefaultOptions()
-	popts.Seed = cfg.Seed + 1
-	s.plain = s.region.NewClient(popts)
+	s := &overloadSim{harness: newHarness(cfg, nil, core.Config{
+		Quotas:                 squeezeQuotas(),
+		HeartbeatCoalesce:      5 * time.Millisecond,
+		HeartbeatMaxStreamlets: 8,
+	})}
 
 	ctx := context.Background()
 	epochs := int(cfg.Duration / epochSim)
@@ -139,11 +101,10 @@ func runOverload(cfg Config) *Result {
 		return s.finish()
 	}
 
-	for s.epoch = 1; s.epoch <= epochs && s.res.Failure == nil; s.epoch++ {
-		epochStart := s.clock.At()
+	s.runEpochs(epochs, func() {
 		s.workload(ctx)
 		if s.res.Failure != nil {
-			break
+			return
 		}
 		// Two heartbeat rounds close together: the second must coalesce
 		// (liveness already fresh), keeping control traffic O(servers).
@@ -162,8 +123,7 @@ func runOverload(cfg Config) *Result {
 		if s.epoch > squeezeEnd && s.epoch < windowEnd {
 			s.probeStaleOwners(ctx)
 		}
-		s.clock.Set(epochStart.Add(epochSim))
-	}
+	})
 	if s.res.Failure == nil {
 		s.drain(ctx)
 	}
@@ -171,18 +131,6 @@ func runOverload(cfg Config) *Result {
 		s.checkExercised()
 	}
 	return s.finish()
-}
-
-func (s *overloadSim) logf(format string, args ...any) {
-	fmt.Fprintf(s.out, format+"\n", args...)
-}
-
-func (s *overloadSim) fail(invariant, detail string) {
-	if s.res.Failure != nil {
-		return
-	}
-	s.res.Failure = &Failure{Epoch: s.epoch, Invariant: invariant, Detail: detail}
-	s.logf("FAIL e%d invariant=%s detail=%s", s.epoch, invariant, detail)
 }
 
 func (s *overloadSim) setup(ctx context.Context) error {
@@ -210,13 +158,22 @@ func (s *overloadSim) setup(ctx context.Context) error {
 			Multiplier:     2,
 			RetryBudget:    -1,
 		}
-		s.writers = append(s.writers, &overWriter{
-			id:    i,
-			table: s.tables[assign[i]],
-			cl:    s.region.NewClient(copts),
-			rng:   rand.New(rand.NewSource(seed)),
-			gen:   workload.NewGen(seed, 50),
-		})
+		w := &writer{h: s.harness, name: fmt.Sprintf("w%d", i), table: s.tables[assign[i]], cl: s.region.NewClient(copts)}
+		w.applied = func(rows []schema.Row, off, seq int64) {
+			w.record(rows, off, seq)
+			if seq < 0 {
+				s.res.Uncertain++
+			}
+		}
+		// The shed policy: with no chaos installed, an append that does
+		// not land must be an honest push-back, and the writer keeps its
+		// batch for a retry at the same offset.
+		w.settled = func(_ bool, b *pendingBatch, o outcome, err error) {
+			if (o == reopen || o == inDoubt) && s.checkShed(w, "append", err) {
+				s.logf("e%d %s append off=%d shed", s.epoch, w.name, b.off)
+			}
+		}
+		s.writers = append(s.writers, &overWriter{writer: w, rng: rand.New(rand.NewSource(seed)), gen: workload.NewGen(seed, 50)})
 	}
 	return nil
 }
@@ -235,76 +192,37 @@ func (s *overloadSim) workload(ctx context.Context) {
 
 func (s *overloadSim) stepWriter(ctx context.Context, w *overWriter) {
 	if w.stream == nil {
-		st, err := w.cl.CreateStream(ctx, w.table, meta.Unbuffered)
-		if err != nil {
-			if s.checkShed(w, "create-stream", err) {
-				s.logf("e%d w%d create-stream shed", s.epoch, w.id)
+		if err := w.open(ctx); err != nil {
+			if s.checkShed(w.writer, "create-stream", err) {
+				s.logf("e%d %s create-stream shed", s.epoch, w.name)
 			}
 			return
 		}
-		w.stream, w.next = st, 0
 	}
-	batch := w.defer_
-	if batch == nil {
-		n := 1 + w.rng.Intn(2)
-		rows := w.gen.EventRows(s.clock.At().Time(), n, 0)
-		hashes := make([]uint32, n)
-		for i, r := range rows {
-			hashes[i] = verify.RowHash(r)
-		}
-		batch = &pendingBatch{rows: rows, hashes: hashes, off: w.next}
+	if w.pending != nil {
+		w.resolve(ctx)
+		return
 	}
-	_, seq, err := w.stream.AppendTracked(ctx, batch.rows, client.AtOffset(batch.off))
-	switch {
-	case err == nil:
-		s.record(w, batch, seq)
-		w.defer_ = nil
-	case errors.Is(err, client.ErrWrongOffset):
-		// Only possible if an earlier in-doubt attempt landed; resolve by
-		// content like the main sim does.
-		s.record(w, batch, -1)
-		w.defer_ = nil
-	default:
-		if s.checkShed(w, "append", err) {
-			w.defer_ = batch
-			s.logf("e%d w%d append off=%d shed", s.epoch, w.id, batch.off)
-		}
-	}
+	n := 1 + w.rng.Intn(2)
+	w.append(ctx, w.gen.EventRows(s.clock.At().Time(), n, 0))
 }
 
 // checkShed enforces the shed-retryable invariant on a failed operation:
 // with no chaos installed, the ONLY acceptable failure is a typed,
 // retryable RESOURCE_EXHAUSTED push-back with a non-negative hint.
 // Returns true when the error is a conforming shed.
-func (s *overloadSim) checkShed(w *overWriter, op string, err error) bool {
+func (s *overloadSim) checkShed(w *writer, op string, err error) bool {
 	if !errors.Is(err, client.ErrResourceExhausted) {
-		s.fail("shed-retryable", fmt.Sprintf("w%d %s failed with non-shed error: %s", w.id, op, errCategory(err)))
+		s.fail("shed-retryable", fmt.Sprintf("%s %s failed with non-shed error: %s", w.name, op, errCategory(err)))
 		return false
 	}
 	var ce *client.Error
 	if !errors.As(err, &ce) || !ce.Retryable || ce.Code != client.CodeResourceExhausted || ce.RetryAfter < 0 {
-		s.fail("shed-retryable", fmt.Sprintf("w%d %s push-back not retryable-typed: %v", w.id, op, err))
+		s.fail("shed-retryable", fmt.Sprintf("%s %s push-back not retryable-typed: %v", w.name, op, err))
 		return false
 	}
 	s.res.Sheds++
 	return true
-}
-
-func (s *overloadSim) record(w *overWriter, b *pendingBatch, firstSeq int64) {
-	s.ledger.Record(verify.AppendRecord{
-		Table:     w.table,
-		Stream:    w.stream.Info().ID,
-		Offset:    b.off,
-		RowCount:  int64(len(b.rows)),
-		FirstSeq:  firstSeq,
-		RowHashes: b.hashes,
-	})
-	w.next = b.off + int64(len(b.rows))
-	s.res.Appends++
-	s.res.Rows += int64(len(b.rows))
-	if firstSeq < 0 {
-		s.res.Uncertain++
-	}
 }
 
 // rebalance opens the deliberate double-assignment windows: the squeeze
@@ -442,13 +360,13 @@ func (s *overloadSim) drain(ctx context.Context) {
 	for round := 0; round < overloadDrainLimit; round++ {
 		n := 0
 		for _, w := range s.writers {
-			if w.defer_ != nil || w.stream == nil {
+			if w.pending != nil || w.stream == nil {
 				s.stepWriter(ctx, w)
 				if s.res.Failure != nil {
 					return
 				}
 			}
-			if w.defer_ != nil || w.stream == nil {
+			if w.pending != nil || w.stream == nil {
 				n++
 			}
 		}
@@ -459,8 +377,8 @@ func (s *overloadSim) drain(ctx context.Context) {
 		s.region.HeartbeatAll(ctx, false)
 	}
 	for _, w := range s.writers {
-		if w.defer_ != nil || w.stream == nil {
-			s.fail("shed-not-recoverable", fmt.Sprintf("w%d t=%s still shed after quota lift", w.id, w.table))
+		if w.pending != nil || w.stream == nil {
+			s.fail("shed-not-recoverable", fmt.Sprintf("%s t=%s still shed after quota lift", w.name, w.table))
 			return
 		}
 	}
@@ -500,9 +418,6 @@ func (s *overloadSim) checkExercised() {
 }
 
 func (s *overloadSim) finish() *Result {
-	if s.res.Epochs == 0 && s.epoch > 0 {
-		s.res.Epochs = s.epoch - 1
-	}
 	s.logf("result epochs=%d appends=%d rows=%d sheds=%d windows=%d uncertain=%d fail=%v",
 		s.res.Epochs, s.res.Appends, s.res.Rows, s.res.Sheds, s.res.Windows, s.res.Uncertain, s.res.Failure != nil)
 	return s.res

@@ -169,6 +169,7 @@ var runMu sync.Mutex
 func Run(cfg Config) *Result {
 	runMu.Lock()
 	defer runMu.Unlock()
+	defer meta.SetEntropy(nil)
 	cfg.setDefaults()
 	switch cfg.Program {
 	case "", "random":
@@ -234,26 +235,86 @@ type snapSample struct {
 	count  int
 }
 
-type simulation struct {
+// harness is what the random-chaos and the overload programs share: a
+// region of the fixed shape on a manual clock, the ledger their writers
+// record into, an uncached observer client, the epoch counter and the
+// event log.
+type harness struct {
 	cfg    Config
-	specs  []chaos.Spec
 	clock  *truetime.Manual
 	region *core.Region
+	ledger *verify.Ledger
+	plain  *client.Client // uncached observer
+	epoch  int
+	out    io.Writer
+	res    *Result
+}
+
+// newHarness seeds the id entropy (Run resets it) and starts the region
+// rc describes, with the shape, clock and seed filled in.
+func newHarness(cfg Config, specs []chaos.Spec, rc core.Config) *harness {
+	h := &harness{
+		cfg:    cfg,
+		clock:  truetime.NewManual(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC), time.Millisecond),
+		ledger: verify.NewLedger(),
+		out:    cfg.Log,
+		res:    &Result{Seed: cfg.Seed, Specs: specs},
+	}
+	if h.out == nil {
+		h.out = io.Discard
+	}
+	// Seedable id entropy: stream/ROS ids become Spanner keys and drive
+	// scan and placement order, so they must replay.
+	meta.SetEntropy(rand.New(rand.NewSource(cfg.Seed ^ 0x5eed1d)))
+	rc.Clusters, rc.SMSTasks, rc.StreamServersPerCluster = simClusters(), smsTasks, serversPerCluster
+	rc.Clock, rc.ClockEpsilon, rc.MaxFragmentBytes, rc.Seed = h.clock, time.Millisecond, fragmentBytes, cfg.Seed
+	h.region = core.NewRegion(rc)
+	popts := client.DefaultOptions()
+	popts.Seed = cfg.Seed + 1
+	h.plain = h.region.NewClient(popts)
+	return h
+}
+
+// runEpochs runs body once per epoch until the last or a failure. Each
+// epoch lands exactly on its boundary, so simulated time is a pure
+// function of the epoch count.
+func (h *harness) runEpochs(epochs int, body func()) {
+	for h.epoch = 1; h.epoch <= epochs && h.res.Failure == nil; h.epoch++ {
+		start := h.clock.At()
+		body()
+		h.clock.Set(start.Add(epochSim))
+	}
+	h.res.Epochs = h.epoch - 1
+}
+
+func (h *harness) logf(format string, args ...any) {
+	fmt.Fprintf(h.out, format+"\n", args...)
+}
+
+func (h *harness) fail(invariant, detail string) {
+	if h.res.Failure != nil {
+		return
+	}
+	h.res.Failure = &Failure{Epoch: h.epoch, Invariant: invariant, Detail: detail}
+	h.logf("FAIL e%d invariant=%s detail=%s", h.epoch, invariant, detail)
+}
+
+type simulation struct {
+	*harness
 	sched  *chaos.Schedule
 	cached *client.Client // read-cache client (stale-read-after-GC probe)
-	plain  *client.Client // uncached observer
 	eng    *query.Engine
 	opt    *optimizer.Optimizer
-	ledger *verify.Ledger
 
 	clients []*simClient
 	dml     *dmlActor
 	mv      *matviewActor
+	// writers are every actor's writers — the ledger clients', then the
+	// DML actor's, then the view actor's — in the order each phase
+	// visits them.
+	writers []*writer
 
-	epoch   int
 	samples []snapSample
-	out     io.Writer
-	res     *Result
 
 	crashMu    sync.Mutex
 	crashedSS  []crashRec
@@ -261,36 +322,9 @@ type simulation struct {
 }
 
 func runOnce(cfg Config, specs []chaos.Spec) *Result {
-	base := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
-	s := &simulation{
-		cfg:    cfg,
-		specs:  specs,
-		clock:  truetime.NewManual(base, time.Millisecond),
-		ledger: verify.NewLedger(),
-		out:    cfg.Log,
-		res:    &Result{Seed: cfg.Seed, Specs: specs},
-	}
-	if s.out == nil {
-		s.out = io.Discard
-	}
-
-	// Seedable id entropy: stream/ROS ids become Spanner keys and drive
-	// scan and placement order, so they must replay.
-	meta.SetEntropy(rand.New(rand.NewSource(cfg.Seed ^ 0x5eed1d)))
-	defer meta.SetEntropy(nil)
-
-	s.sched = chaos.FromSpecs(specs)
-	s.sched.Pause() // no faults during setup
-	s.region = core.NewRegion(core.Config{
-		Clusters:                simClusters(),
-		SMSTasks:                smsTasks,
-		StreamServersPerCluster: serversPerCluster,
-		ClockEpsilon:            time.Millisecond,
-		Clock:                   s.clock,
-		MaxFragmentBytes:        fragmentBytes,
-		Chaos:                   s.sched,
-		Seed:                    cfg.Seed,
-	})
+	sched := chaos.FromSpecs(specs)
+	sched.Pause() // no faults during setup
+	s := &simulation{harness: newHarness(cfg, specs, core.Config{Chaos: sched}), sched: sched}
 	// Take over crash handling: the region still crashes the task, and
 	// the simulation additionally records it for a delayed restart.
 	s.sched.OnCrash(chaos.KindStreamServer, func(addr string) {
@@ -315,9 +349,6 @@ func runOnce(cfg Config, specs []chaos.Spec) *Result {
 	copts.Seed = cfg.Seed
 	copts.ReadCacheBytes = 1 << 20
 	s.cached = s.region.NewClient(copts)
-	popts := client.DefaultOptions()
-	popts.Seed = cfg.Seed + 1
-	s.plain = s.region.NewClient(popts)
 	// Shards=1 keeps the engine's leaf dispatch strictly sequential, so
 	// chaos occurrence accounting during DML scans is replayable.
 	s.eng = query.New(s.plain, s.region.BigMeta, s.region.Net, s.region.Router(), query.Config{Shards: 1})
@@ -333,42 +364,19 @@ func runOnce(cfg Config, specs []chaos.Spec) *Result {
 		return s.finish()
 	}
 
-	epochs := int(cfg.Duration / epochSim)
-	if epochs < 1 {
-		epochs = 1
-	}
 	s.sched.Resume()
-	for s.epoch = 1; s.epoch <= epochs && s.res.Failure == nil; s.epoch++ {
-		epochStart := s.clock.At()
+	s.runEpochs(max(int(cfg.Duration/epochSim), 1), func() {
 		s.workloadPhase(ctx)
 		s.maintenancePhase(ctx)
 		s.verifyPhase(ctx)
-		// Land exactly on the epoch boundary so simulated time is a pure
-		// function of the epoch count.
-		s.clock.Set(epochStart.Add(epochSim))
-	}
+	})
 	if s.res.Failure == nil {
 		s.drain(ctx)
 	}
 	return s.finish()
 }
 
-func (s *simulation) logf(format string, args ...any) {
-	fmt.Fprintf(s.out, format+"\n", args...)
-}
-
-func (s *simulation) fail(invariant, detail string) {
-	if s.res.Failure != nil {
-		return
-	}
-	s.res.Failure = &Failure{Epoch: s.epoch, Invariant: invariant, Detail: detail}
-	s.logf("FAIL e%d invariant=%s detail=%s", s.epoch, invariant, detail)
-}
-
 func (s *simulation) finish() *Result {
-	if s.res.Epochs == 0 && s.epoch > 0 {
-		s.res.Epochs = s.epoch - 1
-	}
 	s.res.ChaosLog = s.sched.LogString()
 	s.logf("chaos events:\n%s", s.res.ChaosLog)
 	s.logf("result epochs=%d appends=%d rows=%d reads=%d dmls=%d uncertain=%d fail=%v",
@@ -387,12 +395,13 @@ func (s *simulation) setup(ctx context.Context) error {
 		return err
 	}
 	for i := 0; i < s.cfg.Clients; i++ {
-		copts := client.DefaultOptions()
-		copts.Seed = s.cfg.Seed*1009 + int64(i)
-		s.clients = append(s.clients, newSimClient(i, s, s.region.NewClient(copts)))
+		c := newSimClient(i, s)
+		s.clients = append(s.clients, c)
+		s.writers = append(s.writers, c.writer)
 	}
 	s.dml = newDMLActor(s)
 	s.mv = newMatviewActor(s)
+	s.writers = append(s.writers, s.dml.writer, s.mv.writer)
 	return s.mv.init(ctx)
 }
 
@@ -442,11 +451,9 @@ func (s *simulation) maintenancePhase(ctx context.Context) {
 
 	s.region.HeartbeatAll(ctx, s.epoch%10 == 0)
 	if s.epoch%rotateEvery == 0 {
-		for _, c := range s.clients {
-			c.rotate(ctx)
+		for _, w := range s.writers {
+			w.rotate(ctx)
 		}
-		s.dml.rotate(ctx)
-		s.mv.rotate(ctx)
 		s.region.HeartbeatAll(ctx, false)
 	}
 	for _, table := range []meta.TableID{tableLedger, tableDML, tableAccounts, tableByRegion} {
@@ -515,21 +522,17 @@ func (s *simulation) verifyPhase(ctx context.Context) {
 		}
 	}
 
-	// Resolve in-doubt appends first so the ledger is complete; a batch
-	// stuck behind a still-crashed server skips verification this epoch.
+	// Resolve in-doubt appends first so the ledger is complete; a ledger
+	// batch stuck behind a still-crashed server skips verification this
+	// epoch.
 	pending := 0
-	for _, c := range s.clients {
-		if c.pending != nil {
-			c.resolve(ctx)
-		}
-		if c.pending != nil {
+	for _, w := range s.writers {
+		w.resolve(ctx)
+		if w.pending != nil && w.table == tableLedger {
 			pending++
 		}
 	}
-	s.dml.resolve(ctx)
-	if s.mv.pending != nil {
-		s.mv.resolve(ctx)
-	}
+	s.dml.retryDelete(ctx)
 
 	if pending == 0 {
 		rep, err := verify.VerifyTable(ctx, s.plain, tableLedger, s.ledger, 0)
@@ -672,28 +675,26 @@ func (s *simulation) drain(ctx context.Context) {
 
 	for round := 0; round < 5; round++ {
 		n := 0
-		for _, c := range s.clients {
-			if c.pending != nil {
-				c.resolve(ctx)
-			}
-			if c.pending != nil {
+		for _, w := range s.writers {
+			w.resolve(ctx)
+			if w.pending != nil {
 				n++
 			}
 		}
-		s.dml.resolve(ctx)
-		if n == 0 && s.dml.idle() {
+		s.dml.retryDelete(ctx)
+		if n == 0 && s.dml.pendingDel == "" {
 			break
 		}
 		s.clock.Advance(10 * time.Millisecond)
 	}
-	for _, c := range s.clients {
-		if c.pending != nil {
-			s.fail("exactly-once", fmt.Sprintf("c%d append unresolvable after heal off=%d n=%d", c.id, c.pending.off, len(c.pending.rows)))
+	for _, w := range s.writers {
+		if w.pending != nil {
+			s.fail("exactly-once", fmt.Sprintf("%s append unresolvable after heal off=%d n=%d", w.name, w.pending.off, len(w.pending.rows)))
 			return
 		}
 	}
-	if !s.dml.idle() {
-		s.fail("dml-count", "dml operation unresolvable after heal")
+	if s.dml.pendingDel != "" {
+		s.fail("dml-count", "dml delete unresolvable after heal")
 		return
 	}
 

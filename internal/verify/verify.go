@@ -67,14 +67,21 @@ func (l *Ledger) Appends() []AppendRecord {
 	return append([]AppendRecord(nil), l.appends...)
 }
 
-// RowHash fingerprints a row's content. Ledger producers that build
-// AppendRecords by hand (e.g. the deterministic simulation's uncertain
-// acks) must use the same fingerprint the verifier compares against.
-func RowHash(r schema.Row) uint32 {
-	return blockenc.Checksum(rowenc.AppendRow(nil, r))
+// NewAppendRecord is the ledger record of rows acknowledged at stream
+// offset off, each fingerprinted the way the verifier compares stored
+// rows. A negative firstSeq records an uncertain ack.
+func NewAppendRecord(table meta.TableID, stream meta.StreamID, off int64, rows []schema.Row, firstSeq int64) AppendRecord {
+	hashes := make([]uint32, len(rows))
+	for i, r := range rows {
+		hashes[i] = rowHash(r)
+	}
+	return AppendRecord{Table: table, Stream: stream, Offset: off, RowCount: int64(len(rows)), FirstSeq: firstSeq, RowHashes: hashes}
 }
 
-func rowHash(r schema.Row) uint32 { return RowHash(r) }
+// rowHash fingerprints a row's content.
+func rowHash(r schema.Row) uint32 {
+	return blockenc.Checksum(rowenc.AppendRow(nil, r))
+}
 
 // TrackedStream wraps a client stream, recording every acknowledged
 // append in the ledger — the request tracing of §6.3.
@@ -89,28 +96,14 @@ func Track(s *client.Stream, ledger *Ledger) *TrackedStream {
 	return &TrackedStream{S: s, Ledger: ledger, table: s.Info().Table}
 }
 
-// Append forwards to the underlying stream and records the ack.
+// Append forwards to the underlying stream and records the ack, with
+// the storage sequence AppendTracked reports for its first row.
 func (t *TrackedStream) Append(ctx context.Context, rows []schema.Row, opts ...client.AppendOption) (int64, error) {
-	// Capture the response timestamp by re-deriving it from a read is
-	// impossible; instead use AppendDetailed semantics: the client's
-	// Append returns only the offset, so track via a second call path.
 	off, seq, err := t.S.AppendTracked(ctx, rows, opts...)
-	if err != nil {
-		return off, err
+	if err == nil {
+		t.Ledger.Record(NewAppendRecord(t.table, t.S.Info().ID, off, rows, seq))
 	}
-	hashes := make([]uint32, len(rows))
-	for i, r := range rows {
-		hashes[i] = rowHash(r)
-	}
-	t.Ledger.Record(AppendRecord{
-		Table:     t.table,
-		Stream:    t.S.Info().ID,
-		Offset:    off,
-		RowCount:  int64(len(rows)),
-		FirstSeq:  seq,
-		RowHashes: hashes,
-	})
-	return off, nil
+	return off, err
 }
 
 // Report is the outcome of one verification pass.

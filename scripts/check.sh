@@ -64,6 +64,17 @@ if [ -n "$owners" ]; then
     exit 1
 fi
 
+# One exactly-once writer in the simulator (DESIGN.md §8): no non-test
+# file of internal/sim but writer.go appends to a stream or builds a
+# ledger record, so the pinned-offset outcome table has one copy.
+sim_appends=$(grep -nE '\.Append\(|\.AppendTracked\(|verify\.AppendRecord\{' \
+    $(ls internal/sim/*.go | grep -vE '_test\.go$|/writer\.go$') || true)
+if [ -n "$sim_appends" ]; then
+    echo "append outside the simulator's writer (internal/sim/writer.go):" >&2
+    echo "$sim_appends" >&2
+    exit 1
+fi
+
 # The chaos suites are expected to be deterministic under -race; an
 # ordering flake is a bug, so -shuffle=on surfaces hidden inter-test
 # order dependencies. -race also turns on checkptr, which checks every
