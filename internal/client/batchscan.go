@@ -378,7 +378,7 @@ func (c *Client) ScanBatch(ctx context.Context, plan *ScanPlan, a Assignment) (*
 	start := time.Now()
 	var b *ColBatch
 	if a.Live {
-		d, fragStartRow, err := c.readLiveWOS(ctx, plan, a)
+		d, fragStartRow, err := c.readLiveWOS(ctx, a)
 		if err != nil {
 			return nil, err
 		}

@@ -2,30 +2,6 @@ package client
 
 import "testing"
 
-func TestFragIndexFromPath(t *testing.T) {
-	cases := []struct {
-		path string
-		want int
-	}{
-		{"tables/t/sl-1/f-0", 0},
-		{"tables/t/sl-1/f-17", 17},
-		{"a/b/f-3.groomed", 3}, // suffix after the digit run
-		{"a/b/f-3/part", 3},    // nested segment after the index
-		{"a/f-2/x/f-9", 9},     // last "/f-" wins
-		{"f-4", -1},            // no "/f-" separator
-		{"a/b/f-", -1},         // no digits at all
-		{"a/b/f-x7", -1},       // digits must lead the segment
-		{"a/b/g-7", -1},        // wrong marker
-		{"", -1},
-		{"a/b/f-00012", 12}, // leading zeros
-	}
-	for _, c := range cases {
-		if got := fragIndexFromPath(c.path); got != c.want {
-			t.Errorf("fragIndexFromPath(%q) = %d, want %d", c.path, got, c.want)
-		}
-	}
-}
-
 // putTest admits a placeholder entry: the cache never looks inside a
 // value, only at its path, version and size.
 func putTest(c *ReadCache, path string, version, size int64) {

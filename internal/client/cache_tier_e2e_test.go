@@ -9,9 +9,9 @@ import (
 
 	"vortex/internal/client"
 	"vortex/internal/core"
+	"vortex/internal/fragment"
 	"vortex/internal/meta"
 	"vortex/internal/optimizer"
-	"vortex/internal/streamserver"
 )
 
 // diskCacheEnv is cacheEnv with the on-disk middle tier enabled. The
@@ -180,7 +180,7 @@ func TestDiskTierInvalidatedByHeartbeatGC(t *testing.T) {
 		t.Fatalf("pre-GC read: %d rows, err=%v", len(rows), err)
 	}
 	oldTS := plan.SnapshotTS
-	wosPrefix := streamserver.StreamletPrefix("d.cache", meta.StreamletIDFor(streamID, 0))
+	wosPrefix := fragment.Prefix("d.cache", meta.StreamletIDFor(streamID, 0))
 	wosPaths, err := r.Colossus.Cluster("alpha").List(wosPrefix)
 	if err != nil || len(wosPaths) == 0 {
 		t.Fatalf("no WOS files: %v %v", wosPaths, err)

@@ -48,16 +48,6 @@ type Router interface {
 
 // Options configures a Client.
 type Options struct {
-	// LocalCluster is the cluster whose Colossus replica reads prefer
-	// (§5.4.6). Empty picks the first cluster of each fragment.
-	LocalCluster string
-	// UnaryAppendThreshold is the number of appends on a stream before
-	// the client switches from pooled unary calls to a persistent
-	// bi-directional connection (§5.4.2: most streams are small, hot
-	// streams deserve a dedicated connection).
-	UnaryAppendThreshold int
-	// FlowControlWindow is the bi-di stream's in-flight byte budget.
-	FlowControlWindow int
 	// ForceUnary/ForceBidi pin the connection type (for experiments).
 	ForceUnary bool
 	ForceBidi  bool
@@ -79,8 +69,18 @@ type Options struct {
 
 // DefaultOptions returns production-like client options.
 func DefaultOptions() Options {
-	return Options{UnaryAppendThreshold: 3, FlowControlWindow: 16 << 20, Retry: DefaultRetryPolicy()}
+	return Options{Retry: DefaultRetryPolicy()}
 }
+
+const (
+	// unaryAppendThreshold is the number of appends on a stream before
+	// the client switches from pooled unary calls to a persistent
+	// bi-directional connection (§5.4.2: most streams are small, hot
+	// streams deserve a dedicated connection).
+	unaryAppendThreshold = 3
+	// flowControlWindow is the bi-di stream's in-flight byte budget.
+	flowControlWindow = 16 << 20
+)
 
 // Client is a Vortex client handle. It is safe for concurrent use; each
 // Stream it creates is owned by one writer at a time (the paper's model:
@@ -135,12 +135,6 @@ type Client struct {
 
 // New returns a Client.
 func New(net rpc.Transport, router Router, region colossus.Store, keyring *blockenc.Keyring, clock truetime.Clock, opts Options) *Client {
-	if opts.UnaryAppendThreshold <= 0 {
-		opts.UnaryAppendThreshold = 3
-	}
-	if opts.FlowControlWindow <= 0 {
-		opts.FlowControlWindow = 16 << 20
-	}
 	opts.Retry = opts.Retry.withDefaults()
 	var disk *disktier.Tier
 	if opts.DiskCacheDir != "" && opts.DiskCacheBytes > 0 {
@@ -364,12 +358,7 @@ func (s *Stream) Append(ctx context.Context, rows []schema.Row, opts ...AppendOp
 			// reporting a fresh-duplicate offset conflict.
 			Retry: attempt > 0,
 		}
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if pol.PerAttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, pol.PerAttemptTimeout)
-		}
-		resp, err := s.sendHedged(attemptCtx, req, cfg.offset >= 0)
-		cancel()
+		resp, err := s.sendHedged(ctx, req, cfg.offset >= 0)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -621,7 +610,7 @@ func (s *Stream) useBidi() bool {
 	if s.c.opts.ForceBidi {
 		return true
 	}
-	return s.appendsSeen >= s.c.opts.UnaryAppendThreshold
+	return s.appendsSeen >= unaryAppendThreshold
 }
 
 func (s *Stream) sendBidi(ctx context.Context, req *wire.AppendRequest) (*wire.AppendResponse, error) {
@@ -639,7 +628,7 @@ func (s *Stream) ensureConn(ctx context.Context) error {
 		return nil
 	}
 	s.closeConn()
-	conn, err := s.c.net.OpenStream(ctx, s.sl.Server, wire.Append.Name(), s.c.opts.FlowControlWindow)
+	conn, err := s.c.net.OpenStream(ctx, s.sl.Server, wire.Append.Name(), flowControlWindow)
 	if err != nil {
 		return err
 	}

@@ -36,9 +36,7 @@ func row(i int) schema.Row {
 }
 
 func TestAdaptiveConnectionSwitchesToBidi(t *testing.T) {
-	opts := client.DefaultOptions()
-	opts.UnaryAppendThreshold = 3
-	r, c, ctx := env(t, opts)
+	r, c, ctx := env(t, client.DefaultOptions())
 	s, err := c.CreateStream(ctx, "d.t", meta.Unbuffered)
 	if err != nil {
 		t.Fatal(err)

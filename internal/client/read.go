@@ -6,18 +6,17 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 
 	"vortex/internal/bin"
 	"vortex/internal/blockenc"
+	"vortex/internal/colossus"
 	"vortex/internal/dml"
 	"vortex/internal/fragment"
 	"vortex/internal/meta"
 	"vortex/internal/ros"
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
-	"vortex/internal/streamserver"
 	"vortex/internal/truetime"
 	"vortex/internal/wire"
 )
@@ -94,27 +93,23 @@ func (c *Client) Plan(ctx context.Context, table meta.TableID, snapshotTS trueti
 // planStreamletTail lists a live streamlet's log files and produces one
 // assignment per non-deleted file.
 func (c *Client) planStreamletTail(ctx context.Context, table meta.TableID, ts truetime.Timestamp, rsl wire.ReadStreamlet) ([]Assignment, error) {
-	prefix := streamserver.StreamletPrefix(table, rsl.Info.ID)
-	paths, err := c.listReplicated(rsl.Info.Clusters, prefix)
+	prefix := fragment.Prefix(table, rsl.Info.ID)
+	paths, _, err := fromReplicas(c, rsl.Info.Clusters, "list", prefix, func(b colossus.Blobs) ([]string, error) { return b.List(prefix) })
 	if err != nil {
 		return nil, err
 	}
-	deletedPaths := make(map[string]bool, len(rsl.DeletedFragments))
-	masksByPath := make(map[string]*dml.Mask)
+	deleted := make(map[meta.FragmentID]bool, len(rsl.DeletedFragments))
 	for _, fid := range rsl.DeletedFragments {
-		idx := meta.FragmentIndexFromID(fid)
-		deletedPaths[streamserver.FragmentPath(table, rsl.Info.ID, idx)] = true
-	}
-	for fid, m := range rsl.FragmentMasks {
-		idx := meta.FragmentIndexFromID(fid)
-		masksByPath[streamserver.FragmentPath(table, rsl.Info.ID, idx)] = m
+		deleted[fid] = true
 	}
 	sort.Slice(paths, func(i, j int) bool {
-		return fragIndexFromPath(paths[i]) < fragIndexFromPath(paths[j])
+		return fragment.IndexFromPath(paths[i]) < fragment.IndexFromPath(paths[j])
 	})
 	var out []Assignment
 	for i, p := range paths {
-		if deletedPaths[p] {
+		idx := fragment.IndexFromPath(p)
+		fid := meta.FragmentIDFor(rsl.Info.ID, idx)
+		if deleted[fid] {
 			continue
 		}
 		next := ""
@@ -129,38 +124,17 @@ func (c *Client) planStreamletTail(ctx context.Context, table meta.TableID, ts t
 				Path:      p,
 				Clusters:  rsl.Info.Clusters,
 			},
-			Mask:           masksByPath[p],
+			Mask:           rsl.FragmentMasks[fid],
 			Vis:            rsl.Vis,
 			TailMask:       rsl.TailMask,
 			Live:           true,
 			StreamletStart: rsl.Info.StartOffset,
 			Stream:         rsl.Info.Stream,
 			NextPath:       next,
-			FragIndex:      fragIndexFromPath(p),
+			FragIndex:      idx,
 		})
 	}
 	return out, nil
-}
-
-// fragIndexFromPath parses the "f-N" segment of a fragment path: the
-// leading digit run after the last "/f-". Groomed or renamed files may
-// carry a suffix ("f-3.groomed", "f-3/part") and must still sort into
-// tail order, so only a segment with no digits at all yields -1.
-func fragIndexFromPath(p string) int {
-	i := strings.LastIndex(p, "/f-")
-	if i < 0 {
-		return -1
-	}
-	rest := p[i+3:]
-	j := 0
-	for j < len(rest) && rest[j] >= '0' && rest[j] <= '9' {
-		j++
-	}
-	n, err := strconv.Atoi(rest[:j])
-	if err != nil {
-		return -1
-	}
-	return n
 }
 
 // ReplicaAttempt is one replica's failure during a replicated Colossus
@@ -179,7 +153,7 @@ type ReplicatedReadError struct {
 	Op       string // "read" or "list"
 	Path     string
 	Unknown  []string         // cluster names absent from the region
-	Attempts []ReplicaAttempt // failed attempts, in replica-preference order
+	Attempts []ReplicaAttempt // failed attempts, in the record's cluster order
 }
 
 func (e *ReplicatedReadError) Error() string {
@@ -207,10 +181,12 @@ func (e *ReplicatedReadError) Unwrap() []error {
 // only of unknown clusters is a configuration problem no retry fixes.
 func (e *ReplicatedReadError) retryable() bool { return len(e.Attempts) > 0 }
 
-// listReplicated lists a prefix from the first reachable replica.
-func (c *Client) listReplicated(clusters [2]string, prefix string) ([]string, error) {
-	rerr := &ReplicatedReadError{Op: "list", Path: prefix}
-	for _, name := range c.replicaOrder(clusters) {
+// fromReplicas calls fn on each replica of clusters, in the record's
+// order, and returns the first success with the serving cluster's name.
+// op ("read" or "list") and path name the operation in its error.
+func fromReplicas[T any](c *Client, clusters [2]string, op, path string, fn func(colossus.Blobs) (T, error)) (T, string, error) {
+	rerr := &ReplicatedReadError{Op: op, Path: path}
+	for _, name := range clusters {
 		if name == "" {
 			continue
 		}
@@ -219,46 +195,20 @@ func (c *Client) listReplicated(clusters [2]string, prefix string) ([]string, er
 			rerr.Unknown = append(rerr.Unknown, name)
 			continue
 		}
-		paths, err := cl.List(prefix)
+		v, err := fn(cl)
 		if err == nil {
-			return paths, nil
+			return v, name, nil
 		}
 		rerr.Attempts = append(rerr.Attempts, ReplicaAttempt{Cluster: name, Err: err})
 	}
-	return nil, rerr
-}
-
-// replicaOrder prefers the configured local cluster (§5.4.6).
-func (c *Client) replicaOrder(clusters [2]string) []string {
-	if clusters[0] == "" && clusters[1] == "" {
-		return nil
-	}
-	if c.opts.LocalCluster != "" && clusters[1] == c.opts.LocalCluster {
-		return []string{clusters[1], clusters[0]}
-	}
-	return []string{clusters[0], clusters[1]}
+	var zero T
+	return zero, "", rerr
 }
 
 // readReplicated reads a whole file from the first replica that serves
 // it, returning the serving cluster's name alongside the data.
 func (c *Client) readReplicated(clusters [2]string, path string) ([]byte, string, error) {
-	rerr := &ReplicatedReadError{Op: "read", Path: path}
-	for _, name := range c.replicaOrder(clusters) {
-		if name == "" {
-			continue
-		}
-		cl := c.region.Blob(name)
-		if cl == nil {
-			rerr.Unknown = append(rerr.Unknown, name)
-			continue
-		}
-		data, err := cl.Read(path, 0, -1)
-		if err == nil {
-			return data, name, nil
-		}
-		rerr.Attempts = append(rerr.Attempts, ReplicaAttempt{Cluster: name, Err: err})
-	}
-	return nil, "", rerr
+	return fromReplicas(c, clusters, "read", path, func(b colossus.Blobs) ([]byte, error) { return b.Read(path, 0, -1) })
 }
 
 // PosRow is a visible row with its physical position — the provenance
@@ -368,8 +318,7 @@ func (c *Client) load(a Assignment) (any, CacheStats, error) {
 // reconciliation for the final append. Live files are still being
 // appended to, so they always bypass the cache. It also returns the
 // streamlet-local offset of the file's first row.
-func (c *Client) readLiveWOS(ctx context.Context, plan *ScanPlan, a Assignment) (*wosColumns, int64, error) {
-	order := c.replicaOrder(a.Frag.Clusters)
+func (c *Client) readLiveWOS(ctx context.Context, a Assignment) (*wosColumns, int64, error) {
 	data, usedCluster, err := c.readReplicated(a.Frag.Clusters, a.Frag.Path)
 	if err != nil {
 		return nil, 0, err
@@ -383,14 +332,9 @@ func (c *Client) readLiveWOS(ctx context.Context, plan *ScanPlan, a Assignment) 
 	if bound, ok := c.fileMapBound(a); ok {
 		// A successor file exists: its File Map records this file's
 		// committed final size — the authoritative bound (§7.1).
-		blocks = nil
-		for _, b := range scan.Blocks {
-			if b.Offset+b.Size <= bound {
-				blocks = append(blocks, b)
-			}
-		}
+		blocks = fragment.Within(scan.Blocks, bound)
 	} else if scan.TailBlock != nil {
-		include, err := c.decideTail(ctx, plan, a, scan, usedCluster, order)
+		include, err := c.decideTail(ctx, a, scan, usedCluster)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -420,13 +364,7 @@ func (c *Client) decodeSealedWOS(a Assignment, data []byte) (*wosColumns, error)
 	}
 	blocks := scan.CommittedBlocks
 	if a.Frag.CommittedBytes > 0 {
-		var bounded []fragment.Block
-		for _, b := range scan.Blocks {
-			if b.Offset+b.Size <= a.Frag.CommittedBytes {
-				bounded = append(bounded, b)
-			}
-		}
-		blocks = bounded
+		blocks = fragment.Within(scan.Blocks, a.Frag.CommittedBytes)
 	}
 	return c.decodeBlocks(blocks)
 }
@@ -660,21 +598,16 @@ func (c *Client) fileMapBound(a Assignment) (int64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	for _, e := range hdr.FileMap {
-		if e.Index == a.FragIndex {
-			return e.CommittedSize, true
-		}
-	}
-	return 0, false
+	return fragment.FileMapBound(a.FragIndex, hdr)
 }
 
 // decideTail resolves the commit status of a live file's final append.
 // Local decision first: if the other replica holds the identical tail,
 // the dual write succeeded and the append is committed. Otherwise ask
 // the SMS to reconcile (§7.1 "Reconciliation of the final append").
-func (c *Client) decideTail(ctx context.Context, plan *ScanPlan, a Assignment, scan *fragment.ScanResult, usedCluster string, order []string) (bool, error) {
+func (c *Client) decideTail(ctx context.Context, a Assignment, scan *fragment.ScanResult, usedCluster string) (bool, error) {
 	var other string
-	for _, name := range order {
+	for _, name := range a.Frag.Clusters {
 		if name != usedCluster {
 			other = name
 		}
@@ -683,7 +616,7 @@ func (c *Client) decideTail(ctx context.Context, plan *ScanPlan, a Assignment, s
 		data, err := cl.Read(a.Frag.Path, 0, -1)
 		if err == nil {
 			oscan, serr := fragment.Scan(data)
-			if serr == nil && replicaHasBlock(oscan, scan.TailBlock) {
+			if serr == nil && len(fragment.Agreed(scan, oscan)) == len(scan.Blocks) {
 				// The dual write reached both replicas: committed.
 				return true, nil
 			}
@@ -702,24 +635,10 @@ func (c *Client) decideTail(ctx context.Context, plan *ScanPlan, a Assignment, s
 	}
 	for _, f := range rec.Fragments {
 		if f.Path == a.Frag.Path {
-			return scan.TailBlock.Offset+scan.TailBlock.Size <= f.CommittedBytes, nil
+			return scan.End(scan.Blocks) <= f.CommittedBytes, nil
 		}
 	}
 	return false, nil
-}
-
-// replicaHasBlock reports whether a scan of the other replica contains
-// an identically-placed block.
-func replicaHasBlock(scan *fragment.ScanResult, b *fragment.Block) bool {
-	if b == nil {
-		return false
-	}
-	for _, ob := range scan.Blocks {
-		if ob.Offset == b.Offset && ob.Size == b.Size {
-			return true
-		}
-	}
-	return false
 }
 
 // ReadAll scans every assignment of a snapshot, GOMAXPROCS at a time,

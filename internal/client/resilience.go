@@ -94,9 +94,6 @@ type RetryPolicy struct {
 	// Jitter spreads each backoff uniformly in ±Jitter (e.g. 0.2 =
 	// ±20%), decorrelating retry storms across writers.
 	Jitter float64
-	// PerAttemptTimeout bounds one append attempt; zero disables it.
-	// The overall call is bounded by ctx (or WithDeadline).
-	PerAttemptTimeout time.Duration
 	// HedgeDelay, when positive, races a second copy of a slow
 	// offset-pinned unary append after this delay; the server's
 	// retransmission memo dedupes the loser. Zero disables hedging.

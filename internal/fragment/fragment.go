@@ -26,6 +26,15 @@
 // (the partial final write of a crashed server) terminates the scan at
 // the last valid block, and the final data block is only considered
 // committed if *anything* valid follows it (§7.1).
+//
+// This package is the one owner of what a log file's bytes mean. Path,
+// Prefix and IndexFromPath write and parse its name; Scan applies the
+// commit rule to one replica; and the extent functions in extent.go —
+// ScanResult.End, Within, FileMapBound and Agreed — carry the rest of
+// §7.1: a File Map entry caps a file, and the blocks both replicas hold
+// are the ones the dual write acknowledged. The reader's tail decision,
+// the SMS's reconciliation (§5.6) and the Stream Server's writer call
+// them rather than computing block ends themselves.
 package fragment
 
 import (
@@ -231,6 +240,9 @@ type ScanResult struct {
 	// Poisoned reports whether a SENTINEL block with a different writer
 	// epoch than the header's was seen.
 	Poisoned bool
+	// dataStart is the file offset just past the header, where the
+	// first block begins.
+	dataStart int64
 }
 
 // Scan parses an entire fragment file image. It never fails on a torn
@@ -240,7 +252,7 @@ func Scan(data []byte) (*ScanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ScanResult{Header: h}
+	res := &ScanResult{Header: h, dataStart: int64(pos)}
 
 	// A finalized file ends with bloom+footer; try to parse the footer
 	// first so we know where blocks end.

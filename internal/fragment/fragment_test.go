@@ -384,3 +384,28 @@ func TestScanUsesFileMapSemantics(t *testing.T) {
 	}
 	_ = blockenc.Checksum // keep import for clarity of intent
 }
+
+func TestIndexFromPath(t *testing.T) {
+	cases := []struct {
+		path string
+		want int
+	}{
+		{"tables/t/sl-1/f-0", 0},
+		{"tables/t/sl-1/f-17", 17},
+		{"a/b/f-3.groomed", 3}, // suffix after the digit run
+		{"a/b/f-3/part", 3},    // nested segment after the index
+		{"a/f-2/x/f-9", 9},     // last "/f-" wins
+		{"f-4", -1},            // no "/f-" separator
+		{"a/b/f-", -1},         // no digits at all
+		{"a/b/f-x7", -1},       // digits must lead the segment
+		{"a/b/g-7", -1},        // wrong marker
+		{"", -1},
+		{"a/b/f-00012", 12}, // leading zeros
+		{Path("d.t", "s-1/sl-2", 1234), 1234},
+	}
+	for _, c := range cases {
+		if got := IndexFromPath(c.path); got != c.want {
+			t.Errorf("IndexFromPath(%q) = %d, want %d", c.path, got, c.want)
+		}
+	}
+}

@@ -1,6 +1,11 @@
 package fragment
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"vortex/internal/meta"
+)
 
 // FuzzScan feeds arbitrary bytes to the WOS fragment parser, which reads
 // what comes back from Colossus and from the disk tier. Scan must stop
@@ -9,7 +14,10 @@ import "testing"
 // bytes it was given: blocks laid end to end from the header on, the
 // committed prefix no longer than the file, the tail block — if any —
 // the last one, and the bloom filter extractable or refused, never a
-// panic.
+// panic. It also holds the identities the reader and reconciliation
+// rest on: the committed blocks and the tail block are all the blocks,
+// the blocks up to the scan's end are all of them, a scan agrees with
+// itself on all of them, and IndexFromPath inverts Path.
 func FuzzScan(f *testing.F) {
 	blocks := []Block{
 		dataBlock(10, 0, 5, "batch-a"),
@@ -45,6 +53,25 @@ func FuzzScan(f *testing.F) {
 		}
 		if res.Footer != nil {
 			_, _ = Bloom(data, res.Footer)
+		}
+		parts := append([]Block(nil), res.CommittedBlocks...)
+		if res.TailBlock != nil {
+			parts = append(parts, *res.TailBlock)
+		}
+		if !sameBlocks(parts, res.Blocks) {
+			t.Fatalf("committed %d + tail %v are not the %d blocks", len(res.CommittedBlocks), res.TailBlock != nil, len(res.Blocks))
+		}
+		if got := Within(res.Blocks, res.End(res.Blocks)); !sameBlocks(got, res.Blocks) {
+			t.Fatalf("%d of %d blocks end by the scan's end %d", len(got), len(res.Blocks), res.End(res.Blocks))
+		}
+		if got := Agreed(res, res); !sameBlocks(got, res.Blocks) {
+			t.Fatalf("a scan agrees with itself on %d of %d blocks", len(got), len(res.Blocks))
+		}
+		if idx := res.Header.Index; idx >= 0 {
+			p := Path("d.t", meta.StreamletID(res.Header.StreamletID), idx)
+			if got := IndexFromPath(p); got != idx || !strings.HasPrefix(p, Prefix("d.t", meta.StreamletID(res.Header.StreamletID))) {
+				t.Fatalf("IndexFromPath(%q) = %d, want %d, under its Prefix", p, got, idx)
+			}
 		}
 	})
 }

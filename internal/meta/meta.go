@@ -10,8 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 
 	"vortex/internal/truetime"
@@ -76,21 +74,6 @@ func StreamletIDFor(stream StreamID, seq int) StreamletID {
 // FragmentIDFor derives the id of the index'th fragment of a streamlet.
 func FragmentIDFor(sl StreamletID, index int) FragmentID {
 	return FragmentID(fmt.Sprintf("%s/f-%d", sl, index))
-}
-
-// FragmentIndexFromID recovers the fragment index from an id produced by
-// FragmentIDFor, or -1 if the id has a different shape.
-func FragmentIndexFromID(id FragmentID) int {
-	s := string(id)
-	i := strings.LastIndex(s, "/f-")
-	if i < 0 {
-		return -1
-	}
-	n, err := strconv.Atoi(s[i+3:])
-	if err != nil {
-		return -1
-	}
-	return n
 }
 
 // StreamType selects the visibility semantics of appended rows (§4.2.1).

@@ -39,6 +39,7 @@ import (
 	"vortex/internal/optimizer"
 	"vortex/internal/query"
 	"vortex/internal/readsession"
+	"vortex/internal/sms"
 	"vortex/internal/truetime"
 	"vortex/internal/verify"
 	"vortex/internal/wire"
@@ -747,6 +748,10 @@ func errCategory(err error) string {
 		return "UNAVAILABLE"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "DEADLINE"
+	case errors.Is(err, sms.ErrUnavailable):
+		// The SMS's retryable refusal: a reconcile whose fence landed
+		// nowhere, or found the streamlet moved (§5.6).
+		return "SMS_UNAVAILABLE"
 	default:
 		return "ERR"
 	}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -13,25 +14,36 @@ import (
 // TestDeterminism is the harness's foundational property: two runs with
 // the same seed and config produce byte-identical event logs and the
 // same chaos-event log, so any failure is replayable from its seed.
+// Seed 46 is the sweep's configuration (vortex-sim -seed 46 -clients 4
+// -duration 3s): its log once varied between runs of one binary.
 func TestDeterminism(t *testing.T) {
-	run := func() (string, *sim.Result) {
-		var buf bytes.Buffer
-		res := sim.Run(sim.Config{Seed: 7, Duration: 2 * time.Second, Clients: 3, Faults: 6, Log: &buf})
-		return buf.String(), res
-	}
-	log1, res1 := run()
-	log2, res2 := run()
-	if log1 != log2 {
-		t.Fatalf("event logs differ between identical runs:\n--- run1 ---\n%s\n--- run2 ---\n%s", tailLines(log1, 30), tailLines(log2, 30))
-	}
-	if res1.ChaosLog != res2.ChaosLog {
-		t.Fatalf("chaos logs differ:\n%q\n%q", res1.ChaosLog, res2.ChaosLog)
-	}
-	if res1.Appends != res2.Appends || res1.Rows != res2.Rows || res1.DMLs != res2.DMLs {
-		t.Fatalf("stats differ: %+v vs %+v", res1, res2)
-	}
-	if res1.Failure != nil {
-		t.Fatalf("seed 7 run failed: %+v", res1.Failure)
+	for _, cfg := range []sim.Config{
+		{Seed: 7, Duration: 2 * time.Second, Clients: 3, Faults: 6},
+		{Seed: 46, Duration: 3 * time.Second, Clients: 4, Faults: 8},
+	} {
+		t.Run(fmt.Sprintf("seed_%d", cfg.Seed), func(t *testing.T) {
+			run := func() (string, *sim.Result) {
+				var buf bytes.Buffer
+				cfg := cfg
+				cfg.Log = &buf
+				res := sim.Run(cfg)
+				return buf.String(), res
+			}
+			log1, res1 := run()
+			log2, res2 := run()
+			if log1 != log2 {
+				t.Fatalf("event logs differ between identical runs:\n--- run1 ---\n%s\n--- run2 ---\n%s", tailLines(log1, 30), tailLines(log2, 30))
+			}
+			if res1.ChaosLog != res2.ChaosLog {
+				t.Fatalf("chaos logs differ:\n%q\n%q", res1.ChaosLog, res2.ChaosLog)
+			}
+			if res1.Appends != res2.Appends || res1.Rows != res2.Rows || res1.DMLs != res2.DMLs {
+				t.Fatalf("stats differ: %+v vs %+v", res1, res2)
+			}
+			if res1.Failure != nil {
+				t.Fatalf("seed %d run failed: %+v", cfg.Seed, res1.Failure)
+			}
+		})
 	}
 }
 

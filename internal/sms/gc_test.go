@@ -8,10 +8,10 @@ import (
 
 	"vortex/internal/client"
 	"vortex/internal/core"
+	"vortex/internal/fragment"
 	"vortex/internal/meta"
 	"vortex/internal/optimizer"
 	"vortex/internal/schema"
-	"vortex/internal/streamserver"
 	"vortex/internal/truetime"
 	"vortex/internal/wire"
 )
@@ -52,7 +52,7 @@ func TestGarbageCollectionLifecycle(t *testing.T) {
 	r.HeartbeatAll(ctx, false)
 
 	// Locate the WOS log files before conversion.
-	wosPrefix := streamserver.StreamletPrefix("d.gc", meta.StreamletIDFor(s.Info().ID, 0))
+	wosPrefix := fragment.Prefix("d.gc", meta.StreamletIDFor(s.Info().ID, 0))
 	paths, err := r.Colossus.Cluster("alpha").List(wosPrefix)
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no WOS files found: %v %v", paths, err)

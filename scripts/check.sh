@@ -75,6 +75,14 @@ if [ -n "$sim_appends" ]; then
     exit 1
 fi
 
+# One owner of the WOS log (DESIGN.md §7): the reader and the SMS take
+# log-file paths and committed extents from internal/fragment, so
+# neither depends on the Stream Server that writes the files.
+if go list -deps ./internal/client ./internal/sms | grep -qx 'vortex/internal/streamserver'; then
+    echo "internal/client or internal/sms depends on internal/streamserver; use internal/fragment's paths and extents" >&2
+    exit 1
+fi
+
 # The chaos suites are expected to be deterministic under -race; an
 # ordering flake is a bug, so -shuffle=on surfaces hidden inter-test
 # order dependencies. -race also turns on checkptr, which checks every

@@ -283,7 +283,7 @@ func WithChaos(s *ChaosSchedule) OpenOption {
 }
 
 // WithRetryPolicy overrides the client's append/control-plane retry
-// policy (backoff, per-attempt deadlines, hedging).
+// policy (backoff, jitter, hedging, retry budget).
 func WithRetryPolicy(p RetryPolicy) OpenOption {
 	return openOptionFunc(func(c *openConfig) { c.retry = &p })
 }
