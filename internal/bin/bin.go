@@ -104,6 +104,43 @@ func (r *Reader) Varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
+// TaggedVarints reads tag byte + zig-zag varint pairs into dst, front
+// to back, while the next byte is tag and dst has room, and returns how
+// many it read. It reads what a Peek, Byte, Varint loop reads, in one
+// loop; a failed varint is recorded as Varint records it, and counted.
+func (r *Reader) TaggedVarints(tag byte, dst []int64) int {
+	data, pos := r.data, r.pos
+	for i := range dst {
+		if pos >= len(data) || data[pos] != tag {
+			r.pos = pos
+			return i
+		}
+		pos++
+		var u uint64
+		for shift := uint(0); ; shift += 7 {
+			if pos == len(data) || shift == 63 {
+				// A torn varint or a tenth byte: Uvarint's checks decide.
+				r.pos = pos - int(shift/7)
+				if u = r.uvarint(); r.err != nil {
+					dst[i] = 0
+					return i + 1
+				}
+				pos = r.pos
+				break
+			}
+			b := data[pos]
+			pos++
+			u |= uint64(b&0x7f) << shift
+			if b < 0x80 {
+				break
+			}
+		}
+		dst[i] = int64(u>>1) ^ -int64(u&1)
+	}
+	r.pos = pos
+	return len(dst)
+}
+
 // Uint32 reads a little-endian uint32.
 func (r *Reader) Uint32() uint32 {
 	if b := r.Bytes(4); len(b) == 4 {

@@ -136,3 +136,63 @@ func FuzzReader(f *testing.F) {
 		}
 	})
 }
+
+// TestTaggedVarintsReadsWhatTheLoopReads holds TaggedVarints to the
+// Peek, Byte, Varint loop it replaces: the same values, the same
+// count, the same position and the same verdict, at a tag change, at
+// dst's end, over 9- and 10-byte varints, a torn one, an overflowing
+// one and an overlong one.
+func TestTaggedVarintsReadsWhatTheLoopReads(t *testing.T) {
+	const tag = 2
+	pairs := func(ns ...int64) []byte {
+		var b []byte
+		for _, n := range ns {
+			b = binary.AppendVarint(append(b, tag), n)
+		}
+		return b
+	}
+	long := pairs(1<<55, -1<<62, 1<<62, -1<<63, 1<<63-1) // 9- and 10-byte varints
+	for _, tc := range []struct {
+		name string
+		data []byte
+		room int
+	}{
+		{"empty", nil, 4},
+		{"one-byte values", pairs(0, -1, 63, -64), 8},
+		{"dst full first", pairs(1, 2, 3), 2},
+		{"tag change", append(pairs(300, -300), 0x10, tag, 1), 8},
+		{"long varints", long, 8},
+		{"long varints at the end", long[:len(long)-1], 8},
+		{"torn at the end", append(pairs(5), tag, 0x80, 0x80), 8},
+		{"tag at the end", append(pairs(5), tag), 8},
+		{"tenth byte past 1", append(append(pairs(5), tag), append(bytes.Repeat([]byte{0xff}, 9), 0x02)...), 8},
+		{"eleven bytes", append(append([]byte{tag}, bytes.Repeat([]byte{0x80}, 10)...), 0x00, tag, 1), 8},
+		{"overlong zero", []byte{tag, 0x80, 0x80, 0x00, tag, 0x80, 0x00}, 8},
+	} {
+		want := make([]int64, tc.room)
+		or := NewReader(tc.data)
+		n := 0
+		for ; n < tc.room; n++ {
+			if b, ok := or.Peek(); !ok || b != tag {
+				break
+			}
+			or.Byte()
+			want[n] = or.Varint()
+			if or.Err() != nil {
+				n++
+				break
+			}
+		}
+		got := make([]int64, tc.room)
+		r := NewReader(tc.data)
+		if k := r.TaggedVarints(tag, got); k != n || r.Pos() != or.Pos() || (r.Err() == nil) != (or.Err() == nil) {
+			t.Errorf("%s: read %d to %d, err %v; the loop read %d to %d, err %v", tc.name, k, r.Pos(), r.Err(), n, or.Pos(), or.Err())
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: value %d = %d, the loop read %d", tc.name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -49,19 +49,23 @@ const (
 	CustomerKey
 )
 
-// Keyring holds the AES-256 keys available to a Stream Server.
+// Keyring holds the AES-256 keys available to a Stream Server, each as
+// its expanded cipher: SetKey builds the key schedule once, not every
+// Seal and Open.
 type Keyring struct {
-	keys map[KeyID][]byte
+	keys map[KeyID]cipher.Block
 }
 
 // NewKeyring returns a keyring with a generated system key.
 func NewKeyring() *Keyring {
-	k := &Keyring{keys: make(map[KeyID][]byte)}
+	k := &Keyring{keys: make(map[KeyID]cipher.Block)}
 	key := make([]byte, 32)
 	if _, err := rand.Read(key); err != nil {
 		panic(fmt.Sprintf("blockenc: generating system key: %v", err))
 	}
-	k.keys[SystemKey] = key
+	if err := k.SetKey(SystemKey, key); err != nil {
+		panic(err) // a 32-byte key always makes an AES cipher
+	}
 	return k
 }
 
@@ -70,16 +74,22 @@ func (k *Keyring) SetKey(id KeyID, key []byte) error {
 	if len(key) != 32 {
 		return fmt.Errorf("blockenc: key for id %d must be 32 bytes, got %d", id, len(key))
 	}
-	k.keys[id] = append([]byte(nil), key...)
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return fmt.Errorf("blockenc: cipher: %w", err)
+	}
+	k.keys[id] = block
 	return nil
 }
 
-func (k *Keyring) key(id KeyID) ([]byte, error) {
-	key, ok := k.keys[id]
+// block returns the cipher of the key for id. A cipher.Block from
+// crypto/aes is safe for concurrent use.
+func (k *Keyring) block(id KeyID) (cipher.Block, error) {
+	block, ok := k.keys[id]
 	if !ok {
 		return nil, fmt.Errorf("blockenc: no key with id %d", id)
 	}
-	return key, nil
+	return block, nil
 }
 
 // Sealed block layout:
@@ -112,7 +122,7 @@ func (s *Sealer) Seal(plaintext []byte, expectedCRC uint32, id KeyID) ([]byte, e
 	if got := Checksum(plaintext); got != expectedCRC {
 		return nil, fmt.Errorf("%w: client CRC %08x, computed %08x", ErrChecksum, expectedCRC, got)
 	}
-	key, err := s.keyring.key(id)
+	block, err := s.keyring.block(id)
 	if err != nil {
 		return nil, err
 	}
@@ -128,10 +138,6 @@ func (s *Sealer) Seal(plaintext []byte, expectedCRC uint32, id KeyID) ([]byte, e
 		return nil, fmt.Errorf("%w: compression corrupted data", ErrChecksum)
 	}
 
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("blockenc: cipher: %w", err)
-	}
 	out := make([]byte, headerSize+len(compressed))
 	copy(out[0:4], magic)
 	out[4] = byte(id)
@@ -169,8 +175,7 @@ func (s *Sealer) Open(sealed []byte, dst ...byte) ([]byte, error) {
 	if len(sealed) < headerSize || string(sealed[0:4]) != magic {
 		return nil, ErrCorrupt
 	}
-	id := KeyID(sealed[4])
-	key, err := s.keyring.key(id)
+	block, err := s.keyring.block(KeyID(sealed[4]))
 	if err != nil {
 		return nil, err
 	}
@@ -185,10 +190,6 @@ func (s *Sealer) Open(sealed []byte, dst ...byte) ([]byte, error) {
 	n := PlainLen(sealed)
 	if uint32(n) != plainLen {
 		return nil, fmt.Errorf("%w: length %d from %d stored bytes", ErrCorrupt, plainLen, len(ciphertext))
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("blockenc: cipher: %w", err)
 	}
 	buf := slices.Grow(dst[:0], n+len(ciphertext))[:n+len(ciphertext)]
 	compressed := buf[n:]

@@ -192,3 +192,35 @@ func BenchmarkOpen2MB(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSealOpen1400B seals and opens one block of an ingest
+// append's size, where setting the cipher up weighs most against the
+// bytes it protects.
+func BenchmarkSealOpen1400B(b *testing.B) {
+	s := newSealer(b)
+	plain := bytes.Repeat([]byte("customerKey=ACME;region=us-west;qty=3;\n"), 36)[:1400]
+	crc := Checksum(plain)
+	sealed, err := s.Seal(plain, crc, SystemKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("seal", func(b *testing.B) {
+		b.SetBytes(int64(len(plain)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Seal(plain, crc, SystemKey); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("open", func(b *testing.B) {
+		b.SetBytes(int64(len(plain)))
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			if buf, err = s.Open(sealed, buf...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

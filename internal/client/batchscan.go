@@ -378,13 +378,17 @@ func (c *Client) ScanBatch(ctx context.Context, plan *ScanPlan, a Assignment) (*
 	start := time.Now()
 	var b *ColBatch
 	if a.Live {
-		d, fragStartRow, err := c.readLiveWOS(ctx, a)
+		d, fragStartRow, err := c.readLiveWOS(ctx, a, projectedFields(plan))
 		if err != nil {
 			return nil, err
 		}
 		b = wosBatch(plan, a, meta.FragmentIDFor(a.Frag.Streamlet, a.FragIndex), fragStartRow, d)
 	} else {
-		v, use, err := c.load(a)
+		var fields fieldSet // a ROS reader decodes any column on demand
+		if a.Frag.Format == meta.WOS {
+			fields = projectedFields(plan)
+		}
+		v, use, err := c.load(a, fields)
 		if err != nil {
 			return nil, err
 		}

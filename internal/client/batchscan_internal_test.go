@@ -132,7 +132,7 @@ func wosTestBatch(t *testing.T, snapshot truetime.Timestamp, a Assignment) *ColB
 	t.Helper()
 	rows := wosTestRows()
 	c, blocks := sealedBlocks(t, rows[:5], rows[5:])
-	d, err := c.decodeBlocks(blocks)
+	d, err := c.decodeBlocks(blocks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,8 @@ var benchSink int
 //	sealed WOS   a finalized streamlet's file, every column
 //	live WOS     a writable streamlet's tail file: read, decoded and
 //	             commit-checked on every scan
+//	flat ... WOS the same two under flat ROS's five columns: the live file
+//	             decodes those and steps over the rest on every scan
 //	... Events   the same two on the flat Events table, whose every
 //	             column is a typed one (Sales' nested column is not)
 //
@@ -91,6 +93,8 @@ func BenchmarkScanBatch(b *testing.B) {
 		{"nestedROS", table, meta.ROS, false, nil},
 		{"sealedWOS", table, meta.WOS, false, nil},
 		{"liveWOS", table, meta.WOS, true, nil},
+		{"flatSealedWOS", table, meta.WOS, false, flat},
+		{"flatLiveWOS", table, meta.WOS, true, flat},
 		{"sealedWOSEvents", events, meta.WOS, false, nil},
 		{"liveWOSEvents", events, meta.WOS, true, nil},
 	}

@@ -14,10 +14,11 @@ import (
 //
 // Every entry has one shape — {path, version, size, value} — and holds a
 // fragment decoded once into columns: a *ros.Reader (lazily decoded
-// encoded vectors) or a sealed WOS file's *wosColumns (PLAIN vectors,
-// typed where a field is of one scalar kind).
-// Nothing per snapshot, per projection or per consumer is kept beside
-// it: a scan is a wire.Selection computed over the shared columns.
+// encoded vectors, any column on demand) or a sealed WOS file's
+// *wosColumns (PLAIN vectors, typed where a field is of one scalar kind)
+// for the fields the scans that filled it read. Nothing per snapshot or
+// per consumer is kept beside it: a scan is a wire.Selection computed
+// over the shared columns.
 //
 // The cache is snapshot-safe by construction:
 //
@@ -27,10 +28,13 @@ import (
 //     the sealed boundary invalidates the entry. Live streamlet-tail
 //     files bypass the cache entirely (the scan path never consults it
 //     for live assignments).
-//   - An entry holds the full decoded fragment, not a per-snapshot
+//   - An entry holds every row of the fragment, not a per-snapshot
 //     subset: snapshot filtering (block/row timestamps, deletion masks)
 //     is re-applied on every scan as a selection, so one entry serves
-//     every snapshot correctly.
+//     every snapshot correctly. A WOS entry holds the columns of the
+//     fields it was decoded for (held) and serves only a scan that
+//     reads no other; a scan that does misses, and its fill decodes the
+//     fields of both, widening the entry.
 //   - Physical file deletion (SMS groomer, heartbeat-driven server GC)
 //     calls Invalidate with the deleted paths before any later scan can
 //     miss against the now-absent file. This matters because Spanner is
@@ -188,20 +192,31 @@ func (c *ReadCache) diskPut(path string, data []byte) {
 	c.disk.Put(path, data)
 }
 
+// held is the set of fields e's value holds: a WOS file's decoded
+// fields, or every field for a ROS reader, which decodes any column on
+// demand.
+func (e *cacheEntry) held() fieldSet {
+	if d, ok := e.value.(*wosColumns); ok {
+		return d.fields
+	}
+	return nil
+}
+
 // get is the one counted lookup of a scan. It returns the entry for
-// path decoded under version, or nil, and the same verdict as the
-// caller's share of the counters: a hit moves the entry to the LRU
-// front and credits its bytes, anything else — absent, or decoded under
-// a different sealed boundary (the next put overwrites it) — is a miss.
-// A disabled cache counts, and reports, nothing.
-func (c *ReadCache) get(path string, version int64) (*cacheEntry, CacheStats) {
+// path decoded under version holding every field in fields, or nil, and
+// the same verdict as the caller's share of the counters: a hit moves
+// the entry to the LRU front and credits its bytes, anything else —
+// absent, decoded under a different sealed boundary, or lacking a field
+// (the next put overwrites it) — is a miss. A disabled cache counts,
+// and reports, nothing.
+func (c *ReadCache) get(path string, version int64, fields fieldSet) (*cacheEntry, CacheStats) {
 	if c == nil {
 		return nil, CacheStats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[path]
-	if !ok || el.Value.(*cacheEntry).version != version {
+	if !ok || el.Value.(*cacheEntry).version != version || !el.Value.(*cacheEntry).held().covers(fields) {
 		c.misses++
 		return nil, CacheStats{Misses: 1}
 	}
@@ -212,9 +227,12 @@ func (c *ReadCache) get(path string, version int64) (*cacheEntry, CacheStats) {
 	return e, CacheStats{Hits: 1, BytesSaved: e.size}
 }
 
-// peek is get without touching counters or LRU order. The singleflight
-// fill uses it to re-check after winning the flight: the scan already
-// counted its miss, so a silent peek keeps accounting one-per-scan.
+// peek returns the entry for path decoded under version, whatever
+// fields it holds, without touching counters or LRU order. A scan's
+// miss uses it to learn which fields a fill must keep, and the
+// singleflight fill to re-check after winning the flight: the scan
+// already counted its miss, so a silent peek keeps accounting
+// one-per-scan.
 func (c *ReadCache) peek(path string, version int64) *cacheEntry {
 	if c == nil {
 		return nil

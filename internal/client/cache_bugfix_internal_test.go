@@ -89,7 +89,7 @@ func TestCacheRace(t *testing.T) {
 				case 0:
 					putTest(c, p, 0, 100)
 				case 1:
-					c.get(p, 0)
+					c.get(p, 0, nil)
 				case 2:
 					putTest(c, p, 64, 100)
 				case 3:

@@ -13,7 +13,7 @@ func TestReadCacheNilSafe(t *testing.T) {
 	if NewReadCache(0) != nil || NewReadCache(-1) != nil {
 		t.Fatal("non-positive budget must disable the cache")
 	}
-	if e, use := c.get("p", 0); e != nil || use != (CacheStats{}) || c.peek("p", 0) != nil {
+	if e, use := c.get("p", 0, nil); e != nil || use != (CacheStats{}) || c.peek("p", 0) != nil {
 		t.Fatal("nil cache returned an entry")
 	}
 	putTest(c, "p", 0, 10)
@@ -31,7 +31,7 @@ func TestReadCacheLRUEviction(t *testing.T) {
 	putTest(c, "b", 0, 40)
 	// Touch "a" so "b" is the least recently used entry; a peek of "b"
 	// must not count as a touch.
-	if e, _ := c.get("a", 0); e == nil || c.peek("b", 0) == nil {
+	if e, _ := c.get("a", 0, nil); e == nil || c.peek("b", 0) == nil {
 		t.Fatal("miss on a resident entry")
 	}
 	// 40+40+40 > 100: inserting "c" must evict "b", not "a".
@@ -58,11 +58,11 @@ func TestReadCacheBytesSavedAndHitRatio(t *testing.T) {
 	c := NewReadCache(1 << 20)
 	putTest(c, "a", 0, 1000)
 	for i := 0; i < 2; i++ {
-		if e, use := c.get("a", 0); e == nil || use != (CacheStats{Hits: 1, BytesSaved: 1000}) {
+		if e, use := c.get("a", 0, nil); e == nil || use != (CacheStats{Hits: 1, BytesSaved: 1000}) {
 			t.Fatalf("lookup %d: entry %v, disposition %+v, want one hit saving 1000 bytes", i, e, use)
 		}
 	}
-	if e, use := c.get("missing", 0); e != nil || use != (CacheStats{Misses: 1}) {
+	if e, use := c.get("missing", 0, nil); e != nil || use != (CacheStats{Misses: 1}) {
 		t.Fatalf("absent path: entry %v, disposition %+v, want one miss", e, use)
 	}
 	// Peeks are silent: the scan that peeks already counted its lookup.
@@ -83,12 +83,12 @@ func TestReadCacheBytesSavedAndHitRatio(t *testing.T) {
 func TestReadCacheVersionMismatch(t *testing.T) {
 	c := NewReadCache(1 << 20)
 	putTest(c, "p", 512, 100)
-	if e, _ := c.get("p", 512); e == nil || e.value != "p" {
+	if e, _ := c.get("p", 512, nil); e == nil || e.value != "p" {
 		t.Fatal("expected hit at matching version")
 	}
 	// A record refresh moved the sealed boundary: the entry is stale, for
 	// the counted and the silent lookup alike.
-	if e, use := c.get("p", 768); e != nil || use.Misses != 1 || c.peek("p", 768) != nil {
+	if e, use := c.get("p", 768, nil); e != nil || use.Misses != 1 || c.peek("p", 768) != nil {
 		t.Fatal("served columns decoded under a different sealed boundary")
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -96,8 +96,8 @@ func TestReadCacheVersionMismatch(t *testing.T) {
 	}
 	// The refill under the new boundary replaces the stale entry.
 	putTest(c, "p", 768, 120)
-	fresh, _ := c.get("p", 768)
-	stale, _ := c.get("p", 512)
+	fresh, _ := c.get("p", 768, nil)
+	stale, _ := c.get("p", 512, nil)
 	if fresh == nil || stale != nil {
 		t.Fatal("refill did not replace the stale entry")
 	}
@@ -123,7 +123,7 @@ func TestReadCacheInvalidate(t *testing.T) {
 	if st.SizeBytes != 20 {
 		t.Fatalf("size = %d, want 20", st.SizeBytes)
 	}
-	if e, _ := c.get("a", 0); e != nil {
+	if e, _ := c.get("a", 0, nil); e != nil {
 		t.Fatal("invalidated entry still served")
 	}
 }

@@ -57,10 +57,11 @@ type ScanPlan struct {
 	SnapshotTS  truetime.Timestamp
 	Schema      *schema.Schema
 	Assignments []Assignment
-	// Projection, when non-nil, names the top-level columns a scan needs;
-	// ROS scans then decode only those columns (WOS rows are row-major
-	// and always decode fully — the asymmetry the LSM of formats exists
-	// for, §6.1). Nil means all columns.
+	// Projection, when non-nil, names the top-level columns a scan needs.
+	// A ROS scan decodes only those columns' pages; a WOS file, row-major,
+	// is still read row by row, but only those fields are decoded into
+	// columns and the rest are stepped over (§6.1: the row format is for
+	// ingest, the columnar one for reads). Nil means all columns.
 	Projection map[string]bool
 }
 
@@ -205,10 +206,11 @@ func fromReplicas[T any](c *Client, clusters [2]string, op, path string, fn func
 	return zero, "", rerr
 }
 
-// readReplicated reads a whole file from the first replica that serves
-// it, returning the serving cluster's name alongside the data.
-func (c *Client) readReplicated(clusters [2]string, path string) ([]byte, string, error) {
-	return fromReplicas(c, clusters, "read", path, func(b colossus.Blobs) ([]byte, error) { return b.Read(path, 0, -1) })
+// readReplicated reads the first n bytes of a file (all of it for n <
+// 0) from the first replica that serves it, returning the serving
+// cluster's name alongside the data.
+func (c *Client) readReplicated(clusters [2]string, path string, n int64) ([]byte, string, error) {
+	return fromReplicas(c, clusters, "read", path, func(b colossus.Blobs) ([]byte, error) { return b.Read(path, 0, n) })
 }
 
 // PosRow is a visible row with its physical position — the provenance
@@ -259,7 +261,7 @@ func (c *Client) fragmentBytes(clusters [2]string, path string) (data []byte, us
 		if c.cache.Disk() != nil {
 			use.DiskMisses = 1
 		}
-		data, _, err := c.readReplicated(clusters, path)
+		data, _, err := c.readReplicated(clusters, path, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -273,24 +275,35 @@ func (c *Client) fragmentBytes(clusters [2]string, path string) (data []byte, us
 }
 
 // load returns an immutable fragment decoded into columns — a
-// *ros.Reader, or a sealed WOS file's *wosColumns — and how the cache
-// served it. It is the one miss sequence for both formats: a counted
-// RAM lookup, then a fill singleflighted per (path, version) so N
-// concurrent cold scans of one fragment pay one fetch and one decode,
-// not N: a silent re-check, the tiered fragmentBytes fetch, the decode
-// and the put. Sealed WOS files are immutable only up to their
-// committed boundary, so CommittedBytes is their entry's version.
-func (c *Client) load(a Assignment) (any, CacheStats, error) {
+// *ros.Reader, or a sealed WOS file's *wosColumns holding at least
+// fields, the ones a WOS scan reads (nil for a ROS scan) — and how the
+// cache served it. It is the one miss sequence for both formats: a
+// counted RAM lookup, then a fill singleflighted per (path, version,
+// fields) so N concurrent cold scans of one fragment pay one fetch and
+// one decode, not N: a silent re-check, the tiered fragmentBytes fetch,
+// the decode and the put. Sealed WOS files are immutable only up to
+// their committed boundary, so CommittedBytes is their entry's version.
+// A WOS entry that lacks one of fields is a miss, and the fill decodes
+// the fields of both; a waiter shares only a fill of its own field set,
+// never a narrower one.
+func (c *Client) load(a Assignment, fields fieldSet) (any, CacheStats, error) {
 	path, version := a.Frag.Path, int64(0)
 	if a.Frag.Format == meta.WOS {
 		version = a.Frag.CommittedBytes
 	}
-	e, use := c.cache.get(path, version)
+	e, use := c.cache.get(path, version, fields)
 	if e != nil {
 		return e.value, use, nil
 	}
-	v, err := c.flight.Do(fmt.Sprintf("load:%s:%d", path, version), func() (any, error) {
-		if e := c.cache.peek(path, version); e != nil {
+	if e := c.cache.peek(path, version); e != nil {
+		fields = fields.union(e.held()) // widen the entry, do not narrow it
+	}
+	key := fmt.Sprintf("load:%s:%d", path, version)
+	if fields != nil {
+		key += fmt.Sprintf(":%x", []uint64(fields))
+	}
+	v, err := c.flight.Do(key, func() (any, error) {
+		if e := c.cache.peek(path, version); e != nil && e.held().covers(fields) {
 			return e.value, nil // a previous flight filled it after our miss
 		}
 		data, disk, err := c.fragmentBytes(a.Frag.Clusters, path)
@@ -302,7 +315,7 @@ func (c *Client) load(a Assignment) (any, CacheStats, error) {
 		if a.Frag.Format == meta.ROS {
 			value, err = ros.Open(data)
 		} else {
-			value, err = c.decodeSealedWOS(a, data)
+			value, err = c.decodeSealedWOS(a, data, fields)
 		}
 		if err != nil {
 			return nil, err
@@ -313,13 +326,13 @@ func (c *Client) load(a Assignment) (any, CacheStats, error) {
 	return v, use, err
 }
 
-// readLiveWOS reads a writable streamlet's file and decodes the blocks
-// the §7.1 commit rule admits, consulting the second replica or SMS
-// reconciliation for the final append. Live files are still being
-// appended to, so they always bypass the cache. It also returns the
-// streamlet-local offset of the file's first row.
-func (c *Client) readLiveWOS(ctx context.Context, a Assignment) (*wosColumns, int64, error) {
-	data, usedCluster, err := c.readReplicated(a.Frag.Clusters, a.Frag.Path)
+// readLiveWOS reads a writable streamlet's file and decodes the fields
+// of the blocks the §7.1 commit rule admits, consulting the second
+// replica or SMS reconciliation for the final append. Live files are
+// still being appended to, so they always bypass the cache. It also
+// returns the streamlet-local offset of the file's first row.
+func (c *Client) readLiveWOS(ctx context.Context, a Assignment, fields fieldSet) (*wosColumns, int64, error) {
+	data, usedCluster, err := c.readReplicated(a.Frag.Clusters, a.Frag.Path, -1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -349,15 +362,15 @@ func (c *Client) readLiveWOS(ctx context.Context, a Assignment) (*wosColumns, in
 	if first := firstDataBlock(blocks); first != nil {
 		fragStartRow = first.StartRow
 	}
-	decoded, err := c.decodeBlocks(blocks)
+	decoded, err := c.decodeBlocks(blocks, fields)
 	return decoded, fragStartRow, err
 }
 
-// decodeSealedWOS parses a sealed fragment file and decodes its
-// committed data blocks. CommittedBytes, when recorded, bounds the
-// result: "clients will not read past the logical finalized size"
+// decodeSealedWOS parses a sealed fragment file and decodes the fields
+// of its committed data blocks. CommittedBytes, when recorded, bounds
+// the result: "clients will not read past the logical finalized size"
 // (§7.1).
-func (c *Client) decodeSealedWOS(a Assignment, data []byte) (*wosColumns, error) {
+func (c *Client) decodeSealedWOS(a Assignment, data []byte, fields fieldSet) (*wosColumns, error) {
 	scan, err := fragment.Scan(data)
 	if err != nil {
 		return nil, err
@@ -366,7 +379,7 @@ func (c *Client) decodeSealedWOS(a Assignment, data []byte) (*wosColumns, error)
 	if a.Frag.CommittedBytes > 0 {
 		blocks = fragment.Within(scan.Blocks, a.Frag.CommittedBytes)
 	}
-	return c.decodeBlocks(blocks)
+	return c.decodeBlocks(blocks, fields)
 }
 
 // wosBlock locates one data block of a WOS file in its decoded columns.
@@ -379,14 +392,17 @@ type wosBlock struct {
 	first     int32 // physical index of the block's first row
 }
 
-// wosColumns is a WOS file decoded once into columns: one PLAIN vector
-// per field any of its rows carries, typed where the field's values are
-// of one scalar kind, NULL in the rows too short to carry the field. It
-// carries no snapshot filtering — every scan applies its own as a
-// selection (selectWOS) — so a cached one serves every snapshot.
+// wosColumns is a WOS file decoded once into columns: one vector per
+// field any of its rows carries, which for a field in fields is PLAIN,
+// typed where the field's values are of one scalar kind, NULL in the
+// rows too short to carry the field, and for any other field empty: its
+// values were stepped over. It carries no snapshot filtering — every
+// scan applies its own as a selection (selectWOS) — so a cached one
+// serves every snapshot of a projection it holds.
 type wosColumns struct {
 	n       int
 	blocks  []wosBlock
+	fields  fieldSet      // the fields cols holds; nil for every field
 	cols    []wire.Vector // unnamed: a scan names them by its schema
 	changes []byte
 	// seqs are timestamp-assigned: block TrueTime timestamp + row index
@@ -398,14 +414,15 @@ type wosColumns struct {
 }
 
 // decodeBlocks unseals WOS data blocks and decodes their rows in one
-// pass straight into one wire.ColumnBuilder per field. The builders are
+// pass straight into one wire.ColumnBuilder per field in fields (nil:
+// every field), stepping over the values of the others. The builders are
 // sized from the blocks' header row counts, so a block holding another
 // number of rows than its header says is refused, and no string column
 // grows past the file's plaintext bytes. Every block is opened into one
 // buffer, sized for the largest and reused across the file; the
 // builders copy out what they keep.
-func (c *Client) decodeBlocks(blocks []fragment.Block) (*wosColumns, error) {
-	d := &wosColumns{}
+func (c *Client) decodeBlocks(blocks []fragment.Block, fields fieldSet) (*wosColumns, error) {
+	d := &wosColumns{fields: fields}
 	plainBytes, scratch := 0, 0 // the file's plaintext; the most one Open needs
 	for _, b := range blocks {
 		if b.Kind != fragment.BlockData {
@@ -439,8 +456,16 @@ func (c *Client) decodeBlocks(blocks []fragment.Block) (*wosColumns, error) {
 		}
 	}
 	d.cols = make([]wire.Vector, len(dec.fields))
+	all := true // every field the file carries was decoded
 	for f, fb := range dec.fields {
+		if fb == nil {
+			all = false
+			continue
+		}
 		d.cols[f] = fb.Vector()
+	}
+	if all {
+		d.fields = nil
 	}
 	return d, nil
 }
@@ -449,17 +474,19 @@ func (c *Client) decodeBlocks(blocks []fragment.Block) (*wosColumns, error) {
 // columns.
 type wosDecoder struct {
 	d      *wosColumns
-	fields []*wire.ColumnBuilder
-	strMax int // the file's plaintext bytes: no string column holds more
-	next   int // the next row's index in d
-	width  int // the first row's value count
+	fields []*wire.ColumnBuilder // one per field seen; nil for one outside d.fields
+	strMax int                   // the file's plaintext bytes: no string column holds more
+	next   int                   // the next row's index in d
+	width  int                   // the first row's value count
 }
 
 // block reads one EncodeRows payload of n rows stamped ts: each row's
 // header through rowenc's own reader, each value into its field's
-// builder, a NULL into every field a short row lacks. A field first seen
-// on a longer row starts NULL in every row before it. It refuses what
-// rowenc.DecodeRows refuses, and a payload of other than n rows.
+// builder or past it with rowenc.SkipValue, a NULL into every built
+// field a short row lacks. A field first seen on a longer row starts
+// NULL in every row before it. It refuses what rowenc.DecodeRows
+// refuses, whatever the fields decoded, and a payload of other than n
+// rows.
 func (w *wosDecoder) block(plain []byte, n int, ts truetime.Timestamp) error {
 	r := bin.NewReader(plain)
 	if got := rowenc.ReadRowCount(r); r.Err() == nil && got != n {
@@ -470,16 +497,24 @@ func (w *wosDecoder) block(plain []byte, n int, ts truetime.Timestamp) error {
 		i := w.next
 		change, arity := rowenc.ReadRowHeader(r)
 		for len(w.fields) < arity {
-			fb := wire.NewColumnBuilder("", d.n, w.strMax)
-			for fb.Len() < i {
-				fb.AppendNull()
+			var fb *wire.ColumnBuilder
+			if d.fields.has(len(w.fields)) {
+				fb = wire.NewColumnBuilder("", d.n, w.strMax)
+				for fb.Len() < i {
+					fb.AppendNull()
+				}
 			}
 			w.fields = append(w.fields, fb)
 		}
 		for f, fb := range w.fields {
-			if f < arity {
+			switch {
+			case fb == nil:
+				if f < arity {
+					rowenc.SkipValue(r)
+				}
+			case f < arity:
 				fb.Read(r, 1)
-			} else {
+			default:
 				fb.AppendNull()
 			}
 		}
@@ -506,6 +541,64 @@ func (w *wosDecoder) block(plain []byte, n int, ts truetime.Timestamp) error {
 		return fmt.Errorf("%w: %d trailing bytes", rowenc.ErrCorrupt, r.Len())
 	}
 	return nil
+}
+
+// fieldSet is a set of top-level field indexes — the fields a scan
+// reads, or those a decoded WOS file holds. Nil is every field.
+type fieldSet []uint64
+
+// projectedFields is the set of fields plan's scans read: nil when its
+// projection names every field of its schema, or there is none.
+func projectedFields(plan *ScanPlan) fieldSet {
+	if plan.Projection == nil {
+		return nil
+	}
+	s, all := make(fieldSet, (len(plan.Schema.Fields)+63)/64), true
+	for f, field := range plan.Schema.Fields {
+		if plan.Projection[field.Name] {
+			s[f/64] |= 1 << (f % 64)
+		} else {
+			all = false
+		}
+	}
+	if all {
+		return nil
+	}
+	return s
+}
+
+// has reports whether s holds field f.
+func (s fieldSet) has(f int) bool {
+	return s == nil || f/64 < len(s) && s[f/64]&(1<<(f%64)) != 0
+}
+
+// covers reports whether s holds every field t holds.
+func (s fieldSet) covers(t fieldSet) bool {
+	if s == nil {
+		return true
+	}
+	if t == nil {
+		return false
+	}
+	for i, w := range t {
+		if w != 0 && (i >= len(s) || w&^s[i] != 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// union is the set of the fields s or t holds.
+func (s fieldSet) union(t fieldSet) fieldSet {
+	if s == nil || t == nil {
+		return nil
+	}
+	u := make(fieldSet, max(len(s), len(t)))
+	copy(u, s)
+	for i, w := range t {
+		u[i] |= w
+	}
+	return u
 }
 
 // selectWOS applies the §7.1 snapshot bound, stream visibility and
@@ -584,17 +677,27 @@ func rowVisible(a *Assignment, streamOffset, fragLocal int64) bool {
 	return true
 }
 
+// headerPrefix is how much of a log file fileMapBound reads for its
+// header: room for a File Map of about a hundred entries. A header that
+// runs past it is read with the whole file.
+const headerPrefix = 4 << 10
+
 // fileMapBound reads the successor file's header and returns this
 // file's committed size from its File Map, if recorded.
 func (c *Client) fileMapBound(a Assignment) (int64, bool) {
 	if a.NextPath == "" {
 		return 0, false
 	}
-	data, _, err := c.readReplicated(a.Frag.Clusters, a.NextPath)
+	data, _, err := c.readReplicated(a.Frag.Clusters, a.NextPath, headerPrefix)
 	if err != nil {
 		return 0, false
 	}
 	hdr, _, err := fragment.ParseHeader(data)
+	if err != nil && len(data) == headerPrefix {
+		if data, _, err = c.readReplicated(a.Frag.Clusters, a.NextPath, -1); err == nil {
+			hdr, _, err = fragment.ParseHeader(data)
+		}
+	}
 	if err != nil {
 		return 0, false
 	}

@@ -155,32 +155,73 @@ func wosSeedBlocks() [][2][]byte {
 // change, seq and arity. Each block's header counts the rows its payload
 // starts with, so what is refused is the payload's doing. The second
 // block is opened into the buffer the first was, so a value the
-// builders failed to copy out would show here as a changed cell.
+// builders failed to copy out would show here as a changed cell. The
+// same file decoded for the fields of mask (bit f: field f) accepts and
+// refuses with the full decode, agrees with it on every row and every
+// decoded field, and holds nothing of the others.
 func FuzzDecodeWOSBlocks(f *testing.F) {
 	for _, s := range wosSeedBlocks() {
-		f.Add(s[0], s[1], s[1] != nil)
+		for _, mask := range []uint64{1<<64 - 1, 0, 0b101} {
+			f.Add(s[0], s[1], s[1] != nil, mask)
+		}
 	}
-	f.Fuzz(func(t *testing.T, first, second []byte, two bool) {
+	f.Fuzz(func(t *testing.T, first, second []byte, two bool, mask uint64) {
 		plains := [][]byte{first}
 		if two {
 			plains = append(plains, second)
 		}
 		c, blocks := sealedPayloads(t, plains...)
-		got, err := c.decodeBlocks(blocks)
+		got, err := c.decodeBlocks(blocks, nil)
 		want, wantErr := decodeOracle(c, blocks)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("decodeBlocks err = %v, oracle err = %v", err, wantErr)
 		}
+		projected, perr := c.decodeBlocks(blocks, fieldSet{mask})
+		if (perr == nil) != (err == nil) {
+			t.Fatalf("decodeBlocks err = %v, for fields %b err = %v", err, mask, perr)
+		}
 		if err != nil {
-			if !errors.Is(err, rowenc.ErrCorrupt) {
-				t.Fatalf("err = %v, want rowenc.ErrCorrupt", err)
+			if !errors.Is(err, rowenc.ErrCorrupt) || !errors.Is(perr, rowenc.ErrCorrupt) {
+				t.Fatalf("err = %v, for fields %b err = %v, want rowenc.ErrCorrupt", err, mask, perr)
 			}
 			return
 		}
 		if err := sameWOS(got, want); err != nil {
 			t.Fatal(err)
 		}
+		if err := sameProjection(projected, got, fieldSet{mask}); err != nil {
+			t.Fatalf("fields %b: %v", mask, err)
+		}
 	})
+}
+
+// sameProjection reports how p, decoded for fields, differs from the
+// full decode d, if it does: every row's change, seq, arity and block,
+// every cell of a decoded field, and an empty column for every other.
+func sameProjection(p, d *wosColumns, fields fieldSet) error {
+	if p.n != d.n || len(p.cols) != len(d.cols) || fmt.Sprint(p.blocks) != fmt.Sprint(d.blocks) {
+		return fmt.Errorf("%d rows of %d fields in blocks %v, full decode %d rows of %d fields in %v", p.n, len(p.cols), p.blocks, d.n, len(d.cols), d.blocks)
+	}
+	if !bytes.Equal(p.changes, d.changes) || fmt.Sprint(p.seqs) != fmt.Sprint(d.seqs) || fmt.Sprint(p.arity) != fmt.Sprint(d.arity) {
+		return fmt.Errorf("changes %v seqs %v arity %v, full decode %v %v %v", p.changes, p.seqs, p.arity, d.changes, d.seqs, d.arity)
+	}
+	for f := range d.cols {
+		if !fields.has(f) {
+			if p.cols[f].Len() != 0 || p.fields.has(f) {
+				return fmt.Errorf("field %d, not asked for, holds %d rows (held %v)", f, p.cols[f].Len(), p.fields)
+			}
+			continue
+		}
+		if !p.fields.has(f) || p.cols[f].Len() != d.n {
+			return fmt.Errorf("field %d holds %d rows of %d (held %v)", f, p.cols[f].Len(), d.n, p.fields)
+		}
+		for i := 0; i < d.n; i++ {
+			if got, want := p.cols[f].ValueAt(i), d.cols[f].ValueAt(i); !bytes.Equal(rowenc.AppendValue(nil, got), rowenc.AppendValue(nil, want)) {
+				return fmt.Errorf("field %d row %d = %v, full decode %v", f, i, got, want)
+			}
+		}
+	}
+	return nil
 }
 
 // TestDecodeWOSSeedsTypeFlatFields: a field of one scalar kind comes
@@ -189,7 +230,7 @@ func FuzzDecodeWOSBlocks(f *testing.F) {
 // holds every seed to the oracle.)
 func TestDecodeWOSSeedsTypeFlatFields(t *testing.T) {
 	c, blocks := sealedPayloads(t, wosSeedBlocks()[0][:]...)
-	d, err := c.decodeBlocks(blocks)
+	d, err := c.decodeBlocks(blocks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +246,14 @@ func TestDecodeWOSSeedsTypeFlatFields(t *testing.T) {
 		t.Fatalf("float field validity %v, want only row 2", d.cols[2].Valid)
 	}
 	c, blocks = sealedPayloads(t, wosSeedBlocks()[3][:]...)
-	if d, err = c.decodeBlocks(blocks); err != nil {
+	if d, err = c.decodeBlocks(blocks, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d.cols[0].Typed() || len(d.cols[0].Values) != 4 {
 		t.Fatalf("mixed-kind field typed %v with %d values, want 4 values", d.cols[0].Kind, len(d.cols[0].Values))
 	}
 	c, blocks = sealedPayloads(t, wosSeedBlocks()[4][0])
-	if d, err = c.decodeBlocks(blocks); err != nil {
+	if d, err = c.decodeBlocks(blocks, nil); err != nil {
 		t.Fatal(err)
 	}
 	for f, col := range d.cols {
@@ -235,7 +276,7 @@ func TestDecodeBlocksRefusesHeaderRowCountMismatch(t *testing.T) {
 	for _, header := range []int64{3, 1, -1, 1 << 40} {
 		c, blocks := sealedPayloads(t, payload)
 		blocks[0].RowCount = header
-		d, err := c.decodeBlocks(blocks)
+		d, err := c.decodeBlocks(blocks, nil)
 		if !errors.Is(err, rowenc.ErrCorrupt) {
 			n := -1
 			if d != nil {

@@ -2,16 +2,21 @@ package rowenc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"vortex/internal/bin"
 	"vortex/internal/schema"
 )
 
-// FuzzDecodeRow feeds arbitrary bytes to the row decoder. Two properties
-// must hold on every input: the decoder never panics (hostile inputs are
-// rejected with ErrCorrupt), and any accepted input re-encodes to a
-// canonical form that is a decode/encode fixpoint.
+// FuzzDecodeRow feeds arbitrary bytes to the row decoder. Three
+// properties must hold on every input: the decoder never panics (hostile
+// inputs are rejected with ErrCorrupt), any accepted input re-encodes to
+// a canonical form that is a decode/encode fixpoint, and SkipValue,
+// value after value, from the input's start and from after a row
+// header, consumes exactly the bytes ReadValue consumes and fails where
+// and as it fails.
 func FuzzDecodeRow(f *testing.F) {
 	seeds := []schema.Row{
 		schema.NewRow(),
@@ -27,7 +32,18 @@ func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0x00, 0x01, 0x20, 0xff})
 
+	nested := AppendRow(nil, schema.NewRow(schema.Struct(schema.List(schema.Int64(7), schema.List()), schema.String("s")), schema.Bool(true)))
+	f.Add(nested)
+	f.Add(append(nested[:len(nested)-1:len(nested)-1], 2)) // a BOOL byte of 2 after a nested value
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr := bin.NewReader(data)
+		ReadRowHeader(hdr)
+		for _, from := range []int{0, hdr.Pos()} {
+			if err := sameSkip(data[from:]); err != nil {
+				t.Fatalf("from byte %d: %v", from, err)
+			}
+		}
 		row, n, err := DecodeRow(data)
 		if err != nil {
 			return
@@ -47,6 +63,21 @@ func FuzzDecodeRow(f *testing.F) {
 			t.Fatalf("encode/decode not a fixpoint:\n%x\n%x", enc, enc2)
 		}
 	})
+}
+
+// sameSkip reads data as values back to back, once with ReadValue and
+// once with SkipValue, and reports the first value after which the two
+// readers stand at different positions or with different errors.
+func sameSkip(data []byte) error {
+	read, skip := bin.NewReader(data), bin.NewReader(data)
+	for k := 0; read.Len() > 0; k++ {
+		ReadValue(read)
+		SkipValue(skip)
+		if read.Pos() != skip.Pos() || fmt.Sprint(read.Err()) != fmt.Sprint(skip.Err()) {
+			return fmt.Errorf("value %d: ReadValue at %d, err %v; SkipValue at %d, err %v", k, read.Pos(), read.Err(), skip.Pos(), skip.Err())
+		}
+	}
+	return nil
 }
 
 // FuzzDecodeRows exercises the multi-row frame decoder the WOS log and

@@ -232,6 +232,44 @@ func readValue(r *bin.Reader, depth int) schema.Value {
 	}
 }
 
+// SkipValue reads past one value in the single-value codec without
+// building it, allocating nothing unless it fails: a reader of a
+// projection steps over a field it does not need. It refuses exactly
+// what ReadValue refuses, after the same bytes; the failure is left in r.
+func SkipValue(r *bin.Reader) { skipValue(r, 0) }
+
+func skipValue(r *bin.Reader, depth int) {
+	if depth > maxValueDepth {
+		r.Fail(errors.New("nesting too deep"))
+		return
+	}
+	switch tag := r.Byte(); tag {
+	case flagNull:
+	case flagList:
+		for n := readCount(r, "list elements"); n > 0 && r.Err() == nil; n-- {
+			skipValue(r, depth+1)
+		}
+	case byte(schema.KindStruct):
+		for n := readCount(r, "struct fields"); n > 0 && r.Err() == nil; n-- {
+			skipValue(r, depth+1)
+		}
+	case byte(schema.KindInt64), byte(schema.KindTimestamp), byte(schema.KindDate), byte(schema.KindNumeric):
+		r.Uvarint()
+	case byte(schema.KindFloat64):
+		r.Bytes(8)
+	case byte(schema.KindBool):
+		if b := r.Byte(); b > 1 {
+			r.Fail(fmt.Errorf("bool byte %d", b))
+		}
+	case byte(schema.KindString), byte(schema.KindJSON), byte(schema.KindBytes):
+		r.Block()
+	default:
+		if r.Err() == nil { // not the zero a failed read returns
+			r.Fail(fmt.Errorf("tag 0x%02x", tag))
+		}
+	}
+}
+
 // AppendValue appends the encoding of a single value to dst. The ROS
 // format reuses this codec for column statistics and PLAIN value pages.
 func AppendValue(dst []byte, v schema.Value) []byte { return appendValue(dst, v) }

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"vortex/internal/bin"
 	"vortex/internal/schema"
 )
 
@@ -210,6 +211,26 @@ func TestChangeTypeSurvives(t *testing.T) {
 		if got.Change != c {
 			t.Fatalf("change = %v, want %v", got.Change, c)
 		}
+	}
+}
+
+// TestSkipValueAllocatesNothing: stepping over a row of every kind,
+// nested lists and structs included, allocates nothing and ends where
+// the row does.
+func TestSkipValueAllocatesNothing(t *testing.T) {
+	enc := AppendRow(nil, schema.RandomRow(rand.New(rand.NewSource(1)), salesSchema()))
+	allocs := testing.AllocsPerRun(100, func() {
+		r := bin.NewReader(enc)
+		_, n := ReadRowHeader(r)
+		for ; n > 0; n-- {
+			SkipValue(r)
+		}
+		if r.Err() != nil || r.Len() != 0 {
+			t.Fatalf("skipped to %d of %d bytes, err %v", r.Pos(), len(enc), r.Err())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SkipValue allocated %v times per row", allocs)
 	}
 }
 

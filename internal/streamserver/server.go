@@ -363,7 +363,12 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 		}, nil
 	}
 	// Schema staleness: the server relays schema changes to clients when
-	// they try to append (§5.4.1).
+	// they try to append (§5.4.1). A streamlet created without a schema
+	// (a peer may send one) has none to check against until a heartbeat
+	// answer gives it the table's: refused the same way, retryable.
+	if sl.schema == nil {
+		return fail(wire.ErrCodeSchemaStale, "streamlet has no schema yet")
+	}
 	if r.SchemaVersion < sl.schema.Version {
 		return fail(wire.ErrCodeSchemaStale, fmt.Sprintf("server has v%d", sl.schema.Version))
 	}
@@ -717,6 +722,9 @@ func (s *Server) handleFlush(_ context.Context, r *wire.FlushRequest) (*wire.Flu
 	defer sl.mu.Unlock()
 	if sl.info.State == meta.StreamletFinalized {
 		return nil, fmt.Errorf("streamserver: %s", wire.ErrCodeStreamletClosed)
+	}
+	if sl.schema == nil { // a fragment header records the schema version
+		return nil, fmt.Errorf("streamserver: %s: streamlet has no schema yet", wire.ErrCodeSchemaStale)
 	}
 	if sl.cur == nil {
 		if err := s.openFragment(sl); err != nil {

@@ -319,3 +319,26 @@ func TestHeartbeatSchemaReachesSchemalessStreamlet(t *testing.T) {
 		t.Fatalf("schema = %v, want the heartbeat's", sl.schema)
 	}
 }
+
+// TestSchemalessStreamletRefusesAppends: a streamlet created without a
+// schema refuses an append, and a flush, as SCHEMA_STALE — retryable:
+// the writer refetches its schema and retries — until a heartbeat
+// answer gives it the table's; then the append lands.
+func TestSchemalessStreamletRefusesAppends(t *testing.T) {
+	srv, _, net := newServer(t, 0)
+	if _, err := net.Unary(context.Background(), "ss-1", wire.MethodCreateStreamlet, &wire.CreateStreamletRequest{
+		Info: meta.StreamletInfo{ID: "sl-bare", Stream: "s-1", Table: "d.t", Clusters: [2]string{"a", "b"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if resp := appendRows(t, net, "sl-bare", 0, 2); !strings.HasPrefix(resp.Error, wire.ErrCodeSchemaStale) {
+		t.Fatalf("append to a schema-less streamlet: %+v, want %s", resp, wire.ErrCodeSchemaStale)
+	}
+	if _, err := net.Unary(context.Background(), "ss-1", wire.MethodFlush, &wire.FlushRequest{Streamlet: "sl-bare"}); err == nil || !strings.Contains(err.Error(), wire.ErrCodeSchemaStale) {
+		t.Fatalf("flush of a schema-less streamlet: err %v, want %s", err, wire.ErrCodeSchemaStale)
+	}
+	srv.applyHeartbeatResponse(&wire.HeartbeatResponse{Schemas: map[meta.TableID]*schema.Schema{"d.t": testSchema()}})
+	if resp := appendRows(t, net, "sl-bare", 0, 2); resp.Error != "" || resp.RowCount != 2 {
+		t.Fatalf("append once the heartbeat gave the schema: %+v", resp)
+	}
+}

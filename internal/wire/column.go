@@ -380,11 +380,8 @@ func (b *ColumnBuilder) readRun(r *bin.Reader, end int) {
 			}
 			ints[i] = int64(c)
 		}
-	default:
-		for ints := v.Ints; next(); i++ {
-			r.Byte()
-			ints[i] = r.Varint()
-		}
+	default: // INT64, TIMESTAMP, DATE, NUMERIC: the one loop a page's runs spend most in
+		i += r.TaggedVarints(tag, v.Ints[i:end])
 	}
 	b.n = i
 }

@@ -113,8 +113,8 @@ func TestTypedColumnReencodesItsInput(t *testing.T) {
 			t.Fatalf("%d rows of %x re-encoded as %x", s.rows, s.payload, got)
 		}
 	}
-	if typed < 17 {
-		t.Fatalf("%d seeds decoded typed, want the 17 of one scalar kind", typed)
+	if typed < 19 {
+		t.Fatalf("%d seeds decoded typed, want the 19 of one scalar kind", typed)
 	}
 }
 
@@ -166,9 +166,20 @@ func decodeColumnSeeds() []columnSeed {
 	for _, vals := range seeds {
 		add(BatchEncPlain, len(vals), plainPayload(vals...))
 	}
-	// A truncated final varint, a BOOL byte of 2, rows past the payload.
+	// 9- and 10-byte varints, in a run and at a page's end, the longest
+	// that TaggedVarints reads without Uvarint's checks and the ones it
+	// hands them.
+	add(BatchEncPlain, 4, plainPayload(ints(schema.KindTimestamp, 1<<55, -1<<62, 1<<62, math.MinInt64)...))
+	add(BatchEncPlain, 3, plainPayload(ints(schema.KindNumeric, math.MaxInt64, 1<<55, math.MinInt64+1)...))
+	// A truncated final varint, a torn 10-byte one, one that overflows
+	// (a tenth byte past 1), an 11-byte one, a BOOL byte of 2, rows past
+	// the payload.
 	p := plainPayload(schema.Int64(1), schema.Int64(1<<20))
 	add(BatchEncPlain, 2, p[:len(p)-1])
+	p = plainPayload(schema.Int64(1), schema.Int64(math.MinInt64))
+	add(BatchEncPlain, 2, p[:len(p)-1])
+	add(BatchEncPlain, 2, append(plainPayload(schema.Int64(1)), append([]byte{byte(schema.KindInt64)}, append(bytes.Repeat([]byte{0xff}, 9), 0x02)...)...))
+	add(BatchEncPlain, 2, append(plainPayload(schema.Int64(1)), append([]byte{byte(schema.KindInt64)}, append(bytes.Repeat([]byte{0x80}, 10), 0x00)...)...))
 	add(BatchEncPlain, 2, []byte{byte(schema.KindBool), 1, byte(schema.KindBool), 2})
 	add(BatchEncPlain, 3, plainPayload(schema.Int64(1)))
 	// A 65 536-row INT64 page.
