@@ -19,7 +19,7 @@ import (
 	"vortex/internal/core"
 	"vortex/internal/latencymodel"
 	"vortex/internal/meta"
-	"vortex/internal/rowenc"
+	"vortex/internal/wire"
 	"vortex/internal/workload"
 )
 
@@ -136,7 +136,7 @@ func BenchmarkAppendBufferSize(b *testing.B) {
 			}
 			gen := workload.NewGen(1, 100)
 			rows := gen.EventRows(time.Now(), batchRows, time.Microsecond)
-			payload := rowenc.EncodeRows(rows)
+			payload := wire.AppendBlock(nil, rows)
 			b.SetBytes(int64(len(payload)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -211,7 +211,7 @@ func BenchmarkPipelinedVsSerialAppends(b *testing.B) {
 // (§5.4.5): the full seal path vs raw Snappy.
 func BenchmarkBlockEnvelope(b *testing.B) {
 	gen := workload.NewGen(1, 100)
-	payload := rowenc.EncodeRows(gen.SalesRows(0, 2000))
+	payload := wire.AppendBlock(nil, gen.SalesRows(0, 2000))
 	crc := blockenc.Checksum(payload)
 	sealer := blockenc.NewSealer(blockenc.NewKeyring())
 	b.SetBytes(int64(len(payload)))

@@ -13,8 +13,8 @@ import (
 	"vortex/internal/metrics"
 	"vortex/internal/optimizer"
 	"vortex/internal/query"
-	"vortex/internal/rowenc"
 	"vortex/internal/snappy"
+	"vortex/internal/wire"
 	"vortex/internal/workload"
 )
 
@@ -46,7 +46,7 @@ func Compression(rowsPerCase int) ([]CompressionRow, error) {
 	for i, cse := range cases {
 		gen := workload.NewGen(int64(i), cse.repetition)
 		rows := gen.LogRows(rowsPerCase)
-		payload := rowenc.EncodeRows(rows)
+		payload := wire.AppendBlock(nil, rows)
 		start := time.Now()
 		comp := snappy.Encode(payload)
 		encodeTime := time.Since(start)

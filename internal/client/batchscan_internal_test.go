@@ -8,7 +8,6 @@ import (
 	"vortex/internal/fragment"
 	"vortex/internal/meta"
 	"vortex/internal/ros"
-	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/truetime"
 	"vortex/internal/wire"
@@ -105,7 +104,7 @@ func sealedBlocks(t *testing.T, groups ...[]schema.Row) (*Client, []fragment.Blo
 	t.Helper()
 	var plains [][]byte
 	for _, rows := range groups {
-		plains = append(plains, rowenc.EncodeRows(rows))
+		plains = append(plains, wire.AppendBlock(nil, rows))
 	}
 	return sealedPayloads(t, plains...)
 }

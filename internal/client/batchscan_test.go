@@ -85,8 +85,9 @@ func TestRepeatScanSharesCachedColumns(t *testing.T) {
 }
 
 // referenceRows decodes an assignment's file with the format's own
-// reference decoder — ros.Reader.Rows, or fragment.Scan +
-// rowenc.DecodeRows — bypassing the client's scan path entirely.
+// reference decoder — ros.Reader.Rows, or fragment.Scan + the Stream
+// Server's check of a block, wire.DecodeBlock, as rows — bypassing the
+// client's scan path entirely.
 func referenceRows(t *testing.T, r *core.Region, sc *schema.Schema, a client.Assignment) []rowenc.Stamped {
 	t.Helper()
 	data, err := r.Colossus.Cluster(a.Frag.Clusters[0]).Read(a.Frag.Path, 0, -1)
@@ -123,7 +124,7 @@ func referenceRows(t *testing.T, r *core.Region, sc *schema.Schema, a client.Ass
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := rowenc.DecodeRows(plain)
+		rows, err := client.BlockRows(plain)
 		if err != nil {
 			t.Fatal(err)
 		}

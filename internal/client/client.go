@@ -20,7 +20,6 @@ import (
 	"vortex/internal/disktier"
 	"vortex/internal/meta"
 	"vortex/internal/metrics"
-	"vortex/internal/rowenc"
 	"vortex/internal/rpc"
 	"vortex/internal/schema"
 	"vortex/internal/truetime"
@@ -179,9 +178,10 @@ func (c *Client) CreateTable(ctx context.Context, table meta.TableID, s *schema.
 	return err
 }
 
-// GetSchema fetches (and caches) a table's current schema.
+// GetSchema fetches (and caches) a table's current schema, retried
+// through a transient SMS failure.
 func (c *Client) GetSchema(ctx context.Context, table meta.TableID) (*schema.Schema, error) {
-	resp, err := CallSMS(ctx, c.net, c.router, table, wire.GetTable, &wire.GetTableRequest{Table: table})
+	resp, err := smsRetry(ctx, c, table, wire.GetTable, &wire.GetTableRequest{Table: table})
 	if err != nil {
 		return nil, err
 	}
@@ -231,9 +231,11 @@ type Stream struct {
 	finalized bool
 }
 
-// CreateStream creates a stream on a table (§4.2.1).
+// CreateStream creates a stream on a table (§4.2.1), retried through a
+// transient SMS failure: a create whose answer was lost and is made
+// again leaves only an empty stream behind.
 func (c *Client) CreateStream(ctx context.Context, table meta.TableID, typ meta.StreamType) (*Stream, error) {
-	r, err := CallSMS(ctx, c.net, c.router, table, wire.CreateStream, &wire.CreateStreamRequest{Table: table, Type: typ})
+	r, err := smsRetry(ctx, c, table, wire.CreateStream, &wire.CreateStreamRequest{Table: table, Type: typ})
 	if err != nil {
 		return nil, err
 	}
@@ -242,9 +244,10 @@ func (c *Client) CreateStream(ctx context.Context, table meta.TableID, typ meta.
 
 // AttachStream opens a handle to an existing stream (e.g. a re-delivered
 // Dataflow worker reattaching to its dedicated stream, §7.4). The handle
-// resumes at the stream's current length.
+// resumes at the stream's current length. Both its SMS reads are
+// retried through a transient failure.
 func (c *Client) AttachStream(ctx context.Context, id meta.StreamID) (*Stream, error) {
-	resp, err := CallSMS(ctx, c.net, c.router, "", wire.GetStream, &wire.GetStreamRequest{Stream: id})
+	resp, err := smsRetry(ctx, c, "", wire.GetStream, &wire.GetStreamRequest{Stream: id})
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +309,7 @@ func (s *Stream) Append(ctx context.Context, rows []schema.Row, opts ...AppendOp
 	if err := s.validateRows(ctx, rows); err != nil {
 		return 0, err
 	}
-	payload := rowenc.EncodeRows(rows)
+	payload := wire.AppendBlock(nil, rows)
 	crc := blockenc.Checksum(payload)
 	t0 := time.Now()
 
@@ -400,10 +403,8 @@ func (s *Stream) Append(ctx context.Context, rows []schema.Row, opts ...AppendOp
 				return 0, err
 			}
 			s.schema = sc
-			for _, r := range rows {
-				if err := sc.ValidateRow(r); err != nil {
-					return 0, err
-				}
+			if err := validate(sc, rows); err != nil {
+				return 0, err
 			}
 			lastErr = errors.New(resp.Error)
 		case wire.ErrCodeBadPayload:
@@ -550,21 +551,20 @@ func (s *Stream) AppendTracked(ctx context.Context, rows []schema.Row, opts ...A
 // schema once if validation fails — the table may have evolved since the
 // stream handle cached it (§5.4.1).
 func (s *Stream) validateRows(ctx context.Context, rows []schema.Row) error {
-	var firstErr error
-	for _, r := range rows {
-		if err := s.schema.ValidateRow(r); err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil {
+	err := validate(s.schema, rows)
+	if err == nil {
 		return nil
 	}
-	sc, err := s.c.GetSchema(ctx, s.info.Table)
-	if err != nil || sc.Version <= s.schema.Version {
-		return firstErr
+	sc, serr := s.c.GetSchema(ctx, s.info.Table)
+	if serr != nil || sc.Version <= s.schema.Version {
+		return err
 	}
 	s.schema = sc
+	return validate(sc, rows)
+}
+
+// validate checks rows against sc, returning the first row's failure.
+func validate(sc *schema.Schema, rows []schema.Row) error {
 	for _, r := range rows {
 		if err := sc.ValidateRow(r); err != nil {
 			return err
@@ -677,7 +677,7 @@ func (s *Stream) AppendAsync(ctx context.Context, rows []schema.Row, opts ...App
 	if err := s.ensureConn(ctx); err != nil {
 		return nil, err
 	}
-	payload := rowenc.EncodeRows(rows)
+	payload := wire.AppendBlock(nil, rows)
 	req := &wire.AppendRequest{
 		Streamlet:            s.sl.ID,
 		Payload:              payload,

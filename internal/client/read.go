@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
-	"vortex/internal/bin"
 	"vortex/internal/blockenc"
 	"vortex/internal/colossus"
 	"vortex/internal/dml"
@@ -58,10 +58,9 @@ type ScanPlan struct {
 	Schema      *schema.Schema
 	Assignments []Assignment
 	// Projection, when non-nil, names the top-level columns a scan needs.
-	// A ROS scan decodes only those columns' pages; a WOS file, row-major,
-	// is still read row by row, but only those fields are decoded into
-	// columns and the rest are stepped over (§6.1: the row format is for
-	// ingest, the columnar one for reads). Nil means all columns.
+	// A ROS scan decodes only those columns' pages; a WOS file's blocks
+	// decode only those fields' columns and step over the rest by their
+	// framed length. Nil means all columns.
 	Projection map[string]bool
 }
 
@@ -356,14 +355,17 @@ func (c *Client) readLiveWOS(ctx context.Context, a Assignment, fields fieldSet)
 		}
 	}
 
-	// Live files carry their own streamlet-local offsets; the header is
-	// authoritative.
-	fragStartRow := a.Frag.StartRow
-	if first := firstDataBlock(blocks); first != nil {
-		fragStartRow = first.StartRow
-	}
 	decoded, err := c.decodeBlocks(blocks, fields)
-	return decoded, fragStartRow, err
+	if err != nil {
+		return nil, 0, err
+	}
+	// Live files carry their own streamlet-local offsets; the first data
+	// block's header is authoritative.
+	fragStartRow := a.Frag.StartRow
+	if len(decoded.blocks) > 0 {
+		fragStartRow = decoded.blocks[0].StartRow
+	}
+	return decoded, fragStartRow, nil
 }
 
 // decodeSealedWOS parses a sealed fragment file and decodes the fields
@@ -413,26 +415,26 @@ type wosColumns struct {
 	arity []int32
 }
 
-// decodeBlocks unseals WOS data blocks and decodes their rows in one
-// pass straight into one wire.ColumnBuilder per field in fields (nil:
-// every field), stepping over the values of the others. The builders are
-// sized from the blocks' header row counts, so a block holding another
-// number of rows than its header says is refused, and no string column
-// grows past the file's plaintext bytes. Every block is opened into one
-// buffer, sized for the largest and reused across the file; the
-// builders copy out what they keep.
+// decodeBlocks unseals WOS data blocks and reads each block's columns
+// with wire.DecodeBlock, straight into one wire.ColumnBuilder per field
+// in fields (nil: every field); the others are stepped over by their
+// framed length. A field a block lacks is NULL in its rows, and a field
+// first seen in a later block NULL in every row before it. The builders
+// are sized from the blocks' header row counts, so a block holding
+// another number of rows than its header says is refused, and no
+// string column grows past the file's plaintext bytes. Every block is
+// opened into one buffer, sized for the largest and reused across the
+// file; the builders copy out what they keep.
 func (c *Client) decodeBlocks(blocks []fragment.Block, fields fieldSet) (*wosColumns, error) {
 	d := &wosColumns{fields: fields}
+	blocks = slices.DeleteFunc(slices.Clone(blocks), func(b fragment.Block) bool { return b.Kind != fragment.BlockData })
 	plainBytes, scratch := 0, 0 // the file's plaintext; the most one Open needs
 	for _, b := range blocks {
-		if b.Kind != fragment.BlockData {
-			continue
-		}
-		// Every row spends at least two bytes of plaintext: a count its
+		// Every row spends at least a byte of plaintext: a count its
 		// block could not hold is refused before anything is sized by it.
 		plainLen := blockenc.PlainLen(b.Payload)
-		if b.RowCount < 0 || b.RowCount > int64(plainLen/2) || int64(d.n)+b.RowCount > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: a block of %d plaintext bytes whose header says %d rows", rowenc.ErrCorrupt, plainLen, b.RowCount)
+		if b.RowCount < 0 || b.RowCount > int64(plainLen) || int64(d.n)+b.RowCount > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: a block of %d plaintext bytes whose header says %d rows", wire.ErrBlockCorrupt, plainLen, b.RowCount)
 		}
 		d.blocks = append(d.blocks, wosBlock{Timestamp: b.Timestamp, StartRow: b.StartRow, first: int32(d.n)})
 		d.n += int(b.RowCount)
@@ -441,106 +443,62 @@ func (c *Client) decodeBlocks(blocks []fragment.Block, fields fieldSet) (*wosCol
 	}
 	d.changes = make([]byte, d.n)
 	d.seqs = make([]int64, d.n)
-	dec := wosDecoder{d: d, strMax: plainBytes}
+	d.arity = make([]int32, d.n)
+	var cols []*wire.ColumnBuilder // one per field seen; nil for one outside fields
 	plain := make([]byte, 0, scratch)
+	i := 0 // the block's first row in d
 	for _, b := range blocks {
-		if b.Kind != fragment.BlockData {
-			continue
-		}
 		var err error
 		if plain, err = c.sealer.Open(b.Payload, plain...); err != nil {
 			return nil, err
 		}
-		if err := dec.block(plain, int(b.RowCount), b.Timestamp); err != nil {
+		width := 0 // the block's columns
+		changes, arity, err := wire.DecodeBlock(plain, func(f, rows int) *wire.ColumnBuilder {
+			width = f + 1
+			if rows != int(b.RowCount) {
+				return nil // refused below
+			}
+			for len(cols) <= f {
+				var cb *wire.ColumnBuilder
+				if fields.has(len(cols)) {
+					cb = wire.NewColumnBuilder("", d.n, plainBytes)
+					cb.AppendNulls(i)
+				}
+				cols = append(cols, cb)
+			}
+			return cols[f]
+		})
+		if err != nil {
 			return nil, err
 		}
-	}
-	d.cols = make([]wire.Vector, len(dec.fields))
-	all := true // every field the file carries was decoded
-	for f, fb := range dec.fields {
-		if fb == nil {
-			all = false
-			continue
+		if int64(len(changes)) != b.RowCount {
+			return nil, fmt.Errorf("%w: a block of %d rows whose header says %d", wire.ErrBlockCorrupt, len(changes), b.RowCount)
 		}
-		d.cols[f] = fb.Vector()
+		for _, cb := range cols[width:] {
+			if cb != nil {
+				cb.AppendNulls(len(changes))
+			}
+		}
+		copy(d.changes[i:], changes)
+		copy(d.arity[i:], arity)
+		for k := range changes {
+			d.seqs[i+k] = int64(b.Timestamp) + int64(k)
+		}
+		i += len(changes)
 	}
-	if all {
+	if !slices.ContainsFunc(d.arity, func(a int32) bool { return a != d.arity[0] }) {
+		d.arity = nil
+	}
+	d.cols = make([]wire.Vector, len(cols))
+	for f, cb := range cols {
+		if cb != nil {
+			d.cols[f] = cb.Vector()
+		}
+	}
+	if !slices.Contains(cols, nil) { // every field the file carries was decoded
 		d.fields = nil
 	}
 	return d, nil
-}
-
-// wosDecoder reads the rows of a file's blocks, in order, into its
-// columns.
-type wosDecoder struct {
-	d      *wosColumns
-	fields []*wire.ColumnBuilder // one per field seen; nil for one outside d.fields
-	strMax int                   // the file's plaintext bytes: no string column holds more
-	next   int                   // the next row's index in d
-	width  int                   // the first row's value count
-}
-
-// block reads one EncodeRows payload of n rows stamped ts: each row's
-// header through rowenc's own reader, each value into its field's
-// builder or past it with rowenc.SkipValue, a NULL into every built
-// field a short row lacks. A field first seen on a longer row starts
-// NULL in every row before it. It refuses what rowenc.DecodeRows
-// refuses, whatever the fields decoded, and a payload of other than n
-// rows.
-func (w *wosDecoder) block(plain []byte, n int, ts truetime.Timestamp) error {
-	r := bin.NewReader(plain)
-	if got := rowenc.ReadRowCount(r); r.Err() == nil && got != n {
-		return fmt.Errorf("%w: a block of %d rows whose header says %d", rowenc.ErrCorrupt, got, n)
-	}
-	d := w.d
-	for k := 0; k < n && r.Err() == nil; k++ {
-		i := w.next
-		change, arity := rowenc.ReadRowHeader(r)
-		for len(w.fields) < arity {
-			var fb *wire.ColumnBuilder
-			if d.fields.has(len(w.fields)) {
-				fb = wire.NewColumnBuilder("", d.n, w.strMax)
-				for fb.Len() < i {
-					fb.AppendNull()
-				}
-			}
-			w.fields = append(w.fields, fb)
-		}
-		for f, fb := range w.fields {
-			switch {
-			case fb == nil:
-				if f < arity {
-					rowenc.SkipValue(r)
-				}
-			case f < arity:
-				fb.Read(r, 1)
-			default:
-				fb.AppendNull()
-			}
-		}
-		if i == 0 {
-			w.width = arity
-		}
-		if d.arity == nil && arity != w.width {
-			d.arity = make([]int32, d.n)
-			for j := range i {
-				d.arity[j] = int32(w.width)
-			}
-		}
-		if d.arity != nil {
-			d.arity[i] = int32(arity)
-		}
-		d.changes[i] = byte(change)
-		d.seqs[i] = int64(ts) + int64(k)
-		w.next++
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("%w: %v", rowenc.ErrCorrupt, err)
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", rowenc.ErrCorrupt, r.Len())
-	}
-	return nil
 }
 
 // fieldSet is a set of top-level field indexes — the fields a scan
@@ -644,15 +602,6 @@ func (a Assignment) streamletStart() int64 {
 		return a.StreamletStart
 	}
 	return a.StreamStart - a.Frag.StartRow
-}
-
-func firstDataBlock(blocks []fragment.Block) *fragment.Block {
-	for i := range blocks {
-		if blocks[i].Kind == fragment.BlockData {
-			return &blocks[i]
-		}
-	}
-	return nil
 }
 
 // rowVisible applies stream-type visibility and deletion masks. It runs

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/truetime"
+	"vortex/internal/wire"
 )
 
 // sealedPayloads seals each plaintext into a WOS data block whose header
@@ -26,7 +28,7 @@ func sealedPayloads(t testing.TB, plains ...[]byte) (*Client, []fragment.Block) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, _ := rowenc.RowCount(plain)
+		n, _ := binary.Uvarint(plain)
 		blocks = append(blocks, fragment.Block{
 			Kind:      fragment.BlockData,
 			Timestamp: truetime.Timestamp(100 + start),
@@ -39,10 +41,35 @@ func sealedPayloads(t testing.TB, plains ...[]byte) (*Client, []fragment.Block) 
 	return &Client{sealer: sealer}, blocks
 }
 
-// oracleWOS is a WOS file as the row decoder sees it: every block
-// opened and decoded with rowenc.DecodeRows, then the rows transposed
-// into one column of values per field, short rows padded with NULL —
-// the decode the typed one replaced.
+// blockRows is a block payload as the Stream Server's check reads it —
+// wire.DecodeBlock, every column — turned back into the rows appended,
+// each as long as it was written.
+func blockRows(plain []byte) ([]schema.Row, error) {
+	var cols []*wire.ColumnBuilder
+	changes, arity, err := wire.DecodeBlock(plain, func(_, rows int) *wire.ColumnBuilder {
+		cols = append(cols, wire.NewColumnBuilder("", rows, len(plain)))
+		return cols[len(cols)-1]
+	})
+	if err != nil {
+		return nil, err
+	}
+	vecs := make([]wire.Vector, len(cols))
+	for f, cb := range cols {
+		vecs[f] = cb.Vector()
+	}
+	rows := make([]schema.Row, len(changes))
+	for i := range rows {
+		vals := make([]schema.Value, arity[i])
+		for f := range vals {
+			vals[f] = vecs[f].ValueAt(i)
+		}
+		rows[i] = schema.Row{Values: vals, Change: schema.ChangeType(changes[i])}
+	}
+	return rows, nil
+}
+
+// oracleWOS is a WOS file as rows: each block's rows transposed into one
+// column of values per field, short rows padded with NULL.
 type oracleWOS struct {
 	cols    [][]schema.Value
 	changes []byte
@@ -50,21 +77,10 @@ type oracleWOS struct {
 	arity   []int32 // nil when every row has len(cols) values
 }
 
-func decodeOracle(c *Client, blocks []fragment.Block) (*oracleWOS, error) {
-	var decoded [][]schema.Row
+// transposed is the oracle of a file whose blocks hold groups of rows.
+func transposed(blocks []fragment.Block, groups [][]schema.Row) *oracleWOS {
 	n, narrow, width := 0, 0, 0
-	for _, b := range blocks {
-		plain, err := c.sealer.Open(b.Payload)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := rowenc.DecodeRows(plain)
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(rows)) != b.RowCount {
-			return nil, fmt.Errorf("%w: %d rows, header says %d", rowenc.ErrCorrupt, len(rows), b.RowCount)
-		}
+	for _, rows := range groups {
 		for _, r := range rows {
 			if n == 0 || len(r.Values) < narrow {
 				narrow = len(r.Values)
@@ -72,7 +88,6 @@ func decodeOracle(c *Client, blocks []fragment.Block) (*oracleWOS, error) {
 			width = max(width, len(r.Values))
 			n++
 		}
-		decoded = append(decoded, rows)
 	}
 	o := &oracleWOS{cols: make([][]schema.Value, width), changes: make([]byte, n), seqs: make([]int64, n)}
 	for f := range o.cols {
@@ -82,7 +97,7 @@ func decodeOracle(c *Client, blocks []fragment.Block) (*oracleWOS, error) {
 		o.arity = make([]int32, n)
 	}
 	i := 0
-	for bi, rows := range decoded {
+	for bi, rows := range groups {
 		for k, r := range rows {
 			for f := range o.cols {
 				o.cols[f][i] = schema.Null()
@@ -98,12 +113,31 @@ func decodeOracle(c *Client, blocks []fragment.Block) (*oracleWOS, error) {
 			i++
 		}
 	}
-	return o, nil
+	return o
 }
 
-// sameWOS reports how d differs from the oracle's decode, if it does:
-// every cell through ValueAt, compared by its encoding, and every row's
-// change, seq and arity.
+// serverOracle opens every block and reads it as the Stream Server's
+// check does: the oracle of what the reader must decode from a file
+// whose every block the server accepted.
+func serverOracle(c *Client, blocks []fragment.Block) (*oracleWOS, error) {
+	var groups [][]schema.Row
+	for _, b := range blocks {
+		plain, err := c.sealer.Open(b.Payload)
+		if err != nil {
+			return nil, err
+		}
+		rows, err := blockRows(plain)
+		if err != nil {
+			return nil, err
+		}
+		groups = append(groups, rows)
+	}
+	return transposed(blocks, groups), nil
+}
+
+// sameWOS reports how d differs from the oracle, if it does: every cell
+// through ValueAt, compared by its encoding, and every row's change,
+// seq and arity.
 func sameWOS(d *wosColumns, o *oracleWOS) error {
 	if d.n != len(o.seqs) || len(d.cols) != len(o.cols) {
 		return fmt.Errorf("%d rows of %d fields, oracle %d rows of %d fields", d.n, len(d.cols), len(o.seqs), len(o.cols))
@@ -125,40 +159,87 @@ func sameWOS(d *wosColumns, o *oracleWOS) error {
 	return nil
 }
 
-// wosSeedBlocks are the fuzz target's seeds, each a file of one or two
-// block plaintexts.
-func wosSeedBlocks() [][2][]byte {
+// wosSeedRows are files of one or two blocks, each block the rows of
+// one append; a nil second block means a file of one.
+func wosSeedRows() [][2][]schema.Row {
 	i, s := schema.Int64, schema.String
 	row := func(vals ...schema.Value) schema.Row { return schema.NewRow(vals...) }
-	del := func(r schema.Row) schema.Row { r.Change = schema.ChangeDelete; return r }
-	narrow := rowenc.EncodeRows([]schema.Row{row(i(1), s("a")), row(i(2), s("b"))})
-	wide := rowenc.EncodeRows([]schema.Row{row(i(3), s("c"), schema.Float64(0.5), schema.Bool(true)), del(row(i(4), s("d"), schema.Null(), schema.Bool(false)))})
-	truncated := rowenc.EncodeRows([]schema.Row{row(s("a long enough string"))})
-	return [][2][]byte{
+	change := func(c schema.ChangeType, r schema.Row) schema.Row { r.Change = c; return r }
+	narrow := []schema.Row{row(i(1), s("a")), row(i(2), s("b"))}
+	wide := []schema.Row{row(i(3), s("c"), schema.Float64(0.5), schema.Bool(true)), change(schema.ChangeDelete, row(i(4), s("d"), schema.Null(), schema.Bool(false)))}
+	return [][2][]schema.Row{
 		{narrow, wide}, // a field first seen mid-file
 		{wide, narrow}, // fields a later block's rows lack
-		{rowenc.EncodeRows([]schema.Row{row(i(1), schema.Null()), row(i(2), schema.Null())}), nil},                                // an all-NULL field
-		{rowenc.EncodeRows([]schema.Row{row(i(1)), row(schema.Null()), row(s("x"))}), rowenc.EncodeRows([]schema.Row{row(i(5))})}, // a kind change mid-column
-		{rowenc.EncodeRows([]schema.Row{
+		{{row(i(1), schema.Null()), row(i(2), schema.Null())}, nil}, // an all-NULL field
+		{{row(i(1)), row(schema.Null()), row(s("x"))}, {row(i(5))}}, // a kind change mid-column
+		{{
 			row(schema.Bytes([]byte{0, 1, 2}), schema.List(i(1), i(2)), schema.Struct(s("k"), schema.Null())),
 			row(schema.Bytes(nil), schema.List(), schema.Struct(s("j"), i(9))),
-		}), nil}, // BYTES and nested fields
-		{truncated[:len(truncated)-3], nil},                              // a truncated value
-		{append(append([]byte(nil), narrow...), 0), nil},                 // trailing bytes
-		{rowenc.EncodeRows(nil), rowenc.EncodeRows([]schema.Row{row()})}, // an empty block, then a row of no values
+		}, nil}, // BYTES and nested fields
+		{{row(s("a long enough string"))}, nil}, // cut short below
+		{narrow, nil},                           // trailing bytes below
+		{{}, {row()}},                           // an empty block, then a row of no values
+		{raggedRows(), nil},                     // rows of three arities and every change type in one block
 	}
 }
 
-// FuzzDecodeWOSBlocks holds the one-pass typed WOS decoder to the row
-// decoder and transposition it replaced: both accept or both refuse a
-// file of one or two blocks, and on accept they agree on every cell,
-// change, seq and arity. Each block's header counts the rows its payload
-// starts with, so what is refused is the payload's doing. The second
-// block is opened into the buffer the first was, so a value the
-// builders failed to copy out would show here as a changed cell. The
-// same file decoded for the fields of mask (bit f: field f) accepts and
-// refuses with the full decode, agrees with it on every row and every
-// decoded field, and holds nothing of the others.
+// raggedRows is one append of rows written under three schema versions,
+// of every change type: the block golden's batch too.
+func raggedRows() []schema.Row {
+	i, s := schema.Int64, schema.String
+	rows := []schema.Row{
+		schema.NewRow(i(1), s("a"), schema.Float64(1.5)),
+		schema.NewRow(i(2)),
+		schema.NewRow(i(4), schema.Null(), schema.Float64(-2)),
+		schema.NewRow(i(3), s("c")),
+	}
+	rows[1].Change = schema.ChangeUpsert
+	rows[2].Change = schema.ChangeDelete
+	return rows
+}
+
+// wosSeedBlocks are the fuzz target's seeds: wosSeedRows encoded, the
+// sixth cut short and the seventh given a trailing byte, then hostile
+// payloads.
+func wosSeedBlocks() [][2][]byte {
+	var out [][2][]byte
+	for k, file := range wosSeedRows() {
+		var s [2][]byte
+		for b, rows := range file {
+			if b == 0 || rows != nil {
+				s[b] = wire.AppendBlock(nil, rows)
+			}
+		}
+		switch k {
+		case 5:
+			s[0] = s[0][:len(s[0])-3]
+		case 6:
+			s[0] = append(s[0], 0)
+		}
+		out = append(out, s)
+	}
+	rows := raggedRows()
+	rows[3].Values = append(rows[3].Values, schema.Bool(true))
+	short := wire.AppendBlock(nil, rows)
+	short[1+3] = 2 << 2 // row 3's header: arity 2, leaving its value in field 2
+	return append(out,
+		[2][]byte{short, nil},
+		[2][]byte{{1, 1 << 2, 1, 7, 1, rowenc.TagNull}, nil}, // a column of an unknown encoding
+	)
+}
+
+// FuzzDecodeWOSBlocks holds the reader's decode to the Stream Server's
+// check, wire.DecodeBlock, on a file of one or two blocks. Each block's
+// header counts the rows its payload starts with, so what is refused is
+// the payload's doing. A file whose every block the check accepts the
+// reader decodes, agreeing with the check on every cell, change, seq
+// and arity; one it refuses, the reader's full decode refuses too. The
+// rows the check reads re-encode to a block it reads back as the same
+// rows. The second block is opened into the buffer the first was, so a
+// value the builders failed to copy out would show here as a changed
+// cell. The file decoded for the fields of mask (bit f: field f) agrees
+// with the full decode on every row and every decoded field, and holds
+// nothing of the others.
 func FuzzDecodeWOSBlocks(f *testing.F) {
 	for _, s := range wosSeedBlocks() {
 		for _, mask := range []uint64{1<<64 - 1, 0, 0b101} {
@@ -170,29 +251,63 @@ func FuzzDecodeWOSBlocks(f *testing.F) {
 		if two {
 			plains = append(plains, second)
 		}
+		for _, plain := range plains {
+			rows, err := blockRows(plain)
+			if err != nil {
+				continue
+			}
+			again, err := blockRows(wire.AppendBlock(nil, rows))
+			if err != nil || fmt.Sprint(again) != fmt.Sprint(rows) {
+				t.Fatalf("rows %v re-encoded read back as %v, err %v", rows, again, err)
+			}
+		}
 		c, blocks := sealedPayloads(t, plains...)
 		got, err := c.decodeBlocks(blocks, nil)
-		want, wantErr := decodeOracle(c, blocks)
+		want, wantErr := serverOracle(c, blocks)
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("decodeBlocks err = %v, oracle err = %v", err, wantErr)
-		}
-		projected, perr := c.decodeBlocks(blocks, fieldSet{mask})
-		if (perr == nil) != (err == nil) {
-			t.Fatalf("decodeBlocks err = %v, for fields %b err = %v", err, mask, perr)
+			t.Fatalf("decodeBlocks err = %v, Stream Server check err = %v", err, wantErr)
 		}
 		if err != nil {
-			if !errors.Is(err, rowenc.ErrCorrupt) || !errors.Is(perr, rowenc.ErrCorrupt) {
-				t.Fatalf("err = %v, for fields %b err = %v, want rowenc.ErrCorrupt", err, mask, perr)
+			if !errors.Is(err, wire.ErrBlockCorrupt) {
+				t.Fatalf("err = %v, want wire.ErrBlockCorrupt", err)
 			}
 			return
 		}
 		if err := sameWOS(got, want); err != nil {
 			t.Fatal(err)
 		}
+		projected, err := c.decodeBlocks(blocks, fieldSet{mask})
+		if err != nil {
+			t.Fatalf("decodeBlocks for fields %b: %v", mask, err)
+		}
 		if err := sameProjection(projected, got, fieldSet{mask}); err != nil {
 			t.Fatalf("fields %b: %v", mask, err)
 		}
 	})
+}
+
+// TestDecodeWOSReturnsTheAppendedRows: each well-formed seed file, its
+// blocks encoded by wire.AppendBlock, decodes to the rows appended, with
+// their change types and arities.
+func TestDecodeWOSReturnsTheAppendedRows(t *testing.T) {
+	for k, file := range wosSeedRows() {
+		groups := [][]schema.Row{file[0]}
+		if file[1] != nil {
+			groups = append(groups, file[1])
+		}
+		var plains [][]byte
+		for _, rows := range groups {
+			plains = append(plains, wire.AppendBlock(nil, rows))
+		}
+		c, blocks := sealedPayloads(t, plains...)
+		d, err := c.decodeBlocks(blocks, nil)
+		if err != nil {
+			t.Fatalf("file %d: %v", k, err)
+		}
+		if err := sameWOS(d, transposed(blocks, groups)); err != nil {
+			t.Fatalf("file %d: %v", k, err)
+		}
+	}
 }
 
 // sameProjection reports how p, decoded for fields, differs from the
@@ -227,7 +342,7 @@ func sameProjection(p, d *wosColumns, fields fieldSet) error {
 // TestDecodeWOSSeedsTypeFlatFields: a field of one scalar kind comes
 // out typed, NULL where a row is too short to carry it, while a
 // mixed-kind, BYTES or nested one keeps Values. (FuzzDecodeWOSBlocks
-// holds every seed to the oracle.)
+// holds every seed to the Stream Server's check.)
 func TestDecodeWOSSeedsTypeFlatFields(t *testing.T) {
 	c, blocks := sealedPayloads(t, wosSeedBlocks()[0][:]...)
 	d, err := c.decodeBlocks(blocks, nil)
@@ -269,7 +384,7 @@ func TestDecodeWOSSeedsTypeFlatFields(t *testing.T) {
 // disagrees with its payload's rows is refused as corrupt, in either
 // direction, as is one no block of its size could hold.
 func TestDecodeBlocksRefusesHeaderRowCountMismatch(t *testing.T) {
-	payload := rowenc.EncodeRows([]schema.Row{
+	payload := wire.AppendBlock(nil, []schema.Row{
 		schema.NewRow(schema.Int64(1)),
 		schema.NewRow(schema.Int64(2)),
 	})
@@ -277,12 +392,12 @@ func TestDecodeBlocksRefusesHeaderRowCountMismatch(t *testing.T) {
 		c, blocks := sealedPayloads(t, payload)
 		blocks[0].RowCount = header
 		d, err := c.decodeBlocks(blocks, nil)
-		if !errors.Is(err, rowenc.ErrCorrupt) {
+		if !errors.Is(err, wire.ErrBlockCorrupt) {
 			n := -1
 			if d != nil {
 				n = d.n
 			}
-			t.Fatalf("header says %d rows over a 2-row payload: %d rows, err %v; want rowenc.ErrCorrupt", header, n, err)
+			t.Fatalf("header says %d rows over a 2-row payload: %d rows, err %v; want wire.ErrBlockCorrupt", header, n, err)
 		}
 	}
 }

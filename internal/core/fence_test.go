@@ -10,7 +10,6 @@ import (
 	"vortex/internal/chaos"
 	"vortex/internal/client"
 	"vortex/internal/meta"
-	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/sms"
 	"vortex/internal/wire"
@@ -186,7 +185,7 @@ func (e *fenceEnv) firstStreamletInfo(t *testing.T) meta.StreamletInfo {
 // the error code ("" when acknowledged).
 func (e *fenceEnv) appendDirect(t *testing.T) string {
 	t.Helper()
-	payload := rowenc.EncodeRows([]schema.Row{eventRow(99)})
+	payload := wire.AppendBlock(nil, []schema.Row{eventRow(99)})
 	resp, err := wire.Append.Call(e.ctx, e.r.Net, findStreamServer(t, e.r, fenceTable), &wire.AppendRequest{
 		Streamlet:            e.firstStreamlet(),
 		Payload:              payload,

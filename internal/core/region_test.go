@@ -11,7 +11,6 @@ import (
 	"vortex/internal/blockenc"
 	"vortex/internal/client"
 	"vortex/internal/meta"
-	"vortex/internal/rowenc"
 	"vortex/internal/schema"
 	"vortex/internal/truetime"
 	"vortex/internal/wire"
@@ -390,7 +389,7 @@ func TestZombieWriterIsPoisoned(t *testing.T) {
 // ("" on success).
 func zombieAppend(t *testing.T, r *Region, server string, s *client.Stream) string {
 	t.Helper()
-	payload := rowenc.EncodeRows([]schema.Row{eventRow(99)})
+	payload := wire.AppendBlock(nil, []schema.Row{eventRow(99)})
 	slID := meta.StreamletIDFor(s.Info().ID, 0)
 	resp, err := r.Net.Unary(context.Background(), server, wire.MethodAppend, &wire.AppendRequest{
 		Streamlet:            slID,

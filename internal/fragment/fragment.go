@@ -9,8 +9,11 @@
 //	  recovery when the Stream Server is unreachable, §7.1),
 //	  header CRC32C.
 //	Blocks (repeated):
-//	  DATA     — up to ~2MB of buffered rows, sealed by blockenc, stamped
-//	             with a single server-assigned TrueTime timestamp;
+//	  DATA     — one append's rows, sealed by blockenc, stamped with a
+//	             single server-assigned TrueTime timestamp; the payload
+//	             is a column-major block whose one codec is in
+//	             internal/wire (AppendBlock, DecodeBlock), which this
+//	             package carries without reading;
 //	  COMMIT   — acknowledges that the preceding append reached both
 //	             replicas (combined with the next data append when the
 //	             streamlet is active, §7.1);
@@ -57,8 +60,12 @@ var (
 
 const (
 	headerMagic = "VXF1"
-	footerMagic = "VXFF"
-	blockMagic  = 0xB1
+	// headerVersion 2: DATA block payloads are wire.AppendBlock's
+	// column-major blocks. A version 1 file, whose payloads were rows, is
+	// refused rather than misread.
+	headerVersion = 2
+	footerMagic   = "VXFF"
+	blockMagic    = 0xB1
 )
 
 // BlockKind distinguishes the record types in a fragment.
@@ -108,7 +115,7 @@ type Header struct {
 // EncodeHeader serializes h.
 func EncodeHeader(h Header) []byte {
 	out := []byte(headerMagic)
-	out = append(out, 1) // version
+	out = append(out, headerVersion)
 	out = binary.AppendUvarint(out, uint64(len(h.StreamletID)))
 	out = append(out, h.StreamletID...)
 	out = binary.AppendUvarint(out, uint64(h.Index))
@@ -135,7 +142,7 @@ func ParseHeader(data []byte) (Header, int, error) {
 	if len(data) < 5 || string(data[:4]) != headerMagic {
 		return h, 0, ErrCorruptHeader
 	}
-	if data[4] != 1 {
+	if data[4] != headerVersion {
 		return h, 0, fmt.Errorf("%w: version %d", ErrCorruptHeader, data[4])
 	}
 	r := bin.NewReader(data[5:])

@@ -63,7 +63,7 @@ func TestHeaderRejectsCorruption(t *testing.T) {
 // bytes, so a header whose entry count its bytes cannot hold is refused
 // before the File Map is sized by it. Believed, 2^20 entries were 48 MB.
 func TestScanBoundsAllocationByInput(t *testing.T) {
-	bare := []byte(headerMagic + "\x01\x00\x00\x00\x00") // version, empty id, index, schema, epoch
+	bare := []byte(headerMagic + "\x02\x00\x00\x00\x00") // version, empty id, index, schema, epoch
 	for _, tc := range []struct {
 		name string
 		data []byte

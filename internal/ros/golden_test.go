@@ -129,6 +129,26 @@ func TestGoldenFormats(t *testing.T) {
 	}
 }
 
+// TestGoldenWOSBlock pins the WOS block format (wire.AppendBlock) byte
+// for byte, as TestGoldenFormats pins VXR1 and VXRB: the digest of the
+// payload of one 16-row Events append in which two rows were written
+// before the schema's last fields existed and rows carry every change
+// type. A digest that moves means the bytes in WOS fragments changed,
+// which a reader of existing files would misread unless the fragment
+// header's version moved with it.
+func TestGoldenWOSBlock(t *testing.T) {
+	at := time.Date(2023, 10, 1, 0, 0, 0, 0, time.UTC)
+	rows := workload.NewGen(3, 50).EventRows(at, 16, time.Second)
+	rows[2].Values = rows[2].Values[:3]
+	rows[7].Values = rows[7].Values[:1]
+	rows[5].Change = schema.ChangeUpsert
+	rows[9].Change = schema.ChangeDelete
+	sum := sha256.Sum256(wire.AppendBlock(nil, rows))
+	if got, want := hex.EncodeToString(sum[:]), "9ec646b2891c5586eb3d0ffdb04fd15c5f1b684262364a54eab4a0eea0343591"; got != want {
+		t.Errorf("WOS block digest = %s, want %s", got, want)
+	}
+}
+
 // sortedByCluster orders rows by their first clustering column, so that
 // column has long runs: the shape for which the Writer and
 // EncodeRecordBatch both choose run-length.

@@ -1,10 +1,13 @@
-// Package rowenc implements the binary row serialization used on the
-// wire and inside WOS fragments. The paper's clients serialize rows "to
-// a binary format" (protocol buffers or Avro, §4.2.2) before appending;
-// this package plays that role with a compact, self-describing,
-// proto-style encoding (varint tags, zig-zag integers, length-delimited
-// strings) so the Stream Server can store and relay rows without knowing
-// the table schema, while readers decode and validate against it.
+// Package rowenc implements the single-value codec — a compact,
+// self-describing, proto-style encoding (varint tags, zig-zag integers,
+// length-delimited strings) — and a row codec over it. Every stored
+// value goes through the value codec: the column codec's PLAIN, DICT and
+// RLE payloads (internal/wire), which a WOS block, a ROS value page and
+// a record-batch column hold, and ROS column statistics and cluster-key
+// bounds. The row codec (AppendRow, EncodeRows, DecodeRows) serves what
+// is kept a row at a time: materialized-view state and the append
+// ledger's row hashes. A WOS block is column-major; its one codec is
+// wire.AppendBlock and wire.DecodeBlock.
 package rowenc
 
 import (
@@ -144,31 +147,21 @@ func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrCorrupt, err) }
 
 // readRow reads one row; a failure is left in r.
 func readRow(r *bin.Reader) schema.Row {
-	change, n := ReadRowHeader(r)
-	values := make([]schema.Value, n)
-	for i := range values {
-		values[i] = ReadValue(r)
-	}
-	return schema.Row{Values: values, Change: change}
-}
-
-// ReadRowHeader reads what precedes a row's values: its change type and
-// its value count, under the bounds DecodeRows applies. A failure is
-// left in r. A decoder that reads the values some other way than
-// ReadValue into a row — straight into columns — reads its rows' headers
-// here.
-func ReadRowHeader(r *bin.Reader) (schema.ChangeType, int) {
 	change := r.Uvarint()
 	if change > uint64(schema.ChangeDelete) {
 		r.Fail(fmt.Errorf("change type %d", change))
 	}
-	return schema.ChangeType(change), readCount(r, "values")
+	values := make([]schema.Value, readCount(r, 1, "values"))
+	for i := range values {
+		values[i] = ReadValue(r)
+	}
+	return schema.Row{Values: values, Change: schema.ChangeType(change)}
 }
 
-// readCount reads the element count of a row, list or struct: every
-// element spends at least its tag byte.
-func readCount(r *bin.Reader, what string) int {
-	n := r.Count(1)
+// readCount reads the element count of a batch, row, list or struct,
+// each element of which spends at least minBytes.
+func readCount(r *bin.Reader, minBytes int, what string) int {
+	n := r.Count(minBytes)
 	if n > maxDecodeElems {
 		r.Fail(fmt.Errorf("%d %s", n, what))
 		return 0
@@ -191,7 +184,7 @@ func readValue(r *bin.Reader, depth int) schema.Value {
 	case flagNull:
 		return schema.Null()
 	case flagList:
-		elems := make([]schema.Value, readCount(r, "list elements"))
+		elems := make([]schema.Value, readCount(r, 1, "list elements"))
 		for i := range elems {
 			elems[i] = readValue(r, depth+1)
 		}
@@ -219,7 +212,7 @@ func readValue(r *bin.Reader, depth int) schema.Value {
 	case byte(schema.KindBytes):
 		return schema.Bytes(r.Block())
 	case byte(schema.KindStruct):
-		fields := make([]schema.Value, readCount(r, "struct fields"))
+		fields := make([]schema.Value, readCount(r, 1, "struct fields"))
 		for i := range fields {
 			fields[i] = readValue(r, depth+1)
 		}
@@ -232,58 +225,9 @@ func readValue(r *bin.Reader, depth int) schema.Value {
 	}
 }
 
-// SkipValue reads past one value in the single-value codec without
-// building it, allocating nothing unless it fails: a reader of a
-// projection steps over a field it does not need. It refuses exactly
-// what ReadValue refuses, after the same bytes; the failure is left in r.
-func SkipValue(r *bin.Reader) { skipValue(r, 0) }
-
-func skipValue(r *bin.Reader, depth int) {
-	if depth > maxValueDepth {
-		r.Fail(errors.New("nesting too deep"))
-		return
-	}
-	switch tag := r.Byte(); tag {
-	case flagNull:
-	case flagList:
-		for n := readCount(r, "list elements"); n > 0 && r.Err() == nil; n-- {
-			skipValue(r, depth+1)
-		}
-	case byte(schema.KindStruct):
-		for n := readCount(r, "struct fields"); n > 0 && r.Err() == nil; n-- {
-			skipValue(r, depth+1)
-		}
-	case byte(schema.KindInt64), byte(schema.KindTimestamp), byte(schema.KindDate), byte(schema.KindNumeric):
-		r.Uvarint()
-	case byte(schema.KindFloat64):
-		r.Bytes(8)
-	case byte(schema.KindBool):
-		if b := r.Byte(); b > 1 {
-			r.Fail(fmt.Errorf("bool byte %d", b))
-		}
-	case byte(schema.KindString), byte(schema.KindJSON), byte(schema.KindBytes):
-		r.Block()
-	default:
-		if r.Err() == nil { // not the zero a failed read returns
-			r.Fail(fmt.Errorf("tag 0x%02x", tag))
-		}
-	}
-}
-
 // AppendValue appends the encoding of a single value to dst. The ROS
 // format reuses this codec for column statistics and PLAIN value pages.
 func AppendValue(dst []byte, v schema.Value) []byte { return appendValue(dst, v) }
-
-// DecodeValue decodes a single value from the front of data, returning
-// the value and the number of bytes consumed.
-func DecodeValue(data []byte) (schema.Value, int, error) {
-	r := bin.NewReader(data)
-	v := ReadValue(r)
-	if err := r.Err(); err != nil {
-		return schema.Value{}, 0, corrupt(err)
-	}
-	return v, r.Pos(), nil
-}
 
 // EncodeValues concatenates the encodings of vs (cluster-key bounds in
 // fragment metadata use this form).
@@ -318,8 +262,6 @@ type Stamped struct {
 }
 
 // EncodeRows encodes a batch of rows: a count followed by each row.
-// This is the payload format of an AppendStream request's RowSet and of
-// WOS data blocks.
 func EncodeRows(rows []schema.Row) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(rows)))
 	for _, r := range rows {
@@ -329,10 +271,12 @@ func EncodeRows(rows []schema.Row) []byte {
 }
 
 // DecodeRows decodes a batch encoded by EncodeRows. The input must be
-// exactly one batch: trailing bytes are an error (WOS blocks are exact).
+// exactly one batch: trailing bytes are an error.
 func DecodeRows(data []byte) ([]schema.Row, error) {
 	r := bin.NewReader(data)
-	rows := make([]schema.Row, ReadRowCount(r))
+	// Every row spends at least two bytes: its change type and its
+	// value count.
+	rows := make([]schema.Row, readCount(r, 2, "rows"))
 	for i := range rows {
 		rows[i] = readRow(r)
 	}
@@ -343,27 +287,4 @@ func DecodeRows(data []byte) ([]schema.Row, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
 	}
 	return rows, nil
-}
-
-// ReadRowCount reads the row count that starts an EncodeRows batch:
-// every row spends at least two bytes, its change type and its value
-// count. A failure is left in r.
-func ReadRowCount(r *bin.Reader) int {
-	n := r.Count(2)
-	if n > maxDecodeElems {
-		r.Fail(fmt.Errorf("%d rows", n))
-		return 0
-	}
-	return n
-}
-
-// RowCount returns the number of rows in an EncodeRows payload without
-// decoding them.
-func RowCount(data []byte) (int, error) {
-	r := bin.NewReader(data)
-	n := ReadRowCount(r)
-	if err := r.Err(); err != nil {
-		return 0, corrupt(err)
-	}
-	return n, nil
 }

@@ -376,10 +376,17 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 	if blockenc.Checksum(r.Payload) != r.CRC {
 		return fail(wire.ErrCodeBadPayload, "crc mismatch")
 	}
-	rows, err := rowenc.DecodeRows(r.Payload)
+	// Every column is read, so a block accepted here is one the reader
+	// decodes whichever columns it reads.
+	var cols []*wire.ColumnBuilder
+	changes, _, err := wire.DecodeBlock(r.Payload, func(_, rows int) *wire.ColumnBuilder {
+		cols = append(cols, wire.NewColumnBuilder("", rows, len(r.Payload)))
+		return cols[len(cols)-1]
+	})
 	if err != nil {
 		return fail(wire.ErrCodeBadPayload, err.Error())
 	}
+	nrows := int64(len(changes))
 	// Offset validation (§4.2.2).
 	streamOffset := sl.info.StartOffset + sl.info.RowCount
 	if r.ExpectedStreamOffset >= 0 && r.ExpectedStreamOffset != streamOffset {
@@ -394,8 +401,8 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 		return fail(wire.ErrCodeWrongOffset, fmt.Sprintf("stream is at %d, request expects %d", streamOffset, r.ExpectedStreamOffset))
 	}
 
-	ts := s.assignTS(int64(len(rows)))
-	if err := s.writeDataBlock(sl, r.Payload, ts, int64(len(rows))); err != nil {
+	ts := s.assignTS(nrows)
+	if err := s.writeDataBlock(sl, r.Payload, ts, nrows); err != nil {
 		// Whatever failed the write, the streamlet ends here; the client
 		// rotates and reconciliation settles its length (§5.3, §5.6).
 		s.relinquish(sl)
@@ -405,8 +412,8 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 		return fail(wire.ErrCodeIO, err.Error())
 	}
 	// Update column properties for pruning (§7.2).
-	s.recordProps(sl, rows)
-	sl.info.RowCount += int64(len(rows))
+	s.recordProps(sl, len(changes), cols)
+	sl.info.RowCount += nrows
 	s.markDirty(sl.info.ID)
 	s.appendOps.Add(1)
 	s.bytesAppended.Add(int64(len(r.Payload)))
@@ -418,7 +425,7 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 	if sl.cur != nil && sl.cur.size >= s.cfg.MaxFragmentBytes {
 		s.finalizeCurrentFragment(sl)
 	}
-	resp := &wire.AppendResponse{StreamOffset: streamOffset, RowCount: int64(len(rows)), Timestamp: ts}
+	resp := &wire.AppendResponse{StreamOffset: streamOffset, RowCount: nrows, Timestamp: ts}
 	sl.lastAppend = &appendMemo{startOffset: streamOffset, crc: r.CRC, resp: *resp}
 	return resp, nil
 }
@@ -679,31 +686,40 @@ func (s *Server) finalizeCurrentFragment(sl *streamlet) {
 	s.markDirty(sl.info.ID)
 }
 
-// recordProps updates the open fragment's column properties from a
-// decoded batch. Caller holds sl.mu.
-func (s *Server) recordProps(sl *streamlet, rows []schema.Row) {
+// recordProps updates the open fragment's column properties from the
+// key columns of a decoded block of rows rows. Caller holds sl.mu.
+func (s *Server) recordProps(sl *streamlet, rows int, cols []*wire.ColumnBuilder) {
 	fw := sl.cur
 	if fw == nil {
 		return
 	}
-	for _, r := range rows {
-		if p, ok := sl.schema.PartitionOf(r); ok {
+	// The key columns, the partition field's first: NULL in every row
+	// for a field past the block's columns.
+	fields := append([]string{sl.schema.PartitionField}, sl.schema.ClusterBy...)
+	keys := make([]wire.Vector, len(fields))
+	for n, field := range fields {
+		if f := sl.schema.FieldIndex(field); f >= 0 && f < len(cols) {
+			keys[n] = cols[f].Vector()
+		} else {
+			keys[n] = wire.ConstVector("", schema.Null(), rows)
+		}
+	}
+	ck := make([]schema.Value, len(sl.schema.ClusterBy))
+	for i := range rows {
+		if p, ok := schema.PartitionOfValue(keys[0].ValueAt(i)); ok {
 			fw.partitions[p] = true
 		}
-		ck := sl.schema.ClusterKeyOf(r)
 		if len(ck) == 0 {
 			continue
 		}
-		if fw.clusterMin == nil {
+		for n := range ck {
+			ck[n] = keys[n+1].ValueAt(i)
+		}
+		if fw.clusterMin == nil || schema.CompareClusterKeys(ck, fw.clusterMin) < 0 {
 			fw.clusterMin = append([]schema.Value(nil), ck...)
+		}
+		if fw.clusterMax == nil || schema.CompareClusterKeys(ck, fw.clusterMax) > 0 {
 			fw.clusterMax = append([]schema.Value(nil), ck...)
-		} else {
-			if schema.CompareClusterKeys(ck, fw.clusterMin) < 0 {
-				fw.clusterMin = append([]schema.Value(nil), ck...)
-			}
-			if schema.CompareClusterKeys(ck, fw.clusterMax) > 0 {
-				fw.clusterMax = append([]schema.Value(nil), ck...)
-			}
 		}
 		for _, v := range ck {
 			if !v.IsNull() {

@@ -1,7 +1,9 @@
 package streamserver
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"vortex/internal/blockenc"
+	"vortex/internal/bloom"
 	"vortex/internal/colossus"
 	"vortex/internal/fragment"
 	"vortex/internal/meta"
@@ -66,7 +69,7 @@ func appendRows(t *testing.T, net *rpc.Network, id meta.StreamletID, offset int6
 	for i := range rows {
 		rows[i] = schema.NewRow(schema.String("key"), schema.Int64(int64(i)))
 	}
-	payload := rowenc.EncodeRows(rows)
+	payload := wire.AppendBlock(nil, rows)
 	resp, err := net.Unary(context.Background(), "ss-1", wire.MethodAppend, &wire.AppendRequest{
 		Streamlet:            id,
 		Payload:              payload,
@@ -139,7 +142,7 @@ func TestSchemaStaleness(t *testing.T) {
 	_, _, net := newServer(t, 0)
 	createStreamlet(t, net, "s-1/sl-0")
 	rows := []schema.Row{schema.NewRow(schema.String("k"), schema.Int64(1))}
-	payload := rowenc.EncodeRows(rows)
+	payload := wire.AppendBlock(nil, rows)
 	resp, err := net.Unary(context.Background(), "ss-1", wire.MethodAppend, &wire.AppendRequest{
 		Streamlet:            "s-1/sl-0",
 		Payload:              payload,
@@ -158,12 +161,145 @@ func TestSchemaStaleness(t *testing.T) {
 func TestBadCRCRejected(t *testing.T) {
 	_, _, net := newServer(t, 0)
 	createStreamlet(t, net, "s-1/sl-0")
-	payload := rowenc.EncodeRows([]schema.Row{schema.NewRow(schema.String("k"), schema.Int64(1))})
+	payload := wire.AppendBlock(nil, []schema.Row{schema.NewRow(schema.String("k"), schema.Int64(1))})
 	resp, _ := net.Unary(context.Background(), "ss-1", wire.MethodAppend, &wire.AppendRequest{
 		Streamlet: "s-1/sl-0", Payload: payload, CRC: blockenc.Checksum(payload) + 1, ExpectedStreamOffset: -1,
 	})
 	if !strings.HasPrefix(resp.(*wire.AppendResponse).Error, wire.ErrCodeBadPayload) {
 		t.Fatalf("bad crc: %q", resp.(*wire.AppendResponse).Error)
+	}
+}
+
+// TestMalformedPayloadsAnsweredBadPayload: a payload whose CRC matches
+// but which wire.DecodeBlock refuses is answered BAD_PAYLOAD, and
+// nothing of it is written: the streamlet stays empty and fragment-less,
+// and the next good append lands at offset 0.
+func TestMalformedPayloadsAnsweredBadPayload(t *testing.T) {
+	_, _, net := newServer(t, 0)
+	createStreamlet(t, net, "s-1/sl-0")
+	good := wire.AppendBlock(nil, []schema.Row{
+		schema.NewRow(schema.String("k"), schema.Int64(1)),
+		schema.NewRow(schema.String("j"), schema.Int64(2)),
+	})
+	// good is rows 2 | row headers 2<<2 2<<2 | width 2 | columns.
+	edit := func(i int, b byte) []byte {
+		p := append([]byte(nil), good...)
+		p[i] = b
+		return p
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"truncated column", good[:len(good)-1]},
+		{"row count disagreeing with the payload", edit(0, 1)},
+		{"unknown encoding byte", edit(4, 9)},
+		{"hostile row count", []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0}},
+	} {
+		resp, err := net.Unary(context.Background(), "ss-1", wire.MethodAppend, &wire.AppendRequest{
+			Streamlet: "s-1/sl-0", Payload: tc.payload, CRC: blockenc.Checksum(tc.payload), ExpectedStreamOffset: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.(*wire.AppendResponse).Error; !strings.HasPrefix(got, wire.ErrCodeBadPayload) {
+			t.Fatalf("%s: answered %q, want %s", tc.name, got, wire.ErrCodeBadPayload)
+		}
+	}
+	resp, err := net.Unary(context.Background(), "ss-1", wire.MethodStreamletState, &wire.StreamletStateRequest{Streamlet: "s-1/sl-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := resp.(*wire.StreamletStateResponse); st.RowCount != 0 || len(st.Fragments) != 0 {
+		t.Fatalf("after refused appends: %d rows in %d fragments", st.RowCount, len(st.Fragments))
+	}
+	if resp := appendRows(t, net, "s-1/sl-0", 0, 2); resp.Error != "" || resp.StreamOffset != 0 {
+		t.Fatalf("good append after refused ones: offset %d, %q", resp.StreamOffset, resp.Error)
+	}
+}
+
+// TestFragmentPropsFollowTheKeyColumns: the partition set, clustering
+// bounds and bloom keys a finalized fragment records, taken from the
+// typed key columns of its blocks, are those the row-at-a-time
+// schema.PartitionOf and ClusterKeyOf give for the rows appended —
+// including a row written before the key fields existed, which has no
+// partition and a NULL clustering key.
+func TestFragmentPropsFollowTheKeyColumns(t *testing.T) {
+	_, _, net := newServer(t, 0)
+	sc := &schema.Schema{
+		Fields: []*schema.Field{
+			{Name: "v", Kind: schema.KindInt64, Mode: schema.Nullable},
+			{Name: "ts", Kind: schema.KindTimestamp, Mode: schema.Nullable},
+			{Name: "k", Kind: schema.KindString, Mode: schema.Nullable},
+		},
+		PartitionField: "ts",
+		ClusterBy:      []string{"k"},
+	}
+	if _, err := net.Unary(context.Background(), "ss-1", wire.MethodCreateStreamlet, &wire.CreateStreamletRequest{
+		Info:   meta.StreamletInfo{ID: "s-1/sl-0", Stream: "s-1", Table: "d.t", Clusters: [2]string{"a", "b"}},
+		Schema: sc,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	day := func(d int64) schema.Value { return schema.TimestampNanos(d * 86400 * int64(time.Second)) }
+	appends := [][]schema.Row{
+		{schema.NewRow(schema.Int64(1), day(3), schema.String("m")), schema.NewRow(schema.Int64(2))},
+		{
+			schema.NewRow(schema.Int64(3), day(5), schema.String("c")),
+			schema.NewRow(schema.Int64(4), day(7), schema.String("x")),
+			schema.NewRow(schema.Int64(5), schema.Null(), schema.Null()),
+		},
+	}
+	wantParts := map[int64]bool{}
+	var wantMin, wantMax []schema.Value
+	for _, rows := range appends {
+		payload := wire.AppendBlock(nil, rows)
+		resp, err := net.Unary(context.Background(), "ss-1", wire.MethodAppend, &wire.AppendRequest{
+			Streamlet: "s-1/sl-0", Payload: payload, CRC: blockenc.Checksum(payload), ExpectedStreamOffset: -1,
+		})
+		if err != nil || resp.(*wire.AppendResponse).Error != "" {
+			t.Fatalf("append: %v %v", err, resp)
+		}
+		for _, r := range rows {
+			if p, ok := sc.PartitionOf(r); ok {
+				wantParts[p] = true
+			}
+			ck := sc.ClusterKeyOf(r)
+			if wantMin == nil || schema.CompareClusterKeys(ck, wantMin) < 0 {
+				wantMin = ck
+			}
+			if wantMax == nil || schema.CompareClusterKeys(ck, wantMax) > 0 {
+				wantMax = ck
+			}
+		}
+	}
+	resp, err := net.Unary(context.Background(), "ss-1", wire.MethodFinalizeStreamlet, &wire.FinalizeStreamletRequest{Streamlet: "s-1/sl-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags := resp.(*wire.FinalizeStreamletResponse).Fragments
+	if len(frags) != 1 {
+		t.Fatalf("%d fragments, want 1", len(frags))
+	}
+	f := frags[0]
+	gotParts := map[int64]bool{}
+	for _, p := range f.PartitionSet {
+		gotParts[p] = true
+	}
+	if fmt.Sprint(gotParts) != fmt.Sprint(wantParts) {
+		t.Errorf("partition set %v, want %v", f.PartitionSet, wantParts)
+	}
+	if !bytes.Equal(f.ClusterMin, rowenc.EncodeValues(wantMin)) || !bytes.Equal(f.ClusterMax, rowenc.EncodeValues(wantMax)) {
+		t.Errorf("cluster bounds %x..%x, want %v..%v", f.ClusterMin, f.ClusterMax, wantMin, wantMax)
+	}
+	filter, err := bloom.Unmarshal(f.Bloom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"m", "c", "x"} {
+		if !filter.ContainsString(schema.String(k).Key()) {
+			t.Errorf("bloom filter lacks clustering key %q", k)
+		}
 	}
 }
 
@@ -254,7 +390,7 @@ func TestAssignTSMonotonicAndDense(t *testing.T) {
 func TestHeartbeatRelinquishRacesAppends(t *testing.T) {
 	srv, _, net := newServer(t, 0)
 	createStreamlet(t, net, "s-1/sl-0")
-	payload := rowenc.EncodeRows([]schema.Row{schema.NewRow(schema.String("k"), schema.Int64(1))})
+	payload := wire.AppendBlock(nil, []schema.Row{schema.NewRow(schema.String("k"), schema.Int64(1))})
 	var acked atomic.Int64
 	started := make(chan struct{})
 	var wg sync.WaitGroup

@@ -248,7 +248,7 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 
 // ColumnBuilder builds one PLAIN column of a known row count a value at
 // a time, in one pass. It holds the one rule by which a PLAIN column is
-// typed, for DecodeColumn's PLAIN case and the WOS row decoder alike:
+// typed, for DecodeColumn's PLAIN case and a WOS block's columns alike:
 // the column stays typed while every value is NULL or of the first
 // non-NULL value's kind. At a value of a second kind, of a kind a typed
 // vector does not hold (BYTES, STRUCT, a list), or a string that would
@@ -276,15 +276,14 @@ func NewColumnBuilder(name string, rows, strMax int) *ColumnBuilder {
 	return &ColumnBuilder{v: Vector{Name: name, Enc: BatchEncPlain}, rows: rows, strMax: strMax}
 }
 
-// Len returns the number of rows added so far.
-func (b *ColumnBuilder) Len() int { return b.n }
-
-// AppendNull adds a NULL row.
-func (b *ColumnBuilder) AppendNull() {
+// AppendNulls adds n NULL rows.
+func (b *ColumnBuilder) AppendNulls(n int) {
 	v := &b.v
-	if b.promoted {
-		v.Values[b.n] = schema.Null()
-	} else {
+	for end := b.n + n; b.n < end; b.n++ {
+		if b.promoted {
+			v.Values[b.n] = schema.Null()
+			continue
+		}
 		if v.Valid == nil {
 			v.Valid = AllValid(b.rows)
 		}
@@ -293,7 +292,6 @@ func (b *ColumnBuilder) AppendNull() {
 			v.Offs[b.n+1] = int32(b.str.Len())
 		}
 	}
-	b.n++
 }
 
 // Read reads the next n values, each in the rowenc single-value codec,
@@ -314,7 +312,7 @@ func (b *ColumnBuilder) Read(r *bin.Reader, n int) {
 			return
 		case tag == rowenc.TagNull:
 			r.Byte()
-			b.AppendNull()
+			b.AppendNulls(1)
 			continue
 		case v.Typed() && tag == byte(v.Kind):
 		case !v.Typed() && typedKind(schema.Kind(tag)):

@@ -3,6 +3,12 @@
 // the Stream Servers (data plane). Messages cross the in-process rpc
 // transport by reference; by convention every message and the schemas it
 // carries are immutable once sent.
+//
+// It also owns the byte formats those messages carry and the files keep:
+// the column codec (column.go), the record-batch frame read sessions
+// stream (recordbatch.go), and the WOS block (block.go) — an append's
+// payload and a WOS fragment's DATA block, whose one encoder the client
+// calls and whose one decoder the Stream Server and the reader share.
 package wire
 
 import (
@@ -115,8 +121,8 @@ type CreateStreamletResponse struct{}
 // AppendRequest appends a batch of rows to a streamlet.
 type AppendRequest struct {
 	Streamlet meta.StreamletID
-	// Payload is the rowenc-encoded row batch; CRC is its end-to-end
-	// CRC32C computed by the client (§5.4.5).
+	// Payload is the batch as a WOS block (AppendBlock, block.go); CRC
+	// is its end-to-end CRC32C computed by the client (§5.4.5).
 	Payload []byte
 	CRC     uint32
 	// ExpectedStreamOffset, when >= 0, is the stream row offset the

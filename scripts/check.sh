@@ -83,6 +83,17 @@ if go list -deps ./internal/client ./internal/sms | grep -qx 'vortex/internal/st
     exit 1
 fi
 
+# One WOS block codec (DESIGN.md §3, §11): the client encodes an append with
+# wire.AppendBlock, and the Stream Server and the reader decode it with
+# wire.DecodeBlock, so neither side goes back to the row codec.
+row_codec=$(grep -nE 'rowenc\.(EncodeRows|DecodeRows)\(' \
+    $(ls internal/client/*.go internal/streamserver/*.go | grep -v '_test\.go$') || true)
+if [ -n "$row_codec" ]; then
+    echo "row codec on the WOS data path (encode and decode blocks with wire.AppendBlock and wire.DecodeBlock):" >&2
+    echo "$row_codec" >&2
+    exit 1
+fi
+
 # The chaos suites are expected to be deterministic under -race; an
 # ordering flake is a bug, so -shuffle=on surfaces hidden inter-test
 # order dependencies. -race also turns on checkptr, which checks every
@@ -137,7 +148,8 @@ go test -C benchmark ./...
 # catches regressions in the hostile-input guards without turning the
 # check into a soak. The checked-in corpora ran as plain seeds above;
 # this explores beyond them. One invocation per target is a go test
-# restriction.
+# restriction. client FuzzDecodeWOSBlocks holds the reader's decode of a
+# WOS block to the Stream Server's check of it (wire.DecodeBlock).
 while read -r pkg target; do
     go test -run '^$' -fuzz "${target}\$" -fuzztime 10s "./internal/$pkg/"
 done <<'EOF'
