@@ -194,7 +194,7 @@ func (c *Client) GetSchema(ctx context.Context, table meta.TableID) (*schema.Sch
 
 // UpdateSchema adds a field to the table schema (§5.4.1).
 func (c *Client) UpdateSchema(ctx context.Context, table meta.TableID, f *schema.Field) (*schema.Schema, error) {
-	resp, err := CallSMS(ctx, c.net, c.router, table, wire.UpdateSchema, &wire.UpdateSchemaRequest{Table: table, Field: f})
+	resp, err := smsRetry(ctx, c, table, wire.UpdateSchema, &wire.UpdateSchemaRequest{Table: table, Field: f})
 	if err != nil {
 		return nil, err
 	}

@@ -441,9 +441,9 @@ func (c *Client) decodeBlocks(blocks []fragment.Block, fields fieldSet) (*wosCol
 		plainBytes += plainLen
 		scratch = max(scratch, plainLen+len(b.Payload))
 	}
-	d.changes = make([]byte, d.n)
+	d.changes = make([]byte, 0, d.n)
 	d.seqs = make([]int64, d.n)
-	d.arity = make([]int32, d.n)
+	d.arity = make([]int32, 0, d.n)
 	var cols []*wire.ColumnBuilder // one per field seen; nil for one outside fields
 	plain := make([]byte, 0, scratch)
 	i := 0 // the block's first row in d
@@ -453,7 +453,7 @@ func (c *Client) decodeBlocks(blocks []fragment.Block, fields fieldSet) (*wosCol
 			return nil, err
 		}
 		width := 0 // the block's columns
-		changes, arity, err := wire.DecodeBlock(plain, func(f, rows int) *wire.ColumnBuilder {
+		d.changes, d.arity, err = wire.DecodeBlock(plain, d.changes, d.arity, func(f, rows int) *wire.ColumnBuilder {
 			width = f + 1
 			if rows != int(b.RowCount) {
 				return nil // refused below
@@ -471,20 +471,19 @@ func (c *Client) decodeBlocks(blocks []fragment.Block, fields fieldSet) (*wosCol
 		if err != nil {
 			return nil, err
 		}
-		if int64(len(changes)) != b.RowCount {
-			return nil, fmt.Errorf("%w: a block of %d rows whose header says %d", wire.ErrBlockCorrupt, len(changes), b.RowCount)
+		rows := len(d.changes) - i
+		if int64(rows) != b.RowCount {
+			return nil, fmt.Errorf("%w: a block of %d rows whose header says %d", wire.ErrBlockCorrupt, rows, b.RowCount)
 		}
 		for _, cb := range cols[width:] {
 			if cb != nil {
-				cb.AppendNulls(len(changes))
+				cb.AppendNulls(rows)
 			}
 		}
-		copy(d.changes[i:], changes)
-		copy(d.arity[i:], arity)
-		for k := range changes {
+		for k := range rows {
 			d.seqs[i+k] = int64(b.Timestamp) + int64(k)
 		}
-		i += len(changes)
+		i += rows
 	}
 	if !slices.ContainsFunc(d.arity, func(a int32) bool { return a != d.arity[0] }) {
 		d.arity = nil

@@ -46,7 +46,7 @@ func sealedPayloads(t testing.TB, plains ...[]byte) (*Client, []fragment.Block) 
 // each as long as it was written.
 func blockRows(plain []byte) ([]schema.Row, error) {
 	var cols []*wire.ColumnBuilder
-	changes, arity, err := wire.DecodeBlock(plain, func(_, rows int) *wire.ColumnBuilder {
+	changes, arity, err := wire.DecodeBlock(plain, nil, nil, func(_, rows int) *wire.ColumnBuilder {
 		cols = append(cols, wire.NewColumnBuilder("", rows, len(plain)))
 		return cols[len(cols)-1]
 	})

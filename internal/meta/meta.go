@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"vortex/internal/truetime"
@@ -74,6 +75,17 @@ func StreamletIDFor(stream StreamID, seq int) StreamletID {
 // FragmentIDFor derives the id of the index'th fragment of a streamlet.
 func FragmentIDFor(sl StreamletID, index int) FragmentID {
 	return FragmentID(fmt.Sprintf("%s/f-%d", sl, index))
+}
+
+// StreamletOf is the inverse of FragmentIDFor: the streamlet whose
+// fragment f is, or false for an id FragmentIDFor did not derive (a
+// ROS fragment's).
+func StreamletOf(f FragmentID) (StreamletID, bool) {
+	i := strings.LastIndex(string(f), "/f-")
+	if i < 0 || len(f) == i+3 || strings.Trim(string(f[i+3:]), "0123456789") != "" {
+		return "", false
+	}
+	return StreamletID(f[:i]), true
 }
 
 // StreamType selects the visibility semantics of appended rows (§4.2.1).

@@ -19,6 +19,14 @@ func TestIDDerivation(t *testing.T) {
 	if string(f) != string(sl)+"/f-3" {
 		t.Fatalf("fragment id = %s", f)
 	}
+	if got, ok := StreamletOf(f); !ok || got != sl {
+		t.Fatalf("StreamletOf(%s) = %s, %v; want %s", f, got, ok, sl)
+	}
+	for _, id := range []FragmentID{"ros/d.t/0a1b", "s-1/sl-0/f-", "s-1/sl-0/f-x", "s-1/sl-0/f--1", "f-3"} {
+		if got, ok := StreamletOf(id); ok {
+			t.Fatalf("StreamletOf(%s) = %s, want none", id, got)
+		}
+	}
 }
 
 func TestVisibilityInterval(t *testing.T) {

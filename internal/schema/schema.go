@@ -315,19 +315,21 @@ func (s *Schema) CanReadWith(old *Schema) bool {
 		return false
 	}
 	for i, f := range old.Fields {
-		if !fieldsEqual(f, s.Fields[i]) {
+		if !f.Equal(s.Fields[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-func fieldsEqual(a, b *Field) bool {
-	if a.Name != b.Name || a.Kind != b.Kind || a.Mode != b.Mode || len(a.Fields) != len(b.Fields) {
+// Equal reports whether f and g are the same field: name, kind, mode
+// and nested fields.
+func (f *Field) Equal(g *Field) bool {
+	if f.Name != g.Name || f.Kind != g.Kind || f.Mode != g.Mode || len(f.Fields) != len(g.Fields) {
 		return false
 	}
-	for i := range a.Fields {
-		if !fieldsEqual(a.Fields[i], b.Fields[i]) {
+	for i := range f.Fields {
+		if !f.Fields[i].Equal(g.Fields[i]) {
 			return false
 		}
 	}

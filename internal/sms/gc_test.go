@@ -2,16 +2,19 @@ package sms_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"vortex/internal/client"
 	"vortex/internal/core"
+	"vortex/internal/dml"
 	"vortex/internal/fragment"
 	"vortex/internal/meta"
 	"vortex/internal/optimizer"
 	"vortex/internal/schema"
+	"vortex/internal/spanner"
 	"vortex/internal/truetime"
 	"vortex/internal/wire"
 )
@@ -252,5 +255,49 @@ func TestGroomerLeavesServerOwnedFragmentsToHeartbeat(t *testing.T) {
 		if a.Frag.Format != meta.ROS {
 			t.Fatalf("scan plan still contains %v fragment %s", a.Frag.Format, a.Frag.ID)
 		}
+	}
+}
+
+// TestHeartbeatAcksDeleteOnlyTheirTables: one heartbeat acks fragments
+// of two tables, and each ack names its table. The acked records and
+// their masks go; every other record survives, the other table's record
+// of the same fragment id included.
+func TestHeartbeatAcksDeleteOnlyTheirTables(t *testing.T) {
+	r, addr, ctx := env(t)
+	f0, f1 := meta.FragmentIDFor("s-1/sl-0", 0), meta.FragmentIDFor("s-1/sl-0", 1)
+	acks := []wire.FragmentRef{{Table: "d.a", ID: f0}, {Table: "d.b", ID: f1}}
+	acked := map[string]bool{} // record and mask keys the acks name
+	for _, a := range acks {
+		acked[fmt.Sprintf("fragments/%s/%s", a.Table, a.ID)] = true
+		acked[fmt.Sprintf("masks/%s/%s", a.Table, a.ID)] = true
+	}
+	var keys []string
+	if _, err := r.DB.ReadWriteTxn(func(tx *spanner.Txn) error {
+		for _, table := range []meta.TableID{"d.a", "d.b"} {
+			for _, fid := range []meta.FragmentID{f0, f1} {
+				rec, mask := fmt.Sprintf("fragments/%s/%s", table, fid), fmt.Sprintf("masks/%s/%s", table, fid)
+				m := &dml.Mask{}
+				m.Add(0, 1)
+				tx.Put(rec, meta.MarshalFragment(&meta.FragmentInfo{ID: fid, Table: table, DeletionTS: 1}))
+				tx.Put(mask, m.Marshal())
+				keys = append(keys, rec, mask)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Net.Unary(ctx, addr, wire.MethodHeartbeat, &wire.HeartbeatRequest{Server: "ss-test", DeletedFragments: acks}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.DB.ReadTxn(func(tx *spanner.Txn) error {
+		for _, key := range keys {
+			if _, ok := tx.Get(key); ok == acked[key] {
+				t.Errorf("%s: present %v after the acks, want %v", key, ok, !acked[key])
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"vortex/internal/blockenc"
 	"vortex/internal/colossus"
@@ -43,6 +42,7 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 	if now > t.lastSeen[r.Server] {
 		t.lastSeen[r.Server] = now
 	}
+	retention := t.retention
 	t.mu.Unlock()
 
 	// Debit reported per-table append volume against the byte-rate quotas;
@@ -52,15 +52,14 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 	var unknown, finalized []meta.StreamletID
 	var toDelete []meta.FragmentID
 	tables := map[meta.TableID]bool{}
-	for _, hb := range r.Streamlets {
-		tables[hb.Info.Table] = true
-	}
-
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
 		unknown, finalized, toDelete = nil, nil, nil
-		streamletIDs := map[meta.StreamletID]bool{}
+		// Instruct GC of the reported fragments the one rule finds
+		// collectable (§5.4.3). Only the fragments reported are read, so
+		// a round costs what it reports, not what its tables hold.
+		pins := map[meta.TableID][]leaseRecord{}
 		for _, hb := range r.Streamlets {
-			streamletIDs[hb.Info.ID] = true
+			tables[hb.Info.Table] = true
 			cur, err := getStreamlet(tx, hb.Info.Table, hb.Info.ID)
 			if errors.Is(err, ErrNotFound) {
 				unknown = append(unknown, hb.Info.ID)
@@ -69,6 +68,7 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 			if err != nil {
 				return err
 			}
+			var retired []*meta.FragmentInfo
 			// A FINALIZED record is authoritative (§6.2): no report
 			// changes it, and a server still writing learns it lost
 			// the streamlet (§5.6).
@@ -76,51 +76,31 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 				if hb.Info.State != meta.StreamletFinalized {
 					finalized = append(finalized, hb.Info.ID)
 				}
-				continue
-			}
-			cur.RowCount = hb.Info.RowCount
-			cur.NextFragmentIndex = hb.Info.NextFragmentIndex
-			tx.Put(streamletKey(cur.Table, cur.ID), meta.MarshalStreamlet(cur))
-			if err := upsertFragments(tx, cur, hb.Fragments); err != nil {
-				return err
-			}
-		}
-		// Instruct GC of sufficiently old deleted fragments owned by the
-		// reporting server's streamlets (§5.4.3). Snapshot leases veto
-		// deletion exactly as they do in the groomer — the two GC paths
-		// must agree, or an open read session loses files under one of
-		// them (the PR 3 race, in lease form).
-		for table := range tables {
-			pins := t.pinnedLeases(tx, table)
-			for _, kv := range tx.Scan(fragmentPrefix(table)) {
-				f, err := meta.UnmarshalFragment(kv.Value)
-				if err != nil {
-					continue
+				for i := range hb.Fragments {
+					if f := storedFragment(tx, cur.Table, hb.Fragments[i].ID); f != nil && !f.Live() {
+						retired = append(retired, f)
+					}
 				}
-				if streamletIDs[f.Streamlet] && f.DeletionTS != 0 && t.pastRetention(f.DeletionTS) && !leasePinned(f, pins) {
+			} else {
+				cur.RowCount = hb.Info.RowCount
+				cur.NextFragmentIndex = hb.Info.NextFragmentIndex
+				tx.Put(streamletKey(cur.Table, cur.ID), meta.MarshalStreamlet(cur))
+				if retired, err = upsertFragments(tx, cur, hb.Fragments); err != nil {
+					return err
+				}
+			}
+			for _, f := range retired {
+				if t.collectable(tx, f, pins, retention) {
 					toDelete = append(toDelete, f.ID)
 				}
 			}
 		}
-		// Acked deletions: remove the Spanner records (§5.4.3). Acks may
-		// arrive without accompanying streamlet deltas, so match them
-		// against the global fragment namespace.
-		if len(r.DeletedFragments) > 0 {
-			acked := make(map[string]bool, len(r.DeletedFragments))
-			for _, fid := range r.DeletedFragments {
-				acked["/"+string(fid)] = true
-			}
-			for _, kv := range tx.Scan(allFragments) {
-				for suffix := range acked {
-					if strings.HasSuffix(kv.Key, suffix) {
-						f, err := meta.UnmarshalFragment(kv.Value)
-						if err != nil {
-							return err
-						}
-						tx.Delete(kv.Key)
-						tx.Delete(maskKey(f.Table, f.ID))
-					}
-				}
+		// Acked deletions: the server deleted the files, so the records
+		// and their masks go (§5.4.3).
+		for _, ack := range r.DeletedFragments {
+			if _, ok := tx.Get(fragmentKey(ack.Table, ack.ID)); ok {
+				tx.Delete(fragmentKey(ack.Table, ack.ID))
+				tx.Delete(maskKey(ack.Table, ack.ID))
 			}
 		}
 		return nil
@@ -171,19 +151,7 @@ func (t *Task) handleGC(_ context.Context, r *wire.GCRequest) (*wire.GCResponse,
 		pins := map[meta.TableID][]leaseRecord{}
 		for _, kv := range tx.Scan(allFragments) {
 			f, err := meta.UnmarshalFragment(kv.Value)
-			if err != nil {
-				continue
-			}
-			if f.DeletionTS == 0 || !t.clock.After(f.DeletionTS+retention) {
-				continue
-			}
-			// Snapshot leases pin fragments still visible at an open read
-			// session's snapshot; deleting their files would fail the
-			// session's shards mid-scan.
-			if _, ok := pins[f.Table]; !ok {
-				pins[f.Table] = t.pinnedLeases(tx, f.Table)
-			}
-			if leasePinned(f, pins[f.Table]) {
+			if err != nil || !t.collectable(tx, f, pins, retention) {
 				continue
 			}
 			// WOS fragments whose streamlet record still exists belong to
@@ -230,13 +198,21 @@ func (t *Task) handleGC(_ context.Context, r *wire.GCRequest) (*wire.GCResponse,
 	return resp, nil
 }
 
-// pastRetention reports whether a deletion timestamp is old enough that
-// no running query can still need the fragment.
-func (t *Task) pastRetention(deletedAt truetime.Timestamp) bool {
-	t.mu.Lock()
-	retention := t.retention
-	t.mu.Unlock()
-	return t.clock.After(deletedAt + retention)
+// collectable is the one GC rule (§5.4.3), shared by the heartbeat and
+// the groomer: f was deleted more than retention ago, so no running
+// query can still need it, and no snapshot lease pins it (lease.go).
+// pins memoizes each table's leases within tx; they are read only for
+// a fragment past retention.
+func (t *Task) collectable(tx *spanner.Txn, f *meta.FragmentInfo, pins map[meta.TableID][]leaseRecord, retention truetime.Timestamp) bool {
+	if f.Live() || !t.clock.After(f.DeletionTS+retention) {
+		return false
+	}
+	p, ok := pins[f.Table]
+	if !ok {
+		p = t.pinnedLeases(tx, f.Table)
+		pins[f.Table] = p
+	}
+	return !leasePinned(f, p)
 }
 
 // SetRetention configures how long deleted fragments stay readable.

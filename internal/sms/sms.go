@@ -244,6 +244,12 @@ func (t *Task) handleUpdateSchema(_ context.Context, r *wire.UpdateSchemaRequest
 		if err != nil {
 			return err
 		}
+		// The field is already there as asked: an add that landed and
+		// is retried answers the schema it made, so it is safe to retry.
+		if f := cur.Field(r.Field.Name); f != nil && f.Equal(r.Field) {
+			evolved = cur
+			return nil
+		}
 		evolved, err = cur.AddField(r.Field)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -624,30 +630,41 @@ func (t *Task) handleBatchCommit(_ context.Context, r *wire.BatchCommitRequest) 
 func finalizeStreamlet(tx *spanner.Txn, sl *meta.StreamletInfo, frags []meta.FragmentInfo) error {
 	sl.State = meta.StreamletFinalized
 	tx.Put(streamletKey(sl.Table, sl.ID), meta.MarshalStreamlet(sl))
-	return upsertFragments(tx, sl, frags)
+	_, err := upsertFragments(tx, sl, frags)
+	return err
 }
 
 // upsertFragments merges server-reported fragment state into Spanner,
 // honouring conversion (a deleted fragment's record is never revived),
-// and maps the streamlet's tail mask onto the fragments it stored.
-// Caller is inside a read-write transaction.
-func upsertFragments(tx *spanner.Txn, sl *meta.StreamletInfo, frags []meta.FragmentInfo) error {
+// and maps the streamlet's tail mask onto the fragments it stored. It
+// returns the records of the reported fragments already deleted, the
+// ones GC may collect. Caller is inside a read-write transaction.
+func upsertFragments(tx *spanner.Txn, sl *meta.StreamletInfo, frags []meta.FragmentInfo) (retired []*meta.FragmentInfo, err error) {
 	var stored []meta.FragmentInfo
 	for i := range frags {
 		f := frags[i]
-		key := fragmentKey(sl.Table, f.ID)
-		if raw, ok := tx.Get(key); ok {
-			if existing, err := meta.UnmarshalFragment(raw); err == nil {
-				if existing.DeletionTS != 0 {
-					continue // already converted; server data is stale
-				}
-				f.CreationTS = existing.CreationTS // the SMS-side creation timestamp stays
+		if existing := storedFragment(tx, sl.Table, f.ID); existing != nil {
+			if !existing.Live() {
+				retired = append(retired, existing)
+				continue // already converted; server data is stale
 			}
+			f.CreationTS = existing.CreationTS // the SMS-side creation timestamp stays
 		}
-		tx.Put(key, meta.MarshalFragment(&f))
+		tx.Put(fragmentKey(sl.Table, f.ID), meta.MarshalFragment(&f))
 		stored = append(stored, f)
 	}
-	return mapTailMask(tx, sl, stored)
+	return retired, mapTailMask(tx, sl, stored)
+}
+
+// storedFragment is fragment id's record, or nil if there is none or it
+// does not parse (a report then overwrites it).
+func storedFragment(tx *spanner.Txn, table meta.TableID, id meta.FragmentID) *meta.FragmentInfo {
+	raw, ok := tx.Get(fragmentKey(table, id))
+	if !ok {
+		return nil
+	}
+	f, _ := meta.UnmarshalFragment(raw)
+	return f
 }
 
 // mapTailMask is the one conversion of a streamlet's tail mask, kept in

@@ -175,3 +175,36 @@ func TestReconcileUnknownStreamlet(t *testing.T) {
 		t.Fatalf("reconcile of unknown streamlet: %v", err)
 	}
 }
+
+// TestUpdateSchemaIsSafeToRetry: an add that already landed, sent again
+// as it was (a retry whose first answer was lost), answers the schema it
+// made without another version; an add that differs from the field
+// already there is still refused.
+func TestUpdateSchemaIsSafeToRetry(t *testing.T) {
+	r, _, ctx := env(t)
+	c := r.NewClient(client.DefaultOptions())
+	if err := c.CreateTable(ctx, "d.t", tSchema()); err != nil {
+		t.Fatal(err)
+	}
+	add := func() *schema.Field {
+		return &schema.Field{Name: "r", Kind: schema.KindStruct, Mode: schema.Nullable, Fields: []*schema.Field{
+			{Name: "x", Kind: schema.KindInt64, Mode: schema.Nullable},
+		}}
+	}
+	first, err := c.UpdateSchema(ctx, "d.t", add())
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.UpdateSchema(ctx, "d.t", add())
+	if err != nil {
+		t.Fatalf("repeated identical add: %v", err)
+	}
+	if again.Version != first.Version || len(again.Fields) != len(first.Fields) {
+		t.Fatalf("repeated add made v%d with %d fields, want v%d with %d", again.Version, len(again.Fields), first.Version, len(first.Fields))
+	}
+	differ := add()
+	differ.Fields[0].Kind = schema.KindString
+	if _, err := c.UpdateSchema(ctx, "d.t", differ); !errors.Is(err, sms.ErrBadRequest) {
+		t.Fatalf("add of a differing field: %v, want ErrBadRequest", err)
+	}
+}

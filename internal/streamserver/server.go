@@ -12,8 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -91,7 +91,7 @@ type Server struct {
 	mu          sync.Mutex
 	streamlets  map[meta.StreamletID]*streamlet
 	dirty       map[meta.StreamletID]bool
-	deletedAcks []meta.FragmentID
+	deletedAcks []wire.FragmentRef
 	crashed     bool
 	// tableBytes accumulates appended bytes per table since the last
 	// acknowledged heartbeat; HeartbeatNow reports them to the SMS for
@@ -379,7 +379,7 @@ func (s *Server) append(ctx context.Context, r *wire.AppendRequest) (*wire.Appen
 	// Every column is read, so a block accepted here is one the reader
 	// decodes whichever columns it reads.
 	var cols []*wire.ColumnBuilder
-	changes, _, err := wire.DecodeBlock(r.Payload, func(_, rows int) *wire.ColumnBuilder {
+	changes, _, err := wire.DecodeBlock(r.Payload, nil, nil, func(_, rows int) *wire.ColumnBuilder {
 		cols = append(cols, wire.NewColumnBuilder("", rows, len(r.Payload)))
 		return cols[len(cols)-1]
 	})
@@ -870,8 +870,16 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 	}
 	s.mu.Unlock()
 
-	// Group by SMS task.
+	// Group by SMS task. Pending deletion acks ride the first request:
+	// each names its table, so any task can drop the records.
 	byTask := make(map[string]*wire.HeartbeatRequest)
+	reqFor := func(addr string) *wire.HeartbeatRequest {
+		if byTask[addr] == nil {
+			byTask[addr] = &wire.HeartbeatRequest{Server: s.cfg.Addr, FullSnapshot: full, DeletedFragments: acks}
+			acks = nil
+		}
+		return byTask[addr]
+	}
 	for id, sl := range streamlets {
 		sl.mu.Lock()
 		hb := wire.StreamletHeartbeat{Info: sl.info, Fragments: copyFragments(sl.fragments)}
@@ -882,16 +890,7 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 			s.markDirty(id)
 			continue
 		}
-		req := byTask[addr]
-		if req == nil {
-			req = &wire.HeartbeatRequest{
-				Server:           s.cfg.Addr,
-				FullSnapshot:     full,
-				DeletedFragments: acks,
-			}
-			acks = nil // acked through the first task that hears from us
-			byTask[addr] = req
-		}
+		req := reqFor(addr)
 		req.Streamlets = append(req.Streamlets, hb)
 	}
 	// Route accumulated per-table byte counts to each table's owning SMS
@@ -909,11 +908,7 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 			s.mu.Unlock()
 			continue
 		}
-		req := byTask[addr]
-		if req == nil {
-			req = &wire.HeartbeatRequest{Server: s.cfg.Addr, FullSnapshot: full}
-			byTask[addr] = req
-		}
+		req := reqFor(addr)
 		if req.TableBytes == nil {
 			req.TableBytes = make(map[meta.TableID]int64)
 		}
@@ -923,8 +918,7 @@ func (s *Server) HeartbeatNow(ctx context.Context, full bool) error {
 		// Still report load (and pending deletion acks) so placement and
 		// GC stay fresh.
 		if addr, err := s.router.SMSFor(""); err == nil {
-			byTask[addr] = &wire.HeartbeatRequest{Server: s.cfg.Addr, FullSnapshot: full, DeletedFragments: acks}
-			acks = nil
+			reqFor(addr)
 		}
 	}
 	if len(acks) > 0 {
@@ -983,14 +977,9 @@ func (s *Server) applyHeartbeatResponse(resp *wire.HeartbeatResponse) {
 			sl.mu.Unlock()
 		}
 	}
-	// Garbage collection of converted fragments (§5.4.3): delete the
-	// files, then acknowledge in the next heartbeat so the SMS can drop
-	// the Spanner records.
+	// Garbage collection of converted fragments (§5.4.3).
 	for _, fid := range resp.DeleteFragments {
-		s.deleteFragmentFiles(fid)
-		s.mu.Lock()
-		s.deletedAcks = append(s.deletedAcks, fid)
-		s.mu.Unlock()
+		s.collectFragment(fid)
 	}
 	// Orphaned streamlets: drop local state (the files are the SMS's
 	// problem; it told us it does not know them).
@@ -1036,41 +1025,39 @@ func (s *Server) SetFileDeleteObserver(fn func(paths []string)) {
 	s.mu.Unlock()
 }
 
-func (s *Server) deleteFragmentFiles(fid meta.FragmentID) {
-	// Fragment ids embed the streamlet id: find the owning streamlet.
+// collectFragment deletes fragment fid's files, drops it from its
+// streamlet and queues its ack for the next heartbeat, which names the
+// table so the SMS drops the record by key. A fragment this server
+// holds no files of is not acked: its record must outlive its files.
+func (s *Server) collectFragment(fid meta.FragmentID) {
+	id, _ := meta.StreamletOf(fid)
 	s.mu.Lock()
-	var owner *streamlet
-	for id, sl := range s.streamlets {
-		if strings.HasPrefix(string(fid), string(id)+"/") {
-			owner = sl
-			break
-		}
-	}
+	owner := s.streamlets[id]
 	obs := s.fileDeleteObserver
 	s.mu.Unlock()
 	if owner == nil {
 		return
 	}
-	var deleted []string
 	owner.mu.Lock()
-	kept := owner.fragments[:0]
-	for _, f := range owner.fragments {
-		if f.ID == fid {
-			for _, cn := range f.Clusters {
-				if c := s.region.Blob(cn); c != nil {
-					_ = c.Delete(f.Path)
-				}
-			}
-			deleted = append(deleted, f.Path)
-			continue
-		}
-		kept = append(kept, f)
+	i := slices.IndexFunc(owner.fragments, func(f *meta.FragmentInfo) bool { return f.ID == fid })
+	if i < 0 {
+		owner.mu.Unlock()
+		return
 	}
-	owner.fragments = kept
+	f, table := owner.fragments[i], owner.info.Table
+	owner.fragments = slices.Delete(owner.fragments, i, i+1)
 	owner.mu.Unlock()
-	if obs != nil && len(deleted) > 0 {
-		obs(deleted)
+	for _, cn := range f.Clusters {
+		if c := s.region.Blob(cn); c != nil {
+			_ = c.Delete(f.Path)
+		}
 	}
+	if obs != nil {
+		obs([]string{f.Path})
+	}
+	s.mu.Lock()
+	s.deletedAcks = append(s.deletedAcks, wire.FragmentRef{Table: table, ID: fid})
+	s.mu.Unlock()
 }
 
 // Stats reports the server's load counters (heartbeats carry them).

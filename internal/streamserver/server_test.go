@@ -478,3 +478,32 @@ func TestSchemalessStreamletRefusesAppends(t *testing.T) {
 		t.Fatalf("append once the heartbeat gave the schema: %+v", resp)
 	}
 }
+
+// TestDeleteFragmentsAcksOnlyFilesItHeld: a delete instruction for a
+// fragment of a held streamlet deletes its files and is acked with its
+// table; one for a streamlet the server no longer holds deletes nothing
+// and is not acked, so the SMS keeps the record of files that remain.
+func TestDeleteFragmentsAcksOnlyFilesItHeld(t *testing.T) {
+	srv, region, net := newServer(t, 1) // every append closes its fragment
+	for _, id := range []meta.StreamletID{"s-1/sl-0", "s-1/sl-1"} {
+		createStreamlet(t, net, id)
+		if resp := appendRows(t, net, id, -1, 2); resp.Error != "" {
+			t.Fatal(resp.Error)
+		}
+	}
+	held, dropped := meta.FragmentIDFor("s-1/sl-0", 0), meta.FragmentIDFor("s-1/sl-1", 0)
+	srv.applyHeartbeatResponse(&wire.HeartbeatResponse{UnknownStreamlets: []meta.StreamletID{"s-1/sl-1"}})
+	srv.applyHeartbeatResponse(&wire.HeartbeatResponse{DeleteFragments: []meta.FragmentID{held, dropped}})
+
+	if want := []wire.FragmentRef{{Table: "d.t", ID: held}}; fmt.Sprint(srv.deletedAcks) != fmt.Sprint(want) {
+		t.Fatalf("acks %v, want %v", srv.deletedAcks, want)
+	}
+	for _, c := range []string{"a", "b"} {
+		if region.Cluster(c).Exists(fragment.Path("d.t", "s-1/sl-0", 0)) {
+			t.Errorf("%s: the held fragment's file survived its delete", c)
+		}
+		if !region.Cluster(c).Exists(fragment.Path("d.t", "s-1/sl-1", 0)) {
+			t.Errorf("%s: the unheld fragment's file was deleted", c)
+		}
+	}
+}

@@ -17,7 +17,8 @@
 // The client encodes an append with AppendBlock. The Stream Server
 // checks it with DecodeBlock, reading every column; the reader calls the
 // same DecodeBlock, reading the columns a scan reads and stepping over
-// the others by their framed length.
+// the others by their framed length, and appending every block's change
+// types and arities to one pair of slices per file.
 package wire
 
 import (
@@ -64,26 +65,30 @@ func AppendBlock(dst []byte, rows []schema.Row) []byte {
 // DecodeBlock reads a block payload. Each column f is read into the
 // builder col(f, rows) returns, one with room for the block's rows more,
 // or stepped over by its framed length where col returns nil. It
-// returns each row's change type and arity. It refuses a count the
-// payload's bytes cannot hold before anything is sized by it, a change
-// type out of range, a width other than the widest row's arity, an
-// encoding other than PLAIN, a column of fewer bytes than rows, a value
-// where its row is too short for the field, and trailing bytes. A
-// column stepped over is not read: the Stream Server reads every column
-// of an append, so the reader may step over any.
-func DecodeBlock(payload []byte, col func(f, rows int) *ColumnBuilder) (changes []byte, arity []int32, err error) {
+// appends each row's change type to changes and its arity to arity, and
+// returns both: a caller decoding many blocks lends it the same slices
+// for each. It refuses a count the payload's bytes cannot hold before
+// anything is sized by it, a change type out of range, a width other
+// than the widest row's arity, an encoding other than PLAIN, a column
+// of fewer bytes than rows, a value where its row is too short for the
+// field, and trailing bytes. A column stepped over is not read: the
+// Stream Server reads every column of an append, so the reader may step
+// over any.
+func DecodeBlock(payload []byte, changes []byte, arity []int32, col func(f, rows int) *ColumnBuilder) ([]byte, []int32, error) {
 	r := bin.NewReader(payload)
 	// Every row spends at least a byte, its header; every column two,
 	// its encoding and its length.
 	rows, narrow, widest := r.Count(1), math.MaxInt32, 0
-	changes, arity = make([]byte, rows), make([]int32, rows)
+	first := len(arity) // the block's first row
+	changes, arity = grow(changes, rows), grow(arity, rows)
 	for i := 0; i < rows && r.Err() == nil; i++ {
 		h := r.Uvarint()
 		if h&3 > uint64(schema.ChangeDelete) || h>>2 > math.MaxInt32 {
 			r.Fail(fmt.Errorf("row %d: change type %d, arity %d", i, h&3, h>>2))
 		}
-		changes[i], arity[i] = byte(h&3), int32(h>>2)
-		narrow, widest = min(narrow, int(arity[i])), max(widest, int(arity[i]))
+		a := int32(h >> 2)
+		changes, arity = append(changes, byte(h&3)), append(arity, a)
+		narrow, widest = min(narrow, int(a)), max(widest, int(a))
 	}
 	width := r.Count(2)
 	if width != widest {
@@ -102,12 +107,12 @@ func DecodeBlock(payload []byte, col func(f, rows int) *ColumnBuilder) (changes 
 			dst.Read(c, rows)
 		default:
 			for i := 0; i < rows && c.Err() == nil; i++ {
-				if int(arity[i]) > f {
+				if int(arity[first+i]) > f {
 					dst.Read(c, 1)
 				} else if tag := c.Byte(); tag == rowenc.TagNull {
 					dst.AppendNulls(1)
 				} else {
-					c.Fail(fmt.Errorf("row %d of arity %d holds tag 0x%02x", i, arity[i], tag))
+					c.Fail(fmt.Errorf("row %d of arity %d holds tag 0x%02x", i, arity[first+i], tag))
 				}
 			}
 		}
@@ -125,4 +130,15 @@ func DecodeBlock(payload []byte, col func(f, rows int) *ColumnBuilder) (changes 
 		return nil, nil, fmt.Errorf("%w: %v", ErrBlockCorrupt, err)
 	}
 	return changes, arity, nil
+}
+
+// grow returns s with room for n more elements. Unlike slices.Grow, it
+// allocates once whatever the build: under -race, append of a make
+// allocates the made slice as well, which would double what a hostile
+// count can make the decoder allocate.
+func grow[E any](s []E, n int) []E {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	return append(make([]E, 0, len(s)+n), s...)
 }

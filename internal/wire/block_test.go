@@ -29,7 +29,7 @@ func TestDecodeBlockStepsOverColumnsWithoutAllocating(t *testing.T) {
 	}
 	payload := AppendBlock(nil, rows)
 	allocs := testing.AllocsPerRun(100, func() {
-		changes, _, err := DecodeBlock(payload, func(int, int) *ColumnBuilder { return nil })
+		changes, _, err := DecodeBlock(payload, nil, nil, func(int, int) *ColumnBuilder { return nil })
 		if err != nil || len(changes) != len(rows) {
 			t.Fatalf("%d rows, err %v", len(changes), err)
 		}
@@ -57,7 +57,7 @@ func TestDecodeBlockBoundsAllocationByInput(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := DecodeBlock(tc.data, func(_, rows int) *ColumnBuilder {
+		_, _, err := DecodeBlock(tc.data, nil, nil, func(_, rows int) *ColumnBuilder {
 			t.Errorf("%s: asked for a builder of %d rows", tc.name, rows)
 			return nil
 		})

@@ -330,13 +330,21 @@ type HeartbeatRequest struct {
 	FullSnapshot bool
 	// DeletedFragments acknowledges fragment files the server deleted in
 	// response to a previous DeleteFragments instruction; the SMS then
-	// removes their Spanner records (§5.4.3).
-	DeletedFragments []meta.FragmentID
+	// removes their Spanner records (§5.4.3). Each names its table, so
+	// the record is found by its key.
+	DeletedFragments []FragmentRef
 	// TableBytes carries the bytes appended per table since the last
 	// acknowledged heartbeat. The SMS debits these against its byte-rate
 	// quotas, so admission control sees aggregate table throughput at
 	// O(servers) control-plane cost — no per-stream reporting.
 	TableBytes map[meta.TableID]int64
+}
+
+// FragmentRef names a fragment by its table and id, the key of its SMS
+// record.
+type FragmentRef struct {
+	Table meta.TableID
+	ID    meta.FragmentID
 }
 
 // HeartbeatResponse instructs the Stream Server: current schemas for its

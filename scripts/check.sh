@@ -64,6 +64,25 @@ if [ -n "$owners" ]; then
     exit 1
 fi
 
+# One GC rule (DESIGN.md §7): in internal/sms only collectable decides
+# that a deleted fragment may go, so it alone calls leasePinned or
+# weighs a DeletionTS against retention, and the heartbeat and the
+# groomer cannot disagree. Only the groomer (handleGC) scans every
+# table's fragment records; the heartbeat reads the fragments it is
+# told about.
+gc_rule=$(awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[([].*/, "", fn); next }
+    /^[[:space:]]*\/\// { next }
+    /leasePinned\(/ && fn != "collectable" { print FILENAME ":" FNR ": " $0 }
+    /DeletionTS.*[Rr]etention|[Rr]etention.*DeletionTS/ && fn != "collectable" { print FILENAME ":" FNR ": " $0 }
+    /Scan\(allFragments\)/ && fn != "handleGC" { print FILENAME ":" FNR ": " $0 }
+' $(ls internal/sms/*.go | grep -v '_test\.go$'))
+if [ -n "$gc_rule" ]; then
+    echo "GC decision outside its rule (sms.collectable decides, and only sms.handleGC scans all fragment records):" >&2
+    echo "$gc_rule" >&2
+    exit 1
+fi
+
 # One exactly-once writer in the simulator (DESIGN.md §8): no non-test
 # file of internal/sim but writer.go appends to a stream or builds a
 # ledger record, so the pinned-offset outcome table has one copy.
@@ -123,8 +142,9 @@ go test -race -count=2 $race_twice
 # ping-pong with its credit frames), the column codec's (PLAIN, DICT
 # and RLE pages, encode and decode), the row codec's, the ROS file
 # writer's and reader's, the SMS read view's (100 ROS fragment records
-# and a writable streamlet), the optimizer's (one ConvertTable over
-# 54 000 loaded rows), the leaf scan's (cursor walk and encode per
+# and a writable streamlet) and delta heartbeat round's (one dirty
+# streamlet beside 0, 100 and 1 000 ROS records), the optimizer's (one
+# ConvertTable over 54 000 loaded rows), the leaf scan's (cursor walk and encode per
 # fragment kind), schema.Value's (a clustering sort over columns of
 # values), Snappy's (encode and decode of structured bytes) and the
 # query engine's (GROUP BY over DICT, INT64 and RLE keys, and MIN/MAX)
