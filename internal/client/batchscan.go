@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"vortex/internal/meta"
@@ -52,11 +53,12 @@ type ColBatch struct {
 	// row has fullArity values.
 	arity     []int32
 	fullArity int
+	// changeRuns and arityRuns are changes and arity (when not nil) as
+	// INT64 runs, built once with the decoded fragment they came from.
+	changeRuns, arityRuns wire.Vector
 
 	// wos locates physical rows in their stream (PosRows); nil for ROS.
 	wos *wosPlacement
-
-	identity *[3]wire.Vector // IdentityVectors memo
 }
 
 // wosPlacement is what PosRows needs to turn a WOS batch's physical
@@ -97,14 +99,19 @@ type Conjunct struct {
 	// Keep decides one row. A single-field term may be handed a row in
 	// which only Values[Field] is populated.
 	Keep func(schema.Row) (bool, error)
+	// Cmp, when not nil, is the comparison of Field with a literal that
+	// Keep decides, for a typed column to decide in one loop
+	// (wire.Vector.FilterCompare).
+	Cmp *wire.Comparison
 }
 
 // Narrow returns the rows of sel that satisfy every term. A
 // single-field term is decided on that column's vector alone — once per
 // dictionary entry or run where the vector is encoded, and the rows
 // that kills are counted in PrunedByCode without materializing a value;
-// the remaining terms are evaluated together in one cursor pass over
-// the survivors.
+// a comparison with a literal on a typed column of the literal's kind,
+// in one loop over its payloads. The remaining terms are evaluated
+// together in one cursor pass over the survivors.
 func (b *ColBatch) Narrow(sel wire.Selection, terms []Conjunct) (wire.Selection, wire.FilterStats, error) {
 	var fs wire.FilterStats
 	var rest []Conjunct
@@ -115,7 +122,7 @@ func (b *ColBatch) Narrow(sel wire.Selection, terms []Conjunct) (wire.Selection,
 			rest = append(rest, t)
 			continue
 		}
-		nsel, st, err := vec.Filter(sel, func(v schema.Value) (bool, error) {
+		nsel, st, err := vec.FilterCompare(sel, t.Cmp, func(v schema.Value) (bool, error) {
 			probe.Values[t.Field] = v
 			return t.Keep(probe)
 		})
@@ -338,36 +345,35 @@ func (b *ColBatch) Vectors(sel wire.Selection) ([]wire.Vector, wire.Selection) {
 
 // IdentityVectors returns, aligned with the vectors and selection
 // Vectors returns for the same sel, the three unnamed row-identity
-// columns: storage sequence (the batch's own sequences as a typed
-// column, not copied), the value arity the row was written with, and
-// change type.
+// columns: storage sequence, the value arity the row was written with,
+// and change type. None is built per call: the sequences are the
+// batch's own as a typed column, and the change and arity runs were
+// built with the decoded fragment.
 func (b *ColBatch) IdentityVectors(sel wire.Selection) [3]wire.Vector {
-	if b.identity == nil {
-		arity := wire.ConstVector("", schema.Int64(int64(b.fullArity)), b.NumRows)
-		if b.arity != nil {
-			arity = runVector(b.NumRows, func(i int) int64 { return int64(b.arityOf(int32(i))) })
-		}
-		b.identity = &[3]wire.Vector{
-			wire.IntVector("", schema.KindInt64, b.seqs),
-			arity,
-			runVector(b.NumRows, func(i int) int64 { return int64(b.changes[i]) }),
+	arity := wire.ConstVector("", schema.Int64(int64(b.fullArity)), b.NumRows)
+	if b.arity != nil {
+		arity = b.arityRuns
+		if limit := int64(len(b.sc.Fields)); slices.ContainsFunc(arity.Runs, func(r wire.Run) bool { return r.Value.AsInt64() > limit }) {
+			arity = clampRuns(arity.Runs, limit)
 		}
 	}
-	return *b.identity
+	return [3]wire.Vector{wire.IntVector("", schema.KindInt64, b.seqs), arity, b.changeRuns}
 }
 
-// runVector run-length encodes n small integers.
-func runVector(n int, at func(i int) int64) wire.Vector {
-	var runs []wire.Run
-	for i := 0; i < n; i++ {
-		v := at(i)
-		if k := len(runs); k > 0 && runs[k-1].Value.AsInt64() == v {
-			runs[k-1].Len++
+// clampRuns is runs of integers with each value capped at limit, equal
+// neighbours merged: the arity of rows written under a wider schema
+// than the one the batch is read under (arityOf).
+func clampRuns(runs []wire.Run, limit int64) wire.Vector {
+	var out []wire.Run
+	for _, r := range runs {
+		v := min(r.Value.AsInt64(), limit)
+		if k := len(out); k > 0 && out[k-1].Value.AsInt64() == v {
+			out[k-1].Len += r.Len
 			continue
 		}
-		runs = append(runs, wire.Run{Len: 1, Value: schema.Int64(v)})
+		out = append(out, wire.Run{Len: r.Len, Value: schema.Int64(v)})
 	}
-	return wire.RLEVector("", runs)
+	return wire.RLEVector("", out)
 }
 
 // ScanBatch reads one assignment. Immutable fragments come from the
@@ -434,14 +440,15 @@ func rosBatch(plan *ScanPlan, a Assignment, rd *ros.Reader) (*ColBatch, error) {
 		return nil, err
 	}
 	b := &ColBatch{
-		FragID:    a.Frag.ID,
-		NumRows:   int(rd.RowCount()),
-		ColIdx:    idxs,
-		sc:        plan.Schema,
-		cols:      vecs,
-		seqs:      rd.Seqs(),
-		changes:   rd.Changes(),
-		fullArity: len(plan.Schema.Fields),
+		FragID:     a.Frag.ID,
+		NumRows:    int(rd.RowCount()),
+		ColIdx:     idxs,
+		sc:         plan.Schema,
+		cols:       vecs,
+		seqs:       rd.Seqs(),
+		changes:    rd.Changes(),
+		changeRuns: rd.ChangeRuns(),
+		fullArity:  len(plan.Schema.Fields),
 	}
 	if !a.Mask.Empty() {
 		sel := make(wire.Selection, 0, b.NumRows)
@@ -460,13 +467,15 @@ func rosBatch(plan *ScanPlan, a Assignment, rd *ros.Reader) (*ColBatch, error) {
 // fragStartRow is the streamlet-local offset of the file's first row.
 func wosBatch(plan *ScanPlan, a Assignment, fragID meta.FragmentID, fragStartRow int64, d *wosColumns) *ColBatch {
 	b := &ColBatch{
-		FragID:    fragID,
-		NumRows:   d.n,
-		sc:        plan.Schema,
-		seqs:      d.seqs,
-		changes:   d.changes,
-		arity:     d.arity,
-		fullArity: min(len(d.cols), len(plan.Schema.Fields)),
+		FragID:     fragID,
+		NumRows:    d.n,
+		sc:         plan.Schema,
+		seqs:       d.seqs,
+		changes:    d.changes,
+		arity:      d.arity,
+		fullArity:  min(len(d.cols), len(plan.Schema.Fields)),
+		changeRuns: d.changeRuns,
+		arityRuns:  d.arityRuns,
 		wos: &wosPlacement{
 			blocks:         d.blocks,
 			fragStartRow:   fragStartRow,

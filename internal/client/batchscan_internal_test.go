@@ -307,3 +307,36 @@ func TestWarmSealedWOSSnapshotInsideFragment(t *testing.T) {
 		t.Fatalf("masked scan selected %s, want [0 3 4 5 6]", got)
 	}
 }
+
+// TestIdentityArityClampedToSchema: a WOS file's rows written under a
+// wider schema than the scan reads under frame the arity the batch gives
+// them (arityOf), from the runs kept with the decoded file, with
+// neighbours the cap makes equal merged into one run.
+func TestIdentityArityClampedToSchema(t *testing.T) {
+	rows := wosTestRows() // arities 4 4 4 4 2 4 4 4 4
+	c, blocks := sealedBlocks(t, rows[:5], rows[5:])
+	d, err := c.decodeBlocks(blocks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := cursorSchema()
+	narrow.Fields = narrow.Fields[:3]
+	b := wosBatch(&ScanPlan{SnapshotTS: 1000, Schema: narrow}, Assignment{}, "frag-1", 0, d)
+	id := b.IdentityVectors(nil)
+	var want []schema.Value
+	for i := int32(0); i < int32(b.NumRows); i++ {
+		want = append(want, schema.Int64(int64(b.arityOf(i))))
+	}
+	if got := id[1].Gather(nil); fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(want) != "[3 3 3 3 2 3 3 3 3]" {
+		t.Fatalf("arity column %v, arityOf %v", got, want)
+	}
+	if len(id[1].Runs) != 3 {
+		t.Fatalf("arity runs %v, want 3", id[1].Runs)
+	}
+	// Under the file's own schema nothing is built per call: the arity
+	// and change runs are the ones decoded with the file.
+	full := wosBatch(&ScanPlan{SnapshotTS: 1000, Schema: cursorSchema()}, Assignment{}, "frag-1", 0, d).IdentityVectors(nil)
+	if &full[1].Runs[0] != &d.arityRuns.Runs[0] || &full[2].Runs[0] != &d.changeRuns.Runs[0] {
+		t.Fatal("identity runs rebuilt per call, not shared with the decoded file")
+	}
+}

@@ -413,6 +413,10 @@ type wosColumns struct {
 	// arity is each row's written value count; nil when every row has
 	// len(cols) values (no schema change inside the file).
 	arity []int32
+	// changeRuns and arityRuns are changes and arity as INT64 runs, the
+	// identity columns a read session frames; arityRuns is empty when
+	// arity is nil.
+	changeRuns, arityRuns wire.Vector
 }
 
 // decodeBlocks unseals WOS data blocks and reads each block's columns
@@ -488,6 +492,7 @@ func (c *Client) decodeBlocks(blocks []fragment.Block, fields fieldSet) (*wosCol
 	if !slices.ContainsFunc(d.arity, func(a int32) bool { return a != d.arity[0] }) {
 		d.arity = nil
 	}
+	d.changeRuns, d.arityRuns = wire.IntRuns("", d.changes), wire.IntRuns("", d.arity)
 	d.cols = make([]wire.Vector, len(cols))
 	for f, cb := range cols {
 		if cb != nil {

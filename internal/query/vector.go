@@ -42,12 +42,47 @@ func CompileVecPredicate(where sql.Expr) *VecPredicate {
 				v, err := sql.Eval(e, row)
 				return err == nil && sql.Truthy(v), err
 			},
+			Cmp: comparisonOf(e),
 		})
 	}
 	if where != nil {
 		split(where)
 	}
 	return p
+}
+
+// cmpOps maps the SQL comparison operators to the wire's, each with the
+// operator that holds when its operands swap sides.
+var cmpOps = map[sql.BinOp][2]wire.CmpOp{
+	sql.OpEq: {wire.CmpEq, wire.CmpEq},
+	sql.OpNe: {wire.CmpNe, wire.CmpNe},
+	sql.OpLt: {wire.CmpLt, wire.CmpGt},
+	sql.OpLe: {wire.CmpLe, wire.CmpGe},
+	sql.OpGt: {wire.CmpGt, wire.CmpLt},
+	sql.OpGe: {wire.CmpGe, wire.CmpLe},
+}
+
+// comparisonOf returns e as a comparison of a flat column with a
+// non-NULL literal, on either side, or nil when e is not one.
+func comparisonOf(e sql.Expr) *wire.Comparison {
+	b, ok := e.(*sql.Binary)
+	if !ok {
+		return nil
+	}
+	ops, ok := cmpOps[b.Op]
+	if !ok {
+		return nil
+	}
+	col, lit, swapped := b.L, b.R, 0
+	if _, isLit := col.(*sql.Literal); isLit {
+		col, lit, swapped = b.R, b.L, 1
+	}
+	ref, ok := col.(*sql.ColumnRef)
+	l, isLit := lit.(*sql.Literal)
+	if !ok || !isLit || len(ref.Indexes) != 1 || l.Value.IsNull() {
+		return nil
+	}
+	return &wire.Comparison{Op: ops[swapped], Lit: l.Value}
 }
 
 // soleFlatColumn returns the top-level field index when every column

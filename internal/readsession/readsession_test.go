@@ -397,6 +397,42 @@ func TestVectorizedServingParity(t *testing.T) {
 	}
 }
 
+// TestVectorizedComparisonParity: a WHERE clause that compares a column
+// with a literal, on either side, is decided by the typed comparison
+// kernel on typed columns (the sealed and live WOS files' qty and k, a
+// ROS file's typed pages) and generically elsewhere, and every shape
+// serves exactly the rows the row API keeps under sql.Eval.
+func TestVectorizedComparisonParity(t *testing.T) {
+	e := newRSEnv(t, "d.cmpparity")
+	e.seal(t, 0, 80)
+	opt := optimizer.New(optimizer.DefaultConfig(), e.c, e.r.Net, e.r.Router(), e.r.Colossus, e.r.Clock)
+	if _, err := opt.ConvertTable(e.ctx, e.table); err != nil {
+		t.Fatal(err)
+	}
+	e.seal(t, 1, 80)
+	e.live(t, 2, 40)
+	e.r.HeartbeatAll(e.ctx, false)
+	e.r.ReadSessions.SetBatchRows(32)
+	for _, where := range []string{
+		"qty >= 40", "40 > qty", "qty = 7", "qty <> 7", "7 <= qty AND qty < 60",
+		"k < 'k-1-5'", "'k-1-5' >= k", "bucket = 'b-2'", "qty > 2.5", "qty = NULL",
+	} {
+		sess, err := readsession.Dial(e.c, "").Open(e.ctx, e.table, readsession.Options{Shards: 2, Where: where})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.ReadAll(e.ctx)
+		sess.Close(e.ctx)
+		if err != nil {
+			t.Fatalf("WHERE %s: %v", where, err)
+		}
+		want := oracleRows(t, e, sess.SnapshotTS(), where, 0)
+		if len(got) != len(want) || verify.DigestStamped(got) != verify.DigestStamped(want) {
+			t.Fatalf("WHERE %s: session served %d rows, row API keeps %d, or their digests differ", where, len(got), len(want))
+		}
+	}
+}
+
 // TestSessionShortArityRoundTrip: rows written before a schema change
 // keep their arity through a read session — the batch's `__arity`
 // column carries it across the wire — while a predicate on the added

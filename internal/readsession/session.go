@@ -98,12 +98,14 @@ type Session struct {
 type Batch struct {
 	// Offset is the shard-local position of the batch's first row.
 	Offset int64
-	// Rec is the decoded columnar frame: the reserved identity columns
-	// (__seq, __arity, __change) plus the projected data columns.
+	// Rec holds the frame's data columns only — the projected fields,
+	// found by name — materialized. The reserved identity columns
+	// (__seq, __arity, __change) are kept as integers beside it.
 	Rec *wire.RecordBatch
 
-	sc   *schema.Schema
-	rows []rowenc.Stamped
+	seqs, arity, changes []int64 // per row: storage sequence, value arity, change type
+	sc                   *schema.Schema
+	rows                 []rowenc.Stamped
 }
 
 // NumRows returns the batch's row count without materializing rows.
@@ -114,7 +116,7 @@ func (b *Batch) NumRows() int { return b.Rec.NumRows }
 // for it.
 func (b *Batch) Rows() []rowenc.Stamped {
 	if b.rows == nil && b.Rec.NumRows > 0 {
-		b.rows = stampedFromBatch(b.Rec, b.sc)
+		b.rows = stampedFromBatch(b)
 	}
 	return b.rows
 }
@@ -310,26 +312,28 @@ func (sh *Shard) Next(ctx context.Context) (*Batch, error) {
 			sh.closeStream()
 			return nil, fmt.Errorf("readsession: shard %s: offset %d, want %d", sh.id, resp.Offset, sh.pos)
 		}
-		rec, err := decodeBatchFrame(resp.Batch, sh.sess.schema)
+		b, err := decodeBatchFrame(resp.Batch, sh.sess.schema)
 		if err != nil {
 			sh.closeStream()
 			return nil, err
 		}
-		if int64(rec.NumRows) != resp.RowCount {
+		rows := b.NumRows()
+		if int64(rows) != resp.RowCount {
 			sh.closeStream()
-			return nil, fmt.Errorf("readsession: shard %s: batch rows %d, want %d", sh.id, rec.NumRows, resp.RowCount)
+			return nil, fmt.Errorf("readsession: shard %s: batch rows %d, want %d", sh.id, rows, resp.RowCount)
 		}
-		sh.pos += int64(rec.NumRows)
+		sh.pos += int64(rows)
 		sh.sess.mu.Lock()
 		sh.sess.stats.Batches++
-		sh.sess.stats.Rows += int64(rec.NumRows)
+		sh.sess.stats.Rows += int64(rows)
 		sh.sess.stats.Bytes += int64(len(resp.Batch))
 		sh.sess.stats.RowsCodeSkipped += resp.RowsPruned
 		sh.sess.stats.RowsDecoded += resp.RowsDecoded
 		sh.sess.stats.RowsScanned += resp.RowsPruned + resp.RowsDecoded
 		sh.sess.mu.Unlock()
 		sh.sess.conn.c.ObserveReadSession(1, int64(len(resp.Batch)), 0, 0)
-		return &Batch{Offset: resp.Offset, Rec: rec, sc: sh.sess.schema}, nil
+		b.Offset = resp.Offset
+		return b, nil
 	}
 }
 

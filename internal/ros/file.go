@@ -645,6 +645,7 @@ type Reader struct {
 	clusterMax   []schema.Value
 	filter       []byte // marshaled; a slice of the file image
 	changes      []byte
+	changeRuns   wire.Vector // changes as INT64 runs, for the scans that frame them
 	seqs         []int64
 	columns      map[string]*Column
 	order        []string
@@ -700,6 +701,7 @@ func Open(data []byte) (*Reader, error) {
 	if r.changes, err = rleDecode(changes, rc); err != nil {
 		return nil, err
 	}
+	r.changeRuns = wire.IntRuns("", r.changes)
 
 	ncols := c.Uvarint()
 	if ncols > 1<<16 {

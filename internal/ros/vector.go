@@ -114,6 +114,10 @@ func (r *Reader) Seqs() []int64 { return r.seqs }
 // Changes returns the per-row change types. Read-only, like Seqs.
 func (r *Reader) Changes() []byte { return r.changes }
 
+// ChangeRuns returns the change types as a column of INT64 runs, built
+// once when the file was opened. Read-only, like Seqs.
+func (r *Reader) ChangeRuns() wire.Vector { return r.changeRuns }
+
 // vector lazily builds (and memoizes) the column's encoded vector.
 // Unlike materialize, a null-free column skips level decoding entirely,
 // a dictionary column keeps its codes and a typed page its unboxed

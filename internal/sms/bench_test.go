@@ -20,7 +20,16 @@ import (
 // its file carries — and one writable streamlet that has rotated
 // through 8 fragments. Run with -benchmem: the view's cost is parsing
 // and copying fragment records, so bytes per op is the number to watch.
+// The ros=0 cases hold the streamlet alone, and in other=1000 a second
+// table holds 1 000 ROS records: a view scans its own table's key
+// range, so other=1000 should cost what other=0 does.
 func BenchmarkReadView(b *testing.B) {
+	for _, c := range []struct{ own, other int }{{100, 0}, {0, 0}, {0, 1000}} {
+		b.Run(fmt.Sprintf("ros=%d/other=%d", c.own, c.other), func(b *testing.B) { benchmarkReadView(b, c.own, c.other) })
+	}
+}
+
+func benchmarkReadView(b *testing.B, own, other int) {
 	const table = meta.TableID("d.sales")
 	ctx := context.Background()
 	cfg := core.DefaultConfig()
@@ -35,10 +44,31 @@ func BenchmarkReadView(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if other > 0 {
+		const otherTable = meta.TableID("d.other")
+		if err := c.CreateTable(ctx, otherTable, sc); err != nil {
+			b.Fatal(err)
+		}
+		otherAddr, err := r.Router().SMSFor(otherTable)
+		if err != nil {
+			b.Fatal(err)
+		}
+		infos := make([]meta.FragmentInfo, other)
+		for i := range infos {
+			infos[i] = meta.FragmentInfo{
+				ID: meta.FragmentID(fmt.Sprintf("ros/other-%04d", i)), Table: otherTable, Format: meta.ROS,
+				Path: fmt.Sprintf("ros/%s/other-%04d", otherTable, i), Clusters: [2]string{"alpha", "beta"},
+				RowCount: 512, Finalized: true, SchemaVersion: sc.Version,
+			}
+		}
+		if _, err := r.Net.Unary(ctx, otherAddr, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{Table: otherTable, New: infos}); err != nil {
+			b.Fatal(err)
+		}
+	}
 
 	gen := workload.NewGen(11, 300)
 	var infos []meta.FragmentInfo
-	for i := 0; i < 100; i++ {
+	for i := 0; i < own; i++ {
 		w := ros.NewWriter(sc)
 		for k, row := range gen.SalesRows(0, 512) {
 			if err := w.Add(row, int64(i*512+k+1)); err != nil {
@@ -58,8 +88,10 @@ func BenchmarkReadView(b *testing.B) {
 			ClusterMin: rowenc.EncodeValues(mn), ClusterMax: rowenc.EncodeValues(mx),
 		})
 	}
-	if _, err := r.Net.Unary(ctx, addr, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{Table: table, New: infos}); err != nil {
-		b.Fatal(err)
+	if own > 0 {
+		if _, err := r.Net.Unary(ctx, addr, wire.MethodRegisterConversion, &wire.RegisterConversionRequest{Table: table, New: infos}); err != nil {
+			b.Fatal(err)
+		}
 	}
 
 	s, err := c.CreateStream(ctx, table, meta.Unbuffered)

@@ -16,6 +16,7 @@ package spanner
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,8 +70,19 @@ type DB struct {
 
 	mu   sync.Mutex
 	data map[string]*entry
+	// keys holds data's keys in order, so a prefix scan and a predicate
+	// read's check cost the prefix's range, not the database.
+	keys []string
 
 	conflicts int64
+}
+
+// prefixRange returns the keys that start with prefix, in order. The
+// caller holds db.mu and must not keep the slice past it.
+func (db *DB) prefixRange(prefix string) []string {
+	lo := sort.SearchStrings(db.keys, prefix)
+	hi := lo + sort.Search(len(db.keys)-lo, func(i int) bool { return !strings.HasPrefix(db.keys[lo+i], prefix) })
+	return db.keys[lo:hi]
 }
 
 // NewDB returns an empty database using clock for commit timestamps.
@@ -145,11 +157,8 @@ func (tx *Txn) Scan(prefix string) []KV {
 	}
 	merged := make(map[string][]byte)
 	tx.db.mu.Lock()
-	for k, e := range tx.db.data {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if v, ok := e.read(tx.readTS); ok {
+	for _, k := range tx.db.prefixRange(prefix) {
+		if v, ok := tx.db.data[k].read(tx.readTS); ok {
 			merged[k] = append([]byte(nil), v...)
 		}
 	}
@@ -238,23 +247,44 @@ func (db *DB) tryCommit(tx *Txn) (truetime.Timestamp, bool) {
 	// Validate predicate reads: any key matching a scanned prefix that
 	// changed after our snapshot conflicts.
 	for _, prefix := range tx.scanned {
-		for k, e := range db.data {
-			if strings.HasPrefix(k, prefix) && e.latestTS() > tx.readTS {
+		for _, k := range db.prefixRange(prefix) {
+			if db.data[k].latestTS() > tx.readTS {
 				db.conflicts++
 				return 0, false
 			}
 		}
 	}
 	ts := db.clock.Commit()
+	var added []string
 	for key, w := range tx.writes {
 		e, ok := db.data[key]
 		if !ok {
 			e = &entry{}
 			db.data[key] = e
+			added = append(added, key)
 		}
 		e.versions = append(e.versions, version{ts: ts, value: w.value, deleted: w.deleted})
 	}
+	db.index(added)
 	return ts, true
+}
+
+// index merges keys new to the database into db.keys, from the back,
+// so only the keys past the first new one move.
+func (db *DB) index(added []string) {
+	slices.Sort(added)
+	n := len(db.keys)
+	db.keys = slices.Grow(db.keys, len(added))[:n+len(added)]
+	i, j := n-1, len(added)-1
+	for w := len(db.keys) - 1; j >= 0; w-- {
+		if i >= 0 && db.keys[i] > added[j] {
+			db.keys[w] = db.keys[i]
+			i--
+		} else {
+			db.keys[w] = added[j]
+			j--
+		}
+	}
 }
 
 // ReadTxn runs fn against a consistent snapshot taken now.
@@ -294,5 +324,8 @@ func (db *DB) CompactBefore(ts truetime.Timestamp) {
 			continue
 		}
 		e.versions = append([]version(nil), kept...)
+	}
+	if len(db.keys) != len(db.data) {
+		db.keys = slices.DeleteFunc(db.keys, func(k string) bool { return db.data[k] == nil })
 	}
 }

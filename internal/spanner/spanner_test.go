@@ -3,7 +3,10 @@ package spanner
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -311,4 +314,68 @@ func TestCommitTimestampsMonotonic(t *testing.T) {
 		}
 		last = ts
 	}
+}
+
+// TestKeyIndexTracksData: through random puts, deletes and compactions,
+// the ordered key index holds exactly the database's keys in order, and
+// a prefix scan returns what filtering every key by the prefix returns.
+func TestKeyIndexTracksData(t *testing.T) {
+	clock := truetime.NewManual(time.Now(), time.Millisecond)
+	db := NewDB(clock)
+	rng := rand.New(rand.NewPCG(1, 2))
+	want := map[string]string{} // the live pairs
+	key := func() string { return fmt.Sprintf("t%d/k%02d", rng.IntN(3), rng.IntN(40)) }
+	for round := 0; round < 200; round++ {
+		if _, err := db.ReadWriteTxn(func(tx *Txn) error {
+			for n := rng.IntN(4); n >= 0; n-- {
+				k := key()
+				if rng.IntN(3) == 0 {
+					tx.Delete(k)
+					delete(want, k)
+				} else {
+					tx.Put(k, []byte(strconv.Itoa(round)))
+					want[k] = strconv.Itoa(round)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+		if round%25 == 0 {
+			db.CompactBefore(clock.Commit())
+		}
+		db.mu.Lock()
+		keys := sortedKeys(db.data)
+		if !slices.Equal(db.keys, keys) {
+			t.Fatalf("round %d: index %v, data %v", round, db.keys, keys)
+		}
+		db.mu.Unlock()
+		prefix := fmt.Sprintf("t%d/k%d", rng.IntN(3), rng.IntN(4))
+		var wantKVs []string
+		for _, k := range sortedKeys(want) {
+			if strings.HasPrefix(k, prefix) {
+				wantKVs = append(wantKVs, k+"="+want[k])
+			}
+		}
+		var got []string
+		db.ReadTxn(func(tx *Txn) error {
+			for _, kv := range tx.Scan(prefix) {
+				got = append(got, kv.Key+"="+string(kv.Value))
+			}
+			return nil
+		})
+		if !slices.Equal(got, wantKVs) {
+			t.Fatalf("round %d: Scan(%q) = %v, want %v", round, prefix, got, wantKVs)
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

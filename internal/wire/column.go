@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -32,18 +33,42 @@ import (
 // rows straight from their unboxed payloads, sized first so they are
 // written once, in place.
 func AppendColumn(dst []byte, v *Vector, sel Selection) []byte {
-	if v.Typed() && sel.Count(v.Len()) > 0 {
-		size := v.typedSize(sel)
-		dst = slices.Grow(dst, 1+binary.MaxVarintLen64+size)
-		dst = append(dst, BatchEncPlain)
-		dst = binary.AppendUvarint(dst, uint64(size))
+	c := frameColumn(v, sel)
+	dst = slices.Grow(dst, c.len())
+	return c.append(dst, v, sel)
+}
+
+// framedColumn is one column of a frame, sized before it is written: a
+// typed column's payload is written from its vector only once the frame
+// has room for it, any other column's is built to be sized.
+type framedColumn struct {
+	enc     byte
+	payload []byte // nil for a typed column
+	size    int    // the payload's length
+}
+
+func frameColumn(v *Vector, sel Selection) framedColumn {
+	if v.Typed() {
+		return framedColumn{enc: BatchEncPlain, size: v.typedSize(sel)}
+	}
+	enc, p := ColumnPayload(v, sel)
+	return framedColumn{enc: enc, payload: p, size: len(p)}
+}
+
+// len is the column's framed length: encoding byte, length, payload.
+func (c framedColumn) len() int { return 1 + uvarintLen(c.size) + c.size }
+
+// append writes the framed column; v and sel are those it was sized for.
+func (c framedColumn) append(dst []byte, v *Vector, sel Selection) []byte {
+	dst = append(dst, c.enc)
+	dst = binary.AppendUvarint(dst, uint64(c.size))
+	if v.Typed() {
 		return v.appendTyped(dst, sel)
 	}
-	enc, payload := ColumnPayload(v, sel)
-	dst = append(dst, enc)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
+	return append(dst, c.payload...)
 }
+
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // ColumnPayload returns the encoding byte and bare payload AppendColumn
 // frames: for a caller that weighs one encoding's bytes against
@@ -95,7 +120,11 @@ func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 		// the same source run stay one run.
 		var runs []Run
 		ri, start := 0, int32(0)
-		_ = forEachSel(sel, n, func(i int32) error {
+		for k := 0; k < nSel; k++ {
+			i := int32(k)
+			if sel != nil {
+				i = sel[k]
+			}
 			prev := ri
 			for ri < len(v.Runs) && i >= start+v.Runs[ri].Len {
 				start += v.Runs[ri].Len
@@ -103,15 +132,14 @@ func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 			}
 			if len(runs) > 0 && ri == prev && ri < len(v.Runs) {
 				runs[len(runs)-1].Len++
-				return nil
+				continue
 			}
 			val := schema.Null()
 			if ri < len(v.Runs) {
 				val = v.Runs[ri].Value
 			}
 			runs = append(runs, Run{Len: 1, Value: val})
-			return nil
-		})
+		}
 		for _, r := range runs {
 			p = binary.AppendUvarint(p, uint64(r.Len))
 			p = rowenc.AppendValue(p, r.Value)
@@ -132,17 +160,34 @@ func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 }
 
 // typedSize is the length of the selected rows of a typed vector in
-// the rowenc single-value codec.
+// the rowenc single-value codec. A column with no NULLs is sized in one
+// loop for its kind; rowSize decides each row of one that has them.
 func (v *Vector) typedSize(sel Selection) int {
-	size := 0
-	if sel == nil {
-		for i, n := 0, v.Len(); i < n; i++ {
-			size += v.rowSize(i)
+	n := sel.Count(v.Len())
+	switch {
+	case v.Valid != nil:
+	case v.Kind == schema.KindFloat64:
+		return n * rowenc.FloatLen
+	case v.Kind == schema.KindBool:
+		return n * 2
+	case v.Kind != schema.KindString && v.Kind != schema.KindJSON:
+		size := 0
+		for k, ints := 0, v.Ints; k < n; k++ {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
+			size += rowenc.IntLen(schema.KindInt64, ints[i])
 		}
 		return size
 	}
-	for _, i := range sel {
-		size += v.rowSize(int(i))
+	size := 0
+	for k := 0; k < n; k++ {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		size += v.rowSize(i)
 	}
 	return size
 }
@@ -160,16 +205,27 @@ func (v *Vector) rowSize(i int) int {
 }
 
 // appendTyped appends the selected rows of a typed vector in the rowenc
-// single-value codec: the bytes AppendValue writes for their Values.
+// single-value codec: the bytes AppendValue writes for their Values. An
+// integer column with no NULLs is written in one loop for its kind;
+// appendRow decides each row of any other.
 func (v *Vector) appendTyped(dst []byte, sel Selection) []byte {
-	if sel == nil {
-		for i, n := 0, v.Len(); i < n; i++ {
-			dst = v.appendRow(dst, i)
+	n := sel.Count(v.Len())
+	if v.Valid == nil && v.Kind != schema.KindFloat64 && v.Kind != schema.KindString && v.Kind != schema.KindJSON {
+		for k, kind, ints := 0, v.Kind, v.Ints; k < n; k++ {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
+			dst = rowenc.AppendInt(dst, kind, ints[i])
 		}
 		return dst
 	}
-	for _, i := range sel {
-		dst = v.appendRow(dst, int(i))
+	for k := 0; k < n; k++ {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		dst = v.appendRow(dst, i)
 	}
 	return dst
 }
@@ -206,14 +262,42 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 		b.Read(r, rows)
 		v = b.Vector()
 	case BatchEncRLE:
+		// The runs' STRING and JSON bytes are gathered into one string
+		// that their values share, not copied into one string each.
+		type strRun struct {
+			run, end int
+			json     bool
+		}
+		var str strings.Builder
+		var strRuns []strRun
 		for covered := 0; covered < rows; {
 			runLen := r.Uvarint()
 			if runLen == 0 || runLen > uint64(rows-covered) {
 				r.Fail(fmt.Errorf("run length %d with %d rows left", runLen, rows-covered))
 				break
 			}
-			v.Runs = append(v.Runs, Run{Len: int32(runLen), Value: rowenc.ReadValue(r)})
+			var val schema.Value
+			if tag, _ := r.Peek(); tag == byte(schema.KindString) || tag == byte(schema.KindJSON) {
+				if str.Cap() == 0 {
+					str.Grow(r.Len()) // the rest of the payload bounds the bytes
+				}
+				r.Byte()
+				str.Write(r.Block())
+				strRuns = append(strRuns, strRun{len(v.Runs), str.Len(), tag == byte(schema.KindJSON)})
+			} else {
+				val = rowenc.ReadValue(r)
+			}
+			v.Runs = append(v.Runs, Run{Len: int32(runLen), Value: val})
 			covered += int(runLen)
+		}
+		all, start := str.String(), 0
+		for _, sr := range strRuns {
+			if sr.json {
+				v.Runs[sr.run].Value = schema.RawJSON(all[start:sr.end])
+			} else {
+				v.Runs[sr.run].Value = schema.String(all[start:sr.end])
+			}
+			start = sr.end
 		}
 	case BatchEncDict:
 		// Every entry and every code spends at least a byte.

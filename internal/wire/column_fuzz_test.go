@@ -14,20 +14,32 @@ import (
 )
 
 // oracleDecodeColumn is DecodeColumn as it was before PLAIN columns were
-// typed: every PLAIN row read with rowenc.ReadValue into Values. DICT
-// and RLE are decoded as DecodeColumn decodes them.
+// typed and before RLE run values shared their strings: every PLAIN row
+// and run value read with rowenc.ReadValue. DICT is decoded as
+// DecodeColumn decodes it.
 func oracleDecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, error) {
-	if enc != BatchEncPlain {
+	if enc != BatchEncPlain && enc != BatchEncRLE {
 		return DecodeColumn(name, enc, payload, rows)
 	}
 	v := Vector{Name: name, Enc: enc}
-	if rows < 0 || rows > math.MaxInt32 || rows > len(payload) {
+	if rows < 0 || rows > math.MaxInt32 || (enc == BatchEncPlain && rows > len(payload)) {
 		return v, fmt.Errorf("%w: %d rows in a %d-byte payload", ErrBatchCorrupt, rows, len(payload))
 	}
 	r := bin.NewReader(payload)
-	v.Values = make([]schema.Value, rows)
-	for i := range v.Values {
-		v.Values[i] = rowenc.ReadValue(r)
+	if enc == BatchEncPlain {
+		v.Values = make([]schema.Value, rows)
+		for i := range v.Values {
+			v.Values[i] = rowenc.ReadValue(r)
+		}
+	}
+	for covered := 0; enc == BatchEncRLE && covered < rows; {
+		runLen := r.Uvarint()
+		if runLen == 0 || runLen > uint64(rows-covered) {
+			r.Fail(fmt.Errorf("run length %d with %d rows left", runLen, rows-covered))
+			break
+		}
+		v.Runs = append(v.Runs, Run{Len: int32(runLen), Value: rowenc.ReadValue(r)})
+		covered += int(runLen)
 	}
 	if r.Err() != nil {
 		return v, fmt.Errorf("%w: %v", ErrBatchCorrupt, r.Err())
@@ -195,6 +207,12 @@ func decodeColumnSeeds() []columnSeed {
 	runs := RLEVector("c", []Run{{Len: 2, Value: schema.Int64(4)}, {Len: 1, Value: null}})
 	enc, payload = ColumnPayload(&runs, nil)
 	add(enc, 3, payload)
+	// Strings shared by runs, with a JSON run, an empty string and a
+	// BYTES run beside them.
+	runs = RLEVector("c", []Run{{Len: 2, Value: str("ab")}, {Len: 1, Value: schema.RawJSON(`{}`)}, {Len: 1, Value: str("")},
+		{Len: 2, Value: schema.Bytes([]byte("b"))}, {Len: 1, Value: str("cd")}})
+	enc, payload = ColumnPayload(&runs, nil)
+	add(enc, 7, payload)
 	return out
 }
 

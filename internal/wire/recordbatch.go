@@ -5,8 +5,8 @@
 // bytes (column.go), the same a ROS value page holds — and a CRC32C over
 // everything before it, end-to-end like append payloads (§5.4.5). This
 // file owns the framing and nothing below it: EncodeRecordBatch and
-// EncodeVectors write columns through AppendColumn, DecodeRecordBatch
-// reads them through DecodeColumn.
+// EncodeVectors write columns through the column codec's writer
+// (AppendColumn's), DecodeVectors reads them through DecodeColumn.
 //
 // EncodeRecordBatch picks each column's encoding deterministically from
 // its content (chooseVector), so encode∘decode is a fixpoint — the
@@ -59,6 +59,10 @@ type RecordBatch struct {
 	Cols    []BatchColumn
 }
 
+// batchHeaderMax bounds a frame header's length: magic, version and two
+// uvarints.
+const batchHeaderMax = 4 + 1 + 2*binary.MaxVarintLen64
+
 func appendBatchHeader(dst []byte, rows, cols int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, batchMagic)
 	dst = append(dst, batchVersion)
@@ -96,43 +100,60 @@ func EncodeRecordBatch(b *RecordBatch) []byte {
 }
 
 // DecodeRecordBatch decodes one frame from the front of data, returning
-// the batch and the number of bytes consumed: each column through
-// DecodeColumn, then expanded to values in one pass. A typed column's
-// strings share the one string it decoded them into, so no value costs
-// an allocation of its own. Malformed frames — truncation,
-// bad magic, CRC mismatch, over-long runs, out-of-range dictionary
-// indexes — are rejected with ErrBatchCorrupt.
+// the batch and the number of bytes consumed: DecodeVectors, then each
+// column expanded to values in one pass. A typed column's strings share
+// the one string it decoded them into, so no value costs an allocation
+// of its own.
 func DecodeRecordBatch(data []byte) (*RecordBatch, int, error) {
+	cols, rows, n, err := DecodeVectors(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	b := &RecordBatch{NumRows: rows, Cols: make([]BatchColumn, len(cols))}
+	for i := range cols {
+		b.Cols[i] = BatchColumn{Name: cols[i].Name, Values: cols[i].Gather(nil)}
+	}
+	return b, n, nil
+}
+
+// DecodeVectors decodes one frame from the front of data into its
+// columns, each through DecodeColumn and left in the form it decodes to
+// (typed PLAIN, DICT codes, RLE runs: nothing is expanded), and returns
+// them with the frame's row count and the number of bytes consumed.
+// Malformed frames — truncation, bad magic, CRC mismatch, over-long
+// runs, out-of-range dictionary indexes — are rejected with
+// ErrBatchCorrupt.
+func DecodeVectors(data []byte) (cols []Vector, rows, n int, err error) {
 	r := bin.NewReader(data)
 	magic, version := r.Uint32(), r.Byte()
-	rows, nCols := r.Uvarint(), r.Uvarint()
+	nRows, nCols := r.Uvarint(), r.Uvarint()
 	switch {
 	case r.Err() != nil:
-		return nil, 0, fmt.Errorf("%w: header: %v", ErrBatchCorrupt, r.Err())
+		return nil, 0, 0, fmt.Errorf("%w: header: %v", ErrBatchCorrupt, r.Err())
 	case magic != batchMagic || version != batchVersion:
-		return nil, 0, fmt.Errorf("%w: bad magic/version", ErrBatchCorrupt)
-	case rows > maxBatchRows:
-		return nil, 0, fmt.Errorf("%w: %d rows", ErrBatchCorrupt, rows)
+		return nil, 0, 0, fmt.Errorf("%w: bad magic/version", ErrBatchCorrupt)
+	case nRows > maxBatchRows:
+		return nil, 0, 0, fmt.Errorf("%w: %d rows", ErrBatchCorrupt, nRows)
 	case nCols > maxBatchCols:
-		return nil, 0, fmt.Errorf("%w: %d columns", ErrBatchCorrupt, nCols)
-	case rows*nCols > maxBatchValues:
-		return nil, 0, fmt.Errorf("%w: %d values", ErrBatchCorrupt, rows*nCols)
+		return nil, 0, 0, fmt.Errorf("%w: %d columns", ErrBatchCorrupt, nCols)
+	case nRows*nCols > maxBatchValues:
+		return nil, 0, 0, fmt.Errorf("%w: %d values", ErrBatchCorrupt, nRows*nCols)
 	}
-	b := &RecordBatch{NumRows: int(rows)}
+	cols = make([]Vector, 0, nCols)
 	for i := uint64(0); i < nCols; i++ {
 		name, enc, payload := r.Block(), r.Byte(), r.Block()
 		if r.Err() != nil {
-			return nil, 0, fmt.Errorf("%w: column %d: %v", ErrBatchCorrupt, i, r.Err())
+			return nil, 0, 0, fmt.Errorf("%w: column %d: %v", ErrBatchCorrupt, i, r.Err())
 		}
-		v, err := DecodeColumn(string(name), enc, payload, int(rows))
+		v, err := DecodeColumn(string(name), enc, payload, int(nRows))
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		b.Cols = append(b.Cols, BatchColumn{Name: v.Name, Values: v.Gather(nil)})
+		cols = append(cols, v)
 	}
 	end := r.Pos()
 	if crc := r.Uint32(); r.Err() != nil || crc != blockenc.Checksum(data[:end]) {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBatchCorrupt)
+		return nil, 0, 0, fmt.Errorf("%w: checksum mismatch", ErrBatchCorrupt)
 	}
-	return b, r.Pos(), nil
+	return cols, int(nRows), r.Pos(), nil
 }

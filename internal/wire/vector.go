@@ -12,6 +12,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -116,6 +117,20 @@ func ConstVector(name string, v schema.Value, n int) Vector {
 		return Vector{Name: name, Enc: BatchEncRLE}
 	}
 	return RLEVector(name, []Run{{Len: int32(n), Value: v}})
+}
+
+// IntRuns run-length encodes small integers, such as a fragment's
+// per-row change types, as a column of INT64 runs.
+func IntRuns[T int32 | byte](name string, vals []T) Vector {
+	var runs []Run
+	for i, x := range vals {
+		if k := len(runs); i > 0 && vals[i-1] == x {
+			runs[k-1].Len++
+			continue
+		}
+		runs = append(runs, Run{Len: 1, Value: schema.Int64(int64(x))})
+	}
+	return RLEVector(name, runs)
 }
 
 // Typed reports whether v is a typed PLAIN column.
@@ -360,19 +375,23 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 		if v.Typed() {
 			return v.filterTyped(sel, keep)
 		}
-		out := make(Selection, 0, sel.Count(len(v.Values)))
-		err := forEachSel(sel, len(v.Values), func(i int32) error {
+		n := sel.Count(len(v.Values))
+		out := make(Selection, 0, n)
+		for k := 0; k < n; k++ {
+			i := int32(k)
+			if sel != nil {
+				i = sel[k]
+			}
 			st.Evaluated++
 			ok, err := keep(v.Values[i])
 			if err != nil {
-				return err
+				return out, st, err
 			}
 			if ok {
 				out = append(out, i)
 			}
-			return nil
-		})
-		return out, st, err
+		}
+		return out, st, nil
 	case BatchEncDict:
 		keepCode := make([]bool, len(v.Dict))
 		for c, dv := range v.Dict {
@@ -384,15 +403,17 @@ func (v *Vector) Filter(sel Selection, keep func(schema.Value) (bool, error)) (S
 			keepCode[c] = ok
 		}
 		out := make(Selection, 0, sel.Count(len(v.Codes)))
-		err := forEachSel(sel, len(v.Codes), func(i int32) error {
+		for k, n := 0, sel.Count(len(v.Codes)); k < n; k++ {
+			i := int32(k)
+			if sel != nil {
+				i = sel[k]
+			}
 			if keepCode[v.Codes[i]] {
 				out = append(out, i)
-			} else {
-				st.PrunedByCode++
 			}
-			return nil
-		})
-		return out, st, err
+		}
+		st.PrunedByCode = int64(sel.Count(len(v.Codes)) - len(out))
+		return out, st, nil
 	case BatchEncRLE:
 		// Decide each run once, then keep or skip its rows wholesale.
 		keepRun := make([]int8, len(v.Runs)) // 0 undecided, 1 keep, -1 drop
@@ -513,23 +534,6 @@ func (sel Selection) Count(n int) int {
 	return len(sel)
 }
 
-func forEachSel(sel Selection, n int, f func(int32) error) error {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if err := f(int32(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, i := range sel {
-		if err := f(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // EncodeVectors serializes the selected rows of the given columns into
 // one record-batch frame, preserving each vector's encoding instead of
 // re-scanning content like EncodeRecordBatch (AppendColumn: DICT columns
@@ -551,10 +555,19 @@ func EncodeVectors(cols []Vector, sel Selection) []byte {
 	}
 	nSel := sel.Count(nRows)
 
-	var dst []byte
-	dst = appendBatchHeader(dst, nSel, len(cols))
+	// Size every column, then write the frame into one buffer of the
+	// frame's length.
+	framed := make([]framedColumn, len(cols))
+	size := batchHeaderMax + 4
 	for i := range cols {
-		dst = appendBatchColumn(dst, &cols[i], sel)
+		framed[i] = frameColumn(&cols[i], sel)
+		size += uvarintLen(len(cols[i].Name)) + len(cols[i].Name) + framed[i].len()
+	}
+	dst := appendBatchHeader(make([]byte, 0, size), nSel, len(cols))
+	for i := range cols {
+		dst = binary.AppendUvarint(dst, uint64(len(cols[i].Name)))
+		dst = append(dst, cols[i].Name...)
+		dst = framed[i].append(dst, &cols[i], sel)
 	}
 	return appendBatchCRC(dst)
 }

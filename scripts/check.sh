@@ -142,15 +142,17 @@ go test -race -count=2 $race_twice
 # ping-pong with its credit frames), the column codec's (PLAIN, DICT
 # and RLE pages, encode and decode), the row codec's, the ROS file
 # writer's and reader's, the SMS read view's (100 ROS fragment records
-# and a writable streamlet) and delta heartbeat round's (one dirty
+# and a writable streamlet, and a lone streamlet beside another table's
+# 1 000 ROS records) and delta heartbeat round's (one dirty
 # streamlet beside 0, 100 and 1 000 ROS records), the optimizer's (one
 # ConvertTable over 54 000 loaded rows), the leaf scan's (cursor walk and encode per
 # fragment kind), schema.Value's (a clustering sort over columns of
-# values), Snappy's (encode and decode of structured bytes) and the
+# values), Snappy's (encode and decode of structured bytes), the
 # query engine's (GROUP BY over DICT, INT64 and RLE keys, and MIN/MAX)
-# run one iteration each, so they cannot rot between the PRs that read
-# their numbers.
-go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/ ./internal/client/ ./internal/schema/ ./internal/snappy/ ./internal/query/
+# and the read session's serve path (filter, frame encode and decode of
+# one assignment) run one iteration each, so they cannot rot between the
+# PRs that read their numbers.
+go test -run '^$' -bench . -benchtime 1x ./internal/rpc/ ./internal/wire/ ./internal/rowenc/ ./internal/ros/ ./internal/sms/ ./internal/optimizer/ ./internal/client/ ./internal/schema/ ./internal/snappy/ ./internal/query/ ./internal/readsession/
 
 # Encoded-domain filtering must return what filtering row by row
 # returns: code-skip accounting on keyless and keyed tables, and
@@ -169,7 +171,10 @@ go test -C benchmark ./...
 # check into a soak. The checked-in corpora ran as plain seeds above;
 # this explores beyond them. One invocation per target is a go test
 # restriction. client FuzzDecodeWOSBlocks holds the reader's decode of a
-# WOS block to the Stream Server's check of it (wire.DecodeBlock).
+# WOS block to the Stream Server's check of it (wire.DecodeBlock), query
+# FuzzComparisonKernel the typed comparison kernel to sql.Eval, and
+# readsession FuzzDecodeBatchFrame a reader's frame decode to the
+# identity-column rules.
 while read -r pkg target; do
     go test -run '^$' -fuzz "${target}\$" -fuzztime 10s "./internal/$pkg/"
 done <<'EOF'
@@ -184,6 +189,8 @@ ros       FuzzOpen
 wire      FuzzDecodeRecordBatch
 wire      FuzzDecodeColumn
 wire      FuzzSelectionGather
+query     FuzzComparisonKernel
+readsession FuzzDecodeBatchFrame
 disktier  FuzzDecodeEntry
 rpc       FuzzDecodeFrame
 rpc       FuzzConnFrames
