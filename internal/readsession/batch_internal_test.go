@@ -1,9 +1,11 @@
 package readsession
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
+	"vortex/internal/blockenc"
 	"vortex/internal/schema"
 	"vortex/internal/wire"
 )
@@ -55,6 +57,88 @@ func TestDecodeBatchFrameRefusesHostileIdentity(t *testing.T) {
 	}
 }
 
+// rawColumn is one column of a frame built by hand: its name, encoding
+// byte and payload, written as they are.
+type rawColumn struct {
+	name    string
+	enc     byte
+	payload []byte
+}
+
+// rawFrame frames columns of rows rows at the current frame version,
+// with a valid CRC, whatever their payloads hold.
+func rawFrame(rows int, cols ...rawColumn) []byte {
+	f := binary.LittleEndian.AppendUint32(nil, 0x56585242) // "VXRB"
+	f = append(f, 2)
+	f = binary.AppendUvarint(f, uint64(rows))
+	f = binary.AppendUvarint(f, uint64(len(cols)))
+	for _, c := range cols {
+		f = binary.AppendUvarint(f, uint64(len(c.name)))
+		f = append(f, c.name...)
+		f = append(f, c.enc)
+		f = binary.AppendUvarint(f, uint64(len(c.payload)))
+		f = append(f, c.payload...)
+	}
+	return binary.LittleEndian.AppendUint32(f, blockenc.Checksum(f))
+}
+
+// typedInts is the TYPED payload of INT64 rows, NULL where valid is 0.
+func typedInts(valid byte, ns ...int64) []byte {
+	p := []byte{byte(schema.KindInt64), 0}
+	if valid != 0xff {
+		p = append(p[:1], 1, valid)
+	}
+	for _, n := range ns {
+		p = binary.LittleEndian.AppendUint64(p, uint64(n))
+	}
+	return p
+}
+
+// hostileTypedFrames are frames whose identity or data columns are
+// TYPED and wrong: as a column (a BOOL byte of 2, a string offset past
+// the body, a value at a NULL row) or as identity (a NULL __seq, a
+// change type of 9, an arity of another kind).
+func hostileTypedFrames() []namedFrame {
+	seq, arity, change := rawColumn{colSeq, wire.BatchEncTyped, typedInts(0xff, 10, 11)},
+		rawColumn{colArity, wire.BatchEncTyped, typedInts(0xff, 2, 2)},
+		rawColumn{colChange, wire.BatchEncTyped, typedInts(0xff, 0, 0)}
+	k := func(payload ...byte) rawColumn { return rawColumn{"k", wire.BatchEncTyped, payload} }
+	return []namedFrame{
+		{"BOOL byte 2", rawFrame(2, seq, arity, change, k(byte(schema.KindBool), 0, 1, 2))},
+		{"offset past the body", rawFrame(2, seq, arity, change, k(byte(schema.KindString), 0, 1, 0, 0, 0, 5, 0, 0, 0, 'a', 'b'))},
+		{"a value at a NULL row", rawFrame(2, rawColumn{colSeq, wire.BatchEncTyped, typedInts(0x01, 10, 11)}, arity, change)},
+		{"NULL __seq", rawFrame(2, rawColumn{colSeq, wire.BatchEncTyped, typedInts(0x01, 10, 0)}, arity, change)},
+		{"change 9", rawFrame(2, seq, arity, rawColumn{colChange, wire.BatchEncTyped, typedInts(0xff, 0, 9)})},
+		{"TIMESTAMP __arity", rawFrame(2, seq, rawColumn{colArity, wire.BatchEncTyped, append([]byte{byte(schema.KindTimestamp)}, typedInts(0xff, 2, 2)[1:]...)}, change)},
+		{"validity past the rows", rawFrame(2, rawColumn{colSeq, wire.BatchEncTyped, typedInts(0x07, 10, 11)}, arity, change)},
+		{"a body a row too short", rawFrame(2, rawColumn{colSeq, wire.BatchEncTyped, typedInts(0xff, 10)}, arity, change)},
+	}
+}
+
+type namedFrame struct {
+	name  string
+	frame []byte
+}
+
+// TestDecodeBatchFrameRefusesHostileTyped: a frame whose TYPED columns a
+// server would never write is refused as corrupt; the same frame with
+// its columns well-formed is read.
+func TestDecodeBatchFrameRefusesHostileTyped(t *testing.T) {
+	sc := frameSchema()
+	good := rawFrame(2, rawColumn{colSeq, wire.BatchEncTyped, typedInts(0xff, 10, 11)},
+		rawColumn{colArity, wire.BatchEncTyped, typedInts(0xff, 2, 1)},
+		rawColumn{colChange, wire.BatchEncTyped, typedInts(0xff, 0, 2)},
+		rawColumn{"n", wire.BatchEncTyped, typedInts(0x01, 7, 0)})
+	if b, err := decodeBatchFrame(good, sc); err != nil || b.NumRows() != 2 {
+		t.Fatalf("well-formed TYPED frame: %v", err)
+	}
+	for _, h := range hostileTypedFrames() {
+		if _, err := decodeBatchFrame(h.frame, sc); !errors.Is(err, wire.ErrBatchCorrupt) {
+			t.Errorf("%s: err = %v, want ErrBatchCorrupt", h.name, err)
+		}
+	}
+}
+
 // FuzzDecodeBatchFrame: decoding any bytes never panics, refuses with
 // ErrBatchCorrupt, and a frame it accepts has an integer sequence,
 // arity within the schema and a change type schema.ChangeType names for
@@ -69,6 +153,9 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		wire.IntRuns(colChange, []byte{0, 0, 2, 1}),
 		wire.IntVector("n", schema.KindInt64, []int64{1, 2, 3, 4}),
 	}, wire.Selection{0, 2, 3}))
+	for _, h := range hostileTypedFrames() {
+		f.Add(h.frame)
+	}
 	sc := frameSchema()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBatchFrame(data, sc)

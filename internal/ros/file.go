@@ -592,8 +592,14 @@ func (c *Column) materialize() error {
 }
 
 // page decodes the value page through the wire codec, in encoded form:
-// a dictionary page comes back as dictionary and codes.
+// a dictionary page comes back as dictionary and codes. A page is
+// PLAIN, DICT or RLE; the codec's TYPED encoding is a frame's alone.
 func (c *Column) page() (wire.Vector, error) {
+	switch c.Stats.Encoding {
+	case EncodingPlain, EncodingDict, EncodingRLE:
+	default:
+		return wire.Vector{}, fmt.Errorf("%w: column %q: page encoding 0x%02x", ErrCorrupt, c.Leaf.Path, byte(c.Stats.Encoding))
+	}
 	raw := c.rawValues
 	if c.compressed {
 		var err error

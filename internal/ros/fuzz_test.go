@@ -114,6 +114,8 @@ type hostileFile struct {
 func hostileFiles() []hostileFile {
 	idSchema := &schema.Schema{Fields: []*schema.Field{{Name: "id", Kind: schema.KindInt64, Mode: schema.Required}}}
 	idPage := int64Page(7, 8)
+	ids := wire.IntVector("", schema.KindInt64, []int64{7, 8})
+	_, typedPage := wire.ColumnPayload(&ids, nil)
 	run := func(n uint64) []byte { return append([]byte{levelsRuns}, append(binary.AppendUvarint(nil, n), 0)...) }
 	return []hostileFile{
 		// Converted to int, 2^63+5 is negative: it slipped past a
@@ -145,6 +147,10 @@ func hostileFiles() []hostileFile {
 		// four bytes of block.
 		{"snappy page declaring more than its bytes can decode to", handFile{rows: 2, columns: [][]byte{
 			handColumn(flatID, 2, 2, noLevels, noLevels, byte(EncodingPlain)|pageSnappy, append(binary.AppendUvarint(nil, 1<<30), 0, 0, 0, 0)),
+		}}.bytes(), idSchema},
+		// A well-formed TYPED payload: a frame's encoding, no page's.
+		{"TYPED value page", handFile{rows: 2, columns: [][]byte{
+			handColumn(flatID, 2, 2, noLevels, noLevels, wire.BatchEncTyped, typedPage),
 		}}.bytes(), idSchema},
 		// 2^40 cluster-key values in a file of a few dozen bytes.
 		{"cluster-key list past the body", handFile{keys: binary.AppendUvarint(nil, 1<<40)}.bytes(), idSchema},

@@ -39,6 +39,7 @@ func FuzzDecodeRow(f *testing.F) {
 		if n < 0 || n > len(data) {
 			t.Fatalf("DecodeRow consumed %d of %d bytes", n, len(data))
 		}
+		sizedRight(t, row)
 		enc := AppendRow(nil, row)
 		row2, n2, err := DecodeRow(enc)
 		if err != nil {

@@ -58,12 +58,20 @@ func appendValue(dst []byte, v schema.Value) []byte {
 		return dst
 	}
 	switch k := v.Kind(); k {
-	case schema.KindInt64, schema.KindTimestamp, schema.KindDate, schema.KindNumeric, schema.KindBool:
-		return AppendInt(dst, k, v.AsInt64())
+	case schema.KindBool:
+		b := byte(0)
+		if v.AsBool() {
+			b = 1
+		}
+		return append(dst, byte(k), b)
+	case schema.KindInt64, schema.KindTimestamp, schema.KindDate, schema.KindNumeric:
+		return binary.AppendVarint(append(dst, byte(k)), v.AsInt64())
 	case schema.KindFloat64:
-		return AppendFloat(dst, v.AsFloat64())
+		return binary.LittleEndian.AppendUint64(append(dst, byte(k)), math.Float64bits(v.AsFloat64()))
 	case schema.KindString, schema.KindJSON:
-		return AppendString(dst, k, v.AsString())
+		s := v.AsString()
+		dst = binary.AppendUvarint(append(dst, byte(k)), uint64(len(s)))
+		return append(dst, s...)
 	case schema.KindBytes:
 		dst = append(dst, byte(k))
 		b := v.AsBytes()
@@ -85,49 +93,43 @@ func appendValue(dst []byte, v schema.Value) []byte {
 // encoding starts with its kind as one byte.
 const TagNull = flagNull
 
-// FloatLen is the length of every FLOAT64 encoding.
-const FloatLen = 9
-
-// AppendInt appends the encoding of the value of integer kind k —
-// INT64, TIMESTAMP, DATE or NUMERIC, a zig-zag varint after the tag, or
-// BOOL, one byte 0 or 1 — whose payload is n. AppendInt, AppendFloat
-// and AppendString write the scalars for AppendValue and for a column
-// that holds them unboxed; IntLen and StringLen size them.
-func AppendInt(dst []byte, k schema.Kind, n int64) []byte {
-	dst = append(dst, byte(k))
-	if k == schema.KindBool {
-		if n != 0 {
-			n = 1
+// ValueLen is the length of AppendValue's encoding of v, for a caller
+// that sizes a buffer before it writes values into it.
+func ValueLen(v schema.Value) int {
+	if v.IsNull() {
+		return 1
+	}
+	if v.IsList() {
+		n := 1 + uvarintLen(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			n += ValueLen(v.Index(i))
 		}
-		return append(dst, byte(n))
+		return n
 	}
-	return binary.AppendVarint(dst, n)
-}
-
-// AppendFloat appends the encoding of a FLOAT64: its bits, little-endian.
-func AppendFloat(dst []byte, f float64) []byte {
-	dst = append(dst, byte(schema.KindFloat64))
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-// AppendString appends the encoding of a STRING or JSON value (k): a
-// uvarint length and the bytes.
-func AppendString(dst []byte, k schema.Kind, s string) []byte {
-	dst = append(dst, byte(k))
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// IntLen is the length of AppendInt's encoding of k and n.
-func IntLen(k schema.Kind, n int64) int {
-	if k == schema.KindBool {
+	switch k := v.Kind(); k {
+	case schema.KindBool:
 		return 2
+	case schema.KindInt64, schema.KindTimestamp, schema.KindDate, schema.KindNumeric:
+		n := v.AsInt64()
+		return 1 + uvarintLen(uint64(n<<1)^uint64(n>>63))
+	case schema.KindFloat64:
+		return 9
+	case schema.KindString, schema.KindJSON:
+		n := len(v.AsString())
+		return 1 + uvarintLen(uint64(n)) + n
+	case schema.KindBytes:
+		n := len(v.AsBytes())
+		return 1 + uvarintLen(uint64(n)) + n
+	case schema.KindStruct:
+		n := 1 + uvarintLen(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			n += ValueLen(v.FieldValue(i))
+		}
+		return n
+	default:
+		panic(fmt.Sprintf("rowenc: cannot encode kind %v", k))
 	}
-	return 1 + uvarintLen(uint64(n<<1)^uint64(n>>63))
 }
-
-// StringLen is the length of AppendString's encoding of s.
-func StringLen(s string) int { return 1 + uvarintLen(uint64(len(s))) + len(s) }
 
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 

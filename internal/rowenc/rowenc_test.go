@@ -71,6 +71,7 @@ func TestRowRoundTrip(t *testing.T) {
 		Change: schema.ChangeUpsert,
 	}
 	enc := AppendRow(nil, row)
+	sizedRight(t, row)
 	got, used, err := DecodeRow(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +84,17 @@ func TestRowRoundTrip(t *testing.T) {
 	}
 }
 
+// sizedRight checks that ValueLen sizes each of r's values as
+// AppendValue writes it.
+func sizedRight(t *testing.T, r schema.Row) {
+	t.Helper()
+	for i, v := range r.Values {
+		if got, want := ValueLen(v), len(AppendValue(nil, v)); got != want {
+			t.Fatalf("value %d (%v): ValueLen %d, encoding %d bytes", i, v, got, want)
+		}
+	}
+}
+
 func TestRowRoundTripProperty(t *testing.T) {
 	s := salesSchema()
 	rng := rand.New(rand.NewSource(21))
@@ -90,6 +102,7 @@ func TestRowRoundTripProperty(t *testing.T) {
 		r := schema.RandomRow(rand.New(rand.NewSource(seed)), s)
 		r.Change = schema.ChangeType(change % 3)
 		enc := AppendRow(nil, r)
+		sizedRight(t, r)
 		got, used, err := DecodeRow(enc)
 		return err == nil && used == len(enc) && rowsEqual(got, r)
 	}

@@ -1,15 +1,29 @@
-// Column payloads: the one byte format a ROS value page and a
-// record-batch column share, and the only code that reads or writes it.
+// Column payloads: the one byte format a ROS value page, a WOS block's
+// column and a record-batch column share, and the only code that reads
+// or writes it.
 //
 //	PLAIN  rows values back to back, each in the rowenc single-value codec
 //	DICT   uvarint n | n distinct values | one uvarint dictionary index per row
 //	RLE    (uvarint run length | value) until the runs cover rows
+//	TYPED  kind | flags | [validity bitmap] | fixed-width values
+//
+// TYPED holds a typed PLAIN vector (vector.go) as buffers: its kind
+// byte; a flags byte whose one bit says a validity bitmap follows, one
+// bit per row from the least significant, none set past the last row;
+// then 8 little-endian bytes per INT64, TIMESTAMP, DATE, NUMERIC or
+// FLOAT64 row and 1 per BOOL row, or, for STRING and JSON, a 4-byte
+// little-endian end offset per row followed by the rows' bytes. A NULL
+// row holds 0, or no bytes. Only a record-batch frame carries TYPED:
+// AppendColumn writes it for every typed vector, and the ROS writer and
+// AppendBlock hand the codec values, never a typed vector, so ROS value
+// pages and WOS blocks stay PLAIN, DICT and RLE.
 //
 // On disk and on the wire a payload is preceded by its encoding byte and
 // its uvarint byte length; AppendColumn writes all three. The codec owns
 // the format; which encoding a column gets is its caller's policy — the
-// ROS writer's dictionary rule, EncodeRecordBatch's content chooser — and
-// reaches the codec as the Vector the caller built.
+// ROS writer's dictionary rule, EncodeRecordBatch's content chooser, a
+// scan's typed vectors — and reaches the codec as the Vector the caller
+// built.
 package wire
 
 import (
@@ -29,9 +43,8 @@ import (
 // AppendColumn appends `encoding | uvarint length | payload` for the
 // selected rows of v, keeping v's encoding: a DICT vector emits a
 // dictionary compacted to the selection plus the selected codes, an RLE
-// vector its runs intersected with the selection, a typed vector its
-// rows straight from their unboxed payloads, sized first so they are
-// written once, in place.
+// vector its runs intersected with the selection, a typed vector a
+// TYPED payload, sized first so it is written once, in place.
 func AppendColumn(dst []byte, v *Vector, sel Selection) []byte {
 	c := frameColumn(v, sel)
 	dst = slices.Grow(dst, c.len())
@@ -49,7 +62,7 @@ type framedColumn struct {
 
 func frameColumn(v *Vector, sel Selection) framedColumn {
 	if v.Typed() {
-		return framedColumn{enc: BatchEncPlain, size: v.typedSize(sel)}
+		return framedColumn{enc: BatchEncTyped, size: v.typedLen(sel)}
 	}
 	enc, p := ColumnPayload(v, sel)
 	return framedColumn{enc: enc, payload: p, size: len(p)}
@@ -72,17 +85,19 @@ func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // ColumnPayload returns the encoding byte and bare payload AppendColumn
 // frames: for a caller that weighs one encoding's bytes against
-// another's, or stores the payload under a framing of its own.
+// another's, or stores the payload under a framing of its own. Each
+// payload is built into a buffer of the length it will have.
 func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 	n := v.Len()
 	nSel := sel.Count(n)
-	var p []byte
 	switch {
+	case v.Typed():
+		return BatchEncTyped, v.appendTyped(make([]byte, 0, v.typedLen(sel)), sel)
 	case nSel == 0:
 		return BatchEncPlain, nil
 	case v.Enc == BatchEncDict:
 		// Compact the dictionary to the codes the selection actually
-		// uses (the decoder requires dictLen <= rows), encoding each
+		// uses (the decoder requires dictLen <= rows), numbering each
 		// entry once, in first-use order. If compaction leaves as many
 		// entries as rows, every row brought its own entry: those
 		// encodings in order are the PLAIN payload, which is no bigger.
@@ -90,41 +105,47 @@ func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 		for i := range remap {
 			remap[i] = -1
 		}
-		var entries []byte
-		dictLen := int32(0)
+		used := make([]uint32, 0, min(nSel, len(v.Dict))) // source codes in first-use order
 		codes := make([]uint32, nSel)
+		size := 0
 		for k := range codes {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			c := v.Codes[i]
+			c := v.Codes[selRow(sel, k)]
 			if remap[c] < 0 {
-				remap[c] = dictLen
-				dictLen++
-				entries = rowenc.AppendValue(entries, v.Dict[c])
+				remap[c] = int32(len(used))
+				used = append(used, c)
+				size += rowenc.ValueLen(v.Dict[c])
 			}
 			codes[k] = uint32(remap[c])
 		}
-		if int(dictLen) == nSel {
-			return BatchEncPlain, entries
+		plain := len(used) == nSel
+		if !plain {
+			size += uvarintLen(len(used))
+			for _, c := range codes {
+				size += uvarintLen(int(c))
+			}
 		}
-		p = binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen32+len(entries)+2*nSel), uint64(dictLen))
-		p = append(p, entries...)
+		p := make([]byte, 0, size)
+		if !plain {
+			p = binary.AppendUvarint(p, uint64(len(used)))
+		}
+		for _, c := range used {
+			p = rowenc.AppendValue(p, v.Dict[c])
+		}
+		if plain {
+			return BatchEncPlain, p
+		}
 		for _, c := range codes {
 			p = binary.AppendUvarint(p, uint64(c))
 		}
 		return BatchEncDict, p
 	case v.Enc == BatchEncRLE:
 		// Re-run the runs over the selection: adjacent selected rows in
-		// the same source run stay one run.
-		var runs []Run
+		// the same source run stay one run, so there are no more runs
+		// than selected rows or source runs.
+		runs := make([]Run, 0, min(nSel, len(v.Runs)))
 		ri, start := 0, int32(0)
 		for k := 0; k < nSel; k++ {
-			i := int32(k)
-			if sel != nil {
-				i = sel[k]
-			}
+			i := int32(selRow(sel, k))
 			prev := ri
 			for ri < len(v.Runs) && i >= start+v.Runs[ri].Len {
 				start += v.Runs[ri].Len
@@ -140,111 +161,259 @@ func ColumnPayload(v *Vector, sel Selection) (byte, []byte) {
 			}
 			runs = append(runs, Run{Len: 1, Value: val})
 		}
+		size := 0
+		for _, r := range runs {
+			size += uvarintLen(int(r.Len)) + rowenc.ValueLen(r.Value)
+		}
+		p := make([]byte, 0, size)
 		for _, r := range runs {
 			p = binary.AppendUvarint(p, uint64(r.Len))
 			p = rowenc.AppendValue(p, r.Value)
 		}
 		return BatchEncRLE, p
 	}
-	if v.Typed() {
-		return BatchEncPlain, v.appendTyped(make([]byte, 0, v.typedSize(sel)), sel)
-	}
+	size := 0
 	for k := 0; k < nSel; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		p = rowenc.AppendValue(p, v.Values[i])
+		size += rowenc.ValueLen(v.Values[selRow(sel, k)])
+	}
+	p := make([]byte, 0, size)
+	for k := 0; k < nSel; k++ {
+		p = rowenc.AppendValue(p, v.Values[selRow(sel, k)])
 	}
 	return BatchEncPlain, p
 }
 
-// typedSize is the length of the selected rows of a typed vector in
-// the rowenc single-value codec. A column with no NULLs is sized in one
-// loop for its kind; rowSize decides each row of one that has them.
-func (v *Vector) typedSize(sel Selection) int {
+// TYPED payload flags: the one flag says a validity bitmap follows.
+const typedValid = byte(1)
+
+// typedLen is the length of the TYPED payload of the selected rows of a
+// typed vector.
+func (v *Vector) typedLen(sel Selection) int {
 	n := sel.Count(v.Len())
-	switch {
-	case v.Valid != nil:
-	case v.Kind == schema.KindFloat64:
-		return n * rowenc.FloatLen
-	case v.Kind == schema.KindBool:
-		return n * 2
-	case v.Kind != schema.KindString && v.Kind != schema.KindJSON:
-		size := 0
-		for k, ints := 0, v.Ints; k < n; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			size += rowenc.IntLen(schema.KindInt64, ints[i])
+	size := 2
+	if v.Valid != nil {
+		size += (n + 7) / 8
+	}
+	switch v.Kind {
+	case schema.KindBool:
+		return size + n
+	case schema.KindString, schema.KindJSON:
+		size += 4 * n
+		if sel == nil {
+			return size + int(v.Offs[n]-v.Offs[0])
+		}
+		for _, i := range sel {
+			size += int(v.Offs[i+1] - v.Offs[i])
 		}
 		return size
 	}
-	size := 0
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		size += v.rowSize(i)
-	}
-	return size
+	return size + 8*n
 }
 
-func (v *Vector) rowSize(i int) int {
-	switch {
-	case !v.Valid.Has(i):
-		return 1
-	case v.Kind == schema.KindFloat64:
-		return rowenc.FloatLen
-	case v.Kind == schema.KindString || v.Kind == schema.KindJSON:
-		return rowenc.StringLen(v.Str[v.Offs[i]:v.Offs[i+1]])
-	}
-	return rowenc.IntLen(v.Kind, v.Ints[i])
-}
-
-// appendTyped appends the selected rows of a typed vector in the rowenc
-// single-value codec: the bytes AppendValue writes for their Values. An
-// integer column with no NULLs is written in one loop for its kind;
-// appendRow decides each row of any other.
+// appendTyped appends the TYPED payload of the selected rows of a typed
+// vector, in one loop per kind. A NULL row is written as the vector
+// holds it — 0, or no bytes — which the decoder requires.
 func (v *Vector) appendTyped(dst []byte, sel Selection) []byte {
 	n := sel.Count(v.Len())
-	if v.Valid == nil && v.Kind != schema.KindFloat64 && v.Kind != schema.KindString && v.Kind != schema.KindJSON {
-		for k, kind, ints := 0, v.Kind, v.Ints; k < n; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
+	var out []byte
+	if v.Valid == nil {
+		dst = append(dst, byte(v.Kind), 0)
+	} else {
+		dst = append(dst, byte(v.Kind), typedValid)
+		dst = appendValidity(dst, v.Valid, n, sel)
+	}
+	switch v.Kind {
+	case schema.KindBool:
+		out, dst = extend(dst, n)
+		for k := range out {
+			out[k] = byte(v.Ints[selRow(sel, k)])
+		}
+		return dst
+	case schema.KindFloat64:
+		out, dst = extend(dst, 8*n)
+		for k := 0; k < n; k++ {
+			binary.LittleEndian.PutUint64(out[8*k:], math.Float64bits(v.Floats[selRow(sel, k)]))
+		}
+		return dst
+	case schema.KindString, schema.KindJSON:
+		out, dst = extend(dst, 4*n)
+		offs := v.Offs
+		if sel == nil {
+			for k := 0; k < n; k++ {
+				binary.LittleEndian.PutUint32(out[4*k:], uint32(offs[k+1]-offs[0]))
 			}
-			dst = rowenc.AppendInt(dst, kind, ints[i])
+			return append(dst, v.Str[offs[0]:offs[n]]...)
+		}
+		end := int32(0)
+		for k, i := range sel {
+			end += offs[i+1] - offs[i]
+			binary.LittleEndian.PutUint32(out[4*k:], uint32(end))
+		}
+		for _, i := range sel {
+			dst = append(dst, v.Str[offs[i]:offs[i+1]]...)
 		}
 		return dst
 	}
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
+	out, dst = extend(dst, 8*n)
+	if sel == nil {
+		for k, x := range v.Ints[:n] {
+			binary.LittleEndian.PutUint64(out[8*k:], uint64(x))
 		}
-		dst = v.appendRow(dst, i)
+		return dst
+	}
+	for k, i := range sel {
+		binary.LittleEndian.PutUint64(out[8*k:], uint64(v.Ints[i]))
 	}
 	return dst
 }
 
-func (v *Vector) appendRow(dst []byte, i int) []byte {
-	switch {
-	case !v.Valid.Has(i):
-		return append(dst, rowenc.TagNull)
-	case v.Kind == schema.KindFloat64:
-		return rowenc.AppendFloat(dst, v.Floats[i])
-	case v.Kind == schema.KindString || v.Kind == schema.KindJSON:
-		return rowenc.AppendString(dst, v.Kind, v.Str[v.Offs[i]:v.Offs[i+1]])
+// selRow is the k-th selected row (nil sel: every row).
+func selRow(sel Selection, k int) int {
+	if sel == nil {
+		return k
 	}
-	return rowenc.AppendInt(dst, v.Kind, v.Ints[i])
+	return int(sel[k])
+}
+
+// extend lengthens dst by n bytes and returns them with it.
+func extend(dst []byte, n int) (out, ext []byte) {
+	at := len(dst)
+	ext = slices.Grow(dst, n)[:at+n]
+	return ext[at:], ext
+}
+
+// appendValidity appends the validity of the n selected rows, one bit
+// per row from the least significant, with no bit set past the last.
+func appendValidity(dst []byte, valid Bitmap, n int, sel Selection) []byte {
+	out, dst := extend(dst, (n+7)/8)
+	if sel == nil {
+		for j := range out {
+			out[j] = byte(valid[j>>3] >> (8 * (j & 7)))
+		}
+		if n&7 != 0 {
+			out[len(out)-1] &= 1<<(n&7) - 1
+		}
+		return dst
+	}
+	clear(out)
+	for k, i := range sel {
+		if valid.Has(int(i)) {
+			out[k>>3] |= 1 << (k & 7)
+		}
+	}
+	return dst
+}
+
+// decodeTyped decodes a TYPED payload of rows rows into a typed PLAIN
+// vector, in one loop per kind. It refuses a kind a typed vector does
+// not hold, an unknown flag, validity bits past the last row, a body
+// longer or shorter than the rows need, a BOOL byte other than 0 or 1,
+// string end offsets that decrease or end anywhere but at the body's
+// end, and a NULL row that holds a value or bytes. Every slice is sized
+// only once the payload is known to hold it.
+func decodeTyped(name string, p []byte, rows int) (Vector, error) {
+	v := Vector{Name: name, Enc: BatchEncPlain}
+	if len(p) < 2 || !typedKind(schema.Kind(p[0])) || p[1]&^typedValid != 0 {
+		return v, fmt.Errorf("TYPED kind and flags %x", p[:min(len(p), 2)])
+	}
+	v.Kind = schema.Kind(p[0])
+	body := p[2:]
+	if p[1] == typedValid {
+		m := (rows + 7) / 8
+		if len(body) < m {
+			return v, fmt.Errorf("%d-byte validity bitmap for %d rows", len(body), rows)
+		}
+		if rows&7 != 0 && body[m-1]>>(rows&7) != 0 {
+			return v, fmt.Errorf("validity bits past row %d", rows)
+		}
+		v.Valid = make(Bitmap, (rows+63)/64)
+		for j, b := range body[:m] {
+			v.Valid[j>>3] |= uint64(b) << (8 * (j & 7))
+		}
+		body = body[m:]
+	}
+	width := 8
+	switch v.Kind {
+	case schema.KindBool:
+		width = 1
+	case schema.KindString, schema.KindJSON:
+		width = 4
+	}
+	if len(body) < width*rows || (width != 4 && len(body) != width*rows) {
+		return v, fmt.Errorf("%d-byte body for %d rows of %v", len(body), rows, v.Kind)
+	}
+	switch v.Kind {
+	case schema.KindBool:
+		v.Ints = make([]int64, rows)
+		for i, b := range body {
+			if b > 1 {
+				return v, fmt.Errorf("bool byte %d", b)
+			}
+			v.Ints[i] = int64(b)
+		}
+	case schema.KindFloat64:
+		v.Floats = make([]float64, rows)
+		for i := range v.Floats {
+			v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+		}
+	case schema.KindString, schema.KindJSON:
+		ends, str := body[:4*rows], body[4*rows:]
+		if len(str) > math.MaxInt32 {
+			return v, fmt.Errorf("%d string bytes", len(str))
+		}
+		// Ends that never decrease and stop at the body's end keep every
+		// row inside it.
+		v.Offs = make([]int32, rows+1)
+		end := uint32(0)
+		for i := 0; i < rows; i++ {
+			e := binary.LittleEndian.Uint32(ends[4*i:])
+			if e < end {
+				return v, fmt.Errorf("row %d ends at %d, before %d", i, e, end)
+			}
+			end, v.Offs[i+1] = e, int32(e)
+		}
+		if int(end) != len(str) {
+			return v, fmt.Errorf("rows end at %d of %d string bytes", end, len(str))
+		}
+		v.Str = string(str)
+	default:
+		v.Ints = make([]int64, rows)
+		for i := range v.Ints {
+			v.Ints[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
+		}
+	}
+	// A NULL row holds 0, or no bytes, as the writer writes it.
+	for w, word := range v.Valid {
+		for nulls := ^word; nulls != 0; nulls &= nulls - 1 {
+			i := w*64 + bits.TrailingZeros64(nulls)
+			if i >= rows {
+				break
+			}
+			if v.nullHolds(i) {
+				return v, fmt.Errorf("a value at NULL row %d", i)
+			}
+		}
+	}
+	return v, nil
+}
+
+// nullHolds reports whether row i, NULL, holds anything but 0 or no
+// bytes.
+func (v *Vector) nullHolds(i int) bool {
+	switch v.Kind {
+	case schema.KindFloat64:
+		return math.Float64bits(v.Floats[i]) != 0
+	case schema.KindString, schema.KindJSON:
+		return v.Offs[i+1] != v.Offs[i]
+	}
+	return v.Ints[i] != 0
 }
 
 // DecodeColumn decodes a payload of rows rows into a vector in encoded
-// form: DICT keeps its codes and RLE its runs, nothing is expanded. A
-// PLAIN or DICT payload spends at least one byte per row, so a row count
+// form: DICT keeps its codes and RLE its runs, nothing is expanded, and
+// PLAIN and TYPED both come back as a typed PLAIN vector where the
+// column is of one scalar kind. A PLAIN, DICT or TYPED payload spends
+// at least one byte per row, so a row count
 // past the payload length is refused before anything is sized by it, and
 // runs are appended as their bytes arrive. Dictionary indexes and run
 // lengths are range-checked; bytes left over are an error. Every error
@@ -256,6 +425,12 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 	}
 	r := bin.NewReader(payload)
 	switch enc {
+	case BatchEncTyped:
+		typed, err := decodeTyped(name, payload, rows)
+		if err != nil {
+			return typed, fmt.Errorf("%w: %v", ErrBatchCorrupt, err)
+		}
+		return typed, nil
 	case BatchEncPlain:
 		// Every row spends a tag byte: the rest bounds a string column.
 		b := NewColumnBuilder(name, rows, len(payload)-rows)

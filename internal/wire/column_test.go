@@ -54,6 +54,23 @@ func TestDecodeColumnRefusesRowsPastPayload(t *testing.T) {
 	}
 }
 
+// TestDecodeColumnRefusesHostileTyped: each TYPED payload a writer never
+// produces — an unknown kind or flag, validity bits past the rows, a
+// value or string bytes at a NULL row, a BOOL byte above 1, offsets that
+// decrease or run past the body, a body longer or shorter than the rows
+// need — is refused by DecodeColumn and by the row-at-a-time oracle
+// alike, with ErrBatchCorrupt.
+func TestDecodeColumnRefusesHostileTyped(t *testing.T) {
+	for _, h := range hostileTyped() {
+		if v, err := DecodeColumn("c", BatchEncTyped, h.payload, h.rows); !errors.Is(err, ErrBatchCorrupt) {
+			t.Errorf("%s: DecodeColumn err = %v, want ErrBatchCorrupt (decoded %v)", h.name, err, v.Gather(nil))
+		}
+		if _, err := oracleDecodeColumn("c", BatchEncTyped, h.payload, h.rows); !errors.Is(err, ErrBatchCorrupt) {
+			t.Errorf("%s: oracle err = %v, want ErrBatchCorrupt", h.name, err)
+		}
+	}
+}
+
 // TestDecodeRecordBatchLengthWrap: a name or payload length near 2^63
 // went negative as an int, slipped past the bounds check and panicked
 // in the slice expression behind it.
@@ -123,23 +140,48 @@ func BenchmarkColumnCodec(b *testing.B) {
 		})
 	}
 
-	// PLAIN columns of one scalar kind, as a ROS page or a read-session
-	// frame carries them: encode is the vector DecodeColumn returns
-	// written back out, whole and through a one-in-three selection (a
-	// filtered chunk); decode is DecodeColumn alone (a ROS page opening
-	// into its cached vector), decode-values adds Gather(nil)
-	// (DecodeRecordBatch's column path).
+	// Columns of one scalar kind. plain-* is a ROS value page: decode is
+	// DecodeColumn of its PLAIN bytes alone (a page opening into its
+	// cached vector), decode-values adds Gather(nil). typed-* is a
+	// read-session frame's column: encode is the vector DecodeColumn
+	// returns written out as TYPED, whole and through a one-in-three
+	// selection (a filtered chunk); decode is DecodeColumn of that TYPED
+	// payload, decode-values adds Gather(nil) (DecodeRecordBatch's
+	// column path).
 	ints := make([]schema.Value, len(rows))
+	floats := make([]schema.Value, len(rows))
 	numerics := column("totalSale")
+	strs := column("salesOrderKey")
 	for i := range ints {
 		ints[i] = schema.Int64(int64(i) * 2654435761 % 1_000_000_007)
+		floats[i] = schema.Float64(float64(i) / 7)
 		if i%5 == 4 {
 			numerics[i] = schema.Null()
 		}
 	}
+	strNulls := append([]schema.Value(nil), strs...)
+	for i := 4; i < len(strNulls); i += 5 {
+		strNulls[i] = schema.Null()
+	}
 	var third Selection
 	for i := 0; i < len(rows); i += 3 {
 		third = append(third, int32(i))
+	}
+	decode := func(b *testing.B, enc byte, payload []byte, n int, values bool) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(payload)))
+		for i := 0; i < b.N; i++ {
+			v, err := DecodeColumn("c", enc, payload, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := v.Len(); got != n {
+				b.Fatalf("decoded %d rows, want %d", got, n)
+			}
+			if values && len(v.Gather(nil)) != n {
+				b.Fatalf("gathered other than %d values", n)
+			}
+		}
 	}
 	for _, shape := range []struct {
 		name string
@@ -148,49 +190,35 @@ func BenchmarkColumnCodec(b *testing.B) {
 		{"int64", ints},
 		{"timestamp", column("orderTimestamp")},
 		{"numeric-nulls", numerics},
-		{"string", column("salesOrderKey")},
+		{"float64", floats},
+		{"string", strs},
+		{"string-nulls", strNulls},
 	} {
+		n := len(shape.vals)
 		pv := PlainVector("c", shape.vals)
 		_, payload := ColumnPayload(&pv, nil)
-		v, err := DecodeColumn("c", BatchEncPlain, payload, len(shape.vals))
-		if err != nil {
-			b.Fatal(err)
+		v, err := DecodeColumn("c", BatchEncPlain, payload, n)
+		if err != nil || !v.Typed() {
+			b.Fatalf("%s: %v, typed %v", shape.name, err, v.Typed())
 		}
+		typedEnc, typed := ColumnPayload(&v, nil)
+		b.Run("plain-"+shape.name+"/decode", func(b *testing.B) { decode(b, BatchEncPlain, payload, n, false) })
+		b.Run("plain-"+shape.name+"/decode-values", func(b *testing.B) { decode(b, BatchEncPlain, payload, n, true) })
 		for _, enc := range []struct {
 			name string
 			sel  Selection
 		}{{"encode", nil}, {"encode-sel3", third}} {
-			b.Run("plain-"+shape.name+"/"+enc.name, func(b *testing.B) {
+			b.Run("typed-"+shape.name+"/"+enc.name, func(b *testing.B) {
 				b.ReportAllocs()
-				b.SetBytes(int64(len(payload)))
+				b.SetBytes(int64(len(typed)))
 				var buf []byte
 				for i := 0; i < b.N; i++ {
 					buf = AppendColumn(buf[:0], &v, enc.sel)
 				}
 			})
 		}
-		b.Run("plain-"+shape.name+"/decode", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(payload)))
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeColumn("c", BatchEncPlain, payload, len(shape.vals)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("plain-"+shape.name+"/decode-values", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(payload)))
-			for i := 0; i < b.N; i++ {
-				v, err := DecodeColumn("c", BatchEncPlain, payload, len(shape.vals))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := v.Gather(nil); len(got) != len(shape.vals) {
-					b.Fatalf("decoded %d values, want %d", len(got), len(shape.vals))
-				}
-			}
-		})
+		b.Run("typed-"+shape.name+"/decode", func(b *testing.B) { decode(b, typedEnc, typed, n, false) })
+		b.Run("typed-"+shape.name+"/decode-values", func(b *testing.B) { decode(b, typedEnc, typed, n, true) })
 	}
 }
 

@@ -2,11 +2,13 @@
 // read-session shards stream to parallel consumers. A frame is a
 // header (magic VXRB, version, row count, column count), then per column
 // its name followed by `encoding | length | payload` — the column codec's
-// bytes (column.go), the same a ROS value page holds — and a CRC32C over
-// everything before it, end-to-end like append payloads (§5.4.5). This
-// file owns the framing and nothing below it: EncodeRecordBatch and
-// EncodeVectors write columns through the column codec's writer
-// (AppendColumn's), DecodeVectors reads them through DecodeColumn.
+// bytes (column.go): PLAIN, DICT and RLE as a ROS value page holds them,
+// or TYPED, which only a frame carries — and a CRC32C over everything
+// before it, end-to-end like append payloads (§5.4.5). This file owns
+// the framing and nothing below it: EncodeRecordBatch and EncodeVectors
+// write columns through the column codec's writer (AppendColumn's),
+// DecodeVectors reads them through DecodeColumn. Version 2 added TYPED;
+// a frame of any other version is refused.
 //
 // EncodeRecordBatch picks each column's encoding deterministically from
 // its content (chooseVector), so encode∘decode is a fixpoint — the
@@ -31,11 +33,12 @@ const (
 	BatchEncPlain = byte(0)
 	BatchEncDict  = byte(1)
 	BatchEncRLE   = byte(2)
+	BatchEncTyped = byte(3) // record-batch frames only: a typed vector's buffers
 )
 
 const (
 	batchMagic   = uint32(0x56585242) // "VXRB"
-	batchVersion = byte(1)
+	batchVersion = byte(2)            // 2: TYPED columns; version 1 frames are refused
 
 	// Hostile-input guards: bound allocations before any payload bytes
 	// are trusted (the rowenc maxDecodeElems pattern). RLE amplifies a

@@ -32,8 +32,15 @@ func FuzzDecodeRecordBatch(f *testing.F) {
 		f.Add(EncodeRecordBatch(b))
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x42, 0x52, 0x58, 0x56, 0x01, 0xff, 0xff, 0xff})
-	f.Add([]byte{0x42, 0x52, 0x58, 0x56, 0x01, 0x02, 0x01, 0x01, 0x61, 0x02, 0x03, 0x01, 0x02, 0x05})
+	f.Add([]byte{0x42, 0x52, 0x58, 0x56, 0x02, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x42, 0x52, 0x58, 0x56, 0x02, 0x02, 0x01, 0x01, 0x61, 0x02, 0x03, 0x01, 0x02, 0x05})
+	// TYPED columns of every storage width, with and without NULLs.
+	f.Add(EncodeVectors([]Vector{
+		IntVector("n", schema.KindInt64, []int64{1, -2, 3}),
+		IntVector("b", schema.KindBool, []int64{1, 0, 1}),
+		decodedPlain("f", []schema.Value{schema.Float64(1.5), schema.Null(), schema.Float64(-2)}),
+		decodedPlain("s", []schema.Value{schema.String("a"), schema.Null(), schema.String("bc")}),
+	}, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, n, err := DecodeRecordBatch(data)

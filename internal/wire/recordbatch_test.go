@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
+	"vortex/internal/blockenc"
 	"vortex/internal/schema"
 )
 
@@ -117,6 +119,29 @@ func TestRecordBatchCorruption(t *testing.T) {
 	}
 	if _, _, err := DecodeRecordBatch(nil); !errors.Is(err, ErrBatchCorrupt) {
 		t.Fatalf("empty input: %v", err)
+	}
+}
+
+// TestDecodeRecordBatchRefusesVersion1: a frame stamped with version 1,
+// its CRC intact, is refused as corrupt rather than read. That holds for
+// one whose PLAIN bytes version 2 would read the same, and for one
+// carrying a TYPED column, which version 1 never wrote.
+func TestDecodeRecordBatchRefusesVersion1(t *testing.T) {
+	plain := EncodeRecordBatch(&RecordBatch{NumRows: 3, Cols: []BatchColumn{intCol("seq", 1, 2, 3)}})
+	typed := EncodeVectors([]Vector{IntVector("seq", schema.KindInt64, []int64{1, 2, 3})}, nil)
+	for name, frame := range map[string][]byte{"plain": plain, "typed": typed} {
+		if _, _, err := DecodeRecordBatch(frame); err != nil {
+			t.Fatalf("%s: version %d frame refused: %v", name, frame[4], err)
+		}
+		v1 := append([]byte(nil), frame[:len(frame)-4]...)
+		v1[4] = 1
+		v1 = binary.LittleEndian.AppendUint32(v1, blockenc.Checksum(v1))
+		if _, _, err := DecodeRecordBatch(v1); !errors.Is(err, ErrBatchCorrupt) {
+			t.Errorf("%s: version 1 frame: err = %v, want ErrBatchCorrupt", name, err)
+		}
+		if _, _, _, err := DecodeVectors(v1); !errors.Is(err, ErrBatchCorrupt) {
+			t.Errorf("%s: version 1 frame through DecodeVectors: err = %v, want ErrBatchCorrupt", name, err)
+		}
 	}
 }
 

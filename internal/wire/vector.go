@@ -5,7 +5,8 @@
 // dictionary entry, once per run) and only surviving rows ever decode
 // to values. A Selection names the surviving row indexes; nil means
 // every row. EncodeVectors re-emits selected rows straight into a
-// record-batch frame without the content-scanning encoding chooser. A
+// record-batch frame without the content-scanning encoding chooser, a
+// typed vector as its TYPED buffers. A
 // Vector is also what the column codec (column.go) decodes a payload
 // into and encodes one from: the in-memory form of the one byte format
 // ROS value pages and record-batch columns share.
@@ -239,20 +240,14 @@ func (v *Vector) AppendValues(dst []schema.Value, sel Selection) []schema.Value 
 // built in one loop per kind, with its NULLs laid over it after.
 func (v *Vector) LoadValues(dst []schema.Value, stride int, sel Selection) {
 	n := sel.Count(v.Len())
-	row := func(o int) int {
-		if sel == nil {
-			return o
-		}
-		return int(sel[o])
-	}
 	switch {
 	case v.Enc == BatchEncPlain && !v.Typed():
 		for o := 0; o < n; o++ {
-			dst[o*stride] = v.Values[row(o)]
+			dst[o*stride] = v.Values[selRow(sel, o)]
 		}
 	case v.Enc == BatchEncDict:
 		for o := 0; o < n; o++ {
-			dst[o*stride] = v.Dict[v.Codes[row(o)]]
+			dst[o*stride] = v.Dict[v.Codes[selRow(sel, o)]]
 		}
 	case v.Enc == BatchEncRLE && sel == nil:
 		o := 0
@@ -267,7 +262,7 @@ func (v *Vector) LoadValues(dst []schema.Value, stride int, sel Selection) {
 		// every selected row.
 		ri, start := 0, int32(0)
 		for o := 0; o < n; o++ {
-			i := int32(row(o))
+			i := int32(selRow(sel, o))
 			for ri < len(v.Runs) && i >= start+v.Runs[ri].Len {
 				start += v.Runs[ri].Len
 				ri++
@@ -280,26 +275,26 @@ func (v *Vector) LoadValues(dst []schema.Value, stride int, sel Selection) {
 		}
 	case v.Kind == schema.KindFloat64:
 		for o, floats := 0, v.Floats; o < n; o++ {
-			dst[o*stride] = schema.Float64(floats[row(o)])
+			dst[o*stride] = schema.Float64(floats[selRow(sel, o)])
 		}
 	case v.Kind == schema.KindString:
 		for o, str, offs := 0, v.Str, v.Offs; o < n; o++ {
-			i := row(o)
+			i := selRow(sel, o)
 			dst[o*stride] = schema.String(str[offs[i]:offs[i+1]])
 		}
 	case v.Kind == schema.KindJSON:
 		for o, str, offs := 0, v.Str, v.Offs; o < n; o++ {
-			i := row(o)
+			i := selRow(sel, o)
 			dst[o*stride] = schema.RawJSON(str[offs[i]:offs[i+1]])
 		}
 	default:
 		for o, k, ints := 0, v.Kind, v.Ints; o < n; o++ {
-			dst[o*stride] = schema.IntOf(k, ints[row(o)])
+			dst[o*stride] = schema.IntOf(k, ints[selRow(sel, o)])
 		}
 	}
 	if v.Typed() && v.Valid != nil {
 		for o := 0; o < n; o++ {
-			if !v.Valid.Has(row(o)) {
+			if !v.Valid.Has(selRow(sel, o)) {
 				dst[o*stride] = schema.Null()
 			}
 		}
@@ -538,8 +533,9 @@ func (sel Selection) Count(n int) int {
 // one record-batch frame, preserving each vector's encoding instead of
 // re-scanning content like EncodeRecordBatch (AppendColumn: DICT columns
 // emit a compacted dictionary plus selected codes, RLE columns emit runs
-// intersected with the selection). The output decodes with
-// DecodeRecordBatch like any other frame. It panics when a vector's
+// intersected with the selection, typed columns their TYPED buffers).
+// The output decodes with DecodeVectors or DecodeRecordBatch like any
+// other frame. It panics when a vector's
 // length disagrees with the others (a programming error).
 func EncodeVectors(cols []Vector, sel Selection) []byte {
 	nRows := -1

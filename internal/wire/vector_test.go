@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vortex/internal/bin"
 	"vortex/internal/schema"
 )
 
@@ -307,19 +308,24 @@ func FuzzSelectionGather(f *testing.F) {
 	})
 }
 
-// TestTypedFrameBytesMatchValues: a typed column, with NULLs or without,
-// frames to the bytes its values frame to through rowenc.AppendValue,
-// for every typed kind and a nil, sparse or empty selection, and beside
-// DICT and RLE columns in one frame.
+// TestTypedFrameBytesMatchValues: a frame of typed columns, with NULLs
+// or without, carries each as TYPED and decodes to the values the frame
+// of those values decodes to, typed wherever that frame's decode types
+// them — and where every selected row is NULL, or none is selected, as
+// well — for every typed kind and a nil, sparse or empty selection; DICT and
+// RLE columns beside them in the frame decode exactly as they do beside
+// the values.
 func TestTypedFrameBytesMatchValues(t *testing.T) {
 	cols := [][]schema.Value{
 		i64s(0, -1, 1<<40, 63, 64, -65, 7, 0),
 		{schema.TimestampNanos(1), schema.TimestampNanos(-300), schema.TimestampNanos(1 << 50), schema.TimestampNanos(0),
 			schema.TimestampNanos(9), schema.TimestampNanos(8), schema.TimestampNanos(7), schema.TimestampNanos(6)},
+		{schema.DateDays(19000), schema.Null(), schema.DateDays(-1), schema.DateDays(0), schema.DateDays(1), schema.DateDays(2), schema.DateDays(3), schema.Null()},
 		{schema.Numeric(5), schema.Numeric(-5), schema.Null(), schema.Numeric(1 << 33), schema.Numeric(0), schema.Null(), schema.Numeric(3), schema.Numeric(2)},
 		{schema.Bool(true), schema.Bool(false), schema.Bool(true), schema.Bool(true), schema.Bool(false), schema.Bool(false), schema.Bool(true), schema.Bool(false)},
 		{schema.Float64(1.5), schema.Float64(-0.25), schema.Float64(0), schema.Float64(1e300), schema.Null(), schema.Float64(2), schema.Float64(3), schema.Float64(4)},
 		{schema.String(""), schema.String("a"), schema.String("bc"), schema.Null(), schema.String("d"), schema.String("e"), schema.String("ff"), schema.String("g")},
+		{schema.RawJSON(`{}`), schema.RawJSON(`[1]`), schema.Null(), schema.RawJSON(`"x"`), schema.RawJSON(`2`), schema.RawJSON(`null`), schema.RawJSON(`true`), schema.RawJSON(`{"a":1}`)},
 		i64s(3, 3, 3, 3, 3, 3, 3, 3),
 	}
 	for _, sel := range []Selection{nil, {}, {1, 3, 4, 7}, {5}} {
@@ -335,8 +341,46 @@ func TestTypedFrameBytesMatchValues(t *testing.T) {
 		enc := testVectors()[1:3] // DICT and RLE
 		enc[0].Name, enc[1].Name = "x", "y"
 		typed, values = append(typed, enc...), append(values, enc...)
-		if got, want := EncodeVectors(typed, sel), EncodeVectors(values, sel); !reflect.DeepEqual(got, want) {
-			t.Fatalf("sel %v: typed frame %x, values frame %x", sel, got, want)
+		frame := EncodeVectors(typed, sel)
+		got, rows, _, err := DecodeVectors(frame)
+		if err != nil {
+			t.Fatalf("sel %v: %v", sel, err)
+		}
+		want, wantRows, _, err := DecodeVectors(EncodeVectors(values, sel))
+		if err != nil || rows != wantRows {
+			t.Fatalf("sel %v: %d rows, values frame %d rows: %v", sel, rows, wantRows, err)
+		}
+		for k := range got {
+			if k < len(cols) && framedEncoding(t, frame, k) != BatchEncTyped {
+				t.Fatalf("sel %v: column %s framed as %d, want TYPED", sel, got[k].Name, framedEncoding(t, frame, k))
+			}
+			if (want[k].Typed() && !got[k].Typed()) || !valuesEqual(got[k].Gather(nil), want[k].Gather(nil)) {
+				t.Fatalf("sel %v: column %s decoded %v (typed %v), values frame %v (typed %v)",
+					sel, got[k].Name, got[k].Gather(nil), got[k].Typed(), want[k].Gather(nil), want[k].Typed())
+			}
+			if k >= len(cols) && !reflect.DeepEqual(got[k], want[k]) {
+				t.Fatalf("sel %v: column %s decoded %+v beside typed columns, %+v beside values", sel, got[k].Name, got[k], want[k])
+			}
 		}
 	}
+}
+
+// framedEncoding is the encoding byte of column k of a frame.
+func framedEncoding(t *testing.T, frame []byte, k int) byte {
+	r := bin.NewReader(frame)
+	r.Uint32()
+	r.Byte()
+	r.Uvarint()
+	r.Uvarint()
+	for ; k > 0; k-- {
+		r.Block()
+		r.Byte()
+		r.Block()
+	}
+	r.Block()
+	enc := r.Byte()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return enc
 }
