@@ -23,33 +23,6 @@ func ChangeOf(s *schema.Schema, seq int64, row schema.Row) Change {
 	return Change{Seq: seq, Type: row.Change, Key: pk, Keyed: err == nil}
 }
 
-// ChangesOf is ChangeOf over rows held as columns: cols[f][i] is row i's
-// value of top-level field f, seqs[i] and types[i] its sequence and
-// change type. Only the primary-key columns are read; one the rows do
-// not carry reads NULL.
-func ChangesOf(s *schema.Schema, cols [][]schema.Value, seqs []int64, types []byte) []Change {
-	pk := make([]int, len(s.PrimaryKey))
-	for n, name := range s.PrimaryKey {
-		pk[n] = s.FieldIndex(name)
-	}
-	row := schema.Row{Values: make([]schema.Value, len(s.Fields))}
-	out := make([]Change, len(seqs))
-	for i := range out {
-		for _, f := range pk {
-			if f < 0 {
-				continue // PrimaryKeyOf reports the unknown column
-			}
-			row.Values[f] = schema.Null()
-			if f < len(cols) && cols[f] != nil {
-				row.Values[f] = cols[f][i]
-			}
-		}
-		row.Change = schema.ChangeType(types[i])
-		out[i] = ChangeOf(s, seqs[i], row)
-	}
-	return out
-}
-
 // Replay applies `_CHANGE_TYPE` semantics (§4.2.6) to the changes in
 // storage-sequence order (ties in slice order) and reports, per input
 // position, which rows do not survive:

@@ -204,7 +204,9 @@ func EncodeBlock(b Block) []byte {
 }
 
 // parseBlock parses one block at data[pos:]. It returns ok=false when the
-// bytes do not form a complete valid block (torn tail).
+// bytes do not form a complete valid block (torn tail). The payload is a
+// slice of data, capped at its end so an append to it cannot write into
+// the image.
 func parseBlock(data []byte, pos int64) (Block, int64, bool) {
 	r := bin.NewReader(data[pos:])
 	magic, kind := r.Byte(), BlockKind(r.Byte())
@@ -222,7 +224,7 @@ func parseBlock(data []byte, pos int64) (Block, int64, bool) {
 		Timestamp: truetime.Timestamp(ts),
 		StartRow:  start,
 		RowCount:  rows,
-		Payload:   append([]byte(nil), payload...),
+		Payload:   payload[:len(payload):len(payload)],
 		Offset:    pos,
 		Size:      next - pos,
 	}, next, true
@@ -254,6 +256,9 @@ type ScanResult struct {
 
 // Scan parses an entire fragment file image. It never fails on a torn
 // tail — it stops at the last valid block. A corrupt header is an error.
+// Block payloads are not copied: they are slices of data, which the
+// caller must not modify while it reads them, and which stays in memory
+// as long as any block does.
 func Scan(data []byte) (*ScanResult, error) {
 	h, pos, err := ParseHeader(data)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
@@ -84,10 +85,10 @@ type Result struct {
 // taken, in the order the SMS lists them, while their committed bytes
 // stay under it (a fragment larger than it is a group of its own). A
 // group's rows are all in memory while its files are written — as
-// schema.Values, some 21 to 25 times their stored size (DESIGN.md §15) — so
-// this is what bounds a pass's memory whatever the backlog; and each
-// group is its own atomic swap, so a pass that yields to DML loses one
-// group's work.
+// typed vectors, nested and BYTES fields as schema.Values, some 18 to
+// 19 times their stored size (DESIGN.md §15) — so this is what bounds a
+// pass's memory whatever the backlog; and each group is its own atomic
+// swap, so a pass that yields to DML loses one group's work.
 const groupBytes = 8 << 20
 
 // ConvertTable performs one WOS→ROS conversion pass (Figure 5): it asks
@@ -255,18 +256,21 @@ func (o *Optimizer) placement(from [2]string) [2]string {
 }
 
 // rowSet is the visible rows of some fragments held as columns — what
-// ScanBatch produced, concatenated in input order: cols[f][i] is row i's
-// value of top-level field f.
+// ScanBatch produced, concatenated in input order: cols[f] is top-level
+// field f as one PLAIN vector, typed where the field's values are of one
+// scalar kind (every flat scalar field but BYTES), so conversion sorts,
+// stripes and encodes them without a schema.Value per row.
 type rowSet struct {
-	cols    [][]schema.Value
+	cols    []wire.Vector
 	seqs    []int64
 	changes []byte
 }
 
 // scanColumns reads the inputs, each on a worker, and concatenates
 // their rows in input order. Nothing is materialized per row: each
-// batch's cached vectors are gathered through its selection onto the end
-// of the set's columns.
+// batch's cached vectors are copied through its selection onto the end
+// of the set's columns, buffer to buffer where they are typed — a ROS
+// input's DICT and RLE columns too are laid out in typed buffers.
 func (o *Optimizer) scanColumns(ctx context.Context, plan *client.ScanPlan, inputs []client.Assignment) (*rowSet, error) {
 	batches, err := o.c.ScanBatches(ctx, plan, inputs, runtime.GOMAXPROCS(0))
 	if err != nil {
@@ -276,15 +280,15 @@ func (o *Optimizer) scanColumns(ctx context.Context, plan *client.ScanPlan, inpu
 	for _, b := range batches {
 		rows += b.NumVisible()
 	}
-	rs := &rowSet{cols: make([][]schema.Value, len(plan.Schema.Fields)), seqs: make([]int64, 0, rows), changes: make([]byte, 0, rows)}
-	for f := range rs.cols {
-		rs.cols[f] = make([]schema.Value, 0, rows)
+	rs := &rowSet{cols: make([]wire.Vector, len(plan.Schema.Fields)), seqs: make([]int64, 0, rows), changes: make([]byte, 0, rows)}
+	cols := make([]*wire.ColumnBuilder, len(rs.cols))
+	for f := range cols {
+		cols[f] = wire.NewColumnBuilder(plan.Schema.Fields[f].Name, rows, math.MaxInt32)
 	}
 	for _, b := range batches {
 		vecs, sel := b.Vectors(b.Sel)
 		for k := range vecs {
-			f := b.ColIdx[k]
-			rs.cols[f] = vecs[k].AppendValues(rs.cols[f], sel)
+			cols[b.ColIdx[k]].AppendVector(&vecs[k], sel)
 		}
 		seqs, changes := b.RowMeta()
 		if sel == nil {
@@ -294,7 +298,31 @@ func (o *Optimizer) scanColumns(ctx context.Context, plan *client.ScanPlan, inpu
 			rs.seqs, rs.changes = append(rs.seqs, seqs[i]), append(rs.changes, changes[i])
 		}
 	}
+	for f, b := range cols {
+		rs.cols[f] = b.Vector()
+	}
 	return rs, nil
+}
+
+// changesOf is dml.ChangeOf for every row of rs, reading only the
+// primary-key columns, a value at a time from their vectors.
+func changesOf(sc *schema.Schema, rs *rowSet) []dml.Change {
+	pk := make([]int, len(sc.PrimaryKey))
+	for n, name := range sc.PrimaryKey {
+		pk[n] = sc.FieldIndex(name)
+	}
+	row := schema.Row{Values: make([]schema.Value, len(sc.Fields))}
+	out := make([]dml.Change, len(rs.seqs))
+	for i := range out {
+		for _, f := range pk {
+			if f >= 0 { // PrimaryKeyOf reports an unknown column
+				row.Values[f] = rs.cols[f].ValueAt(i)
+			}
+		}
+		row.Change = schema.ChangeType(rs.changes[i])
+		out[i] = dml.ChangeOf(sc, rs.seqs[i], row)
+	}
+	return out
 }
 
 // noPartition groups the rows that have no partition value; it sorts
@@ -312,19 +340,22 @@ const noPartition = -1 << 62
 // non-overlapping in key ranges, §6.1) and never spans partitions.
 //
 // The survivors are first split into one run per partition, in input
-// order, and each run is sorted on a worker: the permutation one stable
-// sort by (partition, key, sequence) would give.
+// order, and each run is sorted on a worker by (key, sequence, input
+// position): the permutation one stable sort by (partition, key,
+// sequence) would give. Partitions are read off the partition column's
+// integers and keys compared on the key columns' typed buffers, NULL
+// first, as schema.Value.Compare orders them.
 func (o *Optimizer) clusteredOrder(sc *schema.Schema, rs *rowSet) (perm []int32, cuts []int) {
 	var dead []bool
 	if len(sc.PrimaryKey) > 0 {
-		dead = dml.Replay(dml.ChangesOf(sc, rs.cols, rs.seqs, rs.changes), false)
+		dead = dml.Replay(changesOf(sc, rs), false)
 	}
 	parts := make([]int64, len(rs.seqs))
 	pf := sc.FieldIndex(sc.PartitionField)
 	for i := range parts {
 		parts[i] = noPartition
 		if pf >= 0 {
-			if p, ok := schema.PartitionOfValue(rs.cols[pf][i]); ok {
+			if p, ok := rs.cols[pf].PartitionOf(i); ok {
 				parts[i] = p
 			}
 		}
@@ -354,24 +385,27 @@ func (o *Optimizer) clusteredOrder(sc *schema.Schema, rs *rowSet) (perm []int32,
 			runs[run[p]] = append(runs[run[p]], int32(i))
 		}
 	}
-	keys := make([][]schema.Value, 0, len(sc.ClusterBy))
+	keys := make([]func(i, j int) int, 0, len(sc.ClusterBy))
 	for _, name := range sc.ClusterBy {
-		keys = append(keys, rs.cols[sc.FieldIndex(name)])
+		keys = append(keys, rs.cols[sc.FieldIndex(name)].Order())
 	}
 	compareKeys := func(a, b int32) int {
-		for _, col := range keys {
-			if c := col[a].Compare(col[b]); c != 0 {
+		for _, order := range keys {
+			if c := order(int(a), int(b)); c != 0 {
 				return c
 			}
 		}
 		return 0
 	}
 	_ = workpool.Run(len(runs), runtime.GOMAXPROCS(0), func(_, k int) error { // a sort cannot fail
-		slices.SortStableFunc(runs[k], func(a, b int32) int {
+		slices.SortFunc(runs[k], func(a, b int32) int {
 			if c := compareKeys(a, b); c != 0 {
 				return c
 			}
-			return cmp.Compare(rs.seqs[a], rs.seqs[b])
+			if c := cmp.Compare(rs.seqs[a], rs.seqs[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b) // a run lists its rows in input order
 		})
 		return nil
 	})

@@ -333,10 +333,11 @@ func peakHeap(f func()) uint64 {
 }
 
 // boundedHeapFactor is the most a pass's heap may rise, as a multiple of
-// the group budget: a group's rows are in memory twice as 24-byte
-// schema.Values (the decoded fragments and their concatenation), plus the
-// strings behind them, the workers' writer columns and the garbage of the group
-// before. The pass logs 21–25×; the rest is room for when the GC runs.
+// the group budget: a group's rows are in memory twice (the decoded
+// fragments and their concatenation, typed vectors but for nested and
+// BYTES fields), plus the strings behind them, the workers' writer
+// columns and the garbage of the group before. The pass logs 18–19×;
+// the rest is room for when the GC runs.
 const boundedHeapFactor = 60
 
 // TestConvertTableIsBoundedByTheGroupBudget: a table of more than four

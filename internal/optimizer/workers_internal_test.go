@@ -11,6 +11,7 @@ import (
 	"vortex/internal/colossus"
 	"vortex/internal/core"
 	"vortex/internal/schema"
+	"vortex/internal/wire"
 )
 
 // countWrites is a colossus.Chaos that lets everything through and
@@ -42,7 +43,8 @@ func TestEncodeFailureWritesNothing(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for bad := range files {
-			rs := &rowSet{cols: [][]schema.Value{nil}}
+			rs := &rowSet{}
+			var vals []schema.Value
 			var perm []int32
 			var cuts []int
 			for i := range files * perFile {
@@ -50,7 +52,7 @@ func TestEncodeFailureWritesNothing(t *testing.T) {
 				if i == bad*perFile+perFile/2 {
 					v = schema.String("not an id")
 				}
-				rs.cols[0] = append(rs.cols[0], v)
+				vals = append(vals, v)
 				rs.seqs = append(rs.seqs, int64(i+1))
 				rs.changes = append(rs.changes, byte(schema.ChangeInsert))
 				perm = append(perm, int32(i))
@@ -58,6 +60,7 @@ func TestEncodeFailureWritesNothing(t *testing.T) {
 					cuts = append(cuts, i+1)
 				}
 			}
+			rs.cols = []wire.Vector{wire.PlainVector("id", vals)}
 			infos, err := o.writeFiles("d.enc", sc, rs, perm, cuts, clusters)
 			if err == nil || !strings.Contains(err.Error(), "expects") || infos != nil {
 				t.Fatalf("procs %d, bad file %d: writeFiles = %v, %v; want the encode error", procs, bad, infos, err)

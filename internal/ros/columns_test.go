@@ -2,30 +2,43 @@ package ros
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"vortex/internal/schema"
+	"vortex/internal/wire"
 )
 
-// columnsOf transposes rows into the top-level columns AddColumns takes.
-func columnsOf(s *schema.Schema, rows []schema.Row) (cols [][]schema.Value, seqs []int64, changes []byte) {
-	cols = make([][]schema.Value, len(s.Fields))
+// columnsOf transposes rows into the top-level columns AddColumns takes,
+// each typed where its values are of one scalar kind, as a scan's are.
+func columnsOf(s *schema.Schema, rows []schema.Row) (cols []wire.Vector, seqs []int64, changes []byte) {
+	cols = make([]wire.Vector, len(s.Fields))
 	for f := range cols {
-		cols[f] = make([]schema.Value, len(rows))
+		vals := make([]schema.Value, len(rows))
 		for i, r := range rows {
-			cols[f][i] = schema.Null()
+			vals[i] = schema.Null()
 			if f < len(r.Values) {
-				cols[f][i] = r.Values[f]
+				vals[i] = r.Values[f]
 			}
 		}
+		cols[f] = typedColumn(s.Fields[f].Name, vals)
 	}
 	seqs, changes = make([]int64, len(rows)), make([]byte, len(rows))
 	for i, r := range rows {
 		seqs[i], changes[i] = int64(1000-i), byte(r.Change)
 	}
 	return cols, seqs, changes
+}
+
+// typedColumn is vals as the vector a scan hands over: typed where they
+// are NULL or of one scalar kind, PLAIN values otherwise.
+func typedColumn(name string, vals []schema.Value) wire.Vector {
+	b := wire.NewColumnBuilder(name, len(vals), math.MaxInt32)
+	plain := wire.PlainVector(name, vals)
+	b.AppendVector(&plain, nil)
+	return b.Vector()
 }
 
 // TestAddColumnsEqualsAdd: a file written from columns through a
@@ -94,7 +107,8 @@ func TestAddColumnsEqualsAdd(t *testing.T) {
 // TestAddColumnsRefusesWhatValidateRowRefuses: the checks ValidateRow
 // makes row by row are made while a column is striped, with the same
 // error, and a refused call — the bad row in the middle of a batch —
-// leaves the Writer as it was.
+// leaves the Writer as it was: also when typed columns before the bad
+// one have been striped into the typed leaf buffers already.
 func TestAddColumnsRefusesWhatValidateRowRefuses(t *testing.T) {
 	flat := &schema.Schema{Fields: []*schema.Field{
 		{Name: "k", Kind: schema.KindString, Mode: schema.Required},
@@ -104,10 +118,16 @@ func TestAddColumnsRefusesWhatValidateRowRefuses(t *testing.T) {
 		{Name: "k", Kind: schema.KindString, Mode: schema.Required},
 		{Name: "n", Kind: schema.KindInt64, Mode: schema.Required},
 	}}
+	wide := &schema.Schema{Fields: []*schema.Field{
+		{Name: "k", Kind: schema.KindString, Mode: schema.Required},
+		{Name: "n", Kind: schema.KindInt64, Mode: schema.Nullable},
+		{Name: "x", Kind: schema.KindFloat64, Mode: schema.Nullable},
+	}}
 	doc := dremelSchema()
 	good := map[*schema.Schema]schema.Row{
 		flat:     schema.NewRow(schema.String("a"), schema.Int64(1)),
 		required: schema.NewRow(schema.String("a"), schema.Int64(1)),
+		wide:     schema.NewRow(schema.String("a"), schema.Int64(1), schema.Float64(0.5)),
 		doc:      dremelRows()[0],
 	}
 	name := func(code schema.Value, country schema.Value) schema.Value {
@@ -123,6 +143,8 @@ func TestAddColumnsRefusesWhatValidateRowRefuses(t *testing.T) {
 		{"list in a flat column", flat, schema.NewRow(schema.String("a"), schema.List(schema.Int64(1)))},
 		{"more values than fields", flat, schema.NewRow(schema.String("a"), schema.Int64(1), schema.Int64(2))},
 		{"row ends before a Required field", required, schema.NewRow(schema.String("a"))},
+		{"wrong kind in a later column", wide, schema.NewRow(schema.String("b"), schema.Int64(2), schema.String("x"))},
+		{"REQUIRED NULL in a later column", required, schema.NewRow(schema.String("b"), schema.Null())},
 		{"change row without a primary key", flat, schema.NewRow(schema.String("a"), schema.Int64(1)).WithChange(schema.ChangeDelete)},
 		{"scalar where a list belongs", doc, schema.NewRow(schema.Int64(1), schema.Null(), schema.Int64(2))},
 		{"NULL list element", doc, schema.NewRow(schema.Int64(1), schema.Null(), schema.List(schema.Null()))},
@@ -151,6 +173,9 @@ func TestAddColumnsRefusesWhatValidateRowRefuses(t *testing.T) {
 			if len(tc.bad.Values) <= len(tc.s.Fields) {
 				cols, seqs, changes := columnsOf(tc.s, []schema.Row{ok, tc.bad, ok})
 				cols = cols[:len(tc.bad.Values)] // a short row: rows that carry fewer columns
+				if tc.s != doc && !cols[0].Typed() {
+					t.Fatal("the first column is not typed: the typed stripe is not exercised")
+				}
 				if err := w.AddColumns(cols, seqs, changes, []int32{0, 1, 2}); err == nil || err.Error() != verr.Error() {
 					t.Errorf("AddColumns: %v\nValidateRow: %v", err, verr)
 				}

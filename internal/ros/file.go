@@ -77,7 +77,12 @@ type ColumnStats struct {
 	Encoding  Encoding
 }
 
-// Writer builds one ROS file from rows added in storage order.
+// Writer builds one ROS file from rows added in storage order, as
+// columns (AddColumns) or one at a time (Add, the same call over
+// columns of one value). It keeps them typed from vector to page: each
+// leaf column is levels plus one wire.Scalars buffer, and Finish takes
+// ranges, counts runs and distinct values, and builds the one page the
+// policy keeps, all on those buffers.
 type Writer struct {
 	schema   *schema.Schema
 	striper  *striper
@@ -99,9 +104,20 @@ type Writer struct {
 	keys       *bloom.Builder
 	filter     []byte // marshaled by Finish
 
-	rowCols [][]schema.Value // Add's one-row columns, reused
-	undo    []int            // AddColumns: each striped column's entry and value count on entry
+	keyCols  []*wire.Vector       // AddColumns: each ClusterBy column of the call, or nil
+	keyOrder []func(i, j int) int // AddColumns: each key column's Order, nil for a missing one
+
+	// Finish's buffers, kept from file to file: the file as it is
+	// built, the Layout of a value page, the page and its Snappy block.
+	file, page, zpage []byte
+	layout            wire.Layout
+
+	rowCols []wire.Vector // Add's one-row columns, reused
+	undo    []leafMark    // AddColumns: each striped column's lengths on entry
 }
+
+// leafMark is how many entries and values a striped column held.
+type leafMark struct{ entries, values int }
 
 // maxBloomKeys is the most distinct clustering values a file's filter
 // is sized for.
@@ -119,7 +135,9 @@ func NewWriter(s *schema.Schema) *Writer {
 		w.clusterFields = append(w.clusterFields, s.FieldIndex(name))
 	}
 	w.lastKey = make([]schema.Value, len(w.clusterFields))
-	w.undo = make([]int, 2*len(w.striper.cols))
+	w.keyCols = make([]*wire.Vector, len(w.clusterFields))
+	w.keyOrder = make([]func(i, j int) int, len(w.clusterFields))
+	w.undo = make([]leafMark, len(w.striper.cols))
 	return w
 }
 
@@ -128,7 +146,8 @@ func NewWriter(s *schema.Schema) *Writer {
 // files sizes them once, for its largest.
 func (w *Writer) Reset() {
 	for _, c := range w.striper.cols {
-		c.reps, c.defs, c.values = c.reps[:0], c.defs[:0], c.values[:0]
+		c.reps, c.defs = c.reps[:0], c.defs[:0]
+		c.vals.Truncate(0)
 	}
 	w.seqs, w.changes, w.partitions = w.seqs[:0], w.changes[:0], w.partitions[:0]
 	w.rowCount, w.partition, w.hasPartition = 0, 0, false
@@ -150,49 +169,53 @@ var oneRow = []int32{0}
 func (w *Writer) Add(r schema.Row, seq int64) error {
 	w.rowCols = w.rowCols[:0]
 	for i := range r.Values {
-		w.rowCols = append(w.rowCols, r.Values[i:i+1])
+		w.rowCols = append(w.rowCols, wire.PlainVector("", r.Values[i:i+1]))
 	}
 	return w.AddColumns(w.rowCols, []int64{seq}, []byte{byte(r.Change)}, oneRow)
 }
 
-// AddColumns appends rows held as columns: cols[f][i] is row i's value
-// of top-level field f, seqs[i] and changes[i] its storage sequence and
-// change type, and perm lists the rows to add, in file order. There may
-// be fewer columns than the schema has fields (rows written before the
-// trailing fields were added read NULL there), never more. Every value
+// AddColumns appends rows held as columns: cols[f] holds top-level
+// field f, seqs[i] and changes[i] row i's storage sequence and change
+// type, and perm lists the rows to add, in file order. There may be
+// fewer columns than the schema has fields (rows written before the
+// trailing fields were added read NULL there), never more. A column is
+// a vector of any encoding; a flat field's typed vector of the field's
+// kind is the one striped without a schema.Value per row. Every value
 // must be valid for its field, which is checked while it is striped —
 // what schema.ValidateRow checks row by row; all rows of a file must
 // belong to the same partition (the optimizer splits by partition,
 // Figure 5) unless AllowMixedPartitions. A refused call adds nothing.
-func (w *Writer) AddColumns(cols [][]schema.Value, seqs []int64, changes []byte, perm []int32) error {
+func (w *Writer) AddColumns(cols []wire.Vector, seqs []int64, changes []byte, perm []int32) error {
 	// What addColumns can change before it fails: the Writer's own fields
 	// (slices only ever grow, so their old headers restore them) and the
 	// lengths of the striped columns.
 	saved := *w
 	for k, c := range w.striper.cols {
-		w.undo[2*k], w.undo[2*k+1] = len(c.reps), len(c.values)
+		w.undo[k] = leafMark{len(c.reps), c.vals.Len()}
 	}
 	err := w.addColumns(cols, seqs, changes, perm)
 	if err != nil {
 		*w = saved
 		for k, c := range w.striper.cols {
-			c.reps, c.defs, c.values = c.reps[:w.undo[2*k]], c.defs[:w.undo[2*k]], c.values[:w.undo[2*k+1]]
+			m := w.undo[k]
+			c.reps, c.defs = c.reps[:m.entries], c.defs[:m.entries]
+			c.vals.Truncate(m.values)
 		}
 	}
 	return err
 }
 
-func (w *Writer) addColumns(cols [][]schema.Value, seqs []int64, changes []byte, perm []int32) error {
+func (w *Writer) addColumns(cols []wire.Vector, seqs []int64, changes []byte, perm []int32) error {
 	if len(cols) > len(w.schema.Fields) {
 		return fmt.Errorf("schema: row has %d values, schema has %d fields", len(cols), len(w.schema.Fields))
 	}
-	// column returns the values of top-level field f, nil when the rows
+	// column returns the column of top-level field f, nil when the rows
 	// do not carry it.
-	column := func(f int) []schema.Value {
+	column := func(f int) *wire.Vector {
 		if f < 0 || f >= len(cols) {
 			return nil
 		}
-		return cols[f]
+		return &cols[f]
 	}
 	for f, root := range w.striper.roots {
 		if err := root.stripeColumn(column(f), perm); err != nil {
@@ -214,7 +237,7 @@ func (w *Writer) addColumns(cols [][]schema.Value, seqs []int64, changes []byte,
 		var part int64
 		var ok bool
 		if pcol != nil {
-			part, ok = schema.PartitionOfValue(pcol[i])
+			part, ok = pcol.PartitionOf(int(i))
 		}
 		if w.rowCount == 0 && k == 0 {
 			w.partition, w.hasPartition = part, ok
@@ -228,20 +251,40 @@ func (w *Writer) addColumns(cols [][]schema.Value, seqs []int64, changes []byte,
 			w.addPartition(part)
 		}
 	}
-	// Clustering bookkeeping: range and bloom membership, once per run of
-	// rows sharing a key (a clustered file is sorted by it).
-	for k := 0; k < len(perm) && len(w.clusterFields) > 0; k++ {
-		run := w.rowCount > 0 || k > 0 // lastKey holds the previous row's key
+	if len(w.clusterFields) > 0 && len(perm) > 0 {
 		for n, f := range w.clusterFields {
-			v := schema.Null()
-			if col := column(f); col != nil {
-				v = col[perm[k]]
+			w.keyCols[n], w.keyOrder[n] = column(f), nil
+			if w.keyCols[n] != nil && len(perm) > 1 {
+				w.keyOrder[n] = w.keyCols[n].Order()
 			}
-			run = run && v.Compare(w.lastKey[n]) == 0
-			w.lastKey[n] = v
+		}
+		w.addClusterKeys(perm)
+	}
+	w.rowCount += int64(len(perm))
+	return nil
+}
+
+// addClusterKeys keeps the clustering bookkeeping of rows perm of the
+// call's key columns: range and bloom membership, once per run of rows
+// sharing a key (a clustered file is sorted by it). A row is compared
+// with the one before it by the columns' Order, typed where they are;
+// only the first row of a call is compared with lastKey, the previous
+// call's last key.
+func (w *Writer) addClusterKeys(perm []int32) {
+	for k, i := range perm {
+		run := k > 0 || w.rowCount > 0
+		for n, col := range w.keyCols {
+			if k == 0 {
+				run = run && keyAt(col, int(i)).Compare(w.lastKey[n]) == 0
+			} else {
+				run = run && (col == nil || w.keyOrder[n](int(i), int(perm[k-1])) == 0)
+			}
 		}
 		if run {
 			continue
+		}
+		for n, col := range w.keyCols {
+			w.lastKey[n] = keyAt(col, int(i))
 		}
 		if w.clusterMin == nil || schema.CompareClusterKeys(w.lastKey, w.clusterMin) < 0 {
 			w.clusterMin = slices.Clone(w.lastKey)
@@ -255,8 +298,18 @@ func (w *Writer) addColumns(cols [][]schema.Value, seqs []int64, changes []byte,
 			}
 		}
 	}
-	w.rowCount += int64(len(perm))
-	return nil
+	for n, col := range w.keyCols {
+		w.lastKey[n] = keyAt(col, int(perm[len(perm)-1]))
+	}
+}
+
+// keyAt is row i's value of a key column, NULL when the rows do not
+// carry it.
+func keyAt(col *wire.Vector, i int) schema.Value {
+	if col == nil {
+		return schema.Null()
+	}
+	return col.ValueAt(i)
 }
 
 func (w *Writer) addPartition(p int64) {
@@ -297,9 +350,10 @@ func (w *Writer) SeqBounds() (min, max int64) {
 	return min, max
 }
 
-// Finish encodes the file.
+// Finish encodes the file. It is built in a buffer the Writer keeps
+// from file to file and handed out as a copy of its exact length.
 func (w *Writer) Finish() ([]byte, error) {
-	out := []byte(fileMagic)
+	out := append(w.file[:0], fileMagic...)
 	out = append(out, fileVersion)
 	var fp [8]byte
 	binary.LittleEndian.PutUint64(fp[:], w.schema.Fingerprint())
@@ -326,18 +380,19 @@ func (w *Writer) Finish() ([]byte, error) {
 	for _, s := range w.seqs {
 		out = binary.AppendUvarint(out, uint64(s-minSeq))
 	}
-	out = appendBlock(out, rleEncode(w.changes))
+	out = binary.AppendUvarint(out, uint64(runsLen(w.changes)))
+	out = appendRuns(out, w.changes)
 
 	out = binary.AppendUvarint(out, uint64(len(w.striper.cols)))
 	for _, c := range w.striper.cols {
 		if len(c.reps) > maxColumnEntries {
 			return nil, fmt.Errorf("ros: column %q has %d entries, a file holds at most %d", c.leaf.Path, len(c.reps), maxColumnEntries)
 		}
-		out = encodeColumn(out, c)
+		out = w.appendColumn(out, c)
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], blockenc.Checksum(out))
-	return append(out, crc[:]...), nil
+	out = binary.LittleEndian.AppendUint32(out, blockenc.Checksum(out))
+	w.file = out
+	return slices.Clone(out), nil
 }
 
 // appendBlock appends b behind its uvarint length.
@@ -354,19 +409,32 @@ func appendValueList(dst []byte, vs []schema.Value) []byte {
 	return dst
 }
 
-// rleEncode run-length encodes a byte slice as (count, value) pairs.
-func rleEncode(levels []uint8) []byte {
-	var out []byte
+// appendRuns appends levels run-length encoded as (count, value) pairs.
+func appendRuns(dst []byte, levels []uint8) []byte {
 	for i := 0; i < len(levels); {
 		j := i + 1
 		for j < len(levels) && levels[j] == levels[i] {
 			j++
 		}
-		out = binary.AppendUvarint(out, uint64(j-i))
-		out = append(out, levels[i])
+		dst = binary.AppendUvarint(dst, uint64(j-i))
+		dst = append(dst, levels[i])
 		i = j
 	}
-	return out
+	return dst
+}
+
+// runsLen is the length of appendRuns' encoding of levels.
+func runsLen(levels []uint8) int {
+	n := 0
+	for i := 0; i < len(levels); {
+		j := i + 1
+		for j < len(levels) && levels[j] == levels[i] {
+			j++
+		}
+		n += (bits.Len(uint(j-i)|1)+6)/7 + 1
+		i = j
+	}
+	return n
 }
 
 // rleDecode expands total levels. Zero-length runs and runs past total
@@ -391,7 +459,7 @@ func rleDecode(data []byte, total int) ([]uint8, error) {
 }
 
 // A level stream is one mode byte and a payload: the levels as
-// rleEncode's runs, or bit-packed, low bits first, at the width of the
+// appendRuns' runs, or bit-packed, low bits first, at the width of the
 // column's largest possible level. Long runs (a flat column's levels are
 // one run) favour the first; the levels of a repeated field, which
 // change at every entry, pack into a tenth of their runs.
@@ -400,26 +468,33 @@ const (
 	levelsPacked = 1
 )
 
-// encodeLevels picks the smaller of the two modes.
-func encodeLevels(levels []uint8, maxLevel int) []byte {
-	runs := rleEncode(levels)
+// appendLevels appends the level stream of levels behind its length,
+// in the smaller of the two modes.
+func appendLevels(dst []byte, levels []uint8, maxLevel int) []byte {
+	runs := runsLen(levels)
 	width := bits.Len(uint(maxLevel))
-	if packed := (len(levels)*width + 7) / 8; packed < len(runs) {
-		out := make([]byte, 1+packed)
-		out[0] = levelsPacked
-		// width 0: every level is 0 and the entry count says it all.
-		for i := 0; width > 0 && i < len(levels); i++ {
-			// width <= 8, so a level spans at most two bytes.
-			bit := i * width
-			v := uint16(levels[i]) << (bit % 8)
-			out[1+bit/8] |= byte(v)
-			if v > 0xff {
-				out[2+bit/8] |= byte(v >> 8)
-			}
-		}
-		return out
+	packed := (len(levels)*width + 7) / 8
+	if packed >= runs {
+		dst = binary.AppendUvarint(dst, uint64(1+runs))
+		return appendRuns(append(dst, levelsRuns), levels)
 	}
-	return append([]byte{levelsRuns}, runs...)
+	dst = binary.AppendUvarint(dst, uint64(1+packed))
+	dst = append(dst, levelsPacked)
+	at := len(dst)
+	dst = slices.Grow(dst, packed)[:at+packed]
+	out := dst[at:]
+	clear(out)
+	// width 0: every level is 0 and the entry count says it all.
+	for i := 0; width > 0 && i < len(levels); i++ {
+		// width <= 8, so a level spans at most two bytes.
+		bit := i * width
+		v := uint16(levels[i]) << (bit % 8)
+		out[bit/8] |= byte(v)
+		if v > 0xff {
+			out[1+bit/8] |= byte(v >> 8)
+		}
+	}
+	return dst
 }
 
 // decodeLevels expands a level stream of total entries. A packed
@@ -453,65 +528,44 @@ func decodeLevels(data []byte, total, maxLevel int) ([]uint8, error) {
 	return nil, fmt.Errorf("%w: level mode %d", ErrCorrupt, mode)
 }
 
-// encodeColumn serializes one column chunk.
-func encodeColumn(out []byte, c *columnData) []byte {
+// appendColumn serializes one column chunk.
+func (w *Writer) appendColumn(out []byte, c *leafData) []byte {
 	out = binary.AppendUvarint(out, uint64(len(c.leaf.Path)))
 	out = append(out, c.leaf.Path...)
 	out = append(out, byte(c.leaf.Kind), byte(c.leaf.MaxRep), byte(c.leaf.MaxDef))
+	values := c.vals.Len()
 	out = binary.AppendUvarint(out, uint64(len(c.reps)))
-	out = binary.AppendUvarint(out, uint64(len(c.values)))
+	out = binary.AppendUvarint(out, uint64(values))
 
-	// Stats.
-	stats := computeStats(c)
-	if stats.HasRange {
+	// Stats: the range of a comparable column's values, and its NULLs.
+	lo, hi := -1, -1
+	if c.leaf.Kind.Comparable() {
+		lo, hi = c.vals.MinMax()
+	}
+	if lo >= 0 {
 		out = append(out, 1)
-		out = rowenc.AppendValue(out, stats.Min)
-		out = rowenc.AppendValue(out, stats.Max)
+		out = rowenc.AppendValue(out, c.vals.Value(lo))
+		out = rowenc.AppendValue(out, c.vals.Value(hi))
 	} else {
 		out = append(out, 0)
 	}
-	out = binary.AppendUvarint(out, uint64(stats.NullCount))
+	out = binary.AppendUvarint(out, uint64(len(c.reps)-values))
 
-	out = appendBlock(out, encodeLevels(c.reps, c.leaf.MaxRep))
-	out = appendBlock(out, encodeLevels(c.defs, c.leaf.MaxDef))
+	out = appendLevels(out, c.reps, c.leaf.MaxRep)
+	out = appendLevels(out, c.defs, c.leaf.MaxDef)
 
 	// Values: encoding byte, page length, page — the wire codec's
 	// payload, Snappy-compressed where that makes it any smaller. A
 	// threshold below 1 would put a cliff in the stored size: a page
 	// whose ratio sits at the threshold is stored raw or compressed on
 	// a byte's difference in its input.
-	enc, page := encodeValues(c.values)
-	if z := snappy.Encode(page); len(z) < len(page) {
-		enc, page = enc|pageSnappy, z
+	enc := w.encodeValues(&c.vals)
+	page := w.page
+	if w.zpage = snappy.AppendEncode(w.zpage[:0], page); len(w.zpage) < len(page) {
+		enc, page = enc|pageSnappy, w.zpage
 	}
 	out = append(out, enc)
 	return appendBlock(out, page)
-}
-
-func computeStats(c *columnData) ColumnStats {
-	s := ColumnStats{
-		Path:    c.leaf.Path,
-		Kind:    c.leaf.Kind,
-		Entries: int64(len(c.reps)),
-		Values:  int64(len(c.values)),
-	}
-	s.NullCount = s.Entries - s.Values
-	if !c.leaf.Kind.Comparable() {
-		return s
-	}
-	for _, v := range c.values {
-		if !s.HasRange {
-			s.Min, s.Max, s.HasRange = v, v, true
-			continue
-		}
-		if v.Compare(s.Min) < 0 {
-			s.Min = v
-		}
-		if v.Compare(s.Max) > 0 {
-			s.Max = v
-		}
-	}
-	return s
 }
 
 // encodeValues is the Writer's encoding policy, and only that: a
@@ -519,23 +573,26 @@ func computeStats(c *columnData) ColumnStats {
 // distinct ones and at most half as many distinct as values, a PLAIN
 // page otherwise — unless the values average runs of two or more and
 // their run-length page is smaller still, which is what a clustered
-// file's clustering column looks like. The bytes of each are the wire
-// codec's.
-func encodeValues(values []schema.Value) (enc byte, page []byte) {
-	v := wire.PlainVector("", values)
-	if len(values) >= 8 {
-		if dict, codes, ok := wire.BuildDict(values, min(maxDictSize, len(values)/2)); ok {
-			v = wire.DictVector("", dict, codes)
-		}
+// file's clustering column looks like. The policy weighs the lengths
+// one Layout pass counts, and only the page it keeps is built, by the
+// wire codec, into w.page.
+func (w *Writer) encodeValues(vals *wire.Scalars) (enc byte) {
+	n := vals.Len()
+	maxDistinct := 0
+	if n >= 8 {
+		maxDistinct = min(maxDictSize, n/2)
 	}
-	enc, page = wire.ColumnPayload(&v, nil)
-	if runs, ok := wire.BuildRuns(values, len(values)/2); ok {
-		rle := wire.RLEVector("", runs)
-		if e, p := wire.ColumnPayload(&rle, nil); len(p) < len(page) {
-			enc, page = e, p
-		}
+	l := &w.layout
+	l.Measure(vals, maxDistinct, n/2)
+	enc, size := byte(wire.BatchEncPlain), l.PlainLen
+	if l.DictLen >= 0 {
+		enc, size = wire.BatchEncDict, l.DictLen
 	}
-	return enc, page
+	if l.RunsLen >= 0 && l.RunsLen < size {
+		enc = wire.BatchEncRLE
+	}
+	w.page = vals.AppendPayload(w.page[:0], l, enc)
+	return enc
 }
 
 // Column is one column chunk. Level and value pages are decoded lazily:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vortex/internal/schema"
+	"vortex/internal/wire"
 )
 
 // dremelSchema is the Document schema from the Dremel paper, the
@@ -80,11 +81,12 @@ func TestDremelPaperLevels(t *testing.T) {
 		for i, r := range rows {
 			col[i] = r.Values[f]
 		}
-		if err := root.stripeColumn(col, []int32{0, 1}); err != nil {
+		v := wire.PlainVector("", col)
+		if err := root.stripeColumn(&v, []int32{0, 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	byPath := make(map[string]*columnData)
+	byPath := make(map[string]*leafData)
 	for _, c := range st.cols {
 		byPath[c.leaf.Path] = c
 	}
@@ -114,7 +116,7 @@ func TestDremelPaperLevels(t *testing.T) {
 				t.Errorf("%s[%d]: (r%d,d%d), want (r%d,d%d)", path, i, c.reps[i], c.defs[i], tr.rep, tr.def)
 			}
 			if int(c.defs[i]) == c.leaf.MaxDef {
-				got := c.values[vi].String()
+				got := c.vals.Value(vi).String()
 				if got != tr.val {
 					t.Errorf("%s[%d]: value %s, want %s", path, i, got, tr.val)
 				}

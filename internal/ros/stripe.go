@@ -9,12 +9,18 @@
 // that Big Metadata uses for partition elimination (§7.2). DESIGN.md §3
 // has the layout byte by byte.
 //
-// A value page is byte for byte a record-batch column's payload, and
-// this package neither reads nor writes those bytes: internal/wire's
-// column codec does (ColumnPayload, DecodeColumn, BuildDict, BuildRuns).
-// What ros keeps is the policy — encodeValues decides which encoding
-// pays — and everything around the page: the file header, row metadata,
-// levels, stats, page compression.
+// The Writer takes rows as columns, one wire.Vector per top-level
+// field, and keeps them typed from vector to page: a flat field's typed
+// vector is striped buffer to buffer, its definition levels read off
+// the validity bitmap, and a nested or untyped field's values are
+// walked, their scalar leaves landing in the same typed buffers
+// (wire.Scalars). A value page is byte for byte a record-batch column's
+// payload, and this package neither reads nor writes those bytes:
+// internal/wire's column codec does (Scalars.Layout and AppendPayload
+// on the way in, DecodeColumn on the way out). What ros keeps is the
+// policy — encodeValues decides which encoding pays from the sizes
+// Layout counts, and builds only that page — and everything around the
+// page: the file header, row metadata, levels, stats, page compression.
 package ros
 
 import (
@@ -22,9 +28,11 @@ import (
 	"slices"
 
 	"vortex/internal/schema"
+	"vortex/internal/wire"
 )
 
-// columnData is the in-memory striped representation of one leaf column.
+// columnData is one leaf column as the assembler reads it back: levels
+// and the values of its defined entries.
 type columnData struct {
 	leaf   schema.LeafColumn
 	reps   []uint8
@@ -32,13 +40,35 @@ type columnData struct {
 	values []schema.Value // len == number of entries with def == MaxDef
 }
 
+// leafData is one leaf column as the Writer stripes it: levels, and the
+// values of its defined entries unboxed in the one typed buffer their
+// kind uses.
+type leafData struct {
+	leaf schema.LeafColumn
+	reps []uint8
+	defs []uint8
+	vals wire.Scalars // Len() == number of entries with def == MaxDef
+}
+
+// grow makes room for n more entries.
+func (c *leafData) grow(n int) {
+	c.reps = slices.Grow(c.reps, n)
+	c.defs = slices.Grow(c.defs, n)
+	if c.vals.Kind == schema.KindString || c.vals.Kind == schema.KindJSON || c.vals.Kind == schema.KindBytes {
+		c.vals.Ends = slices.Grow(c.vals.Ends, n)
+	} else {
+		c.vals.Ints = slices.Grow(c.vals.Ints, n)
+	}
+}
+
 // striper shreds columns of top-level values into (rep, def, value)
 // triples, checking each value against its field on the way: the walk
 // that finds a value's leaves is the walk schema.ValidateRow makes, so a
-// value is visited once for both.
+// value is visited once for both. A flat field's typed vector is not
+// walked at all.
 type striper struct {
-	roots []*fieldNode  // one per top-level field
-	cols  []*columnData // every leaf, in schema.Leaves order
+	roots []*fieldNode // one per top-level field
+	cols  []*leafData  // every leaf, in schema.Leaves order
 }
 
 // fieldNode is one field of the schema placed in the striper: a scalar
@@ -47,15 +77,15 @@ type striper struct {
 // looks nothing up by path.
 type fieldNode struct {
 	f      *schema.Field
-	col    *columnData   // scalar fields
-	kids   []*fieldNode  // struct fields
-	leaves []*columnData // every leaf at or under this field
+	col    *leafData    // scalar fields
+	kids   []*fieldNode // struct fields
+	leaves []*leafData  // every leaf at or under this field
 }
 
 func newStriper(s *schema.Schema) *striper {
 	st := &striper{}
 	for _, l := range s.Leaves() {
-		st.cols = append(st.cols, &columnData{leaf: l})
+		st.cols = append(st.cols, &leafData{leaf: l, vals: wire.Scalars{Kind: l.Kind}})
 	}
 	next := 0 // Leaves enumerates depth first in field order, as place does
 	var place func(fields []*schema.Field) []*fieldNode
@@ -80,9 +110,11 @@ func newStriper(s *schema.Schema) *striper {
 }
 
 // stripeColumn stripes rows perm[0], perm[1], … of one top-level
-// field's values. A nil col is a field none of the rows was written
-// with (schema evolution): every row reads NULL.
-func (n *fieldNode) stripeColumn(col []schema.Value, perm []int32) error {
+// field's column. A nil col is a field none of the rows was written
+// with (schema evolution): every row reads NULL. A flat field's typed
+// vector of the field's kind is striped by stripeTyped; any other
+// column value by value.
+func (n *fieldNode) stripeColumn(col *wire.Vector, perm []int32) error {
 	if col == nil {
 		if n.f.Mode == schema.Required {
 			return fmt.Errorf("schema: row missing REQUIRED field %q", n.f.Name)
@@ -92,25 +124,57 @@ func (n *fieldNode) stripeColumn(col []schema.Value, perm []int32) error {
 		}
 		return nil
 	}
+	if n.col != nil && n.f.Mode != schema.Repeated && col.Enc == wire.BatchEncPlain && col.Kind == n.f.Kind {
+		return n.stripeTyped(col, perm)
+	}
 	// Size the leaves for the entries to come — one per row, or for a
 	// repeated field what a pass over the lists' lengths predicts (exact
 	// unless lists nest) — then stripe value by value.
+	vals := col.Gather(nil)
 	entries := len(perm)
 	if n.f.Mode == schema.Repeated {
 		for _, i := range perm {
-			entries += max(len(col[i].Elems()), 1) - 1
+			entries += max(len(vals[i].Elems()), 1) - 1
 		}
 	}
 	for _, c := range n.leaves {
-		c.reps = slices.Grow(c.reps, entries)
-		c.defs = slices.Grow(c.defs, entries)
-		c.values = slices.Grow(c.values, entries)
+		c.grow(entries)
 	}
 	for _, i := range perm {
-		if err := n.stripe(&col[i], 0, 0, 0); err != nil {
+		if err := n.stripe(&vals[i], 0, 0, 0); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// stripeTyped stripes a flat top-level field from a typed vector of its
+// kind: the REQUIRED check is made once for the column, every entry's
+// levels are 0 but a NULL's definition level, and the values are
+// copied buffer to buffer.
+func (n *fieldNode) stripeTyped(col *wire.Vector, perm []int32) error {
+	c := n.col
+	if col.Valid != nil && n.f.Mode == schema.Required {
+		for _, i := range perm {
+			if !col.Valid.Has(int(i)) {
+				return fmt.Errorf("schema: field %q is REQUIRED but value is NULL", n.f.Name)
+			}
+		}
+	}
+	c.grow(len(perm))
+	at := len(c.reps)
+	c.reps = c.reps[:at+len(perm)]
+	clear(c.reps[at:])
+	c.defs = c.defs[:at+len(perm)]
+	defs, def := c.defs[at:], uint8(c.leaf.MaxDef)
+	for k, i := range perm {
+		if col.Valid.Has(int(i)) {
+			defs[k] = def
+		} else {
+			defs[k] = 0
+		}
+	}
+	c.vals.AppendRows(col, perm)
 	return nil
 }
 
@@ -184,7 +248,7 @@ func (n *fieldNode) stripeContent(v *schema.Value, rep, def, repDepth uint8) err
 	if c := n.col; c != nil {
 		c.reps = append(c.reps, rep)
 		c.defs = append(c.defs, def)
-		c.values = append(c.values, *v)
+		c.vals.Append(*v)
 		return nil
 	}
 	fields := v.Fields()

@@ -252,6 +252,16 @@ func (v Value) AsString() string { return v.str() }
 // AsBytes returns a copy of the BYTES payload.
 func (v Value) AsBytes() []byte { return append([]byte(nil), v.byt()...) }
 
+// AppendBytes appends the bytes of a STRING, JSON or BYTES value to
+// dst, and nothing for any other kind: a BYTES value's without the copy
+// AsBytes makes.
+func (v Value) AppendBytes(dst []byte) []byte {
+	if Kind(v.kind) == KindBytes {
+		return append(dst, v.byt()...)
+	}
+	return append(dst, v.str()...)
+}
+
 // AsTime returns the TIMESTAMP payload as a time.Time (UTC).
 func (v Value) AsTime() time.Time { return time.Unix(0, v.int()).UTC() }
 
@@ -574,13 +584,18 @@ func PartitionOfValue(v Value) (int64, bool) {
 	if v.IsNull() {
 		return 0, false
 	}
-	switch v.Kind() {
+	return PartitionOfInt(v.Kind(), v.AsInt64())
+}
+
+// PartitionOfInt is PartitionOfValue of the value of kind k whose
+// integer payload is n: for a caller holding a column's integers.
+func PartitionOfInt(k Kind, n int64) (int64, bool) {
+	switch k {
 	case KindDate:
-		return v.AsDateDays(), true
+		return n, true
 	case KindTimestamp:
-		ns := v.AsInt64()
-		days := ns / (86400 * int64(time.Second))
-		if ns < 0 && ns%(86400*int64(time.Second)) != 0 {
+		days := n / (86400 * int64(time.Second))
+		if n < 0 && n%(86400*int64(time.Second)) != 0 {
 			days--
 		}
 		return days, true

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -51,9 +52,15 @@ func MaxEncodedLen(srcLen int) int {
 }
 
 // Encode compresses src, returning a freshly allocated compressed block.
-func Encode(src []byte) []byte {
-	dst := make([]byte, MaxEncodedLen(len(src)))
-	d := binary.PutUvarint(dst, uint64(len(src)))
+func Encode(src []byte) []byte { return AppendEncode(nil, src) }
+
+// AppendEncode appends the compressed block of src to dst: Encode into
+// a buffer the caller reuses.
+func AppendEncode(dst, src []byte) []byte {
+	at, size := len(dst), MaxEncodedLen(len(src))
+	dst = slices.Grow(dst, size)[:at+size]
+	out := dst[at:]
+	d := binary.PutUvarint(out, uint64(len(src)))
 	for len(src) > 0 {
 		block := src
 		if len(block) > maxBlockSize {
@@ -61,12 +68,12 @@ func Encode(src []byte) []byte {
 		}
 		src = src[len(block):]
 		if len(block) < 16 {
-			d += emitLiteral(dst[d:], block)
+			d += emitLiteral(out[d:], block)
 		} else {
-			d += encodeBlock(dst[d:], block)
+			d += encodeBlock(out[d:], block)
 		}
 	}
-	return dst[:d]
+	return dst[:at+d]
 }
 
 func load32(b []byte, i int) uint32 {

@@ -14,16 +14,17 @@
 // FLOAT64 row and 1 per BOOL row, or, for STRING and JSON, a 4-byte
 // little-endian end offset per row followed by the rows' bytes. A NULL
 // row holds 0, or no bytes. Only a record-batch frame carries TYPED:
-// AppendColumn writes it for every typed vector, and the ROS writer and
-// AppendBlock hand the codec values, never a typed vector, so ROS value
-// pages and WOS blocks stay PLAIN, DICT and RLE.
+// AppendColumn writes it for every typed vector, while the ROS writer
+// hands the codec Scalars (scalars.go), which write PLAIN, DICT and RLE
+// payloads only, and AppendBlock values, so ROS value pages and WOS
+// blocks stay PLAIN, DICT and RLE.
 //
 // On disk and on the wire a payload is preceded by its encoding byte and
 // its uvarint byte length; AppendColumn writes all three. The codec owns
 // the format; which encoding a column gets is its caller's policy — the
 // ROS writer's dictionary rule, EncodeRecordBatch's content chooser, a
-// scan's typed vectors — and reaches the codec as the Vector the caller
-// built.
+// scan's typed vectors — and reaches the codec as the Vector or the
+// Scalars the caller built.
 package wire
 
 import (
@@ -505,11 +506,12 @@ func DecodeColumn(name string, enc byte, payload []byte, rows int) (Vector, erro
 	return v, nil
 }
 
-// ColumnBuilder builds one PLAIN column of a known row count a value at
-// a time, in one pass. It holds the one rule by which a PLAIN column is
-// typed, for DecodeColumn's PLAIN case and a WOS block's columns alike:
-// the column stays typed while every value is NULL or of the first
-// non-NULL value's kind. At a value of a second kind, of a kind a typed
+// ColumnBuilder builds one PLAIN column of a known row count in one
+// pass, from encoded values or from vectors (AppendVector). It holds
+// the one rule by which a PLAIN column is typed, for DecodeColumn's
+// PLAIN case, a WOS block's columns and a conversion group's columns
+// alike: the column stays typed while every value is NULL or of the
+// first non-NULL value's kind. At a value of a second kind, of a kind a typed
 // vector does not hold (BYTES, STRUCT, a list), or a string that would
 // take Str past MaxInt32 bytes, the rows read so far are promoted to
 // Values and the rest are read with rowenc.ReadValue. The typed reads
@@ -575,21 +577,175 @@ func (b *ColumnBuilder) Read(r *bin.Reader, n int) {
 			continue
 		case v.Typed() && tag == byte(v.Kind):
 		case !v.Typed() && typedKind(schema.Kind(tag)):
-			v.Kind = schema.Kind(tag)
-			switch v.Kind {
-			case schema.KindFloat64:
-				v.Floats = make([]float64, b.rows)
-			case schema.KindString, schema.KindJSON:
-				v.Offs = make([]int32, b.rows+1)
-			default:
-				v.Ints = make([]int64, b.rows)
-			}
+			b.setKind(schema.Kind(tag))
 		default:
 			b.promote()
 			continue
 		}
 		b.readRun(r, end)
 	}
+}
+
+// setKind types the column, NULL so far, as of kind k.
+func (b *ColumnBuilder) setKind(k schema.Kind) {
+	v := &b.v
+	v.Kind = k
+	switch k {
+	case schema.KindFloat64:
+		v.Floats = make([]float64, b.rows)
+	case schema.KindString, schema.KindJSON:
+		v.Offs = make([]int32, b.rows+1)
+	default:
+		v.Ints = make([]int64, b.rows)
+	}
+}
+
+// AppendVector adds the selected rows of src (nil sel: every row), a
+// vector of any encoding, by the same rule: a typed vector of the
+// column's kind, or the first typed vector whose selected rows are not
+// all NULL, is copied buffer to buffer, and every other row is added as
+// the value it holds, promoting the column where that value is of
+// another kind.
+func (b *ColumnBuilder) AppendVector(src *Vector, sel Selection) {
+	v := &b.v
+	n := sel.Count(src.Len())
+	if !b.promoted && src.Enc == BatchEncPlain && src.Typed() && (!v.Typed() || v.Kind == src.Kind) {
+		if !v.Typed() && !src.anyValid(sel, n) {
+			b.AppendNulls(n)
+			return
+		}
+		if !v.Typed() {
+			b.setKind(src.Kind)
+		}
+		if b.appendTyped(src, sel) {
+			return
+		}
+	}
+	switch {
+	case b.promoted:
+		src.LoadValues(v.Values[b.n:b.n+n], 1, sel)
+		b.n += n
+	case src.Enc == BatchEncRLE:
+		// Selections ascend, so one forward walk over the runs covers
+		// every selected row.
+		ri, start := 0, int32(0)
+		for k := 0; k < n; k++ {
+			i := int32(selRow(sel, k))
+			for i >= start+src.Runs[ri].Len {
+				start += src.Runs[ri].Len
+				ri++
+			}
+			b.appendValue(src.Runs[ri].Value)
+		}
+	default:
+		for k := 0; k < n; k++ {
+			b.appendValue(src.ValueAt(selRow(sel, k)))
+		}
+	}
+}
+
+// anyValid reports whether any of the n selected rows of a typed vector
+// is not NULL.
+func (v *Vector) anyValid(sel Selection, n int) bool {
+	for k := 0; k < n; k++ {
+		if v.Valid.Has(selRow(sel, k)) {
+			return true
+		}
+	}
+	return false
+}
+
+// appendTyped copies the selected rows of src, a typed vector of the
+// column's kind. It adds nothing and returns false when their strings
+// would take Str past MaxInt32 bytes.
+func (b *ColumnBuilder) appendTyped(src *Vector, sel Selection) bool {
+	v := &b.v
+	n := sel.Count(src.Len())
+	switch v.Kind {
+	case schema.KindFloat64:
+		for k := 0; k < n; k++ {
+			v.Floats[b.n+k] = src.Floats[selRow(sel, k)]
+		}
+	case schema.KindString, schema.KindJSON:
+		size := 0
+		for k := 0; k < n; k++ {
+			i := selRow(sel, k)
+			size += int(src.Offs[i+1] - src.Offs[i])
+		}
+		if b.str.Cap()-b.str.Len() < size {
+			if b.str.Len()+size > math.MaxInt32 {
+				return false
+			}
+			b.grow(size, b.n+n-1)
+		}
+		for k := 0; k < n; k++ {
+			i := selRow(sel, k)
+			b.str.WriteString(src.Str[src.Offs[i]:src.Offs[i+1]])
+			v.Offs[b.n+k+1] = int32(b.str.Len())
+		}
+	default:
+		for k := 0; k < n; k++ {
+			v.Ints[b.n+k] = src.Ints[selRow(sel, k)]
+		}
+	}
+	for k := 0; src.Valid != nil && k < n; k++ {
+		if !src.Valid.Has(selRow(sel, k)) {
+			if v.Valid == nil {
+				v.Valid = AllValid(b.rows)
+			}
+			v.Valid.SetNull(b.n + k)
+		}
+	}
+	b.n += n
+	return true
+}
+
+// appendValue adds one row holding x.
+func (b *ColumnBuilder) appendValue(x schema.Value) {
+	v := &b.v
+	switch {
+	case b.promoted:
+	case x.IsNull():
+		b.AppendNulls(1)
+		return
+	case !v.Typed() && typedKind(x.Kind()):
+		b.setKind(x.Kind())
+		fallthrough
+	case v.Typed() && x.Kind() == v.Kind:
+		if b.setTyped(x) {
+			b.n++
+			return
+		}
+		b.promote()
+	default:
+		b.promote()
+	}
+	v.Values[b.n] = x
+	b.n++
+}
+
+// setTyped stores x, of the column's kind, at row b.n. It stores
+// nothing and returns false when x's string would take Str past
+// MaxInt32 bytes.
+func (b *ColumnBuilder) setTyped(x schema.Value) bool {
+	v := &b.v
+	switch v.Kind {
+	case schema.KindFloat64:
+		v.Floats[b.n] = x.AsFloat64()
+	case schema.KindString, schema.KindJSON:
+		str := x.AsString()
+		if b.str.Cap()-b.str.Len() < len(str) {
+			if b.str.Len()+len(str) > math.MaxInt32 {
+				return false
+			}
+			b.grow(len(str), b.n)
+		}
+		b.str.WriteString(str)
+		v.Offs[b.n+1] = int32(b.str.Len())
+	default:
+		v.Ints[b.n] = x.AsInt64()
+	}
+	return true
 }
 
 // readRun reads the values of v's kind from row b.n on, up to the first

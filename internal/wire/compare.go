@@ -1,6 +1,11 @@
 package wire
 
-import "vortex/internal/schema"
+import (
+	"cmp"
+	"strings"
+
+	"vortex/internal/schema"
+)
 
 // CmpOp is the operator of a Comparison.
 type CmpOp byte
@@ -106,4 +111,56 @@ func three[T int64 | float64 | string](a, b T) int {
 		return 1
 	}
 	return 0
+}
+
+// Order returns the function that orders rows i and j of v as
+// schema.Value.Compare orders their values — NULL first, a FLOAT64 NaN
+// equal to everything. It is chosen once for v's kind and validity, so
+// on a typed vector a sort's many comparisons read Ints, Floats or Str
+// straight; any other vector compares the values it holds.
+func (v *Vector) Order() func(i, j int) int {
+	if v.Enc != BatchEncPlain || !v.Typed() {
+		return func(i, j int) int { return v.ValueAt(i).Compare(v.ValueAt(j)) }
+	}
+	var order func(i, j int) int
+	switch v.Kind {
+	case schema.KindFloat64:
+		floats := v.Floats
+		order = func(i, j int) int { return three(floats[i], floats[j]) }
+	case schema.KindString, schema.KindJSON:
+		str, offs := v.Str, v.Offs
+		order = func(i, j int) int { return strings.Compare(str[offs[i]:offs[i+1]], str[offs[j]:offs[j+1]]) }
+	default:
+		ints := v.Ints
+		order = func(i, j int) int { return cmp.Compare(ints[i], ints[j]) }
+	}
+	if v.Valid == nil {
+		return order
+	}
+	valid := v.Valid
+	return func(i, j int) int {
+		if ni, nj := !valid.Has(i), !valid.Has(j); ni || nj {
+			return cmp.Compare(b2i(nj), b2i(ni))
+		}
+		return order(i, j)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// PartitionOf is schema.PartitionOfValue of row i's value, on a typed
+// vector straight from its Ints.
+func (v *Vector) PartitionOf(i int) (int64, bool) {
+	if v.Enc != BatchEncPlain || !v.Typed() {
+		return schema.PartitionOfValue(v.ValueAt(i))
+	}
+	if (v.Kind != schema.KindTimestamp && v.Kind != schema.KindDate) || !v.Valid.Has(i) {
+		return 0, false
+	}
+	return schema.PartitionOfInt(v.Kind, v.Ints[i])
 }

@@ -172,9 +172,10 @@ go test -C benchmark ./...
 # this explores beyond them. One invocation per target is a go test
 # restriction. client FuzzDecodeWOSBlocks holds the reader's decode of a
 # WOS block to the Stream Server's check of it (wire.DecodeBlock), query
-# FuzzComparisonKernel the typed comparison kernel to sql.Eval, and
+# FuzzComparisonKernel the typed comparison kernel to sql.Eval,
 # readsession FuzzDecodeBatchFrame a reader's frame decode to the
-# identity-column rules.
+# identity-column rules, and ros FuzzWriterParity the ROS writer's typed
+# path to Add and to the value-at-a-time page policy.
 while read -r pkg target; do
     go test -run '^$' -fuzz "${target}\$" -fuzztime 10s "./internal/$pkg/"
 done <<'EOF'
@@ -186,6 +187,7 @@ blockenc  FuzzOpen
 client    FuzzDecodeWOSBlocks
 fragment  FuzzScan
 ros       FuzzOpen
+ros       FuzzWriterParity
 wire      FuzzDecodeRecordBatch
 wire      FuzzDecodeColumn
 wire      FuzzSelectionGather
