@@ -1,6 +1,6 @@
 // Command vortex-verify runs the §6.3 data-verification pipelines
-// against a live ingestion workload: it streams tracked appends from
-// concurrent writers (optionally with duplicate-retry storms and a
+// against a live ingestion workload: it streams exactly-once appends
+// from concurrent writers, each recorded in the ledger, (optionally with duplicate-retry storms and a
 // Stream Server crash), runs storage optimization and reclustering, and
 // then verifies that every acknowledged row exists exactly once with
 // byte-identical content.
@@ -15,15 +15,13 @@ import (
 	"time"
 
 	"vortex"
-	"vortex/internal/client"
 	"vortex/internal/meta"
-	"vortex/internal/verify"
 	"vortex/internal/workload"
 )
 
 func main() {
 	var (
-		writers  = flag.Int("writers", 8, "concurrent tracked writers")
+		writers  = flag.Int("writers", 8, "concurrent exactly-once writers")
 		appends  = flag.Int("appends", 100, "appends per writer")
 		batch    = flag.Int("batch", 20, "rows per append")
 		chaos    = flag.Bool("chaos", true, "inject duplicate retries and a stream server crash")
@@ -41,35 +39,37 @@ func main() {
 	fmt.Printf("ingesting: %d writers x %d appends x %d rows (chaos=%v)\n", *writers, *appends, *batch, *chaos)
 	var wg sync.WaitGroup
 	errCh := make(chan error, *writers)
-	for w := 0; w < *writers; w++ {
+	for wi := 0; wi < *writers; wi++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(wi int) {
 			defer wg.Done()
-			gen := workload.NewGen(int64(w), 300)
-			s, err := db.Table(table).NewStream(ctx, vortex.Unbuffered)
-			if err != nil {
+			gen := workload.NewGen(int64(wi), 300)
+			w := db.Table(table).NewWriter()
+			if err := w.Open(ctx, vortex.Unbuffered); err != nil {
 				errCh <- err
 				return
 			}
-			ts := verify.Track(s, ledger)
-			offset := int64(0)
+			w.Applied = ledger.Applied(w)
 			for i := 0; i < *appends; i++ {
 				rows := gen.EventRows(time.Now(), *batch, time.Microsecond)
-				if _, err := ts.Append(ctx, rows, client.AtOffset(offset)); err != nil {
-					errCh <- fmt.Errorf("writer %d: %w", w, err)
+				off := w.Next()
+				if _, err := w.Write(ctx, rows); err != nil {
+					errCh <- fmt.Errorf("writer %d: %w", wi, err)
 					return
 				}
 				if *chaos && i%7 == 3 {
-					// Duplicate retry at the same offset: must be rejected,
-					// not recorded (exactly-once, §4.2.2).
-					if _, err := ts.Append(ctx, rows, client.AtOffset(offset)); err == nil {
-						errCh <- fmt.Errorf("writer %d: duplicate append accepted", w)
+					// Duplicate retry at the same offset: a second writer
+					// pinned there must be told the batch already landed,
+					// and records nothing (exactly-once, §4.2.2).
+					dup := db.Table(table).NewWriter()
+					dup.Attach(w.Stream(), off)
+					if o, err := dup.Append(ctx, rows); o != vortex.Landed {
+						errCh <- fmt.Errorf("writer %d: duplicate append not refused (outcome %d, err %v)", wi, o, err)
 						return
 					}
 				}
-				offset += int64(*batch)
 			}
-		}(w)
+		}(wi)
 	}
 	if *chaos {
 		// Crash a stream server mid-run: writers rotate streamlets.

@@ -67,23 +67,21 @@ func Chaos(ctx context.Context, appends int) (*ChaosResult, error) {
 	if err := c.CreateTable(ctx, table, workload.EventsSchema()); err != nil {
 		return nil, err
 	}
-	s, err := c.CreateStream(ctx, table, meta.Unbuffered)
-	if err != nil {
+	w := client.NewWriter(c, table)
+	if err := w.Open(ctx, meta.Unbuffered); err != nil {
 		return nil, err
 	}
 	ledger := verify.NewLedger()
-	ts := verify.Track(s, ledger)
+	w.Applied = ledger.Applied(w)
 	gen := workload.NewGen(1, 100)
 
 	start := time.Now()
-	var next int64
 	var totalRows int64
 	for i := 0; i < appends; i++ {
 		rows := gen.EventRows(time.Now(), 3, time.Microsecond)
-		if _, err := ts.Append(ctx, rows, client.AtOffset(next)); err != nil {
+		if _, err := w.Write(ctx, rows); err != nil {
 			return nil, fmt.Errorf("append %d: %w", i, err)
 		}
-		next += int64(len(rows))
 		totalRows += int64(len(rows))
 	}
 	elapsed := time.Since(start)

@@ -203,18 +203,18 @@ func TestExactlyOnceUnderCrashAndOutage(t *testing.T) {
 	if err := c.CreateTable(ctx, "d.t", sc); err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.CreateStream(ctx, "d.t", meta.Unbuffered)
-	if err != nil {
+	w := client.NewWriter(c, "d.t")
+	if err := w.Open(ctx, meta.Unbuffered); err != nil {
 		t.Fatal(err)
 	}
 	ledger := verify.NewLedger()
-	ts := verify.Track(s, ledger)
+	w.Applied = ledger.Applied(w)
 
 	appendN := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := schema.NewRow(schema.String(fmt.Sprintf("k-%04d", i)), schema.Int64(int64(i)))
-			if _, err := ts.Append(ctx, []schema.Row{row}, client.AtOffset(int64(i))); err != nil {
-				t.Fatalf("append %d: %v", i, err)
+			if o, err := w.Append(ctx, []schema.Row{row}); o != client.Acked || w.Next() != int64(i+1) {
+				t.Fatalf("append %d: outcome %d, next %d: %v", i, o, w.Next(), err)
 			}
 		}
 	}
@@ -287,16 +287,16 @@ func TestLostResponseIsReplayedNotDuplicated(t *testing.T) {
 	if err := c.CreateTable(ctx, "d.t", sc); err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.CreateStream(ctx, "d.t", meta.Unbuffered)
-	if err != nil {
+	w := client.NewWriter(c, "d.t")
+	if err := w.Open(ctx, meta.Unbuffered); err != nil {
 		t.Fatal(err)
 	}
 	ledger := verify.NewLedger()
-	ts := verify.Track(s, ledger)
+	w.Applied = ledger.Applied(w)
 	for i := 0; i < 6; i++ {
 		row := schema.NewRow(schema.String(fmt.Sprintf("k-%d", i)), schema.Int64(int64(i)))
-		if _, err := ts.Append(ctx, []schema.Row{row}, client.AtOffset(int64(i))); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+		if o, err := w.Append(ctx, []schema.Row{row}); o != client.Acked || w.Next() != int64(i+1) {
+			t.Fatalf("append %d: outcome %d, next %d: %v", i, o, w.Next(), err)
 		}
 	}
 	report, err := verify.VerifyTable(ctx, c, "d.t", ledger, 0)

@@ -2,7 +2,6 @@ package clusterd
 
 import (
 	"context"
-	"errors"
 	"os"
 	"sync"
 	"testing"
@@ -76,38 +75,28 @@ func TestLaunchLocalExactlyOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			gen := workload.NewGen(int64(100+i), 200)
-			stream, err := c.CreateStream(ctx, table, meta.Unbuffered)
-			if err != nil {
+			w := client.NewWriter(c, table)
+			if err := w.Open(ctx, meta.Unbuffered); err != nil {
 				t.Errorf("stream %d: create: %v", i, err)
 				return
 			}
-			tracked := verify.Track(stream, ledger)
-			var next int64
+			w.Applied = ledger.Applied(w)
 			for b := 0; b < batchesPerStream; b++ {
 				rows := gen.EventRows(time.Now(), 2+b%3, time.Millisecond)
 				// Retry the same batch at the same offset until it is in:
 				// a dropped connection loses the ack, not the rows, and
 				// the offset pin turns the retry into WRONG_OFFSET — an
-				// ack without timestamps, which the verifier resolves by
-				// content.
-				committed := false
-				for attempt := 0; attempt < 50 && !committed; attempt++ {
-					_, err := tracked.Append(ctx, rows, client.AtOffset(next))
-					switch {
-					case err == nil:
-						committed = true
-					case errors.Is(err, client.ErrWrongOffset):
-						ledger.Record(verify.NewAppendRecord(table, stream.Info().ID, next, rows, -1))
-						committed = true
-					default:
-						time.Sleep(5 * time.Millisecond)
-					}
+				// ack without timestamps, which the writer records as
+				// uncertain and the verifier resolves by content.
+				o, _ := w.Append(ctx, rows)
+				for attempt := 0; attempt < 50 && o == client.InDoubt; attempt++ {
+					time.Sleep(5 * time.Millisecond)
+					o, _ = w.Resolve(ctx)
 				}
-				if !committed {
+				if o != client.Acked && o != client.Landed {
 					t.Errorf("stream %d: batch %d never committed", i, b)
 					return
 				}
-				next += int64(len(rows))
 			}
 		}(i)
 	}

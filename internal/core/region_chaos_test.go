@@ -30,15 +30,15 @@ func TestSMSTaskLossResumesAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.CreateStream(ctx, "d.t", meta.Unbuffered)
-	if err != nil {
+	w := client.NewWriter(c, "d.t")
+	if err := w.Open(ctx, meta.Unbuffered); err != nil {
 		t.Fatal(err)
 	}
 	ledger := verify.NewLedger()
-	ts := verify.Track(s, ledger)
+	w.Applied = ledger.Applied(w)
 	for i := 0; i < 4; i++ {
-		if _, err := ts.Append(ctx, []schema.Row{eventRow(i)}, client.AtOffset(int64(i))); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+		if o, err := w.Append(ctx, []schema.Row{eventRow(i)}); o != client.Acked {
+			t.Fatalf("append %d: outcome %d: %v", i, o, err)
 		}
 	}
 
@@ -53,8 +53,8 @@ func TestSMSTaskLossResumesAfterRestart(t *testing.T) {
 	}()
 	r.CrashStreamServer(findStreamServer(t, r, "d.t"))
 	for i := 4; i < 8; i++ {
-		if _, err := ts.Append(ctx, []schema.Row{eventRow(i)}, client.AtOffset(int64(i))); err != nil {
-			t.Fatalf("append %d after restart: %v", i, err)
+		if o, err := w.Append(ctx, []schema.Row{eventRow(i)}); o != client.Acked {
+			t.Fatalf("append %d after restart: outcome %d: %v", i, o, err)
 		}
 	}
 

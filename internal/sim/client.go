@@ -7,12 +7,79 @@ import (
 	"sort"
 
 	"vortex/internal/client"
+	"vortex/internal/meta"
 	"vortex/internal/schema"
 	"vortex/internal/workload"
 )
 
 func eventsSchema() *schema.Schema { return workload.EventsSchema() }
 func logSchema() *schema.Schema    { return workload.LogSchema() }
+
+// writer is one actor's exactly-once appender: the client's Writer (the
+// outcome table, the pinned offsets, the batch in doubt) plus what the
+// harness adds — the event-log name, the counters and the actor's
+// client. Every actor of both programs appends through one; an actor
+// keeps only its row generation and what it does with a batch once the
+// batch is durable.
+type writer struct {
+	*client.Writer
+	h    *harness
+	name string // event-log prefix: c0, dml, mv, w3
+	cl   *client.Client
+
+	// applied takes each batch once it is known durable (the Writer's
+	// Applied); the harness counts the batch after it.
+	applied func(rows []schema.Row, off, seq int64)
+}
+
+// newWriter builds an actor's writer on table. The caller sets applied;
+// every attempt is logged unless the caller replaces Settled.
+func (h *harness) newWriter(name string, table meta.TableID, cl *client.Client) *writer {
+	w := &writer{Writer: client.NewWriter(cl, table), h: h, name: name, cl: cl}
+	w.Applied = func(rows []schema.Row, off, seq int64) {
+		w.applied(rows, off, seq)
+		h.res.Appends++
+		h.res.Rows += int64(len(rows))
+	}
+	w.Settled = w.logAttempt
+	return w
+}
+
+// open starts a fresh UNBUFFERED stream on the writer's table.
+func (w *writer) open(ctx context.Context) error { return w.Open(ctx, meta.Unbuffered) }
+
+// logAttempt is the Settled callback of the random program's writers:
+// one event-log line per attempt.
+func (w *writer) logAttempt(retry bool, b *client.Batch, o client.Outcome, err error) {
+	e, n := w.h.epoch, len(b.Rows)
+	switch {
+	case retry && o == client.Acked:
+		w.h.logf("e%d %s resolve off=%d retried", e, w.name, b.Off)
+	case retry && o == client.Landed:
+		w.h.logf("e%d %s resolve off=%d landed", e, w.name, b.Off)
+	case retry:
+		w.h.logf("e%d %s resolve off=%d err=%s still-pending", e, w.name, b.Off, errCategory(err))
+	case o == client.Acked:
+		w.h.logf("e%d %s append n=%d off=%d ok", e, w.name, n, b.Off)
+	case o == client.Landed:
+		w.h.logf("e%d %s append n=%d off=%d landed (ack lost)", e, w.name, n, b.Off)
+	case o == client.Reopen:
+		w.h.logf("e%d %s append off=%d err=STREAM_FINALIZED rotate", e, w.name, b.Off)
+	default:
+		w.h.logf("e%d %s append n=%d off=%d err=%s pending", e, w.name, n, b.Off, errCategory(err))
+	}
+}
+
+// rotate finalizes the writer's stream (Writer.Rotate) and logs it.
+func (w *writer) rotate(ctx context.Context) {
+	finalized, err := w.Rotate(ctx)
+	switch {
+	case err != nil:
+		w.h.logf("e%d %s finalize err=%s", w.h.epoch, w.name, errCategory(err))
+	case finalized:
+		w.h.logf("e%d %s finalize off=%d", w.h.epoch, w.name, w.Next())
+	}
+}
 
 // simClient is one logically concurrent workload client: it owns a
 // dedicated stream on the ledger table (the paper's model), appends
@@ -27,8 +94,8 @@ func newSimClient(id int, s *simulation) *simClient {
 	copts := client.DefaultOptions()
 	copts.Seed = s.cfg.Seed*1009 + int64(id)
 	seed := s.cfg.Seed*7907 + int64(id)
-	w := &writer{h: s.harness, name: fmt.Sprintf("c%d", id), table: tableLedger, cl: s.region.NewClient(copts)}
-	w.applied, w.settled = w.record, w.logAttempt
+	w := s.newWriter(fmt.Sprintf("c%d", id), tableLedger, s.region.NewClient(copts))
+	w.applied = s.ledger.Applied(w.Writer)
 	return &simClient{
 		writer: w,
 		rng:    rand.New(rand.NewSource(seed)),
@@ -38,11 +105,11 @@ func newSimClient(id int, s *simulation) *simClient {
 
 // step performs one workload operation.
 func (c *simClient) step(ctx context.Context) {
-	if c.pending != nil {
-		c.resolve(ctx)
+	if c.Pending() != nil {
+		c.Resolve(ctx)
 		return
 	}
-	if c.stream == nil {
+	if c.Stream() == nil {
 		if err := c.open(ctx); err != nil {
 			c.h.logf("e%d %s create-stream err=%s", c.h.epoch, c.name, errCategory(err))
 		} else {
@@ -55,7 +122,7 @@ func (c *simClient) step(ctx context.Context) {
 		c.read(ctx)
 	default:
 		n := 1 + c.rng.Intn(3)
-		c.append(ctx, c.gen.EventRows(c.h.clock.At().Time(), n, 0))
+		c.Append(ctx, c.gen.EventRows(c.h.clock.At().Time(), n, 0))
 	}
 }
 
@@ -102,27 +169,27 @@ func newDMLActor(s *simulation) *dmlActor {
 	copts := client.DefaultOptions()
 	copts.Seed = seed
 	d := &dmlActor{
-		writer: &writer{h: s.harness, name: "dml", table: tableDML, cl: s.region.NewClient(copts)},
+		writer: s.newWriter("dml", tableDML, s.region.NewClient(copts)),
 		sim:    s,
 		rng:    rand.New(rand.NewSource(seed)),
 		gen:    workload.NewGen(seed, 8), // small key pool → contended deletes
 		model:  make(map[string]int64),
 	}
-	d.applied, d.settled = d.countRows, d.logAttempt
+	d.applied = d.countRows
 	return d
 }
 
-func (d *dmlActor) idle() bool { return d.pending == nil && d.pendingDel == "" }
+func (d *dmlActor) idle() bool { return d.Pending() == nil && d.pendingDel == "" }
 
 func (d *dmlActor) modelCount() int64 { return d.total }
 
 func (d *dmlActor) step(ctx context.Context) {
 	if !d.idle() {
-		d.resolve(ctx)
+		d.Resolve(ctx)
 		d.retryDelete(ctx)
 		return
 	}
-	if d.stream == nil {
+	if d.Stream() == nil {
 		if err := d.open(ctx); err != nil {
 			d.sim.logf("e%d dml create-stream err=%s", d.sim.epoch, errCategory(err))
 		}
@@ -137,7 +204,7 @@ func (d *dmlActor) step(ctx context.Context) {
 	for i := range rows {
 		rows[i] = d.gen.LogRow(d.sim.clock.At().Time())
 	}
-	d.append(ctx, rows)
+	d.Append(ctx, rows)
 }
 
 // countRows is the DML actor's applied callback: the model counts the

@@ -72,12 +72,12 @@ func newMatviewActor(s *simulation) *matviewActor {
 	copts := client.DefaultOptions()
 	copts.Seed = seed
 	a := &matviewActor{
-		writer: &writer{h: s.harness, name: "mv", table: tableAccounts, cl: s.region.NewClient(copts)},
+		writer: s.newWriter("mv", tableAccounts, s.region.NewClient(copts)),
 		rng:    rand.New(rand.NewSource(seed)),
 		live:   map[string]bool{},
 		store:  matview.NewMemStore(),
 	}
-	a.applied, a.settled = a.track, a.logAttempt
+	a.applied = a.track
 	return a
 }
 
@@ -113,17 +113,17 @@ func (a *matviewActor) rebuild() error {
 
 // step performs one churn operation (workload phase, chaos live).
 func (a *matviewActor) step(ctx context.Context) {
-	if a.pending != nil {
-		a.resolve(ctx)
+	if a.Pending() != nil {
+		a.Resolve(ctx)
 		return
 	}
-	if a.stream == nil {
+	if a.Stream() == nil {
 		if err := a.open(ctx); err != nil {
 			a.h.logf("e%d mv create-stream err=%s", a.h.epoch, errCategory(err))
 		}
 		return
 	}
-	a.append(ctx, a.genRows())
+	a.Append(ctx, a.genRows())
 }
 
 // genRows builds one CDC batch: mostly inserts of fresh accounts, a

@@ -158,9 +158,10 @@ func (s *overloadSim) setup(ctx context.Context) error {
 			Multiplier:     2,
 			RetryBudget:    -1,
 		}
-		w := &writer{h: s.harness, name: fmt.Sprintf("w%d", i), table: s.tables[assign[i]], cl: s.region.NewClient(copts)}
+		w := s.newWriter(fmt.Sprintf("w%d", i), s.tables[assign[i]], s.region.NewClient(copts))
+		record := s.ledger.Applied(w.Writer)
 		w.applied = func(rows []schema.Row, off, seq int64) {
-			w.record(rows, off, seq)
+			record(rows, off, seq)
 			if seq < 0 {
 				s.res.Uncertain++
 			}
@@ -168,9 +169,9 @@ func (s *overloadSim) setup(ctx context.Context) error {
 		// The shed policy: with no chaos installed, an append that does
 		// not land must be an honest push-back, and the writer keeps its
 		// batch for a retry at the same offset.
-		w.settled = func(_ bool, b *pendingBatch, o outcome, err error) {
-			if (o == reopen || o == inDoubt) && s.checkShed(w, "append", err) {
-				s.logf("e%d %s append off=%d shed", s.epoch, w.name, b.off)
+		w.Settled = func(_ bool, b *client.Batch, o client.Outcome, err error) {
+			if (o == client.Reopen || o == client.InDoubt) && s.checkShed(w, "append", err) {
+				s.logf("e%d %s append off=%d shed", s.epoch, w.name, b.Off)
 			}
 		}
 		s.writers = append(s.writers, &overWriter{writer: w, rng: rand.New(rand.NewSource(seed)), gen: workload.NewGen(seed, 50)})
@@ -191,7 +192,7 @@ func (s *overloadSim) workload(ctx context.Context) {
 }
 
 func (s *overloadSim) stepWriter(ctx context.Context, w *overWriter) {
-	if w.stream == nil {
+	if w.Stream() == nil {
 		if err := w.open(ctx); err != nil {
 			if s.checkShed(w.writer, "create-stream", err) {
 				s.logf("e%d %s create-stream shed", s.epoch, w.name)
@@ -199,12 +200,12 @@ func (s *overloadSim) stepWriter(ctx context.Context, w *overWriter) {
 			return
 		}
 	}
-	if w.pending != nil {
-		w.resolve(ctx)
+	if w.Pending() != nil {
+		w.Resolve(ctx)
 		return
 	}
 	n := 1 + w.rng.Intn(2)
-	w.append(ctx, w.gen.EventRows(s.clock.At().Time(), n, 0))
+	w.Append(ctx, w.gen.EventRows(s.clock.At().Time(), n, 0))
 }
 
 // checkShed enforces the shed-retryable invariant on a failed operation:
@@ -320,7 +321,7 @@ func (s *overloadSim) probeStaleOwners(ctx context.Context) {
 		if err != nil {
 			continue
 		}
-		req := &wire.GetWritableStreamletRequest{Stream: w.stream.Info().ID}
+		req := &wire.GetWritableStreamletRequest{Stream: w.Stream().Info().ID}
 		fromNew, errNew := wire.GetWritableStreamlet.Call(ctx, s.region.Net, newOwner, req)
 		fromOld, errOld := wire.GetWritableStreamlet.Call(ctx, s.region.Net, windows[key], req)
 		for _, err := range []error{errNew, errOld} {
@@ -344,7 +345,7 @@ func (s *overloadSim) probeStaleOwners(ctx context.Context) {
 
 func (s *overloadSim) writerWithStream(table meta.TableID) *overWriter {
 	for _, w := range s.writers {
-		if w.table == table && w.stream != nil && w.next > 0 {
+		if w.Table() == table && w.Stream() != nil && w.Next() > 0 {
 			return w
 		}
 	}
@@ -360,13 +361,13 @@ func (s *overloadSim) drain(ctx context.Context) {
 	for round := 0; round < overloadDrainLimit; round++ {
 		n := 0
 		for _, w := range s.writers {
-			if w.pending != nil || w.stream == nil {
+			if w.Pending() != nil || w.Stream() == nil {
 				s.stepWriter(ctx, w)
 				if s.res.Failure != nil {
 					return
 				}
 			}
-			if w.pending != nil || w.stream == nil {
+			if w.Pending() != nil || w.Stream() == nil {
 				n++
 			}
 		}
@@ -377,8 +378,8 @@ func (s *overloadSim) drain(ctx context.Context) {
 		s.region.HeartbeatAll(ctx, false)
 	}
 	for _, w := range s.writers {
-		if w.pending != nil || w.stream == nil {
-			s.fail("shed-not-recoverable", fmt.Sprintf("%s t=%s still shed after quota lift", w.name, w.table))
+		if w.Pending() != nil || w.Stream() == nil {
+			s.fail("shed-not-recoverable", fmt.Sprintf("%s t=%s still shed after quota lift", w.name, w.Table()))
 			return
 		}
 	}

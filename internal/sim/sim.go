@@ -528,8 +528,8 @@ func (s *simulation) verifyPhase(ctx context.Context) {
 	// epoch.
 	pending := 0
 	for _, w := range s.writers {
-		w.resolve(ctx)
-		if w.pending != nil && w.table == tableLedger {
+		w.Resolve(ctx)
+		if w.Pending() != nil && w.Table() == tableLedger {
 			pending++
 		}
 	}
@@ -677,8 +677,8 @@ func (s *simulation) drain(ctx context.Context) {
 	for round := 0; round < 5; round++ {
 		n := 0
 		for _, w := range s.writers {
-			w.resolve(ctx)
-			if w.pending != nil {
+			w.Resolve(ctx)
+			if w.Pending() != nil {
 				n++
 			}
 		}
@@ -689,8 +689,8 @@ func (s *simulation) drain(ctx context.Context) {
 		s.clock.Advance(10 * time.Millisecond)
 	}
 	for _, w := range s.writers {
-		if w.pending != nil {
-			s.fail("exactly-once", fmt.Sprintf("%s append unresolvable after heal off=%d n=%d", w.name, w.pending.off, len(w.pending.rows)))
+		if b := w.Pending(); b != nil {
+			s.fail("exactly-once", fmt.Sprintf("%s append unresolvable after heal off=%d n=%d", w.name, b.Off, len(b.Rows)))
 			return
 		}
 	}

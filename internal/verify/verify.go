@@ -83,27 +83,14 @@ func rowHash(r schema.Row) uint32 {
 	return blockenc.Checksum(rowenc.AppendRow(nil, r))
 }
 
-// TrackedStream wraps a client stream, recording every acknowledged
-// append in the ledger — the request tracing of §6.3.
-type TrackedStream struct {
-	S      *client.Stream
-	Ledger *Ledger
-	table  meta.TableID
-}
-
-// Track wraps s.
-func Track(s *client.Stream, ledger *Ledger) *TrackedStream {
-	return &TrackedStream{S: s, Ledger: ledger, table: s.Info().Table}
-}
-
-// Append forwards to the underlying stream and records the ack, with
-// the storage sequence AppendTracked reports for its first row.
-func (t *TrackedStream) Append(ctx context.Context, rows []schema.Row, opts ...client.AppendOption) (int64, error) {
-	off, seq, err := t.S.AppendTracked(ctx, rows, opts...)
-	if err == nil {
-		t.Ledger.Record(NewAppendRecord(t.table, t.S.Info().ID, off, rows, seq))
+// Applied returns an Applied callback for w that records every batch w
+// knows durable — the request tracing of §6.3. An acknowledged batch
+// carries the storage sequence of its first row; one that landed while
+// its ack was lost is an uncertain ack, resolved by content.
+func (l *Ledger) Applied(w *client.Writer) func(rows []schema.Row, off, seq int64) {
+	return func(rows []schema.Row, off, seq int64) {
+		l.Record(NewAppendRecord(w.Table(), w.Stream().Info().ID, off, rows, seq))
 	}
-	return off, err
 }
 
 // Report is the outcome of one verification pass.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vortex/internal/chaos"
 	"vortex/internal/client"
 	"vortex/internal/core"
 	"vortex/internal/meta"
@@ -45,17 +46,31 @@ func setup(t testing.TB) (*core.Region, *client.Client, *verify.Ledger, context.
 	return r, c, verify.NewLedger(), ctx
 }
 
-func TestVerifyCleanIngestion(t *testing.T) {
-	_, c, ledger, ctx := setup(t)
-	s, err := c.CreateStream(ctx, "d.v", meta.Unbuffered)
-	if err != nil {
+// openWriter opens an exactly-once writer on d.v whose durable batches
+// go into ledger.
+func openWriter(t testing.TB, ctx context.Context, c *client.Client, ledger *verify.Ledger) *client.Writer {
+	t.Helper()
+	w := client.NewWriter(c, "d.v")
+	if err := w.Open(ctx, meta.Unbuffered); err != nil {
 		t.Fatal(err)
 	}
-	ts := verify.Track(s, ledger)
+	w.Applied = ledger.Applied(w)
+	return w
+}
+
+// mustAck appends rows through w and fails unless they were acknowledged.
+func mustAck(t testing.TB, ctx context.Context, w *client.Writer, rows ...schema.Row) {
+	t.Helper()
+	if o, err := w.Append(ctx, rows); o != client.Acked {
+		t.Fatalf("append at %d: outcome %d: %v", w.Next(), o, err)
+	}
+}
+
+func TestVerifyCleanIngestion(t *testing.T) {
+	_, c, ledger, ctx := setup(t)
+	w := openWriter(t, ctx, c, ledger)
 	for i := 0; i < 30; i += 3 {
-		if _, err := ts.Append(ctx, []schema.Row{row(i), row(i + 1), row(i + 2)}, client.AtOffset(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		mustAck(t, ctx, w, row(i), row(i+1), row(i+2))
 	}
 	rep, err := verify.VerifyTable(ctx, c, "d.v", ledger, 0)
 	if err != nil {
@@ -73,17 +88,11 @@ func TestVerifyAcrossConversionExactlyOnce(t *testing.T) {
 	// §6.3: "each record is reported as converted exactly once from WOS
 	// to ROS" and "the output records are consistent with the input".
 	r, c, ledger, ctx := setup(t)
-	s, err := c.CreateStream(ctx, "d.v", meta.Unbuffered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := verify.Track(s, ledger)
+	w := openWriter(t, ctx, c, ledger)
 	for i := 0; i < 40; i++ {
-		if _, err := ts.Append(ctx, []schema.Row{row(i)}, client.AtOffset(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		mustAck(t, ctx, w, row(i))
 	}
-	if _, err := s.Finalize(ctx); err != nil {
+	if _, err := w.Rotate(ctx); err != nil {
 		t.Fatal(err)
 	}
 	r.HeartbeatAll(ctx, false)
@@ -117,14 +126,8 @@ func TestVerifyAcrossConversionExactlyOnce(t *testing.T) {
 
 func TestVerifyDetectsMissingRows(t *testing.T) {
 	_, c, ledger, ctx := setup(t)
-	s, err := c.CreateStream(ctx, "d.v", meta.Unbuffered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := verify.Track(s, ledger)
-	if _, err := ts.Append(ctx, []schema.Row{row(1)}, client.AtOffset(-1)); err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, ctx, c, ledger)
+	mustAck(t, ctx, w, row(1))
 	// Forge a ledger entry for an append that never happened: the
 	// verifier must flag it missing.
 	ledger.Record(verify.AppendRecord{
@@ -167,14 +170,8 @@ func TestVerifyDetectsOverlapAndPhantoms(t *testing.T) {
 
 func TestVerifyDetectsContentMismatch(t *testing.T) {
 	_, c, ledger, ctx := setup(t)
-	s, err := c.CreateStream(ctx, "d.v", meta.Unbuffered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := verify.Track(s, ledger)
-	if _, err := ts.Append(ctx, []schema.Row{row(1)}, client.AtOffset(0)); err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, ctx, c, ledger)
+	mustAck(t, ctx, w, row(1))
 	// Corrupt the ledger's recorded hash: the stored row no longer
 	// matches what was (supposedly) acknowledged.
 	recs := ledger.Appends()
@@ -195,15 +192,9 @@ func TestVerifyResolvesUncertainAckByContent(t *testing.T) {
 	// An append whose ack was lost is recorded with FirstSeq=-1; the
 	// verifier must find its rows by content instead of by sequence.
 	_, c, ledger, ctx := setup(t)
-	s, err := c.CreateStream(ctx, "d.v", meta.Unbuffered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := verify.Track(s, ledger)
+	w := openWriter(t, ctx, c, ledger)
 	for i := 0; i < 9; i += 3 {
-		if _, err := ts.Append(ctx, []schema.Row{row(i), row(i + 1), row(i + 2)}, client.AtOffset(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		mustAck(t, ctx, w, row(i), row(i+1), row(i+2))
 	}
 	// Rewrite the middle batch as uncertain.
 	recs := ledger.Appends()
@@ -226,16 +217,51 @@ func TestVerifyResolvesUncertainAckByContent(t *testing.T) {
 	}
 }
 
-func TestVerifyUncertainAckWithNoMatchIsMissing(t *testing.T) {
-	_, c, ledger, ctx := setup(t)
-	s, err := c.CreateStream(ctx, "d.v", meta.Unbuffered)
+// TestWriterRecordsLandedBatchAsUncertain drops the ack of a pinned
+// append whose rows are durable; the writer's retry at the same offset
+// answers WRONG_OFFSET, so the ledger holds the batch as an uncertain
+// ack and the verifier finds its rows by content, not as phantoms.
+func TestWriterRecordsLandedBatchAsUncertain(t *testing.T) {
+	sched := chaos.NewSchedule().FailAt(chaos.PointRPCResponse, "*/Append", 2)
+	cfg := core.DefaultConfig()
+	cfg.Chaos = sched
+	r := core.NewRegion(cfg)
+	copts := client.DefaultOptions()
+	copts.ForceUnary = true
+	copts.Retry.MaxAttempts = 1 // the lost ack surfaces to the writer
+	c := r.NewClient(copts)
+	ctx := context.Background()
+	if err := c.CreateTable(ctx, "d.v", tSchema()); err != nil {
+		t.Fatal(err)
+	}
+	ledger := verify.NewLedger()
+	w := openWriter(t, ctx, c, ledger)
+	mustAck(t, ctx, w, row(0), row(1))
+	if o, err := w.Append(ctx, []schema.Row{row(2), row(3)}); o != client.InDoubt {
+		t.Fatalf("append with its ack dropped: outcome %d (%v), want in doubt", o, err)
+	}
+	if o, err := w.Resolve(ctx); o != client.Landed {
+		t.Fatalf("resolve: outcome %d (%v), want landed", o, err)
+	}
+	mustAck(t, ctx, w, row(4))
+
+	recs := ledger.Appends()
+	if len(recs) != 3 || recs[1].FirstSeq != -1 || recs[1].Offset != 2 || recs[1].RowCount != 2 {
+		t.Fatalf("ledger %+v, want the landed batch as an uncertain ack at offset 2", recs)
+	}
+	rep, err := verify.VerifyTable(ctx, c, "d.v", ledger, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := verify.Track(s, ledger)
-	if _, err := ts.Append(ctx, []schema.Row{row(0)}, client.AtOffset(0)); err != nil {
-		t.Fatal(err)
+	if !rep.OK() || rep.ResolvedUncertain != 1 || rep.PhantomRows != 0 || rep.RowsChecked != 5 {
+		t.Fatalf("landed batch not accounted for: %s, resolved uncertain %d", rep, rep.ResolvedUncertain)
 	}
+}
+
+func TestVerifyUncertainAckWithNoMatchIsMissing(t *testing.T) {
+	_, c, ledger, ctx := setup(t)
+	w := openWriter(t, ctx, c, ledger)
+	mustAck(t, ctx, w, row(0))
 	// Uncertain record whose content exists nowhere: genuinely lost rows.
 	ledger.Record(verify.AppendRecord{
 		Table: "d.v", Stream: "s-lost", Offset: 5, RowCount: 2,

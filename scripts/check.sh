@@ -83,13 +83,13 @@ if [ -n "$gc_rule" ]; then
     exit 1
 fi
 
-# One exactly-once writer in the simulator (DESIGN.md §8): no non-test
-# file of internal/sim but writer.go appends to a stream or builds a
-# ledger record, so the pinned-offset outcome table has one copy.
-sim_appends=$(grep -nE '\.Append\(|\.AppendTracked\(|verify\.AppendRecord\{' \
-    $(ls internal/sim/*.go | grep -vE '_test\.go$|/writer\.go$') || true)
+# One exactly-once writer (DESIGN.md §8): no non-test file of
+# internal/sim pins an offset, appends with a tracked sequence or builds
+# a ledger record itself; its actors append through client.Writer.
+sim_appends=$(grep -nE 'AtOffset\(|AppendTracked\(|verify\.AppendRecord\{' \
+    $(ls internal/sim/*.go | grep -v '_test\.go$') || true)
 if [ -n "$sim_appends" ]; then
-    echo "append outside the simulator's writer (internal/sim/writer.go):" >&2
+    echo "pinned append outside the client's writer (internal/client/writer.go):" >&2
     echo "$sim_appends" >&2
     exit 1
 fi

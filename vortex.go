@@ -23,7 +23,9 @@
 //	db.CreateTable(ctx, "d.events", eventSchema)
 //	s, _ := db.Table("d.events").NewStream(ctx, vortex.Unbuffered)
 //	s.Append(ctx, rows)                       // at-least-once, append at end
-//	s.Append(ctx, rows, vortex.AtOffset(10))  // exactly-once, offset-pinned
+//	w := db.Table("d.events").NewWriter()     // exactly-once, offset-pinned:
+//	w.Open(ctx, vortex.Unbuffered)            // each batch at the writer's next
+//	w.Write(ctx, rows)                        // offset, a lost ack settled as Landed
 //	res, _ := db.Query(ctx, "SELECT user, n FROM d.events WHERE n > 3")
 //	for _, rb := range res.Batches() {        // batch-native consumption
 //	    _ = rb.NumRows                        // wire.RecordBatch columns
@@ -110,10 +112,17 @@ type (
 	StreamType = meta.StreamType
 	// Timestamp is a TrueTime instant (snapshot reads).
 	Timestamp = truetime.Timestamp
-	// Ledger records acknowledged appends for verification.
+	// Writer is the exactly-once appender: it appends each batch at a
+	// pinned offset and settles every attempt by one outcome table (see
+	// Table.NewWriter).
+	Writer = client.Writer
+	// WriterOutcome is how one Writer attempt settled.
+	WriterOutcome = client.Outcome
+	// WriterBatch is one batch at its pinned offset.
+	WriterBatch = client.Batch
+	// Ledger records acknowledged appends for verification; feed it
+	// from a Writer with w.Applied = ledger.Applied(w).
 	Ledger = verify.Ledger
-	// TrackedStream is a stream wrapped by Track.
-	TrackedStream = verify.TrackedStream
 	// ReadSession is an open parallel read session: a table snapshot
 	// fanned out into independently consumable shard streams (see
 	// DB.OpenReadSession).
@@ -159,10 +168,20 @@ const (
 	ChaosKindSMS            = chaos.KindSMS
 )
 
-// Track wraps a stream so every acknowledged append is recorded in the
-// ledger (§6.3) — feed it DB.AppendLedger() to make DB.Verify
-// meaningful for that stream's table.
-var Track = verify.Track
+// Writer outcomes.
+const (
+	// Acked: the batch was acknowledged.
+	Acked = client.Acked
+	// Landed: WRONG_OFFSET after an earlier attempt landed and its ack
+	// was lost; the batch is durable.
+	Landed = client.Landed
+	// Reopen: STREAM_FINALIZED on a fresh batch, which is dropped; open
+	// a new stream.
+	Reopen = client.Reopen
+	// InDoubt: the batch may or may not be durable; Resolve retries it
+	// at its offset.
+	InDoubt = client.InDoubt
+)
 
 // Stream types (§4.2.1).
 const (
@@ -645,8 +664,8 @@ func (db *DB) Verify(ctx context.Context, table TableID) (*verify.Report, error)
 	return verify.VerifyTable(ctx, db.c, table, db.ledger, 0)
 }
 
-// Ledger returns the DB's append ledger (wrap streams with
-// verify.Track to populate it).
+// AppendLedger returns the DB's append ledger. Feed it from a writer
+// with w.Applied = db.AppendLedger().Applied(w).
 func (db *DB) AppendLedger() *Ledger { return db.ledger }
 
 // Table is a handle on one table.
@@ -662,6 +681,11 @@ func (t *Table) Name() TableID { return t.name }
 func (t *Table) NewStream(ctx context.Context, typ StreamType) (*Stream, error) {
 	return t.db.c.CreateStream(ctx, t.name, typ)
 }
+
+// NewWriter returns an exactly-once writer on the table (§4.2.2): Open
+// gives it a stream, then Append, Resolve and Write pin every batch at
+// the writer's next offset.
+func (t *Table) NewWriter() *Writer { return client.NewWriter(t.db.c, t.name) }
 
 // Schema fetches the table's current schema.
 func (t *Table) Schema(ctx context.Context) (*Schema, error) {
