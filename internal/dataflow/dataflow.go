@@ -4,15 +4,15 @@
 // BUFFERED streams.
 //
 // The sink runs in two stages. Append-stage workers each own a key
-// partition and a dedicated BUFFERED stream; they append bundles at a
-// tracked row offset and atomically (a) mark the bundle processed,
-// (b) write the flush instruction to shuffle and (c) advance the
-// stream offset in the state store. Flush-stage workers consume the
-// instructions and call FlushStream — idempotent and monotonic — making
-// the rows visible. Zombie workers (duplicate deliveries of a bundle)
-// are harmless: Vortex offset validation makes the duplicate append
-// land nowhere, and the state store's atomic commit admits exactly one
-// completion per bundle.
+// partition and a dedicated BUFFERED stream; they append bundles through
+// the client's exactly-once writer, pinned at the state store's row
+// offset, and atomically (a) mark the bundle processed, (b) write the
+// flush instruction to shuffle and (c) advance the stream offset in the
+// state store. Flush-stage workers consume the instructions and call
+// FlushStream — idempotent and monotonic — making the rows visible.
+// Zombie workers (duplicate deliveries of a bundle) are harmless: Vortex
+// offset validation makes the duplicate append land nowhere, and the
+// state store's atomic commit admits exactly one completion per bundle.
 package dataflow
 
 import (
@@ -38,7 +38,6 @@ type Bundle struct {
 type flushRec struct {
 	stream meta.StreamID
 	offset int64
-	part   int
 }
 
 // stateStore is the runner's per-partition checkpoint state. Its Commit
@@ -46,7 +45,7 @@ type flushRec struct {
 // committed atomically" (§7.4).
 type stateStore struct {
 	mu    sync.Mutex
-	parts map[int]*partState
+	parts []partState
 }
 
 type partState struct {
@@ -55,33 +54,30 @@ type partState struct {
 	nextOffset int64
 }
 
-func newStateStore() *stateStore { return &stateStore{parts: map[int]*partState{}} }
-
-func (s *stateStore) get(part int) partState {
+// get reads what one delivery of bundle id needs of its partition.
+func (s *stateStore) get(part, id int) (done bool, stream meta.StreamID, next int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps := s.parts[part]
-	if ps == nil {
-		return partState{processed: map[int]bool{}}
-	}
-	cp := partState{processed: make(map[int]bool, len(ps.processed)), stream: ps.stream, nextOffset: ps.nextOffset}
-	for k := range ps.processed {
-		cp.processed[k] = true
-	}
-	return cp
+	ps := &s.parts[part]
+	return ps.processed[id], ps.stream, ps.nextOffset
 }
 
-func (s *stateStore) setStream(part int, id meta.StreamID) {
+// reopen replaces the partition's stream with a fresh one when it is
+// still old, the stream a delivery found finalized; a twin that finds
+// it already replaced simply retries on the new one.
+func (s *stateStore) reopen(ctx context.Context, c *client.Client, table meta.TableID, part int, old meta.StreamID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps := s.parts[part]
-	if ps == nil {
-		ps = &partState{processed: map[int]bool{}}
-		s.parts[part] = ps
+	ps := &s.parts[part]
+	if ps.stream != old {
+		return nil
 	}
-	if ps.stream == "" {
-		ps.stream = id
+	st, err := c.CreateStream(ctx, table, meta.Buffered)
+	if err != nil {
+		return err
 	}
+	ps.stream, ps.nextOffset = st.Info().ID, 0
+	return nil
 }
 
 // errAlreadyProcessed is returned when a zombie tries to commit a bundle
@@ -89,21 +85,19 @@ func (s *stateStore) setStream(part int, id meta.StreamID) {
 var errAlreadyProcessed = errors.New("dataflow: bundle already processed")
 
 // commit atomically marks the bundle processed, records the flush
-// instruction and advances the offset. It fails for zombies.
-func (s *stateStore) commit(part, bundleID int, newOffset int64, rec flushRec, shuffle chan<- flushRec) error {
+// instruction and advances the offset of the stream the bundle went to
+// (a stream replaced since keeps its successor's offset). It fails for
+// zombies.
+func (s *stateStore) commit(part, bundleID int, rec flushRec, shuffle chan<- flushRec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps := s.parts[part]
-	if ps == nil {
-		ps = &partState{processed: map[int]bool{}}
-		s.parts[part] = ps
-	}
+	ps := &s.parts[part]
 	if ps.processed[bundleID] {
 		return errAlreadyProcessed
 	}
 	ps.processed[bundleID] = true
-	if newOffset > ps.nextOffset {
-		ps.nextOffset = newOffset
+	if rec.stream == ps.stream && rec.offset > ps.nextOffset {
+		ps.nextOffset = rec.offset
 	}
 	shuffle <- rec
 	return nil
@@ -122,6 +116,19 @@ type SinkOptions struct {
 	// between its append and its state commit (0 = never), exercising
 	// re-delivery over a partially-completed bundle.
 	CrashAfterAppend int
+	// Streams are partition streams an earlier run returned
+	// (Result.Streams), continued rather than replaced: Streams[p] is
+	// partition p's. A partition with no entry opens a fresh BUFFERED
+	// stream when it has rows. The caller vouches that no rows lie past
+	// an entry's Next — a run that failed may have left some there.
+	Streams []SinkStream
+}
+
+// SinkStream is one partition's dedicated BUFFERED stream and the offset
+// its next append is pinned at.
+type SinkStream struct {
+	ID   meta.StreamID
+	Next int64
 }
 
 // Result summarizes a pipeline run.
@@ -130,6 +137,10 @@ type Result struct {
 	ZombiesDefeated   int // commits rejected or appends refused for duplicates
 	RowsWritten       int64
 	FlushInstructions int
+	// Streams are the partitions' streams after the run, each with the
+	// offset past its last row: what a caller records to continue them
+	// (SinkOptions.Streams). A partition that never had rows has none.
+	Streams []SinkStream
 }
 
 // WriteTableRows runs the two-stage exactly-once sink: it partitions
@@ -177,33 +188,28 @@ func WriteTableRows(ctx context.Context, c *client.Client, table meta.TableID, r
 		}
 	}
 
-	store := newStateStore()
-	shuffle := make(chan flushRec, len(bundles)*(opts.DuplicateDeliveries+2))
-	res := &Result{}
-
 	// One dedicated BUFFERED stream per partition (§7.4: "Each worker in
-	// the Append stage creates its own dedicated BUFFERED stream"). Each
-	// delivery attaches its own handle — worker incarnations (including
-	// zombies) do not share client state.
-	streamIDs := make([]meta.StreamID, opts.Partitions)
-	var streamMu sync.Mutex
-	streamFor := func(part int) (*client.Stream, error) {
-		streamMu.Lock()
-		if streamIDs[part] == "" {
-			s, err := c.CreateStream(ctx, table, meta.Buffered)
+	// the Append stage creates its own dedicated BUFFERED stream"): the
+	// one the caller carries over, or a fresh one. Each delivery attaches
+	// its own handle — worker incarnations (including zombies) do not
+	// share client state.
+	store := &stateStore{parts: make([]partState, opts.Partitions)}
+	for p := range store.parts {
+		var ss SinkStream
+		if p < len(opts.Streams) {
+			ss = opts.Streams[p]
+		}
+		if ss.ID == "" && len(partRows[p]) > 0 {
+			st, err := c.CreateStream(ctx, table, meta.Buffered)
 			if err != nil {
-				streamMu.Unlock()
 				return nil, err
 			}
-			streamIDs[part] = s.Info().ID
-			store.setStream(part, s.Info().ID)
-			streamMu.Unlock()
-			return s, nil
+			ss.ID = st.Info().ID
 		}
-		id := streamIDs[part]
-		streamMu.Unlock()
-		return c.AttachStream(ctx, id)
+		store.parts[p] = partState{processed: map[int]bool{}, stream: ss.ID, nextOffset: ss.Next}
 	}
+	shuffle := make(chan flushRec, len(bundles)*(opts.DuplicateDeliveries+2))
+	res := &Result{}
 
 	// Append stage: bundles of a partition run in order; different
 	// partitions run concurrently. Duplicate deliveries of the same
@@ -212,64 +218,47 @@ func WriteTableRows(ctx context.Context, c *client.Client, table meta.TableID, r
 	var firstErr error
 	var zombies int64
 	var rowsWritten int64
+	settled := func(b Bundle, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err == nil:
+			res.BundlesProcessed++
+			rowsWritten += int64(len(b.Rows))
+		case errors.Is(err, errAlreadyProcessed):
+			zombies++
+		case errors.Is(err, errDied):
+			// crashed worker: re-delivered below
+		case firstErr == nil:
+			firstErr = err
+		}
+	}
 	var wg sync.WaitGroup
 	byPart := map[int][]Bundle{}
 	for _, b := range bundles {
 		byPart[b.Partition] = append(byPart[b.Partition], b)
 	}
-	for part, bs := range byPart {
+	for _, bs := range byPart {
 		wg.Add(1)
-		go func(part int, bs []Bundle) {
+		go func(bs []Bundle) {
 			defer wg.Done()
 			for bi, b := range bs {
 				crash := opts.CrashAfterAppend > 0 && (bi+1)%opts.CrashAfterAppend == 0
 				var dwg sync.WaitGroup
-				deliveries := 1 + opts.DuplicateDeliveries
-				for d := 0; d < deliveries; d++ {
+				for d := 0; d < 1+opts.DuplicateDeliveries; d++ {
 					dwg.Add(1)
-					go func(d int, b Bundle) {
+					go func(dieBeforeCommit bool) {
 						defer dwg.Done()
-						dieBeforeCommit := crash && d == 0
-						err := processBundle(ctx, c, store, streamFor, shuffle, b, dieBeforeCommit)
-						mu.Lock()
-						defer mu.Unlock()
-						switch {
-						case err == nil:
-							res.BundlesProcessed++
-							rowsWritten += int64(len(b.Rows))
-						case errors.Is(err, errAlreadyProcessed):
-							zombies++
-						case errors.Is(err, errDied):
-							// crashed worker: re-delivered below
-						default:
-							if firstErr == nil {
-								firstErr = err
-							}
-						}
-					}(d, b)
+						settled(b, processBundle(ctx, c, table, store, shuffle, b, dieBeforeCommit))
+					}(crash && d == 0)
 				}
 				dwg.Wait()
 				if crash {
 					// Runner re-delivers the bundle after the crash.
-					if err := processBundle(ctx, c, store, streamFor, shuffle, b, false); err != nil && !errors.Is(err, errAlreadyProcessed) {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					} else {
-						mu.Lock()
-						if err == nil {
-							res.BundlesProcessed++
-							rowsWritten += int64(len(b.Rows))
-						} else {
-							zombies++
-						}
-						mu.Unlock()
-					}
+					settled(b, processBundle(ctx, c, table, store, shuffle, b, false))
 				}
 			}
-		}(part, bs)
+		}(bs)
 	}
 	wg.Wait()
 	close(shuffle)
@@ -291,32 +280,47 @@ func WriteTableRows(ctx context.Context, c *client.Client, table meta.TableID, r
 	}
 	res.ZombiesDefeated = int(zombies)
 	res.RowsWritten = rowsWritten
+	for _, ps := range store.parts {
+		res.Streams = append(res.Streams, SinkStream{ID: ps.stream, Next: ps.nextOffset})
+	}
 	return res, nil
 }
 
 var errDied = errors.New("dataflow: worker died before commit")
 
-// processBundle is one delivery of one bundle through the Append stage.
-func processBundle(ctx context.Context, c *client.Client, store *stateStore, streamFor func(int) (*client.Stream, error), shuffle chan<- flushRec, b Bundle, dieBeforeCommit bool) error {
-	st := store.get(b.Partition)
-	if st.processed[b.ID] {
-		return errAlreadyProcessed
+// processBundle is one delivery of one bundle through the Append stage:
+// a writer on the partition's stream, pinned at the state store's next
+// offset. Partitioning and bundle order are deterministic, so a stream
+// already past that offset holds this very bundle — a twin wrote it, or
+// an earlier delivery whose ack was lost — and the writer's Landed
+// outcome commits it like an ack. A batch in doubt is retried at its
+// offset a fixed number of times (Writer.Write) before its error fails
+// the run; a finalized stream is replaced and the bundle goes to the
+// new one.
+func processBundle(ctx context.Context, c *client.Client, table meta.TableID, store *stateStore, shuffle chan<- flushRec, b Bundle, dieBeforeCommit bool) error {
+	for {
+		done, id, next := store.get(b.Partition, b.ID)
+		if done {
+			return errAlreadyProcessed
+		}
+		s, err := c.AttachStream(ctx, id)
+		if err != nil {
+			return err
+		}
+		w := client.NewWriter(c, table)
+		w.Attach(s, next)
+		switch o, err := w.Write(ctx, b.Rows); o {
+		case client.Reopen:
+			if err := store.reopen(ctx, c, table, b.Partition, id); err != nil {
+				return err
+			}
+			continue
+		case client.InDoubt:
+			return err
+		}
+		if dieBeforeCommit {
+			return errDied
+		}
+		return store.commit(b.Partition, b.ID, flushRec{stream: id, offset: w.Next()}, shuffle)
 	}
-	s, err := streamFor(b.Partition)
-	if err != nil {
-		return err
-	}
-	off := st.nextOffset
-	_, appendErr := s.Append(ctx, b.Rows, client.AtOffset(off))
-	if appendErr != nil && !errors.Is(appendErr, client.ErrWrongOffset) {
-		return appendErr
-	}
-	// ErrWrongOffset means a twin already appended this bundle at off
-	// with identical content (partitioning and bundle order are
-	// deterministic): proceed to commit — exactly one of us wins.
-	if dieBeforeCommit {
-		return errDied
-	}
-	end := off + int64(len(b.Rows))
-	return store.commit(b.Partition, b.ID, end, flushRec{stream: s.Info().ID, offset: end, part: b.Partition}, shuffle)
 }

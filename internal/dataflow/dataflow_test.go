@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vortex/internal/chaos"
 	"vortex/internal/client"
 	"vortex/internal/core"
 	"vortex/internal/dataflow"
@@ -172,4 +173,79 @@ func TestAttachStreamResumesLength(t *testing.T) {
 	if _, err := h2.Append(ctx, mkRows(1), client.AtOffset(3)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestSinkResolvesAnAppendPastTheClientsRetries(t *testing.T) {
+	// The client gets one attempt per append, so a lost ack and a
+	// dropped request both reach the sink as a batch in doubt. It
+	// retries the batch at the same offset: the first lands (WRONG_OFFSET
+	// after the rows were durable), the second is acknowledged.
+	sched := chaos.NewSchedule().
+		FailAt(chaos.PointRPCResponse, "*/Append", 2).
+		FailAt(chaos.PointRPCRequest, "*/Append", 5)
+	cfg := core.DefaultConfig()
+	cfg.Chaos = sched
+	r := core.NewRegion(cfg)
+	copts := client.DefaultOptions()
+	copts.ForceUnary = true
+	copts.Retry.MaxAttempts = 1
+	c := r.NewClient(copts)
+	ctx := context.Background()
+	if err := c.CreateTable(ctx, "d.sink", eventsSchema()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := dataflow.WriteTableRows(ctx, c, "d.sink", mkRows(100), dataflow.SinkOptions{
+		Partitions: 2, BundleSize: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sched.Events()); n != 2 {
+		t.Fatalf("%d faults injected, want 2:\n%s", n, sched.LogString())
+	}
+	if res.RowsWritten != 100 {
+		t.Fatalf("rows written = %d", res.RowsWritten)
+	}
+	verifyExactlyOnce(t, c, ctx, 100)
+}
+
+func TestSinkContinuesItsStreams(t *testing.T) {
+	// A run handed the streams of the one before appends behind their
+	// rows instead of opening new ones; a stream finalized in between is
+	// replaced, and its rows stay.
+	_, c, ctx := setup(t)
+	rows := mkRows(90)
+	opts := dataflow.SinkOptions{Partitions: 2, BundleSize: 8}
+	first, err := dataflow.WriteTableRows(ctx, c, "d.sink", rows[:30], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Streams = first.Streams
+	second, err := dataflow.WriteTableRows(ctx, c, "d.sink", rows[30:60], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, ss := range second.Streams {
+		if ss.ID != first.Streams[p].ID || ss.Next <= first.Streams[p].Next {
+			t.Fatalf("partition %d: stream %+v after %+v, want the same stream, further along", p, ss, first.Streams[p])
+		}
+	}
+	verifyExactlyOnce(t, c, ctx, 60)
+
+	s, err := c.AttachStream(ctx, second.Streams[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Finalize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	opts.Streams = second.Streams
+	third, err := dataflow.WriteTableRows(ctx, c, "d.sink", rows[60:], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Streams[0].ID == second.Streams[0].ID || third.Streams[1].ID != second.Streams[1].ID {
+		t.Fatalf("streams %+v after %+v, want only the finalized one replaced", third.Streams, second.Streams)
+	}
+	verifyExactlyOnce(t, c, ctx, 90)
 }
