@@ -44,11 +44,13 @@ type RefreshStats struct {
 //     a maintainer that dies here loses only work, not correctness —
 //     its successor reloads the store and re-reads the same delta.
 //  3. Changed view rows are written through the two-stage dataflow
-//     sink as primary-keyed UPSERT/DELETE rows. Writes are idempotent
-//     by key, so a crash between the sink write and the store commit
-//     re-runs the cycle and rewrites identical rows.
-//  4. The store commit (Save of AppliedSeq/AppliedTS/live base rows)
-//     is the cycle's single commit point.
+//     sink as primary-keyed UPSERT/DELETE rows, on the view's sink
+//     streams, which the checkpoint carries from cycle to cycle. Writes
+//     are idempotent by key, so a crash between the sink write and the
+//     store commit re-runs the cycle and rewrites identical rows.
+//  4. The store commit (Save of AppliedSeq/AppliedTS/live base rows
+//     and the sink streams' offsets) is the cycle's single commit
+//     point.
 type Maintainer struct {
 	c      *client.Client
 	def    *Definition
@@ -67,7 +69,8 @@ type Maintainer struct {
 	sides      []*sideState // [left] or [left, right]
 	groups     map[string]*query.DeltaGroup
 
-	offsets map[string]int64 // in-flight cycle's per-shard source offsets
+	offsets map[string]int64      // in-flight cycle's per-shard source offsets
+	sinks   []dataflow.SinkStream // view sink streams as of the last commit
 }
 
 // sideState is one base table's live-row state: rows keyed by handle,
@@ -130,7 +133,7 @@ func NewMaintainer(c *client.Client, def *Definition, store Store, shards int) (
 		return nil, err
 	}
 	if cp != nil {
-		m.appliedTS = cp.AppliedTS
+		m.appliedTS, m.sinks = cp.AppliedTS, cp.Sinks
 		for t, s := range cp.AppliedSeq {
 			m.appliedSeq[t] = s
 		}
@@ -181,6 +184,15 @@ func (m *Maintainer) Refresh(ctx context.Context) (*RefreshStats, error) {
 	dirty := map[string]bool{}
 	var ts truetime.Timestamp
 	m.offsets = map[string]int64{}
+	// The sink streams leave the durable checkpoint for the cycle (see
+	// Checkpoint.Sinks) and come back at its commit.
+	sinks := m.sinks
+	if sinks != nil {
+		m.sinks = nil
+		if err := m.store.Save(m.checkpoint()); err != nil {
+			return nil, err
+		}
+	}
 	for _, side := range m.sides {
 		res, err := dataflow.ReadTableRows(ctx, m.c, side.table, dataflow.SourceOptions{
 			Shards:     m.shards,
@@ -231,14 +243,16 @@ func (m *Maintainer) Refresh(ctx context.Context) (*RefreshStats, error) {
 		if parts <= 0 {
 			parts = 2
 		}
-		if _, err := dataflow.WriteTableRows(ctx, m.c, m.def.View, out, dataflow.SinkOptions{
-			Partitions: parts, BundleSize: 64,
-		}); err != nil {
+		res, err := dataflow.WriteTableRows(ctx, m.c, m.def.View, out, dataflow.SinkOptions{
+			Partitions: parts, BundleSize: 64, Streams: sinks,
+		})
+		if err != nil {
 			return nil, err
 		}
+		sinks = res.Streams
 	}
 
-	m.appliedTS = ts
+	m.appliedTS, m.sinks = ts, sinks
 	m.offsets = map[string]int64{}
 	if err := m.store.Save(m.checkpoint()); err != nil {
 		return nil, err
@@ -399,5 +413,6 @@ func (m *Maintainer) checkpoint() *Checkpoint {
 	for sh, off := range m.offsets {
 		cp.Offsets[sh] = off
 	}
+	cp.Sinks = m.sinks
 	return cp
 }

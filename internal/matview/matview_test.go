@@ -13,6 +13,7 @@ import (
 	"vortex/internal/meta"
 	"vortex/internal/query"
 	"vortex/internal/schema"
+	"vortex/internal/spanner"
 	"vortex/internal/truetime"
 )
 
@@ -400,5 +401,89 @@ func TestKeylessInsertCounted(t *testing.T) {
 	}
 	if rows := res.Rows(); len(rows) != 1 || rows[0][0].AsInt64() != 2 {
 		t.Fatalf("view rows: %v", res.Rows())
+	}
+}
+
+// sinkStreams lists the streams of the view table: the sink's.
+func (e *env) sinkStreams(view meta.TableID) []meta.StreamID {
+	e.t.Helper()
+	var ids []meta.StreamID
+	err := e.r.DB.ReadTxn(func(tx *spanner.Txn) error {
+		for _, kv := range tx.Scan("streams/") {
+			info, err := meta.UnmarshalStream(kv.Value)
+			if err != nil {
+				return err
+			}
+			if info.Table == view {
+				ids = append(ids, info.ID)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	return ids
+}
+
+// TestRefreshesReuseSinkStreams: a view's refreshes, its rebuilds from
+// the checkpoint included, write through at most one sink stream per
+// partition. A finalized sink stream and a lost checkpoint each open a
+// fresh one, and the view stays right.
+func TestRefreshesReuseSinkStreams(t *testing.T) {
+	e := newEnv(t)
+	def, m, store := e.compileCreate(joinViewSQL)
+	m.SinkPartitions = 2
+	countries := []string{"AR", "CL", "UY", "PE", "BR", "MX"}
+	refresh := func(round int) {
+		t.Helper()
+		for i, c := range countries {
+			key := fmt.Sprintf("c%d", i)
+			e.append("d.customers", customer(schema.ChangeUpsert, key, c))
+			e.append("d.orders", order(schema.ChangeUpsert, fmt.Sprintf("o%d-%d", round, i), key, int64(round+i)))
+		}
+		st, err := m.Refresh(e.ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.checkParity(def, st.SnapshotTS)
+	}
+	const n = 5
+	for round := 0; round < n; round++ {
+		if round == 3 {
+			var err error
+			if m, err = matview.NewMaintainer(e.c, def, store, 2); err != nil {
+				t.Fatal(err)
+			}
+			m.SinkPartitions = 2
+		}
+		refresh(round)
+	}
+	streams := e.sinkStreams(def.View)
+	if len(streams) != m.SinkPartitions {
+		t.Fatalf("%d refreshes left %d sink streams, want %d", n, len(streams), m.SinkPartitions)
+	}
+
+	s, err := e.c.AttachStream(e.ctx, streams[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Finalize(e.ctx); err != nil {
+		t.Fatal(err)
+	}
+	refresh(n)
+	if got := len(e.sinkStreams(def.View)); got != m.SinkPartitions+1 {
+		t.Fatalf("after a finalized sink stream: %d sink streams, want %d", got, m.SinkPartitions+1)
+	}
+
+	// A maintainer whose checkpoint is lost rebuilds the view from
+	// scratch on new streams.
+	if m, err = matview.NewMaintainer(e.c, def, matview.NewMemStore(), 2); err != nil {
+		t.Fatal(err)
+	}
+	m.SinkPartitions = 2
+	refresh(n + 1)
+	if got := len(e.sinkStreams(def.View)); got != 2*m.SinkPartitions+1 {
+		t.Fatalf("after a lost checkpoint: %d sink streams, want %d", got, 2*m.SinkPartitions+1)
 	}
 }

@@ -3,6 +3,7 @@ package matview
 import (
 	"sync"
 
+	"vortex/internal/dataflow"
 	"vortex/internal/meta"
 	"vortex/internal/rowenc"
 	"vortex/internal/schema"
@@ -33,6 +34,13 @@ type Checkpoint struct {
 	// never consulted again). Committed per batch during a refresh and
 	// cleared when the cycle commits.
 	Offsets map[string]int64
+	// Sinks are the view sink's BUFFERED streams, one per sink
+	// partition, each with the offset its next append is pinned at: a
+	// refresh continues them instead of opening new ones. They are held
+	// out of every checkpoint saved during a cycle and come back at its
+	// commit, so a maintainer that dies mid-cycle leaves none with rows
+	// past its recorded offset; its successor opens fresh ones.
+	Sinks []dataflow.SinkStream
 }
 
 func newCheckpoint() *Checkpoint {
@@ -57,6 +65,7 @@ func (cp *Checkpoint) clone() *Checkpoint {
 	for sh, off := range cp.Offsets {
 		out.Offsets[sh] = off
 	}
+	out.Sinks = append([]dataflow.SinkStream(nil), cp.Sinks...)
 	return out
 }
 
