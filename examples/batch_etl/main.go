@@ -39,20 +39,22 @@ func main() {
 		go func(w int) {
 			defer wg.Done()
 			gen := workload.NewGen(int64(w), 300)
-			s, err := db.Table(table).NewStream(ctx, vortex.Pending)
-			if err != nil {
+			// The writer pins each batch at its next offset, so a lost ack
+			// settles as Landed instead of aborting the load (§4.2.2).
+			wr := db.Table(table).NewWriter()
+			if err := wr.Open(ctx, vortex.Pending); err != nil {
 				log.Fatal(err)
 			}
+			ids[w] = wr.Stream().Info().ID
 			rows := gen.SalesRows(0, rowsPerWorker)
 			for lo := 0; lo < len(rows); lo += 50 {
-				if _, err := s.Append(ctx, rows[lo:lo+50], vortex.AtOffset(int64(lo))); err != nil {
+				if _, err := wr.Write(ctx, rows[lo:lo+50]); err != nil {
 					log.Fatal(err)
 				}
 			}
-			if _, err := s.Finalize(ctx); err != nil {
+			if _, err := wr.Rotate(ctx); err != nil {
 				log.Fatal(err)
 			}
-			ids[w] = s.Info().ID
 		}(w)
 	}
 	wg.Wait()

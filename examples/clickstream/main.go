@@ -63,8 +63,10 @@ SELECT url AS page, COUNT(*) AS views FROM web.clicks GROUP BY url`)
 		go func(p int) {
 			defer wg.Done()
 			gen := workload.NewGen(int64(p), 200)
-			s, err := db.Table(table).NewStream(ctx, vortex.Unbuffered)
-			if err != nil {
+			// An exactly-once writer: each batch pinned at its next
+			// offset, a lost ack settled as Landed (§4.2.2).
+			w := db.Table(table).NewWriter()
+			if err := w.Open(ctx, vortex.Unbuffered); err != nil {
 				log.Fatal(err)
 			}
 			for i := 0; i < eventsPerProducer; i += 20 {
@@ -78,7 +80,7 @@ SELECT url AS page, COUNT(*) AS views FROM web.clicks GROUP BY url`)
 					row.Change = vortex.Upsert
 					rows[j] = row
 				}
-				if _, err := s.Append(ctx, rows, vortex.AtOffset(int64(i))); err != nil {
+				if _, err := w.Write(ctx, rows); err != nil {
 					log.Fatal(err)
 				}
 			}

@@ -31,10 +31,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Stream rows through an UNBUFFERED stream: once Append returns, the
-	// rows are durably committed and visible to queries (§4.2.1).
-	stream, err := db.Table("iot.events").NewStream(ctx, vortex.Unbuffered)
-	if err != nil {
+	// Stream rows through a writer on an UNBUFFERED stream: once Write
+	// returns, the rows are durably committed and visible to queries
+	// (§4.2.1). The writer pins each batch at its next offset, so a retry
+	// is exactly-once and a lost ack settles as Landed (§4.2.2).
+	w := db.Table("iot.events").NewWriter()
+	if err := w.Open(ctx, vortex.Unbuffered); err != nil {
 		log.Fatal(err)
 	}
 	base := time.Now().UTC()
@@ -44,8 +46,7 @@ func main() {
 			vortex.StringValue(fmt.Sprintf("sensor-%d", i%7)),
 			vortex.Float64Value(20+float64(i%10)/2),
 		)
-		// Offset pinning makes retries exactly-once (§4.2.2).
-		if _, err := stream.Append(ctx, []vortex.Row{row}, vortex.AtOffset(int64(i))); err != nil {
+		if _, err := w.Write(ctx, []vortex.Row{row}); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -69,7 +70,7 @@ func main() {
 	// Run storage optimization (WOS→ROS, §6.1) and query again: same
 	// answer, now from columnar storage.
 	db.Heartbeat(ctx)
-	if _, err := stream.Finalize(ctx); err != nil {
+	if _, err := w.Rotate(ctx); err != nil {
 		log.Fatal(err)
 	}
 	db.Heartbeat(ctx)
