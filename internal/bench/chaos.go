@@ -76,13 +76,10 @@ func Chaos(ctx context.Context, appends int) (*ChaosResult, error) {
 	gen := workload.NewGen(1, 100)
 
 	start := time.Now()
-	var totalRows int64
 	for i := 0; i < appends; i++ {
-		rows := gen.EventRows(time.Now(), 3, time.Microsecond)
-		if _, err := w.Write(ctx, rows); err != nil {
+		if _, err := w.Write(ctx, gen.EventRows(time.Now(), 3, time.Microsecond)); err != nil {
 			return nil, fmt.Errorf("append %d: %w", i, err)
 		}
-		totalRows += int64(len(rows))
 	}
 	elapsed := time.Since(start)
 
@@ -97,7 +94,7 @@ func Chaos(ctx context.Context, appends int) (*ChaosResult, error) {
 	m := c.Metrics()
 	return &ChaosResult{
 		Appends:        int64(appends),
-		Rows:           totalRows,
+		Rows:           w.Next(), // one stream, so its length
 		Elapsed:        elapsed,
 		Injected:       len(sched.Events()),
 		Retries:        m.Retries,

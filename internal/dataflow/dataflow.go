@@ -133,10 +133,9 @@ type SinkStream struct {
 
 // Result summarizes a pipeline run.
 type Result struct {
-	BundlesProcessed  int
-	ZombiesDefeated   int // commits rejected or appends refused for duplicates
-	RowsWritten       int64
-	FlushInstructions int
+	BundlesProcessed int
+	ZombiesDefeated  int // commits rejected or appends refused for duplicates
+	RowsWritten      int64
 	// Streams are the partitions' streams after the run, each with the
 	// offset past its last row: what a caller records to continue them
 	// (SinkOptions.Streams). A partition that never had rows has none.
@@ -163,28 +162,21 @@ func WriteTableRows(ctx context.Context, c *client.Client, table meta.TableID, r
 	partRows := make([][]schema.Row, opts.Partitions)
 	for i, r := range rows {
 		h := fnv.New32a()
-		if len(sc.PrimaryKey) > 0 {
-			if pk, err := sc.PrimaryKeyOf(r); err == nil {
-				h.Write([]byte(pk))
-			} else {
-				fmt.Fprintf(h, "row-%d", i)
-			}
+		if pk, err := sc.PrimaryKeyOf(r); err == nil {
+			h.Write([]byte(pk))
 		} else {
 			fmt.Fprintf(h, "row-%d", i)
 		}
 		p := int(h.Sum32()) % opts.Partitions
 		partRows[p] = append(partRows[p], r)
 	}
-	var bundles []Bundle
+	byPart := make([][]Bundle, opts.Partitions)
+	nBundles := 0
 	for p, rs := range partRows {
-		id := 0
 		for lo := 0; lo < len(rs); lo += opts.BundleSize {
-			hi := lo + opts.BundleSize
-			if hi > len(rs) {
-				hi = len(rs)
-			}
-			bundles = append(bundles, Bundle{Partition: p, ID: id, Rows: rs[lo:hi]})
-			id++
+			hi := min(lo+opts.BundleSize, len(rs))
+			byPart[p] = append(byPart[p], Bundle{Partition: p, ID: len(byPart[p]), Rows: rs[lo:hi]})
+			nBundles++
 		}
 	}
 
@@ -208,7 +200,7 @@ func WriteTableRows(ctx context.Context, c *client.Client, table meta.TableID, r
 		}
 		store.parts[p] = partState{processed: map[int]bool{}, stream: ss.ID, nextOffset: ss.Next}
 	}
-	shuffle := make(chan flushRec, len(bundles)*(opts.DuplicateDeliveries+2))
+	shuffle := make(chan flushRec, nBundles*(opts.DuplicateDeliveries+2))
 	res := &Result{}
 
 	// Append stage: bundles of a partition run in order; different
@@ -216,17 +208,15 @@ func WriteTableRows(ctx context.Context, c *client.Client, table meta.TableID, r
 	// bundle run concurrently with the original.
 	var mu sync.Mutex
 	var firstErr error
-	var zombies int64
-	var rowsWritten int64
 	settled := func(b Bundle, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch {
 		case err == nil:
 			res.BundlesProcessed++
-			rowsWritten += int64(len(b.Rows))
+			res.RowsWritten += int64(len(b.Rows))
 		case errors.Is(err, errAlreadyProcessed):
-			zombies++
+			res.ZombiesDefeated++
 		case errors.Is(err, errDied):
 			// crashed worker: re-delivered below
 		case firstErr == nil:
@@ -234,10 +224,6 @@ func WriteTableRows(ctx context.Context, c *client.Client, table meta.TableID, r
 		}
 	}
 	var wg sync.WaitGroup
-	byPart := map[int][]Bundle{}
-	for _, b := range bundles {
-		byPart[b.Partition] = append(byPart[b.Partition], b)
-	}
 	for _, bs := range byPart {
 		wg.Add(1)
 		go func(bs []Bundle) {
@@ -276,10 +262,7 @@ func WriteTableRows(ctx context.Context, c *client.Client, table meta.TableID, r
 		if err := s.Flush(ctx, rec.offset); err != nil {
 			return nil, fmt.Errorf("dataflow: flush stage: %w", err)
 		}
-		res.FlushInstructions++
 	}
-	res.ZombiesDefeated = int(zombies)
-	res.RowsWritten = rowsWritten
 	for _, ps := range store.parts {
 		res.Streams = append(res.Streams, SinkStream{ID: ps.stream, Next: ps.nextOffset})
 	}

@@ -95,15 +95,28 @@ type SourceResult struct {
 // "advance the offset", so exactly one delivery of each batch is
 // emitted downstream.
 type sourceState struct {
-	mu     sync.Mutex
-	offset map[string]int64 // shard id -> committed row offset
-	ckpt   SourceCheckpoint // when non-nil, replaces the offset map
-	out    []rowenc.Stamped
-	dups   int
+	mu   sync.Mutex
+	ckpt SourceCheckpoint // shard id -> committed row offset
+	out  []rowenc.Stamped
+	dups int
+}
+
+// memOffsets is the runner's own offset store, used when the caller
+// brings none.
+type memOffsets map[string]int64
+
+func (m memOffsets) Offset(shardID string) int64 { return m[shardID] }
+
+func (m memOffsets) Commit(shardID string, next int64) error {
+	m[shardID] = next
+	return nil
 }
 
 func newSourceState(ckpt SourceCheckpoint) *sourceState {
-	return &sourceState{offset: map[string]int64{}, ckpt: ckpt}
+	if ckpt == nil {
+		ckpt = memOffsets{}
+	}
+	return &sourceState{ckpt: ckpt}
 }
 
 // commit accepts a batch iff it lands exactly at the shard's committed
@@ -114,12 +127,7 @@ func newSourceState(ckpt SourceCheckpoint) *sourceState {
 func (s *sourceState) commit(shardID string, batchOffset int64, rows []rowenc.Stamped) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var want int64
-	if s.ckpt != nil {
-		want = s.ckpt.Offset(shardID)
-	} else {
-		want = s.offset[shardID]
-	}
+	want := s.ckpt.Offset(shardID)
 	if batchOffset < want {
 		s.dups++
 		return errAlreadyProcessed
@@ -127,13 +135,8 @@ func (s *sourceState) commit(shardID string, batchOffset int64, rows []rowenc.St
 	if batchOffset > want {
 		return fmt.Errorf("dataflow: source shard %s: batch at offset %d, checkpoint %d (gap)", shardID, batchOffset, want)
 	}
-	next := batchOffset + int64(len(rows))
-	if s.ckpt != nil {
-		if err := s.ckpt.Commit(shardID, next); err != nil {
-			return err
-		}
-	} else {
-		s.offset[shardID] = next
+	if err := s.ckpt.Commit(shardID, batchOffset+int64(len(rows))); err != nil {
+		return err
 	}
 	s.out = append(s.out, rows...)
 	return nil
@@ -168,6 +171,13 @@ func ReadTableRows(ctx context.Context, c *client.Client, table meta.TableID, op
 		firstErr error
 		crashes  int
 	)
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
 
 	// Drain in waves so shards added by concurrent splits are picked up,
 	// in the style of Session.ReadAll — but through the checkpointed
@@ -196,11 +206,7 @@ func ReadTableRows(ctx context.Context, c *client.Client, table meta.TableID, op
 						return
 					}
 					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
+						fail(err)
 						return
 					}
 					batches++
@@ -233,11 +239,7 @@ func ReadTableRows(ctx context.Context, c *client.Client, table meta.TableID, op
 						continue
 					}
 					if accepted != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = accepted
-						}
-						mu.Unlock()
+						fail(accepted)
 						return
 					}
 					// The shard checkpoint advances only after the state

@@ -3,6 +3,7 @@ package matview
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"vortex/internal/client"
@@ -390,10 +391,12 @@ func (m *Maintainer) groupApply(row schema.Row, delta int64, dirty map[string]bo
 // encoded once and cached until the next state mutation, so per-batch
 // offset commits during a drain reuse the pre-cycle snapshot.
 func (m *Maintainer) checkpoint() *Checkpoint {
-	cp := newCheckpoint()
-	cp.AppliedTS = m.appliedTS
-	for t, s := range m.appliedSeq {
-		cp.AppliedSeq[t] = s
+	cp := &Checkpoint{
+		AppliedSeq: maps.Clone(m.appliedSeq),
+		AppliedTS:  m.appliedTS,
+		Rows:       map[meta.TableID][]byte{},
+		Offsets:    maps.Clone(m.offsets),
+		Sinks:      m.sinks,
 	}
 	for _, side := range m.sides {
 		if side.encCache == nil {
@@ -410,9 +413,5 @@ func (m *Maintainer) checkpoint() *Checkpoint {
 		}
 		cp.Rows[side.table] = side.encCache
 	}
-	for sh, off := range m.offsets {
-		cp.Offsets[sh] = off
-	}
-	cp.Sinks = m.sinks
 	return cp
 }

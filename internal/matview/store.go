@@ -1,6 +1,8 @@
 package matview
 
 import (
+	"maps"
+	"slices"
 	"sync"
 
 	"vortex/internal/dataflow"
@@ -43,30 +45,16 @@ type Checkpoint struct {
 	Sinks []dataflow.SinkStream
 }
 
-func newCheckpoint() *Checkpoint {
-	return &Checkpoint{
-		AppliedSeq: map[meta.TableID]int64{},
-		Rows:       map[meta.TableID][]byte{},
-		Offsets:    map[string]int64{},
-	}
-}
-
 // clone deep-copies the checkpoint (the row payloads are immutable
 // snapshots, so sharing the byte slices is safe).
 func (cp *Checkpoint) clone() *Checkpoint {
-	out := newCheckpoint()
-	out.AppliedTS = cp.AppliedTS
-	for t, s := range cp.AppliedSeq {
-		out.AppliedSeq[t] = s
+	return &Checkpoint{
+		AppliedSeq: maps.Clone(cp.AppliedSeq),
+		AppliedTS:  cp.AppliedTS,
+		Rows:       maps.Clone(cp.Rows),
+		Offsets:    maps.Clone(cp.Offsets),
+		Sinks:      slices.Clone(cp.Sinks),
 	}
-	for t, b := range cp.Rows {
-		out.Rows[t] = b
-	}
-	for sh, off := range cp.Offsets {
-		out.Offsets[sh] = off
-	}
-	out.Sinks = append([]dataflow.SinkStream(nil), cp.Sinks...)
-	return out
 }
 
 func (cp *Checkpoint) decodeRows(t meta.TableID) ([]schema.Row, error) {

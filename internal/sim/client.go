@@ -45,9 +45,6 @@ func (h *harness) newWriter(name string, table meta.TableID, cl *client.Client) 
 	return w
 }
 
-// open starts a fresh UNBUFFERED stream on the writer's table.
-func (w *writer) open(ctx context.Context) error { return w.Open(ctx, meta.Unbuffered) }
-
 // logAttempt is the Settled callback of the random program's writers:
 // one event-log line per attempt.
 func (w *writer) logAttempt(retry bool, b *client.Batch, o client.Outcome, err error) {
@@ -110,7 +107,7 @@ func (c *simClient) step(ctx context.Context) {
 		return
 	}
 	if c.Stream() == nil {
-		if err := c.open(ctx); err != nil {
+		if err := c.Open(ctx, meta.Unbuffered); err != nil {
 			c.h.logf("e%d %s create-stream err=%s", c.h.epoch, c.name, errCategory(err))
 		} else {
 			c.h.logf("e%d %s stream open", c.h.epoch, c.name)
@@ -190,7 +187,7 @@ func (d *dmlActor) step(ctx context.Context) {
 		return
 	}
 	if d.Stream() == nil {
-		if err := d.open(ctx); err != nil {
+		if err := d.Open(ctx, meta.Unbuffered); err != nil {
 			d.sim.logf("e%d dml create-stream err=%s", d.sim.epoch, errCategory(err))
 		}
 		return

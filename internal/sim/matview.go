@@ -118,7 +118,7 @@ func (a *matviewActor) step(ctx context.Context) {
 		return
 	}
 	if a.Stream() == nil {
-		if err := a.open(ctx); err != nil {
+		if err := a.Open(ctx, meta.Unbuffered); err != nil {
 			a.h.logf("e%d mv create-stream err=%s", a.h.epoch, errCategory(err))
 		}
 		return

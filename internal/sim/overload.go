@@ -193,7 +193,7 @@ func (s *overloadSim) workload(ctx context.Context) {
 
 func (s *overloadSim) stepWriter(ctx context.Context, w *overWriter) {
 	if w.Stream() == nil {
-		if err := w.open(ctx); err != nil {
+		if err := w.Open(ctx, meta.Unbuffered); err != nil {
 			if s.checkShed(w.writer, "create-stream", err) {
 				s.logf("e%d %s create-stream shed", s.epoch, w.name)
 			}
