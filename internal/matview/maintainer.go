@@ -37,9 +37,9 @@ type RefreshStats struct {
 //  1. Each base table's delta is read through the exactly-once source
 //     connector at a pinned snapshot, with MinSeq set to the table's
 //     last applied sequence — already-applied rows never cross the
-//     wire — and per-shard offsets checkpointed into the durable store
-//     as batches commit, so a crashed source worker resumes without
-//     loss or replay.
+//     wire — and per-shard offsets checkpointed into the durable store,
+//     beside the pre-cycle state, as batches commit, so a crashed source
+//     worker resumes without loss or replay.
 //  2. Deltas apply to in-memory retractable state (symmetric hash-join
 //     index + DeltaGroup accumulators). Nothing external changes yet:
 //     a maintainer that dies here loses only work, not correctness —
@@ -70,8 +70,7 @@ type Maintainer struct {
 	sides      []*sideState // [left] or [left, right]
 	groups     map[string]*query.DeltaGroup
 
-	offsets map[string]int64      // in-flight cycle's per-shard source offsets
-	sinks   []dataflow.SinkStream // view sink streams as of the last commit
+	sinks []dataflow.SinkStream // view sink streams as of the last commit
 }
 
 // sideState is one base table's live-row state: rows keyed by handle,
@@ -112,7 +111,6 @@ func NewMaintainer(c *client.Client, def *Definition, store Store, shards int) (
 		shards:     shards,
 		appliedSeq: map[meta.TableID]int64{},
 		groups:     map[string]*query.DeltaGroup{},
-		offsets:    map[string]int64{},
 	}
 	left := &sideState{
 		table: def.Left, sc: def.LeftSchema, left: true,
@@ -166,15 +164,20 @@ func (m *Maintainer) Definition() *Definition { return m.def }
 
 // storeOffsets adapts the maintainer's durable store to the source
 // connector's per-shard checkpoint interface: every accepted batch
-// persists its shard offset (alongside the pre-cycle state) before the
-// shard stream's own checkpoint advances.
-type storeOffsets struct{ m *Maintainer }
+// persists its shard offset, alongside the pre-cycle state, before the
+// shard stream's own checkpoint advances. Never the cycle's own state:
+// a joined view applies its first table's delta before it reads the
+// second, and a successor would take that delta for written to the view.
+type storeOffsets struct {
+	store Store
+	cp    *Checkpoint // the pre-cycle checkpoint, gathering the cycle's offsets
+}
 
-func (o storeOffsets) Offset(shardID string) int64 { return o.m.offsets[shardID] }
+func (o storeOffsets) Offset(shardID string) int64 { return o.cp.Offsets[shardID] }
 
 func (o storeOffsets) Commit(shardID string, next int64) error {
-	o.m.offsets[shardID] = next
-	return o.m.store.Save(o.m.checkpoint())
+	o.cp.Offsets[shardID] = next
+	return o.store.Save(o.cp)
 }
 
 // Refresh runs one maintenance cycle and returns its stats. The first
@@ -184,22 +187,19 @@ func (m *Maintainer) Refresh(ctx context.Context) (*RefreshStats, error) {
 	stats := &RefreshStats{}
 	dirty := map[string]bool{}
 	var ts truetime.Timestamp
-	m.offsets = map[string]int64{}
-	// The sink streams leave the durable checkpoint for the cycle (see
-	// Checkpoint.Sinks) and come back at its commit.
+	// The sink streams leave the checkpoints saved during the cycle (see
+	// Checkpoint.Sinks) and come back at its commit. The sink writes only
+	// rows derived from source batches, each committed by such a save,
+	// so no durable checkpoint names a stream once the sink appends.
 	sinks := m.sinks
-	if sinks != nil {
-		m.sinks = nil
-		if err := m.store.Save(m.checkpoint()); err != nil {
-			return nil, err
-		}
-	}
+	m.sinks = nil
+	offsets := storeOffsets{m.store, m.checkpoint()}
 	for _, side := range m.sides {
 		res, err := dataflow.ReadTableRows(ctx, m.c, side.table, dataflow.SourceOptions{
 			Shards:     m.shards,
 			SnapshotTS: ts, // 0 on the first table: the resolved snapshot pins the rest
 			MinSeq:     m.appliedSeq[side.table],
-			Checkpoint: storeOffsets{m},
+			Checkpoint: offsets,
 		})
 		if err != nil {
 			return nil, err
@@ -254,7 +254,6 @@ func (m *Maintainer) Refresh(ctx context.Context) (*RefreshStats, error) {
 	}
 
 	m.appliedTS, m.sinks = ts, sinks
-	m.offsets = map[string]int64{}
 	if err := m.store.Save(m.checkpoint()); err != nil {
 		return nil, err
 	}
@@ -395,7 +394,7 @@ func (m *Maintainer) checkpoint() *Checkpoint {
 		AppliedSeq: maps.Clone(m.appliedSeq),
 		AppliedTS:  m.appliedTS,
 		Rows:       map[meta.TableID][]byte{},
-		Offsets:    maps.Clone(m.offsets),
+		Offsets:    map[string]int64{},
 		Sinks:      m.sinks,
 	}
 	for _, side := range m.sides {

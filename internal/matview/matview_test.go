@@ -487,3 +487,57 @@ func TestRefreshesReuseSinkStreams(t *testing.T) {
 		t.Fatalf("after a lost checkpoint: %d sink streams, want %d", got, 2*m.SinkPartitions+1)
 	}
 }
+
+// dyingStore is a MemStore whose maintainer dies right after the first
+// save that holds offsets of two read sessions: a joined view's cycle,
+// part way through reading its second base table.
+type dyingStore struct {
+	*matview.MemStore
+	kill context.CancelFunc
+}
+
+func (d *dyingStore) Save(cp *matview.Checkpoint) error {
+	err := d.MemStore.Save(cp)
+	if d.kill != nil && len(cp.Offsets) >= 2 {
+		d.kill()
+	}
+	return err
+}
+
+// TestDeathDuringSecondTableReadLosesNoDelta: a joined view applies its
+// first table's delta before it reads the second. A maintainer that
+// dies after a checkpoint saved during that second read must leave the
+// first table's delta unapplied in the store, or its successor never
+// writes the groups it changed.
+func TestDeathDuringSecondTableReadLosesNoDelta(t *testing.T) {
+	e := newEnv(t)
+	e.append("d.customers", customer(schema.ChangeUpsert, "alice", "AR"), customer(schema.ChangeUpsert, "bob", "CL"))
+	e.append("d.orders", order(schema.ChangeUpsert, "o1", "alice", 10), order(schema.ChangeUpsert, "o2", "bob", 20))
+	def, _, _ := e.compileCreate(joinViewSQL)
+	store := &dyingStore{MemStore: matview.NewMemStore()}
+	m, err := matview.NewMaintainer(e.c, def, store, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Refresh(e.ctx); err != nil {
+		t.Fatal(err)
+	}
+	e.append("d.orders", order(schema.ChangeUpsert, "o3", "bob", 7))
+	e.append("d.customers", customer(schema.ChangeUpsert, "carol", "UY"))
+	ctx, cancel := context.WithCancel(e.ctx)
+	store.kill = cancel
+	if _, err := m.Refresh(ctx); err == nil {
+		t.Fatal("the dying maintainer's refresh succeeded")
+	}
+	store.kill = nil
+
+	m2, err := matview.NewMaintainer(e.c, def, store, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m2.Refresh(e.ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.checkParity(def, st.SnapshotTS)
+}
