@@ -386,9 +386,9 @@ func (m *Maintainer) groupApply(row schema.Row, delta int64, dirty map[string]bo
 	return err
 }
 
-// checkpoint renders the maintainer's durable state. Live base rows are
-// encoded once and cached until the next state mutation, so per-batch
-// offset commits during a drain reuse the pre-cycle snapshot.
+// checkpoint renders the maintainer's durable state, with no source
+// offsets. Live base rows are encoded once and cached until the next
+// state mutation, so a cycle that changes nothing reuses its encoding.
 func (m *Maintainer) checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		AppliedSeq: maps.Clone(m.appliedSeq),
