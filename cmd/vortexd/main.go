@@ -42,6 +42,7 @@ import (
 
 	"vortex"
 	"vortex/internal/clusterd"
+	"vortex/internal/core"
 	"vortex/internal/meta"
 	"vortex/internal/rpc"
 	"vortex/internal/schema"
@@ -56,6 +57,7 @@ type server struct {
 
 func main() {
 	clusterd.MaybeRunNode()
+	region := core.DefaultConfig()
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8550", "HTTP listen address (role region)")
 		role        = flag.String("role", "region", "region | coordinator | worker")
@@ -63,8 +65,8 @@ func main() {
 		peers       = flag.String("peers", "", "comma-separated logical=host:port routes to other cluster processes")
 		coordinator = flag.String("coordinator", "", "coordinator host:port (role worker)")
 		serve       = flag.String("serve", "", "comma-separated stream server addrs this worker hosts, named ss-<cluster>-<n>")
-		clusters    = flag.String("clusters", "alpha,beta", "Colossus cluster names (cluster roles)")
-		smsTasks    = flag.Int("sms", 2, "SMS task count (cluster roles)")
+		clusters    = flag.String("clusters", strings.Join(region.Clusters, ","), "Colossus cluster names (cluster roles)")
+		smsTasks    = flag.Int("sms", region.SMSTasks, "SMS task count (cluster roles)")
 		keyHex      = flag.String("key", "", "shared 32-byte hex AES key (cluster roles)")
 	)
 	flag.Parse()
@@ -94,13 +96,12 @@ func main() {
 
 // parseServerSpecs derives ServerSpecs from ss-<cluster>-<suffix> names.
 func parseServerSpecs(addrs []string) ([]clusterd.ServerSpec, error) {
-	specs := make([]clusterd.ServerSpec, 0, len(addrs))
-	for _, a := range addrs {
-		parts := strings.SplitN(a, "-", 3)
-		if len(parts) < 3 || parts[0] != "ss" {
-			return nil, fmt.Errorf("stream server addr %q does not follow ss-<cluster>-<suffix>", a)
+	specs := make([]clusterd.ServerSpec, len(addrs))
+	for i, a := range addrs {
+		var err error
+		if specs[i], err = core.ParseServerSpec(a); err != nil {
+			return nil, err
 		}
-		specs = append(specs, clusterd.ServerSpec{Addr: a, Cluster: parts[1]})
 	}
 	return specs, nil
 }
@@ -127,11 +128,9 @@ func runClusterRole(role, listen, peers, coordinator, serve, clusters string, sm
 		}
 	}
 	if coordinator != "" {
-		for i := 0; i < smsTasks; i++ {
-			routes[fmt.Sprintf("sms-%d", i)] = coordinator
+		for _, a := range core.ControlAddrs(smsTasks) {
+			routes[a] = coordinator
 		}
-		routes["colossus"] = coordinator
-		routes["readsession-0"] = coordinator
 	}
 	tr.AddRoutes(routes)
 
@@ -143,13 +142,8 @@ func runClusterRole(role, listen, peers, coordinator, serve, clusters string, sm
 	}
 	switch role {
 	case "coordinator":
-		var ssPeers []string
-		for _, a := range peerAddrs {
-			if strings.HasPrefix(a, "ss-") {
-				ssPeers = append(ssPeers, a)
-			}
-		}
-		if cfg.AllServers, err = parseServerSpecs(ssPeers); err != nil {
+		// A coordinator's peers are the workers' Stream Servers.
+		if cfg.AllServers, err = parseServerSpecs(peerAddrs); err != nil {
 			return err
 		}
 		if _, err := clusterd.StartCoordinator(tr, cfg); err != nil {

@@ -62,9 +62,6 @@ type Index struct {
 	// lag holds pending changes not yet applied — the index's tail.
 	lag      []change
 	lagDepth int // number of Apply calls a change waits before indexing
-	indexed  int64
-	pruned   int64
-	kept     int64
 }
 
 type change struct {
@@ -132,7 +129,6 @@ func (ix *Index) applyLocked(ch change) {
 	}
 	for _, e := range ch.added {
 		m[e.Fragment] = e
-		ix.indexed++
 	}
 	for _, id := range ch.deleted {
 		delete(m, id)
@@ -152,20 +148,6 @@ func (ix *Index) TailCount() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return len(ix.lag)
-}
-
-// Stats reports pruning effectiveness counters.
-type Stats struct {
-	Indexed int64
-	Pruned  int64
-	Kept    int64
-}
-
-// Stats returns a snapshot of the counters.
-func (ix *Index) Stats() Stats {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return Stats{Indexed: ix.indexed, Pruned: ix.pruned, Kept: ix.kept}
 }
 
 // Op is a comparison operator in a pruning predicate.
@@ -314,31 +296,16 @@ func rangeCanMatch(min, max schema.Value, p Predicate) bool {
 	return true
 }
 
-// Prune evaluates predicates against fragments, consulting the index for
-// indexed fragments and the inline properties for the tail. It returns
-// the fragment ids that must be scanned and counts the decision.
-func (ix *Index) Prune(s *schema.Schema, frags []*meta.FragmentInfo, preds []Predicate) []meta.FragmentID {
-	var keep []meta.FragmentID
-	for _, f := range frags {
-		e := ix.Lookup(f.Table, f.ID)
-		if e == nil {
-			// Unindexed tail: evaluate the inline properties (§6.2).
-			var err error
-			e, err = EntryFromFragment(f)
-			if err != nil {
-				e = nil
-			}
-		}
-		if CanMatch(e, s, preds) {
-			keep = append(keep, f.ID)
-			ix.mu.Lock()
-			ix.kept++
-			ix.mu.Unlock()
-		} else {
-			ix.mu.Lock()
-			ix.pruned++
-			ix.mu.Unlock()
-		}
+// Matches reports whether fragment f of table may hold a row matching
+// preds, judged by its index entry or, while f is in the unindexed tail
+// (or ix is nil), by its inline properties (§6.2).
+func (ix *Index) Matches(table meta.TableID, f *meta.FragmentInfo, s *schema.Schema, preds []Predicate) bool {
+	var e *Entry
+	if ix != nil {
+		e = ix.Lookup(table, f.ID)
 	}
-	return keep
+	if e == nil {
+		e, _ = EntryFromFragment(f) // nil when unreadable: unprunable
+	}
+	return CanMatch(e, s, preds)
 }

@@ -1,21 +1,24 @@
-// Package clusterd wires Vortex subsystems into multi-process cluster
-// nodes. internal/core builds the whole region in one process around the
-// in-memory transport; clusterd builds the same topology out of OS
-// processes connected by the TCP transport:
+// Package clusterd runs a Vortex region as multi-process cluster nodes.
+// internal/core starts the whole region in one process around the
+// in-memory transport; clusterd starts the same tasks with the same
+// core constructors as OS processes connected by the TCP transport:
 //
-//   - The coordinator hosts the durable substrate and the control plane:
+//   - The coordinator hosts the control plane (core.StartControlPlane):
 //     the Colossus region (served to workers via internal/colossusrpc),
 //     the Spanner database, the SMS task pool, streamlet placement, the
 //     BigMeta fragment index and the read-session service.
-//   - Workers host Stream Servers — the data plane — reaching Colossus
-//     through the coordinator's proxy and heartbeating to the SMS pool
-//     over TCP.
+//   - Workers host Stream Servers (core.StartStreamServer) — the data
+//     plane — reaching Colossus through the coordinator's proxy and
+//     heartbeating to the SMS pool over TCP (core.StartHeartbeats).
 //   - Clients (vortex-bench, vortexd tools) connect with a route table
 //     mapping every logical task address to a host:port.
 //
-// Logical addresses stay identical to the single-process region (sms-0,
-// ss-alpha-w0-0, readsession-0, …), so every component works unchanged;
-// only the transport underneath them differs.
+// Logical addresses follow core's layout (sms-0, ss-alpha-w0-0,
+// readsession-0, …), so every component works unchanged; only the
+// transport underneath them differs. What is clusterd's own is the
+// node's keyring from its shared key, the Colossus proxy, the static
+// hash router that stands in for Slicer, and the process handshake
+// (proc.go).
 package clusterd
 
 import (
@@ -27,26 +30,19 @@ import (
 	"sort"
 	"time"
 
-	"vortex/internal/bigmeta"
 	"vortex/internal/blockenc"
 	"vortex/internal/client"
 	"vortex/internal/colossus"
 	"vortex/internal/colossusrpc"
+	"vortex/internal/core"
 	"vortex/internal/meta"
-	"vortex/internal/readsession"
 	"vortex/internal/rpc"
-	"vortex/internal/sms"
-	"vortex/internal/spanner"
 	"vortex/internal/streamserver"
-	"vortex/internal/truetime"
 )
 
 // ServerSpec names one Stream Server task and the Colossus cluster it
 // considers home (its first write replica).
-type ServerSpec struct {
-	Addr    string
-	Cluster string
-}
+type ServerSpec = core.ServerSpec
 
 // NodeConfig fully describes one cluster process. It crosses the
 // process boundary as JSON in an environment variable, so every field
@@ -54,8 +50,6 @@ type ServerSpec struct {
 type NodeConfig struct {
 	// Role is "coordinator" or "worker".
 	Role string
-	// Listen is the TCP listen address ("127.0.0.1:0" when empty).
-	Listen string
 	// Clusters names the region's Colossus clusters.
 	Clusters []string
 	// SMSTasks sizes the coordinator's control-plane pool.
@@ -91,8 +85,8 @@ func (c *NodeConfig) Validate() error {
 	default:
 		return fmt.Errorf("clusterd: unknown role %q", c.Role)
 	}
-	if len(c.Clusters) == 0 {
-		return errors.New("clusterd: no clusters")
+	if len(c.Clusters) < 2 {
+		return errors.New("clusterd: needs at least two clusters")
 	}
 	if _, err := c.key(); err != nil {
 		return err
@@ -108,16 +102,19 @@ func (c *NodeConfig) key() ([]byte, error) {
 	return key, nil
 }
 
-func (c *NodeConfig) keyring() (*blockenc.Keyring, error) {
-	key, err := c.key()
-	if err != nil {
+// host is this node's share of the region: net, Colossus as the node
+// reaches it, the cluster's shared key and the static router.
+func (c *NodeConfig) host(net rpc.Transport, store colossus.Store) (*core.Host, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	key, _ := c.key()
 	kr := blockenc.NewKeyring()
 	if err := kr.SetKey(blockenc.SystemKey, key); err != nil {
 		return nil, err
 	}
-	return kr, nil
+	rc := core.Config{Clusters: c.Clusters, SMSTasks: c.SMSTasks, MaxFragmentBytes: c.MaxFragmentBytes}
+	return core.NewHost(rc, net, store, kr, Router(c.SMSTasks)), nil
 }
 
 // Router returns the cluster's table→SMS routing. Multi-process mode
@@ -135,86 +132,49 @@ func (r *staticRouter) SMSFor(table meta.TableID) (string, error) {
 	}
 	h := fnv.New32a()
 	h.Write([]byte(table))
-	return fmt.Sprintf("sms-%d", int(h.Sum32())%r.n), nil
+	return core.SMSAddr(int(h.Sum32()) % r.n), nil
 }
 
 // Coordinator is a running coordinator node.
 type Coordinator struct {
-	Region       *colossus.Region
-	DB           *spanner.DB
-	SMSTasks     []*sms.Task
-	BigMeta      *bigmeta.Index
-	ReadSessions *readsession.Server
-	Clock        truetime.Clock
+	*core.ControlPlane
+	// Region is the Colossus region the coordinator serves to workers
+	// (ControlPlane.Colossus).
+	Region *colossus.Region
 }
 
-// StartCoordinator wires the control plane and durable substrate onto
+// StartCoordinator starts the control plane and the Colossus proxy on
 // net. Workers must be routable (the SMS instructs Stream Servers by
 // their logical addresses) before the first table is created.
 func StartCoordinator(net rpc.Transport, cfg NodeConfig) (*Coordinator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	keyring, err := cfg.keyring()
+	region := colossus.NewRegion(cfg.Clusters...)
+	h, err := cfg.host(net, region)
 	if err != nil {
 		return nil, err
 	}
-	clock := truetime.NewSystem(4*time.Millisecond, 0)
-	co := &Coordinator{
-		Region:  colossus.NewRegion(cfg.Clusters...),
-		Clock:   clock,
-		BigMeta: bigmeta.NewIndex(),
-	}
-	co.DB = spanner.NewDB(clock)
-	colossusrpc.Serve(net, colossusrpc.DefaultAddr, co.Region)
-	placer := sms.NewPlacer(cfg.Clusters)
-	for _, s := range cfg.AllServers {
-		placer.AddServer(s.Addr, s.Cluster)
-	}
-	for i := 0; i < cfg.SMSTasks; i++ {
-		task := sms.New(fmt.Sprintf("sms-%d", i), co.DB, net, placer)
-		task.SetColossus(co.Region)
-		task.SetFragmentListener(co.BigMeta)
-		co.SMSTasks = append(co.SMSTasks, task)
-	}
-	// The read-session service scans through its own client; on the
-	// coordinator that client reaches Colossus directly.
-	rsOpts := client.DefaultOptions()
-	rsOpts.ReadCacheBytes = 32 << 20
-	rsClient := client.New(net, Router(cfg.SMSTasks), co.Region, keyring, clock, rsOpts)
-	co.ReadSessions = readsession.NewServer(readsession.DefaultAddr, rsClient, co.BigMeta, clock)
-	return co, nil
+	colossusrpc.Serve(net, colossusrpc.DefaultAddr, region)
+	return &Coordinator{ControlPlane: core.StartControlPlane(h, region, cfg.AllServers), Region: region}, nil
 }
 
 // Worker is a running worker node.
 type Worker struct {
 	Servers map[string]*streamserver.Server
 	stop    context.CancelFunc
-	done    chan struct{}
+	done    <-chan struct{}
 }
 
 // StartWorker hosts the configured Stream Servers on net, reaching
 // Colossus through the coordinator's proxy, and runs their heartbeat
 // loop until Stop.
 func StartWorker(net rpc.Transport, cfg NodeConfig) (*Worker, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	keyring, err := cfg.keyring()
+	h, err := cfg.host(net, colossusrpc.NewRemote(net, colossusrpc.DefaultAddr))
 	if err != nil {
 		return nil, err
 	}
-	clock := truetime.NewSystem(4*time.Millisecond, 0)
-	store := colossusrpc.NewRemote(net, colossusrpc.DefaultAddr)
-	router := Router(cfg.SMSTasks)
-	w := &Worker{Servers: make(map[string]*streamserver.Server, len(cfg.Servers)), done: make(chan struct{})}
+	w := &Worker{Servers: make(map[string]*streamserver.Server, len(cfg.Servers))}
 	addrs := make([]string, 0, len(cfg.Servers))
 	for _, spec := range cfg.Servers {
-		sscfg := streamserver.DefaultConfig(spec.Addr)
-		if cfg.MaxFragmentBytes > 0 {
-			sscfg.MaxFragmentBytes = cfg.MaxFragmentBytes
-		}
-		w.Servers[spec.Addr] = streamserver.New(sscfg, store, clock, keyring, router, net)
+		w.Servers[spec.Addr] = core.StartStreamServer(h, spec.Addr)
 		addrs = append(addrs, spec.Addr)
 	}
 	sort.Strings(addrs)
@@ -224,23 +184,11 @@ func StartWorker(net rpc.Transport, cfg NodeConfig) (*Worker, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	w.stop = cancel
-	go func() {
-		defer close(w.done)
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		n := 0
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				n++
-				for _, addr := range addrs {
-					_ = w.Servers[addr].HeartbeatNow(ctx, n%10 == 0)
-				}
-			}
+	w.done = core.StartHeartbeats(ctx, every, func(ctx context.Context, full bool) {
+		for _, addr := range addrs {
+			_ = w.Servers[addr].HeartbeatNow(ctx, full)
 		}
-	}()
+	})
 	return w, nil
 }
 

@@ -59,6 +59,8 @@ type tcpCluster struct {
 	clientTr *rpc.TCPTransport
 	client   *client.Client
 	clock    truetime.Clock
+	coord    *Coordinator
+	worker   *Worker
 }
 
 func startTCPCluster(t *testing.T, opts client.Options) *tcpCluster {
@@ -96,7 +98,8 @@ func startTCPCluster(t *testing.T, opts client.Options) *tcpCluster {
 	coordCfg := shared
 	coordCfg.Role = "coordinator"
 	coordCfg.AllServers = servers
-	if _, err := StartCoordinator(coordTr, coordCfg); err != nil {
+	co, err := StartCoordinator(coordTr, coordCfg)
+	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
 	workerCfg := shared
@@ -116,7 +119,7 @@ func startTCPCluster(t *testing.T, opts client.Options) *tcpCluster {
 		workerTr.Close()
 		coordTr.Close()
 	})
-	return &tcpCluster{coordTr: coordTr, workerTr: workerTr, clientTr: clientTr, client: c, clock: clock}
+	return &tcpCluster{coordTr: coordTr, workerTr: workerTr, clientTr: clientTr, client: c, clock: clock, coord: co, worker: w}
 }
 
 func TestCoordinatorWorkerOverTCP(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"vortex/internal/core"
 	"vortex/internal/rpc"
 )
 
@@ -48,11 +49,7 @@ func RunNode(cfgJSON string, in io.Reader, out io.Writer) error {
 	}
 	tr := rpc.NewTCPTransport()
 	defer tr.Close()
-	listen := cfg.Listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	hostport, err := tr.Listen(listen)
+	hostport, err := tr.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
@@ -173,11 +170,12 @@ type ClusterSpec struct {
 
 func (s *ClusterSpec) withDefaults() ClusterSpec {
 	out := *s
+	region := core.DefaultConfig()
 	if len(out.Clusters) == 0 {
-		out.Clusters = []string{"alpha", "beta"}
+		out.Clusters = region.Clusters
 	}
 	if out.SMSTasks <= 0 {
-		out.SMSTasks = 2
+		out.SMSTasks = region.SMSTasks
 	}
 	if out.Workers <= 0 {
 		out.Workers = 2
@@ -188,18 +186,10 @@ func (s *ClusterSpec) withDefaults() ClusterSpec {
 	return out
 }
 
-// workerServers returns the Stream Server specs hosted by worker i: the
-// whole worker lives in one home cluster, like a Borg cell.
+// workerServers returns the Stream Server specs hosted by worker i,
+// whose home clusters take turns.
 func (s *ClusterSpec) workerServers(i int) []ServerSpec {
-	cluster := s.Clusters[i%len(s.Clusters)]
-	specs := make([]ServerSpec, 0, s.ServersPerWorker)
-	for j := 0; j < s.ServersPerWorker; j++ {
-		specs = append(specs, ServerSpec{
-			Addr:    fmt.Sprintf("ss-%s-w%d-%d", cluster, i, j),
-			Cluster: cluster,
-		})
-	}
-	return specs
+	return core.WorkerServers(s.Clusters[i%len(s.Clusters)], i, s.ServersPerWorker)
 }
 
 // LocalCluster is a running multi-process cluster plus everything a
@@ -226,10 +216,7 @@ func LaunchLocal(ctx context.Context, exe string, spec ClusterSpec) (*LocalClust
 	for i := 0; i < spec.Workers; i++ {
 		all = append(all, spec.workerServers(i)...)
 	}
-	coordLogical := []string{"colossus", "readsession-0"}
-	for i := 0; i < spec.SMSTasks; i++ {
-		coordLogical = append(coordLogical, fmt.Sprintf("sms-%d", i))
-	}
+	coordLogical := core.ControlAddrs(spec.SMSTasks)
 
 	spawn := func(name string, logical []string, cfg NodeConfig) error {
 		cfgJSON, err := json.Marshal(cfg)

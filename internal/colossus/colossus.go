@@ -171,13 +171,6 @@ func (c *Cluster) SetAvailable(v bool) {
 	c.stateMu.Unlock()
 }
 
-// Available reports whether the cluster is reachable.
-func (c *Cluster) Available() bool {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	return c.available
-}
-
 // FailNextWrites makes the next n Append calls fail with ErrInjected,
 // modelling transient IO errors that force fragment rotation (§5.3).
 func (c *Cluster) FailNextWrites(n int) {

@@ -3,27 +3,25 @@
 // tasks sharded by Slicer, a pool of Stream Servers per cluster, and the
 // placement logic that assigns streamlets to servers by load and health
 // (§5.2, §5.3). This is the paper's "BigQuery region" in one process.
+// The constructors it starts each task with (assembly.go) also start the
+// same tasks as cluster processes over TCP (internal/clusterd).
 package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"vortex/internal/bigmeta"
 	"vortex/internal/blockenc"
 	"vortex/internal/chaos"
 	"vortex/internal/client"
 	"vortex/internal/colossus"
 	"vortex/internal/latencymodel"
 	"vortex/internal/meta"
-	"vortex/internal/readsession"
 	"vortex/internal/rpc"
 	"vortex/internal/slicer"
 	"vortex/internal/sms"
-	"vortex/internal/spanner"
 	"vortex/internal/streamserver"
 	"vortex/internal/truetime"
 )
@@ -63,114 +61,54 @@ type Config struct {
 }
 
 // DefaultConfig returns a two-cluster region with a small server pool.
-func DefaultConfig() Config {
-	return Config{
-		Clusters:                []string{"alpha", "beta"},
-		SMSTasks:                2,
-		StreamServersPerCluster: 3,
-		ClockEpsilon:            4 * time.Millisecond,
-	}
-}
+func DefaultConfig() Config { return Config{}.withDefaults() }
 
 // Region is a running single-process Vortex region.
 type Region struct {
-	Colossus *colossus.Region
-	DB       *spanner.DB
-	Net      *rpc.Network
-	Clock    truetime.Clock
-	Keyring  *blockenc.Keyring
-	Slicer   *slicer.Slicer
+	*ControlPlane
+	Net     *rpc.Network
+	Clock   truetime.Clock
+	Keyring *blockenc.Keyring
+	Slicer  *slicer.Slicer
 
-	SMSTasks      []*sms.Task
 	StreamServers map[string]*streamserver.Server // by address
-	BigMeta       *bigmeta.Index
-	ReadSessions  *readsession.Server
 
-	placer *sms.Placer
+	host   *Host
 	router *router
-	chaos  *chaos.Schedule
-	cfg    Config
 
 	mu sync.Mutex
-	// readCaches are the client fragment caches registered for GC-driven
-	// invalidation; every file-deletion hook fans out to all of them.
-	readCaches []*client.ReadCache
 	// rebalancedKeys counts Slicer keys moved by RebalanceSMS.
 	rebalancedKeys int64
 }
 
 // NewRegion builds and starts a region.
 func NewRegion(cfg Config) *Region {
-	if len(cfg.Clusters) < 2 {
-		cfg.Clusters = []string{"alpha", "beta"}
-	}
-	if cfg.SMSTasks <= 0 {
-		cfg.SMSTasks = 2
-	}
-	if cfg.StreamServersPerCluster <= 0 {
-		cfg.StreamServersPerCluster = 3
-	}
-	if cfg.ClockEpsilon <= 0 {
-		cfg.ClockEpsilon = 4 * time.Millisecond
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = truetime.NewSystem(cfg.ClockEpsilon, 0)
-	}
+	cfg = cfg.withDefaults()
 	var sampler *latencymodel.Sampler
 	if !cfg.Latency.Zero() {
 		sampler = latencymodel.NewSampler(cfg.Latency, cfg.Seed)
 	}
+	col := colossus.NewRegion(cfg.Clusters...)
+	if sampler != nil {
+		col.SetSampler(sampler)
+	}
 	r := &Region{
-		Colossus:      colossus.NewRegion(cfg.Clusters...),
-		DB:            spanner.NewDB(clock),
 		Net:           rpc.NewNetwork(sampler),
-		Clock:         clock,
 		Keyring:       blockenc.NewKeyring(),
 		Slicer:        slicer.New(nil),
 		StreamServers: make(map[string]*streamserver.Server),
 	}
-	if sampler != nil {
-		r.Colossus.SetSampler(sampler)
-	}
-	r.placer = sms.NewPlacer(cfg.Clusters)
 	r.router = &router{slicer: r.Slicer}
-	r.BigMeta = bigmeta.NewIndex()
-
-	for i := 0; i < cfg.SMSTasks; i++ {
-		addr := fmt.Sprintf("sms-%d", i)
-		task := sms.New(addr, r.DB, r.Net, r.placer)
-		task.SetColossus(r.Colossus)
-		task.SetFragmentListener(r.BigMeta)
-		task.SetFileGCListener(r)
-		if !cfg.Quotas.Unlimited() {
-			task.SetQuotas(cfg.Quotas)
-		}
-		r.SMSTasks = append(r.SMSTasks, task)
-		r.Slicer.AddTask(addr)
+	r.host = NewHost(cfg, r.Net, col, r.Keyring, r.router)
+	r.Clock = r.host.clock
+	servers := cfg.servers()
+	r.ControlPlane = StartControlPlane(r.host, col, servers)
+	for _, t := range r.SMSTasks {
+		r.Slicer.AddTask(t.Addr())
 	}
-	for _, cl := range cfg.Clusters {
-		for i := 0; i < cfg.StreamServersPerCluster; i++ {
-			addr := fmt.Sprintf("ss-%s-%d", cl, i)
-			sscfg := streamserver.DefaultConfig(addr)
-			if cfg.MaxFragmentBytes > 0 {
-				sscfg.MaxFragmentBytes = cfg.MaxFragmentBytes
-			}
-			sscfg.HeartbeatCoalesce = cfg.HeartbeatCoalesce
-			sscfg.HeartbeatMaxStreamlets = cfg.HeartbeatMaxStreamlets
-			srv := streamserver.New(sscfg, r.Colossus, clock, r.Keyring, r.router, r.Net)
-			srv.SetFileDeleteObserver(r.FragmentFilesDeleted)
-			r.StreamServers[addr] = srv
-			r.placer.AddServer(addr, cl)
-		}
+	for _, s := range servers {
+		r.StreamServers[s.Addr] = StartStreamServer(r.host, s.Addr)
 	}
-	r.cfg = cfg
-	// The read-session service runs as its own task with an internal
-	// scan client: a cached leaf-scan substrate shared by every session
-	// (the Storage Read API's server-side Dremel shards, in miniature).
-	rsOpts := client.DefaultOptions()
-	rsOpts.ReadCacheBytes = 32 << 20
-	r.ReadSessions = readsession.NewServer(readsession.DefaultAddr, r.NewClient(rsOpts), r.BigMeta, clock)
 	if cfg.Chaos != nil {
 		r.installChaos(cfg.Chaos)
 	}
@@ -180,53 +118,24 @@ func NewRegion(cfg Config) *Region {
 // installChaos threads one schedule through every failure surface and
 // gives it crash authority over individual tasks.
 func (r *Region) installChaos(s *chaos.Schedule) {
-	r.chaos = s
 	r.Net.SetChaos(s)
 	r.Colossus.SetChaos(s)
-	for _, srv := range r.StreamServers {
-		srv.SetChaos(s)
-	}
 	r.placer.SetChaos(s)
 	s.OnCrash(chaos.KindStreamServer, r.CrashStreamServer)
 	s.OnCrash(chaos.KindSMS, r.CrashSMSTask)
 }
 
 // Chaos returns the region's fault-injection schedule (nil when none).
-func (r *Region) Chaos() *chaos.Schedule { return r.chaos }
+func (r *Region) Chaos() *chaos.Schedule { return r.host.cfg.Chaos }
 
 // NewClient returns a client bound to this region. A client opened with
 // a read cache is automatically registered for GC invalidation.
-func (r *Region) NewClient(opts client.Options) *client.Client {
-	c := client.New(r.Net, r.router, r.Colossus, r.Keyring, r.Clock, opts)
-	if rc := c.ReadCache(); rc != nil {
-		r.RegisterReadCache(rc)
-	}
-	return c
-}
+func (r *Region) NewClient(opts client.Options) *client.Client { return r.host.NewClient(opts) }
 
 // RegisterReadCache subscribes a client read cache to the region's
 // fragment file-deletion events (SMS groomer and heartbeat-driven
 // Stream Server GC).
-func (r *Region) RegisterReadCache(rc *client.ReadCache) {
-	if rc == nil {
-		return
-	}
-	r.mu.Lock()
-	r.readCaches = append(r.readCaches, rc)
-	r.mu.Unlock()
-}
-
-// FragmentFilesDeleted implements sms.FileGCListener (and receives the
-// Stream Servers' GC callbacks): fragment files are physically gone, so
-// no registered cache may serve their bytes again.
-func (r *Region) FragmentFilesDeleted(paths []string) {
-	r.mu.Lock()
-	caches := append([]*client.ReadCache(nil), r.readCaches...)
-	r.mu.Unlock()
-	for _, rc := range caches {
-		rc.Invalidate(paths...)
-	}
-}
+func (r *Region) RegisterReadCache(rc *client.ReadCache) { r.host.RegisterReadCache(rc) }
 
 // Router exposes the table→SMS routing (used by tools and the optimizer).
 func (r *Region) Router() client.Router { return r.router }
@@ -284,17 +193,7 @@ func (r *Region) CrashStreamServer(addr string) {
 // in Colossus. Ownership of its old streamlets is re-established only
 // through the usual SMS instruct path — exactly a Borg reschedule.
 func (r *Region) RestartStreamServer(addr string) *streamserver.Server {
-	sscfg := streamserver.DefaultConfig(addr)
-	if r.cfg.MaxFragmentBytes > 0 {
-		sscfg.MaxFragmentBytes = r.cfg.MaxFragmentBytes
-	}
-	sscfg.HeartbeatCoalesce = r.cfg.HeartbeatCoalesce
-	sscfg.HeartbeatMaxStreamlets = r.cfg.HeartbeatMaxStreamlets
-	srv := streamserver.New(sscfg, r.Colossus, r.Clock, r.Keyring, r.router, r.Net)
-	srv.SetFileDeleteObserver(r.FragmentFilesDeleted)
-	if r.chaos != nil {
-		srv.SetChaos(r.chaos)
-	}
+	srv := StartStreamServer(r.host, addr)
 	r.mu.Lock()
 	r.StreamServers[addr] = srv
 	r.mu.Unlock()
@@ -392,20 +291,7 @@ func (r *Region) SettleSlicer() {
 
 // RunHeartbeats starts a background heartbeat loop until ctx ends.
 func (r *Region) RunHeartbeats(ctx context.Context, every time.Duration) {
-	go func() {
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		n := 0
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				n++
-				r.HeartbeatAll(ctx, n%10 == 0) // periodic full snapshot (§5.4.3)
-			}
-		}
-	}()
+	StartHeartbeats(ctx, every, r.HeartbeatAll)
 }
 
 // router implements client.Router / streamserver.Router via Slicer.

@@ -255,24 +255,12 @@ func PruneAssignments(index *bigmeta.Index, table meta.TableID, sc *schema.Schem
 	kept := assignments[:0:0]
 	pruned := 0
 	for _, a := range assignments {
-		if a.Frag.ID == "" {
-			kept = append(kept, a) // undiscovered tail: unprunable
+		// An undiscovered tail (no fragment id yet) is unprunable.
+		if a.Frag.ID != "" && !index.Matches(table, &a.Frag, sc, preds) {
+			pruned++
 			continue
 		}
-		var entry *bigmeta.Entry
-		if index != nil {
-			entry = index.Lookup(table, a.Frag.ID)
-		}
-		if entry == nil {
-			if en, err := bigmeta.EntryFromFragment(&a.Frag); err == nil {
-				entry = en
-			}
-		}
-		if bigmeta.CanMatch(entry, sc, preds) {
-			kept = append(kept, a)
-		} else {
-			pruned++
-		}
+		kept = append(kept, a)
 	}
 	return kept, pruned
 }

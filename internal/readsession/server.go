@@ -154,6 +154,9 @@ func (s *Server) Crash() {
 // simulated crash.
 func (s *Server) Register() { s.net.Register(s.addr, s.srv) }
 
+// ReadCache returns the read cache of the service's scan client.
+func (s *Server) ReadCache() *client.ReadCache { return s.c.ReadCache() }
+
 // Stats returns a snapshot of the service counters.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{

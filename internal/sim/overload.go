@@ -108,7 +108,7 @@ func runOverload(cfg Config) *Result {
 		}
 		// Two heartbeat rounds close together: the second must coalesce
 		// (liveness already fresh), keeping control traffic O(servers).
-		s.region.HeartbeatAll(ctx, s.epoch%10 == 0)
+		s.region.HeartbeatAll(ctx, core.FullHeartbeat(s.epoch))
 		s.clock.Advance(time.Millisecond)
 		s.region.HeartbeatAll(ctx, false)
 

@@ -45,29 +45,10 @@ import (
 	"vortex/internal/wire"
 )
 
-// Region shape: fixed so the fault topology is a function of nothing
-// but this package's constants.
-const (
-	smsTasks          = 2
-	serversPerCluster = 3
-	fragmentBytes     = 4 << 10
-)
-
-func simClusters() []string { return []string{"alpha", "beta"} }
-
-// Topology returns the fault surfaces of the simulated region.
-func Topology() chaos.Topology {
-	t := chaos.Topology{Clusters: simClusters()}
-	for _, cl := range t.Clusters {
-		for i := 0; i < serversPerCluster; i++ {
-			t.Servers = append(t.Servers, fmt.Sprintf("ss-%s-%d", cl, i))
-		}
-	}
-	for i := 0; i < smsTasks; i++ {
-		t.SMS = append(t.SMS, fmt.Sprintf("sms-%d", i))
-	}
-	return t
-}
+// fragmentBytes rotates the simulated region's fragments small, so a
+// short run converts, reclusters and collects many of them. The region
+// otherwise has core's default shape, which its chaos programs target.
+const fragmentBytes = 4 << 10
 
 // Simulated-time layout. An epoch is one workload+maintenance+verify
 // round; Config.Duration counts simulated (manual-clock) time, so the
@@ -188,7 +169,7 @@ func Run(cfg Config) *Result {
 	}
 	specs := cfg.Specs
 	if specs == nil && cfg.Faults > 0 {
-		specs = chaos.RandomSpecs(rand.New(rand.NewSource(cfg.Seed)), Topology(), cfg.Faults)
+		specs = chaos.RandomSpecs(rand.New(rand.NewSource(cfg.Seed)), core.DefaultConfig().Topology(), cfg.Faults)
 	}
 	res := runOnce(cfg, specs)
 	if res.Failure != nil {
@@ -252,7 +233,7 @@ type harness struct {
 }
 
 // newHarness seeds the id entropy (Run resets it) and starts the region
-// rc describes, with the shape, clock and seed filled in.
+// rc describes, with the clock, fragment size and seed filled in.
 func newHarness(cfg Config, specs []chaos.Spec, rc core.Config) *harness {
 	h := &harness{
 		cfg:    cfg,
@@ -267,7 +248,6 @@ func newHarness(cfg Config, specs []chaos.Spec, rc core.Config) *harness {
 	// Seedable id entropy: stream/ROS ids become Spanner keys and drive
 	// scan and placement order, so they must replay.
 	meta.SetEntropy(rand.New(rand.NewSource(cfg.Seed ^ 0x5eed1d)))
-	rc.Clusters, rc.SMSTasks, rc.StreamServersPerCluster = simClusters(), smsTasks, serversPerCluster
 	rc.Clock, rc.ClockEpsilon, rc.MaxFragmentBytes, rc.Seed = h.clock, time.Millisecond, fragmentBytes, cfg.Seed
 	h.region = core.NewRegion(rc)
 	popts := client.DefaultOptions()
@@ -450,7 +430,7 @@ func (s *simulation) maintenancePhase(ctx context.Context) {
 		s.crashMu.Unlock()
 	})
 
-	s.region.HeartbeatAll(ctx, s.epoch%10 == 0)
+	s.region.HeartbeatAll(ctx, core.FullHeartbeat(s.epoch))
 	if s.epoch%rotateEvery == 0 {
 		for _, w := range s.writers {
 			w.rotate(ctx)

@@ -376,7 +376,7 @@ func (t *Task) reconcile(_ context.Context, table meta.TableID, stream meta.Stre
 	lastIndex := -1
 	for _, cn := range clusters {
 		c := region.Cluster(cn)
-		if c == nil || !c.Available() {
+		if c == nil {
 			continue
 		}
 		paths, err := c.List(prefix)

@@ -301,7 +301,10 @@ func (db *DB) SnapshotRead(ts truetime.Timestamp, fn func(tx *Txn) error) error 
 
 // CompactBefore drops versions that are no longer visible to any snapshot
 // at or after ts, keeping at most the latest visible version per key.
-// This models Spanner's version GC; Vortex's groomer calls it.
+// This models Spanner's version GC. Nothing in Vortex calls it yet: a
+// safe ts must lie below every snapshot a read lease still pins, so
+// until something computes that horizon every version and tombstone
+// stays, and a prefix scan walks every key ever written under it.
 func (db *DB) CompactBefore(ts truetime.Timestamp) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -97,6 +97,32 @@ if [ -n "$pinned" ]; then
     exit 1
 fi
 
+# One region assembly (DESIGN.md §13): the in-process region, the cluster
+# coordinator and its workers start their tasks with the constructors of
+# internal/core/assembly.go, which alone lays out task addresses
+# (core.SMSAddr, core.WorkerServers, core.ControlAddrs) and runs the
+# heartbeat ticker (core.StartHeartbeats, core.FullHeartbeat). Outside
+# it no non-test file formats an sms- or ss- address, and no function
+# both runs a ticker and heartbeats Stream Servers. benchmark/ is frozen
+# and excepted, as above.
+assembly=$({
+    grep -rnE --include='*.go' --exclude='*_test.go' '"(sms|ss)-(%|")' . |
+        grep -vE '^\./(internal/core/assembly\.go|benchmark/|\.bench_build/)'
+    find . -name '*.go' ! -name '*_test.go' ! -path './internal/core/assembly.go' \
+        ! -path './benchmark/*' ! -path './.bench_build/*' -exec awk '
+        /^func / { fn = FILENAME ":" FNR; ticker = 0; beat = 0 }
+        /^[[:space:]]*\/\// { next }
+        /NewTicker\(|time\.Tick\(/ { ticker = 1 }
+        /HeartbeatNow\(|HeartbeatAll\(/ { beat = 1 }
+        ticker && beat && !(fn in seen) { seen[fn] = 1; print fn ": a heartbeat ticker of its own" }
+    ' {} +
+} || true)
+if [ -n "$assembly" ]; then
+    echo "region assembly outside internal/core/assembly.go (lay out addresses and run heartbeats with core's constructors):" >&2
+    echo "$assembly" >&2
+    exit 1
+fi
+
 # One owner of the WOS log (DESIGN.md §7): the reader and the SMS take
 # log-file paths and committed extents from internal/fragment, so
 # neither depends on the Stream Server that writes the files.
