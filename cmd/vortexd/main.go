@@ -57,7 +57,7 @@ type server struct {
 
 func main() {
 	clusterd.MaybeRunNode()
-	region := core.DefaultConfig()
+	defaults := core.DefaultConfig()
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8550", "HTTP listen address (role region)")
 		role        = flag.String("role", "region", "region | coordinator | worker")
@@ -65,8 +65,8 @@ func main() {
 		peers       = flag.String("peers", "", "comma-separated logical=host:port routes to other cluster processes")
 		coordinator = flag.String("coordinator", "", "coordinator host:port (role worker)")
 		serve       = flag.String("serve", "", "comma-separated stream server addrs this worker hosts, named ss-<cluster>-<n>")
-		clusters    = flag.String("clusters", strings.Join(region.Clusters, ","), "Colossus cluster names (cluster roles)")
-		smsTasks    = flag.Int("sms", region.SMSTasks, "SMS task count (cluster roles)")
+		clusters    = flag.String("clusters", strings.Join(defaults.Clusters, ","), "Colossus cluster names (cluster roles)")
+		smsTasks    = flag.Int("sms", defaults.SMSTasks, "SMS task count (cluster roles)")
 		keyHex      = flag.String("key", "", "shared 32-byte hex AES key (cluster roles)")
 	)
 	flag.Parse()

@@ -50,7 +50,7 @@ type ServerSpec = core.ServerSpec
 type NodeConfig struct {
 	// Role is "coordinator" or "worker".
 	Role string
-	// Clusters names the region's Colossus clusters.
+	// Clusters names the region's Colossus clusters (≥2, §5.1).
 	Clusters []string
 	// SMSTasks sizes the coordinator's control-plane pool.
 	SMSTasks int
@@ -108,7 +108,7 @@ func (c *NodeConfig) host(net rpc.Transport, store colossus.Store) (*core.Host, 
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	key, _ := c.key()
+	key, _ := c.key() // Validate decoded it
 	kr := blockenc.NewKeyring()
 	if err := kr.SetKey(blockenc.SystemKey, key); err != nil {
 		return nil, err

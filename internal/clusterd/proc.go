@@ -170,12 +170,12 @@ type ClusterSpec struct {
 
 func (s *ClusterSpec) withDefaults() ClusterSpec {
 	out := *s
-	region := core.DefaultConfig()
+	defaults := core.DefaultConfig()
 	if len(out.Clusters) == 0 {
-		out.Clusters = region.Clusters
+		out.Clusters = defaults.Clusters
 	}
 	if out.SMSTasks <= 0 {
-		out.SMSTasks = region.SMSTasks
+		out.SMSTasks = defaults.SMSTasks
 	}
 	if out.Workers <= 0 {
 		out.Workers = 2

@@ -56,6 +56,7 @@ type Config struct {
 	// MaxFragmentBytes rotates fragments when exceeded. The paper sizes
 	// fragments "small enough that conversion ... happens frequently,
 	// but not so small that too many Fragments are created" (§5.3).
+	// Zero or less means 8 MiB.
 	MaxFragmentBytes int64
 	// HeartbeatCoalesce, when positive, suppresses delta heartbeats that
 	// would fire within this window of the previous one, so control-plane
@@ -67,11 +68,6 @@ type Config struct {
 	// heartbeat round; the remainder stays dirty for the next round.
 	// Bounds heartbeat size under massive fanout. Zero means unlimited.
 	HeartbeatMaxStreamlets int
-}
-
-// DefaultConfig returns production-like defaults.
-func DefaultConfig(addr string) Config {
-	return Config{Addr: addr, MaxFragmentBytes: 8 << 20}
 }
 
 // Server is one Stream Server task.

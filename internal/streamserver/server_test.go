@@ -40,11 +40,7 @@ func newServer(t *testing.T, maxFrag int64) (*Server, *colossus.Region, *rpc.Net
 	t.Helper()
 	region := colossus.NewRegion("a", "b")
 	net := rpc.NewNetwork(nil)
-	cfg := DefaultConfig("ss-1")
-	if maxFrag > 0 {
-		cfg.MaxFragmentBytes = maxFrag
-	}
-	srv := New(cfg, region, truetime.Default(), blockenc.NewKeyring(), stubRouter{"sms-0"}, net)
+	srv := New(Config{Addr: "ss-1", MaxFragmentBytes: maxFrag}, region, truetime.Default(), blockenc.NewKeyring(), stubRouter{"sms-0"}, net)
 	return srv, region, net
 }
 
