@@ -252,9 +252,9 @@ func StartStreamServer(h *Host, addr string) *streamserver.Server {
 // full snapshot rather than a delta: every tenth is (§5.4.3).
 func FullHeartbeat(n int) bool { return n%10 == 0 }
 
-// StartHeartbeats calls round every period until ctx ends, passing
-// whether the round is a full one. The returned channel closes when the
-// loop has stopped.
+// StartHeartbeats runs round once per interval of length every until
+// ctx ends, telling it whether the round is a full one. The returned
+// channel closes when the loop has stopped.
 func StartHeartbeats(ctx context.Context, every time.Duration, round func(ctx context.Context, full bool)) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
