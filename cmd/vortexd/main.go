@@ -142,9 +142,12 @@ func runClusterRole(role, listen, peers, coordinator, serve, clusters string, sm
 	}
 	switch role {
 	case "coordinator":
-		// A coordinator's peers are the workers' Stream Servers.
-		if cfg.AllServers, err = parseServerSpecs(peerAddrs); err != nil {
-			return err
+		// The coordinator places streamlets on the peers that are
+		// Stream Servers; any other peer is only a route.
+		for _, a := range peerAddrs {
+			if spec, err := core.ParseServerSpec(a); err == nil {
+				cfg.AllServers = append(cfg.AllServers, spec)
+			}
 		}
 		if _, err := clusterd.StartCoordinator(tr, cfg); err != nil {
 			return err

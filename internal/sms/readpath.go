@@ -51,9 +51,10 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 
 	var unknown, finalized []meta.StreamletID
 	var toDelete []meta.FragmentID
+	var ackedPaths []string
 	tables := map[meta.TableID]bool{}
 	_, err := t.db.ReadWriteTxn(func(tx *spanner.Txn) error {
-		unknown, finalized, toDelete = nil, nil, nil
+		unknown, finalized, toDelete, ackedPaths = nil, nil, nil, nil
 		// Instruct GC of the reported fragments the one rule finds
 		// collectable (§5.4.3). Only the fragments reported are read, so
 		// a round costs what it reports, not what its tables hold.
@@ -96,11 +97,16 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 			}
 		}
 		// Acked deletions: the server deleted the files, so the records
-		// and their masks go (§5.4.3).
+		// and their masks go (§5.4.3), and the file-GC listener hears of
+		// the files: the server's own observer reaches only the caches
+		// of its process.
 		for _, ack := range r.DeletedFragments {
-			if _, ok := tx.Get(fragmentKey(ack.Table, ack.ID)); ok {
+			if raw, ok := tx.Get(fragmentKey(ack.Table, ack.ID)); ok {
 				tx.Delete(fragmentKey(ack.Table, ack.ID))
 				tx.Delete(maskKey(ack.Table, ack.ID))
+				if f, err := meta.UnmarshalFragment(raw); err == nil {
+					ackedPaths = append(ackedPaths, f.Path)
+				}
 			}
 		}
 		return nil
@@ -108,6 +114,7 @@ func (t *Task) handleHeartbeat(_ context.Context, r *wire.HeartbeatRequest) (*wi
 	if err != nil {
 		return nil, err
 	}
+	t.notifyFilesDeleted(ackedPaths)
 
 	out := &wire.HeartbeatResponse{DeleteFragments: toDelete, UnknownStreamlets: unknown, FinalizedStreamlets: finalized, ShedTables: shed}
 	if len(tables) > 0 {

@@ -42,8 +42,9 @@ type FragmentListener interface {
 	FragmentsChanged(table meta.TableID, added []meta.FragmentInfo, deleted []meta.FragmentID)
 }
 
-// FileGCListener observes fragment files the groomer physically deleted
-// from Colossus. The region fans this out to client read caches: Spanner
+// FileGCListener observes fragment files physically deleted from
+// Colossus: by the groomer, and by Stream Servers on a heartbeat's
+// instruction, heard of when they ack it. The region fans this out to client read caches: Spanner
 // is MVCC, so an old-snapshot read view still lists a GC'd fragment, and
 // invalidation is the only thing keeping a cache from serving its bytes
 // after the file is gone.
